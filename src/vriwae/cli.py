@@ -104,7 +104,10 @@ def main(argv=None) -> int:
             print(result)
         return 0
 
-    spec = _build_spec(args.command, args)
+    try:
+        spec = _build_spec(args.command, args)
+    except ValueError as exc:   # an invalid spec stops here, before any work or file
+        parser.error(f"{args.command}: {exc}")
     rows = _RUNNERS[args.command](spec)
     text = write_table(rows, spec, path=spec.out)
     if not spec.out:

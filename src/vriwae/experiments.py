@@ -29,7 +29,8 @@ from scipy.special import logsumexp, ndtri
 from . import rng as vrng
 from .asymptotics import fit_constant, iid_sum_curve, lognormal_curve, one_over_n_curve
 from .bounds import vr_iwae_from_log_weights
-from .gradients import fd_grad_oracle, grad_mean_se, h_coefficients, snr_sweep
+from .gradients import (_MeanSE, _replicate_chunks, fd_grad_oracle, grad_mean_se,
+                        h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      make_dataset, optimal_params, perturb_params, toy_analytics)
@@ -69,7 +70,8 @@ _OFF_TRAIN = 8 << 40
 _OFF_SELFTEST = 9 << 40
 
 _DEFAULT_N_GRID = tuple(2**j for j in range(1, 10))
-_CHUNK_TARGET = 20_000_000
+_KINDS = ("gap", "snr", "weights", "collapse", "train")
+_MODELS = ("toy", "lingauss")
 
 
 @dataclass
@@ -103,6 +105,18 @@ class ExperimentSpec:
         self.ds = tuple(int(d) for d in self.ds)
         self.n_grid = tuple(int(n) for n in self.n_grid)
         self.sigma_perturbs = tuple(float(s) for s in self.sigma_perturbs)
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.model not in _MODELS:
+            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if any(d < 1 for d in self.ds):
+            raise ValueError(f"ds must be >= 1, got {self.ds}")
+        if any(n < 1 for n in self.n_grid):
+            raise ValueError(f"n_grid must be >= 1, got {self.n_grid}")
+        if self.replicates < 2:
+            raise ValueError(f"replicates must be >= 2 for a standard error, got {self.replicates}")
+        if self.weight_samples < 2:
+            raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in [0, 1]")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -152,9 +166,7 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
     """
     if spec.model == "toy":
         return [(None, make_toy(d, spec.theta_scale))]
-    if spec.model == "lingauss":
-        return [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs]
-    raise ValueError(f"unknown model {spec.model!r}")
+    return [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs]
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +182,7 @@ def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: in
     which does not affect the values.
     """
     d = models[0].d
-    chunk = max(1, _CHUNK_TARGET // max(n * d, 1))
-    start = 0
-    while start < replicates:
-        stop = min(start + chunk, replicates)
+    for start, stop in _replicate_chunks(replicates, n * d):
         c = stop - start
         raws = np.empty((c, n * d), dtype=np.uint64)
         for i, r in enumerate(range(start, stop)):
@@ -182,7 +191,6 @@ def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: in
         eps = ndtri(u).reshape(c, n, d)
         lrw = np.stack([m.log_relative_weight(m.reparam(eps)) for m in models])
         yield start, stop, lrw
-        start = stop
 
 
 # --------------------------------------------------------------------------
@@ -215,19 +223,13 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
         ses = np.empty_like(means)
         for n_idx, n in enumerate(n_grid):
             base = _OFF_GAP + (d_idx * len(n_grid) + n_idx) * spec.replicates
-            acc = np.zeros((len(variants), len(spec.alphas)))
-            acc2 = np.zeros_like(acc)
+            acc = _MeanSE((len(variants), len(spec.alphas)))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
                                                              spec.seed, base):
-                for a_idx, alpha in enumerate(spec.alphas):
-                    s = vr_iwae_from_log_weights(lrw, alpha, axis=-1)
-                    acc[:, a_idx] += s.sum(axis=-1)
-                    acc2[:, a_idx] += (s * s).sum(axis=-1)
-            r = spec.replicates
-            mean = acc / r
-            var = np.maximum(acc2 / r - mean**2, 0.0) * r / max(r - 1, 1)
-            means[:, :, n_idx] = mean
-            ses[:, :, n_idx] = np.sqrt(var / r)
+                # (C, V, A): replicates first, as the reducer expects
+                acc.add(np.stack([vr_iwae_from_log_weights(lrw, alpha, axis=-1).T
+                                  for alpha in spec.alphas], axis=-1))
+            means[:, :, n_idx], ses[:, :, n_idx] = acc.finalize()
 
         for v_idx, (sp, model) in enumerate(variants):
             for a_idx, alpha in enumerate(spec.alphas):
@@ -316,13 +318,20 @@ def fit_gap_table(rows: Sequence[dict]) -> list:
 # --------------------------------------------------------------------------
 
 SNR_COLUMNS = ["model", "estimator", "alpha", "d", "sigma_perturb", "M", "N",
-               "block", "snr_mean", "slope", "slope_lo", "slope_hi", "ref_slope"]
+               "block", "snr_mean", "slope", "slope_lo", "slope_hi", "ref_slope",
+               "snr_floor", "at_floor"]
 
 
 def run_snr_experiment(spec: ExperimentSpec) -> list:
     """SNR of rep and drep gradient estimators over the grid, with log-log
-    slope fits and the theoretical +-1/2 reference slopes."""
+    slope fits and the theoretical +-1/2 reference slopes.
+
+    Health columns: snr_floor is sqrt(2/(pi R)), the SNR a zero-mean
+    coordinate reads over R replicates, and at_floor marks rows whose
+    snr_mean is below twice that floor, where the SNR cannot be read.
+    """
     rows = []
+    floor = snr_floor(spec.replicates)
     grid_idx = 0
     for d in spec.ds:
         for sp, model in _variants(spec, d):
@@ -345,6 +354,7 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
                             "slope_lo": blk.slope - 2.0 * blk.slope_se,
                             "slope_hi": blk.slope + 2.0 * blk.slope_se,
                             "ref_slope": ref,
+                            "snr_floor": floor, "at_floor": bool(blk.at_floor[i]),
                         })
     return rows
 
@@ -370,13 +380,9 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             grid_idx += 1
             n = spec.weight_samples
             lrw = np.empty(n)
-            chunk = max(1, _CHUNK_TARGET // max(d, 1))
-            start = 0
-            while start < n:
-                stop = min(start + chunk, n)
+            for start, stop in _replicate_chunks(n, d):
                 eps = vrng.standard_normal(stream, (stop - start, d))
                 lrw[start:stop] = model.log_relative_weight(model.reparam(eps))
-                start = stop
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             corr = qq_points(lrw).correlation
             counts, edges = np.histogram(lrw, bins=_HIST_BINS)

@@ -12,13 +12,27 @@ changes.  Both are unbiased for the gradient of the bound, which is what the
 finite-difference oracle and the cross-estimator checks in the test suite
 verify.
 
+Every score is affine in z (see `models`): score_k(z) = const_k + coef_k *
+z_(k mod d).  So a weighted sum of scores contracts to two weighted sums of
+the samples,
+
+    sum_j w_j score(z_j) = const * sum_j w_j + coef * tile(sum_j w_j z_j),
+
+and the estimators need only sum_j w_j and sum_j w_j z_j for w = s (theta and
+rep phi) and w = h (drep phi): one batched matmul of the stacked (s, h) rows
+against z over the N axis, never the (..., N, P) score tensors.  One pass
+(`_grad_pass`) does the reparameterization, the log-weights and the softmax
+once and returns both estimators.
+
 Everything here is batched: the kernels take eps of shape (R, N, d) and return
-one gradient sample per replicate row, chunked so memory stays bounded.  The
-single-sample operations are thin wrappers over the batched kernels.
+one gradient sample per replicate row, chunked to at most `_CHUNK_TARGET`
+elements of eps so memory stays bounded.  The single-sample operations are
+thin wrappers over the batched kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +41,7 @@ import numpy as np
 from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
+from .models import _affine_score
 
 __all__ = [
     "GradientSample",
@@ -40,12 +55,14 @@ __all__ = [
     "grad_mean_se",
     "fd_grad_from_eps",
     "fd_grad_oracle",
+    "snr_floor",
     "snr_sweep",
     "grad_mse_sweep",
 ]
 
-# target element count of the largest intermediate array per chunk
-_CHUNK_TARGET = 20_000_000
+# target element count of the largest intermediate array per chunk, for
+# every chunked loop of the package
+_CHUNK_TARGET = 1_000_000
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -89,6 +106,10 @@ def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0) or abs(float(s.sum()) - 1.0) > 1e-10:
         raise ValueError("s must be a probability vector")
+    return _h(s, alpha)
+
+
+def _h(s: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * s + (1.0 - alpha) * s * s
 
 
@@ -98,8 +119,29 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _grad_pass(model, eps: np.ndarray, alpha: float):
+    """(log_w, g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
+
+    eps has shape (..., N, d); log_w is (..., N) and the gradients are
+    (..., theta_dim) and (..., phi_dim), one sample per batch row.  The
+    scores are contracted through `model.score_affine()`, never
+    materialized.
+    """
+    z = model.reparam(eps)
+    lw = model.log_unnormalized_weight(z)
+    s = _softmax_last((1.0 - alpha) * lw)
+    w = np.stack([s, _h(s, alpha)], axis=-2)      # (..., 2, N): rows s and h
+    w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
+    wz = w @ z                                    # (..., 2, d)
+    s_sum, h_sum = w_sum[..., 0, :], w_sum[..., 1, :]
+    sz, hz = wz[..., 0, :], wz[..., 1, :]
+    theta, phi_total, phi_stopped = model.score_affine()
+    return (lw, _affine_score(*theta, sz, s_sum), _affine_score(*phi_total, sz, s_sum),
+            _affine_score(*phi_stopped, hz, h_sum))
+
+
 def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
-    """Gradient samples for a batch of draws.
+    """Gradient samples of one estimator kind for a batch of draws.
 
     eps has shape (..., N, d); the return is a pair of arrays shaped
     (..., theta_dim) and (..., phi_dim), one gradient sample per batch row.
@@ -107,17 +149,8 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
     alpha = _check_alpha_closed(alpha)
     if kind not in ("rep", "drep"):
         raise ValueError(f"unknown estimator kind {kind!r}")
-    z = model.reparam(eps)
-    lw = model.log_unnormalized_weight(z)
-    s = _softmax_last((1.0 - alpha) * lw)
-    d_theta, d_phi_total, d_phi_stopped = model.score_grads(eps, z)
-    g_theta = np.einsum("...n,...nk->...k", s, d_theta)
-    if kind == "rep":
-        g_phi = np.einsum("...n,...nk->...k", s, d_phi_total)
-    else:
-        h = alpha * s + (1.0 - alpha) * s * s
-        g_phi = np.einsum("...n,...nk->...k", h, d_phi_stopped)
-    return g_theta, g_phi
+    _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+    return g_theta, (g_rep if kind == "rep" else g_drep)
 
 
 def rep_grad_sample(model, alpha: float, n_importance: int, stream: vrng.RngStream) -> GradientSample:
@@ -138,25 +171,39 @@ def _one_sample(model, alpha, n_importance, stream, kind):
 
 
 class _MeanSE:
-    """Streaming per-coordinate mean and standard error accumulator."""
+    """Streaming mean and standard error along the leading (replicate) axis.
 
-    def __init__(self, dim: int):
+    Each batch is reduced to its own mean and sum of squared deviations and
+    merged with the pairwise update of Chan, Golub and LeVeque (1983), so
+    the variance stays accurate when the spread is small against the mean
+    and batches of any size merge to the same result up to rounding.
+    """
+
+    def __init__(self, shape):
         self.n = 0
-        self.s = np.zeros(dim)
-        self.ss = np.zeros(dim)
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
 
     def add(self, batch: np.ndarray):
-        self.n += batch.shape[0]
-        self.s += batch.sum(axis=0)
-        self.ss += (batch * batch).sum(axis=0)
+        k = batch.shape[0]
+        if k == 0:
+            return
+        b_mean = batch.mean(axis=0)
+        dev = batch - b_mean
+        n = self.n + k
+        delta = b_mean - self.mean
+        self.m2 = self.m2 + (dev * dev).sum(axis=0) + delta * delta * (self.n * k / n)
+        self.mean = self.mean + delta * (k / n)
+        self.n = n
 
     def finalize(self):
-        mean = self.s / self.n
-        var = np.maximum(self.ss / self.n - mean * mean, 0.0) * self.n / max(self.n - 1, 1)
-        return mean, np.sqrt(var / self.n)
+        var = self.m2 / max(self.n - 1, 1)
+        return self.mean, np.sqrt(var / self.n)
 
 
 def _replicate_chunks(replicates: int, per_replicate_elems: int):
+    """(start, stop) replicate ranges of at most `_CHUNK_TARGET` elements
+    (and at least one replicate) each."""
     chunk = max(1, _CHUNK_TARGET // max(per_replicate_elems, 1))
     start = 0
     while start < replicates:
@@ -250,14 +297,22 @@ class SnrBlock:
     Each SNR is |mean|/sd over R replicates, which is biased up toward the
     floor sqrt(2/(pi R)), the expected value for a zero-mean coordinate
     (about 0.025 at R=1000).  SNRs near or below the floor cannot be read,
-    and a slope fitted to them measures the floor, not the estimator.
+    and a slope fitted to them measures the floor, not the estimator;
+    `at_floor` marks the N whose mean SNR is below twice the floor.
     """
 
     per_coordinate_snr: np.ndarray  # (len(n_grid), n_coords); +inf marks zero variance
     mean_snr: np.ndarray            # mean over finite coordinates per N
+    at_floor: np.ndarray            # bool per N: mean_snr < 2 * snr_floor(R)
     slope: float
     intercept: float
     slope_se: float
+
+
+def snr_floor(replicates: int) -> float:
+    """sqrt(2/(pi R)): the expected |mean|/sd of a zero-mean coordinate over
+    R replicates, below which an SNR cannot be read."""
+    return math.sqrt(2.0 / (math.pi * replicates))
 
 
 @dataclass
@@ -295,6 +350,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     below that floor cannot be read: choose `replicates` so that the SNRs of
     interest stay well above it (see `SnrBlock`).
     """
+    alpha = _check_alpha_closed(alpha)
     n_grid = list(n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
@@ -319,12 +375,13 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         per_rep = m_samples * n * model.d
         for start, stop in _replicate_chunks(replicates, per_rep):
             eps = vrng.standard_normal(draw_stream, (stop - start, m_samples, n, model.d))
-            for kind in kinds:
-                g_theta, g_phi = grad_samples_from_eps(model, eps, alpha, kind)
-                g_theta = g_theta.mean(axis=1)  # average the m_samples copies
-                g_phi = g_phi.mean(axis=1)
-                samples[(kind, "theta")][start:stop] = g_theta[:, theta_idx]
-                samples[(kind, "phi")][start:stop] = g_phi[:, phi_idx]
+            # both estimators from one pass; the theta block is shared, and
+            # each row averages its m_samples copies
+            _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+            g_theta = g_theta.mean(axis=1)[:, theta_idx]
+            for kind, g_phi in (("rep", g_rep), ("drep", g_drep)):
+                samples[(kind, "theta")][start:stop] = g_theta
+                samples[(kind, "phi")][start:stop] = g_phi.mean(axis=1)[:, phi_idx]
         for key, mat in samples.items():
             snr[key][i] = _snr_from_samples(mat)
 
@@ -342,6 +399,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         else:
             slope, intercept, slope_se = np.nan, np.nan, np.nan
         report.blocks[key] = SnrBlock(per_coordinate_snr=mat, mean_snr=mean_snr,
+                                      at_floor=mean_snr < 2.0 * snr_floor(replicates),
                                       slope=slope, intercept=intercept, slope_se=slope_se)
     return report
 
@@ -364,11 +422,7 @@ def grad_mse_sweep(model, alpha: float, n_grid: Sequence[int], replicates: int,
         draw_stream = stream.child(n)
         for start, stop in _replicate_chunks(replicates, per_rep):
             eps = vrng.standard_normal(draw_stream, (stop - start, n, model.d))
-            z = model.reparam(eps)
-            lw = model.log_unnormalized_weight(z)
-            s = _softmax_last((1.0 - alpha) * lw)
-            d_theta, _, _ = model.score_grads(eps, z)
-            g_theta = np.einsum("rn,rnk->rk", s, d_theta)
+            lw, g_theta, _, _ = _grad_pass(model, eps, alpha)
             bound = vr_iwae_from_log_weights(lw, alpha)
             sq_grad += float(((g_theta - exact_grad) ** 2).sum())
             sq_bound += float(((bound - log_marginal) ** 2).sum())

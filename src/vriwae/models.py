@@ -25,6 +25,18 @@ derivative follows the sample path z = f(eps, phi) through the weight, the
 stopped variant differentiates only through the sample path while freezing the
 explicit proposal-density term.
 
+Every score of both models is affine in z, coordinate by coordinate, so each
+model states its three scores (theta, phi-total, phi-stopped) once, in
+`score_affine`, as (const, coef) vectors of the block's size P = m*d:
+
+    score_k(z) = const_k + coef_k * z_(k mod d),   k = 0..P-1,
+
+i.e. coef multiplies z tiled m times along the last axis (m = 2 for the
+linear Gaussian phi blocks, packed [a, b]; m = 1 otherwise).  `score_grads`
+materializes the scores from these coefficients, and the gradient kernels
+contract them without materializing (see `gradients`), so the finite-
+difference checks of `score_grads` vouch for the formula that runs.
+
 All array methods broadcast: z / eps may be (..., d) batches.
 """
 
@@ -118,18 +130,22 @@ class GaussianToy:
         """Exact gradient of the log marginal w.r.t. theta (zero here)."""
         return np.zeros(self.d)
 
-    def score_grads(self, eps: np.ndarray, z: np.ndarray):
-        """(d_theta, d_phi_total, d_phi_stopped), each shaped like z.
+    def score_affine(self):
+        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped).
 
         d_theta       = z - theta
-        d_phi_total   = -(phi + eps - theta)   (path + explicit proposal term)
-        d_phi_stopped = theta - phi            (path only; constant in z)
+        d_phi_total   = -(phi + eps - theta) = theta - z   (path + explicit proposal term)
+        d_phi_stopped = theta - phi                        (path only; constant in z)
         """
+        ones = np.ones(self.d)
+        return ((-self.theta, ones), (self.theta.copy(), -ones),
+                (self.theta - self.phi, np.zeros(self.d)))
+
+    def score_grads(self, eps: np.ndarray, z: np.ndarray):
+        """(d_theta, d_phi_total, d_phi_stopped), each shaped like z, from
+        `score_affine`."""
         z = np.asarray(z, dtype=np.float64)
-        d_theta = z - self.theta
-        d_phi_total = -(z - self.theta)
-        d_phi_stopped = np.broadcast_to(self.theta - self.phi, z.shape).copy()
-        return d_theta, d_phi_total, d_phi_stopped
+        return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
 
 
 @dataclass
@@ -208,23 +224,43 @@ class LinearGaussian:
     def log_unnormalized_weight(self, z: np.ndarray) -> np.ndarray:
         return self.log_relative_weight(z) + self.log_marginal()
 
-    def score_grads(self, eps: np.ndarray, z: np.ndarray):
-        """(d_theta, d_phi_total, d_phi_stopped); phi blocks packed [a, b].
+    def score_affine(self):
+        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped); phi
+        blocks packed [a, b], so their coefficients act on z tiled twice.
 
         The unnormalized weight is p(z) p(x|z) / q(z|x), so the theta score
         keeps the marginal's theta-dependence: d_theta = z - theta.  For phi,
         z = a*x + b + sqrt(2/3) eps, hence coordinate k of the path Jacobian
         is x_k for a_k and 1 for b_k; the explicit -log q term is constant in
         phi along the sample path, so it only enters the stopped variant
-        through grad_z log w.
+        through grad_z log w.  With that Jacobian applied to
+            base_total   = (theta - z) + (x - z)           = c_t - 2 z,
+            base_stopped = base_total + 1.5 (z - q_mean)   = c_s - z / 2,
+        where c_t = theta + x and c_s = c_t - 1.5 q_mean.
         """
+        c_t = self.theta + self.x
+        c_s = c_t - 1.5 * self.q_mean
+        ones = np.ones(self.d)
+        return ((-self.theta, ones),
+                (np.concatenate([self.x * c_t, c_t]), np.concatenate([-2.0 * self.x, -2.0 * ones])),
+                (np.concatenate([self.x * c_s, c_s]), np.concatenate([-0.5 * self.x, -0.5 * ones])))
+
+    def score_grads(self, eps: np.ndarray, z: np.ndarray):
+        """(d_theta, d_phi_total, d_phi_stopped) from `score_affine`; the phi
+        blocks are shaped (..., 2d)."""
         z = np.asarray(z, dtype=np.float64)
-        base_total = (self.theta - z) + (self.x - z)
-        base_stopped = base_total + 1.5 * (z - self.q_mean)
-        d_theta = z - self.theta
-        d_phi_total = np.concatenate([self.x * base_total, base_total], axis=-1)
-        d_phi_stopped = np.concatenate([self.x * base_stopped, base_stopped], axis=-1)
-        return d_theta, d_phi_total, d_phi_stopped
+        return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
+
+
+def _affine_score(const: np.ndarray, coef: np.ndarray, z: np.ndarray, weight_sum=1.0):
+    """const * weight_sum + coef * z, with z tiled to the block size along
+    its last axis.
+
+    At a sample z (weight_sum 1) this is the score itself.  At
+    z = sum_j w_j z_j and weight_sum = sum_j w_j it is the weighted score sum
+    sum_j w_j score(z_j), which is how the gradient kernels contract.
+    """
+    return const * weight_sum + coef * np.tile(z, const.shape[0] // z.shape[-1])
 
 
 ModelInstance = Union[GaussianToy, LinearGaussian]

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from vriwae.experiments import (ExperimentSpec, fit_gap_table, make_linear_gaussian,
-                                make_toy, read_table, render_svg,
+from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
+                                make_linear_gaussian, make_toy, read_table, render_svg,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
                                 run_weights_experiment, selftest, write_table)
@@ -26,6 +26,39 @@ def test_spec_validation():
         ExperimentSpec(kind="gap", alphas=(0.0, 1.5))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="gap", format="xml")
+    for kw, field in ((dict(kind="plot"), "kind"), (dict(model="gauss"), "model"),
+                      (dict(ds=(10, 0)), "ds"), (dict(n_grid=(0, 2)), "n_grid"),
+                      (dict(replicates=1), "replicates"),
+                      (dict(weight_samples=1), "weight_samples")):
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(**{"kind": "gap", **kw})
+
+
+_CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
+             "--replicates", "10", "--seed", "0"]
+
+
+@pytest.mark.parametrize("command, bad, field", [
+    ("gap", ["--replicates", "0"], "replicates"),
+    ("gap", ["--replicates", "1"], "replicates"),
+    ("collapse", ["--replicates", "0"], "replicates"),
+    ("gap", ["--d", "0"], "ds"),
+    ("gap", ["--n-grid", "0", "2"], "n_grid"),
+    ("weights", ["--weight-samples", "1"], "weight_samples"),
+    ("gap", ["--config", "{cfg}"], "model"),
+], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
+        "gap-n-0", "weights-samples-1", "config-model"])
+def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
+    from vriwae.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "gauss"}))
+    out = tmp_path / "table.csv"
+    argv = [command, *_CLI_BASE, *[a.format(cfg=cfg) for a in bad], "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gap_experiment_columns_and_determinism():
@@ -122,6 +155,9 @@ def test_snr_experiment_smoke():
         assert row["estimator"] in ("rep", "drep")
         assert row["ref_slope"] in (0.5, -0.5)
         assert row["slope_lo"] <= row["slope"] <= row["slope_hi"]
+        assert list(row) == SNR_COLUMNS
+        assert row["snr_floor"] == pytest.approx(math.sqrt(2.0 / (math.pi * 200)))
+        assert row["at_floor"] == (row["snr_mean"] < 2.0 * row["snr_floor"])
 
 
 def test_weights_experiment_rows():

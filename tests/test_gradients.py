@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vriwae.gradients import (drep_grad_sample, fd_grad_from_eps, fd_grad_oracle,
-                              grad_mean_se, grad_mse_sweep, grad_samples_from_eps,
-                              h_coefficients, rep_grad_sample, snr_sweep)
+import vriwae.gradients as gradients_mod
+from vriwae.gradients import (_grad_pass, _MeanSE, _softmax_last, drep_grad_sample,
+                              fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
+                              grad_mse_sweep, grad_samples_from_eps, h_coefficients,
+                              rep_grad_sample, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal
 
@@ -128,6 +130,41 @@ def test_alpha_domain():
 
 
 # --------------------------------------------------------------------------
+# contracted kernel against the materialized scores
+# --------------------------------------------------------------------------
+
+def _materialized_grads(model, eps, alpha):
+    """Oracle: the weighted sums over the materialized (..., N, P) scores."""
+    z = model.reparam(eps)
+    s = _softmax_last((1.0 - alpha) * model.log_unnormalized_weight(z))
+    h = alpha * s + (1.0 - alpha) * s * s
+    d_theta, d_total, d_stopped = model.score_grads(eps, z)
+    return (np.einsum("...n,...nk->...k", s, d_theta),
+            np.einsum("...n,...nk->...k", s, d_total),
+            np.einsum("...n,...nk->...k", h, d_stopped))
+
+
+@pytest.mark.parametrize("make_model", [lambda: toy(d=3, theta=0.2, phi=0.9),
+                                        lambda: lingauss(3, seed=4)],
+                         ids=["toy", "lingauss"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("shape", [(7, 1), (7, 6), (5, 3, 1), (5, 3, 6)],
+                         ids=["R,N=1", "R,N=6", "R,M,N=1", "R,M,N=6"])
+def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape):
+    model = make_model()
+    eps = standard_normal(make_stream(30, 0), (*shape, model.d))
+    lw, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+    assert np.array_equal(lw, model.log_unnormalized_weight(model.reparam(eps)))
+    for got, want in zip((g_theta, g_rep, g_drep), _materialized_grads(model, eps, alpha)):
+        assert got.shape == want.shape == (*shape[:-1], want.shape[-1])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    rep = grad_samples_from_eps(model, eps, alpha, "rep")
+    drep = grad_samples_from_eps(model, eps, alpha, "drep")
+    assert np.array_equal(rep[0], drep[0])
+    assert np.array_equal(rep[1], g_rep) and np.array_equal(drep[1], g_drep)
+
+
+# --------------------------------------------------------------------------
 # finite-difference oracle
 # --------------------------------------------------------------------------
 
@@ -199,10 +236,15 @@ def test_snr_planted_slope():
             g = 1.0 + eps  # mean 1, unit variance per sample
             return g, g, g
 
+        def score_affine(self):
+            one = (np.ones(1), np.ones(1))  # the same scores: 1 + z, z = eps
+            return one, one, one
+
     n_grid = [4, 16, 64, 256]
     report = snr_sweep(Synthetic(), 0.0, 1, n_grid, 4000, 1, make_stream(13, 0))
     for key in (("rep", "theta"), ("rep", "phi")):
         assert report.blocks[key].slope == pytest.approx(0.5, abs=0.02)
+        assert not report.blocks[key].at_floor.any()  # SNR sqrt(N), far above the floor
 
 
 def test_snr_zero_variance_sentinel():
@@ -222,10 +264,41 @@ def test_snr_zero_variance_sentinel():
             g = np.ones_like(eps)
             return g, g, g
 
+        def score_affine(self):
+            one = (np.ones(1), np.zeros(1))  # the same scores: constant 1
+            return one, one, one
+
     report = snr_sweep(Constant(), 0.0, 1, [2, 4], 200, 1, make_stream(14, 0))
     blk = report.blocks[("rep", "theta")]
     assert np.all(np.isinf(blk.per_coordinate_snr))
     assert math.isnan(blk.slope)
+    assert not blk.at_floor.any()  # infinite SNR is not at the floor
+
+
+def test_snr_floor_flag_on_zero_mean_theta_block():
+    # a toy at theta = phi has a zero-mean theta gradient, so its SNR reads
+    # the floor sqrt(2/(pi R)) itself
+    rep = snr_sweep(toy(d=10, theta=0.5, phi=0.5), 0.0, 1, [2, 8], 400, 10, make_stream(15, 0))
+    blk = rep.blocks[("rep", "theta")]
+    assert blk.at_floor.all()
+    assert np.all(blk.mean_snr < 2.0 * snr_floor(400))
+    assert snr_floor(400) == pytest.approx(math.sqrt(2.0 / (math.pi * 400)))
+
+
+def test_snr_sweep_independent_of_chunk_size(monkeypatch):
+    # draws come per replicate from one sequential stream, so any chunk size
+    # gives the same samples and the same report, to the bit
+    model = lingauss(3, seed=2)
+    reports = []
+    for target in (1_000_000, 50):
+        monkeypatch.setattr(gradients_mod, "_CHUNK_TARGET", target)
+        reports.append(snr_sweep(model, 0.3, 2, [2, 8], 150, 4, make_stream(16, 0)))
+    a, b = reports
+    assert a.blocks.keys() == b.blocks.keys()
+    for key in a.blocks:
+        for attr in ("per_coordinate_snr", "mean_snr", "at_floor"):
+            assert np.array_equal(getattr(a.blocks[key], attr), getattr(b.blocks[key], attr))
+        assert a.blocks[key].slope == b.blocks[key].slope
 
 
 def test_snr_input_validation():
@@ -233,6 +306,41 @@ def test_snr_input_validation():
         snr_sweep(toy(), 0.0, 1, [4, 2], 200, 1, make_stream(0, 0))
     with pytest.raises(ValueError):
         snr_sweep(toy(), 0.0, 1, [2, 4], 50, 1, make_stream(0, 0))
+
+
+# --------------------------------------------------------------------------
+# mean/SE reducer
+# --------------------------------------------------------------------------
+
+def test_mean_se_large_offset():
+    # unit spread on a 1e8 offset: sum(x^2)/n - mean^2 cancels to garbage
+    x = 1e8 + standard_normal(make_stream(40, 0), (10_000, 3))
+    acc = _MeanSE(3)
+    acc.add(x[:4000])
+    acc.add(x[4000:])
+    mean, se = acc.finalize()
+    centred = x - 1e8  # exact: the offset is representable
+    want_se = centred.std(axis=0, ddof=1) / 100.0
+    np.testing.assert_allclose(mean - 1e8, centred.mean(axis=0), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(se, want_se, rtol=1e-8)
+    naive_var = np.maximum((x * x).mean(axis=0) - x.mean(axis=0) ** 2, 0.0) * 10_000 / 9_999
+    assert np.all(np.abs(np.sqrt(naive_var / 10_000) / want_se - 1.0) > 0.01)
+
+
+def test_mean_se_independent_of_chunking():
+    x = 3.0 + 0.5 * standard_normal(make_stream(41, 0), (1000, 2, 2))
+    results = []
+    for cuts in ((), (1,), (10, 11, 500), tuple(range(1, 1000))):
+        acc = _MeanSE((2, 2))
+        for lo, hi in zip((0, *cuts), (*cuts, 1000)):
+            acc.add(x[lo:hi])
+        results.append(acc.finalize())
+    mean0, se0 = results[0]
+    np.testing.assert_allclose(mean0, x.mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(se0, x.std(axis=0, ddof=1) / math.sqrt(1000), rtol=1e-12)
+    for mean, se in results[1:]:
+        np.testing.assert_allclose(mean, mean0, rtol=1e-14)
+        np.testing.assert_allclose(se, se0, rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
