@@ -12,7 +12,7 @@ from .models import (GaussianToy, LinearGaussian, lingauss_analytics, make_datas
                      optimal_params, perturb_params, toy_analytics)
 from .rng import RngStream, make_stream, standard_normal, uniform
 from .train import TrainConfig, Trajectory, adam_step, run_training, sgd_step
-from .weights import (LogWeights, WeightDiagnostics, ess, log_weight_moments,
-                      max_weight_share, qq_points, relative_log_weights, t_statistic)
+from .weights import (LogWeights, ess, log_weight_moments, max_weight_share, qq_points,
+                      relative_log_weights, t_statistic)
 
 __version__ = "0.1.0"

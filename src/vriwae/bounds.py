@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng as vrng
-from .weights import LogWeights, relative_log_weights
+from .weights import LogWeights, _check_alpha, relative_log_weights, t_statistic
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
@@ -47,15 +47,9 @@ class BoundEstimate:
     n_importance: int
 
 
-def _check_alpha_closed(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return float(alpha)
-
-
 def vr_iwae_from_log_weights(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
     """Single-sample bound estimate along `axis` of a log-weight array."""
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, closed=True)
     values = np.asarray(values, dtype=np.float64)
     if values.shape[axis] < 1:
         raise ValueError("need at least one weight")
@@ -98,16 +92,16 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
 
 
 def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
+    """Bound samples, replicate r from the N log-weights of `model.log_weight_law`
+    on the uniforms of stream.child(r)."""
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, closed=True)
+    shift = 0.0 if relative else model.log_marginal()
     out = np.empty(replicates)
     for r in range(replicates):
-        sub = stream.child(r)
-        eps = vrng.standard_normal(sub, (n_importance, model.d))
-        z = model.reparam(eps)
-        lw = model.log_relative_weight(z) if relative else model.log_unnormalized_weight(z)
-        out[r] = vr_iwae_from_log_weights(lw, alpha)
+        u = vrng.uniform(stream.child(r), (n_importance, model.LAW_WORDS))
+        out[r] = vr_iwae_from_log_weights(model.log_weight_law(u) + shift, alpha)
     return out
 
 
@@ -126,12 +120,9 @@ def decomposition_sample(lw: LogWeights, alpha: float) -> tuple[float, float, fl
     remainder carried by the others.  Their sum reproduces the gap sample
     exactly, and r_term <= T / (1 - alpha).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     if lw.log_marginal is None:
         raise ValueError("decomposition needs relative log-weights (log_marginal set)")
-    from .weights import t_statistic  # local import to avoid cycle at module load
-
     rel = relative_log_weights(lw)
     rel_lw = LogWeights(rel, log_marginal=0.0)
     t = t_statistic(rel_lw, alpha)

@@ -6,7 +6,8 @@ within the gap and collapse experiments every replicate r of every grid cell
 has its own stream, so outputs are byte-identical no matter how work is
 scheduled.  Common random numbers are reused on purpose across alpha values
 and across perturbation scales of the same grid cell: the draws are i.i.d.
-for each configuration, and sharing them makes the comparisons paired.
+for each configuration, and sharing them makes the comparisons paired.  Each
+log-weight comes from its model's exact law (`log_weight_law`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -24,13 +25,15 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+# ndtri is unused here, but perfbench/tracing.py wraps experiments.ndtri
+from scipy.special import logsumexp, ndtri  # noqa: F401
 
 from . import rng as vrng
-from .asymptotics import fit_constant, iid_sum_curve, lognormal_curve, one_over_n_curve
-from .bounds import vr_iwae_from_log_weights
-from .gradients import (_MeanSE, _replicate_chunks, fd_grad_oracle, grad_mean_se,
-                        h_coefficients, snr_floor, snr_sweep)
+from .asymptotics import (expected_min_normal, fit_constant, iid_sum_curve, lognormal_curve,
+                          one_over_n_curve)
+from .bounds import decomposition_sample, vr_iwae_from_log_weights
+from .gradients import (SNR_MIN_REPLICATES, _MeanSE, _replicate_chunks, fd_grad_oracle,
+                        grad_mean_se, h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      make_dataset, optimal_params, perturb_params, toy_analytics)
@@ -115,6 +118,9 @@ class ExperimentSpec:
             raise ValueError(f"n_grid must be >= 1, got {self.n_grid}")
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2 for a standard error, got {self.replicates}")
+        if self.kind == "snr" and self.replicates < SNR_MIN_REPLICATES:
+            raise ValueError(f"replicates must be >= {SNR_MIN_REPLICATES} for snr, "
+                             f"got {self.replicates}")
         if self.weight_samples < 2:
             raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
@@ -149,13 +155,24 @@ def make_linear_gaussian(d: int, sigma_perturb: float, seed: int,
     same (seed, d) always yields the same instance; sigma_perturb only
     scales the shared perturbation directions.
     """
+    models, data = _linear_gaussians(d, (sigma_perturb,), seed, t)
+    return models[0], data
+
+
+def _linear_gaussians(d: int, sigma_perturbs: Sequence[float], seed: int, t: int = 1024):
+    """`make_linear_gaussian` for several sigma_perturb at once: the dataset and
+    datapoint are drawn once, and each perturbation from a fresh copy of the
+    (seed, _OFF_PERTURB + d) stream, so every model is the one
+    `make_linear_gaussian(d, sigma_perturb, seed, t)` returns."""
     data = make_dataset(t, d, vrng.make_stream(seed, _OFF_DATASET + d))
-    theta_star, a_star, b_star = optimal_params(data)
+    params = optimal_params(data)
     u = vrng.uniform(vrng.make_stream(seed, _OFF_DATAPOINT + d), 1)[0]
     x = data[int(u * t)]
-    theta, a_tilde, b = perturb_params((theta_star, a_star, b_star), sigma_perturb,
-                                       vrng.make_stream(seed, _OFF_PERTURB + d))
-    return LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x), data
+    models = []
+    for sp in sigma_perturbs:
+        theta, a_tilde, b = perturb_params(params, sp, vrng.make_stream(seed, _OFF_PERTURB + d))
+        models.append(LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x))
+    return models, data
 
 
 def _variants(spec: ExperimentSpec, d: int) -> list:
@@ -166,7 +183,7 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
     """
     if spec.model == "toy":
         return [(None, make_toy(d, spec.theta_scale))]
-    return [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs]
+    return list(zip(spec.sigma_perturbs, _linear_gaussians(d, spec.sigma_perturbs, spec.seed)[0]))
 
 
 # --------------------------------------------------------------------------
@@ -177,20 +194,19 @@ def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: in
                              base_id: int):
     """Yield (start, stop, lrw) with lrw of shape (V, C, N) per chunk.
 
-    Replicate r draws its N x d noise from stream (seed, base_id + r); the
-    inverse-CDF transform and the weight evaluation are batched per chunk,
+    Replicate r draws N x k uniforms (k = LAW_WORDS of the models) from
+    stream (seed, base_id + r), and every model maps the same uniforms
+    through its `log_weight_law`; the transforms are batched per chunk,
     which does not affect the values.
     """
-    d = models[0].d
-    for start, stop in _replicate_chunks(replicates, n * d):
+    k = models[0].LAW_WORDS
+    for start, stop in _replicate_chunks(replicates, n * k):
         c = stop - start
-        raws = np.empty((c, n * d), dtype=np.uint64)
+        raws = np.empty((c, n * k), dtype=np.uint64)
         for i, r in enumerate(range(start, stop)):
-            raws[i] = vrng.raw_uint64(vrng.make_stream(seed, base_id + r), n * d)
-        u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        eps = ndtri(u).reshape(c, n, d)
-        lrw = np.stack([m.log_relative_weight(m.reparam(eps)) for m in models])
-        yield start, stop, lrw
+            raws[i] = vrng.raw_uint64(vrng.make_stream(seed, base_id + r), n * k)
+        u = vrng._uniform_from_raw(raws).reshape(c, n, k)
+        yield start, stop, np.stack([m.log_weight_law(u) for m in models])
 
 
 # --------------------------------------------------------------------------
@@ -379,10 +395,7 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             stream = vrng.make_stream(spec.seed, _OFF_WEIGHTS + grid_idx)
             grid_idx += 1
             n = spec.weight_samples
-            lrw = np.empty(n)
-            for start, stop in _replicate_chunks(n, d):
-                eps = vrng.standard_normal(stream, (stop - start, d))
-                lrw[start:stop] = model.log_relative_weight(model.reparam(eps))
+            lrw = model.log_weight_law(vrng.uniform(stream, (n, model.LAW_WORDS)))
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             corr = qq_points(lrw).correlation
             counts, edges = np.histogram(lrw, bins=_HIST_BINS)
@@ -412,33 +425,27 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
         models = [m for _, m in variants]
         for n_idx, n in enumerate(spec.n_grid):
             base = _OFF_COLLAPSE + (d_idx * len(spec.n_grid) + n_idx) * spec.replicates
-            stats = {
-                (v, a): {"t": [], "share": [], "ess": []}
-                for v in range(len(variants)) for a in range(len(spec.alphas))
-            }
+            # (T, max share, ESS) per (variant, alpha)
+            acc = _MeanSE((len(variants), len(spec.alphas), 3))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
                                                              spec.seed, base):
                 mx = lrw.max(axis=-1, keepdims=True)
                 lse = logsumexp(lrw, axis=-1)
                 share = np.exp(mx[..., 0] - lse)
                 e = np.exp(2.0 * lse - logsumexp(2.0 * lrw, axis=-1))
-                for a_idx, alpha in enumerate(spec.alphas):
-                    # T counts the non-maximal terms: the max contributes exactly 1
-                    t = np.exp((1.0 - alpha) * (lrw - mx)).sum(axis=-1) - 1.0
-                    for v_idx in range(len(variants)):
-                        s = stats[(v_idx, a_idx)]
-                        s["t"].append(t[v_idx])
-                        s["share"].append(share[v_idx])
-                        s["ess"].append(e[v_idx])
+                # T counts the non-maximal terms: the max contributes exactly 1
+                t = np.stack([np.exp((1.0 - alpha) * (lrw - mx)).sum(axis=-1) - 1.0
+                              for alpha in spec.alphas], axis=-1)
+                stats = np.stack(np.broadcast_arrays(t, share[..., None], e[..., None]), axis=-1)
+                acc.add(stats.transpose(1, 0, 2, 3))  # (C, V, A, 3): replicates first
+            mean, se = acc.finalize()
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
-                    s = stats[(v_idx, a_idx)]
                     row = {"model": spec.model, "alpha": alpha, "d": d,
                            "sigma_perturb": sp, "N": n, "replicates": spec.replicates}
-                    for name, col in (("t", "t"), ("share", "max_share"), ("ess", "ess")):
-                        vals = np.concatenate(s[name])
-                        row[f"{col}_mean"] = float(vals.mean())
-                        row[f"{col}_se"] = float(vals.std(ddof=1) / math.sqrt(vals.size))
+                    for i, col in enumerate(("t", "max_share", "ess")):
+                        row[f"{col}_mean"] = float(mean[v_idx, a_idx, i])
+                        row[f"{col}_se"] = float(se[v_idx, a_idx, i])
                     rows.append(row)
     return rows
 
@@ -656,7 +663,6 @@ def selftest(seed: int = 0) -> SelftestReport:
                                          - (logsumexp(lw.values) - math.log(n))))
         worst_elbo = max(worst_elbo, abs(vr_iwae_from_log_weights(lw.values, 1.0 - 1e-9)
                                          - lw.values.mean()))
-        from .bounds import decomposition_sample
         for alpha in (0.0, 0.5):
             dm, rt, t = decomposition_sample(lw, alpha)
             worst_decomp = max(worst_decomp, abs(dm + rt - vr_iwae_from_log_weights(lw.values, alpha)))
@@ -691,11 +697,10 @@ def selftest(seed: int = 0) -> SelftestReport:
     report.record("h_coefficients_values", bool(h_ok), "")
 
     # analytic scores vs finite differences
-    from .models import GaussianToy as _Toy
     worst_score = 0.0
     for _ in range(10):
         d = int(rng0.integers(1, 4))
-        toy = _Toy(d=d, theta=rng0.normal(size=d), phi=rng0.normal(size=d))
+        toy = GaussianToy(d=d, theta=rng0.normal(size=d), phi=rng0.normal(size=d))
         lg = LinearGaussian(d=d, theta=rng0.normal(size=d), a_tilde=rng0.normal(size=d),
                             b=rng0.normal(size=d), x=rng0.normal(size=d))
         for model in (toy, lg):
@@ -704,7 +709,7 @@ def selftest(seed: int = 0) -> SelftestReport:
     report.record("score_grads_vs_fd", worst_score <= 1e-5, f"max rel err {worst_score:.2e}")
 
     # rep vs drep vs FD gradient means (reduced replicates)
-    toy = _Toy(d=3, theta=np.zeros(3), phi=np.full(3, 0.5))
+    toy = GaussianToy(d=3, theta=np.zeros(3), phi=np.full(3, 0.5))
     detail, ok = _grad_agreement(toy, alpha=0.5, n=4, replicates=20_000, seed=seed)
     report.record("gradient_unbiasedness_reduced", ok, detail)
 
@@ -725,7 +730,6 @@ def selftest(seed: int = 0) -> SelftestReport:
                   f"worst err/tol {worst_quad:.2e}")
 
     # extreme-value constant vs sampling oracle
-    from .asymptotics import expected_min_normal
     stream = vrng.make_stream(seed, _OFF_SELFTEST)
     mins = vrng.standard_normal(stream, (200, 1000)).min(axis=1)
     dev = abs(float(mins.mean()) - expected_min_normal(1000, refined=True))

@@ -42,6 +42,7 @@ from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score
+from .weights import _check_alpha
 
 __all__ = [
     "GradientSample",
@@ -55,6 +56,7 @@ __all__ = [
     "grad_mean_se",
     "fd_grad_from_eps",
     "fd_grad_oracle",
+    "SNR_MIN_REPLICATES",
     "snr_floor",
     "snr_sweep",
     "grad_mse_sweep",
@@ -63,6 +65,9 @@ __all__ = [
 # target element count of the largest intermediate array per chunk, for
 # every chunked loop of the package
 _CHUNK_TARGET = 1_000_000
+
+# fewest replicates an SNR is estimated from
+SNR_MIN_REPLICATES = 100
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -89,12 +94,6 @@ class GradEstimate:
     replicates: int
 
 
-def _check_alpha_closed(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return float(alpha)
-
-
 def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
     """Doubly-reparameterized weights h_j = alpha*s_j + (1-alpha)*s_j^2.
 
@@ -102,7 +101,7 @@ def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
     weights); h sums to at most 1, with equality iff alpha = 1 or s is
     degenerate.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, closed=True)
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0) or abs(float(s.sum()) - 1.0) > 1e-10:
         raise ValueError("s must be a probability vector")
@@ -146,7 +145,7 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
     eps has shape (..., N, d); the return is a pair of arrays shaped
     (..., theta_dim) and (..., phi_dim), one gradient sample per batch row.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, closed=True)
     if kind not in ("rep", "drep"):
         raise ValueError(f"unknown estimator kind {kind!r}")
     _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
@@ -350,12 +349,12 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     below that floor cannot be read: choose `replicates` so that the SNRs of
     interest stay well above it (see `SnrBlock`).
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = _check_alpha(alpha, closed=True)
     n_grid = list(n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates for SNR estimation")
+    if replicates < SNR_MIN_REPLICATES:
+        raise ValueError(f"need at least {SNR_MIN_REPLICATES} replicates for SNR estimation")
 
     k_theta = min(coordinate_sample, model.theta_dim)
     k_phi = min(coordinate_sample, model.phi_dim)

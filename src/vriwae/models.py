@@ -18,7 +18,18 @@ LinearGaussian
     like a sum of d i.i.d. terms with
         var sigma^2 = 1/18 + (8/3) lambda^2,
         mean gap per dimension a_const = lambda^2 + 1/6 + (1/2) log(3/4),
-    so ELBO minus the log marginal equals -d * a_const exactly.
+    so ELBO minus the log marginal equals -d * a_const exactly.  The law
+    itself: with delta = (theta+x)/2 - a*x - b (so ||delta||^2 = d lambda^2),
+        log w = (d/2) log(4/3) + 3 ||delta||^2 - X/6,
+    where X = ||eps - sqrt(24) delta||^2 is noncentral chi^2 with d degrees of
+    freedom and noncentrality 24 ||delta||^2.  Rotating delta onto the first
+    axis, X = (Z + sqrt(24 ||delta||^2))^2 + chi^2_(d-1) with Z ~ N(0, 1).
+
+`log_weight_law` draws from these laws: it maps LAW_WORDS uniforms (last
+axis) to a relative log-weight by inverse CDFs (ndtri, and gammaincinv for
+chi^2_(d-1) = 2 Gamma((d-1)/2)), so O(1) draws replace the d normals of
+`reparam` + `log_relative_weight`.  That path stays for the gradients, which
+need z, and as the law's reference in the tests.
 
 Both models expose analytic score gradients (no autodiff): the total phi
 derivative follows the sample path z = f(eps, phi) through the weight, the
@@ -44,16 +55,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
 
 import numpy as np
+from scipy.special import gammaincinv, ndtri
 
 from . import rng as vrng
+from .weights import _check_alpha
 
 __all__ = [
     "GaussianToy",
     "LinearGaussian",
-    "ModelInstance",
     "toy_analytics",
     "lingauss_analytics",
     "optimal_params",
@@ -109,6 +120,14 @@ class GaussianToy:
         return float(np.linalg.norm(self.theta - self.phi))
 
     # --- sampling and weights ----------------------------------------------
+    LAW_WORDS = 1
+
+    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
+        """Relative log-weights -B^2/2 - B*ndtri(u_0) from uniforms (..., 1);
+        at d = 1 and phi > theta, the path's values on the same uniforms."""
+        b = self.bd
+        return -0.5 * b * b - b * ndtri(u[..., 0])
+
     def reparam(self, eps: np.ndarray) -> np.ndarray:
         return self.phi + eps
 
@@ -202,6 +221,18 @@ class LinearGaussian:
         return float(np.linalg.norm(self.posterior_mean - self.q_mean) / math.sqrt(self.d))
 
     # --- sampling and weights ----------------------------------------------
+    LAW_WORDS = 2
+
+    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
+        """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 from
+        uniforms (..., 2): X = (ndtri(u_0) + sqrt(24 ||delta||^2))^2
+        + 2 gammaincinv((d-1)/2, u_1), without the gamma term at d = 1."""
+        delta2 = float(np.sum((self.posterior_mean - self.q_mean) ** 2))
+        x = (ndtri(u[..., 0]) + math.sqrt(24.0 * delta2)) ** 2
+        if self.d > 1:
+            x = x + 2.0 * gammaincinv(0.5 * (self.d - 1), u[..., 1])
+        return 0.5 * self.d * _LOG_4_3 + 3.0 * delta2 - x / 6.0
+
     def reparam(self, eps: np.ndarray) -> np.ndarray:
         return self.q_mean + math.sqrt(2.0 / 3.0) * eps
 
@@ -263,9 +294,6 @@ def _affine_score(const: np.ndarray, coef: np.ndarray, z: np.ndarray, weight_sum
     return const * weight_sum + coef * np.tile(z, const.shape[0] // z.shape[-1])
 
 
-ModelInstance = Union[GaussianToy, LinearGaussian]
-
-
 # --------------------------------------------------------------------------
 # Closed-form constants
 # --------------------------------------------------------------------------
@@ -278,8 +306,7 @@ def toy_analytics(alpha: float, sigma2d: float) -> tuple[float, float]:
     the 1/N term and overflows to inf in high dimension, which is meaningful
     (the 1/N regime is unreachable there).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     if sigma2d < 0:
         raise ValueError("sigma2d must be non-negative")
     vr_gap = -alpha * sigma2d / 2.0
@@ -295,8 +322,7 @@ def lingauss_analytics(model: LinearGaussian, alpha: float):
     1/N variance constant; sigma2 and a_const are the per-dimension variance
     and mean gap of the log-weights, with ELBO - log marginal = -d * a_const.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     d = model.d
     lam = model.lam
     dlam2 = d * lam * lam
@@ -416,16 +442,14 @@ def _coordinate_moment(model: LinearGaussian, k: int, power: float) -> float:
 
 def lingauss_gap_quadrature(model: LinearGaussian, alpha: float) -> float:
     """VR error term (1/(1-alpha)) log E_q[wbar^(1-alpha)] by quadrature."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     log_moment = sum(math.log(_coordinate_moment(model, k, 1.0 - alpha)) for k in range(model.d))
     return log_moment / (1.0 - alpha)
 
 
 def lingauss_gamma2_quadrature(model: LinearGaussian, alpha: float) -> float:
     """gamma^2 = (E[wbar^(2-2a)]/E[wbar^(1-a)]^2 - 1)/(1-a) by quadrature."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     log_m1 = sum(math.log(_coordinate_moment(model, k, 1.0 - alpha)) for k in range(model.d))
     log_m2 = sum(math.log(_coordinate_moment(model, k, 2.0 * (1.0 - alpha))) for k in range(model.d))
     return math.expm1(log_m2 - 2.0 * log_m1) / (1.0 - alpha)

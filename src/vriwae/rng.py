@@ -7,8 +7,9 @@ without any fast-forwarding, so replicates can be farmed out to workers in any
 order and still reproduce bit-identical results.
 
 Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
-(``ndtri``), a fixed documented choice.  Uniforms are built from raw 64-bit
-words shifted into (0, 1), so the transform never sees an endpoint.
+(``ndtri``), a fixed documented choice; the models' exact log-weight laws
+draw gamma variates the same way (``gammaincinv``).  Uniforms are built from
+raw 64-bit words shifted into (0, 1), so the transform never sees an endpoint.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ def uniform(stream: RngStream, size) -> np.ndarray:
     """
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = int(np.prod(shape)) if shape else 1
-    r = raw_uint64(stream, n)
-    u = ((r >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return u.reshape(shape)
+    return _uniform_from_raw(raw_uint64(stream, n)).reshape(shape)
+
+
+def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
+    """The uniforms of `uniform` from raw words, elementwise."""
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def standard_normal(stream: RngStream, size) -> np.ndarray:

@@ -25,7 +25,6 @@ from scipy.special import logsumexp, ndtri
 
 __all__ = [
     "LogWeights",
-    "WeightDiagnostics",
     "QQResult",
     "relative_log_weights",
     "t_statistic",
@@ -33,7 +32,6 @@ __all__ = [
     "ess",
     "qq_points",
     "log_weight_moments",
-    "diagnostics",
 ]
 
 
@@ -61,17 +59,6 @@ class LogWeights:
         return self.values.size
 
 
-@dataclass
-class WeightDiagnostics:
-    """Collapse metrics of one weight batch at a given alpha."""
-
-    t_stat: float
-    max_share: float
-    ess: float
-    log_mean: float
-    log_std: float
-
-
 class QQResult(NamedTuple):
     theoretical: np.ndarray
     sample: np.ndarray
@@ -85,9 +72,10 @@ def relative_log_weights(lw: LogWeights) -> np.ndarray:
     return lw.values - lw.log_marginal
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+def _check_alpha(alpha: float, closed: bool = False) -> float:
+    """alpha as a float; ValueError outside [0, 1), or [0, 1] if `closed`."""
+    if not (0.0 <= alpha <= 1.0 if closed else 0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1{']' if closed else ')'}, got {alpha}")
     return float(alpha)
 
 
@@ -147,14 +135,3 @@ def log_weight_moments(log_weights: np.ndarray) -> tuple[float, float]:
         raise ValueError("need at least 2 points")
     return float(x.mean()), float(x.std(ddof=1))
 
-
-def diagnostics(lw: LogWeights, alpha: float) -> WeightDiagnostics:
-    """All collapse metrics of one batch in a single pass."""
-    mean, std = (float(lw.values.mean()), float(lw.values.std(ddof=1))) if lw.n >= 2 else (float(lw.values[0]), 0.0)
-    return WeightDiagnostics(
-        t_stat=t_statistic(lw, alpha),
-        max_share=max_weight_share(lw),
-        ess=ess(lw),
-        log_mean=mean,
-        log_std=std,
-    )

@@ -1,15 +1,20 @@
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vriwae import experiments, gradients
 from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
                                 make_linear_gaussian, make_toy, read_table, render_svg,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
                                 run_weights_experiment, selftest, write_table)
+from vriwae.weights import LogWeights, ess, max_weight_share, t_statistic
 
 
 def small_gap_spec(**kw):
@@ -29,6 +34,7 @@ def test_spec_validation():
     for kw, field in ((dict(kind="plot"), "kind"), (dict(model="gauss"), "model"),
                       (dict(ds=(10, 0)), "ds"), (dict(n_grid=(0, 2)), "n_grid"),
                       (dict(replicates=1), "replicates"),
+                      (dict(kind="snr", replicates=99), "replicates"),
                       (dict(weight_samples=1), "weight_samples")):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{"kind": "gap", **kw})
@@ -46,8 +52,9 @@ _CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
     ("gap", ["--n-grid", "0", "2"], "n_grid"),
     ("weights", ["--weight-samples", "1"], "weight_samples"),
     ("gap", ["--config", "{cfg}"], "model"),
+    ("snr", ["--replicates", "50"], "replicates"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
-        "gap-n-0", "weights-samples-1", "config-model"])
+        "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -106,6 +113,64 @@ def test_gap_lingauss_runs_with_perturbations():
     assert sps == [0.0, 0.5]
     for row in rows:
         assert row["mean_bound"] == pytest.approx(row["mean_gap"] + row["log_marginal"])
+
+
+def test_lingauss_variants_match_make_linear_gaussian(monkeypatch):
+    # the dataset and datapoint are drawn once per d for all sigma_perturb;
+    # every model, and so every table, is byte-identical to building each
+    # sigma_perturb's instance on its own with make_linear_gaussian
+    spec = ExperimentSpec(kind="gap", model="lingauss", alphas=(0.0, 0.5), ds=(3, 5),
+                          n_grid=(2, 4), replicates=20, seed=4,
+                          sigma_perturbs=(0.0, 0.1, 0.3))
+    for d in spec.ds:
+        variants = experiments._variants(spec, d)
+        assert [sp for sp, _ in variants] == list(spec.sigma_perturbs)
+        for sp, model in variants:
+            ref = make_linear_gaussian(d, sp, spec.seed)[0]
+            for name in ("theta", "a_tilde", "b", "x"):
+                assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
+    tables = [write_table(run(spec), spec) for run in (run_gap_experiment,
+                                                       run_collapse_experiment)]
+    monkeypatch.setattr(experiments, "_variants", lambda spec, d: [
+        (sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs])
+    assert tables == [write_table(run(spec), spec) for run in (run_gap_experiment,
+                                                               run_collapse_experiment)]
+
+
+_CHUNK_SPECS = {
+    model: dict(model=model, alphas=(0.0, 0.5), ds=(1, 3), n_grid=(2, 8), replicates=40,
+                seed=5, sigma_perturbs=(0.0, 0.3))
+    for model in ("toy", "lingauss")}
+_CHUNK_REFS: dict = {}
+
+
+def _chunk_tables(model):
+    return {kind: run(ExperimentSpec(kind=kind, **_CHUNK_SPECS[model]))
+            for kind, run in (("gap", run_gap_experiment),
+                              ("collapse", run_collapse_experiment))}
+
+
+@settings(max_examples=12, deadline=None)
+@given(target=st.integers(min_value=1, max_value=400),
+       model=st.sampled_from(sorted(_CHUNK_SPECS)))
+def test_gap_and_collapse_independent_of_chunk_size(target, model):
+    # replicate r always draws from its own stream, so the chunk size only
+    # changes how the reducer merges batches: the tables agree to rounding
+    if model not in _CHUNK_REFS:
+        _CHUNK_REFS[model] = _chunk_tables(model)
+    with mock.patch.object(gradients, "_CHUNK_TARGET", target):
+        got = _chunk_tables(model)
+    for kind, ref_rows in _CHUNK_REFS[model].items():
+        assert len(got[kind]) == len(ref_rows)
+        for ref, row in zip(ref_rows, got[kind]):
+            assert ref.keys() == row.keys()
+            for key, value in ref.items():
+                if isinstance(value, float) and not math.isnan(value):
+                    assert row[key] == pytest.approx(value, rel=1e-9, abs=1e-12), (kind, key)
+                elif isinstance(value, float):
+                    assert math.isnan(row[key])
+                else:
+                    assert row[key] == value
 
 
 def test_fit_gap_table_roundtrip(tmp_path):
@@ -192,6 +257,26 @@ def test_collapse_experiment_trends():
     for row in rows:
         assert 1.0 <= row["ess_mean"] <= 64.0
         assert 0.0 < row["max_share_mean"] <= 1.0
+
+
+def test_collapse_matches_scalar_diagnostics():
+    # the batched T / max share / ESS and their streaming mean and SE equal
+    # the scalar diagnostics of `weights` and a two-pass SE, per replicate batch
+    spec = ExperimentSpec(kind="collapse", model="lingauss", alphas=(0.0, 0.5), ds=(3,),
+                          n_grid=(8,), replicates=30, seed=9, sigma_perturbs=(0.0, 0.3))
+    rows = run_collapse_experiment(spec)
+    models = [m for _, m in experiments._variants(spec, 3)]
+    (_, _, lrw), = experiments._relative_weight_batches(models, 8, spec.replicates, spec.seed,
+                                                        experiments._OFF_COLLAPSE)
+    assert len(rows) == 4
+    for row in rows:
+        batches = [LogWeights(w, 0.0) for w in lrw[spec.sigma_perturbs.index(row["sigma_perturb"])]]
+        for col, stat in (("t", lambda b: t_statistic(b, row["alpha"])),
+                          ("max_share", max_weight_share), ("ess", ess)):
+            vals = np.array([stat(b) for b in batches])
+            assert row[f"{col}_mean"] == pytest.approx(vals.mean(), rel=1e-12)
+            assert row[f"{col}_se"] == pytest.approx(
+                vals.std(ddof=1) / math.sqrt(vals.size), rel=1e-9)
 
 
 def test_train_experiment_rows():

@@ -1,0 +1,79 @@
+"""The exact one-dimensional log-weight laws against the d-dimensional path.
+
+`log_weight_law` replaces d normals per log-weight by LAW_WORDS uniforms in
+the gap, collapse, weights and bound_mc/gap_mc samplers.  The path
+(`reparam` + `log_relative_weight`) stays the reference: the two must agree in
+distribution (two-sample KS), the law must match the closed-form moments, and
+at d = 1 the toy law must equal the path on the same uniforms.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import ndtri
+from scipy.stats import ks_2samp
+
+from vriwae.bounds import bound_mc, gap_mc
+from vriwae.experiments import make_linear_gaussian, make_toy
+from vriwae.models import GaussianToy, lingauss_analytics
+from vriwae.rng import make_stream, standard_normal, uniform
+
+KS_SAMPLES = 4000
+MOMENT_SAMPLES = 200_000
+
+CASES = ([("toy", d, None) for d in (1, 10, 1000)]
+         + [("lingauss", d, sp) for d in (1, 2, 20, 1000) for sp in (0.0, 0.3)])
+
+
+def build(kind, d, sigma_perturb):
+    if kind == "toy":
+        return make_toy(d)
+    return make_linear_gaussian(d, sigma_perturb, seed=7)[0]
+
+
+def law_samples(model, n, seed):
+    return model.log_weight_law(uniform(make_stream(seed, 0), (n, model.LAW_WORDS)))
+
+
+@pytest.mark.parametrize("kind, d, sigma_perturb", CASES)
+def test_law_matches_path_in_distribution(kind, d, sigma_perturb):
+    model = build(kind, d, sigma_perturb)
+    eps = standard_normal(make_stream(11, d), (KS_SAMPLES, d))
+    path = model.log_relative_weight(model.reparam(eps))
+    law = law_samples(model, KS_SAMPLES, 12 + d)
+    assert law.shape == (KS_SAMPLES,)
+    assert ks_2samp(law, path).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("kind, d, sigma_perturb", CASES)
+def test_law_closed_form_moments(kind, d, sigma_perturb):
+    model = build(kind, d, sigma_perturb)
+    if kind == "toy":
+        b = model.bd
+        mean, var = -0.5 * b * b, b * b
+    else:
+        *_, sigma2, a_const = lingauss_analytics(model, 0.0)
+        mean, var = -d * a_const, d * sigma2
+    x = law_samples(model, MOMENT_SAMPLES, 21 + d)
+    dev2 = (x - x.mean()) ** 2
+    se_mean = x.std(ddof=1) / math.sqrt(x.size)
+    se_var = dev2.std(ddof=1) / math.sqrt(x.size)
+    assert abs(x.mean() - mean) < 5.0 * se_mean
+    assert abs(x.var(ddof=1) - var) < 5.0 * se_var
+
+
+def test_toy_law_equals_path_at_d1():
+    model = GaussianToy(d=1, theta=np.array([-0.3]), phi=np.array([1.2]))
+    u = uniform(make_stream(31, 0), (50_000, 1))
+    path = model.log_relative_weight(model.reparam(ndtri(u)))
+    law = model.log_weight_law(u)
+    assert np.allclose(law, path, rtol=1e-12, atol=1e-12)
+
+
+def test_bound_mc_adds_log_marginal_to_gap_mc():
+    model = make_linear_gaussian(4, 0.3, seed=2)[0]
+    bound = bound_mc(model, 0.5, 8, 200, make_stream(3, 0))
+    gap = gap_mc(model, 0.5, 8, 200, make_stream(3, 0))
+    assert bound.mean == pytest.approx(gap.mean + model.log_marginal(), rel=1e-12)
+    assert bound.std_error == pytest.approx(gap.std_error, rel=1e-9)
