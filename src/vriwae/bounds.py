@@ -10,17 +10,23 @@ evaluation switches to the exact limit mean(lw).
 
 Gaps are always computed from relative log-weights so the log marginal cancels
 analytically instead of being subtracted between two huge numbers.
+
+Every per-replicate draw goes through `rng.keyed_uniforms`: replicate r of a
+block starting at stream_id ``base`` maps the N x LAW_WORDS uniforms of
+stream (seed, base + r) through the model's `log_weight_law`, and whole
+chunks of replicates are drawn and reduced at once (`_relative_weight_batches`,
+shared with the gap and collapse runners of `experiments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as vrng
-from .weights import LogWeights, _check_alpha, relative_log_weights, t_statistic
+from .weights import LogWeights, _check_alpha, _logsumexp, relative_log_weights, t_statistic
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
@@ -56,7 +62,7 @@ def vr_iwae_from_log_weights(values: np.ndarray, alpha: float, axis: int = -1) -
     if 1.0 - alpha < ALPHA_ONE_THRESHOLD:
         return np.mean(values, axis=axis)
     n = values.shape[axis]
-    return (logsumexp((1.0 - alpha) * values, axis=axis) - np.log(n)) / (1.0 - alpha)
+    return (_logsumexp((1.0 - alpha) * values, axis) - np.log(n)) / (1.0 - alpha)
 
 
 def vr_iwae_sample(lw: LogWeights, alpha: float) -> float:
@@ -99,10 +105,26 @@ def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
     alpha = _check_alpha(alpha, closed=True)
     shift = 0.0 if relative else model.log_marginal()
     out = np.empty(replicates)
-    for r in range(replicates):
-        u = vrng.uniform(stream.child(r), (n_importance, model.LAW_WORDS))
-        out[r] = vr_iwae_from_log_weights(model.log_weight_law(u) + shift, alpha)
+    for start, stop, lrw in _relative_weight_batches([model], n_importance, replicates,
+                                                     stream.seed, stream.stream_id):
+        out[start:stop] = vr_iwae_from_log_weights(lrw[0] + shift, alpha)
     return out
+
+
+def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: int,
+                             base_id: int):
+    """Yield (start, stop, lrw) with lrw of shape (V, C, N) per chunk.
+
+    Replicate r draws N x k uniforms (k = LAW_WORDS of the models) from
+    stream (seed, base_id + r), and every model maps the same uniforms
+    through its `log_weight_law`; the transforms are batched per chunk,
+    which does not affect the values.
+    """
+    k = models[0].LAW_WORDS
+    for start, stop in vrng._replicate_chunks(replicates, n * k):
+        u = vrng.keyed_uniforms(seed, base_id + np.arange(start, stop), n * k)
+        u = u.reshape(stop - start, n, k)
+        yield start, stop, np.stack([m.log_weight_law(u) for m in models])
 
 
 def _estimate(samples: np.ndarray, alpha: float, n_importance: int) -> BoundEstimate:

@@ -4,10 +4,12 @@ Every experiment is a pure function of (spec, seed).  Draws are organized in
 keyed streams: each experiment family owns a disjoint stream_id block, and
 within the gap and collapse experiments every replicate r of every grid cell
 has its own stream, so outputs are byte-identical no matter how work is
-scheduled.  Common random numbers are reused on purpose across alpha values
-and across perturbation scales of the same grid cell: the draws are i.i.d.
-for each configuration, and sharing them makes the comparisons paired.  Each
-log-weight comes from its model's exact law (`log_weight_law`), not d normals.
+scheduled.  All per-replicate draws go through `rng.keyed_uniforms`, a whole
+chunk of replicates at a time (`bounds._relative_weight_batches`).  Common
+random numbers are reused on purpose across alpha values and across
+perturbation scales of the same grid cell: the draws are i.i.d. for each
+configuration, and sharing them makes the comparisons paired.  Each log-weight
+comes from its model's exact law (`log_weight_law`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -31,14 +33,15 @@ from scipy.special import logsumexp, ndtri  # noqa: F401
 from . import rng as vrng
 from .asymptotics import (expected_min_normal, fit_constant, iid_sum_curve, lognormal_curve,
                           one_over_n_curve)
-from .bounds import decomposition_sample, vr_iwae_from_log_weights
-from .gradients import (SNR_MIN_REPLICATES, _MeanSE, _replicate_chunks, fd_grad_oracle,
+from .bounds import _relative_weight_batches, decomposition_sample, vr_iwae_from_log_weights
+from .gradients import (SNR_MIN_REPLICATES, _MeanSE, fd_grad_oracle,
                         grad_mean_se, h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      make_dataset, optimal_params, perturb_params, toy_analytics)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
-from .weights import LogWeights, ess, max_weight_share, qq_points, t_statistic
+from .weights import (LogWeights, _ess, _max_share, _t_stat, ess, max_weight_share, qq_points,
+                      t_statistic)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -184,29 +187,6 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
     if spec.model == "toy":
         return [(None, make_toy(d, spec.theta_scale))]
     return list(zip(spec.sigma_perturbs, _linear_gaussians(d, spec.sigma_perturbs, spec.seed)[0]))
-
-
-# --------------------------------------------------------------------------
-# Chunked relative-weight batches with per-replicate streams
-# --------------------------------------------------------------------------
-
-def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: int,
-                             base_id: int):
-    """Yield (start, stop, lrw) with lrw of shape (V, C, N) per chunk.
-
-    Replicate r draws N x k uniforms (k = LAW_WORDS of the models) from
-    stream (seed, base_id + r), and every model maps the same uniforms
-    through its `log_weight_law`; the transforms are batched per chunk,
-    which does not affect the values.
-    """
-    k = models[0].LAW_WORDS
-    for start, stop in _replicate_chunks(replicates, n * k):
-        c = stop - start
-        raws = np.empty((c, n * k), dtype=np.uint64)
-        for i, r in enumerate(range(start, stop)):
-            raws[i] = vrng.raw_uint64(vrng.make_stream(seed, base_id + r), n * k)
-        u = vrng._uniform_from_raw(raws).reshape(c, n, k)
-        yield start, stop, np.stack([m.log_weight_law(u) for m in models])
 
 
 # --------------------------------------------------------------------------
@@ -429,14 +409,9 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
             acc = _MeanSE((len(variants), len(spec.alphas), 3))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
                                                              spec.seed, base):
-                mx = lrw.max(axis=-1, keepdims=True)
-                lse = logsumexp(lrw, axis=-1)
-                share = np.exp(mx[..., 0] - lse)
-                e = np.exp(2.0 * lse - logsumexp(2.0 * lrw, axis=-1))
-                # T counts the non-maximal terms: the max contributes exactly 1
-                t = np.stack([np.exp((1.0 - alpha) * (lrw - mx)).sum(axis=-1) - 1.0
-                              for alpha in spec.alphas], axis=-1)
-                stats = np.stack(np.broadcast_arrays(t, share[..., None], e[..., None]), axis=-1)
+                t = np.stack([_t_stat(lrw, alpha) for alpha in spec.alphas], axis=-1)
+                share, e = _max_share(lrw)[..., None], _ess(lrw)[..., None]
+                stats = np.stack(np.broadcast_arrays(t, share, e), axis=-1)
                 acc.add(stats.transpose(1, 0, 2, 3))  # (C, V, A, 3): replicates first
             mean, se = acc.finalize()
             for v_idx, (sp, model) in enumerate(variants):

@@ -25,7 +25,7 @@ against z over the N axis, never the (..., N, P) score tensors.  One pass
 once and returns both estimators.
 
 Everything here is batched: the kernels take eps of shape (R, N, d) and return
-one gradient sample per replicate row, chunked to at most `_CHUNK_TARGET`
+one gradient sample per replicate row, chunked to at most `rng._CHUNK_TARGET`
 elements of eps so memory stays bounded.  The single-sample operations are
 thin wrappers over the batched kernels.
 """
@@ -61,10 +61,6 @@ __all__ = [
     "snr_sweep",
     "grad_mse_sweep",
 ]
-
-# target element count of the largest intermediate array per chunk, for
-# every chunked loop of the package
-_CHUNK_TARGET = 1_000_000
 
 # fewest replicates an SNR is estimated from
 SNR_MIN_REPLICATES = 100
@@ -200,17 +196,6 @@ class _MeanSE:
         return self.mean, np.sqrt(var / self.n)
 
 
-def _replicate_chunks(replicates: int, per_replicate_elems: int):
-    """(start, stop) replicate ranges of at most `_CHUNK_TARGET` elements
-    (and at least one replicate) each."""
-    chunk = max(1, _CHUNK_TARGET // max(per_replicate_elems, 1))
-    start = 0
-    while start < replicates:
-        stop = min(start + chunk, replicates)
-        yield start, stop
-        start = stop
-
-
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
                  stream: vrng.RngStream, kind: str = "rep") -> GradEstimate:
     """Empirical mean/SE of the gradient estimator over i.i.d. replicates.
@@ -221,7 +206,7 @@ def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
     acc_t = _MeanSE(model.theta_dim)
     acc_p = _MeanSE(model.phi_dim)
     per_rep = n_importance * model.d
-    for start, stop in _replicate_chunks(replicates, per_rep):
+    for start, stop in vrng._replicate_chunks(replicates, per_rep):
         eps = vrng.standard_normal(stream, (stop - start, n_importance, model.d))
         g_theta, g_phi = grad_samples_from_eps(model, eps, alpha, kind)
         acc_t.add(g_theta)
@@ -272,7 +257,7 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
     acc_t = _MeanSE(model.theta_dim)
     acc_p = _MeanSE(model.phi_dim)
     per_rep = n_importance * model.d * (model.theta_dim + model.phi_dim)
-    for start, stop in _replicate_chunks(replicates, per_rep):
+    for start, stop in vrng._replicate_chunks(replicates, per_rep):
         eps = vrng.standard_normal(stream, (stop - start, n_importance, model.d))
         g_theta, g_phi = fd_grad_from_eps(model, eps, alpha, step)
         acc_t.add(g_theta)
@@ -372,7 +357,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         samples = {(kind, blk): np.empty((replicates, k)) for kind in kinds
                    for blk, k in (("theta", k_theta), ("phi", k_phi))}
         per_rep = m_samples * n * model.d
-        for start, stop in _replicate_chunks(replicates, per_rep):
+        for start, stop in vrng._replicate_chunks(replicates, per_rep):
             eps = vrng.standard_normal(draw_stream, (stop - start, m_samples, n, model.d))
             # both estimators from one pass; the theta block is shared, and
             # each row averages its m_samples copies
@@ -419,7 +404,7 @@ def grad_mse_sweep(model, alpha: float, n_grid: Sequence[int], replicates: int,
         count = 0
         per_rep = n * model.d
         draw_stream = stream.child(n)
-        for start, stop in _replicate_chunks(replicates, per_rep):
+        for start, stop in vrng._replicate_chunks(replicates, per_rep):
             eps = vrng.standard_normal(draw_stream, (stop - start, n, model.d))
             lw, g_theta, _, _ = _grad_pass(model, eps, alpha)
             bound = vr_iwae_from_log_weights(lw, alpha)

@@ -3,7 +3,9 @@
 All statistics here are computed in the log domain with max-subtraction; the
 interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
-become informative.
+become informative.  `_logsumexp` is the package's one log-sum-exp kernel;
+the diagnostics T, max share and ESS each have one kernel that reduces along
+an axis, and the scalar functions are those kernels on one batch.
 
 Conventions fixed once for the whole artifact:
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "LogWeights",
@@ -79,6 +81,40 @@ def _check_alpha(alpha: float, closed: bool = False) -> float:
     return float(alpha)
 
 
+def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along `axis` of a float array, max-shifted.
+
+    A non-finite max is replaced by 0, so rows holding +inf give +inf, rows
+    of only -inf give -inf and rows holding NaN give NaN.
+    """
+    mx = np.max(x, axis=axis, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    e = np.subtract(x, mx)
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
+
+
+def _t_stat(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
+    """T at order alpha along `axis`: the argmax term is left out of the sum,
+    not subtracted from it, so a T far below 1 keeps its relative precision."""
+    v = np.moveaxis(values, axis, -1)
+    i_max = np.argmax(v, axis=-1)[..., None]  # ties: first occurrence
+    e = np.exp((1.0 - alpha) * (v - np.take_along_axis(v, i_max, axis=-1)))
+    np.put_along_axis(e, i_max, 0.0, axis=-1)
+    return np.sum(e, axis=-1)
+
+
+def _max_share(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """w_max / sum_j w_j along `axis`."""
+    return np.exp(np.max(values, axis=axis) - _logsumexp(values, axis))
+
+
+def _ess(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """(sum w)^2 / sum w^2 along `axis`."""
+    return np.exp(2.0 * _logsumexp(values, axis) - _logsumexp(2.0 * values, axis))
+
+
 def t_statistic(lw: LogWeights, alpha: float) -> float:
     """Sum of (w_j / w_max)^(1-alpha) over the non-maximal weights.
 
@@ -86,25 +122,17 @@ def t_statistic(lw: LogWeights, alpha: float) -> float:
     carries normalized or unnormalized values.  Small values mean the largest
     weight dominates the batch.
     """
-    alpha = _check_alpha(alpha)
-    v = lw.values
-    i_max = int(np.argmax(v))  # ties: first occurrence
-    if v.size == 1:
-        return 0.0
-    rest = np.delete(v, i_max)
-    return float(np.sum(np.exp((1.0 - alpha) * (rest - v[i_max]))))
+    return float(_t_stat(lw.values, _check_alpha(alpha)))
 
 
 def max_weight_share(lw: LogWeights) -> float:
     """w_max / sum_j w_j, equal to 1 / (1 + T at alpha=0)."""
-    v = lw.values
-    return float(np.exp(np.max(v) - logsumexp(v)))
+    return float(_max_share(lw.values))
 
 
 def ess(lw: LogWeights) -> float:
     """Effective sample size (sum w)^2 / sum w^2, in [1, N]."""
-    v = lw.values
-    return float(np.exp(2.0 * logsumexp(v) - logsumexp(2.0 * v)))
+    return float(_ess(lw.values))
 
 
 def qq_points(log_weights: np.ndarray) -> QQResult:

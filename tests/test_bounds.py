@@ -1,13 +1,19 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from vriwae import rng as vrng
 from vriwae.bounds import (bound_mc, decomposition_sample, elbo_sample, gap_mc,
                            vr_iwae_from_log_weights, vr_iwae_sample)
+from vriwae.experiments import make_linear_gaussian
 from vriwae.models import GaussianToy, toy_analytics
-from vriwae.rng import make_stream
+from vriwae.rng import make_stream, uniform
 from vriwae.weights import LogWeights
 
 
@@ -37,6 +43,20 @@ def test_alpha_domain_and_empty():
         vr_iwae_sample(lw(0.0), 1.1)
     with pytest.raises(ValueError):
         vr_iwae_from_log_weights(np.empty((3, 0)), 0.0)
+
+
+def test_vr_iwae_from_log_weights_matches_scipy():
+    # scipy's logsumexp is the oracle of the bound's own kernel, along both axes
+    x = 1e3 * np.random.default_rng(4).normal(size=(7, 33))
+    n = x.shape[-1]
+    for alpha in (0.0, 0.5, 1.0 - 1e-9, 1.0):
+        if 1.0 - alpha < 1e-8:
+            ref = x.mean(axis=-1)
+        else:
+            ref = (logsumexp((1.0 - alpha) * x, axis=-1) - math.log(n)) / (1.0 - alpha)
+        np.testing.assert_allclose(vr_iwae_from_log_weights(x, alpha), ref, rtol=1e-13)
+        np.testing.assert_allclose(vr_iwae_from_log_weights(np.ascontiguousarray(x.T), alpha,
+                                                            axis=0), ref, rtol=1e-13)
 
 
 def test_elbo_sample():
@@ -166,3 +186,41 @@ def test_statistical_monotonicity_in_n():
     diff = big - small
     se = diff.std(ddof=1) / math.sqrt(diff.size)
     assert diff.mean() > -3.0 * se
+
+
+# --------------------------------------------------------------------------
+# batched bound_mc / gap_mc against the per-replicate loop
+# --------------------------------------------------------------------------
+
+_ORACLE_MODELS = {"toy": GaussianToy(d=3, theta=np.zeros(3), phi=0.4 * np.ones(3)),
+                  "lingauss": make_linear_gaussian(3, 0.3, seed=2)[0]}
+_ORACLE_REPLICATES = 60
+
+
+def _per_replicate_oracle(model, alpha, n, stream, relative):
+    """Mean and SE of the bound samples, one replicate at a time: replicate r
+    maps uniform(stream.child(r), (N, k)) through the law and reduces with
+    scipy's logsumexp."""
+    shift = 0.0 if relative else model.log_marginal()
+    samples = []
+    for r in range(_ORACLE_REPLICATES):
+        v = model.log_weight_law(uniform(stream.child(r), (n, model.LAW_WORDS))) + shift
+        samples.append((logsumexp((1.0 - alpha) * v) - math.log(n)) / (1.0 - alpha))
+    samples = np.array(samples)
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
+
+
+@settings(max_examples=12, deadline=None)
+@given(target=st.integers(min_value=1, max_value=400))
+def test_batched_mc_matches_per_replicate_oracle(target):
+    for name, model in _ORACLE_MODELS.items():
+        for n in (1, 16):
+            for fn, relative in ((bound_mc, False), (gap_mc, True)):
+                stream = make_stream(8, 1000)
+                with mock.patch.object(vrng, "_CHUNK_TARGET", target):
+                    est = fn(model, 0.5, n, _ORACLE_REPLICATES, stream)
+                unchunked = fn(model, 0.5, n, _ORACLE_REPLICATES, stream)
+                mean, se = _per_replicate_oracle(model, 0.5, n, stream, relative)
+                assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-12), (name, n, fn)
+                assert est.std_error == pytest.approx(se, rel=1e-12), (name, n, fn)
+                assert (est.mean, est.std_error) == (unchunked.mean, unchunked.std_error)

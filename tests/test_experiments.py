@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vriwae import experiments, gradients
+from vriwae import experiments
+from vriwae import rng as vrng
 from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
                                 make_linear_gaussian, make_toy, read_table, render_svg,
                                 run_collapse_experiment, run_gap_experiment,
@@ -158,7 +159,7 @@ def test_gap_and_collapse_independent_of_chunk_size(target, model):
     # changes how the reducer merges batches: the tables agree to rounding
     if model not in _CHUNK_REFS:
         _CHUNK_REFS[model] = _chunk_tables(model)
-    with mock.patch.object(gradients, "_CHUNK_TARGET", target):
+    with mock.patch.object(vrng, "_CHUNK_TARGET", target):
         got = _chunk_tables(model)
     for kind, ref_rows in _CHUNK_REFS[model].items():
         assert len(got[kind]) == len(ref_rows)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import vriwae.gradients as gradients_mod
+import vriwae.rng as vrng
 from vriwae.gradients import (_grad_pass, _MeanSE, _softmax_last, drep_grad_sample,
                               fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
                               grad_mse_sweep, grad_samples_from_eps, h_coefficients,
@@ -291,7 +291,7 @@ def test_snr_sweep_independent_of_chunk_size(monkeypatch):
     model = lingauss(3, seed=2)
     reports = []
     for target in (1_000_000, 50):
-        monkeypatch.setattr(gradients_mod, "_CHUNK_TARGET", target)
+        monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
         reports.append(snr_sweep(model, 0.3, 2, [2, 8], 150, 4, make_stream(16, 0)))
     a, b = reports
     assert a.blocks.keys() == b.blocks.keys()

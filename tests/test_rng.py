@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vriwae.rng import make_stream, permutation_indices, standard_normal, uniform
+from vriwae.rng import (keyed_uniforms, make_stream, permutation_indices, standard_normal,
+                        uniform)
 
 
 def test_same_key_same_draws():
@@ -37,6 +40,34 @@ def test_negative_seed_rejected():
         make_stream(-1, 0)
     with pytest.raises(ValueError):
         make_stream(0, -2)
+
+
+def test_key_range():
+    # seeds and stream ids are the two 64-bit halves of the Philox key
+    with pytest.raises(ValueError):
+        make_stream(2**64, 0)
+    with pytest.raises(ValueError):
+        make_stream(0, 2**64)
+    for seed, ids in ((-1, [0]), (0, [3, -1]), (2**64, [0]), (0, [2**64])):
+        with pytest.raises(ValueError):
+            keyed_uniforms(seed, ids, 2)
+    top = uniform(make_stream(2**64 - 1, 3), 8)
+    assert not np.array_equal(top, uniform(make_stream(2**64 - 2, 3), 8))
+    assert not np.array_equal(top, uniform(make_stream(0, 3), 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.just(0), st.integers(2**32, 2**64 - 1)),
+       ids=st.lists(st.integers(0, (9 << 40) + 10**5), max_size=6),
+       n=st.sampled_from([0, 1, 3, 4, 5, 1024]))
+def test_keyed_uniforms_match_streams(seed, ids, n):
+    # row i is stream (seed, ids[i]) from counter 0, whatever part of a
+    # 4-word Philox block the previous row left unread
+    got = keyed_uniforms(seed, ids, n)
+    assert got.shape == (len(ids), n)
+    for row, stream_id in zip(got, ids):
+        assert np.array_equal(row, uniform(make_stream(seed, stream_id), n))
+    assert np.array_equal(keyed_uniforms(seed, ids, n), got)
 
 
 def test_normal_moments():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from vriwae.rng import make_stream, standard_normal
-from vriwae.weights import (LogWeights, ess, log_weight_moments, max_weight_share,
-                            qq_points, relative_log_weights, t_statistic)
+from vriwae.weights import (LogWeights, _logsumexp, _t_stat, ess, log_weight_moments,
+                            max_weight_share, qq_points, relative_log_weights, t_statistic)
 
 
 def test_container_validation():
@@ -60,6 +63,46 @@ def test_t_statistic_range():
         lw = LogWeights(rng.uniform(-50, 50, n))
         t = t_statistic(lw, float(rng.uniform(0, 0.99)))
         assert 0.0 <= t <= n - 1 + 1e-12
+
+
+def test_t_kernel_matches_loop_for_tiny_t():
+    # the argmax term is left out of the sum, not subtracted from it: a T of
+    # exp(-40) keeps full relative precision.  The per-batch loop over
+    # np.delete is the reference
+    rng = np.random.default_rng(3)
+    v = 30.0 * rng.normal(size=(200, 16))
+    v[:, 5] = v.max(axis=1) + rng.uniform(30.0, 45.0, size=200)
+    for alpha in (0.0, 0.5):
+        ref = np.array([np.sum(np.exp((1.0 - alpha) * (np.delete(row, np.argmax(row)) - row.max())))
+                        for row in v])
+        assert ref.min() < 1e-12
+        np.testing.assert_allclose(_t_stat(v, alpha), ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(_t_stat(v.T, alpha, axis=0), ref, rtol=1e-13, atol=0.0)
+    assert t_statistic(LogWeights(np.array([0.0, -40.0])), 0.0) == pytest.approx(
+        math.exp(-40.0), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(1, 300),
+       offset=st.floats(-1e8, 1e8), scale=st.sampled_from([1e-3, 1.0, 30.0, 300.0]),
+       axis=st.sampled_from([0, -1]))
+def test_logsumexp_kernel_matches_scipy(seed, rows, n, offset, scale, axis):
+    x = offset + scale * np.random.default_rng(seed).normal(size=(rows, n))
+    if axis == 0:
+        x = np.ascontiguousarray(x.T)
+    np.testing.assert_allclose(_logsumexp(x, axis), logsumexp(x, axis=axis),
+                               rtol=1e-13, atol=1e-13)
+
+
+def test_logsumexp_kernel_edge_rows():
+    inf, nan = math.inf, math.nan
+    x = np.array([[-inf, -inf, -inf], [0.0, inf, 1.0], [1.0, nan, 2.0], [-inf, 3.0, -inf],
+                  [-inf, inf, 0.0]])
+    got = _logsumexp(x, -1)
+    np.testing.assert_array_equal(got, [-inf, inf, nan, 3.0, inf])
+    np.testing.assert_array_equal(got, logsumexp(x, axis=-1))
+    np.testing.assert_array_equal(_logsumexp(np.ascontiguousarray(x.T), 0), got)
+    assert _logsumexp(np.array([-2.5]), -1) == -2.5
 
 
 def test_max_weight_share_uniform():
