@@ -6,8 +6,7 @@ from .asymptotics import (AsymptoticCurve, CurveFamily, expected_min_normal,
                           one_over_n_curve, slope_fit)
 from .bounds import (BoundEstimate, bound_mc, decomposition_sample, elbo_sample,
                      gap_mc, vr_iwae_from_log_weights, vr_iwae_sample)
-from .gradients import (GradientSample, drep_grad_sample, fd_grad_oracle,
-                        grad_mse_sweep, h_coefficients, rep_grad_sample, snr_sweep)
+from .gradients import fd_grad_oracle, grad_mse_sweep, h_coefficients, snr_sweep
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics, make_dataset,
                      optimal_params, perturb_params, toy_analytics)
 from .rng import RngStream, make_stream, standard_normal, uniform

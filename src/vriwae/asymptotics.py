@@ -18,8 +18,9 @@ sigma ~ 0.236), N = 2..512 lies outside the range where the iid-sum curve
 holds: its growth term sqrt(d)*sigma*sqrt(2 log N) is 38-115% of d*a, and
 the unfitted curve exceeds 0 for N >= 128 (+0.39, +2.00, +3.50 at N = 128,
 256, 512), where no gap can be.  The measured gaps there also depend on
-alpha, which the iid-sum family does not: at N=512 they are -6.84 (alpha=0,
-SE 0.07) and -11.37 (alpha=0.5, SE 0.05).  Which condition on d and N the
+alpha, which the iid-sum family does not: at N=512 (sigma_perturb 0, seed 0,
+1000 replicates) they are -6.75 (alpha=0, SE 0.07) and -11.32 (alpha=0.5,
+SE 0.05).  Which condition on d and N the
 paper states for this regime cannot be settled from this repository, which
 holds only the paper's abstract.
 

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as vrng
-from .weights import LogWeights, _check_alpha, _logsumexp, relative_log_weights, t_statistic
+from .weights import (LogWeights, _check_alpha, _logsumexp, _MeanSE, relative_log_weights,
+                      t_statistic)
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
@@ -128,10 +129,11 @@ def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: in
 
 
 def _estimate(samples: np.ndarray, alpha: float, n_importance: int) -> BoundEstimate:
-    r = samples.size
-    se = float(samples.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-    return BoundEstimate(mean=float(samples.mean()), std_error=se,
-                         replicates=r, alpha=float(alpha), n_importance=int(n_importance))
+    acc = _MeanSE(())
+    acc.add(samples)
+    mean, se = acc.finalize()
+    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size,
+                         alpha=float(alpha), n_importance=int(n_importance))
 
 
 def decomposition_sample(lw: LogWeights, alpha: float) -> tuple[float, float, float]:

@@ -34,14 +34,14 @@ from . import rng as vrng
 from .asymptotics import (expected_min_normal, fit_constant, iid_sum_curve, lognormal_curve,
                           one_over_n_curve)
 from .bounds import _relative_weight_batches, decomposition_sample, vr_iwae_from_log_weights
-from .gradients import (SNR_MIN_REPLICATES, _MeanSE, fd_grad_oracle,
-                        grad_mean_se, h_coefficients, snr_floor, snr_sweep)
+from .gradients import (SNR_MIN_REPLICATES, fd_grad_oracle, grad_mean_se, h_coefficients,
+                        snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      make_dataset, optimal_params, perturb_params, toy_analytics)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
-from .weights import (LogWeights, _ess, _max_share, _t_stat, ess, max_weight_share, qq_points,
-                      t_statistic)
+from .weights import (LogWeights, _ess, _max_share, _MeanSE, _t_stat, ess, max_weight_share,
+                      qq_points, t_statistic)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -126,6 +126,14 @@ class ExperimentSpec:
                              f"got {self.replicates}")
         if self.weight_samples < 2:
             raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.learning_rate is not None and not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.n_importance < 1:
+            raise ValueError(f"n_importance must be >= 1, got {self.n_importance}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in [0, 1]")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -438,7 +446,8 @@ def run_train_experiment(spec: ExperimentSpec) -> list:
         model, _ = make_linear_gaussian(d, spec.sigma_perturbs[0], spec.seed)
     config = TrainConfig(alpha=spec.alphas[0], n_importance=spec.n_importance,
                          estimator=spec.estimator, optimizer=spec.optimizer,
-                         learning_rate=spec.learning_rate or DEFAULT_LEARNING_RATE,
+                         learning_rate=(DEFAULT_LEARNING_RATE if spec.learning_rate is None
+                                        else spec.learning_rate),
                          epochs=spec.epochs,
                          train_theta=spec.model == "lingauss", train_phi=True,
                          log_every=spec.log_every)

@@ -19,15 +19,27 @@ the samples,
     sum_j w_j score(z_j) = const * sum_j w_j + coef * tile(sum_j w_j z_j),
 
 and the estimators need only sum_j w_j and sum_j w_j z_j for w = s (theta and
-rep phi) and w = h (drep phi): one batched matmul of the stacked (s, h) rows
-against z over the N axis, never the (..., N, P) score tensors.  One pass
-(`_grad_pass`) does the reparameterization, the log-weights and the softmax
-once and returns both estimators.
+rep phi) and w = h (drep phi), never the (..., N, P) score tensors.
+`_contract` is that one contraction; there are two ways to get its sums.
 
-Everything here is batched: the kernels take eps of shape (R, N, d) and return
-one gradient sample per replicate row, chunked to at most `rng._CHUNK_TARGET`
-elements of eps so memory stays bounded.  The single-sample operations are
-thin wrappers over the batched kernels.
+* From eps (`_grad_pass`): one batched matmul of the stacked (s, h) rows
+  against z = f(eps, phi) over the N axis.  This is the path of both models
+  in `grad_samples_from_eps`, `grad_mean_se`, `snr_sweep` and the
+  finite-difference oracle, and of the linear Gaussian in training.
+* From N + 2d normals, for `GaussianToy` (`_toy_grad_pass`).  With
+  u = (theta - phi)/B the toy's log-weights are -B^2/2 + B*(u . eps_j), so
+  they see eps_j only through S_j = u . eps_j.  Given S, the parts of eps_j
+  orthogonal to u are i.i.d. N(0, I - u u^T) and independent of the weights,
+  so (sum_j s_j eps_j, sum_j h_j eps_j) is (sum_j s_j S_j) u and
+  (sum_j h_j S_j) u plus a Gaussian pair on the orthogonal complement of u
+  with 2x2 covariance [[sum s^2, sum s h], [sum s h, sum h^2]].  N normals
+  give S, and two projected d-vectors of normals mixed by the Cholesky
+  factor of that matrix give the pair, exactly in law.  Training uses this
+  path; the eps path stays its oracle in the tests.
+
+The eps-path kernels are batched: they take eps of shape (R, N, d) and
+return one gradient sample per replicate row, chunked to at most
+`rng._CHUNK_TARGET` elements of eps so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -42,17 +54,14 @@ from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score
-from .weights import _check_alpha
+from .weights import _check_alpha, _MeanSE
 
 __all__ = [
-    "GradientSample",
     "GradEstimate",
     "SnrBlock",
     "SnrReport",
     "h_coefficients",
     "grad_samples_from_eps",
-    "rep_grad_sample",
-    "drep_grad_sample",
     "grad_mean_se",
     "fd_grad_from_eps",
     "fd_grad_oracle",
@@ -66,17 +75,6 @@ __all__ = [
 SNR_MIN_REPLICATES = 100
 
 DEFAULT_FD_STEP = 1e-3
-
-
-@dataclass
-class GradientSample:
-    """One gradient draw of the bound w.r.t. theta and phi."""
-
-    grad_theta: np.ndarray
-    grad_phi: np.ndarray
-    alpha: float
-    n_importance: int
-    estimator_kind: str  # "rep" | "drep"
 
 
 @dataclass
@@ -114,6 +112,23 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:
+    """The stacked rows (s, h) of shape (..., 2, N) for log-weights (..., N)."""
+    s = _softmax_last((1.0 - alpha) * lw)
+    return np.stack([s, _h(s, alpha)], axis=-2)
+
+
+def _contract(model, w_sum: np.ndarray, wz: np.ndarray):
+    """(g_theta, g_phi_rep, g_phi_drep) from the weighted sums: w_sum of shape
+    (..., 2, 1) holds sum s and sum h, wz of shape (..., 2, d) holds sum s z
+    and sum h z."""
+    s_sum, h_sum = w_sum[..., 0, :], w_sum[..., 1, :]
+    sz, hz = wz[..., 0, :], wz[..., 1, :]
+    theta, phi_total, phi_stopped = model.score_affine()
+    return (_affine_score(*theta, sz, s_sum), _affine_score(*phi_total, sz, s_sum),
+            _affine_score(*phi_stopped, hz, h_sum))
+
+
 def _grad_pass(model, eps: np.ndarray, alpha: float):
     """(log_w, g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
@@ -124,15 +139,50 @@ def _grad_pass(model, eps: np.ndarray, alpha: float):
     """
     z = model.reparam(eps)
     lw = model.log_unnormalized_weight(z)
-    s = _softmax_last((1.0 - alpha) * lw)
-    w = np.stack([s, _h(s, alpha)], axis=-2)      # (..., 2, N): rows s and h
+    w = _weight_rows(lw, alpha)                   # (..., 2, N): rows s and h
+    return (lw, *_contract(model, w.sum(axis=-1, keepdims=True), w @ z))
+
+
+def _toy_sums(model, normals: np.ndarray, alpha: float):
+    """(log_w, w_sum, wz) of `GaussianToy` from N + 2d standard normals per
+    row, the sums that `_contract` takes, drawn from their exact law.
+
+    normals has shape (..., N + 2d).  The first N are -S_j = -(u . eps_j),
+    so log_w = -B^2/2 - B * normals[:N] is `log_weight_law` on the same
+    uniforms.  The last 2d are two d-vectors; with u projected out and mixed
+    by the Cholesky factor of [[sum s^2, sum s h], [sum s h, sum h^2]] they
+    become (sum s eps_perp, sum h eps_perp).  At B = 0 there is no u and
+    nothing is projected; at d = 1 the projection leaves nothing.
+    """
+    d = model.d
+    n = normals.shape[-1] - 2 * d
+    b = model.bd
+    s_dir = -normals[..., :n]                     # S_j = u . eps_j
+    lw = -0.5 * b * b + b * s_dir
+    w = _weight_rows(lw, alpha)                   # (..., 2, N)
     w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
-    wz = w @ z                                    # (..., 2, d)
-    s_sum, h_sum = w_sum[..., 0, :], w_sum[..., 1, :]
-    sz, hz = wz[..., 0, :], wz[..., 1, :]
-    theta, phi_total, phi_stopped = model.score_affine()
-    return (lw, _affine_score(*theta, sz, s_sum), _affine_score(*phi_total, sz, s_sum),
-            _affine_score(*phi_stopped, hz, h_sum))
+    g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)
+    wz = w_sum * model.phi
+    if b > 0.0:
+        u = (model.theta - model.phi) / b
+        g = g - (g @ u)[..., None] * u
+        wz = wz + (w @ s_dir[..., None]) * u
+    gram = w @ np.swapaxes(w, -1, -2)             # (..., 2, 2)
+    l11 = np.sqrt(gram[..., 0, 0])
+    l21 = gram[..., 1, 0] / l11
+    # singular when h is proportional to s (alpha = 1, or N = 1)
+    l22 = np.sqrt(np.maximum(gram[..., 1, 1] - l21 * l21, 0.0))
+    wz[..., 0, :] += l11[..., None] * g[..., 0, :]
+    wz[..., 1, :] += l21[..., None] * g[..., 0, :] + l22[..., None] * g[..., 1, :]
+    return lw, w_sum, wz
+
+
+def _toy_grad_pass(model, normals: np.ndarray, alpha: float):
+    """(log_w, g_theta, g_phi_rep, g_phi_drep) of `GaussianToy` from N + 2d
+    standard normals per row (see `_toy_sums`): one gradient sample per
+    row, equal in law to `_grad_pass` on N x d normals."""
+    lw, w_sum, wz = _toy_sums(model, normals, alpha)
+    return (lw, *_contract(model, w_sum, wz))
 
 
 def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
@@ -146,54 +196,6 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
         raise ValueError(f"unknown estimator kind {kind!r}")
     _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
     return g_theta, (g_rep if kind == "rep" else g_drep)
-
-
-def rep_grad_sample(model, alpha: float, n_importance: int, stream: vrng.RngStream) -> GradientSample:
-    """One reparameterized gradient draw of the bound."""
-    return _one_sample(model, alpha, n_importance, stream, "rep")
-
-
-def drep_grad_sample(model, alpha: float, n_importance: int, stream: vrng.RngStream) -> GradientSample:
-    """One doubly-reparameterized gradient draw; theta block matches rep."""
-    return _one_sample(model, alpha, n_importance, stream, "drep")
-
-
-def _one_sample(model, alpha, n_importance, stream, kind):
-    eps = vrng.standard_normal(stream, (n_importance, model.d))
-    g_theta, g_phi = grad_samples_from_eps(model, eps[np.newaxis], alpha, kind)
-    return GradientSample(grad_theta=g_theta[0], grad_phi=g_phi[0], alpha=float(alpha),
-                          n_importance=int(n_importance), estimator_kind=kind)
-
-
-class _MeanSE:
-    """Streaming mean and standard error along the leading (replicate) axis.
-
-    Each batch is reduced to its own mean and sum of squared deviations and
-    merged with the pairwise update of Chan, Golub and LeVeque (1983), so
-    the variance stays accurate when the spread is small against the mean
-    and batches of any size merge to the same result up to rounding.
-    """
-
-    def __init__(self, shape):
-        self.n = 0
-        self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-
-    def add(self, batch: np.ndarray):
-        k = batch.shape[0]
-        if k == 0:
-            return
-        b_mean = batch.mean(axis=0)
-        dev = batch - b_mean
-        n = self.n + k
-        delta = b_mean - self.mean
-        self.m2 = self.m2 + (dev * dev).sum(axis=0) + delta * delta * (self.n * k / n)
-        self.mean = self.mean + delta * (k / n)
-        self.n = n
-
-    def finalize(self):
-        var = self.m2 / max(self.n - 1, 1)
-        return self.mean, np.sqrt(var / self.n)
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,

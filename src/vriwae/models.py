@@ -29,7 +29,8 @@ LinearGaussian
 axis) to a relative log-weight by inverse CDFs (ndtri, and gammaincinv for
 chi^2_(d-1) = 2 Gamma((d-1)/2)), so O(1) draws replace the d normals of
 `reparam` + `log_relative_weight`.  That path stays for the gradients, which
-need z, and as the law's reference in the tests.
+need z (training draws the toy's sums of z from their own exact law, see
+`gradients`), and as the law's reference in the tests.
 
 Both models expose analytic score gradients (no autodiff): the total phi
 derivative follows the sample path z = f(eps, phi) through the weight, the

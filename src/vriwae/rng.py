@@ -13,8 +13,11 @@ at counter 0, which is also what ``make_stream(seed, base).child(r)`` yields.
 row i equals ``uniform(make_stream(seed, stream_ids[i]), n)`` word for word,
 but it re-keys one Philox instead of constructing a generator per row.
 `_replicate_chunks` is the package's one chunk loop; it bounds every batched
-intermediate at `_CHUNK_TARGET` elements.  Draws that are not per replicate
-come sequentially from one stream.
+intermediate at `_CHUNK_TARGET` elements.  Training keys its draws the same
+way, per epoch and per logged gap replicate (see `train`).  Draws come
+sequentially from one stream only in the SNR sweep, `grad_mean_se`, the
+finite-difference oracle, the weights runner, and the construction of
+models (dataset, datapoint, perturbations).
 
 Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
 (``ndtri``), a fixed documented choice; the models' exact log-weight laws

@@ -11,6 +11,18 @@ eps 1e-8) is available as an alternative.
 Trajectories log the normalized squared parameter distance B^2/d for the toy
 model (or lambda for the linear Gaussian one), a small fresh Monte Carlo gap
 estimate, and the gradient norm.
+
+Draws are keyed per epoch: epoch e (from 1) reads stream (seed, stream_id + e)
+of the run's stream, and logged row k's gap is `bounds.gap_mc` on the streams
+from stream_id + GAP_STREAM_OFFSET + k * gap_replicates.  The words do not
+depend on the parameters, so each chunk of epochs takes one `keyed_uniforms`
+call and one `ndtri`, and the rows do not depend on the chunk size.  A
+`GaussianToy` epoch takes N + 2d words and draws its gradient from the exact
+conditional law of `gradients._toy_grad_pass`; a `LinearGaussian` epoch
+takes the N x d eps of the d-dimensional path.  (An exact draw for the
+linear Gaussian from a Bartlett factor would take N(N+1)/2 + 2d words, which
+pays only where N is below about 2d; no experiment runs there, so it is left
+out.)
 """
 
 from __future__ import annotations
@@ -19,11 +31,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import rng as vrng
-from .bounds import vr_iwae_from_log_weights
-from .gradients import grad_samples_from_eps
+from .bounds import gap_mc
+from .gradients import _toy_grad_pass, grad_samples_from_eps
 from .models import GaussianToy
+from .weights import _check_alpha
 
 __all__ = [
     "DEFAULT_LEARNING_RATE",
@@ -39,6 +53,8 @@ __all__ = [
 
 DEFAULT_LEARNING_RATE = 1e-3
 GRAD_NORM_LIMIT = 1e8
+# stream-id offset of the logged gap draws; epoch ids stay below it
+GAP_STREAM_OFFSET = 1 << 39
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,10 +75,17 @@ class TrainConfig:
     gap_replicates: int = 16         # fresh batches per logged gap estimate
 
     def __post_init__(self):
+        _check_alpha(self.alpha, closed=True)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        if not 0 <= self.epochs < GAP_STREAM_OFFSET:
+            raise ValueError(f"epochs must be in [0, {GAP_STREAM_OFFSET})")
+        if self.n_importance < 1:
+            raise ValueError("n_importance must be positive")
+        if self.log_every < 1:
+            raise ValueError("log_every must be positive")
+        if self.gap_replicates < 1:
+            raise ValueError("gap_replicates must be positive")
         if self.estimator not in ("rep", "drep"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.optimizer not in ("sgd", "adam"):
@@ -128,39 +151,49 @@ def _progress(model) -> float:
     return model.lam
 
 
-def _gap_estimate(model, alpha: float, n_importance: int, replicates: int,
-                  stream: vrng.RngStream) -> tuple[float, float]:
-    eps = vrng.standard_normal(stream, (replicates, n_importance, model.d))
-    lw = model.log_relative_weight(model.reparam(eps))
-    samples = vr_iwae_from_log_weights(lw, alpha)
-    se = float(samples.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    return float(samples.mean()), se
+def _epoch_normals(model, config: TrainConfig, stream: vrng.RngStream):
+    """Yield (epoch, normals) for epochs 1..config.epochs: N + 2d normals per
+    epoch for `GaussianToy`, N x d for `LinearGaussian`, a chunk of epochs
+    per `keyed_uniforms` call."""
+    n = config.n_importance
+    words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+    for start, stop in vrng._replicate_chunks(config.epochs, words):
+        epochs = np.arange(start + 1, stop + 1)
+        yield from zip(epochs.tolist(),
+                       ndtri(vrng.keyed_uniforms(stream.seed, stream.stream_id + epochs, words)))
+
+
+def _epoch_grads(model, normals: np.ndarray, alpha: float, kind: str):
+    """(g_theta, g_phi) of one epoch from its normals."""
+    if isinstance(model, GaussianToy):
+        _, g_theta, g_rep, g_drep = _toy_grad_pass(model, normals, alpha)
+        return g_theta, (g_rep if kind == "rep" else g_drep)
+    return grad_samples_from_eps(model, normals.reshape(-1, model.d), alpha, kind)
 
 
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:
     """Gradient ascent on the bound; returns the logged trajectory.
 
-    Strictly sequential: every draw (one gradient batch per epoch, plus the
-    gap batches at logging points) is consumed from `stream` in a fixed
-    order, so identical (model, config, stream) reproduce identical rows.
-    Aborts when the gradient norm exceeds 1e8.
+    Epoch e draws from the keyed stream (seed, stream_id + e), and each
+    logged gap from its own keyed streams (see the module docstring), so
+    identical (model, config, stream) reproduce identical rows.  Aborts when
+    the gradient norm exceeds 1e8.
     """
     traj = Trajectory(progress_label="bd2_over_d" if isinstance(model, GaussianToy) else "lambda")
     adam_theta = AdamState.zeros(model.theta_dim)
     adam_phi = AdamState.zeros(model.phi_dim)
 
     def log_row(epoch: int, grad_norm: float):
-        gap_mean, gap_se = _gap_estimate(model, config.alpha, config.n_importance,
-                                         config.gap_replicates, stream)
+        gap_ids = GAP_STREAM_OFFSET + len(traj.rows) * config.gap_replicates
+        gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
+                     stream.child(gap_ids))
         traj.rows.append(TrajectoryRow(epoch=epoch, progress=_progress(model),
-                                       gap_mean=gap_mean, gap_se=gap_se,
+                                       gap_mean=gap.mean, gap_se=gap.std_error,
                                        grad_norm=grad_norm))
 
     log_row(0, 0.0)
-    for epoch in range(1, config.epochs + 1):
-        eps = vrng.standard_normal(stream, (1, config.n_importance, model.d))
-        g_theta, g_phi = grad_samples_from_eps(model, eps, config.alpha, config.estimator)
-        g_theta, g_phi = g_theta[0], g_phi[0]
+    for epoch, normals in _epoch_normals(model, config, stream):
+        g_theta, g_phi = _epoch_grads(model, normals, config.alpha, config.estimator)
         norm_sq = 0.0
         if config.train_theta:
             norm_sq += float(np.dot(g_theta, g_theta))

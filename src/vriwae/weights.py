@@ -74,6 +74,38 @@ def relative_log_weights(lw: LogWeights) -> np.ndarray:
     return lw.values - lw.log_marginal
 
 
+class _MeanSE:
+    """Streaming mean and standard error along the leading (replicate) axis.
+
+    Each batch is reduced to its own mean and sum of squared deviations and
+    merged with the pairwise update of Chan, Golub and LeVeque (1983), so
+    the variance stays accurate when the spread is small against the mean
+    and batches of any size merge to the same result up to rounding.  This
+    is the package's one mean/SE reducer.
+    """
+
+    def __init__(self, shape):
+        self.n = 0
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
+
+    def add(self, batch: np.ndarray):
+        k = batch.shape[0]
+        if k == 0:
+            return
+        b_mean = batch.mean(axis=0)
+        dev = batch - b_mean
+        n = self.n + k
+        delta = b_mean - self.mean
+        self.m2 = self.m2 + (dev * dev).sum(axis=0) + delta * delta * (self.n * k / n)
+        self.mean = self.mean + delta * (k / n)
+        self.n = n
+
+    def finalize(self):
+        var = self.m2 / max(self.n - 1, 1)
+        return self.mean, np.sqrt(var / self.n)
+
+
 def _check_alpha(alpha: float, closed: bool = False) -> float:
     """alpha as a float; ValueError outside [0, 1), or [0, 1] if `closed`."""
     if not (0.0 <= alpha <= 1.0 if closed else 0.0 <= alpha < 1.0):

@@ -36,7 +36,12 @@ def test_spec_validation():
                       (dict(ds=(10, 0)), "ds"), (dict(n_grid=(0, 2)), "n_grid"),
                       (dict(replicates=1), "replicates"),
                       (dict(kind="snr", replicates=99), "replicates"),
-                      (dict(weight_samples=1), "weight_samples")):
+                      (dict(weight_samples=1), "weight_samples"),
+                      (dict(kind="train", epochs=-1), "epochs"),
+                      (dict(kind="train", learning_rate=0.0), "learning_rate"),
+                      (dict(kind="train", learning_rate=-1.0), "learning_rate"),
+                      (dict(kind="train", n_importance=0), "n_importance"),
+                      (dict(kind="train", log_every=0), "log_every")):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{"kind": "gap", **kw})
 
@@ -54,8 +59,15 @@ _CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
     ("weights", ["--weight-samples", "1"], "weight_samples"),
     ("gap", ["--config", "{cfg}"], "model"),
     ("snr", ["--replicates", "50"], "replicates"),
+    ("train", ["--lr", "0"], "learning_rate"),
+    ("train", ["--lr", "-1"], "learning_rate"),
+    ("train", ["--log-every", "0"], "log_every"),
+    ("train", ["--n-importance", "0"], "n_importance"),
+    ("train", ["--epochs", "-1"], "epochs"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
-        "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50"])
+        "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
+        "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
+        "train-epochs-neg"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -64,7 +76,7 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     argv = [command, *_CLI_BASE, *[a.format(cfg=cfg) for a in bad], "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code != 0
+    assert exc.value.code == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 

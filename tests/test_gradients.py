@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kolmogorov, ndtri
 
 import vriwae.rng as vrng
-from vriwae.gradients import (_grad_pass, _MeanSE, _softmax_last, drep_grad_sample,
-                              fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
+from vriwae.gradients import (_contract, _grad_pass, _softmax_last, _toy_grad_pass, _toy_sums,
+                              _weight_rows, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
                               grad_mse_sweep, grad_samples_from_eps, h_coefficients,
-                              rep_grad_sample, snr_floor, snr_sweep)
+                              snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian
-from vriwae.rng import make_stream, standard_normal
+from vriwae.rng import keyed_uniforms, make_stream, standard_normal
+from vriwae.weights import _MeanSE
 
 
 def toy(d=3, theta=0.0, phi=0.5):
@@ -71,11 +73,11 @@ def test_single_sample_is_score_at_n1():
     # with one sample the softmax weight is 1 for every alpha
     model = toy()
     for alpha in (0.0, 0.5, 1.0):
-        g = rep_grad_sample(model, alpha, 1, make_stream(0, 0))
-        eps = standard_normal(make_stream(0, 0), (1, model.d))
-        z = model.reparam(eps)
-        _, d_total, _ = model.score_grads(eps, z)
-        assert np.allclose(g.grad_phi, d_total[0], atol=1e-12)
+        eps = standard_normal(make_stream(0, 0), (1, 1, model.d))
+        _, g_phi = grad_samples_from_eps(model, eps, alpha, "rep")
+        z = model.reparam(eps[0])
+        _, d_total, _ = model.score_grads(eps[0], z)
+        assert np.allclose(g_phi[0], d_total[0], atol=1e-12)
 
 
 def test_pinned_noise_hand_value():
@@ -91,10 +93,13 @@ def test_pinned_noise_hand_value():
 
 def test_theta_block_identical_rep_drep():
     model = lingauss(4)
-    rep = rep_grad_sample(model, 0.4, 8, make_stream(5, 0))
-    drep = drep_grad_sample(model, 0.4, 8, make_stream(5, 0))
-    assert np.array_equal(rep.grad_theta, drep.grad_theta)
-    assert rep.estimator_kind == "rep" and drep.estimator_kind == "drep"
+    eps = standard_normal(make_stream(5, 0), (1, 8, model.d))
+    rep = grad_samples_from_eps(model, eps, 0.4, "rep")
+    drep = grad_samples_from_eps(model, eps, 0.4, "drep")
+    assert np.array_equal(rep[0], drep[0])
+    # the kind selects the estimator of the phi block
+    _, _, g_rep, g_drep = _grad_pass(model, eps, 0.4)
+    assert np.array_equal(rep[1], g_rep) and np.array_equal(drep[1], g_drep)
 
 
 def test_alpha_one_path_uniform_weights():
@@ -123,10 +128,11 @@ def test_drep_alpha_zero_squared_weights():
 
 
 def test_alpha_domain():
+    eps = standard_normal(make_stream(0, 0), (1, 2, 3))
     with pytest.raises(ValueError):
-        rep_grad_sample(toy(), -0.2, 2, make_stream(0, 0))
+        grad_samples_from_eps(toy(), eps, -0.2, "rep")
     with pytest.raises(ValueError):
-        drep_grad_sample(toy(), 1.2, 2, make_stream(0, 0))
+        grad_samples_from_eps(toy(), eps, 1.2, "drep")
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +168,104 @@ def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape)
     drep = grad_samples_from_eps(model, eps, alpha, "drep")
     assert np.array_equal(rep[0], drep[0])
     assert np.array_equal(rep[1], g_rep) and np.array_equal(drep[1], g_drep)
+
+
+# --------------------------------------------------------------------------
+# toy gradients from their exact conditional law against the eps path
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta, phi", [(0.0, 1.0), (0.3, -0.5)], ids=["phi>theta", "phi<theta"])
+def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
+    # at d = 1 there is nothing orthogonal to u, so eps_j = u * S_j is the
+    # whole draw and both paths see the same samples
+    model = GaussianToy(d=1, theta=np.full(1, theta), phi=np.full(1, phi))
+    u = np.sign(theta - phi)
+    for n in (1, 8, 100):
+        words = keyed_uniforms(3, np.arange(50), n + 2)
+        normals = ndtri(words)
+        eps = (u * -normals[:, :n])[..., None]
+        z = model.reparam(eps)
+        for alpha in (0.0, 0.5, 1.0):
+            lw, w_sum, wz = _toy_sums(model, normals, alpha)
+            assert np.array_equal(lw, model.log_weight_law(words[:, :n, None]))
+            w = _weight_rows(model.log_unnormalized_weight(z), alpha)
+            np.testing.assert_allclose(w_sum, w.sum(axis=-1, keepdims=True), rtol=1e-12)
+            np.testing.assert_allclose(wz, w @ z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
+            got = _toy_grad_pass(model, normals, alpha)
+            want = _grad_pass(model, eps, alpha)
+            for g, h in zip(got, want):
+                np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+
+
+def _toy_stats(model, w_sum, wz):
+    """Per-sample statistics (theta, rep phi, drep phi gradients, sum h z).
+
+    The toy's stopped phi score is constant in z, so sum h z enters no toy
+    gradient; it is compared on its own, with its covariance against sum s z.
+    """
+    g_theta, g_rep, g_drep = _contract(model, w_sum, wz)
+    return np.concatenate([g_theta, g_rep, g_drep, wz[..., 1, :]], axis=-1)
+
+
+def _ks_pvalues(x, y):
+    """Asymptotic two-sample Kolmogorov-Smirnov p-value per column, for
+    samples of equal size."""
+    r = x.shape[0]
+    order = np.argsort(np.concatenate([x, y]).T, axis=-1)   # one row per column
+    steps = np.where(order < r, 1, -1)
+    stat = np.abs(np.cumsum(steps, axis=-1)).max(axis=-1) / r
+    return kolmogorov(stat * math.sqrt(r / 2.0))
+
+
+def _cov_and_se(x):
+    """Sample covariance of the columns of x, and the standard error of
+    each entry from the spread of the centred products."""
+    a = x - x.mean(axis=0)
+    prod = a[:, :, None] * a[:, None, :]
+    return prod.mean(axis=0), prod.std(axis=0) / math.sqrt(x.shape[0])
+
+
+_ALPHAS = (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("d, n, b", [(5, 1, 1.5), (5, 8, 1.5), (5, 100, 1.5),
+                                     (1000, 1, 1.5), (1000, 8, 1.5), (1000, 100, 1.5),
+                                     (5, 8, 0.0)],
+                         ids=["d5-N1", "d5-N8", "d5-N100", "d1000-N1", "d1000-N8",
+                              "d1000-N100", "d5-N8-B0"])
+def test_toy_conditional_law_matches_eps_path(d, n, b):
+    # theta - phi points along a random direction u with norm B
+    rng = np.random.default_rng(d + n)
+    phi = rng.normal(size=d)
+    direction = rng.normal(size=d)
+    model = GaussianToy(d=d, theta=phi + b * direction / np.linalg.norm(direction), phi=phi)
+    r = min(20_000, 50_000_000 // (n * d), 4_000_000 // (4 * d))
+    eps_stats = {a: np.empty((r, 4 * d)) for a in _ALPHAS}
+    stream = make_stream(60, d * 1000 + n)
+    for start, stop in vrng._replicate_chunks(r, n * d):
+        z = model.reparam(standard_normal(stream, (stop - start, n, d)))
+        lw = model.log_unnormalized_weight(z)
+        for a in _ALPHAS:
+            w = _weight_rows(lw, a)
+            eps_stats[a][start:stop] = _toy_stats(model, w.sum(axis=-1, keepdims=True), w @ z)
+    normals = standard_normal(make_stream(61, d * 1000 + n), (r, n + 2 * d))
+
+    k = min(d, 5)          # covariance over the first k coordinates of each block
+    cov_cols = np.concatenate([np.arange(k) + j * d for j in range(4)])
+    tests = len(_ALPHAS) * 4 * d
+    z_crit = float(ndtri(1.0 - 1e-4 / (2.0 * (tests + len(_ALPHAS) * len(cov_cols) ** 2))))
+    for a in _ALPHAS:
+        x = _toy_stats(model, *_toy_sums(model, normals, a)[1:])
+        y = eps_stats[a]
+        const = (x.min(axis=0) == x.max(axis=0)) & (y.min(axis=0) == y.max(axis=0))
+        np.testing.assert_allclose(x[0, const], y[0, const], rtol=1e-12, atol=1e-12)
+        p = _ks_pvalues(x[:, ~const], y[:, ~const])
+        assert p.min() > 1e-4 / tests, (a, int(np.argmin(p)), p.min())
+        se = np.sqrt(x.var(axis=0, ddof=1) / r + y.var(axis=0, ddof=1) / r)
+        assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= z_crit * se + 1e-12), a
+        cx, sx = _cov_and_se(x[:, cov_cols])
+        cy, sy = _cov_and_se(y[:, cov_cols])
+        assert np.all(np.abs(cx - cy) <= z_crit * np.sqrt(sx**2 + sy**2) + 1e-12), a
 
 
 # --------------------------------------------------------------------------

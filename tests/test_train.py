@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from vriwae.gradients import grad_samples_from_eps
-from vriwae.models import GaussianToy
+import vriwae.rng as vrng
+from vriwae.bounds import gap_mc
+from vriwae.gradients import _toy_grad_pass, grad_samples_from_eps
+from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal
-from vriwae.train import (AdamState, TrainConfig, TrainingDiverged, adam_step,
-                          run_training, sgd_step)
+from vriwae.train import (GAP_STREAM_OFFSET, AdamState, TrainConfig, TrainingDiverged,
+                          adam_step, run_training, sgd_step)
 
 
 def toy(d, phi=1.0):
     return GaussianToy(d=d, theta=np.zeros(d), phi=np.full(d, phi))
+
+
+def lingauss(d, seed=0):
+    rng = np.random.default_rng(seed)
+    return LinearGaussian(d=d, theta=rng.normal(size=d), a_tilde=rng.normal(size=d),
+                          b=rng.normal(size=d), x=rng.normal(size=d))
 
 
 def test_sgd_step_basics():
@@ -61,6 +69,10 @@ def test_config_validation():
         TrainConfig(estimator="nope")
     with pytest.raises(ValueError):
         TrainConfig(optimizer="nope")
+    for kw in (dict(alpha=1.5), dict(epochs=-1), dict(n_importance=0), dict(log_every=0),
+               dict(gap_replicates=0)):
+        with pytest.raises(ValueError):
+            TrainConfig(**kw)
 
 
 def test_zero_epochs_initial_row_only():
@@ -114,3 +126,65 @@ def test_divergence_guard():
                          learning_rate=1e12, gap_replicates=2)
     with pytest.raises(TrainingDiverged):
         run_training(model, config, make_stream(9, 0))
+
+
+def _rows(traj):
+    return [r.__dict__ for r in traj.rows]
+
+
+def test_linear_gaussian_determinism():
+    config = TrainConfig(alpha=0.3, n_importance=6, epochs=30, log_every=10,
+                         learning_rate=1e-3, gap_replicates=4, train_theta=True)
+    t1 = run_training(lingauss(3), config, make_stream(5, 0))
+    t2 = run_training(lingauss(3), config, make_stream(5, 0))
+    t3 = run_training(lingauss(3), config, make_stream(6, 0))
+    assert t1.progress_label == "lambda"
+    assert _rows(t1) == _rows(t2)
+    assert _rows(t1) != _rows(t3)
+
+
+@pytest.mark.parametrize("make_model, train_theta", [(lambda: toy(4, phi=0.8), False),
+                                                     (lambda: lingauss(3, seed=2), True)],
+                         ids=["toy", "lingauss"])
+def test_rows_independent_of_chunk_target(monkeypatch, make_model, train_theta):
+    config = TrainConfig(alpha=0.2, n_importance=5, epochs=23, log_every=4,
+                         learning_rate=1e-2, gap_replicates=3, train_theta=train_theta)
+    runs = []
+    for target in (1_000_000, 1, 40):
+        monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
+        runs.append(_rows(run_training(make_model(), config, make_stream(11, 7))))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("make_model, train_theta", [(lambda: toy(4, phi=0.8), False),
+                                                     (lambda: lingauss(3, seed=2), True)],
+                         ids=["toy", "lingauss"])
+def test_epochs_draw_from_keyed_streams(make_model, train_theta):
+    # epoch e reads the words of stream (seed, stream_id + e), and logged
+    # row k its gap from the streams at stream_id + GAP_STREAM_OFFSET + k * R
+    n, alpha, lr, reps, epochs = 5, 0.2, 1e-2, 3, 6
+    config = TrainConfig(alpha=alpha, n_importance=n, epochs=epochs, log_every=1,
+                         learning_rate=lr, gap_replicates=reps, train_theta=train_theta)
+    seed, base = 12, 1000
+    traj = run_training(make_model(), config, make_stream(seed, base))
+    model = make_model()
+    for epoch in range(epochs + 1):
+        if epoch:
+            words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+            normals = standard_normal(make_stream(seed, base + epoch), words)
+            if isinstance(model, GaussianToy):
+                _, g_theta, g_phi, _ = _toy_grad_pass(model, normals, alpha)
+            else:
+                g_theta, g_phi = grad_samples_from_eps(model, normals.reshape(n, model.d),
+                                                       alpha, "rep")
+            if train_theta:
+                model = model.with_theta(sgd_step(model.theta_vec, g_theta, lr))
+            model = model.with_phi(sgd_step(model.phi_vec, g_phi, lr))
+        gap = gap_mc(model, alpha, n, reps,
+                     make_stream(seed, base + GAP_STREAM_OFFSET + epoch * reps))
+        row = traj.rows[epoch]
+        assert row.epoch == epoch
+        progress = model.bd**2 / model.d if isinstance(model, GaussianToy) else model.lam
+        assert row.progress == pytest.approx(progress, rel=1e-12)
+        assert row.gap_mean == pytest.approx(gap.mean, rel=1e-12)
+        assert row.gap_se == pytest.approx(gap.std_error, rel=1e-12)
