@@ -7,8 +7,8 @@ from .asymptotics import (AsymptoticCurve, CurveFamily, expected_min_normal,
 from .bounds import (BoundEstimate, bound_mc, decomposition_sample, elbo_sample,
                      gap_mc, vr_iwae_from_log_weights, vr_iwae_sample)
 from .gradients import fd_grad_oracle, grad_mse_sweep, h_coefficients, snr_sweep
-from .models import (GaussianToy, LinearGaussian, lingauss_analytics, make_dataset,
-                     optimal_params, perturb_params, toy_analytics)
+from .models import (GaussianToy, LinearGaussian, lingauss_analytics, optimal_params,
+                     perturb_params, toy_analytics)
 from .rng import RngStream, make_stream, standard_normal, uniform
 from .train import TrainConfig, Trajectory, adam_step, run_training, sgd_step
 from .weights import (LogWeights, ess, log_weight_moments, max_weight_share, qq_points,

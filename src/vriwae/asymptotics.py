@@ -22,7 +22,9 @@ alpha, which the iid-sum family does not: at N=512 (sigma_perturb 0, seed 0,
 1000 replicates) they are -6.75 (alpha=0, SE 0.07) and -11.32 (alpha=0.5,
 SE 0.05).  Which condition on d and N the
 paper states for this regime cannot be settled from this repository, which
-holds only the paper's abstract.
+holds only the paper's abstract.  The curve's own condition, the growth term
+within 15% of d*a up to N = 512, needs d >= 5.9e4; the acceptance test of
+this regime runs at d = 6e4.
 
 The free constant of each family (c1 or c2) is fitted by one-parameter linear
 least squares rather than tailored by hand.

@@ -61,13 +61,18 @@ def _build_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
     fields: dict = {"kind": kind, "seed": 0}
     if args.config:
         with open(args.config) as f:
-            fields.update(json.load(f))
+            config = json.load(f)
+        if not isinstance(config, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        fields.update(config)
+        unknown = sorted(set(fields) - set(ExperimentSpec.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
     for key, value in vars(args).items():
         if key in ("command", "config", "gap_csv"):
             continue
         if value is not None:
             fields[key] = value
-    fields = {k: v for k, v in fields.items() if k in ExperimentSpec.__dataclass_fields__}
     fields["kind"] = kind
     return ExperimentSpec(**fields)
 

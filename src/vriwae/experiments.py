@@ -38,7 +38,7 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_oracle, grad_mean_se, h_coef
                         snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
-                     make_dataset, optimal_params, perturb_params, toy_analytics)
+                     optimal_params, perturb_params, toy_analytics)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
 from .weights import (LogWeights, _ess, _max_share, _MeanSE, _t_stat, ess, max_weight_share,
                       qq_points, t_statistic)
@@ -124,6 +124,14 @@ class ExperimentSpec:
         if self.kind == "snr" and self.replicates < SNR_MIN_REPLICATES:
             raise ValueError(f"replicates must be >= {SNR_MIN_REPLICATES} for snr, "
                              f"got {self.replicates}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if any(not s >= 0 for s in self.sigma_perturbs):
+            raise ValueError(f"sigma_perturbs must be >= 0, got {self.sigma_perturbs}")
+        if self.m_samples < 1:
+            raise ValueError(f"m_samples must be >= 1, got {self.m_samples}")
+        if self.coordinate_sample < 1:
+            raise ValueError(f"coordinate_sample must be >= 1, got {self.coordinate_sample}")
         if self.weight_samples < 2:
             raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
         if self.epochs < 0:
@@ -158,32 +166,37 @@ def make_toy(d: int, theta_scale: float = 0.0) -> GaussianToy:
 
 
 def make_linear_gaussian(d: int, sigma_perturb: float, seed: int,
-                         t: int = 1024) -> tuple[LinearGaussian, np.ndarray]:
-    """Linear Gaussian model at a perturbed optimum, plus its dataset.
+                         t: int = 1024) -> tuple[LinearGaussian, tuple[np.ndarray, np.ndarray]]:
+    """Linear Gaussian model at a perturbed optimum, plus the statistics it
+    was built from.
 
-    The dataset (T x d from N(0, 2I)), the evaluation datapoint, and the
-    perturbation noise each come from their own seed-keyed stream, so the
-    same (seed, d) always yields the same instance; sigma_perturb only
-    scales the shared perturbation directions.
+    The optimum is that of a dataset of T i.i.d. N(0, 2I) points, evaluated
+    at one of them, x.  It depends on the dataset only through x and the sum
+    `rest` of the other T - 1 points, and since the datapoint's index is
+    drawn independently of the rows, x ~ N(0, 2I) and rest ~ N(0, 2(T-1) I)
+    are independent.  Each is drawn directly (2d normals in all), from its
+    own seed-keyed stream, as is the perturbation noise, so the same
+    (seed, d, T) always yields the same instance; sigma_perturb only scales
+    the shared perturbation directions.  Returns (model, (x, rest)).
     """
-    models, data = _linear_gaussians(d, (sigma_perturb,), seed, t)
-    return models[0], data
+    models, stats = _linear_gaussians(d, (sigma_perturb,), seed, t)
+    return models[0], stats
 
 
 def _linear_gaussians(d: int, sigma_perturbs: Sequence[float], seed: int, t: int = 1024):
-    """`make_linear_gaussian` for several sigma_perturb at once: the dataset and
-    datapoint are drawn once, and each perturbation from a fresh copy of the
+    """`make_linear_gaussian` for several sigma_perturb at once: x and rest
+    are drawn once, and each perturbation from a fresh copy of the
     (seed, _OFF_PERTURB + d) stream, so every model is the one
     `make_linear_gaussian(d, sigma_perturb, seed, t)` returns."""
-    data = make_dataset(t, d, vrng.make_stream(seed, _OFF_DATASET + d))
-    params = optimal_params(data)
-    u = vrng.uniform(vrng.make_stream(seed, _OFF_DATAPOINT + d), 1)[0]
-    x = data[int(u * t)]
+    x = math.sqrt(2.0) * vrng.standard_normal(vrng.make_stream(seed, _OFF_DATAPOINT + d), d)
+    rest = math.sqrt(2.0 * (t - 1)) * vrng.standard_normal(
+        vrng.make_stream(seed, _OFF_DATASET + d), d)
+    params = optimal_params(x, rest, t)
     models = []
     for sp in sigma_perturbs:
         theta, a_tilde, b = perturb_params(params, sp, vrng.make_stream(seed, _OFF_PERTURB + d))
         models.append(LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x))
-    return models, data
+    return models, (x, rest)
 
 
 def _variants(spec: ExperimentSpec, d: int) -> list:

@@ -24,6 +24,10 @@ LinearGaussian
     where X = ||eps - sqrt(24) delta||^2 is noncentral chi^2 with d degrees of
     freedom and noncentrality 24 ||delta||^2.  Rotating delta onto the first
     axis, X = (Z + sqrt(24 ||delta||^2))^2 + chi^2_(d-1) with Z ~ N(0, 1).
+    The experiments place it at the optimum for a dataset of T i.i.d.
+    N(0, 2I) points, evaluated at one of them, x.  That optimum sees the
+    dataset only through x and the sum of the other T - 1 points, so
+    `optimal_params` takes those two d-vectors, and no dataset is ever built.
 
 `log_weight_law` draws from these laws: it maps LAW_WORDS uniforms (last
 axis) to a relative log-weight by inverse CDFs (ndtri, and gammaincinv for
@@ -69,7 +73,6 @@ __all__ = [
     "toy_analytics",
     "lingauss_analytics",
     "optimal_params",
-    "make_dataset",
     "perturb_params",
     "adaptive_simpson",
     "lingauss_gap_quadrature",
@@ -338,25 +341,21 @@ def lingauss_analytics(model: LinearGaussian, alpha: float):
     return vr_gap, gamma2, lam, sigma2, a_const
 
 
-def optimal_params(dataset: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta*, a*, b*) maximizing the linear Gaussian objective.
+def optimal_params(x: np.ndarray, rest: np.ndarray,
+                   t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta*, a*, b*) maximizing the linear Gaussian objective on a dataset
+    of T points, from its two sufficient statistics: the evaluation datapoint
+    x and the sum `rest` of the other T - 1 points.
 
-    theta* is the data mean, a* = u/2 regardless of the data, b* = theta*/2.
+    theta* is the data mean (x + rest)/T, a* = u/2 regardless of the data,
+    b* = theta*/2.
     """
-    data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("dataset must be a non-empty T x d array")
-    theta_star = data.mean(axis=0)
-    a_star = np.full(data.shape[1], 0.5)
-    b_star = 0.5 * theta_star
-    return theta_star, a_star, b_star
-
-
-def make_dataset(t: int, d: int, stream: vrng.RngStream) -> np.ndarray:
-    """T x d dataset of i.i.d. N(0, 2 I_d) rows."""
     if t < 1:
         raise ValueError("need at least one datapoint")
-    return math.sqrt(2.0) * vrng.standard_normal(stream, (t, d))
+    theta_star = (np.asarray(x, dtype=np.float64) + rest) / t
+    a_star = np.full(theta_star.shape, 0.5)
+    b_star = 0.5 * theta_star
+    return theta_star, a_star, b_star
 
 
 def perturb_params(params, sigma_perturb: float, stream: vrng.RngStream):

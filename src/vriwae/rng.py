@@ -17,7 +17,9 @@ intermediate at `_CHUNK_TARGET` elements.  Training keys its draws the same
 way, per epoch and per logged gap replicate (see `train`).  Draws come
 sequentially from one stream only in the SNR sweep, `grad_mean_se`, the
 finite-difference oracle, the weights runner, and the construction of
-models (dataset, datapoint, perturbations).
+linear Gaussian models: the datapoint and the sum of the other data points
+(d normals each, from streams of their own) and the perturbations (see
+`experiments.make_linear_gaussian`).
 
 Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
 (``ndtri``), a fixed documented choice; the models' exact log-weight laws

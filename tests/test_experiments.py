@@ -41,7 +41,12 @@ def test_spec_validation():
                       (dict(kind="train", learning_rate=0.0), "learning_rate"),
                       (dict(kind="train", learning_rate=-1.0), "learning_rate"),
                       (dict(kind="train", n_importance=0), "n_importance"),
-                      (dict(kind="train", log_every=0), "log_every")):
+                      (dict(kind="train", log_every=0), "log_every"),
+                      (dict(seed=-1), "seed"), (dict(seed=2**64), "seed"),
+                      (dict(sigma_perturbs=(0.1, -0.1)), "sigma_perturbs"),
+                      (dict(sigma_perturbs=(math.nan,)), "sigma_perturbs"),
+                      (dict(kind="snr", m_samples=0), "m_samples"),
+                      (dict(kind="snr", coordinate_sample=0), "coordinate_sample")):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{"kind": "gap", **kw})
 
@@ -50,6 +55,7 @@ _CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
              "--replicates", "10", "--seed", "0"]
 
 
+# a dict in `bad` is written to a JSON file and passed as --config
 @pytest.mark.parametrize("command, bad, field", [
     ("gap", ["--replicates", "0"], "replicates"),
     ("gap", ["--replicates", "1"], "replicates"),
@@ -57,27 +63,55 @@ _CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
     ("gap", ["--d", "0"], "ds"),
     ("gap", ["--n-grid", "0", "2"], "n_grid"),
     ("weights", ["--weight-samples", "1"], "weight_samples"),
-    ("gap", ["--config", "{cfg}"], "model"),
+    ("gap", [{"model": "gauss"}], "model"),
     ("snr", ["--replicates", "50"], "replicates"),
     ("train", ["--lr", "0"], "learning_rate"),
     ("train", ["--lr", "-1"], "learning_rate"),
     ("train", ["--log-every", "0"], "log_every"),
     ("train", ["--n-importance", "0"], "n_importance"),
     ("train", ["--epochs", "-1"], "epochs"),
+    ("gap", ["--seed", "-1"], "seed"),
+    ("gap", ["--seed", str(2**64)], "seed"),
+    ("gap", ["--model", "lingauss", "--sigma-perturb", "0", "-0.1"], "sigma_perturbs"),
+    ("snr", [{"m_samples": 0}, "--replicates", "100"], "m_samples"),
+    ("snr", [{"coordinate_sample": 0}, "--replicates", "100"], "coordinate_sample"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
-        "train-epochs-neg"])
+        "train-epochs-neg", "gap-seed-neg", "gap-seed-2-64", "gap-sigma-perturb-neg",
+        "snr-config-m-samples-0", "snr-config-coordinate-sample-0"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "gauss"}))
     out = tmp_path / "table.csv"
-    argv = [command, *_CLI_BASE, *[a.format(cfg=cfg) for a in bad], "--out", str(out)]
+    argv = [command, *_CLI_BASE]
+    for arg in bad:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(arg)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([*argv, "--out", str(out)])
     assert exc.value.code == 2
-    assert field in capsys.readouterr().err
+    assert f"{command}: {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"replicate": 5, "model": "toy"}, "unknown config key(s) replicate in"),
+    ([5], "must hold a JSON object"),
+], ids=["unknown-key", "not-an-object"])
+def test_cli_rejects_malformed_config(tmp_path, capsys, config, message):
+    # a misspelt key would otherwise run at the field's default
+    from vriwae.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", *_CLI_BASE, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -129,9 +163,9 @@ def test_gap_lingauss_runs_with_perturbations():
 
 
 def test_lingauss_variants_match_make_linear_gaussian(monkeypatch):
-    # the dataset and datapoint are drawn once per d for all sigma_perturb;
-    # every model, and so every table, is byte-identical to building each
-    # sigma_perturb's instance on its own with make_linear_gaussian
+    # x and the sum of the other data points are drawn once per d for all
+    # sigma_perturb; every model, and so every table, is byte-identical to
+    # building each sigma_perturb's instance on its own with make_linear_gaussian
     spec = ExperimentSpec(kind="gap", model="lingauss", alphas=(0.0, 0.5), ds=(3, 5),
                           n_grid=(2, 4), replicates=20, seed=4,
                           sigma_perturbs=(0.0, 0.1, 0.3))

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from vriwae.models import (GaussianToy, LinearGaussian, adaptive_simpson,
                            lingauss_analytics, lingauss_gamma2_quadrature,
                            lingauss_gap_quadrature, lingauss_marginal_quadrature,
-                           make_dataset, optimal_params, perturb_params, toy_analytics)
+                           optimal_params, perturb_params, toy_analytics)
+from vriwae.experiments import make_linear_gaussian
 from vriwae.rng import make_stream, standard_normal
 
 
@@ -92,18 +95,11 @@ def test_relative_weights_unit_mean():
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 1.0) < 3.0 * se
 
-    lg0, _ = _perturbed_lingauss(d=10, sigma_perturb=0.1, seed=3)
+    lg0, _ = make_linear_gaussian(10, 0.1, seed=3, t=64)
     eps = standard_normal(make_stream(2, 1), (1_000_000, 10))
     w = np.exp(lg0.log_relative_weight(lg0.reparam(eps)))
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 1.0) < 3.0 * se
-
-
-def _perturbed_lingauss(d, sigma_perturb, seed):
-    data = make_dataset(64, d, make_stream(seed, 0))
-    theta, a, b = optimal_params(data)
-    theta, a, b = perturb_params((theta, a, b), sigma_perturb, make_stream(seed, 1))
-    return LinearGaussian(d=d, theta=theta, a_tilde=a, b=b, x=data[0]), data
 
 
 def test_dimension_mismatch_raises():
@@ -221,9 +217,7 @@ def test_toy_analytics_domain():
 
 
 def test_lingauss_analytics_at_optimum():
-    data = make_dataset(32, 1, make_stream(9, 0))
-    theta, a, b = optimal_params(data)
-    lg = LinearGaussian(d=1, theta=theta, a_tilde=a, b=b, x=data[4])
+    lg, _ = make_linear_gaussian(1, 0.0, seed=9, t=32)
     vr_gap, gamma2, lam, sigma2, a_const = lingauss_analytics(lg, 0.0)
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert vr_gap == pytest.approx(0.0, abs=1e-12)
@@ -249,7 +243,7 @@ def test_lingauss_analytics_vs_quadrature():
 
 
 def test_elbo_gap_is_minus_da():
-    lg, _ = _perturbed_lingauss(d=8, sigma_perturb=0.3, seed=17)
+    lg, _ = make_linear_gaussian(8, 0.3, seed=17, t=64)
     *_, a_const = lingauss_analytics(lg, 0.0)
     eps = standard_normal(make_stream(17, 2), (400_000, 8))
     lrw = lg.log_relative_weight(lg.reparam(eps))
@@ -258,7 +252,7 @@ def test_elbo_gap_is_minus_da():
 
 
 def test_lingauss_log_std_matches_sigma():
-    lg, _ = _perturbed_lingauss(d=12, sigma_perturb=0.3, seed=19)
+    lg, _ = make_linear_gaussian(12, 0.3, seed=19, t=64)
     *_, sigma2, _ = lingauss_analytics(lg, 0.0)
     eps = standard_normal(make_stream(19, 2), (400_000, 12))
     lrw = lg.log_relative_weight(lg.reparam(eps))
@@ -266,20 +260,19 @@ def test_lingauss_log_std_matches_sigma():
 
 
 # --------------------------------------------------------------------------
-# dataset and parameter helpers
+# linear Gaussian instances and parameter helpers
 # --------------------------------------------------------------------------
 
 def test_optimal_params_single_point():
-    x = np.array([[1.0, -2.0]])
-    theta, a, b = optimal_params(x)
-    assert np.allclose(theta, x[0])
-    assert np.allclose(b, x[0] / 2.0)
+    x = np.array([1.0, -2.0])
+    theta, a, b = optimal_params(x, np.zeros(2), 1)
+    assert np.allclose(theta, x)
+    assert np.allclose(b, x / 2.0)
     assert np.allclose(a, 0.5)
 
 
 def test_optimal_params_symmetry():
-    x = np.array([[1.0, 2.0], [-1.0, -2.0]])
-    theta, a, b = optimal_params(x)
+    theta, a, b = optimal_params(np.array([1.0, 2.0]), np.array([-1.0, -2.0]), 2)
     assert np.allclose(theta, 0.0)
     assert np.allclose(b, 0.0)
     assert np.allclose(a, 0.5)
@@ -287,14 +280,59 @@ def test_optimal_params_symmetry():
 
 def test_optimal_params_empty():
     with pytest.raises(ValueError):
-        optimal_params(np.empty((0, 3)))
+        optimal_params(np.zeros(3), np.zeros(3), 0)
 
 
-def test_make_dataset_moments():
-    data = make_dataset(1024, 20, make_stream(23, 0))
+def test_lingauss_statistics_moments():
+    # the datapoints of 1024 instances are i.i.d. N(0, 2I) rows, like a
+    # dataset's; one instance's theta* is the mean of 1024 such rows
+    data = np.stack([make_linear_gaussian(20, 0.0, seed)[1][0] for seed in range(1024)])
     assert data.shape == (1024, 20)
     assert np.all(np.abs(data.var(axis=0, ddof=1) - 2.0) < 0.3)
-    assert np.all(np.abs(data.mean(axis=0)) < 3.0 * math.sqrt(2.0 / 1024.0) + 0.05)
+    theta = make_linear_gaussian(20, 0.0, 23)[0].theta
+    assert np.all(np.abs(theta) < 3.0 * math.sqrt(2.0 / 1024.0) + 0.05)
+
+
+@pytest.mark.parametrize("t", [2, 1024])
+def test_lingauss_statistics_match_dataset_path(t):
+    # an instance sees its dataset only through x and theta* = mean, drawn
+    # from their exact joint law; check that law coordinate by coordinate
+    # against the dataset path: T i.i.d. N(0, 2I) rows, their mean and a row
+    r, d = 2000, 3
+    models = [make_linear_gaussian(d, 0.0, seed, t=t)[0] for seed in range(r)]
+    x = np.stack([m.x for m in models])
+    theta = np.stack([m.theta for m in models])
+    v = 2.0 / t
+    for k in range(d):
+        var_x, var_theta = x[:, k].var(ddof=1), theta[:, k].var(ddof=1)
+        cov = np.cov(x[:, k], theta[:, k])[0, 1]
+        assert abs(var_x - 2.0) < 4.0 * 2.0 * math.sqrt(2.0 / (r - 1))
+        assert abs(var_theta - v) < 4.0 * v * math.sqrt(2.0 / (r - 1))
+        assert abs(cov - v) < 4.0 * math.sqrt((2.0 * v + v * v) / r)
+    stream = make_stream(41, 0)
+    for k in range(d):
+        data = math.sqrt(2.0) * standard_normal(stream, (r, t))
+        assert ks_2samp(theta[:, k], data.mean(axis=1)).pvalue > 1e-3
+        assert ks_2samp(x[:, k], data[:, 0]).pvalue > 1e-3
+
+
+def test_lingauss_single_datapoint_is_optimum():
+    model, (x, _) = make_linear_gaussian(5, 0.0, seed=3, t=1)
+    assert np.array_equal(model.theta, x)
+    assert np.array_equal(model.x, x)
+    assert np.array_equal(model.b, 0.5 * x)
+
+
+def test_lingauss_instance_memory_is_linear_in_d():
+    # d = 6e4 is the dimension the iid-sum regime of A5 needs; a T x d
+    # dataset there would take 1024 * 6e4 * 8 B = 491 MB
+    tracemalloc.start()
+    try:
+        make_linear_gaussian(60_000, 0.01, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_perturb_identity_at_zero():
