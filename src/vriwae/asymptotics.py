@@ -38,15 +38,12 @@ centering a_N = 1/sqrt(2 log N), b_N = sqrt(2 log N)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "EULER_MASCHERONI",
-    "CurveFamily",
-    "AsymptoticCurve",
     "one_over_n_curve",
     "lognormal_curve",
     "iid_sum_curve",
@@ -57,32 +54,6 @@ __all__ = [
 ]
 
 EULER_MASCHERONI = 0.577215664902
-
-
-class CurveFamily:
-    ONE_OVER_N = "one_over_n"
-    LOGNORMAL = "lognormal"
-    IID_SUM = "iid_sum"
-
-
-@dataclass
-class AsymptoticCurve:
-    """A predicted gap curve with one free constant, fitted or not yet."""
-
-    family: str
-    base_params: dict
-    fitted_constant: Optional[float] = None
-
-    def evaluate(self, n: int, constant: Optional[float] = None) -> float:
-        c = constant if constant is not None else (self.fitted_constant or 0.0)
-        p = self.base_params
-        if self.family == CurveFamily.ONE_OVER_N:
-            return one_over_n_curve(n, p["error_term"], p["gamma2"], c)
-        if self.family == CurveFamily.LOGNORMAL:
-            return lognormal_curve(n, p["b_d"], p["alpha"], c)
-        if self.family == CurveFamily.IID_SUM:
-            return iid_sum_curve(n, p["d"], p["a_const"], p["sigma"], c)
-        raise ValueError(f"unknown curve family {self.family!r}")
 
 
 def one_over_n_curve(n: int, error_term: float, gamma2: float, c1: float) -> float:

@@ -32,9 +32,7 @@ from .weights import (LogWeights, _check_alpha, _logsumexp, _MeanSE, relative_lo
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
     "BoundEstimate",
-    "vr_iwae_sample",
     "vr_iwae_from_log_weights",
-    "elbo_sample",
     "bound_mc",
     "gap_mc",
     "decomposition_sample",
@@ -64,16 +62,6 @@ def vr_iwae_from_log_weights(values: np.ndarray, alpha: float, axis: int = -1) -
         return np.mean(values, axis=axis)
     n = values.shape[axis]
     return (_logsumexp((1.0 - alpha) * values, axis) - np.log(n)) / (1.0 - alpha)
-
-
-def vr_iwae_sample(lw: LogWeights, alpha: float) -> float:
-    """Bound estimate from one batch; constant log-weights return that constant."""
-    return float(vr_iwae_from_log_weights(lw.values, alpha))
-
-
-def elbo_sample(lw: LogWeights) -> float:
-    """Mean of the log-weights; the alpha -> 1 path of vr_iwae_sample."""
-    return float(np.mean(lw.values))
 
 
 def bound_mc(model, alpha: float, n_importance: int, replicates: int,

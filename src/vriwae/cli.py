@@ -69,7 +69,7 @@ def _build_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
     for key, value in vars(args).items():
-        if key in ("command", "config", "gap_csv"):
+        if key in ("command", "config"):
             continue
         if value is not None:
             fields[key] = value

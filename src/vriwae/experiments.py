@@ -23,7 +23,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,6 +77,14 @@ _OFF_TRAIN = 8 << 40
 _OFF_SELFTEST = 9 << 40
 
 _DEFAULT_N_GRID = tuple(2**j for j in range(1, 10))
+# the type of each numeric spec field (of each item, for the grid fields,
+# which take a list or tuple): an int is a float too, a bool is neither
+_NUMERIC_FIELDS = {**dict.fromkeys(("replicates", "seed", "weight_samples", "m_samples",
+                                    "coordinate_sample", "epochs", "n_importance", "log_every",
+                                    "ds", "n_grid"), int),
+                   **dict.fromkeys(("alphas", "sigma_perturbs", "theta_scale", "learning_rate"),
+                                   float)}
+_GRID_FIELDS = ("alphas", "ds", "n_grid", "sigma_perturbs")
 _KINDS = ("gap", "snr", "weights", "collapse", "train")
 _MODELS = ("toy", "lingauss")
 
@@ -107,10 +116,17 @@ class ExperimentSpec:
     plot: Optional[str] = None
 
     def __post_init__(self):
-        self.alphas = tuple(float(a) for a in self.alphas)
-        self.ds = tuple(int(d) for d in self.ds)
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.sigma_perturbs = tuple(float(s) for s in self.sigma_perturbs)
+        for name, cast in _NUMERIC_FIELDS.items():
+            value, grid = getattr(self, name), name in _GRID_FIELDS
+            kind = numbers.Integral if cast is int else numbers.Real
+            items = value if grid and isinstance(value, (list, tuple)) else [value]
+            if (grid and not isinstance(value, (list, tuple))) or any(
+                    isinstance(x, bool) or not isinstance(x, kind) for x in items
+                    if not (name == "learning_rate" and x is None)):
+                raise ValueError(f"{name} must be {'a list of ' if grid else ''}"
+                                 f"{cast.__name__}, got {value!r}")
+            if grid:
+                setattr(self, name, tuple(cast(x) for x in value))
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.model not in _MODELS:
@@ -213,12 +229,6 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
 # --------------------------------------------------------------------------
 # Gap experiment
 # --------------------------------------------------------------------------
-
-GAP_COLUMNS = ["model", "alpha", "d", "sigma_perturb", "N", "replicates",
-               "mean_gap", "se_gap", "mean_bound", "log_marginal", "elbo_gap",
-               "pred_1n", "shape_1n", "pred_1n_fit", "c1", "rms_1n",
-               "pred_ev", "shape_ev", "pred_ev_fit", "c2", "rms_ev"]
-
 
 def run_gap_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo variational gap over the (alpha, d, N) grid, with both
@@ -380,9 +390,6 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
 # Weights experiment
 # --------------------------------------------------------------------------
 
-WEIGHTS_COLUMNS = ["model", "d", "sigma_perturb", "n_samples", "log_mean", "log_std",
-                   "qq_corr", "bin_lo", "bin_hi", "count"]
-
 _HIST_BINS = 60
 
 
@@ -411,11 +418,6 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
 # --------------------------------------------------------------------------
 # Collapse experiment
 # --------------------------------------------------------------------------
-
-COLLAPSE_COLUMNS = ["model", "alpha", "d", "sigma_perturb", "N", "replicates",
-                    "t_mean", "t_se", "max_share_mean", "max_share_se",
-                    "ess_mean", "ess_se"]
-
 
 def run_collapse_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo means of the dominance statistic T, the max-weight share,
@@ -462,8 +464,7 @@ def run_train_experiment(spec: ExperimentSpec) -> list:
                          learning_rate=(DEFAULT_LEARNING_RATE if spec.learning_rate is None
                                         else spec.learning_rate),
                          epochs=spec.epochs,
-                         train_theta=spec.model == "lingauss", train_phi=True,
-                         log_every=spec.log_every)
+                         train_theta=spec.model == "lingauss", log_every=spec.log_every)
     traj = run_training(model, config, vrng.make_stream(spec.seed, _OFF_TRAIN))
     return [{"epoch": r.epoch, traj.progress_label: r.progress, "gap_mean": r.gap_mean,
              "gap_se": r.gap_se, "grad_norm": r.grad_norm} for r in traj.rows]
@@ -552,13 +553,12 @@ def read_table(path: str) -> tuple[list, dict]:
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 
 
-def render_svg(rows: Sequence[dict], x_col: str, y_cols: Sequence[str],
-               out_path: str, log_x: Optional[bool] = None) -> None:
+def render_svg(rows: Sequence[dict], x_col: str, y_cols: Sequence[str], out_path: str) -> None:
     """Minimal static line plot: one polyline per y column.
 
     The x axis is log-scaled when plotting against the importance-sample
-    count column "N" (or when log_x is set).  Raises on an empty table or a
-    missing column and writes nothing in that case.
+    count column "N".  Raises on an empty table or a missing column and
+    writes nothing in that case.
     """
     rows = list(rows)
     if not rows:
@@ -566,8 +566,7 @@ def render_svg(rows: Sequence[dict], x_col: str, y_cols: Sequence[str],
     for col in [x_col, *y_cols]:
         if col not in rows[0]:
             raise ValueError(f"missing column {col!r}")
-    if log_x is None:
-        log_x = x_col == "N"
+    log_x = x_col == "N"
 
     width, height, margin = 640, 420, 56
 

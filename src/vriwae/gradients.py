@@ -39,7 +39,9 @@ rep phi) and w = h (drep phi), never the (..., N, P) score tensors.
 
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
 return one gradient sample per replicate row, chunked to at most
-`rng._CHUNK_TARGET` elements of eps so memory stays bounded.
+`rng._CHUNK_TARGET` elements of eps so memory stays bounded.  `grad_mean_se`
+and `fd_grad_oracle` reduce their samples in one loop (`_grad_estimate`),
+which draws the eps sequentially from one stream.
 """
 
 from __future__ import annotations
@@ -68,13 +70,10 @@ __all__ = [
     "SNR_MIN_REPLICATES",
     "snr_floor",
     "snr_sweep",
-    "grad_mse_sweep",
 ]
 
 # fewest replicates an SNR is estimated from
 SNR_MIN_REPLICATES = 100
-
-DEFAULT_FD_STEP = 1e-3
 
 
 @dataclass
@@ -198,24 +197,31 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
     return g_theta, (g_rep if kind == "rep" else g_drep)
 
 
-def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
-                 stream: vrng.RngStream, kind: str = "rep") -> GradEstimate:
-    """Empirical mean/SE of the gradient estimator over i.i.d. replicates.
+def _grad_estimate(model, n_importance: int, replicates: int, stream: vrng.RngStream,
+                   per_rep: int, sample) -> GradEstimate:
+    """Mean/SE of the gradient samples `sample(eps)` over i.i.d. replicates.
 
-    All draws come sequentially from `stream`, so the result does not depend
-    on chunk sizes.
+    The eps of shape (R, N, d) come sequentially from `stream`, so the
+    result does not depend on the chunks, which `per_rep` (the elements one
+    replicate's largest intermediate holds) sizes.
     """
     acc_t = _MeanSE(model.theta_dim)
     acc_p = _MeanSE(model.phi_dim)
-    per_rep = n_importance * model.d
     for start, stop in vrng._replicate_chunks(replicates, per_rep):
-        eps = vrng.standard_normal(stream, (stop - start, n_importance, model.d))
-        g_theta, g_phi = grad_samples_from_eps(model, eps, alpha, kind)
+        g_theta, g_phi = sample(vrng.standard_normal(stream, (stop - start, n_importance, model.d)))
         acc_t.add(g_theta)
         acc_p.add(g_phi)
     tm, tse = acc_t.finalize()
     pm, pse = acc_p.finalize()
     return GradEstimate(tm, tse, pm, pse, replicates)
+
+
+def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
+                 stream: vrng.RngStream, kind: str = "rep") -> GradEstimate:
+    """Empirical mean/SE of the gradient estimator over i.i.d. replicates,
+    drawn sequentially from `stream`."""
+    return _grad_estimate(model, n_importance, replicates, stream, n_importance * model.d,
+                          lambda eps: grad_samples_from_eps(model, eps, alpha, kind))
 
 
 def _bound_samples(model, eps: np.ndarray, alpha: float) -> np.ndarray:
@@ -256,25 +262,14 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
                    replicates: int, stream: vrng.RngStream) -> GradEstimate:
     """Finite-difference oracle for the bound gradient, with common random
     numbers across the +/- evaluations of every coordinate."""
-    acc_t = _MeanSE(model.theta_dim)
-    acc_p = _MeanSE(model.phi_dim)
     per_rep = n_importance * model.d * (model.theta_dim + model.phi_dim)
-    for start, stop in vrng._replicate_chunks(replicates, per_rep):
-        eps = vrng.standard_normal(stream, (stop - start, n_importance, model.d))
-        g_theta, g_phi = fd_grad_from_eps(model, eps, alpha, step)
-        acc_t.add(g_theta)
-        acc_p.add(g_phi)
-    tm, tse = acc_t.finalize()
-    pm, pse = acc_p.finalize()
-    return GradEstimate(tm, tse, pm, pse, replicates)
+    return _grad_estimate(model, n_importance, replicates, stream, per_rep,
+                          lambda eps: fd_grad_from_eps(model, eps, alpha, step))
 
 
 # --------------------------------------------------------------------------
 # SNR harness
 # --------------------------------------------------------------------------
-
-SNR_INF = np.inf
-
 
 @dataclass
 class SnrBlock:
@@ -315,7 +310,7 @@ def _snr_from_samples(samples: np.ndarray) -> np.ndarray:
     """|mean| / std per coordinate; zero-variance coordinates become +inf."""
     mean = samples.mean(axis=0)
     std = samples.std(axis=0, ddof=1)
-    out = np.full(mean.shape, SNR_INF)
+    out = np.full(mean.shape, np.inf)
     nz = std > 0
     out[nz] = np.abs(mean[nz]) / std[nz]
     return out
@@ -376,7 +371,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     log_n = np.log(np.asarray(n_grid, dtype=np.float64))
     for key, mat in snr.items():
         finite = np.isfinite(mat)
-        mean_snr = np.array([mat[i][finite[i]].mean() if finite[i].any() else SNR_INF
+        mean_snr = np.array([mat[i][finite[i]].mean() if finite[i].any() else np.inf
                              for i in range(len(n_grid))])
         usable = np.isfinite(mean_snr) & (mean_snr > 0)
         if usable.sum() >= 2:
@@ -388,36 +383,3 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
                                       at_floor=mean_snr < 2.0 * snr_floor(replicates),
                                       slope=slope, intercept=intercept, slope_se=slope_se)
     return report
-
-
-def grad_mse_sweep(model, alpha: float, n_grid: Sequence[int], replicates: int,
-                   stream: vrng.RngStream) -> list:
-    """MSE of the theta-gradient estimator and of the bound across an N grid.
-
-    The references are the exact marginal score and the exact log marginal;
-    MSEs are averaged over replicates (and coordinates, for the gradient).
-    """
-    exact_grad = model.marginal_score()
-    log_marginal = model.log_marginal()
-    rows = []
-    for n in n_grid:
-        sq_grad = 0.0
-        sq_bound = 0.0
-        count = 0
-        per_rep = n * model.d
-        draw_stream = stream.child(n)
-        for start, stop in vrng._replicate_chunks(replicates, per_rep):
-            eps = vrng.standard_normal(draw_stream, (stop - start, n, model.d))
-            lw, g_theta, _, _ = _grad_pass(model, eps, alpha)
-            bound = vr_iwae_from_log_weights(lw, alpha)
-            sq_grad += float(((g_theta - exact_grad) ** 2).sum())
-            sq_bound += float(((bound - log_marginal) ** 2).sum())
-            count += stop - start
-        rows.append({
-            "alpha": float(alpha),
-            "n_importance": int(n),
-            "replicates": int(count),
-            "grad_mse_theta": sq_grad / (count * model.theta_dim),
-            "bound_mse": sq_bound / count,
-        })
-    return rows

@@ -49,14 +49,12 @@ class RngStream:
 
     seed: int
     stream_id: int
-    _gen: Generator = field(repr=False, default=None)
+    _gen: Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        key = _key(self.seed, self.stream_id)
-        if self._gen is None:
-            # Philox is keyed, not seeded: the 128-bit key (seed, stream_id)
-            # selects the stream, the internal counter walks along it.
-            self._gen = Generator(Philox(key=key))
+        # Philox is keyed, not seeded: the 128-bit key (seed, stream_id)
+        # selects the stream, the internal counter walks along it.
+        self._gen = Generator(Philox(key=_key(self.seed, self.stream_id)))
 
     def child(self, offset: int) -> "RngStream":
         """Fresh stream at stream_id + offset, independent of this one."""

@@ -15,6 +15,9 @@ Conventions fixed once for the whole artifact:
   one.  Ties are broken by original index (first occurrence wins); T is
   invariant to the choice among exact ties.
 * QQ plotting positions are (i - 0.5) / n against the standard normal.
+
+The sample mean and unbiased SD of a log-weight sample are the weights
+runner's `log_mean` and `log_std` columns (`experiments.run_weights_experiment`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "max_weight_share",
     "ess",
     "qq_points",
-    "log_weight_moments",
 ]
 
 
@@ -186,12 +188,3 @@ def qq_points(log_weights: np.ndarray) -> QQResult:
     theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
     corr = float(np.corrcoef(theo, sample)[0, 1])
     return QQResult(theoretical=theo, sample=sample, correlation=corr)
-
-
-def log_weight_moments(log_weights: np.ndarray) -> tuple[float, float]:
-    """Sample mean and unbiased sample standard deviation."""
-    x = np.asarray(log_weights, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
-    return float(x.mean()), float(x.std(ddof=1))
-

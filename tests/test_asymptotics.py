@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vriwae.asymptotics import (AsymptoticCurve, CurveFamily, expected_min_normal,
-                                fit_constant, iid_sum_curve, lognormal_curve,
-                                one_over_n_curve, slope_fit)
+from vriwae.asymptotics import (expected_min_normal, fit_constant, iid_sum_curve,
+                                lognormal_curve, one_over_n_curve, slope_fit)
 from vriwae.rng import make_stream, standard_normal
 
 
@@ -139,17 +138,6 @@ def test_slope_fit_errors():
         slope_fit([0.0], [1.0])
     with pytest.raises(ValueError):
         slope_fit([0.0, 0.0], [1.0, 2.0])
-
-
-def test_asymptotic_curve_dispatch():
-    curve = AsymptoticCurve(CurveFamily.ONE_OVER_N, {"error_term": -1.0, "gamma2": 4.0})
-    assert curve.evaluate(8) == pytest.approx(one_over_n_curve(8, -1.0, 4.0, 0.0))
-    curve.fitted_constant = 2.0
-    assert curve.evaluate(8) == pytest.approx(one_over_n_curve(8, -1.0, 4.0, 2.0))
-    ln = AsymptoticCurve(CurveFamily.LOGNORMAL, {"b_d": 3.0, "alpha": 0.2})
-    assert ln.evaluate(16) == pytest.approx(lognormal_curve(16, 3.0, 0.2, 0.0))
-    ii = AsymptoticCurve(CurveFamily.IID_SUM, {"d": 10, "a_const": 0.02, "sigma": 0.2})
-    assert ii.evaluate(16) == pytest.approx(iid_sum_curve(16, 10, 0.02, 0.2, 0.0))
 
 
 def test_max_term_agreement_lognormal():

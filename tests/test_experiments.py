@@ -46,13 +46,24 @@ def test_spec_validation():
                       (dict(sigma_perturbs=(0.1, -0.1)), "sigma_perturbs"),
                       (dict(sigma_perturbs=(math.nan,)), "sigma_perturbs"),
                       (dict(kind="snr", m_samples=0), "m_samples"),
-                      (dict(kind="snr", coordinate_sample=0), "coordinate_sample")):
+                      (dict(kind="snr", coordinate_sample=0), "coordinate_sample"),
+                      (dict(seed=1.5), "seed"), (dict(seed=True), "seed"),
+                      (dict(ds=10), "ds"), (dict(n_grid=(2.0, 4.0)), "n_grid"),
+                      (dict(alphas=(True,)), "alphas"), (dict(theta_scale="1"), "theta_scale"),
+                      (dict(kind="train", learning_rate="0.1"), "learning_rate")):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{"kind": "gap", **kw})
 
 
-_CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
-             "--replicates", "10", "--seed", "0"]
+# the flags of every CLI call below, by the spec field each sets
+_CLI_BASE = {"ds": ["--d", "10"], "n_grid": ["--n-grid", "2", "4"], "alphas": ["--alpha", "0"],
+             "replicates": ["--replicates", "10"], "seed": ["--seed", "0"]}
+
+
+def _cli_base(skip=()):
+    """The shared flags, less those of the fields in `skip`: an explicit flag
+    overrides the --config value of its field."""
+    return [arg for key, flags in _CLI_BASE.items() if key not in skip for arg in flags]
 
 
 # a dict in `bad` is written to a JSON file and passed as --config
@@ -75,16 +86,25 @@ _CLI_BASE = ["--d", "10", "--n-grid", "2", "4", "--alpha", "0",
     ("gap", ["--model", "lingauss", "--sigma-perturb", "0", "-0.1"], "sigma_perturbs"),
     ("snr", [{"m_samples": 0}, "--replicates", "100"], "m_samples"),
     ("snr", [{"coordinate_sample": 0}, "--replicates", "100"], "coordinate_sample"),
+    ("gap", [{"seed": 1.5}], "seed"),
+    ("gap", [{"ds": [2.7]}], "ds"),
+    ("gap", [{"ds": 10}], "ds"),
+    ("gap", [{"replicates": "20"}], "replicates"),
+    ("gap", [{"replicates": 2.9}], "replicates"),
+    ("gap", [{"seed": True}], "seed"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
         "train-epochs-neg", "gap-seed-neg", "gap-seed-2-64", "gap-sigma-perturb-neg",
-        "snr-config-m-samples-0", "snr-config-coordinate-sample-0"])
+        "snr-config-m-samples-0", "snr-config-coordinate-sample-0", "config-seed-float",
+        "config-ds-float", "config-ds-int", "config-replicates-str", "config-replicates-float",
+        "config-seed-bool"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "table.csv"
-    argv = [command, *_CLI_BASE]
+    configured = [key for arg in bad if isinstance(arg, dict) for key in arg]
+    argv = [command, *_cli_base(skip=configured)]
     for arg in bad:
         if isinstance(arg, dict):
             cfg.write_text(json.dumps(arg))
@@ -109,7 +129,7 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg.write_text(json.dumps(config))
     out = tmp_path / "table.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["gap", *_CLI_BASE, "--config", str(cfg), "--out", str(out)])
+        main(["gap", *_cli_base(), "--config", str(cfg), "--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

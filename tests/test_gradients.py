@@ -5,10 +5,10 @@ import pytest
 from scipy.special import kolmogorov, ndtri
 
 import vriwae.rng as vrng
+from vriwae.bounds import bound_mc, gap_mc
 from vriwae.gradients import (_contract, _grad_pass, _softmax_last, _toy_grad_pass, _toy_sums,
                               _weight_rows, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
-                              grad_mse_sweep, grad_samples_from_eps, h_coefficients,
-                              snr_floor, snr_sweep)
+                              grad_samples_from_eps, h_coefficients, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import keyed_uniforms, make_stream, standard_normal
 from vriwae.weights import _MeanSE
@@ -448,24 +448,32 @@ def test_mean_se_independent_of_chunking():
 
 
 # --------------------------------------------------------------------------
-# MSE sweep
+# MSE across N, from the mean/SE estimators
 # --------------------------------------------------------------------------
 
 def test_mse_matched_params_bound_exact():
     # constant weights: the bound estimate equals the log marginal exactly,
     # while the theta-gradient estimator keeps its sampling variance d/N
     model = toy(d=4, theta=0.3, phi=0.3)
-    rows = grad_mse_sweep(model, 0.0, [2, 8], 4000, make_stream(15, 0))
-    for row in rows:
-        assert row["bound_mse"] == 0.0
-        expected_var = 1.0 / row["n_importance"]  # per coordinate: Var(mean eps) = 1/N
-        assert row["grad_mse_theta"] == pytest.approx(expected_var, rel=0.15)
+    for n in (2, 8):
+        est = bound_mc(model, 0.0, n, 4000, make_stream(15, 0).child(n))
+        assert (est.mean, est.std_error) == (model.log_marginal(), 0.0)
+        grad = grad_mean_se(model, 0.0, n, 4000, make_stream(15, 0).child(n))
+        # MSE about the exact gradient over the R samples, per coordinate:
+        # R * SE^2 + bias^2, with SE^2 from the unbiased variance
+        err = grad.theta_mean - model.marginal_score()
+        mse = float(np.mean(grad.replicates * grad.theta_se**2 + err**2))
+        expected_var = 1.0 / n  # per coordinate: Var(mean eps) = 1/N
+        assert mse == pytest.approx(expected_var, rel=0.15)
 
 
 def test_mse_bound_decreases_with_n():
     model = lingauss(3, seed=21)
-    rows = grad_mse_sweep(model, 0.0, [2, 16, 128], 4000, make_stream(16, 0))
-    mses = [r["bound_mse"] for r in rows]
+    mses = []
+    for n in (2, 16, 128):
+        # the gap is bound minus log marginal, so its MSE is the bound's
+        gap = gap_mc(model, 0.0, n, 4000, make_stream(16, n << 20))
+        mses.append(gap.replicates * gap.std_error**2 + gap.mean**2)
     assert mses[0] > mses[1] > mses[2]
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from vriwae import experiments
+from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
-from vriwae.weights import (LogWeights, _logsumexp, _t_stat, ess, log_weight_moments,
-                            max_weight_share, qq_points, relative_log_weights, t_statistic)
+from vriwae.weights import (LogWeights, _logsumexp, _t_stat, ess, max_weight_share, qq_points,
+                            relative_log_weights, t_statistic)
 
 
 def test_container_validation():
@@ -190,21 +192,30 @@ def test_qq_errors():
         qq_points(np.full(10, 2.0))
 
 
-def test_log_weight_moments():
-    mean, std = log_weight_moments(np.array([0.0, 2.0]))
-    assert mean == pytest.approx(1.0)
-    assert std == pytest.approx(math.sqrt(2.0))
-    mean, std = log_weight_moments(np.full(5, 4.2))
-    assert (mean, std) == (pytest.approx(4.2), 0.0)
+class _FixedLaw:
+    """A model stub whose log-weight law returns fixed values."""
+
+    LAW_WORDS = 1
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def log_weight_law(self, u):
+        assert u.shape == (self.values.size, 1)
+        return self.values
+
+
+def test_log_weight_moments(monkeypatch):
+    # the weights runner reports the sample mean and the unbiased sample SD
+    monkeypatch.setattr(experiments, "_variants", lambda spec, d: [(None, _FixedLaw([0.0, 2.0]))])
+    row = run_weights_experiment(ExperimentSpec(kind="weights", ds=(1,), weight_samples=2))[0]
+    assert row["log_mean"] == pytest.approx(1.0)
+    assert row["log_std"] == pytest.approx(math.sqrt(2.0))
 
 
 def test_log_weight_moments_toy_scaling():
     # toy model d=100, theta=0, phi=u: log wbar = -d/2 - sqrt(d) * S, std = 10
-    from vriwae.models import GaussianToy
-    d = 100
-    model = GaussianToy(d=d, theta=np.zeros(d), phi=np.ones(d))
-    eps = standard_normal(make_stream(5, 9), (1_000_000, d))
-    lrw = model.log_relative_weight(model.reparam(eps))
-    mean, std = log_weight_moments(lrw)
-    assert abs(std - 10.0) < 0.1
-    assert abs(mean + 50.0) < 3.0 * 10.0 / 1000.0
+    spec = ExperimentSpec(kind="weights", model="toy", ds=(100,), weight_samples=1_000_000)
+    row = run_weights_experiment(spec)[0]
+    assert abs(row["log_std"] - 10.0) < 0.1
+    assert abs(row["log_mean"] + 50.0) < 3.0 * 10.0 / 1000.0
