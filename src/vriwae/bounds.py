@@ -11,11 +11,11 @@ evaluation switches to the exact limit mean(lw).
 Gaps are always computed from relative log-weights so the log marginal cancels
 analytically instead of being subtracted between two huge numbers.
 
-Every per-replicate draw goes through `rng.keyed_uniforms`: replicate r of a
-block starting at stream_id ``base`` maps the N x LAW_WORDS uniforms of
-stream (seed, base + r) through the model's `log_weight_law`, and whole
-chunks of replicates are drawn and reduced at once (`_relative_weight_batches`,
-shared with the gap and collapse runners of `experiments`).
+The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
+reads one fresh stream, and replicate r maps block r of its uniforms, N x
+LAW_WORDS of them, through the model's `log_weight_law`.  Whole chunks of
+replicates are drawn and reduced at once (`_relative_weight_batches`, shared
+with the gap and collapse runners of `experiments`).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def bound_mc(model, alpha: float, n_importance: int, replicates: int,
              stream: vrng.RngStream) -> BoundEstimate:
     """Monte Carlo bound estimate over i.i.d. replicate batches.
 
-    Replicate r draws from the substream at stream_id + r, so the result is
-    independent of how replicates are scheduled.
+    Replicate r reads block r of a fresh stream at the key of `stream`, so
+    the result is a function of that key alone; `stream` is not advanced.
     """
     samples = _mc_samples(model, alpha, n_importance, replicates, stream, relative=False)
     return _estimate(samples, alpha, n_importance)
@@ -88,7 +88,7 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
 
 def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
     """Bound samples, replicate r from the N log-weights of `model.log_weight_law`
-    on the uniforms of stream.child(r)."""
+    on block r of the uniforms of stream (stream.seed, stream.stream_id)."""
     if replicates < 1:
         raise ValueError("need at least one replicate")
     alpha = _check_alpha(alpha, closed=True)
@@ -101,18 +101,18 @@ def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
 
 
 def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: int,
-                             base_id: int):
+                             stream_id: int):
     """Yield (start, stop, lrw) with lrw of shape (V, C, N) per chunk.
 
-    Replicate r draws N x k uniforms (k = LAW_WORDS of the models) from
-    stream (seed, base_id + r), and every model maps the same uniforms
-    through its `log_weight_law`; the transforms are batched per chunk,
-    which does not affect the values.
+    Replicate r reads block r of N x k uniforms (k = LAW_WORDS of the models)
+    of a fresh stream (seed, stream_id), and every model maps the same
+    uniforms through its `log_weight_law`; the transforms are batched per
+    chunk, which does not affect the values.
     """
     k = models[0].LAW_WORDS
+    stream = vrng.make_stream(seed, stream_id)
     for start, stop in vrng._replicate_chunks(replicates, n * k):
-        u = vrng.keyed_uniforms(seed, base_id + np.arange(start, stop), n * k)
-        u = u.reshape(stop - start, n, k)
+        u = vrng.uniform(stream, (stop - start, n, k))
         yield start, stop, np.stack([m.log_weight_law(u) for m in models])
 
 

@@ -1,15 +1,16 @@
 """Deterministic experiment runners and their CSV/JSON/SVG outputs.
 
-Every experiment is a pure function of (spec, seed).  Draws are organized in
-keyed streams: each experiment family owns a disjoint stream_id block, and
-within the gap and collapse experiments every replicate r of every grid cell
-has its own stream, so outputs are byte-identical no matter how work is
-scheduled.  All per-replicate draws go through `rng.keyed_uniforms`, a whole
-chunk of replicates at a time (`bounds._relative_weight_batches`).  Common
-random numbers are reused on purpose across alpha values and across
-perturbation scales of the same grid cell: the draws are i.i.d. for each
-configuration, and sharing them makes the comparisons paired.  Each log-weight
-comes from its model's exact law (`log_weight_law`), not d normals.
+Every experiment is a pure function of (spec, seed).  Each experiment family
+owns a disjoint stream_id block, and each grid cell reads its own stream
+within it, by the package's one draw rule (see `rng`): replicate r of the
+cell takes block r of the stream's words, so outputs are byte-identical no
+matter how cells are scheduled, and agree to rounding across chunk sizes.
+The gap and collapse cells draw whole chunks of replicates at a time
+(`bounds._relative_weight_batches`).  Common random numbers are reused on
+purpose across alpha values and across perturbation scales of the same grid
+cell: the draws are i.i.d. for each configuration, and sharing them makes the
+comparisons paired.  Each log-weight comes from its model's exact law
+(`log_weight_law`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -40,7 +41,7 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_oracle, grad_mean_se, h_coef
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      optimal_params, perturb_params, toy_analytics)
-from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
+from .train import _ESTIMATORS, _OPTIMIZERS, DEFAULT_LEARNING_RATE, TrainConfig, run_training
 from .weights import (LogWeights, _ess, _max_share, _MeanSE, _t_stat, ess, max_weight_share,
                       qq_points, t_statistic)
 
@@ -131,6 +132,10 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.estimator not in _ESTIMATORS:
+            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
+        if self.optimizer not in _OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
         if any(d < 1 for d in self.ds):
             raise ValueError(f"ds must be >= 1, got {self.ds}")
         if any(n < 1 for n in self.n_grid):
@@ -249,10 +254,10 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
         means = np.empty((len(variants), len(spec.alphas), len(n_grid)))
         ses = np.empty_like(means)
         for n_idx, n in enumerate(n_grid):
-            base = _OFF_GAP + (d_idx * len(n_grid) + n_idx) * spec.replicates
+            cell = _OFF_GAP + d_idx * len(n_grid) + n_idx
             acc = _MeanSE((len(variants), len(spec.alphas)))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
-                                                             spec.seed, base):
+                                                             spec.seed, cell):
                 # (C, V, A): replicates first, as the reducer expects
                 acc.add(np.stack([vr_iwae_from_log_weights(lrw, alpha, axis=-1).T
                                   for alpha in spec.alphas], axis=-1))
@@ -395,7 +400,7 @@ _HIST_BINS = 60
 
 def run_weights_experiment(spec: ExperimentSpec) -> list:
     """Log-weight histograms, moments, and QQ normality correlation per
-    (d, sigma_perturb)."""
+    (d, sigma_perturb); qq_corr is empty where the sample SD is 0."""
     rows = []
     grid_idx = 0
     for d in spec.ds:
@@ -405,7 +410,8 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             n = spec.weight_samples
             lrw = model.log_weight_law(vrng.uniform(stream, (n, model.LAW_WORDS)))
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
-            corr = qq_points(lrw).correlation
+            # a constant sample (the toy at theta = phi) has no QQ correlation
+            corr = qq_points(lrw).correlation if std > 0 else None
             counts, edges = np.histogram(lrw, bins=_HIST_BINS)
             for i in range(_HIST_BINS):
                 rows.append({"model": spec.model, "d": d, "sigma_perturb": sp,
@@ -427,11 +433,11 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
         variants = _variants(spec, d)
         models = [m for _, m in variants]
         for n_idx, n in enumerate(spec.n_grid):
-            base = _OFF_COLLAPSE + (d_idx * len(spec.n_grid) + n_idx) * spec.replicates
+            cell = _OFF_COLLAPSE + d_idx * len(spec.n_grid) + n_idx
             # (T, max share, ESS) per (variant, alpha)
             acc = _MeanSE((len(variants), len(spec.alphas), 3))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
-                                                             spec.seed, base):
+                                                             spec.seed, cell):
                 t = np.stack([_t_stat(lrw, alpha) for alpha in spec.alphas], axis=-1)
                 share, e = _max_share(lrw)[..., None], _ess(lrw)[..., None]
                 stats = np.stack(np.broadcast_arrays(t, share, e), axis=-1)

@@ -149,10 +149,6 @@ class GaussianToy:
     def log_marginal(self) -> float:
         return 0.0
 
-    def marginal_score(self) -> np.ndarray:
-        """Exact gradient of the log marginal w.r.t. theta (zero here)."""
-        return np.zeros(self.d)
-
     def score_affine(self):
         """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped).
 
@@ -251,10 +247,6 @@ class LinearGaussian:
     def log_marginal(self) -> float:
         dx = self.x - self.theta
         return float(-0.5 * self.d * math.log(4.0 * math.pi) - 0.25 * np.dot(dx, dx))
-
-    def marginal_score(self) -> np.ndarray:
-        """Exact gradient of the log marginal w.r.t. theta: (x - theta)/2."""
-        return 0.5 * (self.x - self.theta)
 
     def log_unnormalized_weight(self, z: np.ndarray) -> np.ndarray:
         return self.log_relative_weight(z) + self.log_marginal()

@@ -3,23 +3,18 @@
 Every stochastic routine in this package draws from an `RngStream`, which is a
 thin wrapper around numpy's counter-based Philox generator keyed by
 ``(seed, stream_id)``.  Distinct keys give statistically independent streams
-without any fast-forwarding, so replicates can be farmed out to workers in any
-order and still reproduce bit-identical results.
+without any fast-forwarding, so grid cells can be run in any order and still
+reproduce bit-identical results.
 
-Per-replicate draws use one keyed convention: replicate r of a block starting
-at stream_id ``base`` reads its words from stream (seed, base + r), starting
-at counter 0, which is also what ``make_stream(seed, base).child(r)`` yields.
-`keyed_uniforms` returns those rows for a whole chunk of replicates at once:
-row i equals ``uniform(make_stream(seed, stream_ids[i]), n)`` word for word,
-but it re-keys one Philox instead of constructing a generator per row.
+Every Monte Carlo loop draws by one rule: a cell (a grid point of an
+experiment, an N of the SNR sweep, a `bound_mc` call, the epochs of a
+training run) reads one fresh stream from counter 0, and replicate r of a
+cell whose replicates take n words each reads words [r n, (r + 1) n).
 `_replicate_chunks` is the package's one chunk loop; it bounds every batched
-intermediate at `_CHUNK_TARGET` elements.  Training keys its draws the same
-way, per epoch and per logged gap replicate (see `train`).  Draws come
-sequentially from one stream only in the SNR sweep, `grad_mean_se`, the
-finite-difference oracle, the weights runner, and the construction of
-linear Gaussian models: the datapoint and the sum of the other data points
-(d normals each, from streams of their own) and the perturbations (see
-`experiments.make_linear_gaussian`).
+intermediate at `_CHUNK_TARGET` elements, and since consecutive chunks read
+consecutive blocks of the one stream, the draws do not depend on the chunk
+size.  Distinct cells, and distinct draw purposes, read distinct stream ids
+(``child``).
 
 Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
 (``ndtri``), a fixed documented choice; the models' exact log-weight laws
@@ -35,8 +30,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["RngStream", "make_stream", "raw_uint64", "uniform", "keyed_uniforms",
-           "standard_normal", "permutation_indices"]
+__all__ = ["RngStream", "make_stream", "raw_uint64", "uniform", "standard_normal",
+           "permutation_indices"]
 
 # target element count of the largest intermediate array per chunk, for
 # every chunked loop of the package
@@ -54,18 +49,13 @@ class RngStream:
     def __post_init__(self):
         # Philox is keyed, not seeded: the 128-bit key (seed, stream_id)
         # selects the stream, the internal counter walks along it.
-        self._gen = Generator(Philox(key=_key(self.seed, self.stream_id)))
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
+            raise ValueError("seed and stream_id must be non-negative and below 2**64")
+        self._gen = Generator(Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
 
     def child(self, offset: int) -> "RngStream":
         """Fresh stream at stream_id + offset, independent of this one."""
         return make_stream(self.seed, self.stream_id + offset)
-
-
-def _key(seed: int, stream_id: int) -> np.ndarray:
-    """The Philox key [seed, stream_id]; each must fit in 64 unsigned bits."""
-    if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
-        raise ValueError("seed and stream_id must be non-negative and below 2**64")
-    return np.array([seed, stream_id], dtype=np.uint64)
 
 
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:
@@ -88,31 +78,8 @@ def uniform(stream: RngStream, size) -> np.ndarray:
     """
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = int(np.prod(shape)) if shape else 1
-    return _uniform_from_raw(raw_uint64(stream, n)).reshape(shape)
-
-
-def keyed_uniforms(seed: int, stream_ids, n: int) -> np.ndarray:
-    """Uniforms of shape (len(stream_ids), n) whose row i is
-    ``uniform(make_stream(seed, stream_ids[i]), n)``: the first n words of
-    stream (seed, stream_ids[i]).
-
-    One Philox is re-keyed per row by assigning its state (key
-    [seed, stream_id], counter 0, empty output buffer), which is the state a
-    freshly constructed stream starts in.
-    """
-    ids = np.asarray(stream_ids)
-    if ids.size:
-        _key(seed, int(ids.min()))
-        _key(seed, int(ids.max()))
-    bitgen = Philox(key=_key(seed, 0))
-    state = bitgen.state
-    key = state["state"]["key"]
-    raw = np.empty((ids.size, n), dtype=np.uint64)
-    for i, stream_id in enumerate(ids):
-        key[1] = stream_id
-        bitgen.state = state
-        raw[i] = bitgen.random_raw(n)
-    return _uniform_from_raw(raw)
+    raw = raw_uint64(stream, n)
+    return (((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53).reshape(shape)
 
 
 def _replicate_chunks(replicates: int, per_replicate_elems: int):
@@ -124,11 +91,6 @@ def _replicate_chunks(replicates: int, per_replicate_elems: int):
         stop = min(start + chunk, replicates)
         yield start, stop
         start = stop
-
-
-def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
-    """The uniforms of `uniform` from raw words, elementwise."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def standard_normal(stream: RngStream, size) -> np.ndarray:

@@ -14,17 +14,16 @@ Trajectories log the normalized squared parameter distance B^2/d for the toy
 model (or lambda for the linear Gaussian one), a small fresh Monte Carlo gap
 estimate, and the gradient norm.
 
-Draws are keyed per epoch: epoch e (from 1) reads stream (seed, stream_id + e)
-of the run's stream, and logged row k's gap is `bounds.gap_mc` on the streams
-from stream_id + GAP_STREAM_OFFSET + k * gap_replicates.  The words do not
-depend on the parameters, so each chunk of epochs takes one `keyed_uniforms`
-call and one `ndtri`, and the rows do not depend on the chunk size.  A
-`GaussianToy` epoch takes N + 2d words and draws its gradient from the exact
-conditional law of `gradients._toy_grad_pass`; a `LinearGaussian` epoch
-takes the N x d eps of the d-dimensional path.  (An exact draw for the
-linear Gaussian from a Bartlett factor would take N(N+1)/2 + 2d words, which
-pays only where N is below about 2d; no experiment runs there, so it is left
-out.)
+Draws follow the package's one rule (see `rng`): epoch e (from 1) reads block
+e - 1 of a fresh stream at the key of the run's stream, and logged row k's
+gap is `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on
+the parameters, so each chunk of epochs takes one `standard_normal` call,
+and the rows do not depend on the chunk size.  A `GaussianToy` epoch takes
+N + 2d words and draws its gradient from the exact conditional law of
+`gradients._toy_grad_pass`; a `LinearGaussian` epoch takes the N x d eps of
+the d-dimensional path.  (An exact draw for the linear Gaussian from a
+Bartlett factor would take N(N+1)/2 + 2d words, which pays only where N is
+below about 2d; no experiment runs there, so it is left out.)
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng as vrng
 from .bounds import gap_mc
@@ -57,8 +55,8 @@ GRAD_NORM_LIMIT = 1e8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# stream-id offset of the logged gap draws; epoch ids stay below it
-GAP_STREAM_OFFSET = 1 << 39
+_ESTIMATORS = ("rep", "drep")
+_OPTIMIZERS = ("sgd", "adam")
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,17 +79,17 @@ class TrainConfig:
         _check_alpha(self.alpha, closed=True)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0 <= self.epochs < GAP_STREAM_OFFSET:
-            raise ValueError(f"epochs must be in [0, {GAP_STREAM_OFFSET})")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
         if self.n_importance < 1:
             raise ValueError("n_importance must be positive")
         if self.log_every < 1:
             raise ValueError("log_every must be positive")
         if self.gap_replicates < 1:
             raise ValueError("gap_replicates must be positive")
-        if self.estimator not in ("rep", "drep"):
+        if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -156,13 +154,13 @@ def _progress(model) -> float:
 def _epoch_normals(model, config: TrainConfig, stream: vrng.RngStream):
     """Yield (epoch, normals) for epochs 1..config.epochs: N + 2d normals per
     epoch for `GaussianToy`, N x d for `LinearGaussian`, a chunk of epochs
-    per `keyed_uniforms` call."""
+    per `standard_normal` call on a fresh stream at the key of `stream`."""
     n = config.n_importance
     words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+    draws = vrng.make_stream(stream.seed, stream.stream_id)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
-        epochs = np.arange(start + 1, stop + 1)
-        yield from zip(epochs.tolist(),
-                       ndtri(vrng.keyed_uniforms(stream.seed, stream.stream_id + epochs, words)))
+        yield from zip(range(start + 1, stop + 1),
+                       vrng.standard_normal(draws, (stop - start, words)))
 
 
 def _epoch_grads(model, normals: np.ndarray, alpha: float, kind: str):
@@ -176,19 +174,18 @@ def _epoch_grads(model, normals: np.ndarray, alpha: float, kind: str):
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:
     """Gradient ascent on the bound; returns the logged trajectory.
 
-    Epoch e draws from the keyed stream (seed, stream_id + e), and each
-    logged gap from its own keyed streams (see the module docstring), so
-    identical (model, config, stream) reproduce identical rows.  Aborts when
-    the gradient norm exceeds 1e8.
+    Epoch e reads block e - 1 of a fresh stream at the key of `stream`, and
+    logged row k's gap reads stream.child(1 + k) (see the module docstring),
+    so identical (model, config, stream key) reproduce identical rows;
+    `stream` is not advanced.  Aborts when the gradient norm exceeds 1e8.
     """
     traj = Trajectory(progress_label="bd2_over_d" if isinstance(model, GaussianToy) else "lambda")
     adam_theta = AdamState.zeros(model.theta_dim)
     adam_phi = AdamState.zeros(model.phi_dim)
 
     def log_row(epoch: int, grad_norm: float):
-        gap_ids = GAP_STREAM_OFFSET + len(traj.rows) * config.gap_replicates
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
-                     stream.child(gap_ids))
+                     stream.child(1 + len(traj.rows)))
         traj.rows.append(TrajectoryRow(epoch=epoch, progress=_progress(model),
                                        gap_mean=gap.mean, gap_se=gap.std_error,
                                        grad_norm=grad_norm))

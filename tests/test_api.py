@@ -60,13 +60,19 @@ def test_tracer_runs_cli_and_restores_names(tmp_path, monkeypatch):
 
     before = _namespaces(tracing)
     tracer = tracing.Tracer()
+    words = {}
     with tracer.installed():
         assert vriwae.cli.main(["gap", "--d", "3", "--n-grid", "2", "4", "--alpha", "0",
                                 "--replicates", "8", "--out", str(tmp_path / "gap.csv")]) == 0
+        words["gap"] = tracer.layer_metrics()["rng.words"]
+        tracer.reset_totals()
         assert vriwae.cli.main(["train", "--d", "3", "--n-importance", "4", "--epochs", "6",
                                 "--log-every", "3", "--out", str(tmp_path / "train.csv")]) == 0
+        words["train"] = tracer.layer_metrics()["rng.words"]
     after = _namespaces(tracing)
 
+    # both commands draw through the traced rng functions
+    assert words["gap"] > 0 and words["train"] > 0, words
     metrics = tracer.layer_metrics()
     assert tracer.spans > 0
     assert metrics["experiments.runner_s"] > 0 and metrics["experiments.table_bytes"] > 0

@@ -202,12 +202,14 @@ _ORACLE_REPLICATES = 60
 
 def _per_replicate_oracle(model, alpha, n, stream, relative):
     """Mean and SE of the bound samples, one replicate at a time: replicate r
-    maps uniform(stream.child(r), (N, k)) through the law and reduces with
-    scipy's logsumexp."""
+    maps block r of uniform(stream at the key of `stream`, (R, N, k)) through
+    the law and reduces with scipy's logsumexp."""
     shift = 0.0 if relative else model.log_marginal()
+    words = uniform(make_stream(stream.seed, stream.stream_id),
+                    (_ORACLE_REPLICATES, n, model.LAW_WORDS))
     samples = []
     for r in range(_ORACLE_REPLICATES):
-        v = model.log_weight_law(uniform(stream.child(r), (n, model.LAW_WORDS))) + shift
+        v = model.log_weight_law(words[r]) + shift
         samples.append((logsumexp((1.0 - alpha) * v) - math.log(n)) / (1.0 - alpha))
     samples = np.array(samples)
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)

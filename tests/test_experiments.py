@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from vriwae import experiments
 from vriwae import rng as vrng
@@ -92,13 +93,18 @@ def _cli_base(skip=()):
     ("gap", [{"replicates": "20"}], "replicates"),
     ("gap", [{"replicates": 2.9}], "replicates"),
     ("gap", [{"seed": True}], "seed"),
+    ("gap", [{"estimator": "nope"}], "estimator"),
+    ("gap", [{"optimizer": "nope"}], "optimizer"),
+    ("train", [{"estimator": "nope"}, "--epochs", "2"], "estimator"),
+    ("train", [{"optimizer": "nope"}, "--epochs", "2"], "optimizer"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
         "train-epochs-neg", "gap-seed-neg", "gap-seed-2-64", "gap-sigma-perturb-neg",
         "snr-config-m-samples-0", "snr-config-coordinate-sample-0", "config-seed-float",
         "config-ds-float", "config-ds-int", "config-replicates-str", "config-replicates-float",
-        "config-seed-bool"])
+        "config-seed-bool", "gap-config-estimator", "gap-config-optimizer",
+        "train-config-estimator", "train-config-optimizer"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -221,8 +227,8 @@ def _chunk_tables(model):
 @given(target=st.integers(min_value=1, max_value=400),
        model=st.sampled_from(sorted(_CHUNK_SPECS)))
 def test_gap_and_collapse_independent_of_chunk_size(target, model):
-    # replicate r always draws from its own stream, so the chunk size only
-    # changes how the reducer merges batches: the tables agree to rounding
+    # replicate r always reads block r of its cell's stream, so the chunk size
+    # only changes how the reducer merges batches: the tables agree to rounding
     if model not in _CHUNK_REFS:
         _CHUNK_REFS[model] = _chunk_tables(model)
     with mock.patch.object(vrng, "_CHUNK_TARGET", target):
@@ -238,6 +244,59 @@ def test_gap_and_collapse_independent_of_chunk_size(target, model):
                     assert math.isnan(row[key])
                 else:
                     assert row[key] == value
+
+
+def _by_hand_cells(spec):
+    """{(alpha, d, sigma_perturb, N): {column: (mean, se)}} by hand: cell
+    (d_idx, n_idx) reads the stream at the family offset + d_idx * len(n_grid)
+    + n_idx, replicate r maps block r of its uniforms through each model's
+    law, and each statistic comes from scipy's logsumexp or the scalar
+    `weights` diagnostics, reduced by a two-pass mean and SE."""
+    offset = experiments._OFF_GAP if spec.kind == "gap" else experiments._OFF_COLLAPSE
+    out = {}
+    for d_idx, d in enumerate(spec.ds):
+        if spec.model == "toy":
+            variants = [(None, make_toy(d, spec.theta_scale))]
+        else:
+            variants = [(sp, make_linear_gaussian(d, sp, spec.seed)[0])
+                        for sp in spec.sigma_perturbs]
+        for n_idx, n in enumerate(spec.n_grid):
+            stream = vrng.make_stream(spec.seed, offset + d_idx * len(spec.n_grid) + n_idx)
+            u = vrng.uniform(stream, (spec.replicates, n, variants[0][1].LAW_WORDS))
+            for sp, model in variants:
+                batches = [model.log_weight_law(u[r]) for r in range(spec.replicates)]
+                for alpha in spec.alphas:
+                    if spec.kind == "gap":
+                        stats = {"gap": [(logsumexp((1.0 - alpha) * v) - math.log(n))
+                                         / (1.0 - alpha) for v in batches]}
+                    else:
+                        lws = [LogWeights(v, 0.0) for v in batches]
+                        stats = {"t": [t_statistic(b, alpha) for b in lws],
+                                 "max_share": [max_weight_share(b) for b in lws],
+                                 "ess": [ess(b) for b in lws]}
+                    out[(alpha, d, sp, n)] = {
+                        col: (np.mean(v), np.std(v, ddof=1) / math.sqrt(len(v)))
+                        for col, v in stats.items()}
+    return out
+
+
+@pytest.mark.parametrize("kind", ["gap", "collapse"])
+@pytest.mark.parametrize("model", sorted(_CHUNK_SPECS))
+def test_gap_and_collapse_rows_match_by_hand_oracle(kind, model):
+    spec = ExperimentSpec(kind=kind, **_CHUNK_SPECS[model])
+    run = run_gap_experiment if kind == "gap" else run_collapse_experiment
+    want = _by_hand_cells(spec)
+    for target in (1, 40, 10**6):
+        with mock.patch.object(vrng, "_CHUNK_TARGET", target):
+            rows = run(spec)
+        assert len(rows) == len(want)
+        for row in rows:
+            cell = want[(row["alpha"], row["d"], row["sigma_perturb"], row["N"])]
+            for col, (mean, se) in cell.items():
+                mean_col, se_col = ("mean_gap", "se_gap") if col == "gap" else (
+                    f"{col}_mean", f"{col}_se")
+                assert row[mean_col] == pytest.approx(mean, rel=1e-12, abs=1e-12), (target, col)
+                assert row[se_col] == pytest.approx(se, rel=1e-9, abs=1e-12), (target, col)
 
 
 def test_fit_gap_table_roundtrip(tmp_path):
@@ -302,6 +361,19 @@ def test_weights_experiment_rows():
     # toy log-weights are exactly normal
     assert rows[0]["qq_corr"] > 0.999
     assert abs(rows[0]["log_std"] - math.sqrt(5.0)) < 0.05
+
+
+def test_cli_weights_constant_log_weights(tmp_path):
+    # the toy at theta = phi has constant log-weights: SD 0 and an empty
+    # QQ correlation, in CSV and in strict JSON
+    from vriwae.cli import main
+    base = ["weights", "--d", "3", "--theta-scale", "1", "--weight-samples", "100"]
+    assert main([*base, "--out", str(tmp_path / "w.csv")]) == 0
+    rows, _ = read_table(str(tmp_path / "w.csv"))
+    assert all(r["log_std"] == 0.0 and r["qq_corr"] is None for r in rows)
+    assert main([*base, "--format", "json", "--out", str(tmp_path / "w.json")]) == 0
+    rows = json.loads((tmp_path / "w.json").read_text(), parse_constant=pytest.fail)["rows"]
+    assert all(r["log_std"] == 0.0 and r["qq_corr"] is None for r in rows)
 
 
 def test_weights_experiment_lingauss_smoke():

@@ -8,8 +8,8 @@ from vriwae.bounds import gap_mc
 from vriwae.gradients import _toy_grad_pass, grad_samples_from_eps
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal
-from vriwae.train import (GAP_STREAM_OFFSET, AdamState, TrainConfig, TrainingDiverged,
-                          adam_step, run_training, sgd_step)
+from vriwae.train import (AdamState, TrainConfig, TrainingDiverged, adam_step, run_training,
+                          sgd_step)
 
 
 def toy(d, phi=1.0):
@@ -160,18 +160,22 @@ def test_rows_independent_of_chunk_target(monkeypatch, make_model, train_theta):
                                                      (lambda: lingauss(3, seed=2), True)],
                          ids=["toy", "lingauss"])
 def test_epochs_draw_from_keyed_streams(make_model, train_theta):
-    # epoch e reads the words of stream (seed, stream_id + e), and logged
-    # row k its gap from the streams at stream_id + GAP_STREAM_OFFSET + k * R
+    # epoch e reads row e - 1 of one draw from stream (seed, stream_id), and
+    # logged row k its gap from stream.child(1 + k); the caller's stream is
+    # not advanced
     n, alpha, lr, reps, epochs = 5, 0.2, 1e-2, 3, 6
     config = TrainConfig(alpha=alpha, n_importance=n, epochs=epochs, log_every=1,
                          learning_rate=lr, gap_replicates=reps, train_theta=train_theta)
     seed, base = 12, 1000
-    traj = run_training(make_model(), config, make_stream(seed, base))
+    stream = make_stream(seed, base)
+    traj = run_training(make_model(), config, stream)
+    assert _rows(run_training(make_model(), config, stream)) == _rows(traj)
     model = make_model()
+    words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+    draws = standard_normal(make_stream(seed, base), (epochs, words))
     for epoch in range(epochs + 1):
         if epoch:
-            words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
-            normals = standard_normal(make_stream(seed, base + epoch), words)
+            normals = draws[epoch - 1]
             if isinstance(model, GaussianToy):
                 _, g_theta, g_phi, _ = _toy_grad_pass(model, normals, alpha)
             else:
@@ -180,8 +184,7 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
             if train_theta:
                 model = model.with_theta(sgd_step(model.theta_vec, g_theta, lr))
             model = model.with_phi(sgd_step(model.phi_vec, g_phi, lr))
-        gap = gap_mc(model, alpha, n, reps,
-                     make_stream(seed, base + GAP_STREAM_OFFSET + epoch * reps))
+        gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1 + epoch))
         row = traj.rows[epoch]
         assert row.epoch == epoch
         progress = model.bd**2 / model.d if isinstance(model, GaussianToy) else model.lam

@@ -206,11 +206,16 @@ class _FixedLaw:
 
 
 def test_log_weight_moments(monkeypatch):
-    # the weights runner reports the sample mean and the unbiased sample SD
-    monkeypatch.setattr(experiments, "_variants", lambda spec, d: [(None, _FixedLaw([0.0, 2.0]))])
-    row = run_weights_experiment(ExperimentSpec(kind="weights", ds=(1,), weight_samples=2))[0]
-    assert row["log_mean"] == pytest.approx(1.0)
-    assert row["log_std"] == pytest.approx(math.sqrt(2.0))
+    # the weights runner reports the sample mean and the unbiased sample SD;
+    # a constant sample has SD 0 and no QQ correlation
+    for values, mean, std in (([0.0, 2.0], 1.0, math.sqrt(2.0)), ([4.2] * 5, 4.2, 0.0)):
+        monkeypatch.setattr(experiments, "_variants",
+                            lambda spec, d: [(None, _FixedLaw(values))])
+        spec = ExperimentSpec(kind="weights", ds=(1,), weight_samples=len(values))
+        row = run_weights_experiment(spec)[0]
+        assert row["log_mean"] == pytest.approx(mean)
+        assert row["log_std"] == pytest.approx(std, abs=0.0)
+        assert (row["qq_corr"] is None) == (std == 0.0)
 
 
 def test_log_weight_moments_toy_scaling():
