@@ -84,8 +84,8 @@ def main(argv=None) -> int:
     for kind in _RUNNERS:
         p = sub.add_parser(kind)
         _add_shared(p)
-    p_fit = sub.add_parser("fit", help="re-fit curve constants from a gap CSV")
-    p_fit.add_argument("gap_csv")
+    p_fit = sub.add_parser("fit", help="re-fit curve constants from a gap table (CSV or JSON)")
+    p_fit.add_argument("gap_table")
     p_fit.add_argument("--out")
     p_self = sub.add_parser("selftest")
     p_self.add_argument("--seed", type=int, default=0)
@@ -100,7 +100,11 @@ def main(argv=None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "fit":
-        rows, _ = read_table(args.gap_csv)
+        rows, meta = read_table(args.gap_table)
+        kind = json.loads(meta["spec"]).get("kind") if "spec" in meta else None
+        if kind != "gap":
+            parser.error(f"fit: {args.gap_table} holds a {kind or 'non-vriwae'} table, "
+                         "not a gap table")
         result = json.dumps(fit_gap_table(rows), indent=1)
         if args.out:
             with open(args.out, "w") as f:

@@ -165,6 +165,9 @@ class ExperimentSpec:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in [0, 1]")
+        if self.kind == "gap" and 1.0 in self.alphas:
+            # the closed-form error term and gamma^2 divide by 1 - alpha
+            raise ValueError("alphas must lie in [0, 1) for gap, got 1.0")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.format not in ("csv", "json"):
@@ -533,9 +536,19 @@ def _parse_cell(s: str):
 
 
 def read_table(path: str) -> tuple[list, dict]:
-    """Read a CSV table written by write_table; returns (rows, metadata)."""
+    """Read a table written by write_table, CSV or JSON; returns (rows,
+    metadata).  The metadata of either format holds the CSV header's
+    strings: schema_version, seed and the spec as JSON."""
     meta: dict = {}
     with open(path) as f:
+        if f.read(1) == "{":
+            f.seek(0)
+            doc = json.load(f)
+            spec = doc["spec"]
+            return doc["rows"], {"schema_version": doc["schema_version"],
+                                 "seed": str(spec["seed"]),
+                                 "spec": json.dumps(spec, sort_keys=True)}
+        f.seek(0)
         lines = []
         for line in f:
             if line.startswith("#"):

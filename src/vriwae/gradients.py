@@ -22,10 +22,16 @@ and the estimators need only sum_j w_j and sum_j w_j z_j for w = s (theta and
 rep phi) and w = h (drep phi), never the (..., N, P) score tensors.
 `_contract` is that one contraction; there are two ways to get its sums.
 
-* From eps (`_grad_pass`): one batched matmul of the stacked (s, h) rows
-  against z = f(eps, phi) over the N axis.  This is the path of both models
-  in `grad_samples_from_eps`, `grad_mean_se`, `snr_sweep` and the
-  finite-difference oracle, and of the linear Gaussian in training.
+* From eps (`_grad_pass`), without z.  Both models reparameterize affinely,
+  z = loc + scale*eps, and their log-weight is a quadratic in eps,
+  c0 + v . eps + q ||eps||^2 (`log_weight_quadratic` of `models`).  So one
+  matvec and one sum of squares give the log-weights, and
+  sum_j w_j z_j = (sum_j w_j) loc + scale * sum_j w_j eps_j, one batched
+  matmul of the stacked (s, h) rows against eps over the N axis.  This is
+  the path of both models in `grad_samples_from_eps`, `grad_mean_se` and
+  `snr_sweep`, and of the linear Gaussian in training.  The finite-
+  difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
+  log-weight of z instead, so it does not share this kernel.
 * From N + 2d normals, for `GaussianToy` (`_toy_grad_pass`).  With
   u = (theta - phi)/B the toy's log-weights are -B^2/2 + B*(u . eps_j), so
   they see eps_j only through S_j = u . eps_j.  Given S, the parts of eps_j
@@ -132,14 +138,20 @@ def _grad_pass(model, eps: np.ndarray, alpha: float):
     """(log_w, g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
     eps has shape (..., N, d); log_w is (..., N) and the gradients are
-    (..., theta_dim) and (..., phi_dim), one sample per batch row.  The
-    scores are contracted through `model.score_affine()`, never
-    materialized.
+    (..., theta_dim) and (..., phi_dim), one sample per batch row.  Both log_w
+    and the sums come from eps through `model.log_weight_quadratic()`, and
+    the scores are contracted through `model.score_affine()`: neither z nor
+    a score is materialized.
     """
-    z = model.reparam(eps)
-    lw = model.log_unnormalized_weight(z)
+    loc, scale, c0, v, q = model.log_weight_quadratic()
+    # a batched matvec rounds each row alike in any chunk; one flat
+    # (rows, d) @ v does not
+    lw = c0 + eps @ v
+    if q:
+        lw += q * np.einsum("...i,...i->...", eps, eps)
     w = _weight_rows(lw, alpha)                   # (..., 2, N): rows s and h
-    return (lw, *_contract(model, w.sum(axis=-1, keepdims=True), w @ z))
+    w_sum = w.sum(axis=-1, keepdims=True)
+    return (lw, *_contract(model, w_sum, w_sum * loc + scale * (w @ eps)))
 
 
 def _toy_sums(model, normals: np.ndarray, alpha: float):

@@ -32,9 +32,21 @@ LinearGaussian
 `log_weight_law` draws from these laws: it maps LAW_WORDS uniforms (last
 axis) to a relative log-weight by inverse CDFs (ndtri, and gammaincinv for
 chi^2_(d-1) = 2 Gamma((d-1)/2)), so O(1) draws replace the d normals of
-`reparam` + `log_relative_weight`.  That path stays for the gradients, which
-need z (training draws the toy's sums of z from their own exact law, see
-`gradients`), and as the law's reference in the tests.
+`reparam` + `log_relative_weight`.
+
+The gradients need the d normals, but not z.  Both reparameterizations are
+affine, z = loc + scale*eps, so each model states its log-weight once as a
+quadratic in eps, in `log_weight_quadratic`, as (loc, scale, c0, v, q):
+
+    log w = c0 + v . eps + q ||eps||^2,
+
+with q = 0 for the toy.  The eps-path gradient kernel (`gradients._grad_pass`,
+run by `grad_samples_from_eps`, `grad_mean_se`, `snr_sweep` and the linear
+Gaussian's training) reads its log-weights and weighted sums of z off this
+form (training draws the toy's sums of z from their own exact law, see
+`gradients`).  `reparam` + `log_relative_weight` / `log_unnormalized_weight`
+stay the z-form: the finite-difference oracle and `selftest` run on it, and
+the tests hold the law and the quadratic to it.
 
 Both models expose analytic score gradients (no autodiff): the total phi
 derivative follows the sample path z = f(eps, phi) through the weight, the
@@ -149,6 +161,12 @@ class GaussianToy:
     def log_marginal(self) -> float:
         return 0.0
 
+    def log_weight_quadratic(self):
+        """(loc, scale, c0, v, q) with z = loc + scale*eps and
+        log w = c0 + v . eps + q ||eps||^2: here -B^2/2 + (theta - phi) . eps."""
+        v = self.theta - self.phi
+        return self.phi, 1.0, -0.5 * float(v @ v), v, 0.0
+
     def score_affine(self):
         """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped).
 
@@ -250,6 +268,17 @@ class LinearGaussian:
 
     def log_unnormalized_weight(self, z: np.ndarray) -> np.ndarray:
         return self.log_relative_weight(z) + self.log_marginal()
+
+    def log_weight_quadratic(self):
+        """(loc, scale, c0, v, q) with z = loc + scale*eps and
+        log w = c0 + v . eps + q ||eps||^2.  With delta = posterior mean -
+        q_mean and scale = sqrt(2/3), z - posterior mean = scale*eps - delta, so
+            log w = c0 + 2 scale delta . eps - ||eps||^2 / 6,
+            c0 = (d/2) log(4/3) - ||delta||^2 + log p(x)."""
+        scale = math.sqrt(2.0 / 3.0)
+        delta = self.posterior_mean - self.q_mean
+        c0 = 0.5 * self.d * _LOG_4_3 - float(delta @ delta) + self.log_marginal()
+        return self.q_mean, scale, c0, 2.0 * scale * delta, -1.0 / 6.0
 
     def score_affine(self):
         """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped); phi

@@ -20,6 +20,10 @@ Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
 (``ndtri``), a fixed documented choice; the models' exact log-weight laws
 draw gamma variates the same way (``gammaincinv``).  Uniforms are built from
 raw 64-bit words shifted into (0, 1), so the transform never sees an endpoint.
+Every uniform goes through `raw_uint64`.  `Generator.random(n) + 2**-54`
+gives the same uniforms, bit for bit and in less time per word, but it would
+bypass `raw_uint64`, which the benchmark's tracer wraps to count the words
+drawn; that change waits until the package records its own spans.
 """
 
 from __future__ import annotations
@@ -79,7 +83,12 @@ def uniform(stream: RngStream, size) -> np.ndarray:
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = int(np.prod(shape)) if shape else 1
     raw = raw_uint64(stream, n)
-    return (((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53).reshape(shape)
+    raw >>= np.uint64(11)
+    # in place: no n-element temporary besides the result, and the same bits
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u.reshape(shape)
 
 
 def _replicate_chunks(replicates: int, per_replicate_elems: int):
@@ -99,7 +108,8 @@ def standard_normal(stream: RngStream, size) -> np.ndarray:
     `size` may be an int or a shape tuple; the stream state advances by one
     raw word per variate.
     """
-    return ndtri(uniform(stream, size))
+    u = uniform(stream, size)
+    return ndtri(u, out=u)
 
 
 def permutation_indices(stream: RngStream, n: int, k: int) -> np.ndarray:

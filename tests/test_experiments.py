@@ -97,6 +97,8 @@ def _cli_base(skip=()):
     ("gap", [{"optimizer": "nope"}], "optimizer"),
     ("train", [{"estimator": "nope"}, "--epochs", "2"], "estimator"),
     ("train", [{"optimizer": "nope"}, "--epochs", "2"], "optimizer"),
+    ("gap", ["--alpha", "0", "1"], "alphas"),
+    ("gap", ["--model", "lingauss", "--alpha", "1"], "alphas"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -104,7 +106,8 @@ def _cli_base(skip=()):
         "snr-config-m-samples-0", "snr-config-coordinate-sample-0", "config-seed-float",
         "config-ds-float", "config-ds-int", "config-replicates-str", "config-replicates-float",
         "config-seed-bool", "gap-config-estimator", "gap-config-optimizer",
-        "train-config-estimator", "train-config-optimizer"])
+        "train-config-estimator", "train-config-optimizer", "gap-alpha-1-toy",
+        "gap-alpha-1-lingauss"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -501,6 +504,46 @@ def test_cli_gap_and_fit(tmp_path):
     assert main(["fit", str(out), "--out", str(fit_out)]) == 0
     fits = json.loads(fit_out.read_text())
     assert {f["alpha"] for f in fits} == {0.0, 0.5}
+
+
+def test_read_table_json_mirror(tmp_path, capsys):
+    # the JSON mirror reads back to the CSV's rows and metadata, NaN and None
+    # included, and `fit` gives the same constants from either
+    from vriwae.cli import main
+    paths = {fmt: str(tmp_path / f"gap.{fmt}") for fmt in ("csv", "json")}
+    specs = {fmt: small_gap_spec(format=fmt, out=path) for fmt, path in paths.items()}
+    rows = run_gap_experiment(specs["csv"])
+    assert any(math.isnan(r["pred_ev"]) for r in rows)
+    for fmt, spec in specs.items():
+        write_table(rows, spec, path=spec.out)
+    (csv_rows, csv_meta), (json_rows, json_meta) = (read_table(paths[f]) for f in ("csv", "json"))
+    # the JSON mirror sorts its keys, so put them back in the CSV's order
+    assert all(r.keys() == csv_rows[0].keys() for r in json_rows)
+    json_rows = [{c: r[c] for c in csv_rows[0]} for r in json_rows]
+    assert write_table(json_rows, specs["csv"]) == write_table(csv_rows, specs["csv"]) \
+        == open(paths["csv"]).read()
+    assert {k: json_meta[k] for k in ("schema_version", "seed")} == \
+        {k: csv_meta[k] for k in ("schema_version", "seed")} == {"schema_version": "1", "seed": "1"}
+    assert json.loads(json_meta["spec"]) == {**json.loads(csv_meta["spec"]), "format": "json"}
+    fits = []
+    for path in paths.values():
+        assert main(["fit", path]) == 0
+        fits.append(capsys.readouterr().out)
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_fit_refuses_non_gap_table(tmp_path, capsys, fmt):
+    from vriwae.cli import main
+    table = tmp_path / f"snr.{fmt}"
+    assert main(["snr", "--model", "toy", "--alpha", "0", "--d", "2", "--n-grid", "2", "4",
+                 "--replicates", "100", "--format", fmt, "--out", str(table)]) == 0
+    fit_out = tmp_path / "fit.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(table), "--out", str(fit_out)])
+    assert exc.value.code == 2
+    assert "holds a snr table, not a gap table" in capsys.readouterr().err
+    assert not fit_out.exists()
 
 
 def test_cli_selftest_exit_code():

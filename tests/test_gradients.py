@@ -136,11 +136,13 @@ def test_alpha_domain():
 
 
 # --------------------------------------------------------------------------
-# contracted kernel against the materialized scores
+# eps-path kernel against the z-path: log-weights of reparam(eps) and the
+# materialized scores
 # --------------------------------------------------------------------------
 
 def _materialized_grads(model, eps, alpha):
-    """Oracle: the weighted sums over the materialized (..., N, P) scores."""
+    """Oracle: the weighted sums over the materialized (..., N, P) scores at
+    z = reparam(eps)."""
     z = model.reparam(eps)
     s = _softmax_last((1.0 - alpha) * model.log_unnormalized_weight(z))
     h = alpha * s + (1.0 - alpha) * s * s
@@ -153,14 +155,20 @@ def _materialized_grads(model, eps, alpha):
 @pytest.mark.parametrize("make_model", [lambda: toy(d=3, theta=0.2, phi=0.9),
                                         lambda: lingauss(3, seed=4)],
                          ids=["toy", "lingauss"])
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("shape", [(7, 1), (7, 6), (5, 3, 1), (5, 3, 6)],
-                         ids=["R,N=1", "R,N=6", "R,M,N=1", "R,M,N=6"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("shape", [(7, 1), (7, 6), (7, 8), (7, 100),
+                                   (5, 3, 1), (5, 3, 6), (5, 3, 8), (5, 3, 100)],
+                         ids=["R,N=1", "R,N=6", "R,N=8", "R,N=100",
+                              "R,M,N=1", "R,M,N=6", "R,M,N=8", "R,M,N=100"])
 def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape):
+    # _grad_pass reads the log-weights and the sums of z off the quadratic in
+    # eps; the z-path sums the same terms in another order, so they agree to
+    # rounding
     model = make_model()
     eps = standard_normal(make_stream(30, 0), (*shape, model.d))
     lw, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
-    assert np.array_equal(lw, model.log_unnormalized_weight(model.reparam(eps)))
+    want_lw = model.log_unnormalized_weight(model.reparam(eps))
+    np.testing.assert_allclose(lw, want_lw, rtol=1e-12, atol=1e-12 * np.abs(want_lw).max())
     for got, want in zip((g_theta, g_rep, g_drep), _materialized_grads(model, eps, alpha)):
         assert got.shape == want.shape == (*shape[:-1], want.shape[-1])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -330,19 +338,13 @@ def test_snr_planted_slope():
         theta_dim = 1
         phi_dim = 1
 
-        def reparam(self, eps):
-            return eps
-
-        def log_unnormalized_weight(self, z):
-            return np.zeros(z.shape[:-1])  # uniform softmax
-
-        def score_grads(self, eps, z):
-            g = 1.0 + eps  # mean 1, unit variance per sample
-            return g, g, g
-
         def score_affine(self):
-            one = (np.ones(1), np.ones(1))  # the same scores: 1 + z, z = eps
+            # the same scores 1 + z, z = eps: mean 1, unit variance per sample
+            one = (np.ones(1), np.ones(1))
             return one, one, one
+
+        def log_weight_quadratic(self):
+            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0: uniform softmax
 
     n_grid = [4, 16, 64, 256]
     report = snr_sweep(Synthetic(), 0.0, 1, n_grid, 4000, 1, make_stream(13, 0))
@@ -358,19 +360,12 @@ def test_snr_zero_variance_sentinel():
         theta_dim = 1
         phi_dim = 1
 
-        def reparam(self, eps):
-            return eps
-
-        def log_unnormalized_weight(self, z):
-            return np.zeros(z.shape[:-1])
-
-        def score_grads(self, eps, z):
-            g = np.ones_like(eps)
-            return g, g, g
-
         def score_affine(self):
             one = (np.ones(1), np.zeros(1))  # the same scores: constant 1
             return one, one, one
+
+        def log_weight_quadratic(self):
+            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0
 
     report = snr_sweep(Constant(), 0.0, 1, [2, 4], 200, 1, make_stream(14, 0))
     blk = report.blocks[("rep", "theta")]
