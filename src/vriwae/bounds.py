@@ -136,8 +136,7 @@ def decomposition_sample(lw: LogWeights, alpha: float) -> tuple[float, float, fl
     if lw.log_marginal is None:
         raise ValueError("decomposition needs relative log-weights (log_marginal set)")
     rel = relative_log_weights(lw)
-    rel_lw = LogWeights(rel, log_marginal=0.0)
-    t = t_statistic(rel_lw, alpha)
+    t = float(t_statistic(rel, alpha))
     n = rel.size
     delta_max = float(np.max(rel)) + np.log(n) / (alpha - 1.0)
     r_term = float(np.log1p(t) / (1.0 - alpha))

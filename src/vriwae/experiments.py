@@ -33,17 +33,15 @@ import numpy as np
 from scipy.special import logsumexp, ndtri  # noqa: F401
 
 from . import rng as vrng
-from .asymptotics import (expected_min_normal, fit_constant, iid_sum_curve, lognormal_curve,
-                          one_over_n_curve)
+from .asymptotics import expected_min_normal, fit_constant, one_over_n_curve
 from .bounds import _relative_weight_batches, decomposition_sample, vr_iwae_from_log_weights
-from .gradients import (SNR_MIN_REPLICATES, fd_grad_oracle, grad_mean_se, h_coefficients,
-                        snr_floor, snr_sweep)
+from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
+                        h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
-                     optimal_params, perturb_params, toy_analytics)
+                     optimal_params, perturb_params)
 from .train import _ESTIMATORS, _OPTIMIZERS, DEFAULT_LEARNING_RATE, TrainConfig, run_training
-from .weights import (LogWeights, _ess, _max_share, _MeanSE, _t_stat, ess, max_weight_share,
-                      qq_points, t_statistic)
+from .weights import LogWeights, _MeanSE, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -87,7 +85,7 @@ _NUMERIC_FIELDS = {**dict.fromkeys(("replicates", "seed", "weight_samples", "m_s
                                    float)}
 _GRID_FIELDS = ("alphas", "ds", "n_grid", "sigma_perturbs")
 _KINDS = ("gap", "snr", "weights", "collapse", "train")
-_MODELS = ("toy", "lingauss")
+_MODELS = (GaussianToy.TABLE_NAME, LinearGaussian.TABLE_NAME)
 
 
 @dataclass
@@ -165,9 +163,10 @@ class ExperimentSpec:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in [0, 1]")
-        if self.kind == "gap" and 1.0 in self.alphas:
-            # the closed-form error term and gamma^2 divide by 1 - alpha
-            raise ValueError("alphas must lie in [0, 1) for gap, got 1.0")
+        if self.kind in ("gap", "collapse") and 1.0 in self.alphas:
+            # the closed-form error term and gamma^2 divide by 1 - alpha, and
+            # T is defined for alpha in [0, 1)
+            raise ValueError(f"alphas must lie in [0, 1) for {self.kind}, got 1.0")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.format not in ("csv", "json"):
@@ -274,24 +273,8 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
 
 
 def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
-    d = model.d
     log_marginal = model.log_marginal()
-    if isinstance(model, GaussianToy):
-        b = model.bd
-        error_term, gamma2 = toy_analytics(alpha, b * b)
-        elbo_gap = -0.5 * b * b
-        ev_base = [lognormal_curve(n, b, alpha, 0.0) if n >= 3 else math.nan for n in n_grid]
-        ev_shape = [b * math.log(math.log(n)) / math.sqrt(math.log(n)) if n >= 3 else math.nan
-                    for n in n_grid]
-    else:
-        error_term, gamma2, lam, sigma2, a_const = lingauss_analytics(model, alpha)
-        elbo_gap = -d * a_const
-        sigma = math.sqrt(sigma2)
-        ev_base = [iid_sum_curve(n, d, a_const, sigma, 0.0) if n >= 3 else math.nan
-                   for n in n_grid]
-        ev_shape = [math.sqrt(d) * math.log(math.log(n)) / math.sqrt(math.log(n)) if n >= 3
-                    else math.nan for n in n_grid]
-
+    error_term, gamma2, elbo_gap, ev_base, ev_shape = model.gap_theory(alpha, n_grid)
     one_n_base = [one_over_n_curve(n, error_term, gamma2, 0.0) if math.isfinite(gamma2)
                   else math.nan for n in n_grid]
     one_n_shape = [1.0 / n for n in n_grid]
@@ -302,8 +285,8 @@ def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
     out = []
     for i, n in enumerate(n_grid):
         out.append({
-            "model": "toy" if isinstance(model, GaussianToy) else "lingauss",
-            "alpha": alpha, "d": d, "sigma_perturb": sigma_perturb, "N": n,
+            "model": model.TABLE_NAME,
+            "alpha": alpha, "d": model.d, "sigma_perturb": sigma_perturb, "N": n,
             "replicates": spec.replicates,
             "mean_gap": float(mean_gap[i]), "se_gap": float(se_gap[i]),
             "mean_bound": float(mean_gap[i] + log_marginal),
@@ -382,7 +365,7 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
                         ref = -0.5 if alpha == 0.0 else 0.5
                     for i, n in enumerate(spec.n_grid):
                         rows.append({
-                            "model": spec.model, "estimator": kind, "alpha": alpha,
+                            "model": model.TABLE_NAME, "estimator": kind, "alpha": alpha,
                             "d": d, "sigma_perturb": sp, "M": spec.m_samples, "N": n,
                             "block": block, "snr_mean": float(blk.mean_snr[i]),
                             "slope": blk.slope,
@@ -417,7 +400,7 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             corr = qq_points(lrw).correlation if std > 0 else None
             counts, edges = np.histogram(lrw, bins=_HIST_BINS)
             for i in range(_HIST_BINS):
-                rows.append({"model": spec.model, "d": d, "sigma_perturb": sp,
+                rows.append({"model": model.TABLE_NAME, "d": d, "sigma_perturb": sp,
                              "n_samples": n, "log_mean": mean, "log_std": std,
                              "qq_corr": corr, "bin_lo": float(edges[i]),
                              "bin_hi": float(edges[i + 1]), "count": int(counts[i])})
@@ -441,14 +424,14 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
             acc = _MeanSE((len(variants), len(spec.alphas), 3))
             for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
                                                              spec.seed, cell):
-                t = np.stack([_t_stat(lrw, alpha) for alpha in spec.alphas], axis=-1)
-                share, e = _max_share(lrw)[..., None], _ess(lrw)[..., None]
+                t = np.stack([t_statistic(lrw, alpha) for alpha in spec.alphas], axis=-1)
+                share, e = max_weight_share(lrw)[..., None], ess(lrw)[..., None]
                 stats = np.stack(np.broadcast_arrays(t, share, e), axis=-1)
                 acc.add(stats.transpose(1, 0, 2, 3))  # (C, V, A, 3): replicates first
             mean, se = acc.finalize()
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
-                    row = {"model": spec.model, "alpha": alpha, "d": d,
+                    row = {"model": model.TABLE_NAME, "alpha": alpha, "d": d,
                            "sigma_perturb": sp, "N": n, "replicates": spec.replicates}
                     for i, col in enumerate(("t", "max_share", "ess")):
                         row[f"{col}_mean"] = float(mean[v_idx, a_idx, i])
@@ -463,17 +446,12 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
 
 def run_train_experiment(spec: ExperimentSpec) -> list:
     """Train the selected model and emit the trajectory as table rows."""
-    d = spec.ds[0]
-    if spec.model == "toy":
-        model = make_toy(d, spec.theta_scale)
-    else:
-        model, _ = make_linear_gaussian(d, spec.sigma_perturbs[0], spec.seed)
+    _, model = _variants(spec, spec.ds[0])[0]
     config = TrainConfig(alpha=spec.alphas[0], n_importance=spec.n_importance,
                          estimator=spec.estimator, optimizer=spec.optimizer,
                          learning_rate=(DEFAULT_LEARNING_RATE if spec.learning_rate is None
                                         else spec.learning_rate),
-                         epochs=spec.epochs,
-                         train_theta=spec.model == "lingauss", log_every=spec.log_every)
+                         epochs=spec.epochs, log_every=spec.log_every)
     traj = run_training(model, config, vrng.make_stream(spec.seed, _OFF_TRAIN))
     return [{"epoch": r.epoch, traj.progress_label: r.progress, "gap_mean": r.gap_mean,
              "gap_se": r.gap_se, "grad_norm": r.grad_norm} for r in traj.rows]
@@ -525,6 +503,8 @@ def _json_default(v):
 def _parse_cell(s: str):
     if s == "":
         return None
+    if s in ("True", "False"):
+        return s == "True"
     try:
         return int(s)
     except ValueError:
@@ -692,10 +672,8 @@ def selftest(seed: int = 0) -> SelftestReport:
     worst_shift, worst_share = 0.0, 0.0
     for _ in range(100):
         n = int(rng0.integers(2, 40))
-        v = rng0.uniform(-50, 50, size=n)
-        c = rng0.uniform(-50, 50)
-        a = LogWeights(v, 0.0)
-        b = LogWeights(v + c, 0.0)
+        a = rng0.uniform(-50, 50, size=n)
+        b = a + rng0.uniform(-50, 50)
         worst_shift = max(worst_shift,
                           abs(t_statistic(a, 0.3) - t_statistic(b, 0.3)),
                           abs(max_weight_share(a) - max_weight_share(b)),
@@ -711,7 +689,8 @@ def selftest(seed: int = 0) -> SelftestReport:
         h_coefficients(np.array([1.0, 0.0, 0.0]), 0.0), [1.0, 0.0, 0.0])
     report.record("h_coefficients_values", bool(h_ok), "")
 
-    # analytic scores vs finite differences
+    # analytic scores vs the finite-difference oracle: at N = 1 and alpha = 0
+    # the bound sample is log w itself, so its differences are the scores'
     worst_score = 0.0
     for _ in range(10):
         d = int(rng0.integers(1, 4))
@@ -720,13 +699,27 @@ def selftest(seed: int = 0) -> SelftestReport:
                             b=rng0.normal(size=d), x=rng0.normal(size=d))
         for model in (toy, lg):
             eps = rng0.normal(size=(1, 1, d))
-            worst_score = max(worst_score, _score_fd_error(model, eps))
+            d_theta, d_phi_total, _ = model.score_grads(eps, model.reparam(eps))
+            for fd, score in zip(fd_grad_from_eps(model, eps, 0.0, 1e-5),
+                                 (d_theta[:, 0], d_phi_total[:, 0])):
+                worst_score = max(worst_score, float(np.max(np.abs(fd - score) / (1.0 + np.abs(fd)))))
     report.record("score_grads_vs_fd", worst_score <= 1e-5, f"max rel err {worst_score:.2e}")
 
-    # rep vs drep vs FD gradient means (reduced replicates)
+    # rep vs drep vs FD gradient means (reduced replicates): every pair agrees
+    # within 4 combined SEs on every coordinate, on common random numbers
     toy = GaussianToy(d=3, theta=np.zeros(3), phi=np.full(3, 0.5))
-    detail, ok = _grad_agreement(toy, alpha=0.5, n=4, replicates=20_000, seed=seed)
-    report.record("gradient_unbiasedness_reduced", ok, detail)
+    key = (seed, _OFF_SELFTEST + 1)
+    rep = grad_mean_se(toy, 0.5, 4, 20_000, vrng.make_stream(*key), "rep")
+    drep = grad_mean_se(toy, 0.5, 4, 20_000, vrng.make_stream(*key), "drep")
+    fd = fd_grad_oracle(toy, 0.5, 4, 1e-3, 20_000, vrng.make_stream(*key))
+    worst_z = 0.0
+    for a, b in ((rep, drep), (rep, fd), (drep, fd)):
+        for blk in ("theta", "phi"):
+            diff = np.abs(getattr(a, f"{blk}_mean") - getattr(b, f"{blk}_mean"))
+            se = np.sqrt(getattr(a, f"{blk}_se") ** 2 + getattr(b, f"{blk}_se") ** 2)
+            z = np.where(se > 0, diff / np.where(se > 0, se, 1.0), np.where(diff > 0, np.inf, 0.0))
+            worst_z = max(worst_z, float(z.max()))
+    report.record("gradient_unbiasedness_reduced", worst_z <= 4.0, f"max z {worst_z:.2f}")
 
     # closed forms vs quadrature oracle; relative tolerance with an absolute
     # floor since the gap is exactly zero at alpha = 0
@@ -757,46 +750,3 @@ def selftest(seed: int = 0) -> SelftestReport:
     r2 = write_table(run_gap_experiment(tiny), tiny)
     report.record("experiment_determinism", r1 == r2, "")
     return report
-
-
-def _score_fd_error(model, eps) -> float:
-    """Max relative error of analytic scores against central differences."""
-    z = model.reparam(eps)
-    d_theta, d_phi_total, _ = model.score_grads(eps, z)
-    step = 1e-5
-    worst = 0.0
-    theta = model.theta_vec.copy()
-    for k in range(model.theta_dim):
-        e = np.zeros_like(theta)
-        e[k] = step
-        hi = model.with_theta(theta + e).log_unnormalized_weight(z)
-        lo = model.with_theta(theta - e).log_unnormalized_weight(z)
-        fd = (hi - lo) / (2 * step)
-        worst = max(worst, float(np.max(np.abs(fd - d_theta[..., k]) / (1.0 + np.abs(fd)))))
-    phi = model.phi_vec.copy()
-    for k in range(model.phi_dim):
-        e = np.zeros_like(phi)
-        e[k] = step
-        mp, mm = model.with_phi(phi + e), model.with_phi(phi - e)
-        hi = mp.log_unnormalized_weight(mp.reparam(eps))
-        lo = mm.log_unnormalized_weight(mm.reparam(eps))
-        fd = (hi - lo) / (2 * step)
-        worst = max(worst, float(np.max(np.abs(fd - d_phi_total[..., k]) / (1.0 + np.abs(fd)))))
-    return worst
-
-
-def _grad_agreement(model, alpha, n, replicates, seed) -> tuple[str, bool]:
-    """Pairwise agreement of rep, drep, FD gradient means within 4 combined SEs."""
-    rep = grad_mean_se(model, alpha, n, replicates, vrng.make_stream(seed, _OFF_SELFTEST + 1), "rep")
-    drep = grad_mean_se(model, alpha, n, replicates, vrng.make_stream(seed, _OFF_SELFTEST + 1), "drep")
-    fd = fd_grad_oracle(model, alpha, n, 1e-3, replicates, vrng.make_stream(seed, _OFF_SELFTEST + 1))
-    worst = 0.0
-    for a, b in ((rep, drep), (rep, fd), (drep, fd)):
-        for blk in ("theta", "phi"):
-            ma, sa = getattr(a, f"{blk}_mean"), getattr(a, f"{blk}_se")
-            mb, sb = getattr(b, f"{blk}_mean"), getattr(b, f"{blk}_se")
-            se = np.sqrt(sa**2 + sb**2)
-            z = np.abs(ma - mb) / np.where(se > 0, se, 1.0)
-            z = np.where((se == 0) & (np.abs(ma - mb) > 0), np.inf, z)
-            worst = max(worst, float(z.max()))
-    return f"max z {worst:.2f}", worst <= 4.0

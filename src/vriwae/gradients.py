@@ -20,28 +20,21 @@ the samples,
 
 and the estimators need only sum_j w_j and sum_j w_j z_j for w = s (theta and
 rep phi) and w = h (drep phi), never the (..., N, P) score tensors.
-`_contract` is that one contraction; there are two ways to get its sums.
+`_contract` is that one contraction.  The sums come from what the model
+states (see `models`):
 
-* From eps (`_grad_pass`), without z.  Both models reparameterize affinely,
-  z = loc + scale*eps, and their log-weight is a quadratic in eps,
-  c0 + v . eps + q ||eps||^2 (`log_weight_quadratic` of `models`).  So one
-  matvec and one sum of squares give the log-weights, and
-  sum_j w_j z_j = (sum_j w_j) loc + scale * sum_j w_j eps_j, one batched
-  matmul of the stacked (s, h) rows against eps over the N axis.  This is
-  the path of both models in `grad_samples_from_eps`, `grad_mean_se` and
-  `snr_sweep`, and of the linear Gaussian in training.  The finite-
-  difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
-  log-weight of z instead, so it does not share this kernel.
-* From N + 2d normals, for `GaussianToy` (`_toy_grad_pass`).  With
-  u = (theta - phi)/B the toy's log-weights are -B^2/2 + B*(u . eps_j), so
-  they see eps_j only through S_j = u . eps_j.  Given S, the parts of eps_j
-  orthogonal to u are i.i.d. N(0, I - u u^T) and independent of the weights,
-  so (sum_j s_j eps_j, sum_j h_j eps_j) is (sum_j s_j S_j) u and
-  (sum_j h_j S_j) u plus a Gaussian pair on the orthogonal complement of u
-  with 2x2 covariance [[sum s^2, sum s h], [sum s h, sum h^2]].  N normals
-  give S, and two projected d-vectors of normals mixed by the Cholesky
-  factor of that matrix give the pair, exactly in law.  Training uses this
-  path; the eps path stays its oracle in the tests.
+* From eps, without z (`models._eps_sums`): the log-weight is a quadratic in
+  eps and z = loc + scale*eps, so one matvec and one sum of squares give the
+  log-weights and sum_j w_j z_j = (sum_j w_j) loc + scale * sum_j w_j eps_j.
+  `_grad_pass` contracts these; it runs under `grad_samples_from_eps`,
+  `grad_mean_se` and `snr_sweep`.
+* From one training epoch's normals, `train_sums`: the eps path by default,
+  and for the toy an exact draw of the sums from their conditional law, which
+  `train` contracts the same way.  The eps path stays its oracle in the
+  tests.
+
+The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
+log-weight of z instead, so it shares no kernel with the estimators.
 
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
 return one gradient sample per replicate row, chunked to at most
@@ -61,8 +54,10 @@ import numpy as np
 from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
-from .models import _affine_score
-from .weights import _check_alpha, _MeanSE
+from .models import _affine_score, _eps_sums
+# `_softmax_last` is the estimators' normalized weight s; it is re-exported
+# here, next to `h_coefficients`, for callers that assemble an estimator
+from .weights import _check_alpha, _h, _MeanSE, _softmax_last  # noqa: F401
 
 __all__ = [
     "GradEstimate",
@@ -107,22 +102,6 @@ def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
     return _h(s, alpha)
 
 
-def _h(s: np.ndarray, alpha: float) -> np.ndarray:
-    return alpha * s + (1.0 - alpha) * s * s
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:
-    """The stacked rows (s, h) of shape (..., 2, N) for log-weights (..., N)."""
-    s = _softmax_last((1.0 - alpha) * lw)
-    return np.stack([s, _h(s, alpha)], axis=-2)
-
-
 def _contract(model, w_sum: np.ndarray, wz: np.ndarray):
     """(g_theta, g_phi_rep, g_phi_drep) from the weighted sums: w_sum of shape
     (..., 2, 1) holds sum s and sum h, wz of shape (..., 2, d) holds sum s z
@@ -138,61 +117,12 @@ def _grad_pass(model, eps: np.ndarray, alpha: float):
     """(log_w, g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
     eps has shape (..., N, d); log_w is (..., N) and the gradients are
-    (..., theta_dim) and (..., phi_dim), one sample per batch row.  Both log_w
-    and the sums come from eps through `model.log_weight_quadratic()`, and
-    the scores are contracted through `model.score_affine()`: neither z nor
-    a score is materialized.
+    (..., theta_dim) and (..., phi_dim), one sample per batch row.  The sums
+    come from `model.log_weight_quadratic()` (`models._eps_sums`) and the
+    scores are contracted through `model.score_affine()`: neither z nor a
+    score is materialized.
     """
-    loc, scale, c0, v, q = model.log_weight_quadratic()
-    # a batched matvec rounds each row alike in any chunk; one flat
-    # (rows, d) @ v does not
-    lw = c0 + eps @ v
-    if q:
-        lw += q * np.einsum("...i,...i->...", eps, eps)
-    w = _weight_rows(lw, alpha)                   # (..., 2, N): rows s and h
-    w_sum = w.sum(axis=-1, keepdims=True)
-    return (lw, *_contract(model, w_sum, w_sum * loc + scale * (w @ eps)))
-
-
-def _toy_sums(model, normals: np.ndarray, alpha: float):
-    """(log_w, w_sum, wz) of `GaussianToy` from N + 2d standard normals per
-    row, the sums that `_contract` takes, drawn from their exact law.
-
-    normals has shape (..., N + 2d).  The first N are -S_j = -(u . eps_j),
-    so log_w = -B^2/2 - B * normals[:N] is `log_weight_law` on the same
-    uniforms.  The last 2d are two d-vectors; with u projected out and mixed
-    by the Cholesky factor of [[sum s^2, sum s h], [sum s h, sum h^2]] they
-    become (sum s eps_perp, sum h eps_perp).  At B = 0 there is no u and
-    nothing is projected; at d = 1 the projection leaves nothing.
-    """
-    d = model.d
-    n = normals.shape[-1] - 2 * d
-    b = model.bd
-    s_dir = -normals[..., :n]                     # S_j = u . eps_j
-    lw = -0.5 * b * b + b * s_dir
-    w = _weight_rows(lw, alpha)                   # (..., 2, N)
-    w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
-    g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)
-    wz = w_sum * model.phi
-    if b > 0.0:
-        u = (model.theta - model.phi) / b
-        g = g - (g @ u)[..., None] * u
-        wz = wz + (w @ s_dir[..., None]) * u
-    gram = w @ np.swapaxes(w, -1, -2)             # (..., 2, 2)
-    l11 = np.sqrt(gram[..., 0, 0])
-    l21 = gram[..., 1, 0] / l11
-    # singular when h is proportional to s (alpha = 1, or N = 1)
-    l22 = np.sqrt(np.maximum(gram[..., 1, 1] - l21 * l21, 0.0))
-    wz[..., 0, :] += l11[..., None] * g[..., 0, :]
-    wz[..., 1, :] += l21[..., None] * g[..., 0, :] + l22[..., None] * g[..., 1, :]
-    return lw, w_sum, wz
-
-
-def _toy_grad_pass(model, normals: np.ndarray, alpha: float):
-    """(log_w, g_theta, g_phi_rep, g_phi_drep) of `GaussianToy` from N + 2d
-    standard normals per row (see `_toy_sums`): one gradient sample per
-    row, equal in law to `_grad_pass` on N x d normals."""
-    lw, w_sum, wz = _toy_sums(model, normals, alpha)
+    lw, w_sum, wz = _eps_sums(model, eps, alpha)
     return (lw, *_contract(model, w_sum, wz))
 
 
@@ -236,38 +166,39 @@ def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
                           lambda eps: grad_samples_from_eps(model, eps, alpha, kind))
 
 
-def _bound_samples(model, eps: np.ndarray, alpha: float) -> np.ndarray:
-    z = model.reparam(eps)
-    return vr_iwae_from_log_weights(model.log_unnormalized_weight(z), alpha)
-
-
 def fd_grad_from_eps(model, eps: np.ndarray, alpha: float, step: float):
     """Central finite-difference gradient samples on a shared eps batch.
 
-    Shifting theta leaves z = f(eps, phi) untouched; shifting a phi
-    coordinate moves the samples along the reparameterization path, which is
-    exactly what the analytic estimators differentiate through.
+    Shifting theta leaves z = f(eps, phi) untouched, so z is built once for
+    every theta coordinate; shifting a phi coordinate moves the samples along
+    the reparameterization path, which is exactly what the analytic
+    estimators differentiate through.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    r = eps.shape[0]
-    g_theta = np.empty((r, model.theta_dim))
-    g_phi = np.empty((r, model.phi_dim))
-    theta = model.theta_vec.copy()
-    phi = model.phi_vec.copy()
-    for k in range(model.theta_dim):
-        e = np.zeros_like(theta)
+    z = model.reparam(eps)
+
+    def at_theta(v):
+        return vr_iwae_from_log_weights(model.with_theta(v).log_unnormalized_weight(z), alpha)
+
+    def at_phi(v):
+        shifted = model.with_phi(v)
+        return vr_iwae_from_log_weights(shifted.log_unnormalized_weight(shifted.reparam(eps)),
+                                        alpha)
+
+    return (_central_differences(at_theta, model.theta_vec, step),
+            _central_differences(at_phi, model.phi_vec, step))
+
+
+def _central_differences(f, x: np.ndarray, step: float) -> np.ndarray:
+    """(f(x + step e_k) - f(x - step e_k)) / (2 step) for each coordinate k
+    of x, stacked along a new last axis."""
+    cols = []
+    for k in range(x.size):
+        e = np.zeros_like(x)
         e[k] = step
-        hi = _bound_samples(model.with_theta(theta + e), eps, alpha)
-        lo = _bound_samples(model.with_theta(theta - e), eps, alpha)
-        g_theta[:, k] = (hi - lo) / (2.0 * step)
-    for k in range(model.phi_dim):
-        e = np.zeros_like(phi)
-        e[k] = step
-        hi = _bound_samples(model.with_phi(phi + e), eps, alpha)
-        lo = _bound_samples(model.with_phi(phi - e), eps, alpha)
-        g_phi[:, k] = (hi - lo) / (2.0 * step)
-    return g_theta, g_phi
+        cols.append((f(x + e) - f(x - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,

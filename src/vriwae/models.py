@@ -29,25 +29,39 @@ LinearGaussian
     dataset only through x and the sum of the other T - 1 points, so
     `optimal_params` takes those two d-vectors, and no dataset is ever built.
 
-`log_weight_law` draws from these laws: it maps LAW_WORDS uniforms (last
-axis) to a relative log-weight by inverse CDFs (ndtri, and gammaincinv for
-chi^2_(d-1) = 2 Gamma((d-1)/2)), so O(1) draws replace the d normals of
-`reparam` + `log_relative_weight`.
+What a model states
+-------------------
+`train`, the experiment runners and the gradient kernels ask the model, never
+its class.  Each model states:
 
-The gradients need the d normals, but not z.  Both reparameterizations are
-affine, z = loc + scale*eps, so each model states its log-weight once as a
-quadratic in eps, in `log_weight_quadratic`, as (loc, scale, c0, v, q):
+* `TABLE_NAME` ("toy", "lingauss"), its name in the spec and the tables;
+  `PROGRESS_LABEL` and `progress`, what training logs (B^2/d, lambda); and
+  `TRAINS_THETA`, whether training steps theta besides phi.
+* `LAW_WORDS` and `log_weight_law(u)`: one relative log-weight from
+  LAW_WORDS uniforms by inverse CDFs, O(1) draws instead of d normals.  The
+  gap, collapse and weights runners and `bounds` draw through it.
+* The z-form `reparam`, `log_relative_weight`, `log_unnormalized_weight`
+  and `log_marginal`.  The finite-difference oracle and `selftest` run on
+  it, and the tests hold the law and the quadratic to it.
+* `log_weight_quadratic()`: z = loc + scale*eps is affine, so
+  log w = c0 + v . eps + q ||eps||^2, stated as (loc, scale, c0, v, q) with
+  q = 0 for the toy.  `_eps_sums` reads the log-weights and the weighted
+  sums of z off it, without building z.
+* `score_affine()`: the three scores as coefficients (see Scores).
+* `train_normals(N)` and `train_sums(normals, alpha)`: the normals one
+  training epoch reads and the sums it takes from them, by default N x d
+  eps through `_eps_sums`.  The toy draws its sums from their exact
+  conditional law with N + 2d normals.  (A Bartlett-factor draw for the
+  linear Gaussian would take N(N+1)/2 + 2d, which pays only below N ~ 2d,
+  where no experiment runs.)
+* `gap_theory(alpha, n_grid)`: the error term, gamma^2, ELBO gap, and
+  extreme-value baseline and fit shape per N that a gap row predicts.
+* `phi_dim`, `phi_vec` and `with_phi`.  `_Model` holds the theta plumbing,
+  the z check and the default training draw, and each class binds the
+  shared `score_grads` in its own body.
 
-    log w = c0 + v . eps + q ||eps||^2,
-
-with q = 0 for the toy.  The eps-path gradient kernel (`gradients._grad_pass`,
-run by `grad_samples_from_eps`, `grad_mean_se`, `snr_sweep` and the linear
-Gaussian's training) reads its log-weights and weighted sums of z off this
-form (training draws the toy's sums of z from their own exact law, see
-`gradients`).  `reparam` + `log_relative_weight` / `log_unnormalized_weight`
-stay the z-form: the finite-difference oracle and `selftest` run on it, and
-the tests hold the law and the quadratic to it.
-
+Scores
+------
 Both models expose analytic score gradients (no autodiff): the total phi
 derivative follows the sample path z = f(eps, phi) through the weight, the
 stopped variant differentiates only through the sample path while freezing the
@@ -77,7 +91,8 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from . import rng as vrng
-from .weights import _check_alpha
+from .asymptotics import iid_sum_curve, lognormal_curve
+from .weights import _check_alpha, _weight_rows
 
 __all__ = [
     "GaussianToy",
@@ -95,13 +110,93 @@ __all__ = [
 _LOG_4_3 = math.log(4.0 / 3.0)
 
 
+def _affine_score(const: np.ndarray, coef: np.ndarray, z: np.ndarray, weight_sum=1.0):
+    """const * weight_sum + coef * z, with z tiled to the block size along
+    its last axis.
+
+    At a sample z (weight_sum 1) this is the score itself.  At
+    z = sum_j w_j z_j and weight_sum = sum_j w_j it is the weighted score sum
+    sum_j w_j score(z_j), which is how the gradient kernels contract.
+    """
+    return const * weight_sum + coef * np.tile(z, const.shape[0] // z.shape[-1])
+
+
+def _score_grads(self, eps: np.ndarray, z: np.ndarray):
+    """(d_theta, d_phi_total, d_phi_stopped) from `score_affine`, each
+    shaped like z but with the block's size on the last axis."""
+    z = np.asarray(z, dtype=np.float64)
+    return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
+
+
+def _ev_columns(curve, scale: float, n_grid):
+    """The extreme-value baseline curve(N) and fit shape
+    scale * log log N / sqrt(log N) per N of the grid, NaN below N = 3."""
+    base = [curve(n) if n >= 3 else math.nan for n in n_grid]
+    shape = [scale * math.log(math.log(n)) / math.sqrt(math.log(n)) if n >= 3 else math.nan
+             for n in n_grid]
+    return base, shape
+
+
+def _eps_sums(model, eps: np.ndarray, alpha: float):
+    """(log_w, w_sum, wz) for eps of shape (..., N, d), read off
+    `model.log_weight_quadratic()` without building z: log_w is (..., N),
+    w_sum (..., 2, 1) holds sum s and sum h, and wz (..., 2, d) holds sum s z
+    and sum h z."""
+    loc, scale, c0, v, q = model.log_weight_quadratic()
+    # a batched matvec rounds each row alike in any chunk; one flat
+    # (rows, d) @ v does not
+    lw = c0 + eps @ v
+    if q:
+        lw += q * np.einsum("...i,...i->...", eps, eps)
+    w = _weight_rows(lw, alpha)                   # (..., 2, N): rows s and h
+    w_sum = w.sum(axis=-1, keepdims=True)
+    return lw, w_sum, w_sum * loc + scale * (w @ eps)
+
+
+class _Model:
+    """What the two models share: the theta plumbing, the z check and the
+    default training draw.  The facts each model states are listed in the
+    module docstring."""
+
+    @property
+    def theta_dim(self) -> int:
+        return self.d
+
+    @property
+    def theta_vec(self) -> np.ndarray:
+        return self.theta
+
+    def with_theta(self, v: np.ndarray):
+        return replace(self, theta=np.asarray(v, dtype=np.float64))
+
+    def _check_z(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape[-1] != self.d:
+            raise ValueError(f"z has dimension {z.shape[-1]}, expected {self.d}")
+        return z
+
+    def train_normals(self, n: int) -> int:
+        """Standard normals one training epoch with N samples reads."""
+        return n * self.d
+
+    def train_sums(self, normals: np.ndarray, alpha: float):
+        """`_eps_sums` of one training epoch, from its train_normals(N)
+        normals (last axis) read as N x d eps."""
+        return _eps_sums(self, normals.reshape(*normals.shape[:-1], -1, self.d), alpha)
+
+
 @dataclass
-class GaussianToy:
+class GaussianToy(_Model):
     """Density-ratio toy model; log-weights are exactly N(-B^2/2, B^2)."""
 
     d: int
     theta: np.ndarray
     phi: np.ndarray
+
+    TABLE_NAME = "toy"
+    PROGRESS_LABEL = "bd2_over_d"
+    TRAINS_THETA = False
+    LAW_WORDS = 1
 
     def __post_init__(self):
         self.theta = np.broadcast_to(np.asarray(self.theta, dtype=np.float64), (self.d,)).copy()
@@ -109,23 +204,12 @@ class GaussianToy:
 
     # --- parameter plumbing -------------------------------------------------
     @property
-    def theta_dim(self) -> int:
-        return self.d
-
-    @property
     def phi_dim(self) -> int:
         return self.d
 
     @property
-    def theta_vec(self) -> np.ndarray:
-        return self.theta
-
-    @property
     def phi_vec(self) -> np.ndarray:
         return self.phi
-
-    def with_theta(self, v: np.ndarray) -> "GaussianToy":
-        return replace(self, theta=np.asarray(v, dtype=np.float64))
 
     def with_phi(self, v: np.ndarray) -> "GaussianToy":
         return replace(self, phi=np.asarray(v, dtype=np.float64))
@@ -135,9 +219,12 @@ class GaussianToy:
         """||theta - phi||, the log-weight standard deviation."""
         return float(np.linalg.norm(self.theta - self.phi))
 
-    # --- sampling and weights ----------------------------------------------
-    LAW_WORDS = 1
+    @property
+    def progress(self) -> float:
+        """B^2/d, the normalized squared parameter distance."""
+        return self.bd**2 / self.d
 
+    # --- sampling and weights ----------------------------------------------
     def log_weight_law(self, u: np.ndarray) -> np.ndarray:
         """Relative log-weights -B^2/2 - B*ndtri(u_0) from uniforms (..., 1);
         at d = 1 and phi > theta, the path's values on the same uniforms."""
@@ -148,9 +235,7 @@ class GaussianToy:
         return self.phi + eps
 
     def log_relative_weight(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.d:
-            raise ValueError(f"z has dimension {z.shape[-1]}, expected {self.d}")
+        z = self._check_z(z)
         dt = z - self.theta
         dp = z - self.phi
         return -0.5 * (np.sum(dt * dt, axis=-1) - np.sum(dp * dp, axis=-1))
@@ -178,15 +263,60 @@ class GaussianToy:
         return ((-self.theta, ones), (self.theta.copy(), -ones),
                 (self.theta - self.phi, np.zeros(self.d)))
 
-    def score_grads(self, eps: np.ndarray, z: np.ndarray):
-        """(d_theta, d_phi_total, d_phi_stopped), each shaped like z, from
-        `score_affine`."""
-        z = np.asarray(z, dtype=np.float64)
-        return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
+    score_grads = _score_grads
+
+    # --- training and gap theory -------------------------------------------
+    def train_normals(self, n: int) -> int:
+        return n + 2 * self.d
+
+    def train_sums(self, normals: np.ndarray, alpha: float):
+        """(log_w, w_sum, wz) from N + 2d standard normals per row (last
+        axis), drawn from the exact law of the eps-path sums.
+
+        With u = (theta - phi)/B the log-weights see eps_j only through
+        S_j = u . eps_j.  The first N normals are -S_j, so log_w =
+        -B^2/2 - B * normals[:N] is `log_weight_law` on the same uniforms.
+        Given S, the parts of eps_j orthogonal to u are i.i.d. and
+        independent of the weights, so (sum s eps, sum h eps) is
+        (sum s S) u and (sum h S) u plus a Gaussian pair on the complement of
+        u with 2x2 covariance [[sum s^2, sum s h], [sum s h, sum h^2]]: the
+        last 2d normals, with u projected out and mixed by the Cholesky
+        factor of that matrix.  At B = 0 there is no u and nothing is
+        projected; at d = 1 the projection leaves nothing.
+        """
+        d = self.d
+        n = normals.shape[-1] - 2 * d
+        b = self.bd
+        s_dir = -normals[..., :n]                     # S_j = u . eps_j
+        lw = -0.5 * b * b + b * s_dir
+        w = _weight_rows(lw, alpha)                   # (..., 2, N)
+        w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
+        g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)
+        wz = w_sum * self.phi
+        if b > 0.0:
+            u = (self.theta - self.phi) / b
+            g = g - (g @ u)[..., None] * u
+            wz = wz + (w @ s_dir[..., None]) * u
+        gram = w @ np.swapaxes(w, -1, -2)             # (..., 2, 2)
+        l11 = np.sqrt(gram[..., 0, 0])
+        l21 = gram[..., 1, 0] / l11
+        # singular when h is proportional to s (alpha = 1, or N = 1)
+        l22 = np.sqrt(np.maximum(gram[..., 1, 1] - l21 * l21, 0.0))
+        wz[..., 0, :] += l11[..., None] * g[..., 0, :]
+        wz[..., 1, :] += l21[..., None] * g[..., 0, :] + l22[..., None] * g[..., 1, :]
+        return lw, w_sum, wz
+
+    def gap_theory(self, alpha: float, n_grid):
+        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): the log-normal
+        closed forms, and the log-normal extreme-value curve per N."""
+        b = self.bd
+        error_term, gamma2 = toy_analytics(alpha, b * b)
+        return (error_term, gamma2, -0.5 * b * b,
+                *_ev_columns(lambda n: lognormal_curve(n, b, alpha, 0.0), b, n_grid))
 
 
 @dataclass
-class LinearGaussian:
+class LinearGaussian(_Model):
     """Conjugate linear Gaussian model with diagonal encoder A = diag(a_tilde)."""
 
     d: int
@@ -195,6 +325,11 @@ class LinearGaussian:
     b: np.ndarray
     x: np.ndarray
 
+    TABLE_NAME = "lingauss"
+    PROGRESS_LABEL = "lambda"
+    TRAINS_THETA = True
+    LAW_WORDS = 2
+
     def __post_init__(self):
         for name in ("theta", "a_tilde", "b", "x"):
             v = np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (self.d,)).copy()
@@ -202,23 +337,12 @@ class LinearGaussian:
 
     # --- parameter plumbing -------------------------------------------------
     @property
-    def theta_dim(self) -> int:
-        return self.d
-
-    @property
     def phi_dim(self) -> int:
         return 2 * self.d  # (a_tilde, b)
 
     @property
-    def theta_vec(self) -> np.ndarray:
-        return self.theta
-
-    @property
     def phi_vec(self) -> np.ndarray:
         return np.concatenate([self.a_tilde, self.b])
-
-    def with_theta(self, v: np.ndarray) -> "LinearGaussian":
-        return replace(self, theta=np.asarray(v, dtype=np.float64))
 
     def with_phi(self, v: np.ndarray) -> "LinearGaussian":
         v = np.asarray(v, dtype=np.float64)
@@ -238,9 +362,11 @@ class LinearGaussian:
         """lambda = ||posterior mean - proposal mean|| / sqrt(d)."""
         return float(np.linalg.norm(self.posterior_mean - self.q_mean) / math.sqrt(self.d))
 
-    # --- sampling and weights ----------------------------------------------
-    LAW_WORDS = 2
+    @property
+    def progress(self) -> float:
+        return self.lam
 
+    # --- sampling and weights ----------------------------------------------
     def log_weight_law(self, u: np.ndarray) -> np.ndarray:
         """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 from
         uniforms (..., 2): X = (ndtri(u_0) + sqrt(24 ||delta||^2))^2
@@ -255,9 +381,7 @@ class LinearGaussian:
         return self.q_mean + math.sqrt(2.0 / 3.0) * eps
 
     def log_relative_weight(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.d:
-            raise ValueError(f"z has dimension {z.shape[-1]}, expected {self.d}")
+        z = self._check_z(z)
         dm = z - self.posterior_mean
         dq = z - self.q_mean
         return 0.5 * self.d * _LOG_4_3 - np.sum(dm * dm, axis=-1) + 0.75 * np.sum(dq * dq, axis=-1)
@@ -301,22 +425,17 @@ class LinearGaussian:
                 (np.concatenate([self.x * c_t, c_t]), np.concatenate([-2.0 * self.x, -2.0 * ones])),
                 (np.concatenate([self.x * c_s, c_s]), np.concatenate([-0.5 * self.x, -0.5 * ones])))
 
-    def score_grads(self, eps: np.ndarray, z: np.ndarray):
-        """(d_theta, d_phi_total, d_phi_stopped) from `score_affine`; the phi
-        blocks are shaped (..., 2d)."""
-        z = np.asarray(z, dtype=np.float64)
-        return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
+    score_grads = _score_grads
 
-
-def _affine_score(const: np.ndarray, coef: np.ndarray, z: np.ndarray, weight_sum=1.0):
-    """const * weight_sum + coef * z, with z tiled to the block size along
-    its last axis.
-
-    At a sample z (weight_sum 1) this is the score itself.  At
-    z = sum_j w_j z_j and weight_sum = sum_j w_j it is the weighted score sum
-    sum_j w_j score(z_j), which is how the gradient kernels contract.
-    """
-    return const * weight_sum + coef * np.tile(z, const.shape[0] // z.shape[-1])
+    # --- gap theory ----------------------------------------------------------
+    def gap_theory(self, alpha: float, n_grid):
+        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): the closed forms
+        of `lingauss_analytics`, and the iid-sum extreme-value curve per N."""
+        error_term, gamma2, _, sigma2, a_const = lingauss_analytics(self, alpha)
+        sigma = math.sqrt(sigma2)
+        return (error_term, gamma2, -self.d * a_const,
+                *_ev_columns(lambda n: iid_sum_curve(n, self.d, a_const, sigma, 0.0),
+                             math.sqrt(self.d), n_grid))
 
 
 # --------------------------------------------------------------------------

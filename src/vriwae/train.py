@@ -7,23 +7,20 @@ epochs): 1e-4 is too slow (final normalized distance 0.41), 1e-2 converges
 fastest (3e-4) but then jitters at its noise floor, and 1e-3 reaches 4e-3
 with a cleanly decreasing trend.  Adam is available as an alternative, with
 the usual fixed constants ADAM_BETA1 = 0.9, ADAM_BETA2 = 0.999 and
-ADAM_EPS = 1e-8 and the run's learning rate.  phi is always trained; theta
-too when `TrainConfig.train_theta` is set.
+ADAM_EPS = 1e-8 and the run's learning rate.
 
-Trajectories log the normalized squared parameter distance B^2/d for the toy
-model (or lambda for the linear Gaussian one), a small fresh Monte Carlo gap
-estimate, and the gradient norm.
+The model states what a run needs of it (see `models`): whether theta trains
+besides phi (`TRAINS_THETA`), the progress column a trajectory logs
+(`PROGRESS_LABEL`, `progress`), and how many standard normals an epoch reads
+and which gradient sums it takes from them (`train_normals`, `train_sums`).
+Each logged row adds a small fresh Monte Carlo gap estimate and the gradient
+norm.
 
 Draws follow the package's one rule (see `rng`): epoch e (from 1) reads block
 e - 1 of a fresh stream at the key of the run's stream, and logged row k's
 gap is `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on
 the parameters, so each chunk of epochs takes one `standard_normal` call,
-and the rows do not depend on the chunk size.  A `GaussianToy` epoch takes
-N + 2d words and draws its gradient from the exact conditional law of
-`gradients._toy_grad_pass`; a `LinearGaussian` epoch takes the N x d eps of
-the d-dimensional path.  (An exact draw for the linear Gaussian from a
-Bartlett factor would take N(N+1)/2 + 2d words, which pays only where N is
-below about 2d; no experiment runs there, so it is left out.)
+and the rows do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ import numpy as np
 
 from . import rng as vrng
 from .bounds import gap_mc
-from .gradients import _toy_grad_pass, grad_samples_from_eps
-from .models import GaussianToy
+from .gradients import _contract
 from .weights import _check_alpha
 
 __all__ = [
@@ -71,7 +67,6 @@ class TrainConfig:
     optimizer: str = "sgd"           # "sgd" | "adam"
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 5000
-    train_theta: bool = False
     log_every: int = 50
     gap_replicates: int = 16         # fresh batches per logged gap estimate
 
@@ -96,7 +91,7 @@ class TrainConfig:
 @dataclass
 class TrajectoryRow:
     epoch: int
-    progress: float        # B^2/d for the toy model, lambda for linear Gaussian
+    progress: float        # the model's `progress`
     gap_mean: float
     gap_se: float
     grad_norm: float
@@ -104,7 +99,7 @@ class TrajectoryRow:
 
 @dataclass
 class Trajectory:
-    progress_label: str    # "bd2_over_d" | "lambda"
+    progress_label: str    # the model's PROGRESS_LABEL
     rows: list = field(default_factory=list)
 
     @property
@@ -145,30 +140,15 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float 
     return AdamState(m=m, v=v, t=t), new_params
 
 
-def _progress(model) -> float:
-    if isinstance(model, GaussianToy):
-        return model.bd**2 / model.d
-    return model.lam
-
-
 def _epoch_normals(model, config: TrainConfig, stream: vrng.RngStream):
-    """Yield (epoch, normals) for epochs 1..config.epochs: N + 2d normals per
-    epoch for `GaussianToy`, N x d for `LinearGaussian`, a chunk of epochs
-    per `standard_normal` call on a fresh stream at the key of `stream`."""
-    n = config.n_importance
-    words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+    """Yield (epoch, normals) for epochs 1..config.epochs, model.train_normals(N)
+    normals per epoch, a chunk of epochs per `standard_normal` call on a
+    fresh stream at the key of `stream`."""
+    words = model.train_normals(config.n_importance)
     draws = vrng.make_stream(stream.seed, stream.stream_id)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
         yield from zip(range(start + 1, stop + 1),
                        vrng.standard_normal(draws, (stop - start, words)))
-
-
-def _epoch_grads(model, normals: np.ndarray, alpha: float, kind: str):
-    """(g_theta, g_phi) of one epoch from its normals."""
-    if isinstance(model, GaussianToy):
-        _, g_theta, g_rep, g_drep = _toy_grad_pass(model, normals, alpha)
-        return g_theta, (g_rep if kind == "rep" else g_drep)
-    return grad_samples_from_eps(model, normals.reshape(-1, model.d), alpha, kind)
 
 
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:
@@ -179,28 +159,31 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     so identical (model, config, stream key) reproduce identical rows;
     `stream` is not advanced.  Aborts when the gradient norm exceeds 1e8.
     """
-    traj = Trajectory(progress_label="bd2_over_d" if isinstance(model, GaussianToy) else "lambda")
+    traj = Trajectory(progress_label=model.PROGRESS_LABEL)
+    train_theta = model.TRAINS_THETA
     adam_theta = AdamState.zeros(model.theta_dim)
     adam_phi = AdamState.zeros(model.phi_dim)
 
     def log_row(epoch: int, grad_norm: float):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
                      stream.child(1 + len(traj.rows)))
-        traj.rows.append(TrajectoryRow(epoch=epoch, progress=_progress(model),
+        traj.rows.append(TrajectoryRow(epoch=epoch, progress=model.progress,
                                        gap_mean=gap.mean, gap_se=gap.std_error,
                                        grad_norm=grad_norm))
 
     log_row(0, 0.0)
     for epoch, normals in _epoch_normals(model, config, stream):
-        g_theta, g_phi = _epoch_grads(model, normals, config.alpha, config.estimator)
+        _, w_sum, wz = model.train_sums(normals, config.alpha)
+        g_theta, g_rep, g_drep = _contract(model, w_sum, wz)
+        g_phi = g_rep if config.estimator == "rep" else g_drep
         norm_sq = float(np.dot(g_phi, g_phi))
-        if config.train_theta:
+        if train_theta:
             norm_sq += float(np.dot(g_theta, g_theta))
         grad_norm = float(np.sqrt(norm_sq))
         if grad_norm > GRAD_NORM_LIMIT:
             raise TrainingDiverged(
                 f"gradient norm {grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e} at epoch {epoch}")
-        if config.train_theta:
+        if train_theta:
             if config.optimizer == "sgd":
                 model = model.with_theta(sgd_step(model.theta_vec, g_theta, config.learning_rate))
             else:

@@ -4,8 +4,11 @@ All statistics here are computed in the log domain with max-subtraction; the
 interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
 become informative.  `_logsumexp` is the package's one log-sum-exp kernel;
-the diagnostics T, max share and ESS each have one kernel that reduces along
-an axis, and the scalar functions are those kernels on one batch.
+the diagnostics T, max share and ESS each have one function, which reduces
+along an axis of a log-weight array (the last by default), so one batch and a
+stack of batches take the same code.  The normalized weights s and the
+doubly-reparameterized coefficients h of the gradient estimators
+(`_weight_rows`) live here too, below both `models` and `gradients`.
 
 Conventions fixed once for the whole artifact:
 
@@ -129,9 +132,16 @@ def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
         return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
 
 
-def _t_stat(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
-    """T at order alpha along `axis`: the argmax term is left out of the sum,
-    not subtracted from it, so a T far below 1 keeps its relative precision."""
+def t_statistic(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
+    """Sum of (w_j / w_max)^(1-alpha) over the non-maximal weights along `axis`.
+
+    Lies in [0, N-1]; shift-invariant, so it does not matter whether the
+    values are normalized or unnormalized log-weights.  Small values mean the
+    largest weight dominates the batch.  The argmax term is left out of the
+    sum, not subtracted from it, so a T far below 1 keeps its relative
+    precision.
+    """
+    alpha = _check_alpha(alpha)
     v = np.moveaxis(values, axis, -1)
     i_max = np.argmax(v, axis=-1)[..., None]  # ties: first occurrence
     e = np.exp((1.0 - alpha) * (v - np.take_along_axis(v, i_max, axis=-1)))
@@ -139,34 +149,32 @@ def _t_stat(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
     return np.sum(e, axis=-1)
 
 
-def _max_share(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """w_max / sum_j w_j along `axis`."""
+def max_weight_share(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """w_max / sum_j w_j along `axis`, equal to 1 / (1 + T at alpha=0)."""
     return np.exp(np.max(values, axis=axis) - _logsumexp(values, axis))
 
 
-def _ess(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """(sum w)^2 / sum w^2 along `axis`."""
+def ess(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Effective sample size (sum w)^2 / sum w^2 along `axis`, in [1, N]."""
     return np.exp(2.0 * _logsumexp(values, axis) - _logsumexp(2.0 * values, axis))
 
 
-def t_statistic(lw: LogWeights, alpha: float) -> float:
-    """Sum of (w_j / w_max)^(1-alpha) over the non-maximal weights.
-
-    Lies in [0, N-1]; shift-invariant, so it does not matter whether `lw`
-    carries normalized or unnormalized values.  Small values mean the largest
-    weight dominates the batch.
-    """
-    return float(_t_stat(lw.values, _check_alpha(alpha)))
+def _h(s: np.ndarray, alpha: float) -> np.ndarray:
+    """Doubly-reparameterized coefficients alpha*s + (1-alpha)*s^2."""
+    return alpha * s + (1.0 - alpha) * s * s
 
 
-def max_weight_share(lw: LogWeights) -> float:
-    """w_max / sum_j w_j, equal to 1 / (1 + T at alpha=0)."""
-    return float(_max_share(lw.values))
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def ess(lw: LogWeights) -> float:
-    """Effective sample size (sum w)^2 / sum w^2, in [1, N]."""
-    return float(_ess(lw.values))
+def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:
+    """The stacked rows (s, h) of shape (..., 2, N) for log-weights (..., N):
+    s the normalized (1-alpha)-power weights, h their drep coefficients."""
+    s = _softmax_last((1.0 - alpha) * lw)
+    return np.stack([s, _h(s, alpha)], axis=-2)
 
 
 def qq_points(log_weights: np.ndarray) -> QQResult:

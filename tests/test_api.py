@@ -3,7 +3,8 @@
 `perfbench/tracing.py` wraps every function in the `__all__` of the traced
 modules, `experiments.ndtri`, `RngStream.child` and four methods on each
 model class, so a deletion of any of them fails here before it crashes a
-traced benchmark run.
+traced benchmark run.  It also guards the model protocol: no module outside
+`models` branches on a model's type.
 """
 
 import ast
@@ -80,3 +81,44 @@ def test_tracer_runs_cli_and_restores_names(tmp_path, monkeypatch):
     for label, names in before.items():
         changed = [k for k, v in names.items() if after[label].get(k) is not v]
         assert not changed, f"{label}: {changed} not restored"
+
+
+def _model_type_branches(tree):
+    """(function, line) of every isinstance(..., GaussianToy | LinearGaussian)
+    and every `spec.model ==` / `!=` comparison, outside the model factories
+    (`make_*` and `_variants`)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("make_") or node.name == "_variants":
+                return
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            if names & {"GaussianToy", "LinearGaussian"}:
+                found.append((func, node.lineno))
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq))
+                                                 for op in node.ops):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Attribute) and side.attr == "model"
+                        and getattr(side.value, "id", None) == "spec"):
+                    found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_model_type_branches_outside_models():
+    # what a model is lives in `models`: train and the runners ask the model
+    # (see the models docstring), and only the factories choose a class
+    paths = [p for p in sorted((ROOT / "src" / "vriwae").glob("*.py")) if p.stem != "models"]
+    assert {"train", "experiments"} <= {p.stem for p in paths}
+    for path in paths:
+        assert _model_type_branches(ast.parse(path.read_text())) == [], path.name
+    probe = ast.parse("def f(m, spec):\n    if isinstance(m, (int, GaussianToy)): pass\n"
+                      "    return spec.model != 'toy'\n"
+                      "def make_toy(spec):\n    return spec.model == 'toy'\n")
+    assert _model_type_branches(probe) == [("f", 2), ("f", 3)]

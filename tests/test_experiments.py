@@ -16,7 +16,7 @@ from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
                                 run_weights_experiment, selftest, write_table)
-from vriwae.weights import LogWeights, ess, max_weight_share, t_statistic
+from vriwae.weights import ess, max_weight_share, t_statistic
 
 
 def small_gap_spec(**kw):
@@ -99,6 +99,7 @@ def _cli_base(skip=()):
     ("train", [{"optimizer": "nope"}, "--epochs", "2"], "optimizer"),
     ("gap", ["--alpha", "0", "1"], "alphas"),
     ("gap", ["--model", "lingauss", "--alpha", "1"], "alphas"),
+    ("collapse", ["--alpha", "0.5", "1"], "alphas"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -107,7 +108,7 @@ def _cli_base(skip=()):
         "config-ds-float", "config-ds-int", "config-replicates-str", "config-replicates-float",
         "config-seed-bool", "gap-config-estimator", "gap-config-optimizer",
         "train-config-estimator", "train-config-optimizer", "gap-alpha-1-toy",
-        "gap-alpha-1-lingauss"])
+        "gap-alpha-1-lingauss", "collapse-alpha-1"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -253,8 +254,8 @@ def _by_hand_cells(spec):
     """{(alpha, d, sigma_perturb, N): {column: (mean, se)}} by hand: cell
     (d_idx, n_idx) reads the stream at the family offset + d_idx * len(n_grid)
     + n_idx, replicate r maps block r of its uniforms through each model's
-    law, and each statistic comes from scipy's logsumexp or the scalar
-    `weights` diagnostics, reduced by a two-pass mean and SE."""
+    law, and each statistic comes from scipy's logsumexp or the `weights`
+    diagnostics of one batch, reduced by a two-pass mean and SE."""
     offset = experiments._OFF_GAP if spec.kind == "gap" else experiments._OFF_COLLAPSE
     out = {}
     for d_idx, d in enumerate(spec.ds):
@@ -273,10 +274,9 @@ def _by_hand_cells(spec):
                         stats = {"gap": [(logsumexp((1.0 - alpha) * v) - math.log(n))
                                          / (1.0 - alpha) for v in batches]}
                     else:
-                        lws = [LogWeights(v, 0.0) for v in batches]
-                        stats = {"t": [t_statistic(b, alpha) for b in lws],
-                                 "max_share": [max_weight_share(b) for b in lws],
-                                 "ess": [ess(b) for b in lws]}
+                        stats = {"t": [t_statistic(b, alpha) for b in batches],
+                                 "max_share": [max_weight_share(b) for b in batches],
+                                 "ess": [ess(b) for b in batches]}
                     out[(alpha, d, sp, n)] = {
                         col: (np.mean(v), np.std(v, ddof=1) / math.sqrt(len(v)))
                         for col, v in stats.items()}
@@ -403,7 +403,8 @@ def test_collapse_experiment_trends():
 
 def test_collapse_matches_scalar_diagnostics():
     # the batched T / max share / ESS and their streaming mean and SE equal
-    # the scalar diagnostics of `weights` and a two-pass SE, per replicate batch
+    # the diagnostics of `weights` on each replicate batch alone and a
+    # two-pass SE
     spec = ExperimentSpec(kind="collapse", model="lingauss", alphas=(0.0, 0.5), ds=(3,),
                           n_grid=(8,), replicates=30, seed=9, sigma_perturbs=(0.0, 0.3))
     rows = run_collapse_experiment(spec)
@@ -412,7 +413,7 @@ def test_collapse_matches_scalar_diagnostics():
                                                         experiments._OFF_COLLAPSE)
     assert len(rows) == 4
     for row in rows:
-        batches = [LogWeights(w, 0.0) for w in lrw[spec.sigma_perturbs.index(row["sigma_perturb"])]]
+        batches = list(lrw[spec.sigma_perturbs.index(row["sigma_perturb"])])
         for col, stat in (("t", lambda b: t_statistic(b, row["alpha"])),
                           ("max_share", max_weight_share), ("ess", ess)):
             vals = np.array([stat(b) for b in batches])
@@ -457,11 +458,21 @@ def test_render_svg_gap_table(tmp_path):
     assert path.exists()
 
 
+SELFTEST_CHECKS = [
+    "bound_alpha_monotonicity", "bound_iwae_identity", "bound_elbo_limit",
+    "gap_decomposition_identity", "remainder_bound", "weights_shift_invariance",
+    "weights_share_identity", "h_coefficients_values", "score_grads_vs_fd",
+    "gradient_unbiasedness_reduced", "lingauss_closed_forms_vs_quadrature",
+    "extreme_value_refined_constant", "experiment_determinism",
+]
+
+
 def test_selftest_passes():
     report = selftest(seed=0)
     for name, passed, detail in report.checks:
         assert passed, f"{name}: {detail}"
     assert report.ok
+    assert [name for name, _, _ in report.checks] == SELFTEST_CHECKS
 
 
 def test_selftest_seed_independent():
@@ -530,6 +541,23 @@ def test_read_table_json_mirror(tmp_path, capsys):
         assert main(["fit", path]) == 0
         fits.append(capsys.readouterr().out)
     assert fits[0] == fits[1]
+
+
+def test_read_table_snr_csv_matches_json(tmp_path):
+    # a bool cell (at_floor) reads back as a bool from the CSV too, so both
+    # formats of one snr table give equal rows; near theta = phi some
+    # gradient means sit at the floor
+    spec = ExperimentSpec(kind="snr", model="toy", alphas=(0.0,), ds=(2,), n_grid=(1, 2, 4),
+                          replicates=100, seed=3, theta_scale=0.9)
+    rows = run_snr_experiment(spec)
+    assert {r["at_floor"] for r in rows} == {False, True}
+    read = {}
+    for fmt in ("csv", "json"):
+        path = str(tmp_path / f"snr.{fmt}")
+        write_table(rows, ExperimentSpec(**{**spec.echo(), "format": fmt}), path=path)
+        read[fmt], _ = read_table(path)
+    assert read["csv"] == read["json"] == rows
+    assert all(type(r["at_floor"]) is bool for r in read["csv"])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

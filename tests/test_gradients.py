@@ -6,12 +6,13 @@ from scipy.special import kolmogorov, ndtri
 
 import vriwae.rng as vrng
 from vriwae.bounds import bound_mc, gap_mc
-from vriwae.gradients import (_contract, _grad_pass, _softmax_last, _toy_grad_pass, _toy_sums,
-                              _weight_rows, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
-                              grad_samples_from_eps, h_coefficients, snr_floor, snr_sweep)
+from vriwae.experiments import make_linear_gaussian, make_toy
+from vriwae.gradients import (_contract, _grad_pass, _softmax_last, fd_grad_from_eps,
+                              fd_grad_oracle, grad_mean_se, grad_samples_from_eps,
+                              h_coefficients, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal, uniform
-from vriwae.weights import _MeanSE
+from vriwae.weights import _MeanSE, _weight_rows
 
 
 def toy(d=3, theta=0.0, phi=0.5):
@@ -194,12 +195,12 @@ def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
         eps = (u * -normals[:, :n])[..., None]
         z = model.reparam(eps)
         for alpha in (0.0, 0.5, 1.0):
-            lw, w_sum, wz = _toy_sums(model, normals, alpha)
+            lw, w_sum, wz = model.train_sums(normals, alpha)
             assert np.array_equal(lw, model.log_weight_law(words[:, :n, None]))
             w = _weight_rows(model.log_unnormalized_weight(z), alpha)
             np.testing.assert_allclose(w_sum, w.sum(axis=-1, keepdims=True), rtol=1e-12)
             np.testing.assert_allclose(wz, w @ z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
-            got = _toy_grad_pass(model, normals, alpha)
+            got = (lw, *_contract(model, w_sum, wz))
             want = _grad_pass(model, eps, alpha)
             for g, h in zip(got, want):
                 np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
@@ -263,7 +264,7 @@ def test_toy_conditional_law_matches_eps_path(d, n, b):
     tests = len(_ALPHAS) * 4 * d
     z_crit = float(ndtri(1.0 - 1e-4 / (2.0 * (tests + len(_ALPHAS) * len(cov_cols) ** 2))))
     for a in _ALPHAS:
-        x = _toy_stats(model, *_toy_sums(model, normals, a)[1:])
+        x = _toy_stats(model, *model.train_sums(normals, a)[1:])
         y = eps_stats[a]
         const = (x.min(axis=0) == x.max(axis=0)) & (y.min(axis=0) == y.max(axis=0))
         np.testing.assert_allclose(x[0, const], y[0, const], rtol=1e-12, atol=1e-12)
@@ -398,6 +399,30 @@ def test_snr_sweep_independent_of_chunk_size(monkeypatch):
         for attr in ("per_coordinate_snr", "mean_snr", "at_floor"):
             assert np.array_equal(getattr(a.blocks[key], attr), getattr(b.blocks[key], attr))
         assert a.blocks[key].slope == b.blocks[key].slope
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("make_model", [lambda: make_toy(3),
+                                        lambda: make_linear_gaussian(3, 0.5, 0)[0]],
+                         ids=["toy", "lingauss"])
+def test_snr_grows_like_sqrt_m(make_model, alpha):
+    # each replicate averages M i.i.d. gradient draws, so at fixed N the SNR
+    # of every block grows like sqrt(M): M = 4 doubles it.  Its standard
+    # error comes from the spread of the ratio over K independent sweeps,
+    # since the gradient samples are far from normal (the toy's drep phi
+    # gradient is (sum h)(theta - phi)).  As in A6, every SNR must stand at
+    # least twice above its floor, or the ratio would measure the floor
+    model = make_model()
+    reps, n, k = 1000, 8, 8
+    sweeps = {m: [snr_sweep(model, alpha, m, [n], reps, 10, make_stream(17, 2 * i + (m > 1)))
+                  for i in range(k)] for m in (1, 4)}
+    for key in sweeps[1][0].blocks:
+        snr1, snr4 = (np.array([rep.blocks[key].mean_snr[0] for rep in sweeps[m]])
+                      for m in (1, 4))
+        assert snr1.min() >= 2.0 * snr_floor(reps), key
+        ratio = snr4 / snr1
+        se = ratio.std(ddof=1) / math.sqrt(k)
+        assert abs(ratio.mean() - 2.0) <= 4.0 * se, (key, ratio.mean(), se)
 
 
 def test_snr_input_validation():

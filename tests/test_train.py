@@ -5,7 +5,7 @@ import pytest
 
 import vriwae.rng as vrng
 from vriwae.bounds import gap_mc
-from vriwae.gradients import _toy_grad_pass, grad_samples_from_eps
+from vriwae.gradients import _contract, grad_samples_from_eps
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal
 from vriwae.train import (AdamState, TrainConfig, TrainingDiverged, adam_step, run_training,
@@ -134,7 +134,7 @@ def _rows(traj):
 
 def test_linear_gaussian_determinism():
     config = TrainConfig(alpha=0.3, n_importance=6, epochs=30, log_every=10,
-                         learning_rate=1e-3, gap_replicates=4, train_theta=True)
+                         learning_rate=1e-3, gap_replicates=4)
     t1 = run_training(lingauss(3), config, make_stream(5, 0))
     t2 = run_training(lingauss(3), config, make_stream(5, 0))
     t3 = run_training(lingauss(3), config, make_stream(6, 0))
@@ -143,12 +143,11 @@ def test_linear_gaussian_determinism():
     assert _rows(t1) != _rows(t3)
 
 
-@pytest.mark.parametrize("make_model, train_theta", [(lambda: toy(4, phi=0.8), False),
-                                                     (lambda: lingauss(3, seed=2), True)],
+@pytest.mark.parametrize("make_model", [lambda: toy(4, phi=0.8), lambda: lingauss(3, seed=2)],
                          ids=["toy", "lingauss"])
-def test_rows_independent_of_chunk_target(monkeypatch, make_model, train_theta):
+def test_rows_independent_of_chunk_target(monkeypatch, make_model):
     config = TrainConfig(alpha=0.2, n_importance=5, epochs=23, log_every=4,
-                         learning_rate=1e-2, gap_replicates=3, train_theta=train_theta)
+                         learning_rate=1e-2, gap_replicates=3)
     runs = []
     for target in (1_000_000, 1, 40):
         monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
@@ -162,10 +161,10 @@ def test_rows_independent_of_chunk_target(monkeypatch, make_model, train_theta):
 def test_epochs_draw_from_keyed_streams(make_model, train_theta):
     # epoch e reads row e - 1 of one draw from stream (seed, stream_id), and
     # logged row k its gap from stream.child(1 + k); the caller's stream is
-    # not advanced
+    # not advanced.  The linear Gaussian trains theta, the toy does not
     n, alpha, lr, reps, epochs = 5, 0.2, 1e-2, 3, 6
     config = TrainConfig(alpha=alpha, n_importance=n, epochs=epochs, log_every=1,
-                         learning_rate=lr, gap_replicates=reps, train_theta=train_theta)
+                         learning_rate=lr, gap_replicates=reps)
     seed, base = 12, 1000
     stream = make_stream(seed, base)
     traj = run_training(make_model(), config, stream)
@@ -177,7 +176,8 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
         if epoch:
             normals = draws[epoch - 1]
             if isinstance(model, GaussianToy):
-                _, g_theta, g_phi, _ = _toy_grad_pass(model, normals, alpha)
+                _, w_sum, wz = model.train_sums(normals, alpha)
+                g_theta, g_phi, _ = _contract(model, w_sum, wz)
             else:
                 g_theta, g_phi = grad_samples_from_eps(model, normals.reshape(n, model.d),
                                                        alpha, "rep")
