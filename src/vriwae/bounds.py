@@ -13,9 +13,10 @@ analytically instead of being subtracted between two huge numbers.
 
 The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
-LAW_WORDS of them, through the model's `log_weight_law`.  Whole chunks of
-replicates are drawn and reduced at once (`_relative_weight_batches`, shared
-with the gap and collapse runners of `experiments`).
+LAW_WORDS of them, through the model's `log_weight_law`.  `_law_samples`
+runs the chunks of replicates through `rng._chunk_map`, each drawn, mapped
+and reduced to one sample per replicate on whichever thread takes it; it
+serves the gap and collapse runners of `experiments` too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as vrng
-from .weights import (LogWeights, _check_alpha, _logsumexp, _MeanSE, relative_log_weights,
+from .weights import (LogWeights, _check_alpha, _logsumexp, _mean_se, relative_log_weights,
                       t_statistic)
 
 __all__ = [
@@ -93,33 +94,36 @@ def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
         raise ValueError("need at least one replicate")
     alpha = _check_alpha(alpha, closed=True)
     shift = 0.0 if relative else model.log_marginal()
-    out = np.empty(replicates)
-    for start, stop, lrw in _relative_weight_batches([model], n_importance, replicates,
-                                                     stream.seed, stream.stream_id):
-        out[start:stop] = vr_iwae_from_log_weights(lrw[0] + shift, alpha)
-    return out
+    samples, = _law_samples([model], stream.seed, [(stream.stream_id, n_importance)],
+                            replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0] + shift, alpha))
+    return samples
 
 
-def _relative_weight_batches(models: Sequence, n: int, replicates: int, seed: int,
-                             stream_id: int):
-    """Yield (start, stop, lrw) with lrw of shape (V, C, N) per chunk.
+def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
+                 replicates: int, reduce) -> list:
+    """Per cell (stream_id, N), the concatenation over its replicates of
+    reduce(lrw), with lrw of shape (V, C, N) per chunk of C replicates and
+    reduce(lrw) of leading length C.
 
     Replicate r reads block r of N x k uniforms (k = LAW_WORDS of the models)
     of a fresh stream (seed, stream_id), and every model maps the same
-    uniforms through its `log_weight_law`; the transforms are batched per
-    chunk, which does not affect the values.
+    uniforms through its `log_weight_law`.  The chunks run through
+    `rng._chunk_map`; the transforms and reductions are batched per chunk,
+    which does not affect the values.
     """
     k = models[0].LAW_WORDS
-    stream = vrng.make_stream(seed, stream_id)
-    for start, stop in vrng._replicate_chunks(replicates, n * k):
-        u = vrng.uniform(stream, (stop - start, n, k))
-        yield start, stop, np.stack([m.log_weight_law(u) for m in models])
+
+    def kernel(i, stream, start, stop):
+        u = vrng.uniform(stream, (stop - start, cells[i][1], k))
+        return reduce(np.stack([m.log_weight_law(u) for m in models]))
+
+    chunks = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
+                              for stream_id, n in cells], kernel)
+    return [np.concatenate(c) for c in chunks]
 
 
 def _estimate(samples: np.ndarray, alpha: float, n_importance: int) -> BoundEstimate:
-    acc = _MeanSE(())
-    acc.add(samples)
-    mean, se = acc.finalize()
+    mean, se = _mean_se(samples)
     return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size,
                          alpha=float(alpha), n_importance=int(n_importance))
 

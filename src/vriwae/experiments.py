@@ -3,14 +3,15 @@
 Every experiment is a pure function of (spec, seed).  Each experiment family
 owns a disjoint stream_id block, and each grid cell reads its own stream
 within it, by the package's one draw rule (see `rng`): replicate r of the
-cell takes block r of the stream's words, so outputs are byte-identical no
-matter how cells are scheduled, and agree to rounding across chunk sizes.
-The gap and collapse cells draw whole chunks of replicates at a time
-(`bounds._relative_weight_batches`).  Common random numbers are reused on
-purpose across alpha values and across perturbation scales of the same grid
-cell: the draws are i.i.d. for each configuration, and sharing them makes the
-comparisons paired.  Each log-weight comes from its model's exact law
-(`log_weight_law`), not d normals.
+cell takes block r of the stream's words.  The gap and collapse runners put
+all N cells of a dimension in one `rng._chunk_map` (`bounds._law_samples`),
+whose chunks of replicates run on all cores, and reduce each cell's samples
+at once, so their tables are byte-identical at any number of threads and any
+chunk size; so are the `snr` tables (see `gradients`).  Common random numbers
+are reused on purpose across alpha values and across perturbation scales of
+the same grid cell: the draws are i.i.d. for each configuration, and sharing
+them makes the comparisons paired.  Each log-weight comes from its model's
+exact law (`log_weight_law`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -34,14 +35,14 @@ from scipy.special import logsumexp, ndtri  # noqa: F401
 
 from . import rng as vrng
 from .asymptotics import expected_min_normal, fit_constant, one_over_n_curve
-from .bounds import _relative_weight_batches, decomposition_sample, vr_iwae_from_log_weights
+from .bounds import _law_samples, decomposition_sample, vr_iwae_from_log_weights
 from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
                         h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
                      lingauss_gamma2_quadrature, lingauss_gap_quadrature,
                      optimal_params, perturb_params)
 from .train import _ESTIMATORS, _OPTIMIZERS, DEFAULT_LEARNING_RATE, TrainConfig, run_training
-from .weights import LogWeights, _MeanSE, ess, max_weight_share, qq_points, t_statistic
+from .weights import LogWeights, _mean_se, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -94,8 +95,8 @@ class ExperimentSpec:
 
     kind: str
     model: str = "toy"                       # "toy" | "lingauss"
-    alphas: tuple = (0.0, 0.2, 0.5)
-    ds: tuple = (10, 100, 1000)
+    alphas: Optional[tuple] = None           # default (0.0, 0.2, 0.5); (0.0,) for train
+    ds: Optional[tuple] = None               # default (10, 100, 1000); (10,) for train
     n_grid: tuple = _DEFAULT_N_GRID
     replicates: int = 1000
     seed: int = 0
@@ -115,6 +116,12 @@ class ExperimentSpec:
     plot: Optional[str] = None
 
     def __post_init__(self):
+        # train runs one model, at the first value of each default grid
+        train = self.kind == "train"
+        if self.alphas is None:
+            self.alphas = (0.0,) if train else (0.0, 0.2, 0.5)
+        if self.ds is None:
+            self.ds = (10,) if train else (10, 100, 1000)
         for name, cast in _NUMERIC_FIELDS.items():
             value, grid = getattr(self, name), name in _GRID_FIELDS
             kind = numbers.Integral if cast is int else numbers.Real
@@ -169,6 +176,10 @@ class ExperimentSpec:
             raise ValueError(f"alphas must lie in [0, 1) for {self.kind}, got 1.0")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        for name in ("ds", "alphas", "sigma_perturbs") if train else ():
+            if len(getattr(self, name)) != 1:
+                raise ValueError(f"{name} must hold one value for train, which runs one "
+                                 f"model, got {getattr(self, name)}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -252,18 +263,15 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
     for d_idx, d in enumerate(spec.ds):
         variants = _variants(spec, d)
         models = [m for _, m in variants]
-        # gap samples per (variant, alpha, n, replicate), aggregated on the fly
+        # mean and SE of the gap samples per (variant, alpha, n)
         means = np.empty((len(variants), len(spec.alphas), len(n_grid)))
         ses = np.empty_like(means)
-        for n_idx, n in enumerate(n_grid):
-            cell = _OFF_GAP + d_idx * len(n_grid) + n_idx
-            acc = _MeanSE((len(variants), len(spec.alphas)))
-            for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
-                                                             spec.seed, cell):
-                # (C, V, A): replicates first, as the reducer expects
-                acc.add(np.stack([vr_iwae_from_log_weights(lrw, alpha, axis=-1).T
-                                  for alpha in spec.alphas], axis=-1))
-            means[:, :, n_idx], ses[:, :, n_idx] = acc.finalize()
+        cells = [(_OFF_GAP + d_idx * len(n_grid) + n_idx, n) for n_idx, n in enumerate(n_grid)]
+        # (C, V, A) per chunk: replicates first, as the reducer expects
+        samples = _law_samples(models, spec.seed, cells, spec.replicates, lambda lrw: np.stack(
+            [vr_iwae_from_log_weights(lrw, alpha, axis=-1).T for alpha in spec.alphas], axis=-1))
+        for n_idx, cell_samples in enumerate(samples):
+            means[:, :, n_idx], ses[:, :, n_idx] = _mean_se(cell_samples)
 
         for v_idx, (sp, model) in enumerate(variants):
             for a_idx, alpha in enumerate(spec.alphas):
@@ -414,21 +422,21 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
 def run_collapse_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo means of the dominance statistic T, the max-weight share,
     and the effective sample size over fresh batches per (alpha, d, N)."""
+    def stats(lrw):
+        # (T, max share, ESS) per (variant, alpha), as (C, V, A, 3): replicates first
+        t = np.stack([t_statistic(lrw, alpha) for alpha in spec.alphas], axis=-1)
+        share, e = max_weight_share(lrw)[..., None], ess(lrw)[..., None]
+        return np.stack(np.broadcast_arrays(t, share, e), axis=-1).transpose(1, 0, 2, 3)
+
     rows = []
     for d_idx, d in enumerate(spec.ds):
         variants = _variants(spec, d)
         models = [m for _, m in variants]
-        for n_idx, n in enumerate(spec.n_grid):
-            cell = _OFF_COLLAPSE + d_idx * len(spec.n_grid) + n_idx
-            # (T, max share, ESS) per (variant, alpha)
-            acc = _MeanSE((len(variants), len(spec.alphas), 3))
-            for start, stop, lrw in _relative_weight_batches(models, n, spec.replicates,
-                                                             spec.seed, cell):
-                t = np.stack([t_statistic(lrw, alpha) for alpha in spec.alphas], axis=-1)
-                share, e = max_weight_share(lrw)[..., None], ess(lrw)[..., None]
-                stats = np.stack(np.broadcast_arrays(t, share, e), axis=-1)
-                acc.add(stats.transpose(1, 0, 2, 3))  # (C, V, A, 3): replicates first
-            mean, se = acc.finalize()
+        cells = [(_OFF_COLLAPSE + d_idx * len(spec.n_grid) + n_idx, n)
+                 for n_idx, n in enumerate(spec.n_grid)]
+        samples = _law_samples(models, spec.seed, cells, spec.replicates, stats)
+        for n, cell_samples in zip(spec.n_grid, samples):
+            mean, se = _mean_se(cell_samples)
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
                     row = {"model": model.TABLE_NAME, "alpha": alpha, "d": d,

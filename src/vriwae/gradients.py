@@ -37,10 +37,14 @@ The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
 log-weight of z instead, so it shares no kernel with the estimators.
 
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
-return one gradient sample per replicate row, chunked to at most
-`rng._CHUNK_TARGET` elements of eps so memory stays bounded.  `grad_mean_se`
-and `fd_grad_oracle` reduce their samples in one loop (`_grad_estimate`),
-which draws the eps sequentially from one stream.
+return one gradient sample per replicate row.  Their callers run chunks of at
+most `rng._CHUNK_TARGET` elements through `rng._chunk_map`, so memory stays
+bounded and the chunks run on all cores: `grad_mean_se` and `fd_grad_oracle`
+share `_grad_estimate`, one cell whose replicate r reads block r of a fresh
+stream at the key of the stream passed in, and `snr_sweep` maps all its N
+cells at once.  Each chunk returns only its gradient samples, which the
+calling thread reduces in replicate order, so the results do not depend on
+the number of threads or the chunk size.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score, _eps_sums
 # `_softmax_last` is the estimators' normalized weight s; it is re-exported
 # here, next to `h_coefficients`, for callers that assemble an estimator
-from .weights import _check_alpha, _h, _MeanSE, _softmax_last  # noqa: F401
+from .weights import _check_alpha, _h, _mean_se, _softmax_last  # noqa: F401
 
 __all__ = [
     "GradEstimate",
@@ -143,25 +147,27 @@ def _grad_estimate(model, n_importance: int, replicates: int, stream: vrng.RngSt
                    per_rep: int, sample) -> GradEstimate:
     """Mean/SE of the gradient samples `sample(eps)` over i.i.d. replicates.
 
-    The eps of shape (R, N, d) come sequentially from `stream`, so the
-    result does not depend on the chunks, which `per_rep` (the elements one
-    replicate's largest intermediate holds) sizes.
+    Replicate r's eps of shape (N, d) are block r of the normals of a fresh
+    stream at the key of `stream`, which is not advanced.  `per_rep` (the
+    elements one replicate's largest intermediate holds) sizes the chunks of
+    `rng._chunk_map`; the samples are reduced at once, so the result does not
+    depend on the chunks.
     """
-    acc_t = _MeanSE(model.theta_dim)
-    acc_p = _MeanSE(model.phi_dim)
-    for start, stop in vrng._replicate_chunks(replicates, per_rep):
-        g_theta, g_phi = sample(vrng.standard_normal(stream, (stop - start, n_importance, model.d)))
-        acc_t.add(g_theta)
-        acc_p.add(g_phi)
-    tm, tse = acc_t.finalize()
-    pm, pse = acc_p.finalize()
+    words = n_importance * model.d
+
+    def kernel(_, draws, start, stop):
+        return sample(vrng.standard_normal(draws, (stop - start, n_importance, model.d)))
+
+    chunks, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates, per_rep,
+                                          words)], kernel)
+    (tm, tse), (pm, pse) = (_mean_se(np.concatenate(block)) for block in zip(*chunks))
     return GradEstimate(tm, tse, pm, pse, replicates)
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
                  stream: vrng.RngStream, kind: str = "rep") -> GradEstimate:
     """Empirical mean/SE of the gradient estimator over i.i.d. replicates,
-    drawn sequentially from `stream`."""
+    replicate r reading block r of a fresh stream at the key of `stream`."""
     return _grad_estimate(model, n_importance, replicates, stream, n_importance * model.d,
                           lambda eps: grad_samples_from_eps(model, eps, alpha, kind))
 
@@ -205,7 +211,9 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
                    replicates: int, stream: vrng.RngStream) -> GradEstimate:
     """Finite-difference oracle for the bound gradient, with common random
     numbers across the +/- evaluations of every coordinate."""
-    per_rep = n_importance * model.d * (model.theta_dim + model.phi_dim)
+    # the differences are taken one coordinate at a time, so a replicate's
+    # largest intermediate is its z or its row of differences
+    per_rep = max(n_importance * model.d, model.theta_dim + model.phi_dim)
     return _grad_estimate(model, n_importance, replicates, stream, per_rep,
                           lambda eps: fd_grad_from_eps(model, eps, alpha, step))
 
@@ -250,11 +258,16 @@ class SnrReport:
 
 
 def _snr_from_samples(samples: np.ndarray) -> np.ndarray:
-    """|mean| / std per coordinate; zero-variance coordinates become +inf."""
+    """|mean| / std per coordinate; zero-variance coordinates become +inf.
+
+    A coordinate whose sd is at most 2**-40 |mean| counts as zero variance:
+    its spread is rounding noise on a constant (the toy's drep phi gradient
+    at N = 1, where h = s = 1), and |mean|/sd would read about 1e14.
+    """
     mean = samples.mean(axis=0)
     std = samples.std(axis=0, ddof=1)
     out = np.full(mean.shape, np.inf)
-    nz = std > 0
+    nz = std > 2.0**-40 * np.abs(mean)
     out[nz] = np.abs(mean[nz]) / std[nz]
     return out
 
@@ -286,28 +299,31 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     theta_idx = vrng.permutation_indices(stream.child(0), model.theta_dim, k_theta)
     phi_idx = vrng.permutation_indices(stream.child(1), model.phi_dim, k_phi)
 
-    kinds = ("rep", "drep")
-    snr = {(kind, blk): np.empty((len(n_grid), k)) for kind in kinds
-           for blk, k in (("theta", k_theta), ("phi", k_phi))}
+    # one cell per N: the draws of N = n_grid[i] come from stream.child(2 + i),
+    # replicate r reading block r of its normals
+    cells = [vrng._Cell(stream.seed, stream.stream_id + 2 + i, replicates,
+                        m_samples * n * model.d, m_samples * n * model.d)
+             for i, n in enumerate(n_grid)]
 
-    for i, n in enumerate(n_grid):
-        draw_stream = stream.child(2 + i)
-        # replicates is moderate, so per-N sample matrices (replicates x k)
-        # fit comfortably even though the draws themselves are chunked
-        samples = {(kind, blk): np.empty((replicates, k)) for kind in kinds
-                   for blk, k in (("theta", k_theta), ("phi", k_phi))}
-        per_rep = m_samples * n * model.d
-        for start, stop in vrng._replicate_chunks(replicates, per_rep):
-            eps = vrng.standard_normal(draw_stream, (stop - start, m_samples, n, model.d))
-            # both estimators from one pass; the theta block is shared, and
-            # each row averages its m_samples copies
-            _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
-            g_theta = g_theta.mean(axis=1)[:, theta_idx]
-            for kind, g_phi in (("rep", g_rep), ("drep", g_drep)):
-                samples[(kind, "theta")][start:stop] = g_theta
-                samples[(kind, "phi")][start:stop] = g_phi.mean(axis=1)[:, phi_idx]
-        for key, mat in samples.items():
-            snr[key][i] = _snr_from_samples(mat)
+    def kernel(i, draws, start, stop):
+        eps = vrng.standard_normal(draws, (stop - start, m_samples, n_grid[i], model.d))
+        # both estimators from one pass; the theta block is shared, and each
+        # row averages its m_samples copies.  `take` keeps the samples in C
+        # order, in which the reductions of `_snr_from_samples` round alike
+        # at every chunk size
+        _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+        return (np.take(g_theta.mean(axis=1), theta_idx, axis=1),
+                np.take(g_rep.mean(axis=1), phi_idx, axis=1),
+                np.take(g_drep.mean(axis=1), phi_idx, axis=1))
+
+    snr = {key: np.empty((len(n_grid), k)) for key, k in (
+        (("rep", "theta"), k_theta), (("rep", "phi"), k_phi),
+        (("drep", "theta"), k_theta), (("drep", "phi"), k_phi))}
+    for i, chunks in enumerate(vrng._chunk_map(cells, kernel)):
+        g_theta, g_rep, g_drep = (np.concatenate(block) for block in zip(*chunks))
+        snr[("rep", "theta")][i] = snr[("drep", "theta")][i] = _snr_from_samples(g_theta)
+        snr[("rep", "phi")][i] = _snr_from_samples(g_rep)
+        snr[("drep", "phi")][i] = _snr_from_samples(g_drep)
 
     report = SnrReport(n_grid=n_grid, m_samples=m_samples, replicates=replicates,
                        theta_indices=theta_idx, phi_indices=phi_idx)

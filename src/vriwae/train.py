@@ -20,7 +20,8 @@ Draws follow the package's one rule (see `rng`): epoch e (from 1) reads block
 e - 1 of a fresh stream at the key of the run's stream, and logged row k's
 gap is `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on
 the parameters, so each chunk of epochs takes one `standard_normal` call,
-and the rows do not depend on the chunk size.
+and the rows do not depend on the chunk size.  The epochs run serially on
+the calling thread, since each starts from the parameters the last one left.
 """
 
 from __future__ import annotations

@@ -111,6 +111,13 @@ class _MeanSE:
         return self.mean, np.sqrt(var / self.n)
 
 
+def _mean_se(samples: np.ndarray):
+    """(mean, standard error) along the leading axis of one sample array."""
+    acc = _MeanSE(samples.shape[1:])
+    acc.add(samples)
+    return acc.finalize()
+
+
 def _check_alpha(alpha: float, closed: bool = False) -> float:
     """alpha as a float; ValueError outside [0, 1), or [0, 1] if `closed`."""
     if not (0.0 <= alpha <= 1.0 if closed else 0.0 <= alpha < 1.0):

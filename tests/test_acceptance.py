@@ -39,12 +39,11 @@ from vriwae.bounds import vr_iwae_from_log_weights
 from vriwae.experiments import (ExperimentSpec, make_linear_gaussian, make_toy,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_weights_experiment)
-from vriwae.gradients import fd_grad_from_eps, grad_samples_from_eps
+from vriwae.gradients import fd_grad_oracle, grad_mean_se
 from vriwae.models import (LinearGaussian, lingauss_analytics,
                            lingauss_gamma2_quadrature, lingauss_gap_quadrature)
 from vriwae.rng import make_stream, standard_normal, uniform
 from vriwae.train import TrainConfig, run_training
-from vriwae.weights import _MeanSE
 
 SEED = 0
 N_GRID_FULL = tuple(2**j for j in range(1, 10))
@@ -98,22 +97,13 @@ def test_a1_bound_algebra():
 # 2. Gradient unbiasedness
 # --------------------------------------------------------------------------
 
-def _grad_triple(model, alpha, n, replicates, stream, chunk=25_000):
-    accs = {k: (_MeanSE(model.theta_dim), _MeanSE(model.phi_dim))
-            for k in ("rep", "drep", "fd")}
-    done = 0
-    while done < replicates:
-        c = min(chunk, replicates - done)
-        eps = standard_normal(stream, (c, n, model.d))
-        for kind in ("rep", "drep"):
-            gt, gp = grad_samples_from_eps(model, eps, alpha, kind)
-            accs[kind][0].add(gt)
-            accs[kind][1].add(gp)
-        gt, gp = fd_grad_from_eps(model, eps, alpha, 1e-3)
-        accs["fd"][0].add(gt)
-        accs["fd"][1].add(gp)
-        done += c
-    return {k: (t.finalize(), p.finalize()) for k, (t, p) in accs.items()}
+def _grad_triple(model, alpha, n, replicates, stream):
+    """rep, drep and FD (mean, SE) of both blocks on common random numbers:
+    each estimate reads the stream at the key of `stream` from its start."""
+    est = {kind: grad_mean_se(model, alpha, n, replicates, stream, kind)
+           for kind in ("rep", "drep")}
+    est["fd"] = fd_grad_oracle(model, alpha, n, 1e-3, replicates, stream)
+    return {k: ((e.theta_mean, e.theta_se), (e.phi_mean, e.phi_se)) for k, e in est.items()}
 
 
 def test_a2_gradient_unbiasedness():

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -9,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import vriwae
 from vriwae import experiments
 from vriwae import rng as vrng
+from vriwae.asymptotics import slope_fit
 from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
                                 make_linear_gaussian, make_toy, read_table, render_svg,
                                 run_collapse_experiment, run_gap_experiment,
@@ -100,6 +105,9 @@ def _cli_base(skip=()):
     ("gap", ["--alpha", "0", "1"], "alphas"),
     ("gap", ["--model", "lingauss", "--alpha", "1"], "alphas"),
     ("collapse", ["--alpha", "0.5", "1"], "alphas"),
+    ("train", ["--d", "3", "50"], "ds"),
+    ("train", ["--alpha", "0.2", "0.5"], "alphas"),
+    ("train", ["--model", "lingauss", "--sigma-perturb", "0", "0.1"], "sigma_perturbs"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -108,7 +116,8 @@ def _cli_base(skip=()):
         "config-ds-float", "config-ds-int", "config-replicates-str", "config-replicates-float",
         "config-seed-bool", "gap-config-estimator", "gap-config-optimizer",
         "train-config-estimator", "train-config-optimizer", "gap-alpha-1-toy",
-        "gap-alpha-1-lingauss", "collapse-alpha-1"])
+        "gap-alpha-1-lingauss", "collapse-alpha-1", "train-two-ds", "train-two-alphas",
+        "train-two-sigma-perturbs"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -248,6 +257,49 @@ def test_gap_and_collapse_independent_of_chunk_size(target, model):
                     assert math.isnan(row[key])
                 else:
                     assert row[key] == value
+
+
+_RUNNERS = {"gap": run_gap_experiment, "collapse": run_collapse_experiment,
+            "snr": run_snr_experiment}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(_CHUNK_SPECS))
+def test_tables_independent_of_workers_and_chunk_size(kind, model):
+    # each cell's samples come back in replicate order and are reduced at
+    # once on the calling thread, so neither the number of threads nor the
+    # chunk size moves a bit of the table
+    fields = {**_CHUNK_SPECS[model], "replicates": 100} if kind == "snr" else _CHUNK_SPECS[model]
+    spec = ExperimentSpec(kind=kind, **fields)
+    tables = {}
+    for workers in (1, 2):
+        for target in (1, 40, 2**16, 10**6):
+            with mock.patch.object(vrng, "_WORKERS", workers), \
+                    mock.patch.object(vrng, "_CHUNK_TARGET", target):
+                tables[(workers, target)] = write_table(_RUNNERS[kind](spec), spec)
+    ref = tables[(1, 10**6)]
+    assert [key for key, text in tables.items() if text != ref] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and 2 CPUs")
+def test_cli_table_same_on_one_cpu(tmp_path):
+    # a child pinned to one CPU maps every chunk on its calling thread; its
+    # table is the one a child on all cores writes
+    argv = ["gap", "--model", "toy", "--d", "1", "--alpha", "0", "0.5",
+            "--n-grid", "64", "256", "1024", "--replicates", "2000", "--seed", "5"]
+    pin = ("import os, runpy; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "runpy.run_module('vriwae.cli', run_name='__main__')")
+    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    tables = {}
+    for label, prefix in (("one", ["-c", pin]), ("all", ["-m", "vriwae.cli"])):
+        out = tmp_path / f"{label}.csv"
+        subprocess.run([sys.executable, *prefix, *argv, "--out", str(out)], env=env,
+                       check=True, timeout=300)
+        tables[label] = out.read_bytes()
+    assert tables["one"] == tables["all"]
 
 
 def _by_hand_cells(spec):
@@ -409,8 +461,9 @@ def test_collapse_matches_scalar_diagnostics():
                           n_grid=(8,), replicates=30, seed=9, sigma_perturbs=(0.0, 0.3))
     rows = run_collapse_experiment(spec)
     models = [m for _, m in experiments._variants(spec, 3)]
-    (_, _, lrw), = experiments._relative_weight_batches(models, 8, spec.replicates, spec.seed,
-                                                        experiments._OFF_COLLAPSE)
+    u = vrng.uniform(vrng.make_stream(spec.seed, experiments._OFF_COLLAPSE),
+                     (spec.replicates, 8, models[0].LAW_WORDS))
+    lrw = np.stack([m.log_weight_law(u) for m in models])
     assert len(rows) == 4
     for row in rows:
         batches = list(lrw[spec.sigma_perturbs.index(row["sigma_perturb"])])
@@ -558,6 +611,20 @@ def test_read_table_snr_csv_matches_json(tmp_path):
         read[fmt], _ = read_table(path)
     assert read["csv"] == read["json"] == rows
     assert all(type(r["at_floor"]) is bool for r in read["csv"])
+
+
+def test_snr_rounding_noise_counts_as_zero_variance():
+    # at N = 1, h = s = 1 and the toy's drep phi gradient (sum h)(theta - phi)
+    # is constant up to its last bit: its SNR is the +inf sentinel, not
+    # |mean| / (rounding noise) ~ 1e14, and the slope is fitted on N = 2, 4
+    spec = ExperimentSpec(kind="snr", model="toy", alphas=(0.0,), ds=(2,), n_grid=(1, 2, 4),
+                          replicates=100, seed=3, theta_scale=0.9)
+    rows = [r for r in run_snr_experiment(spec) if (r["estimator"], r["block"]) == ("drep", "phi")]
+    snr = {r["N"]: r["snr_mean"] for r in rows}
+    assert snr[1] == math.inf
+    assert all(math.isfinite(snr[n]) for n in (2, 4))
+    fit = slope_fit(np.log([2.0, 4.0]), np.log([snr[2], snr[4]]))
+    assert {r["slope"] for r in rows} == {fit.slope}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,7 +1,16 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vriwae.rng import make_stream, permutation_indices, standard_normal, uniform
+from vriwae import rng as vrng
+from vriwae.rng import (_Cell, _chunk_map, _stream_at, make_stream, permutation_indices,
+                        raw_uint64, standard_normal, uniform)
 
 
 def test_same_key_same_draws():
@@ -88,3 +97,115 @@ def test_permutation_indices():
     assert all(0 <= i < 20 for i in idx)
     again = permutation_indices(make_stream(1, 0), 20, 10)
     assert np.array_equal(idx, again)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=2**32, max_value=2**64 - 1),
+       stream_id=st.integers(min_value=0, max_value=2**64 - 1),
+       word=st.sampled_from([0, 1, 3, 4, 5, 13, 160, 161]), n=st.sampled_from([0, 1, 5]))
+def test_stream_at_reads_words_from_its_offset(seed, stream_id, word, n):
+    # a chunk's stream reads words [w, w + n) of one fresh stream at its key
+    whole = raw_uint64(make_stream(seed, stream_id), word + n)
+    assert np.array_equal(raw_uint64(_stream_at(seed, stream_id, word), n), whole[word:])
+
+
+def _word_cells():
+    return [_Cell(3, 7, 13, 10, 3), _Cell(2**40, 8, 1, 10, 5), _Cell(3, 9, 9, 10, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("target", [1, 25, 10**6])
+def test_chunk_map_reads_each_cells_stream_in_replicate_order(monkeypatch, workers, target):
+    # concatenated in chunk order, the words of each cell are one fresh
+    # stream's, whatever the chunk size and the number of threads
+    monkeypatch.setattr(vrng, "_WORKERS", workers)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
+    cells = _word_cells()
+
+    def kernel(i, stream, start, stop):
+        return raw_uint64(stream, (stop - start) * cells[i].words)
+
+    for cell, chunks in zip(cells, _chunk_map(cells, kernel)):
+        want = raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
+        assert np.array_equal(np.concatenate(chunks), want)
+
+
+def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a task taken
+    # twice, or lost, would break the counts or the order
+    monkeypatch.setattr(vrng, "_WORKERS", 4)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 10)
+    cells = _word_cells()
+    lock = threading.Lock()
+    calls: dict = {}
+
+    def kernel(i, stream, start, stop):
+        with lock:
+            calls[(i, start)] = calls.get((i, start), 0) + 1
+        return i, start, stop
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            out = _chunk_map(cells, kernel)
+            tasks = [(i, start, stop) for i, cell in enumerate(cells)
+                     for start, stop in vrng._replicate_chunks(cell.replicates, cell.elems)]
+            assert [r for chunks in out for r in chunks] == tasks
+            assert calls == {(i, start): 1 for i, start, _ in tasks}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _HelperError(Exception):
+    pass
+
+
+def test_chunk_map_raises_a_helpers_exception(monkeypatch):
+    # the caller's chunks wait until a helper has taken one, and that chunk
+    # raises: the map stops and raises the helper's exception
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
+    helper_ran = threading.Event()
+    ran = []
+
+    def kernel(i, stream, start, stop):
+        ran.append(start)
+        if threading.current_thread() is threading.main_thread():
+            if not helper_ran.wait(timeout=30):
+                raise TimeoutError("no helper took a chunk")
+            return start
+        helper_ran.set()
+        raise _HelperError(f"chunk {start}")
+
+    with pytest.raises(_HelperError):
+        _chunk_map([_Cell(0, 0, 50, 1, 1)], kernel)
+    assert helper_ran.is_set()
+    assert len(ran) < 50        # the remaining chunks did not run
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_chunk_map_runs_in_a_forked_child(monkeypatch):
+    # a child forked after a map has none of the parent's helper threads; its
+    # maps start their own instead of waiting on the parent's forever
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
+    cells = [_Cell(1, 2, 50, 1, 1)]
+
+    def kernel(i, stream, start, stop):
+        return raw_uint64(stream, stop - start)
+
+    want = np.concatenate(_chunk_map(cells, kernel)[0])    # the helpers exist now
+
+    def child():
+        sys.exit(0 if np.array_equal(np.concatenate(_chunk_map(cells, kernel)[0]), want) else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung and proc.exitcode == 0
