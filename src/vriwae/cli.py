@@ -35,7 +35,10 @@ _PLOT_Y = {
 _PLOT_X = {"gap": "N", "snr": "N", "collapse": "N", "weights": "bin_lo", "train": "epoch"}
 
 
-def _add_shared(p: argparse.ArgumentParser):
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every runner subcommand takes, declared once and passed to
+    each subparser as a parent."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file with ExperimentSpec fields")
     p.add_argument("--model", choices=["toy", "lingauss"])
     p.add_argument("--alpha", type=float, nargs="+", dest="alphas")
@@ -55,6 +58,7 @@ def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--plot", help="optional SVG output path")
+    return p
 
 
 def _build_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
@@ -81,9 +85,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="vriwae",
                                      description="VR-IWAE bound experiments on analytic testbeds")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
     for kind in _RUNNERS:
-        p = sub.add_parser(kind)
-        _add_shared(p)
+        sub.add_parser(kind, parents=[shared])
     p_fit = sub.add_parser("fit", help="re-fit curve constants from a gap table (CSV or JSON)")
     p_fit.add_argument("gap_table")
     p_fit.add_argument("--out")

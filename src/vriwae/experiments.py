@@ -7,11 +7,14 @@ cell takes block r of the stream's words.  The gap and collapse runners put
 all N cells of a dimension in one `rng._chunk_map` (`bounds._law_samples`),
 whose chunks of replicates run on all cores, and reduce each cell's samples
 at once, so their tables are byte-identical at any number of threads and any
-chunk size; so are the `snr` tables (see `gradients`).  Common random numbers
-are reused on purpose across alpha values and across perturbation scales of
-the same grid cell: the draws are i.i.d. for each configuration, and sharing
-them makes the comparisons paired.  Each log-weight comes from its model's
-exact law (`log_weight_law`), not d normals.
+chunk size.  The weights runner draws each (d, sigma_perturb) sample as one
+such cell of N = 1, whose chunks run on all cores once it spans more than
+one; its tables, and the `snr` tables (see `gradients`), are byte-identical
+in the same way.  Common random numbers are reused on purpose across alpha
+values and across perturbation scales of the same grid cell: the draws are
+i.i.d. for each configuration, and sharing them makes the comparisons
+paired.  Each log-weight comes from its model's exact law (`log_weight_law`),
+not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -132,6 +135,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be {'a list of ' if grid else ''}"
                                  f"{cast.__name__}, got {value!r}")
             if grid:
+                if not value:
+                    raise ValueError(f"{name} must hold at least one value, got {value!r}")
                 setattr(self, name, tuple(cast(x) for x in value))
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
@@ -399,10 +404,12 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
     grid_idx = 0
     for d in spec.ds:
         for sp, model in _variants(spec, d):
-            stream = vrng.make_stream(spec.seed, _OFF_WEIGHTS + grid_idx)
-            grid_idx += 1
             n = spec.weight_samples
-            lrw = model.log_weight_law(vrng.uniform(stream, (n, model.LAW_WORDS)))
+            # one cell of n replicates of N = 1: replicate r reads words
+            # [r k, (r + 1) k), as one (n, k) draw would
+            lrw, = _law_samples([model], spec.seed, [(_OFF_WEIGHTS + grid_idx, 1)], n,
+                                lambda lrw: lrw[0, :, 0])
+            grid_idx += 1
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             # a constant sample (the toy at theta = phi) has no QQ correlation
             corr = qq_points(lrw).correlation if std > 0 else None

@@ -37,9 +37,14 @@ its class.  Each model states:
 * `TABLE_NAME` ("toy", "lingauss"), its name in the spec and the tables;
   `PROGRESS_LABEL` and `progress`, what training logs (B^2/d, lambda); and
   `TRAINS_THETA`, whether training steps theta besides phi.
-* `LAW_WORDS` and `log_weight_law(u)`: one relative log-weight from
-  LAW_WORDS uniforms by inverse CDFs, O(1) draws instead of d normals.  The
-  gap, collapse and weights runners and `bounds` draw through it.
+* `LAW_WORDS` and the exact log-weight law in two parts, O(1) draws instead
+  of d normals per log-weight.  `law_variates(u)` maps LAW_WORDS uniforms
+  by inverse CDFs to variates that depend on d alone, not on the
+  parameters; `law_log_weights(variates)` maps those to relative
+  log-weights through the model's own B or delta.  `log_weight_law(u)` is
+  their composition.  `bounds._law_samples` computes the variates once per
+  chunk and maps them through every model of one d, so the gap, collapse and
+  weights runners and `bound_mc`/`gap_mc` draw through it.
 * The z-form `reparam`, `log_relative_weight`, `log_unnormalized_weight`
   and `log_marginal`.  The finite-difference oracle and `selftest` run on
   it, and the tests hold the law and the quadratic to it.
@@ -57,8 +62,8 @@ its class.  Each model states:
 * `gap_theory(alpha, n_grid)`: the error term, gamma^2, ELBO gap, and
   extreme-value baseline and fit shape per N that a gap row predicts.
 * `phi_dim`, `phi_vec` and `with_phi`.  `_Model` holds the theta plumbing,
-  the z check and the default training draw, and each class binds the
-  shared `score_grads` in its own body.
+  the z check, `log_weight_law` and the default training draw, and each
+  class binds the shared `score_grads` in its own body.
 
 Scores
 ------
@@ -154,9 +159,13 @@ def _eps_sums(model, eps: np.ndarray, alpha: float):
 
 
 class _Model:
-    """What the two models share: the theta plumbing, the z check and the
-    default training draw.  The facts each model states are listed in the
-    module docstring."""
+    """What the two models share: the theta plumbing, the z check, the
+    composed law and the default training draw.  The facts each model states
+    are listed in the module docstring."""
+
+    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
+        """Relative log-weights (...) from uniforms (..., LAW_WORDS)."""
+        return self.law_log_weights(self.law_variates(u))
 
     @property
     def theta_dim(self) -> int:
@@ -225,11 +234,15 @@ class GaussianToy(_Model):
         return self.bd**2 / self.d
 
     # --- sampling and weights ----------------------------------------------
-    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
-        """Relative log-weights -B^2/2 - B*ndtri(u_0) from uniforms (..., 1);
-        at d = 1 and phi > theta, the path's values on the same uniforms."""
+    def law_variates(self, u: np.ndarray) -> tuple:
+        """(S,) with S = ndtri(u_0) ~ N(0, 1), from uniforms (..., 1)."""
+        return (ndtri(u[..., 0]),)
+
+    def law_log_weights(self, variates: tuple) -> np.ndarray:
+        """Relative log-weights -B^2/2 - B*S; at d = 1 and phi > theta, the
+        path's values on the same uniforms."""
         b = self.bd
-        return -0.5 * b * b - b * ndtri(u[..., 0])
+        return -0.5 * b * b - b * variates[0]
 
     def reparam(self, eps: np.ndarray) -> np.ndarray:
         return self.phi + eps
@@ -238,7 +251,7 @@ class GaussianToy(_Model):
         z = self._check_z(z)
         dt = z - self.theta
         dp = z - self.phi
-        return -0.5 * (np.sum(dt * dt, axis=-1) - np.sum(dp * dp, axis=-1))
+        return -0.5 * (np.einsum("...i,...i->...", dt, dt) - np.einsum("...i,...i->...", dp, dp))
 
     def log_unnormalized_weight(self, z: np.ndarray) -> np.ndarray:
         return self.log_relative_weight(z)  # normalized by construction
@@ -367,14 +380,22 @@ class LinearGaussian(_Model):
         return self.lam
 
     # --- sampling and weights ----------------------------------------------
-    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
-        """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 from
-        uniforms (..., 2): X = (ndtri(u_0) + sqrt(24 ||delta||^2))^2
-        + 2 gammaincinv((d-1)/2, u_1), without the gamma term at d = 1."""
+    def law_variates(self, u: np.ndarray) -> tuple:
+        """(Z, C) from uniforms (..., 2): Z = ndtri(u_0) ~ N(0, 1) and
+        C = 2 gammaincinv((d-1)/2, u_1) ~ chi^2_(d-1); (Z,) alone at d = 1.
+        C costs about 30 times Z per element."""
+        z = ndtri(u[..., 0])
+        if self.d == 1:
+            return (z,)
+        return z, 2.0 * gammaincinv(0.5 * (self.d - 1), u[..., 1])
+
+    def law_log_weights(self, variates: tuple) -> np.ndarray:
+        """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 with
+        X = (Z + sqrt(24 ||delta||^2))^2 + C."""
         delta2 = float(np.sum((self.posterior_mean - self.q_mean) ** 2))
-        x = (ndtri(u[..., 0]) + math.sqrt(24.0 * delta2)) ** 2
+        x = (variates[0] + math.sqrt(24.0 * delta2)) ** 2
         if self.d > 1:
-            x = x + 2.0 * gammaincinv(0.5 * (self.d - 1), u[..., 1])
+            x = x + variates[1]
         return 0.5 * self.d * _LOG_4_3 + 3.0 * delta2 - x / 6.0
 
     def reparam(self, eps: np.ndarray) -> np.ndarray:
@@ -384,7 +405,8 @@ class LinearGaussian(_Model):
         z = self._check_z(z)
         dm = z - self.posterior_mean
         dq = z - self.q_mean
-        return 0.5 * self.d * _LOG_4_3 - np.sum(dm * dm, axis=-1) + 0.75 * np.sum(dq * dq, axis=-1)
+        return (0.5 * self.d * _LOG_4_3 - np.einsum("...i,...i->...", dm, dm)
+                + 0.75 * np.einsum("...i,...i->...", dq, dq))
 
     def log_marginal(self) -> float:
         dx = self.x - self.theta

@@ -79,43 +79,18 @@ def relative_log_weights(lw: LogWeights) -> np.ndarray:
     return lw.values - lw.log_marginal
 
 
-class _MeanSE:
-    """Streaming mean and standard error along the leading (replicate) axis.
-
-    Each batch is reduced to its own mean and sum of squared deviations and
-    merged with the pairwise update of Chan, Golub and LeVeque (1983), so
-    the variance stays accurate when the spread is small against the mean
-    and batches of any size merge to the same result up to rounding.  This
-    is the package's one mean/SE reducer.
-    """
-
-    def __init__(self, shape):
-        self.n = 0
-        self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-
-    def add(self, batch: np.ndarray):
-        k = batch.shape[0]
-        if k == 0:
-            return
-        b_mean = batch.mean(axis=0)
-        dev = batch - b_mean
-        n = self.n + k
-        delta = b_mean - self.mean
-        self.m2 = self.m2 + (dev * dev).sum(axis=0) + delta * delta * (self.n * k / n)
-        self.mean = self.mean + delta * (k / n)
-        self.n = n
-
-    def finalize(self):
-        var = self.m2 / max(self.n - 1, 1)
-        return self.mean, np.sqrt(var / self.n)
-
-
 def _mean_se(samples: np.ndarray):
-    """(mean, standard error) along the leading axis of one sample array."""
-    acc = _MeanSE(samples.shape[1:])
-    acc.add(samples)
-    return acc.finalize()
+    """(mean, standard error) along the leading (replicate) axis of one
+    sample array, the package's one mean/SE reducer.
+
+    Two passes: the squared deviations are summed about the mean, so the
+    variance stays accurate when the spread is small against the mean.
+    """
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    dev = samples - mean
+    var = (dev * dev).sum(axis=0) / max(n - 1, 1)
+    return mean, np.sqrt(var / n)
 
 
 def _check_alpha(alpha: float, closed: bool = False) -> float:

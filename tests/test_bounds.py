@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from vriwae import models as vmodels
 from vriwae import rng as vrng
-from vriwae.bounds import bound_mc, decomposition_sample, gap_mc, vr_iwae_from_log_weights
+from vriwae.bounds import (_law_samples, bound_mc, decomposition_sample, gap_mc,
+                           vr_iwae_from_log_weights)
 from vriwae.experiments import make_linear_gaussian
 from vriwae.models import GaussianToy, toy_analytics
 from vriwae.rng import make_stream, uniform
@@ -229,3 +231,49 @@ def test_batched_mc_matches_per_replicate_oracle(target):
                 assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-12), (name, n, fn)
                 assert est.std_error == pytest.approx(se, rel=1e-12), (name, n, fn)
                 assert (est.mean, est.std_error) == (unchunked.mean, unchunked.std_error)
+
+
+# --------------------------------------------------------------------------
+# the variants of one d share their law variates
+# --------------------------------------------------------------------------
+
+# two variants per model, which differ in B or delta but share d
+_VARIANTS = {"toy": [GaussianToy(d=4, theta=np.zeros(4), phi=p * np.ones(4)) for p in (0.2, 0.7)],
+             "lingauss": [make_linear_gaussian(4, sp, seed=2)[0] for sp in (0.0, 0.3)]}
+_CELLS = [(77, 3), (78, 16)]
+
+
+@pytest.mark.parametrize("target", [1, 40, 2**16])
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+def test_law_samples_give_each_variant_its_own_law(name, target):
+    # one set of variates per chunk, mapped through each variant, is each
+    # variant's log_weight_law on the cell's uniforms, bit for bit
+    models = _VARIANTS[name]
+    k = models[0].LAW_WORDS
+    with mock.patch.object(vrng, "_CHUNK_TARGET", target):
+        got = _law_samples(models, 9, _CELLS, 25, lambda lrw: np.moveaxis(lrw, 0, 1))
+    for (stream_id, n), cell in zip(_CELLS, got):
+        u = uniform(make_stream(9, stream_id), (25, n, k))
+        for v, model in enumerate(models):
+            assert np.array_equal(cell[:, v], model.log_weight_law(u)), (stream_id, v)
+
+
+@pytest.mark.parametrize("variants", [1, 2, 3])
+def test_law_samples_draw_chi2_once_per_chunk(monkeypatch, variants):
+    # gammaincinv costs about 30 ndtri per element: the sigma variants of one
+    # d share it, so it runs once per chunk whatever their number
+    calls = []
+    real = vmodels.gammaincinv
+
+    def counted(a, u):
+        calls.append(u.size)
+        return real(a, u)
+
+    monkeypatch.setattr(vmodels, "gammaincinv", counted)
+    monkeypatch.setattr(vrng, "_WORKERS", 1)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 64)
+    models = [make_linear_gaussian(5, sp, seed=2)[0] for sp in (0.0, 0.1, 0.3)[:variants]]
+    _law_samples(models, 3, [(5, 8)], 40, lambda lrw: lrw[0, :, 0])
+    chunks = list(vrng._replicate_chunks(40, 8 * models[0].LAW_WORDS))
+    assert len(chunks) == 10
+    assert calls == [(stop - start) * 8 for start, stop in chunks]

@@ -108,6 +108,16 @@ def _cli_base(skip=()):
     ("train", ["--d", "3", "50"], "ds"),
     ("train", ["--alpha", "0.2", "0.5"], "alphas"),
     ("train", ["--model", "lingauss", "--sigma-perturb", "0", "0.1"], "sigma_perturbs"),
+    ("gap", [{"alphas": []}], "alphas"),
+    ("collapse", [{"alphas": []}], "alphas"),
+    ("gap", [{"sigma_perturbs": []}, "--model", "lingauss"], "sigma_perturbs"),
+    ("collapse", [{"sigma_perturbs": []}, "--model", "lingauss"], "sigma_perturbs"),
+    ("gap", [{"ds": []}], "ds"),
+    ("collapse", [{"ds": []}], "ds"),
+    ("snr", [{"ds": []}, "--replicates", "100"], "ds"),
+    ("gap", [{"n_grid": []}], "n_grid"),
+    ("collapse", [{"n_grid": []}], "n_grid"),
+    ("snr", [{"n_grid": []}, "--replicates", "100"], "n_grid"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -117,7 +127,10 @@ def _cli_base(skip=()):
         "config-seed-bool", "gap-config-estimator", "gap-config-optimizer",
         "train-config-estimator", "train-config-optimizer", "gap-alpha-1-toy",
         "gap-alpha-1-lingauss", "collapse-alpha-1", "train-two-ds", "train-two-alphas",
-        "train-two-sigma-perturbs"])
+        "train-two-sigma-perturbs", "gap-config-alphas-empty", "collapse-config-alphas-empty",
+        "gap-config-sigma-perturbs-empty", "collapse-config-sigma-perturbs-empty",
+        "gap-config-ds-empty", "collapse-config-ds-empty", "snr-config-ds-empty",
+        "gap-config-n-grid-empty", "collapse-config-n-grid-empty", "snr-config-n-grid-empty"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -260,7 +273,13 @@ def test_gap_and_collapse_independent_of_chunk_size(target, model):
 
 
 _RUNNERS = {"gap": run_gap_experiment, "collapse": run_collapse_experiment,
-            "snr": run_snr_experiment}
+            "snr": run_snr_experiment, "weights": run_weights_experiment}
+# a weights draw is one cell of N = 1 per (d, sigma_perturb); at 70k samples
+# it spans 2 (toy) or 3 (lingauss) chunks of the default target.  Target 999
+# makes 71 or 141 chunks per cell and starts the toy's at every word offset
+# mod 4; targets 1 and 40 would make 10**3 to 10**5
+_CHUNK_FIELDS = {"snr": {"replicates": 100}, "weights": {"weight_samples": 70_000}}
+_CHUNK_TARGETS = {"weights": (999, 2**16, 10**6)}
 
 
 @pytest.mark.parametrize("kind", sorted(_RUNNERS))
@@ -269,11 +288,10 @@ def test_tables_independent_of_workers_and_chunk_size(kind, model):
     # each cell's samples come back in replicate order and are reduced at
     # once on the calling thread, so neither the number of threads nor the
     # chunk size moves a bit of the table
-    fields = {**_CHUNK_SPECS[model], "replicates": 100} if kind == "snr" else _CHUNK_SPECS[model]
-    spec = ExperimentSpec(kind=kind, **fields)
+    spec = ExperimentSpec(kind=kind, **{**_CHUNK_SPECS[model], **_CHUNK_FIELDS.get(kind, {})})
     tables = {}
     for workers in (1, 2):
-        for target in (1, 40, 2**16, 10**6):
+        for target in _CHUNK_TARGETS.get(kind, (1, 40, 2**16, 10**6)):
             with mock.patch.object(vrng, "_WORKERS", workers), \
                     mock.patch.object(vrng, "_CHUNK_TARGET", target):
                 tables[(workers, target)] = write_table(_RUNNERS[kind](spec), spec)

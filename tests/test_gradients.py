@@ -12,7 +12,7 @@ from vriwae.gradients import (_contract, _grad_pass, _softmax_last, fd_grad_from
                               h_coefficients, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal, uniform
-from vriwae.weights import _MeanSE, _weight_rows
+from vriwae.weights import _mean_se, _weight_rows
 
 
 def toy(d=3, theta=0.0, phi=0.5):
@@ -439,10 +439,7 @@ def test_snr_input_validation():
 def test_mean_se_large_offset():
     # unit spread on a 1e8 offset: sum(x^2)/n - mean^2 cancels to garbage
     x = 1e8 + standard_normal(make_stream(40, 0), (10_000, 3))
-    acc = _MeanSE(3)
-    acc.add(x[:4000])
-    acc.add(x[4000:])
-    mean, se = acc.finalize()
+    mean, se = _mean_se(x)
     centred = x - 1e8  # exact: the offset is representable
     want_se = centred.std(axis=0, ddof=1) / 100.0
     np.testing.assert_allclose(mean - 1e8, centred.mean(axis=0), rtol=0, atol=1e-6)
@@ -451,20 +448,12 @@ def test_mean_se_large_offset():
     assert np.all(np.abs(np.sqrt(naive_var / 10_000) / want_se - 1.0) > 0.01)
 
 
-def test_mean_se_independent_of_chunking():
+def test_mean_se_matches_numpy():
+    # every trailing axis is reduced on its own, along the replicate axis
     x = 3.0 + 0.5 * standard_normal(make_stream(41, 0), (1000, 2, 2))
-    results = []
-    for cuts in ((), (1,), (10, 11, 500), tuple(range(1, 1000))):
-        acc = _MeanSE((2, 2))
-        for lo, hi in zip((0, *cuts), (*cuts, 1000)):
-            acc.add(x[lo:hi])
-        results.append(acc.finalize())
-    mean0, se0 = results[0]
-    np.testing.assert_allclose(mean0, x.mean(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(se0, x.std(axis=0, ddof=1) / math.sqrt(1000), rtol=1e-12)
-    for mean, se in results[1:]:
-        np.testing.assert_allclose(mean, mean0, rtol=1e-14)
-        np.testing.assert_allclose(se, se0, rtol=1e-12)
+    mean, se = _mean_se(x)
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / math.sqrt(1000), rtol=1e-12)
 
 
 # --------------------------------------------------------------------------

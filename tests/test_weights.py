@@ -193,7 +193,9 @@ def test_qq_errors():
 
 
 class _FixedLaw:
-    """A model stub whose log-weight law returns fixed values."""
+    """A model stub whose log-weight law returns fixed values: the weights
+    runner draws its sample as one cell of N = 1, so the uniforms of its one
+    chunk come as (samples, 1, LAW_WORDS)."""
 
     TABLE_NAME = "toy"
     LAW_WORDS = 1
@@ -201,9 +203,12 @@ class _FixedLaw:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def log_weight_law(self, u):
-        assert u.shape == (self.values.size, 1)
-        return self.values
+    def law_variates(self, u):
+        assert u.shape == (self.values.size, 1, 1)
+        return (self.values[:, None],)
+
+    def law_log_weights(self, variates):
+        return variates[0]
 
 
 def test_log_weight_moments(monkeypatch):
