@@ -29,6 +29,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -134,6 +135,10 @@ class ExperimentSpec:
                     if not (name == "learning_rate" and x is None)):
                 raise ValueError(f"{name} must be {'a list of ' if grid else ''}"
                                  f"{cast.__name__}, got {value!r}")
+            # an int too large for a float is not finite either
+            if cast is float and not all(abs(x) <= sys.float_info.max
+                                         for x in items if x is not None):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             if grid:
                 if not value:
                     raise ValueError(f"{name} must hold at least one value, got {value!r}")
@@ -181,10 +186,14 @@ class ExperimentSpec:
             raise ValueError(f"alphas must lie in [0, 1) for {self.kind}, got 1.0")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        for name in ("ds", "alphas", "sigma_perturbs") if train else ():
-            if len(getattr(self, name)) != 1:
+        for name in ("ds", "alphas", "sigma_perturbs"):
+            # a repeated value would write two groups of rows under one key
+            value = getattr(self, name)
+            if len(set(value)) < len(value):
+                raise ValueError(f"{name} must not repeat a value, got {value}")
+            if train and len(value) != 1:
                 raise ValueError(f"{name} must hold one value for train, which runs one "
-                                 f"model, got {getattr(self, name)}")
+                                 f"model, got {value}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 

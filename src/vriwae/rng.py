@@ -21,28 +21,28 @@ size.  Distinct cells, and distinct draw purposes, read distinct stream ids
 starts at word w of its cell builds a fresh stream at the cell's key and
 skips to word w itself (`_stream_at`): Philox makes 4 words per counter
 step, so it advances the counter by w // 4 and drops w % 4 words.  The
-calling thread and one helper thread per further core this process may run
-on take the (cell, chunk) tasks in turn from one shared counter; numpy's
-Philox words, its ufuncs and scipy's `ndtri` release the interpreter lock,
-so the threads draw and map at the same time.  Results come back in (cell,
-chunk) order and the calling thread reduces them, so no table depends on the
-number of threads; the callers reduce each cell's samples in one batch, so
-none depends on the chunk size either.  Training stays serial: its epochs
-depend on each other.
+calling thread and the helper threads that the map starts take the (cell,
+chunk) tasks in turn from one shared counter; numpy's Philox words, its
+ufuncs and scipy's `ndtri` release the interpreter lock, so the threads draw
+and map at the same time.  Results come back in (cell, chunk) order and the
+calling thread reduces them, so no table depends on the number of threads;
+the callers reduce each cell's samples in one batch, so none depends on the
+chunk size either.  Training stays serial: its epochs depend on each other.
+
+The map joins its helpers before it returns, so no thread outlives the call
+that started it, and a forked child, a changed `_WORKERS` or a map called
+from a kernel needs nothing of its own.  A map of one task runs inline.
+On the benchmark's 2-core machine, a map of two trivial tasks takes 190-290
+us with its helper started and joined, against 40-70 us inline, and a
+benchmark round runs at most 3 maps of more than one task.
 
 `_CHUNK_TARGET` is a per-chunk constant, 2**16 elements, the same at any
-worker count, and peak memory sets its size.  Two chunks are in flight at a time on 2
-cores, and each thread's malloc arena keeps its freed chunk temporaries
-resident up to glibc's dynamic trim threshold, which a process that has
-freed a 12 MB array (the benchmark's reference kernel does) raises to about
-24 MB.  On the benchmark's 2-core machine, 2**16 elements per chunk peak at
-111.8 MB on `lowdim` and 111.5 MB on `snr`, 3.0% and 2.1% above serial
-10**6-element chunks; 10**6 elements with one helper peak at 148.9 MB on
-`lowdim`, and 5 x 10**5 with two helpers at 152.6 MB.  Smaller chunks keep
-memory flat but pay a per-chunk overhead: at 2**14, `snr` fell to 88k
-log-weights per reference time, against 219k at 2**16 and 153k serial.  The
-calling thread takes chunks itself rather than wait, so one helper suffices
-on 2 cores.
+worker count, and peak memory sets its size: two chunks are in flight at a
+time on 2 cores.  There, 2**16 elements per chunk peak at 111.7 MB on
+`lowdim` and 111.4 MB on `snr` (medians of 6 and 5 runs), and 10**6
+elements at 135.4 MB on `lowdim` (2 runs).  Smaller chunks keep memory flat
+but pay a per-chunk overhead: at 2**14, `snr` fell to 88k log-weights per
+reference time, against 219k at 2**16 and 153k serial.
 
 Normal variates are produced by the inverse-CDF transform of 53-bit uniforms
 (``ndtri``), a fixed documented choice; the models' exact log-weight laws
@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -76,8 +75,6 @@ _CHUNK_TARGET = 2**16
 # helper per further core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-
-_this_thread = threading.local()
 
 
 @dataclass
@@ -165,66 +162,28 @@ def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     return stream
 
 
-def _mark_helper():
-    _this_thread.helper = True
-
-
-class _HelperPool:
-    """The helper threads of `_chunk_map`, started by the first map that
-    needs them, so importing the package starts none."""
-
-    def __init__(self):
-        self._reset()
-        if hasattr(os, "register_at_fork"):
-            # a forked child has none of its parent's threads: without a new
-            # pool, its maps would wait on helpers that never run
-            os.register_at_fork(after_in_child=self._reset)
-
-    def _reset(self):
-        self._lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._size = 0
-
-    def get(self, n: int) -> ThreadPoolExecutor:
-        """The executor, with at least n threads."""
-        with self._lock:
-            if self._size < n:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False)
-                self._executor = ThreadPoolExecutor(max_workers=n,
-                                                    thread_name_prefix="vriwae-chunk",
-                                                    initializer=_mark_helper)
-                self._size = n
-            return self._executor
-
-
-_HELPERS = _HelperPool()
-
-
 def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
     """Per cell, [kernel(i, stream, start, stop) for each of the cell's
     `_replicate_chunks`] in chunk order, where i is the cell's index and
     `stream` its fresh stream positioned at replicate `start`'s first word.
 
-    The calling thread and up to `_WORKERS - 1` helpers take the tasks in
-    turn from one shared counter, and each result lands at its task's index,
-    so the return value does not depend on how many threads ran.  A kernel's
-    exception stops the remaining tasks and is raised here once every thread
-    is done.  Kernels must not call the map; one called from a helper runs
-    inline.
+    The calling thread and up to `_WORKERS - 1` helpers, started here and
+    joined before the map returns, take the tasks in turn from one shared
+    counter, and each result lands at its task's index, so the return value
+    does not depend on how many threads ran.  A kernel's exception stops the
+    remaining tasks and is raised here once every thread is done.
     """
     tasks = [(i, start, stop) for i, cell in enumerate(cells)
              for start, stop in _replicate_chunks(cell.replicates, cell.elems)]
     results = [None] * len(tasks)
     order = iter(range(len(tasks)))
     lock = threading.Lock()
-    failed = False
+    errors: list = []
 
     def drain():
-        nonlocal failed
         while True:
             with lock:
-                k = None if failed else next(order, None)
+                k = None if errors else next(order, None)
             if k is None:
                 return
             i, start, stop = tasks[k]
@@ -232,22 +191,21 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
             try:
                 results[k] = kernel(i, _stream_at(cell.seed, cell.stream_id, start * cell.words),
                                     start, stop)
-            except BaseException:
-                failed = True
-                raise
+            except BaseException as exc:    # re-raised by the calling thread below
+                errors.append(exc)
+                return
 
-    n_helpers = min(_WORKERS, len(tasks)) - 1
-    if n_helpers < 1 or getattr(_this_thread, "helper", False):
+    helpers = [threading.Thread(target=drain, name="vriwae-chunk")
+               for _ in range(min(_WORKERS, len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
         drain()
-    else:
-        pool = _HELPERS.get(n_helpers)
-        futures = [pool.submit(drain) for _ in range(n_helpers)]
-        try:
-            drain()
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     out: list = [[] for _ in cells]
     for (i, _, _), result in zip(tasks, results):
         out[i].append(result)

@@ -73,8 +73,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha, closed=True)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.n_importance < 1:

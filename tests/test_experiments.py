@@ -118,6 +118,20 @@ def _cli_base(skip=()):
     ("gap", [{"n_grid": []}], "n_grid"),
     ("collapse", [{"n_grid": []}], "n_grid"),
     ("snr", [{"n_grid": []}, "--replicates", "100"], "n_grid"),
+    ("gap", ["--theta-scale", "nan"], "theta_scale"),
+    ("gap", ["--theta-scale", "inf"], "theta_scale"),
+    ("gap", ["--model", "lingauss", "--sigma-perturb", "inf"], "sigma_perturbs"),
+    ("gap", ["--model", "lingauss", "--sigma-perturb", "nan"], "sigma_perturbs"),
+    ("train", ["--lr", "inf"], "learning_rate"),
+    ("train", ["--lr", "nan"], "learning_rate"),
+    ("gap", [{"theta_scale": 1e400}], "theta_scale"),
+    ("gap", [{"theta_scale": 10**400}], "theta_scale"),
+    ("gap", ["--d", "2", "2"], "ds"),
+    ("collapse", ["--d", "2", "3", "2"], "ds"),
+    ("snr", ["--d", "2", "2", "--replicates", "100"], "ds"),
+    ("gap", ["--alpha", "0", "0"], "alphas"),
+    ("gap", ["--model", "lingauss", "--sigma-perturb", "0.1", "0.1"], "sigma_perturbs"),
+    ("gap", [{"sigma_perturbs": [0, 0.0]}, "--model", "lingauss"], "sigma_perturbs"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -130,7 +144,12 @@ def _cli_base(skip=()):
         "train-two-sigma-perturbs", "gap-config-alphas-empty", "collapse-config-alphas-empty",
         "gap-config-sigma-perturbs-empty", "collapse-config-sigma-perturbs-empty",
         "gap-config-ds-empty", "collapse-config-ds-empty", "snr-config-ds-empty",
-        "gap-config-n-grid-empty", "collapse-config-n-grid-empty", "snr-config-n-grid-empty"])
+        "gap-config-n-grid-empty", "collapse-config-n-grid-empty", "snr-config-n-grid-empty",
+        "gap-theta-scale-nan", "gap-theta-scale-inf", "gap-sigma-perturb-inf",
+        "gap-sigma-perturb-nan", "train-lr-inf", "train-lr-nan", "gap-config-theta-scale-1e400",
+        "gap-config-theta-scale-huge-int", "gap-repeated-d", "collapse-repeated-d",
+        "snr-repeated-d", "gap-repeated-alpha", "gap-repeated-sigma-perturb",
+        "gap-config-repeated-sigma-perturb"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"

@@ -185,6 +185,38 @@ def test_chunk_map_raises_a_helpers_exception(monkeypatch):
     assert len(ran) < 50        # the remaining chunks did not run
 
 
+def _live_helpers():
+    return [t for t in threading.enumerate() if t.name.startswith("vriwae-chunk")]
+
+
+def test_no_helper_outlives_its_map(monkeypatch):
+    # the caller's chunks wait until a helper has taken one, so helpers run;
+    # they are joined before the map returns, also when a kernel raises
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
+    cells = [_Cell(1, 2, 50, 1, 1)]
+    helper_ran = threading.Event()
+
+    def kernel(i, stream, start, stop):
+        if threading.current_thread() is threading.main_thread():
+            if not helper_ran.wait(timeout=30):
+                raise TimeoutError("no helper took a chunk")
+        else:
+            helper_ran.set()
+        return raw_uint64(stream, stop - start)
+
+    assert len(_chunk_map(cells, kernel)[0]) == 50
+    assert helper_ran.is_set()
+    assert not _live_helpers()
+
+    def failing(i, stream, start, stop):
+        raise _HelperError(f"chunk {start}")
+
+    with pytest.raises(_HelperError):
+        _chunk_map(cells, failing)
+    assert not _live_helpers()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_chunk_map_runs_in_a_forked_child(monkeypatch):
     # a child forked after a map has none of the parent's helper threads; its

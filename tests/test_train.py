@@ -70,7 +70,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="nope")
     for kw in (dict(alpha=1.5), dict(epochs=-1), dict(n_importance=0), dict(log_every=0),
-               dict(gap_replicates=0)):
+               dict(gap_replicates=0), dict(learning_rate=float("nan")),
+               dict(learning_rate=float("inf"))):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
