@@ -64,20 +64,25 @@ def _shared_flags() -> argparse.ArgumentParser:
 def _build_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
     fields: dict = {"kind": kind, "seed": 0}
     if args.config:
-        with open(args.config) as f:
-            config = json.load(f)
+        try:
+            with open(args.config) as f:
+                config = json.load(f)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
         if not isinstance(config, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         fields.update(config)
         unknown = sorted(set(fields) - set(ExperimentSpec.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
+        if fields["kind"] != kind:
+            raise ValueError(f"kind {fields['kind']!r} in {args.config} is not the "
+                             f"subcommand {kind!r}")
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
         if value is not None:
             fields[key] = value
-    fields["kind"] = kind
     return ExperimentSpec(**fields)
 
 
@@ -97,6 +102,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
+        if not 0 <= args.seed < 2**64:
+            parser.error(f"selftest: seed must lie in [0, 2**64), got {args.seed}")
         report = selftest(args.seed)
         for name, passed, detail in report.checks:
             status = "PASS" if passed else "FAIL"
@@ -104,7 +111,10 @@ def main(argv=None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "fit":
-        rows, meta = read_table(args.gap_table)
+        try:
+            rows, meta = read_table(args.gap_table)
+        except OSError as exc:
+            parser.error(f"fit: cannot read {args.gap_table}: {exc.strerror}")
         kind = json.loads(meta["spec"]).get("kind") if "spec" in meta else None
         if kind != "gap":
             parser.error(f"fit: {args.gap_table} holds a {kind or 'non-vriwae'} table, "

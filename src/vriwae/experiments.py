@@ -378,9 +378,9 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
             for alpha in spec.alphas:
                 stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * 4096)
                 grid_idx += 1
-                report = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
+                blocks = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
                                    spec.replicates, spec.coordinate_sample, stream)
-                for (kind, block), blk in sorted(report.blocks.items()):
+                for (kind, block), blk in sorted(blocks.items()):
                     if block == "theta":
                         ref = 0.5
                     else:
@@ -733,11 +733,10 @@ def selftest(seed: int = 0) -> SelftestReport:
     # within 4 combined SEs on every coordinate, on common random numbers
     toy = GaussianToy(d=3, theta=np.zeros(3), phi=np.full(3, 0.5))
     key = (seed, _OFF_SELFTEST + 1)
-    rep = grad_mean_se(toy, 0.5, 4, 20_000, vrng.make_stream(*key), "rep")
-    drep = grad_mean_se(toy, 0.5, 4, 20_000, vrng.make_stream(*key), "drep")
+    est = grad_mean_se(toy, 0.5, 4, 20_000, vrng.make_stream(*key))
     fd = fd_grad_oracle(toy, 0.5, 4, 1e-3, 20_000, vrng.make_stream(*key))
     worst_z = 0.0
-    for a, b in ((rep, drep), (rep, fd), (drep, fd)):
+    for a, b in ((est["rep"], est["drep"]), (est["rep"], fd), (est["drep"], fd)):
         for blk in ("theta", "phi"):
             diff = np.abs(getattr(a, f"{blk}_mean") - getattr(b, f"{blk}_mean"))
             se = np.sqrt(getattr(a, f"{blk}_se") ** 2 + getattr(b, f"{blk}_se") ** 2)

@@ -26,8 +26,9 @@ states (see `models`):
 * From eps, without z (`models._eps_sums`): the log-weight is a quadratic in
   eps and z = loc + scale*eps, so one matvec and one sum of squares give the
   log-weights and sum_j w_j z_j = (sum_j w_j) loc + scale * sum_j w_j eps_j.
-  `_grad_pass` contracts these; it runs under `grad_samples_from_eps`,
-  `grad_mean_se` and `snr_sweep`.
+  `grad_samples_from_eps` contracts these into all three gradients at once,
+  theta, rep phi and drep phi, so both estimators always read the same draws;
+  `grad_mean_se` and `snr_sweep` reduce all three.
 * From one training epoch's normals, `train_sums`: the eps path by default,
   and for the toy an exact draw of the sums from their conditional law, which
   `train` contracts the same way.  The eps path stays its oracle in the
@@ -40,7 +41,7 @@ The eps-path kernels are batched: they take eps of shape (R, N, d) and
 return one gradient sample per replicate row.  Their callers run chunks of at
 most `rng._CHUNK_TARGET` elements through `rng._chunk_map`, so memory stays
 bounded and the chunks run on all cores: `grad_mean_se` and `fd_grad_oracle`
-share `_grad_estimate`, one cell whose replicate r reads block r of a fresh
+share `_grad_moments`, one cell whose replicate r reads block r of a fresh
 stream at the key of the stream passed in, and `snr_sweep` maps all its N
 cells at once.  Each chunk returns only its gradient samples, which the
 calling thread reduces in replicate order, so the results do not depend on
@@ -50,7 +51,7 @@ the number of threads or the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,14 +60,11 @@ from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score, _eps_sums
-# `_softmax_last` is the estimators' normalized weight s; it is re-exported
-# here, next to `h_coefficients`, for callers that assemble an estimator
-from .weights import _check_alpha, _h, _mean_se, _softmax_last  # noqa: F401
+from .weights import _check_alpha, _h, _mean_se
 
 __all__ = [
     "GradEstimate",
     "SnrBlock",
-    "SnrReport",
     "h_coefficients",
     "grad_samples_from_eps",
     "grad_mean_se",
@@ -117,35 +115,24 @@ def _contract(model, w_sum: np.ndarray, wz: np.ndarray):
             _affine_score(*phi_stopped, hz, h_sum))
 
 
-def _grad_pass(model, eps: np.ndarray, alpha: float):
-    """(log_w, g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
+def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
+    """(g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
-    eps has shape (..., N, d); log_w is (..., N) and the gradients are
-    (..., theta_dim) and (..., phi_dim), one sample per batch row.  The sums
+    eps has shape (..., N, d); the gradients are (..., theta_dim),
+    (..., phi_dim) and (..., phi_dim), one sample per batch row.  The sums
     come from `model.log_weight_quadratic()` (`models._eps_sums`) and the
     scores are contracted through `model.score_affine()`: neither z nor a
     score is materialized.
     """
-    lw, w_sum, wz = _eps_sums(model, eps, alpha)
-    return (lw, *_contract(model, w_sum, wz))
-
-
-def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, kind: str):
-    """Gradient samples of one estimator kind for a batch of draws.
-
-    eps has shape (..., N, d); the return is a pair of arrays shaped
-    (..., theta_dim) and (..., phi_dim), one gradient sample per batch row.
-    """
     alpha = _check_alpha(alpha, closed=True)
-    if kind not in ("rep", "drep"):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
-    return g_theta, (g_rep if kind == "rep" else g_drep)
+    _, w_sum, wz = _eps_sums(model, eps, alpha)
+    return _contract(model, w_sum, wz)
 
 
-def _grad_estimate(model, n_importance: int, replicates: int, stream: vrng.RngStream,
-                   per_rep: int, sample) -> GradEstimate:
-    """Mean/SE of the gradient samples `sample(eps)` over i.i.d. replicates.
+def _grad_moments(model, n_importance: int, replicates: int, stream: vrng.RngStream,
+                  per_rep: int, sample) -> list:
+    """(mean, SE) of each array of the gradient samples `sample(eps)` over
+    i.i.d. replicates.
 
     Replicate r's eps of shape (N, d) are block r of the normals of a fresh
     stream at the key of `stream`, which is not advanced.  `per_rep` (the
@@ -160,16 +147,20 @@ def _grad_estimate(model, n_importance: int, replicates: int, stream: vrng.RngSt
 
     chunks, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates, per_rep,
                                           words)], kernel)
-    (tm, tse), (pm, pse) = (_mean_se(np.concatenate(block)) for block in zip(*chunks))
-    return GradEstimate(tm, tse, pm, pse, replicates)
+    return [_mean_se(np.concatenate(block)) for block in zip(*chunks)]
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
-                 stream: vrng.RngStream, kind: str = "rep") -> GradEstimate:
-    """Empirical mean/SE of the gradient estimator over i.i.d. replicates,
-    replicate r reading block r of a fresh stream at the key of `stream`."""
-    return _grad_estimate(model, n_importance, replicates, stream, n_importance * model.d,
-                          lambda eps: grad_samples_from_eps(model, eps, alpha, kind))
+                 stream: vrng.RngStream) -> dict:
+    """Empirical mean/SE of the rep and drep estimators over i.i.d.
+    replicates, replicate r reading block r of a fresh stream at the key of
+    `stream`: {"rep": GradEstimate, "drep": GradEstimate}, both from the same
+    draws and sharing one theta block."""
+    theta, rep, drep = _grad_moments(model, n_importance, replicates, stream,
+                                     n_importance * model.d,
+                                     lambda eps: grad_samples_from_eps(model, eps, alpha))
+    return {"rep": GradEstimate(*theta, *rep, replicates),
+            "drep": GradEstimate(*theta, *drep, replicates)}
 
 
 def fd_grad_from_eps(model, eps: np.ndarray, alpha: float, step: float):
@@ -214,8 +205,9 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
     # the differences are taken one coordinate at a time, so a replicate's
     # largest intermediate is its z or its row of differences
     per_rep = max(n_importance * model.d, model.theta_dim + model.phi_dim)
-    return _grad_estimate(model, n_importance, replicates, stream, per_rep,
-                          lambda eps: fd_grad_from_eps(model, eps, alpha, step))
+    theta, phi = _grad_moments(model, n_importance, replicates, stream, per_rep,
+                               lambda eps: fd_grad_from_eps(model, eps, alpha, step))
+    return GradEstimate(*theta, *phi, replicates)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +229,6 @@ class SnrBlock:
     mean_snr: np.ndarray            # mean over finite coordinates per N
     at_floor: np.ndarray            # bool per N: mean_snr < 2 * snr_floor(R)
     slope: float
-    intercept: float
     slope_se: float
 
 
@@ -245,16 +236,6 @@ def snr_floor(replicates: int) -> float:
     """sqrt(2/(pi R)): the expected |mean|/sd of a zero-mean coordinate over
     R replicates, below which an SNR cannot be read."""
     return math.sqrt(2.0 / (math.pi * replicates))
-
-
-@dataclass
-class SnrReport:
-    n_grid: list
-    m_samples: int
-    replicates: int
-    theta_indices: np.ndarray
-    phi_indices: np.ndarray
-    blocks: dict = field(default_factory=dict)  # (kind, block) -> SnrBlock
 
 
 def _snr_from_samples(samples: np.ndarray) -> np.ndarray:
@@ -274,8 +255,9 @@ def _snr_from_samples(samples: np.ndarray) -> np.ndarray:
 
 def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
               replicates: int, coordinate_sample: int,
-              stream: vrng.RngStream) -> SnrReport:
-    """Per-coordinate SNR of the gradient estimators across an N grid.
+              stream: vrng.RngStream) -> dict:
+    """Per-coordinate SNR of the gradient estimators across an N grid, as
+    {(kind, block): SnrBlock} for kind rep or drep and block theta or phi.
 
     For each N, `replicates` independent gradient estimates (each averaging
     `m_samples` draws) are formed for the rep and drep estimators on common
@@ -311,7 +293,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         # row averages its m_samples copies.  `take` keeps the samples in C
         # order, in which the reductions of `_snr_from_samples` round alike
         # at every chunk size
-        _, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+        g_theta, g_rep, g_drep = grad_samples_from_eps(model, eps, alpha)
         return (np.take(g_theta.mean(axis=1), theta_idx, axis=1),
                 np.take(g_rep.mean(axis=1), phi_idx, axis=1),
                 np.take(g_drep.mean(axis=1), phi_idx, axis=1))
@@ -325,9 +307,8 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         snr[("rep", "phi")][i] = _snr_from_samples(g_rep)
         snr[("drep", "phi")][i] = _snr_from_samples(g_drep)
 
-    report = SnrReport(n_grid=n_grid, m_samples=m_samples, replicates=replicates,
-                       theta_indices=theta_idx, phi_indices=phi_idx)
     log_n = np.log(np.asarray(n_grid, dtype=np.float64))
+    blocks = {}
     for key, mat in snr.items():
         finite = np.isfinite(mat)
         mean_snr = np.array([mat[i][finite[i]].mean() if finite[i].any() else np.inf
@@ -335,10 +316,10 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
         usable = np.isfinite(mean_snr) & (mean_snr > 0)
         if usable.sum() >= 2:
             fit = slope_fit(log_n[usable], np.log(mean_snr[usable]))
-            slope, intercept, slope_se = fit.slope, fit.intercept, fit.slope_se
+            slope, slope_se = fit.slope, fit.slope_se
         else:
-            slope, intercept, slope_se = np.nan, np.nan, np.nan
-        report.blocks[key] = SnrBlock(per_coordinate_snr=mat, mean_snr=mean_snr,
-                                      at_floor=mean_snr < 2.0 * snr_floor(replicates),
-                                      slope=slope, intercept=intercept, slope_se=slope_se)
-    return report
+            slope, slope_se = np.nan, np.nan
+        blocks[key] = SnrBlock(per_coordinate_snr=mat, mean_snr=mean_snr,
+                               at_floor=mean_snr < 2.0 * snr_floor(replicates),
+                               slope=slope, slope_se=slope_se)
+    return blocks

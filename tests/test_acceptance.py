@@ -100,8 +100,7 @@ def test_a1_bound_algebra():
 def _grad_triple(model, alpha, n, replicates, stream):
     """rep, drep and FD (mean, SE) of both blocks on common random numbers:
     each estimate reads the stream at the key of `stream` from its start."""
-    est = {kind: grad_mean_se(model, alpha, n, replicates, stream, kind)
-           for kind in ("rep", "drep")}
+    est = grad_mean_se(model, alpha, n, replicates, stream)
     est["fd"] = fd_grad_oracle(model, alpha, n, 1e-3, replicates, stream)
     return {k: ((e.theta_mean, e.theta_se), (e.phi_mean, e.phi_se)) for k, e in est.items()}
 

@@ -4,7 +4,8 @@
 modules, `experiments.ndtri`, `RngStream.child` and four methods on each
 model class, so a deletion of any of them fails here before it crashes a
 traced benchmark run.  It also guards the model protocol: no module outside
-`models` branches on a model's type.
+`models` branches on a model's type.  And it is the package's import lint: no
+module imports a name it does not read.
 """
 
 import ast
@@ -70,10 +71,16 @@ def test_tracer_runs_cli_and_restores_names(tmp_path, monkeypatch):
         assert vriwae.cli.main(["train", "--d", "3", "--n-importance", "4", "--epochs", "6",
                                 "--log-every", "3", "--out", str(tmp_path / "train.csv")]) == 0
         words["train"] = tracer.layer_metrics()["rng.words"]
+        tracer.reset_totals()
+        assert vriwae.cli.main(["snr", "--d", "2", "--n-grid", "2", "4", "--alpha", "0",
+                                "--replicates", "100", "--out", str(tmp_path / "snr.csv")]) == 0
+        grad_calls = tracer.layer_metrics()["gradients.grad_calls"]
     after = _namespaces(tracing)
 
-    # both commands draw through the traced rng functions
+    # both commands draw through the traced rng functions, and snr computes
+    # its gradients through the traced kernel
     assert words["gap"] > 0 and words["train"] > 0, words
+    assert grad_calls > 0
     metrics = tracer.layer_metrics()
     assert tracer.spans > 0
     assert metrics["experiments.runner_s"] > 0 and metrics["experiments.table_bytes"] > 0
@@ -122,3 +129,38 @@ def test_no_model_type_branches_outside_models():
                       "    return spec.model != 'toy'\n"
                       "def make_toy(spec):\n    return spec.model == 'toy'\n")
     assert _model_type_branches(probe) == [("f", 2), ("f", 3)]
+
+
+# imports no module reads, each kept on purpose: perfbench/tracing.py wraps
+# experiments.ndtri
+UNREAD_IMPORTS = {("experiments", "ndtri")}
+
+
+def _unread_imports(tree):
+    """Names a module binds by import and never reads, sorted.  A name counts
+    as read where it appears as a name anywhere in the module, or as a string
+    in its `__all__`."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted(imported - read)
+
+
+def test_no_unread_imports():
+    # `__init__` imports only to re-export (test_package_reexports_public_names)
+    found = {(name, unread) for name in MODULES
+             for unread in _unread_imports(ast.parse((ROOT / "src" / "vriwae" / f"{name}.py")
+                                                     .read_text()))}
+    assert found == UNREAD_IMPORTS
+    probe = ast.parse("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                      "from dataclasses import dataclass, field\nfrom math import pi, tau\n"
+                      "__all__ = ['tau']\n@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert _unread_imports(probe) == ["field", "os", "pi"]

@@ -132,6 +132,8 @@ def _cli_base(skip=()):
     ("gap", ["--alpha", "0", "0"], "alphas"),
     ("gap", ["--model", "lingauss", "--sigma-perturb", "0.1", "0.1"], "sigma_perturbs"),
     ("gap", [{"sigma_perturbs": [0, 0.0]}, "--model", "lingauss"], "sigma_perturbs"),
+    ("gap", [{"kind": "snr"}], "kind"),
+    ("snr", [{"kind": "gap"}, "--replicates", "100"], "kind"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -149,7 +151,7 @@ def _cli_base(skip=()):
         "gap-sigma-perturb-nan", "train-lr-inf", "train-lr-nan", "gap-config-theta-scale-1e400",
         "gap-config-theta-scale-huge-int", "gap-repeated-d", "collapse-repeated-d",
         "snr-repeated-d", "gap-repeated-alpha", "gap-repeated-sigma-perturb",
-        "gap-config-repeated-sigma-perturb"])
+        "gap-config-repeated-sigma-perturb", "gap-config-kind-snr", "snr-config-kind-gap"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -571,21 +573,8 @@ def test_selftest_seed_independent():
 
 def test_selftest_catches_corrupted_h(monkeypatch):
     # dropping the alpha*s term must break the drep-vs-rep agreement check
-    import vriwae.gradients as gradients_mod
-
-    def broken(model, eps, alpha, kind):
-        if kind != "drep":
-            return real(model, eps, alpha, kind)
-        z = model.reparam(eps)
-        lw = model.log_unnormalized_weight(z)
-        s = gradients_mod._softmax_last((1.0 - alpha) * lw)
-        d_theta, _, d_phi_stopped = model.score_grads(eps, z)
-        g_theta = np.einsum("...n,...nk->...k", s, d_theta)
-        g_phi = np.einsum("...n,...nk->...k", (1.0 - alpha) * s * s, d_phi_stopped)
-        return g_theta, g_phi
-
-    real = gradients_mod.grad_samples_from_eps
-    monkeypatch.setattr(gradients_mod, "grad_samples_from_eps", broken)
+    import vriwae.weights as weights_mod
+    monkeypatch.setattr(weights_mod, "_h", lambda s, alpha: (1.0 - alpha) * s * s)
     report = selftest(seed=0)
     failed = {name for name, passed, _ in report.checks if not passed}
     assert "gradient_unbiasedness_reduced" in failed
@@ -681,6 +670,30 @@ def test_cli_fit_refuses_non_gap_table(tmp_path, capsys, fmt):
 def test_cli_selftest_exit_code():
     from vriwae.cli import main
     assert main(["selftest", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["neg", "2-64"])
+def test_cli_selftest_rejects_seed_out_of_range(capsys, seed):
+    from vriwae.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert f"selftest: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", *_cli_base(), "--config"], "gap: cannot read config "),
+    (["fit"], "fit: cannot read "),
+], ids=["gap-config", "fit-table"])
+def test_cli_rejects_unreadable_input(tmp_path, capsys, argv, message):
+    # a missing --config or fit table stops at the CLI, naming the path
+    from vriwae.cli import main
+    missing, out = tmp_path / "missing.json", tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(missing), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{message}{missing}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file(tmp_path):

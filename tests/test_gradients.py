@@ -7,12 +7,11 @@ from scipy.special import kolmogorov, ndtri
 import vriwae.rng as vrng
 from vriwae.bounds import bound_mc, gap_mc
 from vriwae.experiments import make_linear_gaussian, make_toy
-from vriwae.gradients import (_contract, _grad_pass, _softmax_last, fd_grad_from_eps,
-                              fd_grad_oracle, grad_mean_se, grad_samples_from_eps,
-                              h_coefficients, snr_floor, snr_sweep)
-from vriwae.models import GaussianToy, LinearGaussian
+from vriwae.gradients import (_contract, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
+                              grad_samples_from_eps, h_coefficients, snr_floor, snr_sweep)
+from vriwae.models import GaussianToy, LinearGaussian, _eps_sums
 from vriwae.rng import make_stream, standard_normal, uniform
-from vriwae.weights import _mean_se, _weight_rows
+from vriwae.weights import _mean_se, _softmax_last, _weight_rows
 
 
 def toy(d=3, theta=0.0, phi=0.5):
@@ -75,7 +74,7 @@ def test_single_sample_is_score_at_n1():
     model = toy()
     for alpha in (0.0, 0.5, 1.0):
         eps = standard_normal(make_stream(0, 0), (1, 1, model.d))
-        _, g_phi = grad_samples_from_eps(model, eps, alpha, "rep")
+        _, g_phi, _ = grad_samples_from_eps(model, eps, alpha)
         z = model.reparam(eps[0])
         _, d_total, _ = model.score_grads(eps[0], z)
         assert np.allclose(g_phi[0], d_total[0], atol=1e-12)
@@ -83,24 +82,28 @@ def test_single_sample_is_score_at_n1():
 
 def test_pinned_noise_hand_value():
     # toy d=1, theta=0, phi=1, eps=0, N=1: grad_phi = -(phi + eps - theta) = -1
+    # for rep and drep, and grad_theta = z - theta = 1
     model = GaussianToy(d=1, theta=np.zeros(1), phi=np.ones(1))
     eps = np.zeros((1, 1, 1))
-    g_theta, g_phi = grad_samples_from_eps(model, eps, 0.3, "rep")
+    g_theta, g_phi, g_phi2 = grad_samples_from_eps(model, eps, 0.3)
     assert g_phi[0, 0] == pytest.approx(-1.0, abs=1e-12)
-    g_theta2, g_phi2 = grad_samples_from_eps(model, eps, 0.3, "drep")
     assert g_phi2[0, 0] == pytest.approx(-1.0, abs=1e-12)
-    assert np.array_equal(g_theta, g_theta2)
+    assert g_theta[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_block_identical_rep_drep():
+    # grad_mean_se reduces one pass over its draws: rep and drep share the
+    # theta block, and each key holds the estimator of its own phi block
     model = lingauss(4)
-    eps = standard_normal(make_stream(5, 0), (1, 8, model.d))
-    rep = grad_samples_from_eps(model, eps, 0.4, "rep")
-    drep = grad_samples_from_eps(model, eps, 0.4, "drep")
-    assert np.array_equal(rep[0], drep[0])
-    # the kind selects the estimator of the phi block
-    _, _, g_rep, g_drep = _grad_pass(model, eps, 0.4)
-    assert np.array_equal(rep[1], g_rep) and np.array_equal(drep[1], g_drep)
+    est = grad_mean_se(model, 0.4, 8, 50, make_stream(5, 0))
+    eps = standard_normal(make_stream(5, 0), (50, 8, model.d))
+    _, g_rep, g_drep = grad_samples_from_eps(model, eps, 0.4)
+    assert np.array_equal(est["rep"].theta_mean, est["drep"].theta_mean)
+    assert np.array_equal(est["rep"].theta_se, est["drep"].theta_se)
+    for kind, g in (("rep", g_rep), ("drep", g_drep)):
+        mean, se = _mean_se(g)
+        assert np.array_equal(est[kind].phi_mean, mean) and np.array_equal(est[kind].phi_se, se)
+    assert not np.allclose(g_rep, g_drep)
 
 
 def test_alpha_one_path_uniform_weights():
@@ -109,9 +112,8 @@ def test_alpha_one_path_uniform_weights():
     eps = standard_normal(make_stream(7, 0), (1, 6, 2))
     z = model.reparam(eps)
     d_theta, d_total, d_stopped = model.score_grads(eps, z)
-    g_theta, g_phi = grad_samples_from_eps(model, eps, 1.0, "rep")
+    g_theta, g_phi, g_phi_d = grad_samples_from_eps(model, eps, 1.0)
     assert np.allclose(g_phi[0], d_total[0].mean(axis=0), atol=1e-12)
-    _, g_phi_d = grad_samples_from_eps(model, eps, 1.0, "drep")
     assert np.allclose(g_phi_d[0], d_stopped[0].mean(axis=0), atol=1e-12)
 
 
@@ -123,7 +125,7 @@ def test_drep_alpha_zero_squared_weights():
     s = np.exp(lw - lw.max(axis=-1, keepdims=True))
     s = s / s.sum(axis=-1, keepdims=True)
     _, _, d_stopped = model.score_grads(eps, z)
-    _, g_phi = grad_samples_from_eps(model, eps, 0.0, "drep")
+    _, _, g_phi = grad_samples_from_eps(model, eps, 0.0)
     expected = np.einsum("rn,rnk->rk", s**2, d_stopped)
     assert np.allclose(g_phi, expected, atol=1e-12)
 
@@ -131,9 +133,9 @@ def test_drep_alpha_zero_squared_weights():
 def test_alpha_domain():
     eps = standard_normal(make_stream(0, 0), (1, 2, 3))
     with pytest.raises(ValueError):
-        grad_samples_from_eps(toy(), eps, -0.2, "rep")
+        grad_samples_from_eps(toy(), eps, -0.2)
     with pytest.raises(ValueError):
-        grad_samples_from_eps(toy(), eps, 1.2, "drep")
+        grad_samples_from_eps(toy(), eps, 1.2)
 
 
 # --------------------------------------------------------------------------
@@ -162,21 +164,21 @@ def _materialized_grads(model, eps, alpha):
                          ids=["R,N=1", "R,N=6", "R,N=8", "R,N=100",
                               "R,M,N=1", "R,M,N=6", "R,M,N=8", "R,M,N=100"])
 def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape):
-    # _grad_pass reads the log-weights and the sums of z off the quadratic in
-    # eps; the z-path sums the same terms in another order, so they agree to
-    # rounding
+    # the eps path reads the log-weights and the sums of z off the quadratic
+    # in eps; the z-path sums the same terms in another order, so they agree
+    # to rounding
     model = make_model()
     eps = standard_normal(make_stream(30, 0), (*shape, model.d))
-    lw, g_theta, g_rep, g_drep = _grad_pass(model, eps, alpha)
+    lw, w_sum, wz = _eps_sums(model, eps, alpha)
+    g_theta, g_rep, g_drep = grad_samples_from_eps(model, eps, alpha)
     want_lw = model.log_unnormalized_weight(model.reparam(eps))
     np.testing.assert_allclose(lw, want_lw, rtol=1e-12, atol=1e-12 * np.abs(want_lw).max())
     for got, want in zip((g_theta, g_rep, g_drep), _materialized_grads(model, eps, alpha)):
         assert got.shape == want.shape == (*shape[:-1], want.shape[-1])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    rep = grad_samples_from_eps(model, eps, alpha, "rep")
-    drep = grad_samples_from_eps(model, eps, alpha, "drep")
-    assert np.array_equal(rep[0], drep[0])
-    assert np.array_equal(rep[1], g_rep) and np.array_equal(drep[1], g_drep)
+    # the kernel is the contraction of the sums its log-weights come with
+    for got, want in zip((g_theta, g_rep, g_drep), _contract(model, w_sum, wz)):
+        assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
             np.testing.assert_allclose(w_sum, w.sum(axis=-1, keepdims=True), rtol=1e-12)
             np.testing.assert_allclose(wz, w @ z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
             got = (lw, *_contract(model, w_sum, wz))
-            want = _grad_pass(model, eps, alpha)
+            want = (_eps_sums(model, eps, alpha)[0], *grad_samples_from_eps(model, eps, alpha))
             for g, h in zip(got, want):
                 np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
 
@@ -297,7 +299,7 @@ def test_fd_step_second_order():
     # halving the step shrinks the bias ~4x on a non-quadratic objective
     model = lingauss(2, seed=3)
     eps = standard_normal(make_stream(10, 0), (1, 4, 2))
-    exact_t, exact_p = grad_samples_from_eps(model, eps, 0.3, "rep")
+    exact_t, exact_p, _ = grad_samples_from_eps(model, eps, 0.3)
     errs = []
     for step in (0.2, 0.1):
         g_t, g_p = fd_grad_from_eps(model, eps, 0.3, step)
@@ -312,7 +314,7 @@ def test_fd_rejects_bad_step():
 
 def test_fd_oracle_matches_rep_mean():
     model = toy(d=2, theta=0.0, phi=0.7)
-    rep = grad_mean_se(model, 0.3, 4, 20_000, make_stream(11, 0), "rep")
+    rep = grad_mean_se(model, 0.3, 4, 20_000, make_stream(11, 0))["rep"]
     fd = fd_grad_oracle(model, 0.3, 4, 1e-3, 20_000, make_stream(11, 0))
     for blk in ("theta", "phi"):
         ma, sa = getattr(rep, f"{blk}_mean"), getattr(rep, f"{blk}_se")
@@ -323,7 +325,7 @@ def test_fd_oracle_matches_rep_mean():
 def test_matched_params_gradient_near_zero():
     # theta = phi: the rep phi-gradient has mean zero by symmetry
     model = toy(d=3, theta=0.5, phi=0.5)
-    est = grad_mean_se(model, 0.0, 4, 20_000, make_stream(12, 0), "rep")
+    est = grad_mean_se(model, 0.0, 4, 20_000, make_stream(12, 0))["rep"]
     assert np.all(np.abs(est.phi_mean) <= 3.0 * est.phi_se)
 
 
@@ -348,10 +350,10 @@ def test_snr_planted_slope():
             return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0: uniform softmax
 
     n_grid = [4, 16, 64, 256]
-    report = snr_sweep(Synthetic(), 0.0, 1, n_grid, 4000, 1, make_stream(13, 0))
+    blocks = snr_sweep(Synthetic(), 0.0, 1, n_grid, 4000, 1, make_stream(13, 0))
     for key in (("rep", "theta"), ("rep", "phi")):
-        assert report.blocks[key].slope == pytest.approx(0.5, abs=0.02)
-        assert not report.blocks[key].at_floor.any()  # SNR sqrt(N), far above the floor
+        assert blocks[key].slope == pytest.approx(0.5, abs=0.02)
+        assert not blocks[key].at_floor.any()  # SNR sqrt(N), far above the floor
 
 
 def test_snr_zero_variance_sentinel():
@@ -368,8 +370,7 @@ def test_snr_zero_variance_sentinel():
         def log_weight_quadratic(self):
             return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0
 
-    report = snr_sweep(Constant(), 0.0, 1, [2, 4], 200, 1, make_stream(14, 0))
-    blk = report.blocks[("rep", "theta")]
+    blk = snr_sweep(Constant(), 0.0, 1, [2, 4], 200, 1, make_stream(14, 0))[("rep", "theta")]
     assert np.all(np.isinf(blk.per_coordinate_snr))
     assert math.isnan(blk.slope)
     assert not blk.at_floor.any()  # infinite SNR is not at the floor
@@ -378,8 +379,8 @@ def test_snr_zero_variance_sentinel():
 def test_snr_floor_flag_on_zero_mean_theta_block():
     # a toy at theta = phi has a zero-mean theta gradient, so its SNR reads
     # the floor sqrt(2/(pi R)) itself
-    rep = snr_sweep(toy(d=10, theta=0.5, phi=0.5), 0.0, 1, [2, 8], 400, 10, make_stream(15, 0))
-    blk = rep.blocks[("rep", "theta")]
+    blk = snr_sweep(toy(d=10, theta=0.5, phi=0.5), 0.0, 1, [2, 8], 400, 10,
+                    make_stream(15, 0))[("rep", "theta")]
     assert blk.at_floor.all()
     assert np.all(blk.mean_snr < 2.0 * snr_floor(400))
     assert snr_floor(400) == pytest.approx(math.sqrt(2.0 / (math.pi * 400)))
@@ -394,11 +395,11 @@ def test_snr_sweep_independent_of_chunk_size(monkeypatch):
         monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
         reports.append(snr_sweep(model, 0.3, 2, [2, 8], 150, 4, make_stream(16, 0)))
     a, b = reports
-    assert a.blocks.keys() == b.blocks.keys()
-    for key in a.blocks:
+    assert a.keys() == b.keys()
+    for key in a:
         for attr in ("per_coordinate_snr", "mean_snr", "at_floor"):
-            assert np.array_equal(getattr(a.blocks[key], attr), getattr(b.blocks[key], attr))
-        assert a.blocks[key].slope == b.blocks[key].slope
+            assert np.array_equal(getattr(a[key], attr), getattr(b[key], attr))
+        assert a[key].slope == b[key].slope
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -416,8 +417,8 @@ def test_snr_grows_like_sqrt_m(make_model, alpha):
     reps, n, k = 1000, 8, 8
     sweeps = {m: [snr_sweep(model, alpha, m, [n], reps, 10, make_stream(17, 2 * i + (m > 1)))
                   for i in range(k)] for m in (1, 4)}
-    for key in sweeps[1][0].blocks:
-        snr1, snr4 = (np.array([rep.blocks[key].mean_snr[0] for rep in sweeps[m]])
+    for key in sweeps[1][0]:
+        snr1, snr4 = (np.array([blocks[key].mean_snr[0] for blocks in sweeps[m]])
                       for m in (1, 4))
         assert snr1.min() >= 2.0 * snr_floor(reps), key
         ratio = snr4 / snr1
@@ -467,7 +468,7 @@ def test_mse_matched_params_bound_exact():
     for n in (2, 8):
         est = bound_mc(model, 0.0, n, 4000, make_stream(15, 0).child(n))
         assert (est.mean, est.std_error) == (model.log_marginal(), 0.0)
-        grad = grad_mean_se(model, 0.0, n, 4000, make_stream(15, 0).child(n))
+        grad = grad_mean_se(model, 0.0, n, 4000, make_stream(15, 0).child(n))["rep"]
         # MSE about the exact gradient over the R samples, per coordinate:
         # R * SE^2 + bias^2, with SE^2 from the unbiased variance
         # the toy's log marginal is identically 0, so its exact gradient is 0

@@ -104,7 +104,7 @@ def test_elbo_mean_update_direction():
     # alpha=1 path: the expected update is theta - phi; check cosine alignment
     model = toy(10, phi=1.0)
     eps = standard_normal(make_stream(7, 0), (100_000, 1, 10))
-    _, g_phi = grad_samples_from_eps(model, eps, 1.0, "rep")
+    _, g_phi, _ = grad_samples_from_eps(model, eps, 1.0)
     mean_update = g_phi.mean(axis=0)
     direction = model.theta - model.phi
     cos = float(mean_update @ direction
@@ -180,8 +180,8 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
                 _, w_sum, wz = model.train_sums(normals, alpha)
                 g_theta, g_phi, _ = _contract(model, w_sum, wz)
             else:
-                g_theta, g_phi = grad_samples_from_eps(model, normals.reshape(n, model.d),
-                                                       alpha, "rep")
+                g_theta, g_phi, _ = grad_samples_from_eps(model, normals.reshape(n, model.d),
+                                                          alpha)
             if train_theta:
                 model = model.with_theta(sgd_step(model.theta_vec, g_theta, lr))
             model = model.with_phi(sgd_step(model.phi_vec, g_phi, lr))
