@@ -18,9 +18,9 @@ runs the chunks of replicates through `rng._chunk_map`, each drawn, mapped
 and reduced to one sample per replicate on whichever thread takes it.  Per
 chunk it computes the parameter-free `law_variates` once, and maps them
 through the `law_log_weights` of every model it is given, so the sigma
-variants of one d share the linear Gaussian's costly chi^2 term.  It serves
-the gap, collapse and weights runners of `experiments` too; a weights draw
-is one cell of N = 1.
+variants of one d share the linear Gaussian's normal and chi^2 draws.  It
+serves the gap, collapse and weights runners of `experiments` too; a weights
+draw is one cell of N = 1.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import (ExperimentSpec, fit_gap_table, read_table, render_svg,
@@ -83,7 +84,14 @@ def _build_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
             continue
         if value is not None:
             fields[key] = value
-    return ExperimentSpec(**fields)
+    spec = ExperimentSpec(**fields)
+    for name in ("out", "plot"):
+        # a missing output directory fails here, not after the grid has run
+        path = getattr(spec, name)
+        parent = path and os.path.dirname(os.path.abspath(path))
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"{name} directory {parent} does not exist")
+    return spec
 
 
 def main(argv=None) -> int:
@@ -113,9 +121,12 @@ def main(argv=None) -> int:
     if args.command == "fit":
         try:
             rows, meta = read_table(args.gap_table)
+            spec = json.loads(meta["spec"]) if "spec" in meta else {}
         except OSError as exc:
             parser.error(f"fit: cannot read {args.gap_table}: {exc.strerror}")
-        kind = json.loads(meta["spec"]).get("kind") if "spec" in meta else None
+        except ValueError as exc:
+            parser.error(f"fit: {args.gap_table} is not a vriwae table: {exc}")
+        kind = spec.get("kind") if isinstance(spec, dict) else None
         if kind != "gap":
             parser.error(f"fit: {args.gap_table} holds a {kind or 'non-vriwae'} table, "
                          "not a gap table")

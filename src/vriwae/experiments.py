@@ -542,13 +542,17 @@ def _parse_cell(s: str):
 def read_table(path: str) -> tuple[list, dict]:
     """Read a table written by write_table, CSV or JSON; returns (rows,
     metadata).  The metadata of either format holds the CSV header's
-    strings: schema_version, seed and the spec as JSON."""
+    strings: schema_version, seed and the spec as JSON.  A file that starts
+    like a JSON table but is not one raises ValueError."""
     meta: dict = {}
     with open(path) as f:
         if f.read(1) == "{":
             f.seek(0)
             doc = json.load(f)
-            spec = doc["spec"]
+            spec = doc.get("spec")
+            if not ({"rows", "schema_version"} <= doc.keys() and isinstance(spec, dict)
+                    and "seed" in spec):
+                raise ValueError("a JSON table needs schema_version, rows and a spec with a seed")
             return doc["rows"], {"schema_version": doc["schema_version"],
                                  "seed": str(spec["seed"]),
                                  "spec": json.dumps(spec, sort_keys=True)}
@@ -662,8 +666,9 @@ def selftest(seed: int = 0) -> SelftestReport:
     Checks the algebraic bound identities, weight-diagnostic invariances,
     analytic scores against finite differences, rep/drep/FD gradient
     agreement, closed forms against the quadrature oracle, the refined
-    extreme-value constant against a sampling oracle, and experiment
-    determinism.  Tolerances are set so the outcome is seed-independent.
+    extreme-value constant against a sampling oracle, the chi^2 draw's
+    moments, and experiment determinism.  Tolerances are set so the outcome
+    is seed-independent.
     """
     report = SelftestReport()
     rng0 = np.random.default_rng(seed)
@@ -765,6 +770,15 @@ def selftest(seed: int = 0) -> SelftestReport:
     mins = vrng.standard_normal(stream, (200, 1000)).min(axis=1)
     dev = abs(float(mins.mean()) - expected_min_normal(1000, refined=True))
     report.record("extreme_value_refined_constant", dev <= 0.12, f"dev {dev:.3f}")
+
+    # the chi^2 draw of the linear Gaussian's law: mean k and variance 2k
+    k = 999
+    x = vrng.chi_square(vrng.uniform(vrng.make_stream(seed, _OFF_SELFTEST + 2), (100_000, 3)), k)
+    dev2 = (x - x.mean()) ** 2
+    z_mean = abs(x.mean() - k) / (x.std(ddof=1) / math.sqrt(x.size))
+    z_var = abs(x.var(ddof=1) - 2 * k) / (dev2.std(ddof=1) / math.sqrt(x.size))
+    report.record("chi2_law_moments", max(z_mean, z_var) <= 5.0,
+                  f"mean z {z_mean:.2f}, var z {z_var:.2f}")
 
     # experiment determinism
     tiny = ExperimentSpec(kind="gap", model="toy", alphas=(0.0, 0.5), ds=(2,),

@@ -39,8 +39,8 @@ its class.  Each model states:
   `TRAINS_THETA`, whether training steps theta besides phi.
 * `LAW_WORDS` and the exact log-weight law in two parts, O(1) draws instead
   of d normals per log-weight.  `law_variates(u)` maps LAW_WORDS uniforms
-  by inverse CDFs to variates that depend on d alone, not on the
-  parameters; `law_log_weights(variates)` maps those to relative
+  through `ndtri` and `rng.chi_square` to variates that depend on d alone,
+  not on the parameters; `law_log_weights(variates)` maps those to relative
   log-weights through the model's own B or delta.  `log_weight_law(u)` is
   their composition.  `bounds._law_samples` computes the variates once per
   chunk and maps them through every model of one d, so the gap, collapse and
@@ -93,7 +93,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
 
 from . import rng as vrng
 from .asymptotics import iid_sum_curve, lognormal_curve
@@ -341,7 +341,7 @@ class LinearGaussian(_Model):
     TABLE_NAME = "lingauss"
     PROGRESS_LABEL = "lambda"
     TRAINS_THETA = True
-    LAW_WORDS = 2
+    LAW_WORDS = 4
 
     def __post_init__(self):
         for name in ("theta", "a_tilde", "b", "x"):
@@ -381,13 +381,13 @@ class LinearGaussian(_Model):
 
     # --- sampling and weights ----------------------------------------------
     def law_variates(self, u: np.ndarray) -> tuple:
-        """(Z, C) from uniforms (..., 2): Z = ndtri(u_0) ~ N(0, 1) and
-        C = 2 gammaincinv((d-1)/2, u_1) ~ chi^2_(d-1); (Z,) alone at d = 1.
-        C costs about 30 times Z per element."""
+        """(Z, C) from uniforms (..., 4): Z = ndtri(u_0) ~ N(0, 1) and
+        C = rng.chi_square(u_1..3, d - 1) ~ chi^2_(d-1); (Z,) alone at d = 1.
+        C costs about 1.2 times Z per element."""
         z = ndtri(u[..., 0])
         if self.d == 1:
             return (z,)
-        return z, 2.0 * gammaincinv(0.5 * (self.d - 1), u[..., 1])
+        return z, vrng.chi_square(u[..., 1:], self.d - 1)
 
     def law_log_weights(self, variates: tuple) -> np.ndarray:
         """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 with

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from vriwae import models as vmodels
 from vriwae import rng as vrng
 from vriwae.bounds import (_law_samples, bound_mc, decomposition_sample, gap_mc,
                            vr_iwae_from_log_weights)
@@ -260,18 +259,18 @@ def test_law_samples_give_each_variant_its_own_law(name, target):
 
 @pytest.mark.parametrize("variants", [1, 2, 3])
 def test_law_samples_draw_chi2_once_per_chunk(monkeypatch, variants):
-    # gammaincinv costs about 30 ndtri per element: the sigma variants of one
-    # d share it, so it runs once per chunk whatever their number
+    # a chi^2 draw reads 3 words and runs a gamma sampler: the sigma variants
+    # of one d share it, so it runs once per chunk whatever their number
     calls = []
-    real = vmodels.gammaincinv
+    real = vrng.chi_square
 
-    def counted(a, u):
-        calls.append(u.size)
-        return real(a, u)
+    def counted(u, k):
+        calls.append(u[..., 0].size)
+        return real(u, k)
 
-    monkeypatch.setattr(vmodels, "gammaincinv", counted)
+    monkeypatch.setattr(vrng, "chi_square", counted)
     monkeypatch.setattr(vrng, "_WORKERS", 1)
-    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 64)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 128)
     models = [make_linear_gaussian(5, sp, seed=2)[0] for sp in (0.0, 0.1, 0.3)[:variants]]
     _law_samples(models, 3, [(5, 8)], 40, lambda lrw: lrw[0, :, 0])
     chunks = list(vrng._replicate_chunks(40, 8 * models[0].LAW_WORDS))

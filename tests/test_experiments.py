@@ -555,7 +555,7 @@ SELFTEST_CHECKS = [
     "gap_decomposition_identity", "remainder_bound", "weights_shift_invariance",
     "weights_share_identity", "h_coefficients_values", "score_grads_vs_fd",
     "gradient_unbiasedness_reduced", "lingauss_closed_forms_vs_quadrature",
-    "extreme_value_refined_constant", "experiment_determinism",
+    "extreme_value_refined_constant", "chi2_law_moments", "experiment_determinism",
 ]
 
 
@@ -665,6 +665,45 @@ def test_cli_fit_refuses_non_gap_table(tmp_path, capsys, fmt):
     assert exc.value.code == 2
     assert "holds a snr table, not a gap table" in capsys.readouterr().err
     assert not fit_out.exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "{}", '{"rows": [], "schema_version": 1}'],
+                         ids=["not-json", "empty-object", "no-spec"])
+def test_cli_fit_rejects_malformed_table(tmp_path, capsys, text):
+    from vriwae.cli import main
+    table = tmp_path / "gap.json"
+    table.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(table)])
+    assert exc.value.code == 2
+    assert f"fit: {table} is not a vriwae table: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot", "config-out"])
+def test_cli_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch, flag):
+    # the grid would run in full before the write failed, and --plot would
+    # leave its table behind
+    import vriwae.cli as vcli
+
+    def no_run(spec):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(vcli._RUNNERS, "gap", no_run)
+    missing = tmp_path / "missing"
+    table = tmp_path / "table.csv"
+    if flag == "config-out":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(missing / "x.csv")}))
+        argv, name = ["--config", str(cfg)], "out"
+    else:
+        argv, name = [flag, str(missing / "x.svg")], flag[2:]
+        if flag == "--plot":
+            argv += ["--out", str(table)]
+    with pytest.raises(SystemExit) as exc:
+        vcli.main(["gap", *_cli_base(), *argv])
+    assert exc.value.code == 2
+    assert f"gap: {name} directory {missing} does not exist" in capsys.readouterr().err
+    assert not table.exists() and not missing.exists()
 
 
 def test_cli_selftest_exit_code():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, kstest
 
 from vriwae import rng as vrng
-from vriwae.rng import (_Cell, _chunk_map, _stream_at, make_stream, permutation_indices,
-                        raw_uint64, standard_normal, uniform)
+from vriwae.rng import (_Cell, _chunk_map, _stream_at, chi_square, make_stream,
+                        permutation_indices, raw_uint64, standard_normal, uniform)
 
 
 def test_same_key_same_draws():
@@ -64,6 +65,32 @@ def test_normal_moments():
     x = standard_normal(make_stream(123, 5), 1_000_000)
     assert abs(x.mean()) < 0.005
     assert abs(x.var() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 999, 59_999])
+def test_chi_square_law(k):
+    # accepted Marsaglia-Tsang candidates and the inverse-CDF fallback both
+    # have the exact law; below k = 2 every variate is the fallback
+    x = chi_square(uniform(make_stream(41, k), (100_000, 3)), k)
+    assert kstest(x, chi2(k).cdf).pvalue > 1e-3
+
+
+def test_chi_square_fallback_draws_rejected_candidates(monkeypatch):
+    # at k = 3 a few percent of the candidates are rejected, and each becomes
+    # a finite, positive inverse-CDF draw on its own third word
+    fallback = []
+    real = vrng.gammaincinv
+
+    def counted(a, u):
+        fallback.append(u.size)
+        return real(a, u)
+
+    monkeypatch.setattr(vrng, "gammaincinv", counted)
+    u = uniform(make_stream(41, 3), (1000, 100, 3))
+    x = chi_square(u, 3)
+    assert x.shape == (1000, 100)
+    assert 0 < sum(fallback) < 0.05 * x.size
+    assert np.all(np.isfinite(x)) and np.all(x > 0)
 
 
 def test_uniform_open_interval():
