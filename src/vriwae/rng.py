@@ -31,10 +31,15 @@ chunk size either.  Training stays serial: its epochs depend on each other.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called
-from a kernel needs nothing of its own.  A map of one task runs inline.
-On the benchmark's 2-core machine, a map of two trivial tasks takes 190-290
-us with its helper started and joined, against 40-70 us inline, and a
-benchmark round runs at most 3 maps of more than one task.
+from a kernel needs nothing of its own.  A map of E elements (replicates
+times per-replicate elements, summed over its cells) runs on
+min(`_WORKERS`, tasks, max(1, E // `_CHUNK_TARGET`)) threads: a helper
+starts only for each full chunk of work beyond the first, and a map of less
+than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
+lose to a helper: a toy gap grid of 30,660 elements took a median of 13.6
+ms with it against 10.4 ms inline, and a linear Gaussian one of 65,408
+elements 17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of
+`lowdim` (13.4M elements) and `snr` (10.2M) keep both threads.
 
 `_CHUNK_TARGET` is a per-chunk constant, 2**16 elements, the same at any
 worker count, and peak memory sets its size: two chunks are in flight at a
@@ -177,11 +182,13 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
     `_replicate_chunks`] in chunk order, where i is the cell's index and
     `stream` its fresh stream positioned at replicate `start`'s first word.
 
-    The calling thread and up to `_WORKERS - 1` helpers, started here and
-    joined before the map returns, take the tasks in turn from one shared
-    counter, and each result lands at its task's index, so the return value
-    does not depend on how many threads ran.  A kernel's exception stops the
-    remaining tasks and is raised here once every thread is done.
+    The calling thread and up to `_WORKERS - 1` helpers, one for each full
+    `_CHUNK_TARGET` of the cells' elements beyond the first, started here
+    and joined before the map returns, take the tasks in turn from one
+    shared counter, and each result lands at its task's index, so the
+    return value does not depend on how many threads ran.  A kernel's
+    exception stops the remaining tasks and is raised here once every
+    thread is done.
     """
     tasks = [(i, start, stop) for i, cell in enumerate(cells)
              for start, stop in _replicate_chunks(cell.replicates, cell.elems)]
@@ -205,8 +212,9 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
                 errors.append(exc)
                 return
 
-    helpers = [threading.Thread(target=drain, name="vriwae-chunk")
-               for _ in range(min(_WORKERS, len(tasks)) - 1)]
+    elems = sum(cell.replicates * cell.elems for cell in cells)
+    threads = min(_WORKERS, len(tasks), max(1, elems // _CHUNK_TARGET))
+    helpers = [threading.Thread(target=drain, name="vriwae-chunk") for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
     try:

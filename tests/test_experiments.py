@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -704,6 +705,63 @@ def test_cli_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch, 
     assert exc.value.code == 2
     assert f"gap: {name} directory {missing} does not exist" in capsys.readouterr().err
     assert not table.exists() and not missing.exists()
+
+
+def test_cli_fit_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch):
+    # the directory is checked before the table is read
+    import vriwae.cli as vcli
+
+    def no_read(path):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(vcli, "read_table", no_read)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        vcli.main(["fit", str(tmp_path / "gap.csv"), "--out", str(missing / "x.json")])
+    assert exc.value.code == 2
+    assert f"fit: out directory {missing} does not exist" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_cli_train_divergence_is_one_line(tmp_path, capsys):
+    # a diverging run names its epoch, gradient norm and --lr, exits 1 and
+    # writes no table
+    from vriwae.cli import main
+    out = tmp_path / "train.csv"
+    assert main(["train", "--model", "toy", "--d", "10", "--lr", "1e12", "--epochs", "20",
+                 "--log-every", "5", "--n-importance", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"vriwae train: training diverged: gradient norm \S+ exceeded \S+ "
+                        r"at epoch \d+ with --lr 1e\+12\n", err)
+    assert not out.exists()
+
+
+def test_cli_main_builds_no_parser(tmp_path):
+    # the parser is built once, at import: a call only parses, whatever it runs
+    import vriwae.cli as vcli
+    table = tmp_path / "gap.csv"
+    with mock.patch.object(vcli.argparse, "ArgumentParser",
+                           side_effect=AssertionError("main built a parser")):
+        assert vcli.main(["gap", "--model", "toy", *_cli_base(), "--out", str(table)]) == 0
+        assert vcli.main(["fit", str(table), "--out", str(tmp_path / "fit.json")]) == 0
+        assert vcli.main(["selftest", "--seed", "0"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            vcli.main(["gap", "--no-such-flag"])
+        assert exc.value.code == 2
+
+
+def test_cli_flags_do_not_carry_over(tmp_path):
+    # one parser serves every call, and each call reads only its own flags
+    from vriwae.cli import main
+    estimators = []
+    for i, extra in enumerate((["--estimator", "drep"], [])):
+        out = tmp_path / f"train{i}.json"
+        assert main(["train", "--model", "toy", "--d", "2", "--epochs", "4", "--log-every", "2",
+                     "--n-importance", "4", "--format", "json", "--out", str(out), *extra]) == 0
+        _, meta = read_table(str(out))
+        estimators.append(json.loads(meta["spec"])["estimator"])
+    assert estimators == ["drep", "rep"]
 
 
 def test_cli_selftest_exit_code():

@@ -185,6 +185,55 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
+    # 40 tasks of 2,000 elements in all, under one chunk: no helper starts.
+    # The first kernel waits for a helper to take a task, so one that had
+    # started would show on the recorded threads
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    cells = [_Cell(4, i, 5, 10, 10) for i in range(40)]
+    assert sum(c.replicates * c.elems for c in cells) < vrng._CHUNK_TARGET
+    threads = []
+    helper_ran = threading.Event()
+
+    def kernel(i, stream, start, stop):
+        threads.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            helper_ran.set()
+        elif len(threads) == 1:
+            helper_ran.wait(timeout=0.5)
+        return raw_uint64(stream, (stop - start) * cells[i].words)
+
+    out = _chunk_map(cells, kernel)
+    assert len(threads) == 40
+    assert set(threads) == {threading.main_thread()}
+    assert all(len(chunks) == 1 for chunks in out)
+
+
+def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
+    # a cell of exactly two full chunks starts a helper, and it takes a
+    # chunk: a chunk on the calling thread waits until it has
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 100)
+    cell = _Cell(5, 6, 50, 4, 4)
+    assert cell.replicates * cell.elems == 2 * vrng._CHUNK_TARGET
+    helper_ran = threading.Event()
+    names = []
+
+    def kernel(i, stream, start, stop):
+        names.append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            if not helper_ran.wait(timeout=30):
+                raise TimeoutError("no helper took a chunk")
+        else:
+            helper_ran.set()
+        return raw_uint64(stream, (stop - start) * cell.words)
+
+    chunks, = _chunk_map([cell], kernel)
+    assert len(names) == 2 and "vriwae-chunk" in names
+    want = raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
+    assert np.array_equal(np.concatenate(chunks), want)
+
+
 class _HelperError(Exception):
     pass
 
