@@ -6,8 +6,7 @@ from .asymptotics import (expected_min_normal, fit_constant, iid_sum_curve, logn
 from .bounds import (BoundEstimate, bound_mc, decomposition_sample, gap_mc,
                      vr_iwae_from_log_weights)
 from .gradients import fd_grad_oracle, h_coefficients, snr_sweep
-from .models import (GaussianToy, LinearGaussian, lingauss_analytics, optimal_params,
-                     perturb_params, toy_analytics)
+from .models import GaussianToy, LinearGaussian, closed_forms, optimal_params, perturb_params
 from .rng import RngStream, make_stream, standard_normal, uniform
 from .train import TrainConfig, Trajectory, adam_step, run_training, sgd_step
 from .weights import (LogWeights, ess, max_weight_share, qq_points, relative_log_weights,

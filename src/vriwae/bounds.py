@@ -15,12 +15,13 @@ The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
 LAW_WORDS of them, through the model's `log_weight_law`.  `_law_samples`
 runs the chunks of replicates through `rng._chunk_map`, each drawn, mapped
-and reduced to one sample per replicate on whichever thread takes it.  Per
-chunk it computes the parameter-free `law_variates` once, and maps them
-through the `law_log_weights` of every model it is given, so the sigma
-variants of one d share the linear Gaussian's normal and chi^2 draws.  It
-serves the gap, collapse and weights runners of `experiments` too; a weights
-draw is one cell of N = 1.
+and reduced to one sample per replicate on whichever thread takes it.  It
+reads each model's `law_scalars` once per call, computes `law_variates` (a
+function of q and d alone) once per chunk, and maps them through
+`law_log_weights` with the scalars of every model, so the sigma variants of
+one d share the linear Gaussian's normal and chi^2 draws.  It serves the
+gap, collapse and weights runners of `experiments` too; a weights draw is
+one cell of N = 1.
 """
 
 from __future__ import annotations
@@ -111,17 +112,19 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
 
     Replicate r reads block r of N x k uniforms (k = LAW_WORDS of the models)
     of a fresh stream (seed, stream_id).  The models share their class and
-    d, hence their `law_variates`: those are computed once per chunk, and
-    every model maps them through its `law_log_weights`, which gives its
+    d, hence q and their `law_variates`: those are computed once per chunk,
+    and `law_log_weights` with each model's scalars gives its
     `log_weight_law` on the same uniforms, bit for bit.  The chunks run
     through `rng._chunk_map`; the transforms and reductions are batched per
     chunk, which does not affect the values.
     """
     k = models[0].LAW_WORDS
+    scalars = [m.law_scalars() for m in models]
 
     def kernel(i, stream, start, stop):
-        variates = models[0].law_variates(vrng.uniform(stream, (stop - start, cells[i][1], k)))
-        return reduce(np.stack([m.law_log_weights(variates) for m in models]))
+        u = vrng.uniform(stream, (stop - start, cells[i][1], k))
+        variates = models[0].law_variates(u, scalars[0])
+        return reduce(np.stack([m.law_log_weights(variates, s) for m, s in zip(models, scalars)]))
 
     chunks = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
                               for stream_id, n in cells], kernel)

@@ -151,7 +151,10 @@ def main(argv=None) -> int:
         if kind != "gap":
             _PARSER.error(f"fit: {args.gap_table} holds a {kind or 'non-vriwae'} table, "
                           "not a gap table")
-        result = json.dumps(fit_gap_table(rows), indent=1)
+        try:
+            result = json.dumps(fit_gap_table(rows), indent=1)
+        except KeyError as exc:
+            _PARSER.error(f"fit: {args.gap_table} is not a gap table: it has no column {exc}")
         if args.out:
             with open(args.out, "w") as f:
                 f.write(result + "\n")

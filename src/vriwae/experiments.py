@@ -42,9 +42,8 @@ from .asymptotics import expected_min_normal, fit_constant, one_over_n_curve
 from .bounds import _law_samples, decomposition_sample, vr_iwae_from_log_weights
 from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
                         h_coefficients, snr_floor, snr_sweep)
-from .models import (GaussianToy, LinearGaussian, lingauss_analytics,
-                     lingauss_gamma2_quadrature, lingauss_gap_quadrature,
-                     optimal_params, perturb_params)
+from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
+                     lingauss_gap_quadrature, optimal_params, perturb_params)
 from .train import _ESTIMATORS, _OPTIMIZERS, DEFAULT_LEARNING_RATE, TrainConfig, run_training
 from .weights import LogWeights, _mean_se, ess, max_weight_share, qq_points, t_statistic
 
@@ -196,6 +195,9 @@ class ExperimentSpec:
                                  f"model, got {value}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        for name in ("out", "plot"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -549,10 +551,11 @@ def read_table(path: str) -> tuple[list, dict]:
         if f.read(1) == "{":
             f.seek(0)
             doc = json.load(f)
-            spec = doc.get("spec")
-            if not ({"rows", "schema_version"} <= doc.keys() and isinstance(spec, dict)
-                    and "seed" in spec):
-                raise ValueError("a JSON table needs schema_version, rows and a spec with a seed")
+            spec, rows = doc.get("spec"), doc.get("rows")
+            if not ("schema_version" in doc and isinstance(spec, dict) and "seed" in spec
+                    and isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+                raise ValueError("a JSON table needs schema_version, a list of row objects "
+                                 "as rows and a spec with a seed")
             return doc["rows"], {"schema_version": doc["schema_version"],
                                  "seed": str(spec["seed"]),
                                  "spec": json.dumps(spec, sort_keys=True)}
@@ -757,7 +760,7 @@ def selftest(seed: int = 0) -> SelftestReport:
         lg = LinearGaussian(d=d, theta=rng0.normal(size=d), a_tilde=rng0.normal(size=d),
                             b=rng0.normal(size=d), x=rng0.normal(size=d))
         for alpha in (0.0, 0.5):
-            gap, g2, *_ = lingauss_analytics(lg, alpha)
+            gap, g2, *_ = closed_forms(lg, alpha)
             for exact, quad in ((gap, lingauss_gap_quadrature(lg, alpha)),
                                 (g2, lingauss_gamma2_quadrature(lg, alpha))):
                 tol = 1e-6 * max(abs(exact), abs(quad)) + 1e-9

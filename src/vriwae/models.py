@@ -5,25 +5,16 @@ Two models, both with fully closed-form importance weights:
 GaussianToy
     target N(theta, I_d) against proposal N(phi, I_d), with the weight defined
     directly as the density ratio, so the log normalizer is identically zero.
-    Writing B = ||theta - phi||, a proposal draw gives
-        log w = -B^2/2 - B*S,   S ~ N(0, 1),
-    i.e. the log-weights are exactly Gaussian with std B.
+    With B = ||theta - phi|| the log-weights are exactly N(-B^2/2, B^2).
 
 LinearGaussian
     prior N(theta, I_d), likelihood N(x; z, I_d), proposal
     N(a*x + b, (2/3) I_d) with elementwise a.  Exact marginal N(x; theta, 2I),
     exact posterior N((theta+x)/2, (1/2) I).  The relative log-weight of z is
         (d/2) log(4/3) - ||z - (theta+x)/2||^2 + (3/4) ||z - a*x - b||^2.
-    With lambda = ||(theta+x)/2 - a*x - b|| / sqrt(d), the log-weights behave
-    like a sum of d i.i.d. terms with
-        var sigma^2 = 1/18 + (8/3) lambda^2,
-        mean gap per dimension a_const = lambda^2 + 1/6 + (1/2) log(3/4),
-    so ELBO minus the log marginal equals -d * a_const exactly.  The law
-    itself: with delta = (theta+x)/2 - a*x - b (so ||delta||^2 = d lambda^2),
-        log w = (d/2) log(4/3) + 3 ||delta||^2 - X/6,
-    where X = ||eps - sqrt(24) delta||^2 is noncentral chi^2 with d degrees of
-    freedom and noncentrality 24 ||delta||^2.  Rotating delta onto the first
-    axis, X = (Z + sqrt(24 ||delta||^2))^2 + chi^2_(d-1) with Z ~ N(0, 1).
+    With lambda = ||(theta+x)/2 - a*x - b|| / sqrt(d), the log-weights are a
+    sum of d i.i.d. terms of variance 1/18 + (8/3) lambda^2 and mean gap
+    a_const = lambda^2 + 1/6 + (1/2) log(3/4): ELBO - log p = -d a_const.
     The experiments place it at the optimum for a dataset of T i.i.d.
     N(0, 2I) points, evaluated at one of them, x.  That optimum sees the
     dataset only through x and the sum of the other T - 1 points, so
@@ -37,21 +28,13 @@ its class.  Each model states:
 * `TABLE_NAME` ("toy", "lingauss"), its name in the spec and the tables;
   `PROGRESS_LABEL` and `progress`, what training logs (B^2/d, lambda); and
   `TRAINS_THETA`, whether training steps theta besides phi.
-* `LAW_WORDS` and the exact log-weight law in two parts, O(1) draws instead
-  of d normals per log-weight.  `law_variates(u)` maps LAW_WORDS uniforms
-  through `ndtri` and `rng.chi_square` to variates that depend on d alone,
-  not on the parameters; `law_log_weights(variates)` maps those to relative
-  log-weights through the model's own B or delta.  `log_weight_law(u)` is
-  their composition.  `bounds._law_samples` computes the variates once per
-  chunk and maps them through every model of one d, so the gap, collapse and
-  weights runners and `bound_mc`/`gap_mc` draw through it.
 * The z-form `reparam`, `log_relative_weight`, `log_unnormalized_weight`
   and `log_marginal`.  The finite-difference oracle and `selftest` run on
   it, and the tests hold the law and the quadratic to it.
 * `log_weight_quadratic()`: z = loc + scale*eps is affine, so
-  log w = c0 + v . eps + q ||eps||^2, stated as (loc, scale, c0, v, q) with
-  q = 0 for the toy.  `_eps_sums` reads the log-weights and the weighted
-  sums of z off it, without building z.
+  log w = c0 + v . eps + q ||eps||^2, stated as (loc, scale, c0, v, q), with
+  q = 0 for the toy and -1/6 for the linear Gaussian.  `_eps_sums` reads the
+  log-weights and the weighted sums of z off it, without building z.
 * `score_affine()`: the three scores as coefficients (see Scores).
 * `train_normals(N)` and `train_sums(normals, alpha)`: the normals one
   training epoch reads and the sums it takes from them, by default N x d
@@ -59,11 +42,36 @@ its class.  Each model states:
   conditional law with N + 2d normals.  (A Bartlett-factor draw for the
   linear Gaussian would take N(N+1)/2 + 2d, which pays only below N ~ 2d,
   where no experiment runs.)
-* `gap_theory(alpha, n_grid)`: the error term, gamma^2, ELBO gap, and
-  extreme-value baseline and fit shape per N that a gap row predicts.
-* `phi_dim`, `phi_vec` and `with_phi`.  `_Model` holds the theta plumbing,
-  the z check, `log_weight_law` and the default training draw, and each
-  class binds the shared `score_grads` in its own body.
+* `ev_curve(alpha, sigma2, a_const)`: its extreme-value curve family and fit
+  scale, the log-normal curve of B on the B scale for the toy, the iid-sum
+  curve on the sqrt(d) scale for the linear Gaussian.
+* `LAW_WORDS` (1 and 4), the uniforms of one law draw; `phi_dim`, `phi_vec`
+  and `with_phi`.
+
+The rest follows from four scalars, which `_Model.law_scalars()` reads off
+the quadratic and `log_marginal()`: (c, ||v||^2, q, d) with c = c0 - log p.
+Rotating v onto the first axis, Z = -v . eps / ||v|| ~ N(0, 1) and
+C = ||eps||^2 - Z^2 ~ chi^2_(d-1) are independent, and
+
+    log w - log p = c - ||v|| Z + q (Z^2 + C).
+
+* The law draw.  `law_variates(u, scalars)` maps LAW_WORDS uniforms to
+  Z = ndtri(u_0) and, where q != 0, Z^2 + C with C = rng.chi_square(u_1..3,
+  d - 1) where d > 1; they depend on q and d alone.  `law_log_weights(
+  variates, scalars)` returns c - ||v|| Z, plus q (Z^2 + C) where q != 0, and
+  `log_weight_law(u)` composes the two: O(1) draws instead of d normals per
+  log-weight.  `bounds._law_samples` reads the scalars once per call and the
+  variates once per chunk, for every model of one d.
+* The closed forms.  For every t >= 0 (q <= 0 in both models),
+
+      log E[wbar^t] = t c + t^2 ||v||^2 / (2(1 - 2tq)) - (d/2) log(1 - 2tq).
+
+  `closed_forms(model, alpha)` builds on it the VR error term, gamma^2, the
+  ELBO gap c + q d, and the per-dimension variance (||v||^2 + 2 q^2 d)/d and
+  mean gap -(c + q d)/d; `gap_theory` adds the model's `ev_curve`.
+
+`_Model` holds these, the theta plumbing, the z check and the default
+training draw, and each class binds the shared `score_grads` in its own body.
 
 Scores
 ------
@@ -102,8 +110,7 @@ from .weights import _check_alpha, _weight_rows
 __all__ = [
     "GaussianToy",
     "LinearGaussian",
-    "toy_analytics",
-    "lingauss_analytics",
+    "closed_forms",
     "optimal_params",
     "perturb_params",
     "adaptive_simpson",
@@ -159,13 +166,47 @@ def _eps_sums(model, eps: np.ndarray, alpha: float):
 
 
 class _Model:
-    """What the two models share: the theta plumbing, the z check, the
-    composed law and the default training draw.  The facts each model states
-    are listed in the module docstring."""
+    """What the two models share (see the module docstring)."""
+
+    def law_scalars(self) -> tuple:
+        """(c, ||v||^2, q, d) with log w - log p = c - ||v|| Z + q (Z^2 + C)."""
+        _, _, c0, v, q = self.log_weight_quadratic()
+        return c0 - self.log_marginal(), float(v @ v), q, self.d
+
+    @staticmethod
+    def law_variates(u: np.ndarray, scalars: tuple) -> tuple:
+        """(Z,), or (Z, Z^2 + C) where q != 0, from uniforms (..., LAW_WORDS):
+        Z = ndtri(u_0), and C = rng.chi_square(u_1..3, d - 1) where d > 1.
+        C costs about 1.2 times Z per element."""
+        _, _, q, d = scalars
+        z = ndtri(u[..., 0])
+        if not q:
+            return (z,)
+        square = z * z
+        if d > 1:
+            square += vrng.chi_square(u[..., 1:], d - 1)
+        return z, square
+
+    @staticmethod
+    def law_log_weights(variates: tuple, scalars: tuple) -> np.ndarray:
+        """Relative log-weights c - ||v|| Z, plus q (Z^2 + C) where q != 0."""
+        c, v2, q, _ = scalars
+        lw = c - math.sqrt(v2) * variates[0]
+        if q:
+            lw += q * variates[1]
+        return lw
 
     def log_weight_law(self, u: np.ndarray) -> np.ndarray:
         """Relative log-weights (...) from uniforms (..., LAW_WORDS)."""
-        return self.law_log_weights(self.law_variates(u))
+        scalars = self.law_scalars()
+        return self.law_log_weights(self.law_variates(u, scalars), scalars)
+
+    def gap_theory(self, alpha: float, n_grid):
+        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): `closed_forms`,
+        and the model's extreme-value curve per N."""
+        error_term, gamma2, elbo_gap, sigma2, a_const = closed_forms(self, alpha)
+        return (error_term, gamma2, elbo_gap,
+                *_ev_columns(*self.ev_curve(alpha, sigma2, a_const), n_grid))
 
     @property
     def theta_dim(self) -> int:
@@ -234,16 +275,6 @@ class GaussianToy(_Model):
         return self.bd**2 / self.d
 
     # --- sampling and weights ----------------------------------------------
-    def law_variates(self, u: np.ndarray) -> tuple:
-        """(S,) with S = ndtri(u_0) ~ N(0, 1), from uniforms (..., 1)."""
-        return (ndtri(u[..., 0]),)
-
-    def law_log_weights(self, variates: tuple) -> np.ndarray:
-        """Relative log-weights -B^2/2 - B*S; at d = 1 and phi > theta, the
-        path's values on the same uniforms."""
-        b = self.bd
-        return -0.5 * b * b - b * variates[0]
-
     def reparam(self, eps: np.ndarray) -> np.ndarray:
         return self.phi + eps
 
@@ -278,7 +309,7 @@ class GaussianToy(_Model):
 
     score_grads = _score_grads
 
-    # --- training and gap theory -------------------------------------------
+    # --- training and extreme values -----------------------------------------
     def train_normals(self, n: int) -> int:
         return n + 2 * self.d
 
@@ -287,15 +318,15 @@ class GaussianToy(_Model):
         axis), drawn from the exact law of the eps-path sums.
 
         With u = (theta - phi)/B the log-weights see eps_j only through
-        S_j = u . eps_j.  The first N normals are -S_j, so log_w =
-        -B^2/2 - B * normals[:N] is `log_weight_law` on the same uniforms.
-        Given S, the parts of eps_j orthogonal to u are i.i.d. and
-        independent of the weights, so (sum s eps, sum h eps) is
-        (sum s S) u and (sum h S) u plus a Gaussian pair on the complement of
-        u with 2x2 covariance [[sum s^2, sum s h], [sum s h, sum h^2]]: the
-        last 2d normals, with u projected out and mixed by the Cholesky
-        factor of that matrix.  At B = 0 there is no u and nothing is
-        projected; at d = 1 the projection leaves nothing.
+        S_j = u . eps_j.  The first N normals are -S_j, so log_w = -B^2/2 -
+        B * normals[:N] is `log_weight_law` on the same uniforms, up to the
+        rounding of B^2 (none at d = 1).  Given S, the parts of eps_j
+        orthogonal to u are i.i.d. and independent of the weights, so
+        (sum s eps, sum h eps) is (sum s S) u and (sum h S) u plus a Gaussian
+        pair on the complement of u with 2x2 covariance [[sum s^2, sum s h],
+        [sum s h, sum h^2]]: the last 2d normals, with u projected out and
+        mixed by the Cholesky factor of that matrix.  At B = 0 there is no u
+        and nothing is projected; at d = 1 the projection leaves nothing.
         """
         d = self.d
         n = normals.shape[-1] - 2 * d
@@ -319,13 +350,11 @@ class GaussianToy(_Model):
         wz[..., 1, :] += l21[..., None] * g[..., 0, :] + l22[..., None] * g[..., 1, :]
         return lw, w_sum, wz
 
-    def gap_theory(self, alpha: float, n_grid):
-        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): the log-normal
-        closed forms, and the log-normal extreme-value curve per N."""
+    def ev_curve(self, alpha: float, sigma2: float, a_const: float):
+        """(curve, scale): the log-normal extreme-value curve of B, on the B
+        scale."""
         b = self.bd
-        error_term, gamma2 = toy_analytics(alpha, b * b)
-        return (error_term, gamma2, -0.5 * b * b,
-                *_ev_columns(lambda n: lognormal_curve(n, b, alpha, 0.0), b, n_grid))
+        return (lambda n: lognormal_curve(n, b, alpha, 0.0)), b
 
 
 @dataclass
@@ -380,24 +409,6 @@ class LinearGaussian(_Model):
         return self.lam
 
     # --- sampling and weights ----------------------------------------------
-    def law_variates(self, u: np.ndarray) -> tuple:
-        """(Z, C) from uniforms (..., 4): Z = ndtri(u_0) ~ N(0, 1) and
-        C = rng.chi_square(u_1..3, d - 1) ~ chi^2_(d-1); (Z,) alone at d = 1.
-        C costs about 1.2 times Z per element."""
-        z = ndtri(u[..., 0])
-        if self.d == 1:
-            return (z,)
-        return z, vrng.chi_square(u[..., 1:], self.d - 1)
-
-    def law_log_weights(self, variates: tuple) -> np.ndarray:
-        """Relative log-weights (d/2) log(4/3) + 3||delta||^2 - X/6 with
-        X = (Z + sqrt(24 ||delta||^2))^2 + C."""
-        delta2 = float(np.sum((self.posterior_mean - self.q_mean) ** 2))
-        x = (variates[0] + math.sqrt(24.0 * delta2)) ** 2
-        if self.d > 1:
-            x = x + variates[1]
-        return 0.5 * self.d * _LOG_4_3 + 3.0 * delta2 - x / 6.0
-
     def reparam(self, eps: np.ndarray) -> np.ndarray:
         return self.q_mean + math.sqrt(2.0 / 3.0) * eps
 
@@ -449,58 +460,37 @@ class LinearGaussian(_Model):
 
     score_grads = _score_grads
 
-    # --- gap theory ----------------------------------------------------------
-    def gap_theory(self, alpha: float, n_grid):
-        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): the closed forms
-        of `lingauss_analytics`, and the iid-sum extreme-value curve per N."""
-        error_term, gamma2, _, sigma2, a_const = lingauss_analytics(self, alpha)
+    # --- extreme values ------------------------------------------------------
+    def ev_curve(self, alpha: float, sigma2: float, a_const: float):
+        """(curve, scale): the iid-sum extreme-value curve of d terms of
+        variance sigma2 and mean gap a_const, on the sqrt(d) scale."""
         sigma = math.sqrt(sigma2)
-        return (error_term, gamma2, -self.d * a_const,
-                *_ev_columns(lambda n: iid_sum_curve(n, self.d, a_const, sigma, 0.0),
-                             math.sqrt(self.d), n_grid))
+        return (lambda n: iid_sum_curve(n, self.d, a_const, sigma, 0.0)), math.sqrt(self.d)
 
 
 # --------------------------------------------------------------------------
 # Closed-form constants
 # --------------------------------------------------------------------------
 
-def toy_analytics(alpha: float, sigma2d: float) -> tuple[float, float]:
-    """(vr_gap, gamma2) for exactly log-normal weights with variance B^2.
-
-    `sigma2d` is B^2 = ||theta - phi||^2.  vr_gap is the N -> infinity error
-    term -alpha*B^2/2; gamma2 = (exp((1-alpha)^2 B^2) - 1)/(1-alpha) controls
-    the 1/N term and overflows to inf in high dimension, which is meaningful
-    (the 1/N regime is unreachable there).
-    """
+def closed_forms(model, alpha: float) -> tuple:
+    """(vr_gap, gamma2, elbo_gap, sigma2, a_const) from the moment formula on
+    the model's `law_scalars` (see the module docstring), with t = 1 - alpha:
+    the N -> infinity error term (1/t) log E[wbar^t]; gamma2 =
+    (E[wbar^(2t)] / E[wbar^t]^2 - 1)/t, which controls the 1/N term and
+    overflows to inf where that regime is unreachable; E[log wbar] = c + q d;
+    and the per-dimension variance and mean gap of the log-weights."""
     _check_alpha(alpha)
-    if sigma2d < 0:
-        raise ValueError("sigma2d must be non-negative")
-    vr_gap = -alpha * sigma2d / 2.0
+    c, v2, q, d = model.law_scalars()
+    t = 1.0 - alpha
+    r = 1.0 - 2.0 * t * q
+    vr_gap = c + t * v2 / (2.0 * r) - 0.5 * d * math.log1p(-2.0 * t * q) / t
+    # log E[wbar^(2t)] - 2 log E[wbar^t], its t c terms cancelled and its logs
+    # merged, so that it keeps its digits as t -> 0
+    log_ratio = t * t * v2 / (r * (r - 2.0 * t * q)) - 0.5 * d * math.log1p(-(2.0 * t * q / r) ** 2)
     with np.errstate(over="ignore"):
-        gamma2 = float(np.expm1((1.0 - alpha) ** 2 * sigma2d) / (1.0 - alpha))
-    return vr_gap, gamma2
-
-
-def lingauss_analytics(model: LinearGaussian, alpha: float):
-    """(vr_gap, gamma2, lam, sigma2, a_const) for the linear Gaussian model.
-
-    vr_gap and gamma2 are the exact closed forms of the VR error term and the
-    1/N variance constant; sigma2 and a_const are the per-dimension variance
-    and mean gap of the log-weights, with ELBO - log marginal = -d * a_const.
-    """
-    _check_alpha(alpha)
-    d = model.d
-    lam = model.lam
-    dlam2 = d * lam * lam
-    vr_gap = 0.5 * d * (_LOG_4_3 + math.log(3.0 / (4.0 - alpha)) / (1.0 - alpha)) \
-        - 3.0 * alpha / (4.0 - alpha) * dlam2
-    log_factor = d * math.log(4.0 - alpha) - 0.5 * d * math.log(15.0 - 6.0 * alpha) \
-        + 24.0 * (1.0 - alpha) ** 2 / ((5.0 - 2.0 * alpha) * (4.0 - alpha)) * dlam2
-    with np.errstate(over="ignore"):
-        gamma2 = float(np.expm1(log_factor) / (1.0 - alpha))
-    sigma2 = 1.0 / 18.0 + (8.0 / 3.0) * lam * lam
-    a_const = lam * lam + 1.0 / 6.0 + 0.5 * math.log(3.0 / 4.0)
-    return vr_gap, gamma2, lam, sigma2, a_const
+        gamma2 = float(np.expm1(log_ratio) / t)
+    elbo_gap = c + q * d
+    return vr_gap, gamma2, elbo_gap, (v2 + 2.0 * q * q * d) / d, -elbo_gap / d
 
 
 def optimal_params(x: np.ndarray, rest: np.ndarray,

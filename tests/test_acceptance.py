@@ -40,8 +40,8 @@ from vriwae.experiments import (ExperimentSpec, make_linear_gaussian, make_toy,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_weights_experiment)
 from vriwae.gradients import fd_grad_oracle, grad_mean_se
-from vriwae.models import (LinearGaussian, lingauss_analytics,
-                           lingauss_gamma2_quadrature, lingauss_gap_quadrature)
+from vriwae.models import (LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
+                           lingauss_gap_quadrature)
 from vriwae.rng import make_stream, standard_normal, uniform
 from vriwae.train import TrainConfig, run_training
 
@@ -312,7 +312,7 @@ def test_a9_closed_forms_vs_quadrature():
         draw = standard_normal(stream, (4, d))
         model = LinearGaussian(d=d, theta=draw[0], a_tilde=draw[1], b=draw[2], x=draw[3])
         for alpha in (0.0, 0.3, 0.7):
-            gap, g2, *_ = lingauss_analytics(model, alpha)
+            gap, g2, *_ = closed_forms(model, alpha)
             # relative error with a 1e-9 absolute floor: the gap is exactly 0
             # at alpha=0, where a pure ratio is undefined
             for exact, quad in ((gap, lingauss_gap_quadrature(model, alpha)),

@@ -131,6 +131,16 @@ def test_no_model_type_branches_outside_models():
     assert _model_type_branches(probe) == [("f", 2), ("f", 3)]
 
 
+def test_one_statement_of_the_law():
+    # both models draw their log-weight law and take its closed forms from
+    # the four scalars of `_Model.law_scalars`: no class states its own
+    from vriwae import models
+    for cls in (models.GaussianToy, models.LinearGaussian):
+        stated = {"law_variates", "law_log_weights", "log_weight_law"} & vars(cls).keys()
+        assert not stated, (cls.__name__, stated)
+    assert [name for name in models.__all__ if name.endswith("_analytics")] == []
+
+
 # imports no module reads, each kept on purpose: perfbench/tracing.py wraps
 # experiments.ndtri
 UNREAD_IMPORTS = {("experiments", "ndtri")}

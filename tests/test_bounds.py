@@ -12,7 +12,7 @@ from vriwae import rng as vrng
 from vriwae.bounds import (_law_samples, bound_mc, decomposition_sample, gap_mc,
                            vr_iwae_from_log_weights)
 from vriwae.experiments import make_linear_gaussian
-from vriwae.models import GaussianToy, toy_analytics
+from vriwae.models import GaussianToy, closed_forms
 from vriwae.rng import make_stream, uniform
 from vriwae.weights import LogWeights
 
@@ -162,7 +162,7 @@ def test_gap_mc_zero_for_matched_params():
 def test_gap_mc_one_over_n_prediction():
     # toy d=10 (B^2=10), alpha=0.5, N=1024: gap ~ -2.5 - gamma2/(2*1024)
     model = GaussianToy(d=10, theta=np.zeros(10), phi=np.ones(10))
-    vr_gap, gamma2 = toy_analytics(0.5, 10.0)
+    vr_gap, gamma2, *_ = closed_forms(model, 0.5)
     assert vr_gap == -2.5
     assert gamma2 == pytest.approx(2.0 * (math.exp(2.5) - 1.0), abs=1e-9)
     predicted = vr_gap - gamma2 / (2.0 * 1024.0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -135,6 +137,8 @@ def _cli_base(skip=()):
     ("gap", [{"sigma_perturbs": [0, 0.0]}, "--model", "lingauss"], "sigma_perturbs"),
     ("gap", [{"kind": "snr"}], "kind"),
     ("snr", [{"kind": "gap"}, "--replicates", "100"], "kind"),
+    ("gap", [{"out": 5}], "out"),
+    ("gap", [{"plot": ["a"]}], "plot"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -152,7 +156,8 @@ def _cli_base(skip=()):
         "gap-sigma-perturb-nan", "train-lr-inf", "train-lr-nan", "gap-config-theta-scale-1e400",
         "gap-config-theta-scale-huge-int", "gap-repeated-d", "collapse-repeated-d",
         "snr-repeated-d", "gap-repeated-alpha", "gap-repeated-sigma-perturb",
-        "gap-config-repeated-sigma-perturb", "gap-config-kind-snr", "snr-config-kind-gap"])
+        "gap-config-repeated-sigma-perturb", "gap-config-kind-snr", "snr-config-kind-gap",
+        "gap-config-out-int", "gap-config-plot-list"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -165,8 +170,10 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
             argv += ["--config", str(cfg)]
         else:
             argv.append(arg)
+    if "out" not in configured:     # an explicit --out overrides the config's
+        argv += ["--out", str(out)]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(out)])
+        main(argv)
     assert exc.value.code == 2
     assert f"{command}: {field} " in capsys.readouterr().err
     assert not out.exists()
@@ -668,16 +675,40 @@ def test_cli_fit_refuses_non_gap_table(tmp_path, capsys, fmt):
     assert not fit_out.exists()
 
 
-@pytest.mark.parametrize("text", ["{not json", "{}", '{"rows": [], "schema_version": 1}'],
-                         ids=["not-json", "empty-object", "no-spec"])
-def test_cli_fit_rejects_malformed_table(tmp_path, capsys, text):
+def _gap_csv_without(column):
+    """A gap table's CSV text with `column` removed."""
+    spec = small_gap_spec(replicates=10)
+    lines = write_table(run_gap_experiment(spec), spec).splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    records = list(csv.reader(line for line in lines if not line.startswith("#")))
+    i = records[0].index(column)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(r[:i] + r[i + 1:] for r in records)
+    return "\n".join(header) + "\n" + out.getvalue()
+
+
+_GAP_META = '"schema_version": "1", "spec": {"kind": "gap", "seed": 0}'
+_NOT_VRIWAE = "is not a vriwae table: "
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("gap.json", "{not json", _NOT_VRIWAE),
+    ("gap.json", "{}", _NOT_VRIWAE),
+    ("gap.json", '{"rows": [], "schema_version": 1}', _NOT_VRIWAE),
+    ("gap.json", '{"rows": 5, %s}' % _GAP_META, _NOT_VRIWAE + "a JSON table needs"),
+    ("gap.json", '{"rows": [{"a": 1}], %s}' % _GAP_META,
+     "is not a gap table: it has no column 'model'\n"),
+    ("gap.csv", "no-mean-gap", "is not a gap table: it has no column 'mean_gap'\n"),
+], ids=["not-json", "empty-object", "no-spec", "rows-not-a-list", "rows-without-columns",
+        "csv-without-mean-gap"])
+def test_cli_fit_rejects_malformed_table(tmp_path, capsys, name, text, message):
     from vriwae.cli import main
-    table = tmp_path / "gap.json"
-    table.write_text(text)
+    table = tmp_path / name
+    table.write_text(_gap_csv_without("mean_gap") if text == "no-mean-gap" else text)
     with pytest.raises(SystemExit) as exc:
         main(["fit", str(table)])
     assert exc.value.code == 2
-    assert f"fit: {table} is not a vriwae table: " in capsys.readouterr().err
+    assert f"fit: {table} {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plot", "config-out"])

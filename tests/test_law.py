@@ -1,10 +1,13 @@
-"""The exact one-dimensional log-weight laws against the d-dimensional path.
+"""The exact log-weight law against the d-dimensional path.
 
-`log_weight_law` replaces d normals per log-weight by LAW_WORDS uniforms in
-the gap, collapse, weights and bound_mc/gap_mc samplers.  The path
-(`reparam` + `log_relative_weight`) stays the reference: the two must agree in
-distribution (two-sample KS), the law must match the closed-form moments, and
-at d = 1 the toy law must equal the path on the same uniforms.
+Both models draw their law from the four scalars (c, ||v||^2, q, d) of
+`law_scalars`: c - ||v|| Z + q (Z^2 + C), with Z ~ N(0, 1) and
+C ~ chi^2_(d-1).  `log_weight_law` so replaces d normals per log-weight by
+LAW_WORDS uniforms in the gap, collapse, weights and bound_mc/gap_mc
+samplers.  The path (`reparam` + `log_relative_weight`) stays the reference:
+the two must agree in distribution (two-sample KS), the law must match the
+mean and variance of `closed_forms` (for the toy, those of the log-normal law
+of B), and at d = 1 the toy law must equal the path on the same uniforms.
 """
 
 import math
@@ -16,7 +19,7 @@ from scipy.stats import ks_2samp
 
 from vriwae.bounds import bound_mc, gap_mc
 from vriwae.experiments import make_linear_gaussian, make_toy
-from vriwae.models import GaussianToy, lingauss_analytics
+from vriwae.models import GaussianToy, closed_forms
 from vriwae.rng import make_stream, standard_normal, uniform
 
 KS_SAMPLES = 4000
@@ -51,12 +54,10 @@ def test_law_matches_path_in_distribution(kind, d, sigma_perturb):
 @pytest.mark.parametrize("kind, d, sigma_perturb", MOMENT_CASES)
 def test_law_closed_form_moments(kind, d, sigma_perturb):
     model = build(kind, d, sigma_perturb)
-    if kind == "toy":
-        b = model.bd
-        mean, var = -0.5 * b * b, b * b
-    else:
-        *_, sigma2, a_const = lingauss_analytics(model, 0.0)
-        mean, var = -d * a_const, d * sigma2
+    _, _, mean, sigma2, _ = closed_forms(model, 0.0)
+    var = d * sigma2
+    if kind == "toy":   # the log-normal law of B
+        assert (mean, var) == pytest.approx((-0.5 * model.bd**2, model.bd**2))
     x = law_samples(model, MOMENT_SAMPLES, 21 + d)
     dev2 = (x - x.mean()) ** 2
     se_mean = x.std(ddof=1) / math.sqrt(x.size)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from vriwae.models import (GaussianToy, LinearGaussian, adaptive_simpson,
-                           lingauss_analytics, lingauss_gamma2_quadrature,
-                           lingauss_gap_quadrature, lingauss_marginal_quadrature,
-                           optimal_params, perturb_params, toy_analytics)
+from vriwae.models import (GaussianToy, LinearGaussian, adaptive_simpson, closed_forms,
+                           lingauss_gamma2_quadrature, lingauss_gap_quadrature,
+                           lingauss_marginal_quadrature, optimal_params, perturb_params)
 from vriwae.experiments import make_linear_gaussian
 from vriwae.rng import make_stream, standard_normal
 
@@ -196,30 +195,30 @@ def test_matched_params_total_score_is_minus_eps():
 # closed forms
 # --------------------------------------------------------------------------
 
+# the toy at theta = 0, phi = 1 has B^2 = ||v||^2 = d exactly
+
 def test_toy_analytics_values():
-    assert toy_analytics(0.0, 7.0) == (0.0, pytest.approx(math.expm1(7.0)))
-    vr_gap, gamma2 = toy_analytics(0.5, 10.0)
+    assert closed_forms(toy(7), 0.0)[:2] == (0.0, pytest.approx(math.expm1(7.0)))
+    vr_gap, gamma2, *_ = closed_forms(toy(10), 0.5)
     assert vr_gap == -2.5
     assert gamma2 == pytest.approx(2.0 * (math.exp(2.5) - 1.0))
     assert gamma2 == pytest.approx(22.365, abs=5e-3)
 
 
 def test_toy_analytics_gamma_vanishes_at_one():
-    _, gamma2 = toy_analytics(1.0 - 1e-6, 2.0)
+    _, gamma2, *_ = closed_forms(toy(2), 1.0 - 1e-6)
     assert gamma2 < 1e-4 * 2.0 * 2.0
 
 
 def test_toy_analytics_domain():
     with pytest.raises(ValueError):
-        toy_analytics(1.0, 1.0)
-    with pytest.raises(ValueError):
-        toy_analytics(0.5, -1.0)
+        closed_forms(toy(1), 1.0)
 
 
 def test_lingauss_analytics_at_optimum():
     lg, _ = make_linear_gaussian(1, 0.0, seed=9, t=32)
-    vr_gap, gamma2, lam, sigma2, a_const = lingauss_analytics(lg, 0.0)
-    assert lam == pytest.approx(0.0, abs=1e-12)
+    vr_gap, gamma2, _, sigma2, a_const = closed_forms(lg, 0.0)
+    assert lg.lam == pytest.approx(0.0, abs=1e-12)
     assert vr_gap == pytest.approx(0.0, abs=1e-12)
     assert gamma2 == pytest.approx(4.0 / math.sqrt(15.0) - 1.0, abs=1e-12)
     assert gamma2 == pytest.approx(0.032796, abs=1e-6)
@@ -235,7 +234,7 @@ def test_lingauss_analytics_vs_quadrature():
         lg = LinearGaussian(d=d, theta=rng.normal(size=d), a_tilde=rng.normal(size=d),
                             b=rng.normal(size=d), x=rng.normal(size=d))
         for alpha in (0.0, 0.3, 0.7):
-            vr_gap, gamma2, *_ = lingauss_analytics(lg, alpha)
+            vr_gap, gamma2, *_ = closed_forms(lg, alpha)
             assert vr_gap == pytest.approx(lingauss_gap_quadrature(lg, alpha),
                                            rel=1e-6, abs=1e-9)
             assert gamma2 == pytest.approx(lingauss_gamma2_quadrature(lg, alpha),
@@ -244,7 +243,7 @@ def test_lingauss_analytics_vs_quadrature():
 
 def test_elbo_gap_is_minus_da():
     lg, _ = make_linear_gaussian(8, 0.3, seed=17, t=64)
-    *_, a_const = lingauss_analytics(lg, 0.0)
+    *_, a_const = closed_forms(lg, 0.0)
     eps = standard_normal(make_stream(17, 2), (400_000, 8))
     lrw = lg.log_relative_weight(lg.reparam(eps))
     se = lrw.std(ddof=1) / math.sqrt(lrw.size)
@@ -253,10 +252,33 @@ def test_elbo_gap_is_minus_da():
 
 def test_lingauss_log_std_matches_sigma():
     lg, _ = make_linear_gaussian(12, 0.3, seed=19, t=64)
-    *_, sigma2, _ = lingauss_analytics(lg, 0.0)
+    *_, sigma2, _ = closed_forms(lg, 0.0)
     eps = standard_normal(make_stream(19, 2), (400_000, 12))
     lrw = lg.log_relative_weight(lg.reparam(eps))
     assert abs(lrw.std(ddof=1) / math.sqrt(12.0) - math.sqrt(sigma2)) < 0.02 * math.sqrt(sigma2)
+
+
+_ALPHAS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 10, 1000, 60_000])
+def test_closed_forms_order_the_gaps(d):
+    # log E[wbar^t] is convex in t, 0 at t = 0 (and at t = 1: relative weights
+    # have unit mean) with slope E[log wbar] there, so vr_gap, its chord slope
+    # at t = 1 - alpha, is 0 at alpha = 0, falls with alpha, stays in
+    # [elbo_gap, 0], and nears elbo_gap as t var(log wbar)/2 when t -> 0
+    models = [toy(d)] + [make_linear_gaussian(d, sp, seed=5)[0] for sp in (0.0, 0.3)]
+    for model in models:
+        forms = [closed_forms(model, alpha) for alpha in _ALPHAS]
+        gaps = [f[0] for f in forms]
+        _, _, elbo_gap, sigma2, _ = forms[0]
+        tol = 1e-14 * (d + abs(elbo_gap))       # rounding of the O(d) terms
+        label = (type(model).__name__, gaps, elbo_gap)
+        assert abs(gaps[0]) <= tol, label
+        assert all(b <= a + tol for a, b in zip(gaps, gaps[1:])), label
+        assert all(elbo_gap - tol <= g <= tol for g in gaps), label
+        assert gaps[-1] - elbo_gap <= 1e-6 * d * sigma2 + tol, label
+        assert all(f[1] >= 0.0 for f in forms), label     # +inf where it overflows
 
 
 # --------------------------------------------------------------------------

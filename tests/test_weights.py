@@ -195,7 +195,7 @@ def test_qq_errors():
 class _FixedLaw:
     """A model stub whose log-weight law returns fixed values: the weights
     runner draws its sample as one cell of N = 1, so the uniforms of its one
-    chunk come as (samples, 1, LAW_WORDS)."""
+    chunk come as (samples, 1, LAW_WORDS), with the scalars it read once."""
 
     TABLE_NAME = "toy"
     LAW_WORDS = 1
@@ -203,11 +203,15 @@ class _FixedLaw:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def law_variates(self, u):
-        assert u.shape == (self.values.size, 1, 1)
+    def law_scalars(self):
+        return "scalars"
+
+    def law_variates(self, u, scalars):
+        assert u.shape == (self.values.size, 1, 1) and scalars == "scalars"
         return (self.values[:, None],)
 
-    def law_log_weights(self, variates):
+    def law_log_weights(self, variates, scalars):
+        assert scalars == "scalars"
         return variates[0]
 
 
