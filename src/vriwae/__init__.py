@@ -8,7 +8,7 @@ from .bounds import (BoundEstimate, bound_mc, decomposition_sample, gap_mc,
 from .gradients import fd_grad_oracle, h_coefficients, snr_sweep
 from .models import GaussianToy, LinearGaussian, closed_forms, optimal_params, perturb_params
 from .rng import RngStream, make_stream, standard_normal, uniform
-from .train import TrainConfig, Trajectory, adam_step, run_training, sgd_step
+from .train import TrainConfig, Trajectory, run_training
 from .weights import (LogWeights, ess, max_weight_share, qq_points, relative_log_weights,
                       t_statistic)
 

@@ -155,6 +155,8 @@ def main(argv=None) -> int:
             result = json.dumps(fit_gap_table(rows), indent=1)
         except KeyError as exc:
             _PARSER.error(f"fit: {args.gap_table} is not a gap table: it has no column {exc}")
+        except ValueError as exc:
+            _PARSER.error(f"fit: {args.gap_table} is not a gap table: {exc}")
         if args.out:
             with open(args.out, "w") as f:
                 f.write(result + "\n")

@@ -337,10 +337,19 @@ def _masked_fit(base, shape, observed):
 
 def fit_gap_table(rows: Sequence[dict]) -> list:
     """Re-fit the curve constants per (model, alpha, d, sigma_perturb) group
-    of a gap table, from its stored baseline and shape columns alone."""
+    of a gap table, from its stored baseline and shape columns alone.
+
+    Raises KeyError for a missing column, and ValueError naming the column
+    and the row (from 1) for a cell of N that is not a number, or of a fitted
+    column that is neither a number nor empty (an empty cell reads as NaN)."""
     groups: dict[tuple, list] = {}
-    for row in rows:
+    for i, row in enumerate(rows, 1):
         key = (row["model"], row["alpha"], row["d"], row["sigma_perturb"])
+        for col in ("N", "mean_gap", "pred_1n", "shape_1n", "pred_ev", "shape_ev"):
+            v = row[col]
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number or v is None and col != "N"):
+                raise ValueError(f"column {col!r} holds {v!r} in row {i}, not a number")
         groups.setdefault(key, []).append(row)
     out = []
     for (model, alpha, d, sp), grp in groups.items():

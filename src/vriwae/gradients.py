@@ -31,8 +31,8 @@ states (see `models`):
   `grad_mean_se` and `snr_sweep` reduce all three.
 * From one training epoch's normals, `train_sums`: the eps path by default,
   and for the toy an exact draw of the sums from their conditional law, which
-  `train` contracts the same way.  The eps path stays its oracle in the
-  tests.
+  `train` contracts the same way, into only the gradients its run steps.
+  The eps path stays its oracle in the tests.
 
 The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
 log-weight of z instead, so it shares no kernel with the estimators.
@@ -104,15 +104,23 @@ def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
     return _h(s, alpha)
 
 
-def _contract(model, w_sum: np.ndarray, wz: np.ndarray):
-    """(g_theta, g_phi_rep, g_phi_drep) from the weighted sums: w_sum of shape
-    (..., 2, 1) holds sum s and sum h, wz of shape (..., 2, d) holds sum s z
-    and sum h z."""
-    s_sum, h_sum = w_sum[..., 0, :], w_sum[..., 1, :]
-    sz, hz = wz[..., 0, :], wz[..., 1, :]
-    theta, phi_total, phi_stopped = model.score_affine()
-    return (_affine_score(*theta, sz, s_sum), _affine_score(*phi_total, sz, s_sum),
-            _affine_score(*phi_stopped, hz, h_sum))
+# per gradient, the score it contracts (its index in `score_affine()`) and the
+# row of weights it contracts against: theta and rep phi take their total
+# scores against s, drep phi the stopped score against h
+_GRADIENTS = {"theta": (0, 0), "rep": (1, 0), "drep": (2, 1)}
+
+
+def _contract(scores, w_sum: np.ndarray, wz: np.ndarray, kinds=("theta", "rep", "drep")):
+    """The gradients `kinds` from a model's `score_affine()` and the weighted
+    sums: w_sum of shape (..., 2, 1) holds sum s and sum h, wz of shape
+    (..., 2, d) holds sum s z and sum h z.  Only the consts of those scores
+    are evaluated."""
+    grads = []
+    for kind in kinds:
+        score, row = _GRADIENTS[kind]
+        const, coef = scores[score]
+        grads.append(_affine_score(const(), coef, wz[..., row, :], w_sum[..., row, :]))
+    return tuple(grads)
 
 
 def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
@@ -126,7 +134,7 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
     """
     alpha = _check_alpha(alpha, closed=True)
     _, w_sum, wz = _eps_sums(model, eps, alpha)
-    return _contract(model, w_sum, wz)
+    return _contract(model.score_affine(), w_sum, wz)
 
 
 def _grad_moments(model, n_importance: int, replicates: int, stream: vrng.RngStream,

@@ -46,7 +46,10 @@ its class.  Each model states:
   scale, the log-normal curve of B on the B scale for the toy, the iid-sum
   curve on the sqrt(d) scale for the linear Gaussian.
 * `LAW_WORDS` (1 and 4), the uniforms of one law draw; `phi_dim`, `phi_vec`
-  and `with_phi`.
+  and `with_phi`.  `theta_vec` and `phi_vec` are the model's own arrays (the
+  linear Gaussian keeps a_tilde and b as the two halves of its phi_vec), so
+  stepping them in place moves the model; `copy()` is a model at the same
+  parameters that shares no array with this one.
 
 The rest follows from four scalars, which `_Model.law_scalars()` reads off
 the quadratic and `log_marginal()`: (c, ||v||^2, q, d) with c = c0 - log p.
@@ -70,8 +73,9 @@ C = ||eps||^2 - Z^2 ~ chi^2_(d-1) are independent, and
   ELBO gap c + q d, and the per-dimension variance (||v||^2 + 2 q^2 d)/d and
   mean gap -(c + q d)/d; `gap_theory` adds the model's `ev_curve`.
 
-`_Model` holds these, the theta plumbing, the z check and the default
-training draw, and each class binds the shared `score_grads` in its own body.
+`_Model` holds these, the theta plumbing, `copy`, the z check and the
+default training draw, and each class binds the shared `score_grads` in its
+own body.
 
 Scores
 ------
@@ -87,10 +91,14 @@ model states its three scores (theta, phi-total, phi-stopped) once, in
     score_k(z) = const_k + coef_k * z_(k mod d),   k = 0..P-1,
 
 i.e. coef multiplies z tiled m times along the last axis (m = 2 for the
-linear Gaussian phi blocks, packed [a, b]; m = 1 otherwise).  `score_grads`
-materializes the scores from these coefficients, and the gradient kernels
-contract them without materializing (see `gradients`), so the finite-
-difference checks of `score_grads` vouch for the formula that runs.
+linear Gaussian phi blocks, packed [a, b]; m = 1 otherwise).  coef depends on
+no trained parameter; const does, so `score_affine` states it as a function
+of no arguments that reads the model's parameters when called.  A caller that
+steps the parameters in place (`train`) builds the coefficients once and
+evaluates only the consts it needs.  `score_grads` materializes the scores
+from these coefficients, and the gradient kernels contract them without
+materializing (see `gradients`), so the finite-difference checks of
+`score_grads` vouch for the formula that runs.
 
 All array methods broadcast: z / eps may be (..., d) batches.
 """
@@ -130,14 +138,17 @@ def _affine_score(const: np.ndarray, coef: np.ndarray, z: np.ndarray, weight_sum
     z = sum_j w_j z_j and weight_sum = sum_j w_j it is the weighted score sum
     sum_j w_j score(z_j), which is how the gradient kernels contract.
     """
-    return const * weight_sum + coef * np.tile(z, const.shape[0] // z.shape[-1])
+    # coef as (m, d) against z broadcast over m: the products of the tiling,
+    # without building the tiled z
+    tiled = coef.reshape(-1, z.shape[-1]) * z[..., None, :]
+    return const * weight_sum + tiled.reshape(*z.shape[:-1], coef.shape[0])
 
 
 def _score_grads(self, eps: np.ndarray, z: np.ndarray):
     """(d_theta, d_phi_total, d_phi_stopped) from `score_affine`, each
     shaped like z but with the block's size on the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    return tuple(_affine_score(const, coef, z) for const, coef in self.score_affine())
+    return tuple(_affine_score(const(), coef, z) for const, coef in self.score_affine())
 
 
 def _ev_columns(curve, scale: float, n_grid):
@@ -219,6 +230,10 @@ class _Model:
     def with_theta(self, v: np.ndarray):
         return replace(self, theta=np.asarray(v, dtype=np.float64))
 
+    def copy(self):
+        """The model at the same parameters, sharing no array with this one."""
+        return replace(self)
+
     def _check_z(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         if z.shape[-1] != self.d:
@@ -297,15 +312,16 @@ class GaussianToy(_Model):
         return self.phi, 1.0, -0.5 * float(v @ v), v, 0.0
 
     def score_affine(self):
-        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped).
+        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped), each
+        const a function of the current parameters.
 
         d_theta       = z - theta
         d_phi_total   = -(phi + eps - theta) = theta - z   (path + explicit proposal term)
         d_phi_stopped = theta - phi                        (path only; constant in z)
         """
         ones = np.ones(self.d)
-        return ((-self.theta, ones), (self.theta.copy(), -ones),
-                (self.theta - self.phi, np.zeros(self.d)))
+        return ((lambda: -self.theta, ones), (lambda: self.theta, -ones),
+                (lambda: self.theta - self.phi, np.zeros(self.d)))
 
     score_grads = _score_grads
 
@@ -330,7 +346,8 @@ class GaussianToy(_Model):
         """
         d = self.d
         n = normals.shape[-1] - 2 * d
-        b = self.bd
+        v = self.theta - self.phi
+        b = math.sqrt(v.dot(v))                       # `bd`, as np.linalg.norm rounds it
         s_dir = -normals[..., :n]                     # S_j = u . eps_j
         lw = -0.5 * b * b + b * s_dir
         w = _weight_rows(lw, alpha)                   # (..., 2, N)
@@ -338,7 +355,7 @@ class GaussianToy(_Model):
         g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)
         wz = w_sum * self.phi
         if b > 0.0:
-            u = (self.theta - self.phi) / b
+            u = v / b
             g = g - (g @ u)[..., None] * u
             wz = wz + (w @ s_dir[..., None]) * u
         gram = w @ np.swapaxes(w, -1, -2)             # (..., 2, 2)
@@ -373,9 +390,13 @@ class LinearGaussian(_Model):
     LAW_WORDS = 4
 
     def __post_init__(self):
-        for name in ("theta", "a_tilde", "b", "x"):
-            v = np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (self.d,)).copy()
-            setattr(self, name, v)
+        vecs = [np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (self.d,))
+                for name in ("theta", "a_tilde", "b", "x")]
+        self.theta, self.x = vecs[0].copy(), vecs[3].copy()
+        # a_tilde and b are the halves of one phi array, so that phi_vec is
+        # the model's own
+        self._phi = np.concatenate(vecs[1:3])
+        self.a_tilde, self.b = self._phi[: self.d], self._phi[self.d :]
 
     # --- parameter plumbing -------------------------------------------------
     @property
@@ -384,7 +405,7 @@ class LinearGaussian(_Model):
 
     @property
     def phi_vec(self) -> np.ndarray:
-        return np.concatenate([self.a_tilde, self.b])
+        return self._phi
 
     def with_phi(self, v: np.ndarray) -> "LinearGaussian":
         v = np.asarray(v, dtype=np.float64)
@@ -438,8 +459,9 @@ class LinearGaussian(_Model):
         return self.q_mean, scale, c0, 2.0 * scale * delta, -1.0 / 6.0
 
     def score_affine(self):
-        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped); phi
-        blocks packed [a, b], so their coefficients act on z tiled twice.
+        """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped), each
+        const a function of the current parameters; phi blocks packed [a, b],
+        so their coefficients act on z tiled twice.
 
         The unnormalized weight is p(z) p(x|z) / q(z|x), so the theta score
         keeps the marginal's theta-dependence: d_theta = z - theta.  For phi,
@@ -451,12 +473,17 @@ class LinearGaussian(_Model):
             base_stopped = base_total + 1.5 (z - q_mean)   = c_s - z / 2,
         where c_t = theta + x and c_s = c_t - 1.5 q_mean.
         """
-        c_t = self.theta + self.x
-        c_s = c_t - 1.5 * self.q_mean
+        def phi_const(c):
+            return np.concatenate([self.x * c, c])
+
+        def c_t():
+            return self.theta + self.x
+
         ones = np.ones(self.d)
-        return ((-self.theta, ones),
-                (np.concatenate([self.x * c_t, c_t]), np.concatenate([-2.0 * self.x, -2.0 * ones])),
-                (np.concatenate([self.x * c_s, c_s]), np.concatenate([-0.5 * self.x, -0.5 * ones])))
+        return ((lambda: -self.theta, ones),
+                (lambda: phi_const(c_t()), np.concatenate([-2.0 * self.x, -2.0 * ones])),
+                (lambda: phi_const(c_t() - 1.5 * self.q_mean),
+                 np.concatenate([-0.5 * self.x, -0.5 * ones])))
 
     score_grads = _score_grads
 

@@ -16,6 +16,15 @@ and which gradient sums it takes from them (`train_normals`, `train_sums`).
 Each logged row adds a small fresh Monte Carlo gap estimate and the gradient
 norm.
 
+`run_training` copies the caller's model once (`copy`), and the caller's
+model is never touched.  Across epochs the loop keeps that private copy,
+whose parameter arrays (`theta_vec`, `phi_vec`) each epoch steps in place,
+the score coefficients of `score_affine`, built once, and one update rule
+per stepped array with its state (Adam's moments).  An epoch contracts only
+the gradients the run steps: theta's where `TRAINS_THETA`, and phi's of the
+run's estimator.  `p += lr * g` rounds as `p + lr * g` does, so the rows are
+those of a loop that rebuilds the model every epoch.
+
 Draws follow the package's one rule (see `rng`): epoch e (from 1) reads block
 e - 1 of a fresh stream at the key of the run's stream, and logged row k's
 gap is `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on
@@ -26,6 +35,7 @@ the calling thread, since each starts from the parameters the last one left.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +50,7 @@ __all__ = [
     "TrainConfig",
     "TrajectoryRow",
     "Trajectory",
-    "AdamState",
     "TrainingDiverged",
-    "sgd_step",
-    "adam_step",
     "run_training",
 ]
 
@@ -108,37 +115,40 @@ class Trajectory:
         return self.rows[-1]
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """Ascent step params + lr * grad."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape:
-        raise ValueError("params and grad shapes differ")
-    return params + lr * grad
+class _Sgd:
+    """Ascent steps on the array `params`, in place: params += lr * grad."""
+
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params, self.lr = params, lr
+
+    def __call__(self, grad: np.ndarray) -> None:
+        if self.params.shape != grad.shape:
+            raise ValueError("params and grad shapes differ")
+        self.params += self.lr * grad
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
+class _Adam:
+    """Bias-corrected adaptive moment ascent steps on the array `params`, in
+    place; keeps the moments m, v and the step count t."""
 
-    @classmethod
-    def zeros(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params, self.lr = params, lr
+        self.m = np.zeros(params.shape)
+        self.v = np.zeros(params.shape)
+        self.t = 0
+
+    def __call__(self, grad: np.ndarray) -> None:
+        self.t += 1
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+        self.params += self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3):
-    """Bias-corrected adaptive moment ascent step; returns (state, params)."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_params = params + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m=m, v=v, t=t), new_params
+_RULES = {"sgd": _Sgd, "adam": _Adam}
 
 
 def _epoch_normals(model, config: TrainConfig, stream: vrng.RngStream):
@@ -158,12 +168,16 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     Epoch e reads block e - 1 of a fresh stream at the key of `stream`, and
     logged row k's gap reads stream.child(1 + k) (see the module docstring),
     so identical (model, config, stream key) reproduce identical rows;
-    `stream` is not advanced.  Aborts when the gradient norm exceeds 1e8.
+    neither `model` nor `stream` changes.  Aborts when the gradient norm
+    exceeds 1e8.
     """
+    model = model.copy()
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
-    train_theta = model.TRAINS_THETA
-    adam_theta = AdamState.zeros(model.theta_dim)
-    adam_phi = AdamState.zeros(model.phi_dim)
+    kinds, params = (config.estimator,), (model.phi_vec,)
+    if model.TRAINS_THETA:
+        kinds, params = ("theta", *kinds), (model.theta_vec, *params)
+    steps = [_RULES[config.optimizer](p, config.learning_rate) for p in params]
+    scores = model.score_affine()
 
     def log_row(epoch: int, grad_norm: float):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
@@ -175,27 +189,13 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     log_row(0, 0.0)
     for epoch, normals in _epoch_normals(model, config, stream):
         _, w_sum, wz = model.train_sums(normals, config.alpha)
-        g_theta, g_rep, g_drep = _contract(model, w_sum, wz)
-        g_phi = g_rep if config.estimator == "rep" else g_drep
-        norm_sq = float(np.dot(g_phi, g_phi))
-        if train_theta:
-            norm_sq += float(np.dot(g_theta, g_theta))
-        grad_norm = float(np.sqrt(norm_sq))
+        grads = _contract(scores, w_sum, wz, kinds)
+        grad_norm = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
         if grad_norm > GRAD_NORM_LIMIT:
             raise TrainingDiverged(
                 f"gradient norm {grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e} at epoch {epoch}")
-        if train_theta:
-            if config.optimizer == "sgd":
-                model = model.with_theta(sgd_step(model.theta_vec, g_theta, config.learning_rate))
-            else:
-                adam_theta, new_theta = adam_step(adam_theta, model.theta_vec, g_theta,
-                                                  config.learning_rate)
-                model = model.with_theta(new_theta)
-        if config.optimizer == "sgd":
-            model = model.with_phi(sgd_step(model.phi_vec, g_phi, config.learning_rate))
-        else:
-            adam_phi, new_phi = adam_step(adam_phi, model.phi_vec, g_phi, config.learning_rate)
-            model = model.with_phi(new_phi)
+        for step, g in zip(steps, grads):
+            step(g)
         if epoch % config.log_every == 0 or epoch == config.epochs:
             log_row(epoch, grad_norm)
     return traj

@@ -147,7 +147,7 @@ def _h(s: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -156,7 +156,8 @@ def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:
     """The stacked rows (s, h) of shape (..., 2, N) for log-weights (..., N):
     s the normalized (1-alpha)-power weights, h their drep coefficients."""
     s = _softmax_last((1.0 - alpha) * lw)
-    return np.stack([s, _h(s, alpha)], axis=-2)
+    # np.stack's own overhead is several times this copy's at one epoch's N
+    return np.concatenate([s[..., None, :], _h(s, alpha)[..., None, :]], axis=-2)
 
 
 def qq_points(log_weights: np.ndarray) -> QQResult:

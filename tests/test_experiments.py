@@ -687,6 +687,26 @@ def _gap_csv_without(column):
     return "\n".join(header) + "\n" + out.getvalue()
 
 
+def _gap_table_with(fmt, column, row, value):
+    """A gap table's text in format `fmt` with `value` in `column` of data
+    row `row` (from 0)."""
+    spec = small_gap_spec(replicates=10, format=fmt)
+    rows = run_gap_experiment(spec)
+    if fmt == "json":
+        rows[row][column] = value
+        return write_table(rows, spec)
+    lines = write_table(rows, spec).splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    records = list(csv.reader(line for line in lines if not line.startswith("#")))
+    records[1 + row][records[0].index(column)] = value
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(records)
+    return "\n".join(header) + "\n" + out.getvalue()
+
+
+_BUILT_TABLES = {"no-mean-gap": lambda: _gap_csv_without("mean_gap"),
+                 "json-mean-gap-x": lambda: _gap_table_with("json", "mean_gap", 1, "x"),
+                 "csv-mean-gap-x": lambda: _gap_table_with("csv", "mean_gap", 1, "x")}
 _GAP_META = '"schema_version": "1", "spec": {"kind": "gap", "seed": 0}'
 _NOT_VRIWAE = "is not a vriwae table: "
 
@@ -699,12 +719,16 @@ _NOT_VRIWAE = "is not a vriwae table: "
     ("gap.json", '{"rows": [{"a": 1}], %s}' % _GAP_META,
      "is not a gap table: it has no column 'model'\n"),
     ("gap.csv", "no-mean-gap", "is not a gap table: it has no column 'mean_gap'\n"),
+    ("gap.json", "json-mean-gap-x",
+     "is not a gap table: column 'mean_gap' holds 'x' in row 2, not a number\n"),
+    ("gap.csv", "csv-mean-gap-x",
+     "is not a gap table: column 'mean_gap' holds 'x' in row 2, not a number\n"),
 ], ids=["not-json", "empty-object", "no-spec", "rows-not-a-list", "rows-without-columns",
-        "csv-without-mean-gap"])
+        "csv-without-mean-gap", "json-non-numeric-cell", "csv-non-numeric-cell"])
 def test_cli_fit_rejects_malformed_table(tmp_path, capsys, name, text, message):
     from vriwae.cli import main
     table = tmp_path / name
-    table.write_text(_gap_csv_without("mean_gap") if text == "no-mean-gap" else text)
+    table.write_text(_BUILT_TABLES[text]() if text in _BUILT_TABLES else text)
     with pytest.raises(SystemExit) as exc:
         main(["fit", str(table)])
     assert exc.value.code == 2

@@ -177,7 +177,7 @@ def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape)
         assert got.shape == want.shape == (*shape[:-1], want.shape[-1])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     # the kernel is the contraction of the sums its log-weights come with
-    for got, want in zip((g_theta, g_rep, g_drep), _contract(model, w_sum, wz)):
+    for got, want in zip((g_theta, g_rep, g_drep), _contract(model.score_affine(), w_sum, wz)):
         assert np.array_equal(got, want)
 
 
@@ -202,7 +202,7 @@ def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
             w = _weight_rows(model.log_unnormalized_weight(z), alpha)
             np.testing.assert_allclose(w_sum, w.sum(axis=-1, keepdims=True), rtol=1e-12)
             np.testing.assert_allclose(wz, w @ z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
-            got = (lw, *_contract(model, w_sum, wz))
+            got = (lw, *_contract(model.score_affine(), w_sum, wz))
             want = (_eps_sums(model, eps, alpha)[0], *grad_samples_from_eps(model, eps, alpha))
             for g, h in zip(got, want):
                 np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
@@ -214,7 +214,7 @@ def _toy_stats(model, w_sum, wz):
     The toy's stopped phi score is constant in z, so sum h z enters no toy
     gradient; it is compared on its own, with its covariance against sum s z.
     """
-    g_theta, g_rep, g_drep = _contract(model, w_sum, wz)
+    g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
     return np.concatenate([g_theta, g_rep, g_drep, wz[..., 1, :]], axis=-1)
 
 
@@ -343,7 +343,7 @@ def test_snr_planted_slope():
 
         def score_affine(self):
             # the same scores 1 + z, z = eps: mean 1, unit variance per sample
-            one = (np.ones(1), np.ones(1))
+            one = (lambda: np.ones(1), np.ones(1))
             return one, one, one
 
         def log_weight_quadratic(self):
@@ -364,7 +364,7 @@ def test_snr_zero_variance_sentinel():
         phi_dim = 1
 
         def score_affine(self):
-            one = (np.ones(1), np.zeros(1))  # the same scores: constant 1
+            one = (lambda: np.ones(1), np.zeros(1))  # the same scores: constant 1
             return one, one, one
 
         def log_weight_quadratic(self):

@@ -8,8 +8,9 @@ from vriwae.bounds import gap_mc
 from vriwae.gradients import _contract, grad_samples_from_eps
 from vriwae.models import GaussianToy, LinearGaussian
 from vriwae.rng import make_stream, standard_normal
-from vriwae.train import (AdamState, TrainConfig, TrainingDiverged, adam_step, run_training,
-                          sgd_step)
+from vriwae.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_NORM_LIMIT, TrainConfig,
+                          Trajectory, TrajectoryRow, TrainingDiverged, _Adam, _Sgd,
+                          _epoch_normals, run_training)
 
 
 def toy(d, phi=1.0):
@@ -24,41 +25,50 @@ def lingauss(d, seed=0):
 
 def test_sgd_step_basics():
     p = np.zeros(2)
-    assert np.array_equal(sgd_step(p, np.zeros(2), 0.5), p)
-    assert np.array_equal(sgd_step(p, np.array([1.0, 2.0]), 1.0), [1.0, 2.0])
+    _Sgd(p, 0.5)(np.zeros(2))
+    assert np.array_equal(p, np.zeros(2))
+    p = np.zeros(2)
+    _Sgd(p, 1.0)(np.array([1.0, 2.0]))
+    assert np.array_equal(p, [1.0, 2.0])
     # two half steps on a constant gradient equal one full step
     g = np.array([0.3, -0.2])
-    twice = sgd_step(sgd_step(p, g, 0.1), g, 0.1)
-    assert np.allclose(twice, sgd_step(p, g, 0.2), atol=1e-15)
+    twice, once = np.zeros(2), np.zeros(2)
+    half = _Sgd(twice, 0.1)
+    half(g)
+    half(g)
+    _Sgd(once, 0.2)(g)
+    assert np.allclose(twice, once, atol=1e-15)
 
 
 def test_sgd_shape_mismatch():
     with pytest.raises(ValueError):
-        sgd_step(np.zeros(2), np.zeros(3), 0.1)
+        _Sgd(np.zeros(2), 0.1)(np.zeros(3))
 
 
 def test_adam_first_step_magnitude():
     # bias correction makes m_hat/sqrt(v_hat) = sign(g) at step 1
-    state = AdamState.zeros(3)
     g = np.array([0.5, -2.0, 1e-3])
-    state, p = adam_step(state, np.zeros(3), g, lr=1e-3)
+    p = np.zeros(3)
+    step = _Adam(p, 1e-3)
+    step(g)
     assert np.allclose(p, 1e-3 * np.sign(g), atol=1e-6)
-    assert state.t == 1
+    assert step.t == 1
 
 
 def test_adam_zero_gradient_fixed_point():
-    state = AdamState.zeros(2)
     p = np.array([1.0, -1.0])
+    step = _Adam(p, 0.1)
     for _ in range(5):
-        state, p = adam_step(state, p, np.zeros(2), lr=0.1)
+        step(np.zeros(2))
     assert np.array_equal(p, [1.0, -1.0])
 
 
 def test_adam_coordinatewise_permutation():
     g = np.array([0.7, -0.1, 2.0])
     perm = np.array([2, 0, 1])
-    s1, p1 = adam_step(AdamState.zeros(3), np.zeros(3), g, lr=0.01)
-    s2, p2 = adam_step(AdamState.zeros(3), np.zeros(3), g[perm], lr=0.01)
+    p1, p2 = np.zeros(3), np.zeros(3)
+    _Adam(p1, 0.01)(g)
+    _Adam(p2, 0.01)(g[perm])
     assert np.allclose(p1[perm], p2, atol=1e-15)
 
 
@@ -178,13 +188,13 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
             normals = draws[epoch - 1]
             if isinstance(model, GaussianToy):
                 _, w_sum, wz = model.train_sums(normals, alpha)
-                g_theta, g_phi, _ = _contract(model, w_sum, wz)
+                g_theta, g_phi, _ = _contract(model.score_affine(), w_sum, wz)
             else:
                 g_theta, g_phi, _ = grad_samples_from_eps(model, normals.reshape(n, model.d),
                                                           alpha)
             if train_theta:
-                model = model.with_theta(sgd_step(model.theta_vec, g_theta, lr))
-            model = model.with_phi(sgd_step(model.phi_vec, g_phi, lr))
+                model = model.with_theta(_sgd_step(model.theta_vec, g_theta, lr))
+            model = model.with_phi(_sgd_step(model.phi_vec, g_phi, lr))
         gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1 + epoch))
         row = traj.rows[epoch]
         assert row.epoch == epoch
@@ -192,3 +202,125 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
         assert row.progress == pytest.approx(progress, rel=1e-12)
         assert row.gap_mean == pytest.approx(gap.mean, rel=1e-12)
         assert row.gap_se == pytest.approx(gap.std_error, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the loop that rebuilds the model every epoch, as an oracle
+# --------------------------------------------------------------------------
+
+def _sgd_step(params, grad, lr):
+    """Ascent step params + lr * grad, into a new array."""
+    return params + lr * grad
+
+
+def _adam_step(state, params, grad, lr):
+    """Bias-corrected adaptive moment ascent step on state (m, v, t);
+    returns (state, params), both new."""
+    m, v, t = state
+    t += 1
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return (m, v, t), params + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def _rebuilding_training(model, config, stream):
+    """`run_training` as a loop that builds a new model every epoch with
+    `with_theta`/`with_phi`, contracts all three gradients and steps into new
+    arrays."""
+    traj = Trajectory(progress_label=model.PROGRESS_LABEL)
+    adam_theta = (np.zeros(model.theta_dim), np.zeros(model.theta_dim), 0)
+    adam_phi = (np.zeros(model.phi_dim), np.zeros(model.phi_dim), 0)
+
+    def log_row(epoch, grad_norm):
+        gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
+                     stream.child(1 + len(traj.rows)))
+        traj.rows.append(TrajectoryRow(epoch=epoch, progress=model.progress,
+                                       gap_mean=gap.mean, gap_se=gap.std_error,
+                                       grad_norm=grad_norm))
+
+    log_row(0, 0.0)
+    for epoch, normals in _epoch_normals(model, config, stream):
+        _, w_sum, wz = model.train_sums(normals, config.alpha)
+        g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
+        g_phi = g_rep if config.estimator == "rep" else g_drep
+        norm_sq = float(np.dot(g_phi, g_phi))
+        if model.TRAINS_THETA:
+            norm_sq += float(np.dot(g_theta, g_theta))
+        grad_norm = float(np.sqrt(norm_sq))
+        if grad_norm > GRAD_NORM_LIMIT:
+            raise TrainingDiverged(f"gradient norm {grad_norm:.3e} at epoch {epoch}")
+        if model.TRAINS_THETA:
+            if config.optimizer == "sgd":
+                model = model.with_theta(_sgd_step(model.theta_vec, g_theta,
+                                                   config.learning_rate))
+            else:
+                adam_theta, new_theta = _adam_step(adam_theta, model.theta_vec, g_theta,
+                                                   config.learning_rate)
+                model = model.with_theta(new_theta)
+        if config.optimizer == "sgd":
+            model = model.with_phi(_sgd_step(model.phi_vec, g_phi, config.learning_rate))
+        else:
+            adam_phi, new_phi = _adam_step(adam_phi, model.phi_vec, g_phi, config.learning_rate)
+            model = model.with_phi(new_phi)
+        if epoch % config.log_every == 0 or epoch == config.epochs:
+            log_row(epoch, grad_norm)
+    return traj
+
+
+_MODELS = {"toy": lambda: toy(4, phi=0.8), "lingauss": lambda: lingauss(3, seed=2)}
+
+
+@pytest.mark.parametrize("estimator", ["rep", "drep"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_rows_equal_the_rebuilding_loop(name, optimizer, estimator):
+    # stepping one private model in place and contracting only the stepped
+    # gradients rounds as rebuilding the model every epoch does: every
+    # column of every row is equal, grad_norm and progress included
+    config = TrainConfig(alpha=0.3, n_importance=7, estimator=estimator, optimizer=optimizer,
+                         learning_rate=3e-2, epochs=40, log_every=3, gap_replicates=3)
+    stream = make_stream(21, 4)
+    got = _rows(run_training(_MODELS[name](), config, stream))
+    want = _rows(_rebuilding_training(_MODELS[name](), config, stream))
+    assert len(got) == 15
+    assert got == want
+    assert len({r["grad_norm"] for r in got}) == len(got)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_callers_model_is_untouched(name, optimizer):
+    model = _MODELS[name]()
+    theta, phi = model.theta_vec.tobytes(), model.phi_vec.tobytes()
+    config = TrainConfig(alpha=0.2, n_importance=5, optimizer=optimizer, learning_rate=5e-2,
+                         epochs=12, log_every=4, gap_replicates=2)
+    first = _rows(run_training(model, config, make_stream(3, 0)))
+    assert model.theta_vec.tobytes() == theta
+    assert model.phi_vec.tobytes() == phi
+    assert first[-1]["progress"] != first[0]["progress"]
+    assert _rows(run_training(model, config, make_stream(3, 0))) == first
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_epochs_build_no_model_and_no_scores(monkeypatch, name):
+    # a run builds its private model and its score coefficients once,
+    # however many epochs it steps
+    cls = type(_MODELS[name]())
+    counts = {"__post_init__": 0, "score_affine": 0}
+    for method in counts:
+        def counted(self, *args, _method=method, _f=getattr(cls, method)):
+            counts[_method] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(cls, method, counted)
+    seen = []
+    for epochs in (5, 50):
+        model = _MODELS[name]()
+        config = TrainConfig(alpha=0.2, n_importance=5, epochs=epochs, log_every=epochs,
+                             learning_rate=1e-2, gap_replicates=2)
+        for method in counts:
+            counts[method] = 0
+        run_training(model, config, make_stream(4, 0))
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"__post_init__": 1, "score_affine": 1}
