@@ -1,16 +1,23 @@
 """Closed-form gap curve families and extreme-value constants.
 
-Three one-parameter curve families describe the variational gap as a function
-of the number of importance samples N:
+Three curve families describe the variational gap as a function of the
+number of importance samples N:
 
-* ``one_over_n_curve``: error_term - gamma2/(2N) + c1/N, the fixed-dimension
+* ``one_over_n_curve``: error_term - gamma2/(2N), the fixed-dimension
   large-N regime.
-* ``lognormal_curve``: -B^2/2 + B*sqrt(2 log N) + log N/(alpha-1)
-  + c2 * B * log log N / sqrt(log N), for exactly log-normal weights with
-  std B in the high-dimensional regime.
-* ``iid_sum_curve``: -d*a + sqrt(d)*sigma*sqrt(2 log N)
-  + c2 * sqrt(d) * log log N / sqrt(log N), alpha-independent, for weights
-  that are sums of d i.i.d. per-coordinate terms.
+* ``lognormal_curve``: -B^2/2 + B*sqrt(2 log N) + log N/(alpha-1), for
+  exactly log-normal weights with std B in the high-dimensional regime.
+* ``iid_sum_curve``: -d*a + sqrt(d)*sigma*sqrt(2 log N), alpha-independent,
+  for weights that are sums of d i.i.d. per-coordinate terms.
+
+Each family has one free constant c, which the functions here leave out: it
+enters as c times the family's shape, 1/N for the 1/N curve and
+scale * log log N / sqrt(log N) for the extreme-value curves (scale B for the
+log-normal curve, sqrt(d) for the iid-sum curve).  A gap table stores each
+curve and its shape as columns (`pred_*`, `shape_*`), and its fitted curve
+is pred_* + c * shape_* (`experiments._gap_rows`, `fit_gap_table`), with c
+(c1 or c2) fitted by one-parameter linear least squares (`fit_constant`)
+rather than tailored by hand.
 
 The extreme-value families are leading-order terms for large d.  On the
 linear Gaussian testbed at d=1000 and lambda ~ 0 (a ~ 0.0228,
@@ -25,9 +32,6 @@ paper states for this regime cannot be settled from this repository, which
 holds only the paper's abstract.  The curve's own condition, the growth term
 within 15% of d*a up to N = 512, needs d >= 5.9e4; the acceptance test of
 this regime runs at d = 6e4.
-
-The free constant of each family (c1 or c2) is fitted by one-parameter linear
-least squares rather than tailored by hand.
 
 The extreme-value side: for N i.i.d. standard normals the expected minimum is
 -sqrt(2 log N) to leading order; the refined version uses the Gumbel limit
@@ -56,11 +60,11 @@ __all__ = [
 EULER_MASCHERONI = 0.577215664902
 
 
-def one_over_n_curve(n: int, error_term: float, gamma2: float, c1: float) -> float:
-    """error_term - gamma2/(2N) + c1/N."""
+def one_over_n_curve(n: int, error_term: float, gamma2: float) -> float:
+    """error_term - gamma2/(2N)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return error_term - gamma2 / (2.0 * n) + c1 / n
+    return error_term - gamma2 / (2.0 * n)
 
 
 def _check_extreme_n(n: int) -> float:
@@ -70,23 +74,21 @@ def _check_extreme_n(n: int) -> float:
     return math.log(n)
 
 
-def lognormal_curve(n: int, b_d: float, alpha: float, c2: float) -> float:
-    """-B^2/2 + B sqrt(2 log N) + log N/(alpha-1) + c2 B log log N / sqrt(log N)."""
+def lognormal_curve(n: int, b_d: float, alpha: float) -> float:
+    """-B^2/2 + B sqrt(2 log N) + log N/(alpha-1)."""
     ln = _check_extreme_n(n)
-    return (-0.5 * b_d * b_d + b_d * math.sqrt(2.0 * ln) + ln / (alpha - 1.0)
-            + c2 * b_d * math.log(ln) / math.sqrt(ln))
+    return -0.5 * b_d * b_d + b_d * math.sqrt(2.0 * ln) + ln / (alpha - 1.0)
 
 
-def iid_sum_curve(n: int, d: int, a_const: float, sigma: float, c2: float) -> float:
-    """-d a + sqrt(d) sigma sqrt(2 log N) + c2 sqrt(d) log log N / sqrt(log N).
+def iid_sum_curve(n: int, d: int, a_const: float, sigma: float) -> float:
+    """-d a + sqrt(d) sigma sqrt(2 log N).
 
-    Leading order only: with c2 = 0 the value exceeds 0 once
+    Leading order only: the value exceeds 0 once
     sigma*sqrt(2 log N) > sqrt(d)*a, e.g. for N >= 128 on the linear
     Gaussian testbed at d=1000 and lambda ~ 0 (see the module docstring).
     """
     ln = _check_extreme_n(n)
-    rd = math.sqrt(d)
-    return -d * a_const + rd * sigma * math.sqrt(2.0 * ln) + c2 * rd * math.log(ln) / math.sqrt(ln)
+    return -d * a_const + math.sqrt(d) * sigma * math.sqrt(2.0 * ln)
 
 
 def expected_min_normal(n: int, refined: bool = True) -> float:

@@ -9,7 +9,10 @@ Within 1e-8 of alpha = 1 the (1-alpha) cancellation has lost all precision, so
 evaluation switches to the exact limit mean(lw).
 
 Gaps are always computed from relative log-weights so the log marginal cancels
-analytically instead of being subtracted between two huge numbers.
+analytically instead of being subtracted between two huge numbers.  The one
+Monte Carlo entry is `gap_mc`, the gap's mean and standard error; the bound
+is that mean plus `model.log_marginal()`.  `decomposition_sample` takes one
+batch of relative log-weights as a plain 1-D array.
 
 The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
@@ -32,14 +35,12 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as vrng
-from .weights import (LogWeights, _check_alpha, _logsumexp, _mean_se, relative_log_weights,
-                      t_statistic)
+from .weights import _check_alpha, _logsumexp, _mean_se, t_statistic
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
     "BoundEstimate",
     "vr_iwae_from_log_weights",
-    "bound_mc",
     "gap_mc",
     "decomposition_sample",
 ]
@@ -70,38 +71,24 @@ def vr_iwae_from_log_weights(values: np.ndarray, alpha: float, axis: int = -1) -
     return (_logsumexp((1.0 - alpha) * values, axis) - np.log(n)) / (1.0 - alpha)
 
 
-def bound_mc(model, alpha: float, n_importance: int, replicates: int,
-             stream: vrng.RngStream) -> BoundEstimate:
-    """Monte Carlo bound estimate over i.i.d. replicate batches.
-
-    Replicate r reads block r of a fresh stream at the key of `stream`, so
-    the result is a function of that key alone; `stream` is not advanced.
-    """
-    samples = _mc_samples(model, alpha, n_importance, replicates, stream, relative=False)
-    return _estimate(samples, alpha, n_importance)
-
-
 def gap_mc(model, alpha: float, n_importance: int, replicates: int,
            stream: vrng.RngStream) -> BoundEstimate:
-    """Monte Carlo estimate of bound minus exact log marginal.
+    """Monte Carlo estimate of the bound minus the exact log marginal, over
+    i.i.d. replicate batches of relative log-weights; the bound itself is
+    its mean plus `model.log_marginal()`.
 
-    Uses relative weights directly; for models whose marginal is defined to be
-    zero this coincides with bound_mc.
+    Replicate r maps block r of the uniforms of a fresh stream at the key of
+    `stream` through `model.log_weight_law`, so the result is a function of
+    that key alone; `stream` is not advanced.
     """
-    samples = _mc_samples(model, alpha, n_importance, replicates, stream, relative=True)
-    return _estimate(samples, alpha, n_importance)
-
-
-def _mc_samples(model, alpha, n_importance, replicates, stream, relative):
-    """Bound samples, replicate r from the N log-weights of `model.log_weight_law`
-    on block r of the uniforms of stream (stream.seed, stream.stream_id)."""
     if replicates < 1:
         raise ValueError("need at least one replicate")
     alpha = _check_alpha(alpha, closed=True)
-    shift = 0.0 if relative else model.log_marginal()
     samples, = _law_samples([model], stream.seed, [(stream.stream_id, n_importance)],
-                            replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0] + shift, alpha))
-    return samples
+                            replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0], alpha))
+    mean, se = _mean_se(samples)
+    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size,
+                         alpha=float(alpha), n_importance=int(n_importance))
 
 
 def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
@@ -131,14 +118,9 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
     return [np.concatenate(c) for c in chunks]
 
 
-def _estimate(samples: np.ndarray, alpha: float, n_importance: int) -> BoundEstimate:
-    mean, se = _mean_se(samples)
-    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size,
-                         alpha=float(alpha), n_importance=int(n_importance))
-
-
-def decomposition_sample(lw: LogWeights, alpha: float) -> tuple[float, float, float]:
-    """Split one gap sample into (delta_max, r_term, t_stat).
+def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, float]:
+    """Split one gap sample, from a 1-D array of relative log-weights, into
+    (delta_max, r_term, t_stat).
 
     delta_max = log wbar_max + log N / (alpha - 1) is the contribution of the
     dominant weight; r_term = log(1 + T) / (1 - alpha) is the non-negative
@@ -146,11 +128,12 @@ def decomposition_sample(lw: LogWeights, alpha: float) -> tuple[float, float, fl
     exactly, and r_term <= T / (1 - alpha).
     """
     _check_alpha(alpha)
-    if lw.log_marginal is None:
-        raise ValueError("decomposition needs relative log-weights (log_marginal set)")
-    rel = relative_log_weights(lw)
+    rel = np.asarray(rel, dtype=np.float64)
+    if rel.ndim != 1 or rel.size < 1:
+        raise ValueError("log-weights must be a non-empty 1-D array")
+    if not np.all(np.isfinite(rel)):
+        raise ValueError("log-weights must all be finite")
     t = float(t_statistic(rel, alpha))
-    n = rel.size
-    delta_max = float(np.max(rel)) + np.log(n) / (alpha - 1.0)
+    delta_max = float(np.max(rel)) + np.log(rel.size) / (alpha - 1.0)
     r_term = float(np.log1p(t) / (1.0 - alpha))
     return delta_max, r_term, t

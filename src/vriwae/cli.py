@@ -23,7 +23,7 @@ from .experiments import (ExperimentSpec, fit_gap_table, read_table, render_svg,
                           run_collapse_experiment, run_gap_experiment,
                           run_snr_experiment, run_train_experiment,
                           run_weights_experiment, selftest, write_table)
-from .train import DEFAULT_LEARNING_RATE, TrainingDiverged
+from .train import TrainingDiverged
 
 _RUNNERS = {
     "gap": run_gap_experiment,
@@ -171,8 +171,8 @@ def main(argv=None) -> int:
     try:
         rows = _RUNNERS[args.command](spec)
     except TrainingDiverged as exc:     # a diverged run writes no table
-        lr = DEFAULT_LEARNING_RATE if spec.learning_rate is None else spec.learning_rate
-        print(f"vriwae {args.command}: training diverged: {exc} with --lr {lr:g}",
+        print(f"vriwae {args.command}: training diverged: {exc} with "
+              f"--lr {spec.train_config().learning_rate:g}",
               file=sys.stderr)
         return 1
     text = write_table(rows, spec, path=spec.out)

@@ -44,8 +44,8 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, gr
                         h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
-from .train import _ESTIMATORS, _OPTIMIZERS, DEFAULT_LEARNING_RATE, TrainConfig, run_training
-from .weights import LogWeights, _mean_se, ess, max_weight_share, qq_points, t_statistic
+from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
+from .weights import _mean_se, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -146,10 +146,6 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
         if any(d < 1 for d in self.ds):
             raise ValueError(f"ds must be >= 1, got {self.ds}")
         if any(n < 1 for n in self.n_grid):
@@ -169,14 +165,6 @@ class ExperimentSpec:
             raise ValueError(f"coordinate_sample must be >= 1, got {self.coordinate_sample}")
         if self.weight_samples < 2:
             raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.n_importance < 1:
-            raise ValueError(f"n_importance must be >= 1, got {self.n_importance}")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in [0, 1]")
         if self.kind in ("gap", "collapse") and 1.0 in self.alphas:
@@ -198,6 +186,16 @@ class ExperimentSpec:
         for name in ("out", "plot"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        # a train run is valid where its TrainConfig is, checked for every kind
+        self.train_config()
+
+    def train_config(self) -> TrainConfig:
+        """The TrainConfig of a train run of this spec, at its first alpha."""
+        return TrainConfig(alpha=self.alphas[0], n_importance=self.n_importance,
+                           estimator=self.estimator, optimizer=self.optimizer,
+                           learning_rate=(DEFAULT_LEARNING_RATE if self.learning_rate is None
+                                          else self.learning_rate),
+                           epochs=self.epochs, log_every=self.log_every)
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -225,28 +223,17 @@ def make_linear_gaussian(d: int, sigma_perturb: float, seed: int,
     `rest` of the other T - 1 points, and since the datapoint's index is
     drawn independently of the rows, x ~ N(0, 2I) and rest ~ N(0, 2(T-1) I)
     are independent.  Each is drawn directly (2d normals in all), from its
-    own seed-keyed stream, as is the perturbation noise, so the same
-    (seed, d, T) always yields the same instance; sigma_perturb only scales
-    the shared perturbation directions.  Returns (model, (x, rest)).
+    own stream keyed by (seed, d), as is the perturbation noise, so the same
+    (seed, d, T) always yields the same instance, and the sigma_perturb
+    variants of one (seed, d) share x, rest and the perturbation directions,
+    which sigma_perturb only scales.  Returns (model, (x, rest)).
     """
-    models, stats = _linear_gaussians(d, (sigma_perturb,), seed, t)
-    return models[0], stats
-
-
-def _linear_gaussians(d: int, sigma_perturbs: Sequence[float], seed: int, t: int = 1024):
-    """`make_linear_gaussian` for several sigma_perturb at once: x and rest
-    are drawn once, and each perturbation from a fresh copy of the
-    (seed, _OFF_PERTURB + d) stream, so every model is the one
-    `make_linear_gaussian(d, sigma_perturb, seed, t)` returns."""
     x = math.sqrt(2.0) * vrng.standard_normal(vrng.make_stream(seed, _OFF_DATAPOINT + d), d)
     rest = math.sqrt(2.0 * (t - 1)) * vrng.standard_normal(
         vrng.make_stream(seed, _OFF_DATASET + d), d)
-    params = optimal_params(x, rest, t)
-    models = []
-    for sp in sigma_perturbs:
-        theta, a_tilde, b = perturb_params(params, sp, vrng.make_stream(seed, _OFF_PERTURB + d))
-        models.append(LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x))
-    return models, (x, rest)
+    theta, a_tilde, b = perturb_params(optimal_params(x, rest, t), sigma_perturb,
+                                       vrng.make_stream(seed, _OFF_PERTURB + d))
+    return LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x), (x, rest)
 
 
 def _variants(spec: ExperimentSpec, d: int) -> list:
@@ -257,7 +244,7 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
     """
     if spec.model == "toy":
         return [(None, make_toy(d, spec.theta_scale))]
-    return list(zip(spec.sigma_perturbs, _linear_gaussians(d, spec.sigma_perturbs, spec.seed)[0]))
+    return [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs]
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +286,7 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
 def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
     log_marginal = model.log_marginal()
     error_term, gamma2, elbo_gap, ev_base, ev_shape = model.gap_theory(alpha, n_grid)
-    one_n_base = [one_over_n_curve(n, error_term, gamma2, 0.0) if math.isfinite(gamma2)
+    one_n_base = [one_over_n_curve(n, error_term, gamma2) if math.isfinite(gamma2)
                   else math.nan for n in n_grid]
     one_n_shape = [1.0 / n for n in n_grid]
 
@@ -482,12 +469,7 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
 def run_train_experiment(spec: ExperimentSpec) -> list:
     """Train the selected model and emit the trajectory as table rows."""
     _, model = _variants(spec, spec.ds[0])[0]
-    config = TrainConfig(alpha=spec.alphas[0], n_importance=spec.n_importance,
-                         estimator=spec.estimator, optimizer=spec.optimizer,
-                         learning_rate=(DEFAULT_LEARNING_RATE if spec.learning_rate is None
-                                        else spec.learning_rate),
-                         epochs=spec.epochs, log_every=spec.log_every)
-    traj = run_training(model, config, vrng.make_stream(spec.seed, _OFF_TRAIN))
+    traj = run_training(model, spec.train_config(), vrng.make_stream(spec.seed, _OFF_TRAIN))
     return [{"epoch": r.epoch, traj.progress_label: r.progress, "gap_mean": r.gap_mean,
              "gap_se": r.gap_se, "grad_norm": r.grad_norm} for r in traj.rows]
 
@@ -689,19 +671,18 @@ def selftest(seed: int = 0) -> SelftestReport:
     worst_mono, worst_iwae, worst_elbo, worst_decomp, worst_rbound = 0.0, 0.0, 0.0, 0.0, 0.0
     for _ in range(200):
         n = int(rng0.integers(1, 65))
-        lw = LogWeights(rng0.uniform(-50, 50, size=n), log_marginal=0.0)
+        lw = rng0.uniform(-50, 50, size=n)     # relative log-weights
         prev = math.inf
         for alpha in np.linspace(0.0, 0.9, 10):
-            v = vr_iwae_from_log_weights(lw.values, float(alpha))
+            v = vr_iwae_from_log_weights(lw, float(alpha))
             worst_mono = max(worst_mono, v - prev)
             prev = v
-        worst_iwae = max(worst_iwae, abs(vr_iwae_from_log_weights(lw.values, 0.0)
-                                         - (logsumexp(lw.values) - math.log(n))))
-        worst_elbo = max(worst_elbo, abs(vr_iwae_from_log_weights(lw.values, 1.0 - 1e-9)
-                                         - lw.values.mean()))
+        worst_iwae = max(worst_iwae, abs(vr_iwae_from_log_weights(lw, 0.0)
+                                         - (logsumexp(lw) - math.log(n))))
+        worst_elbo = max(worst_elbo, abs(vr_iwae_from_log_weights(lw, 1.0 - 1e-9) - lw.mean()))
         for alpha in (0.0, 0.5):
             dm, rt, t = decomposition_sample(lw, alpha)
-            worst_decomp = max(worst_decomp, abs(dm + rt - vr_iwae_from_log_weights(lw.values, alpha)))
+            worst_decomp = max(worst_decomp, abs(dm + rt - vr_iwae_from_log_weights(lw, alpha)))
             worst_rbound = max(worst_rbound, rt - t / (1.0 - alpha))
     report.record("bound_alpha_monotonicity", worst_mono <= 1e-10, f"max increase {worst_mono:.2e}")
     report.record("bound_iwae_identity", worst_iwae <= 1e-12, f"max dev {worst_iwae:.2e}")

@@ -126,8 +126,8 @@ def _contract(scores, w_sum: np.ndarray, wz: np.ndarray, kinds=("theta", "rep", 
 def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
     """(g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
-    eps has shape (..., N, d); the gradients are (..., theta_dim),
-    (..., phi_dim) and (..., phi_dim), one sample per batch row.  The sums
+    eps has shape (..., N, d); the gradients are (..., theta_vec.size),
+    (..., phi_vec.size) and (..., phi_vec.size), one sample per batch row.  The sums
     come from `model.log_weight_quadratic()` (`models._eps_sums`) and the
     scores are contracted through `model.score_affine()`: neither z nor a
     score is materialized.
@@ -212,7 +212,7 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
     numbers across the +/- evaluations of every coordinate."""
     # the differences are taken one coordinate at a time, so a replicate's
     # largest intermediate is its z or its row of differences
-    per_rep = max(n_importance * model.d, model.theta_dim + model.phi_dim)
+    per_rep = max(n_importance * model.d, model.theta_vec.size + model.phi_vec.size)
     theta, phi = _grad_moments(model, n_importance, replicates, stream, per_rep,
                                lambda eps: fd_grad_from_eps(model, eps, alpha, step))
     return GradEstimate(*theta, *phi, replicates)
@@ -284,10 +284,10 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     if replicates < SNR_MIN_REPLICATES:
         raise ValueError(f"need at least {SNR_MIN_REPLICATES} replicates for SNR estimation")
 
-    k_theta = min(coordinate_sample, model.theta_dim)
-    k_phi = min(coordinate_sample, model.phi_dim)
-    theta_idx = vrng.permutation_indices(stream.child(0), model.theta_dim, k_theta)
-    phi_idx = vrng.permutation_indices(stream.child(1), model.phi_dim, k_phi)
+    n_theta, n_phi = model.theta_vec.size, model.phi_vec.size
+    k_theta, k_phi = min(coordinate_sample, n_theta), min(coordinate_sample, n_phi)
+    theta_idx = vrng.permutation_indices(stream.child(0), n_theta, k_theta)
+    phi_idx = vrng.permutation_indices(stream.child(1), n_phi, k_phi)
 
     # one cell per N: the draws of N = n_grid[i] come from stream.child(2 + i),
     # replicate r reading block r of its normals

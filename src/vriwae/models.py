@@ -45,11 +45,12 @@ its class.  Each model states:
 * `ev_curve(alpha, sigma2, a_const)`: its extreme-value curve family and fit
   scale, the log-normal curve of B on the B scale for the toy, the iid-sum
   curve on the sqrt(d) scale for the linear Gaussian.
-* `LAW_WORDS` (1 and 4), the uniforms of one law draw; `phi_dim`, `phi_vec`
-  and `with_phi`.  `theta_vec` and `phi_vec` are the model's own arrays (the
+* `LAW_WORDS` (1 and 4), the uniforms of one law draw; `phi_vec` and
+  `with_phi`.  `theta_vec` and `phi_vec` are the model's own arrays (the
   linear Gaussian keeps a_tilde and b as the two halves of its phi_vec), so
-  stepping them in place moves the model; `copy()` is a model at the same
-  parameters that shares no array with this one.
+  stepping them in place moves the model, and their sizes are the sizes of
+  the theta and phi blocks; `copy()` is a model at the same parameters that
+  shares no array with this one.
 
 The rest follows from four scalars, which `_Model.law_scalars()` reads off
 the quadratic and `log_marginal()`: (c, ||v||^2, q, d) with c = c0 - log p.
@@ -220,10 +221,6 @@ class _Model:
                 *_ev_columns(*self.ev_curve(alpha, sigma2, a_const), n_grid))
 
     @property
-    def theta_dim(self) -> int:
-        return self.d
-
-    @property
     def theta_vec(self) -> np.ndarray:
         return self.theta
 
@@ -268,10 +265,6 @@ class GaussianToy(_Model):
         self.phi = np.broadcast_to(np.asarray(self.phi, dtype=np.float64), (self.d,)).copy()
 
     # --- parameter plumbing -------------------------------------------------
-    @property
-    def phi_dim(self) -> int:
-        return self.d
-
     @property
     def phi_vec(self) -> np.ndarray:
         return self.phi
@@ -371,7 +364,7 @@ class GaussianToy(_Model):
         """(curve, scale): the log-normal extreme-value curve of B, on the B
         scale."""
         b = self.bd
-        return (lambda n: lognormal_curve(n, b, alpha, 0.0)), b
+        return (lambda n: lognormal_curve(n, b, alpha)), b
 
 
 @dataclass
@@ -399,10 +392,6 @@ class LinearGaussian(_Model):
         self.a_tilde, self.b = self._phi[: self.d], self._phi[self.d :]
 
     # --- parameter plumbing -------------------------------------------------
-    @property
-    def phi_dim(self) -> int:
-        return 2 * self.d  # (a_tilde, b)
-
     @property
     def phi_vec(self) -> np.ndarray:
         return self._phi
@@ -492,7 +481,7 @@ class LinearGaussian(_Model):
         """(curve, scale): the iid-sum extreme-value curve of d terms of
         variance sigma2 and mean gap a_const, on the sqrt(d) scale."""
         sigma = math.sqrt(sigma2)
-        return (lambda n: iid_sum_curve(n, self.d, a_const, sigma, 0.0)), math.sqrt(self.d)
+        return (lambda n: iid_sum_curve(n, self.d, a_const, sigma)), math.sqrt(self.d)
 
 
 # --------------------------------------------------------------------------
@@ -537,25 +526,17 @@ def optimal_params(x: np.ndarray, rest: np.ndarray,
     return theta_star, a_star, b_star
 
 
-def perturb_params(params, sigma_perturb: float, stream: vrng.RngStream):
-    """Add i.i.d. N(0, sigma_perturb^2) noise to every parameter coordinate.
-
-    `params` is an array or a sequence of arrays; the perturbed copies come
-    back in the same structure.  sigma_perturb = 0 returns the input(s)
-    unchanged (no draws consumed).
+def perturb_params(params: tuple, sigma_perturb: float, stream: vrng.RngStream) -> tuple:
+    """Add i.i.d. N(0, sigma_perturb^2) noise to every coordinate of a tuple
+    of parameter arrays, in order; returns the perturbed copies as a tuple.
+    sigma_perturb = 0 returns copies of the inputs (no draws consumed).
     """
     if sigma_perturb < 0:
         raise ValueError("sigma_perturb must be non-negative")
-
-    def one(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if sigma_perturb == 0.0:
-            return p.copy()
-        return p + sigma_perturb * vrng.standard_normal(stream, p.shape)
-
-    if isinstance(params, (list, tuple)):
-        return type(params)(one(p) for p in params)
-    return one(params)
+    params = tuple(np.asarray(p, dtype=np.float64) for p in params)
+    if sigma_perturb == 0.0:
+        return tuple(p.copy() for p in params)
+    return tuple(p + sigma_perturb * vrng.standard_normal(stream, p.shape) for p in params)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ without any fast-forwarding, so grid cells can be run in any order and still
 reproduce bit-identical results.
 
 Every Monte Carlo loop draws by one rule: a cell (a grid point of an
-experiment, an N of the SNR sweep, a `bound_mc` call, the epochs of a
+experiment, an N of the SNR sweep, a `gap_mc` call, the epochs of a
 training run) reads one fresh stream from counter 0, and replicate r of a
 cell whose replicates take n words each reads words [r n, (r + 1) n).
 `_replicate_chunks` is the package's one chunk loop; it bounds every batched

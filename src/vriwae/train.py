@@ -91,9 +91,9 @@ class TrainConfig:
         if self.gap_replicates < 1:
             raise ValueError("gap_replicates must be positive")
         if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
         if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass

@@ -1,9 +1,10 @@
-"""Importance log-weight container and degeneracy diagnostics.
+"""Importance log-weight degeneracy diagnostics.
 
 All statistics here are computed in the log domain with max-subtraction; the
 interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
-become informative.  `_logsumexp` is the package's one log-sum-exp kernel;
+become informative.  Log-weights travel as plain float arrays, with no
+container type.  `_logsumexp` is the package's one log-sum-exp kernel;
 the diagnostics T, max share and ESS each have one function, which reduces
 along an axis of a log-weight array (the last by default), so one batch and a
 stack of batches take the same code.  The normalized weights s and the
@@ -25,16 +26,13 @@ runner's `log_mean` and `log_std` columns (`experiments.run_weights_experiment`)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "LogWeights",
     "QQResult",
-    "relative_log_weights",
     "t_statistic",
     "max_weight_share",
     "ess",
@@ -42,41 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class LogWeights:
-    """A batch of N importance log-weights (nats).
-
-    `values` holds log of the unnormalized weights; `log_marginal`, when
-    known, is the exact log normalizer so that values - log_marginal are the
-    relative log-weights (whose weights have unit mean under the proposal).
-    """
-
-    values: np.ndarray
-    log_marginal: Optional[float] = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("log-weights must all be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 class QQResult(NamedTuple):
     theoretical: np.ndarray
     sample: np.ndarray
     correlation: float
-
-
-def relative_log_weights(lw: LogWeights) -> np.ndarray:
-    """Log-weights shifted by the exact log normalizer, order preserved."""
-    if lw.log_marginal is None:
-        raise ValueError("log_marginal is required to form relative weights")
-    return lw.values - lw.log_marginal
 
 
 def _mean_se(samples: np.ndarray):

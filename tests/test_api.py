@@ -4,8 +4,10 @@
 modules, `experiments.ndtri`, `RngStream.child` and four methods on each
 model class, so a deletion of any of them fails here before it crashes a
 traced benchmark run.  It also guards the model protocol: no module outside
-`models` branches on a model's type.  And it is the package's import lint: no
-module imports a name it does not read.
+`models` branches on a model's type.  It is the package's import lint: no
+module imports a name it does not read.  And no public name is reached by
+tests alone: every name in an `__all__` is read by the package or by the
+benchmark.
 """
 
 import ast
@@ -174,3 +176,40 @@ def test_no_unread_imports():
                       "from dataclasses import dataclass, field\nfrom math import pi, tau\n"
                       "__all__ = ['tau']\n@dataclass\nclass A:\n    x: np.ndarray\n")
     assert _unread_imports(probe) == ["field", "os", "pi"]
+
+
+def _unread_public_names(modules, readers):
+    """"module.name" of every name in the `__all__` of a module of
+    `modules` ({module: tree}) that no tree of `modules` or `readers` reads,
+    sorted.  A name counts as read where it is loaded as a name or looked up
+    as an attribute; a definition, an import or an `__all__` string is not a
+    read."""
+    read = set()
+    for tree in (*modules.values(), *readers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = set()
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                public |= {f"{name}.{elt.value}" for elt in node.value.elts}
+    return sorted(p for p in public if p.partition(".")[2] not in read)
+
+
+def test_public_names_are_read():
+    # a public name that only tests reach is a deletion candidate: every
+    # name in an `__all__` is read by the package (not its `__init__`, which
+    # only re-exports) or by the benchmark
+    modules = {name: ast.parse((ROOT / "src" / "vriwae" / f"{name}.py").read_text())
+               for name in MODULES}
+    readers = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert readers
+    assert _unread_public_names(modules, readers) == []
+    probe = {"a": ast.parse("__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\n"
+                            "def g(): return f()\nh = 1\nk = 2\n"),
+             "b": ast.parse("from a import k\n")}
+    assert _unread_public_names(probe, [ast.parse("import a\na.h\n")]) == ["a.g", "a.k"]

@@ -10,23 +10,24 @@ from vriwae.rng import make_stream, standard_normal
 
 def test_one_over_n_limit():
     for n in (10**6, 10**9):
-        assert one_over_n_curve(n, -1.3, 5.0, 0.0) == pytest.approx(-1.3, abs=1e-5)
+        assert one_over_n_curve(n, -1.3, 5.0) == pytest.approx(-1.3, abs=1e-5)
 
 
 def test_one_over_n_alpha_zero_form():
-    # zero error term: the curve is (c1 - gamma2/2)/N
+    # zero error term: the curve is -(gamma2/2)/N; its free constant c1 adds
+    # c1/N in the gap table (pred_1n_fit), see test_experiments
     for n in (4, 64):
-        assert one_over_n_curve(n, 0.0, 3.0, 0.7) == pytest.approx((0.7 - 1.5) / n)
+        assert one_over_n_curve(n, 0.0, 3.0) == pytest.approx(-1.5 / n)
 
 
 def test_one_over_n_hand_value():
     gamma2 = 2.0 * (math.exp(2.5) - 1.0)
-    assert one_over_n_curve(1024, -2.5, gamma2, 0.0) == pytest.approx(-2.5109, abs=2e-4)
+    assert one_over_n_curve(1024, -2.5, gamma2) == pytest.approx(-2.5109, abs=2e-4)
 
 
 def test_lognormal_curve_hand_value():
-    # c2=0, alpha=0, B=sqrt(1000), N=512
-    val = lognormal_curve(512, math.sqrt(1000.0), 0.0, 0.0)
+    # alpha=0, B=sqrt(1000), N=512
+    val = lognormal_curve(512, math.sqrt(1000.0), 0.0)
     expected = -500.0 + math.sqrt(1000.0) * math.sqrt(2.0 * math.log(512.0)) - math.log(512.0)
     assert val == pytest.approx(expected, abs=1e-12)
     assert val == pytest.approx(-394.54, abs=0.01)
@@ -34,20 +35,20 @@ def test_lognormal_curve_hand_value():
 
 def test_lognormal_curve_increasing_for_large_b():
     b = math.sqrt(1000.0)
-    values = [lognormal_curve(n, b, 0.0, 0.0) for n in (8, 32, 128, 512)]
+    values = [lognormal_curve(n, b, 0.0) for n in (8, 32, 128, 512)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
 
 def test_lognormal_curve_decreasing_in_alpha():
     for n in (8, 512):
-        lo = lognormal_curve(n, 5.0, 0.6, 0.0)
-        hi = lognormal_curve(n, 5.0, 0.2, 0.0)
+        lo = lognormal_curve(n, 5.0, 0.6)
+        hi = lognormal_curve(n, 5.0, 0.2)
         assert lo < hi
 
 
 def test_extreme_curves_domain():
-    for fn in (lambda n: lognormal_curve(n, 1.0, 0.0, 0.0),
-               lambda n: iid_sum_curve(n, 10, 0.02, 0.2, 0.0),
+    for fn in (lambda n: lognormal_curve(n, 1.0, 0.0),
+               lambda n: iid_sum_curve(n, 10, 0.02, 0.2),
                lambda n: expected_min_normal(n)):
         with pytest.raises(ValueError):
             fn(2)
@@ -56,10 +57,10 @@ def test_extreme_curves_domain():
 
 def test_iid_sum_curve_values():
     a = 1.0 / 6.0 + 0.5 * math.log(3.0 / 4.0)
-    assert iid_sum_curve(8, 1000, a, 0.0, 0.0) == pytest.approx(-1000.0 * a)
+    assert iid_sum_curve(8, 1000, a, 0.0) == pytest.approx(-1000.0 * a)
     assert -1000.0 * a == pytest.approx(-22.8, abs=0.05)
     # sigma=0: constant in N
-    assert iid_sum_curve(512, 1000, a, 0.0, 0.0) == iid_sum_curve(8, 1000, a, 0.0, 0.0)
+    assert iid_sum_curve(512, 1000, a, 0.0) == iid_sum_curve(8, 1000, a, 0.0)
 
 
 def test_iid_sum_curve_alpha_free():

@@ -9,21 +9,19 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from vriwae import rng as vrng
-from vriwae.bounds import (_law_samples, bound_mc, decomposition_sample, gap_mc,
-                           vr_iwae_from_log_weights)
+from vriwae.bounds import _law_samples, decomposition_sample, gap_mc, vr_iwae_from_log_weights
 from vriwae.experiments import make_linear_gaussian
 from vriwae.models import GaussianToy, closed_forms
 from vriwae.rng import make_stream, uniform
-from vriwae.weights import LogWeights
 
 
 def lw(*values):
-    return LogWeights(np.array(values, dtype=float), log_marginal=0.0)
+    return np.array(values, dtype=float)
 
 
-def bound(batch: LogWeights, alpha: float) -> float:
+def bound(batch: np.ndarray, alpha: float) -> float:
     """The single-sample bound estimate of one batch; alpha = 1 is the ELBO."""
-    return float(vr_iwae_from_log_weights(batch.values, alpha))
+    return float(vr_iwae_from_log_weights(batch, alpha))
 
 
 def test_constant_weights_any_alpha():
@@ -72,7 +70,7 @@ def test_elbo_sample():
 def test_elbo_limit_continuity():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        batch = LogWeights(rng.uniform(-50, 50, int(rng.integers(1, 40))))
+        batch = rng.uniform(-50, 50, int(rng.integers(1, 40)))
         assert bound(batch, 1.0 - 1e-9) == pytest.approx(bound(batch, 1.0), abs=1e-6)
 
 
@@ -81,15 +79,14 @@ def test_iwae_recovery():
     for _ in range(50):
         v = rng.uniform(-50, 50, int(rng.integers(1, 40)))
         expected = logsumexp(v) - math.log(v.size)
-        assert bound(LogWeights(v), 0.0) == pytest.approx(expected, abs=1e-12)
+        assert bound(v, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_alpha_monotonicity():
     # larger alpha gives a smaller per-sample value; ELBO is the floor
     rng = np.random.default_rng(2)
     for _ in range(100):
-        v = rng.uniform(-50, 50, int(rng.integers(2, 40)))
-        batch = LogWeights(v)
+        batch = rng.uniform(-50, 50, int(rng.integers(2, 40)))
         values = [bound(batch, a) for a in np.linspace(0.0, 0.9, 10)]
         assert all(hi >= lo - 1e-10 for hi, lo in zip(values, values[1:]))
         assert bound(batch, 1.0) <= values[-1] + 1e-10
@@ -105,7 +102,7 @@ def test_monotonicity_equality_iff_constant():
 def test_high_dimensional_stability():
     # weights spanning hundreds of nats must not overflow
     v = np.array([-800.0, 0.0, 700.0])
-    assert bound(LogWeights(v), 0.5) == pytest.approx(
+    assert bound(v, 0.5) == pytest.approx(
         2.0 * (logsumexp(0.5 * v) - math.log(3.0)), abs=1e-9)
 
 
@@ -119,7 +116,7 @@ def test_decomposition_uniform():
 def test_decomposition_identity_and_bound():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        batch = LogWeights(rng.uniform(-50, 50, int(rng.integers(1, 40))), log_marginal=0.0)
+        batch = rng.uniform(-50, 50, int(rng.integers(1, 40)))
         for alpha in (0.0, 0.3, 0.9):
             dm, rt, t = decomposition_sample(batch, alpha)
             assert dm + rt == pytest.approx(bound(batch, alpha), abs=1e-10)
@@ -131,24 +128,26 @@ def test_decomposition_alpha_domain():
         decomposition_sample(lw(0.0), 1.0)
 
 
+# a bound is the gap's mean plus the model's log marginal (0 for the toy)
+
 def test_bound_mc_constant_weights():
     model = GaussianToy(d=3, theta=np.ones(3), phi=np.ones(3))
-    est = bound_mc(model, 0.0, 4, 100, make_stream(0, 0))
-    assert est.mean == 0.0
+    est = gap_mc(model, 0.0, 4, 100, make_stream(0, 0))
+    assert est.mean + model.log_marginal() == 0.0
     assert est.std_error == 0.0
 
 
 def test_bound_mc_elbo_gap_value():
     # toy d=1, B=1, alpha=0, N=1: mean gap is the ELBO gap -B^2/2 = -0.5
     model = GaussianToy(d=1, theta=np.zeros(1), phi=np.ones(1))
-    est = bound_mc(model, 0.0, 1, 100_000, make_stream(1, 0))
-    assert abs(est.mean + 0.5) < 3.0 * est.std_error
+    est = gap_mc(model, 0.0, 1, 100_000, make_stream(1, 0))
+    assert abs(est.mean + model.log_marginal() + 0.5) < 3.0 * est.std_error
 
 
 def test_bound_mc_se_scaling():
     model = GaussianToy(d=1, theta=np.zeros(1), phi=np.ones(1))
-    small = bound_mc(model, 0.0, 4, 500, make_stream(2, 0))
-    large = bound_mc(model, 0.0, 4, 5000, make_stream(2, 0))
+    small = gap_mc(model, 0.0, 4, 500, make_stream(2, 0))
+    large = gap_mc(model, 0.0, 4, 5000, make_stream(2, 0))
     ratio = small.std_error / large.std_error
     assert 0.7 * math.sqrt(10.0) < ratio < 1.3 * math.sqrt(10.0)
 
@@ -193,7 +192,7 @@ def test_statistical_monotonicity_in_n():
 
 
 # --------------------------------------------------------------------------
-# batched bound_mc / gap_mc against the per-replicate loop
+# batched gap_mc, and the bound from it, against the per-replicate loop
 # --------------------------------------------------------------------------
 
 _ORACLE_MODELS = {"toy": GaussianToy(d=3, theta=np.zeros(3), phi=0.4 * np.ones(3)),
@@ -221,15 +220,15 @@ def _per_replicate_oracle(model, alpha, n, stream, relative):
 def test_batched_mc_matches_per_replicate_oracle(target):
     for name, model in _ORACLE_MODELS.items():
         for n in (1, 16):
-            for fn, relative in ((bound_mc, False), (gap_mc, True)):
-                stream = make_stream(8, 1000)
-                with mock.patch.object(vrng, "_CHUNK_TARGET", target):
-                    est = fn(model, 0.5, n, _ORACLE_REPLICATES, stream)
-                unchunked = fn(model, 0.5, n, _ORACLE_REPLICATES, stream)
+            stream = make_stream(8, 1000)
+            with mock.patch.object(vrng, "_CHUNK_TARGET", target):
+                est = gap_mc(model, 0.5, n, _ORACLE_REPLICATES, stream)
+            unchunked = gap_mc(model, 0.5, n, _ORACLE_REPLICATES, stream)
+            assert (est.mean, est.std_error) == (unchunked.mean, unchunked.std_error)
+            for relative, shift in ((False, model.log_marginal()), (True, 0.0)):
                 mean, se = _per_replicate_oracle(model, 0.5, n, stream, relative)
-                assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-12), (name, n, fn)
-                assert est.std_error == pytest.approx(se, rel=1e-12), (name, n, fn)
-                assert (est.mean, est.std_error) == (unchunked.mean, unchunked.std_error)
+                assert est.mean + shift == pytest.approx(mean, rel=1e-12, abs=1e-12), (name, n)
+                assert est.std_error == pytest.approx(se, rel=1e-12), (name, n, relative)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Both models draw their law from the four scalars (c, ||v||^2, q, d) of
 `law_scalars`: c - ||v|| Z + q (Z^2 + C), with Z ~ N(0, 1) and
 C ~ chi^2_(d-1).  `log_weight_law` so replaces d normals per log-weight by
-LAW_WORDS uniforms in the gap, collapse, weights and bound_mc/gap_mc
-samplers.  The path (`reparam` + `log_relative_weight`) stays the reference:
-the two must agree in distribution (two-sample KS), the law must match the
-mean and variance of `closed_forms` (for the toy, those of the log-normal law
-of B), and at d = 1 the toy law must equal the path on the same uniforms.
+LAW_WORDS uniforms in the gap, collapse, weights and gap_mc samplers.  The
+path (`reparam` + `log_relative_weight`) stays the reference: the two must
+agree in distribution (two-sample KS), the law must match the mean and
+variance of `closed_forms` (for the toy, those of the log-normal law of B),
+and at d = 1 the toy law must equal the path on the same uniforms.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
-from vriwae.bounds import bound_mc, gap_mc
 from vriwae.experiments import make_linear_gaussian, make_toy
 from vriwae.models import GaussianToy, closed_forms
 from vriwae.rng import make_stream, standard_normal, uniform
@@ -73,10 +72,3 @@ def test_toy_law_equals_path_at_d1():
     law = model.log_weight_law(u)
     assert np.allclose(law, path, rtol=1e-12, atol=1e-12)
 
-
-def test_bound_mc_adds_log_marginal_to_gap_mc():
-    model = make_linear_gaussian(4, 0.3, seed=2)[0]
-    bound = bound_mc(model, 0.5, 8, 200, make_stream(3, 0))
-    gap = gap_mc(model, 0.5, 8, 200, make_stream(3, 0))
-    assert bound.mean == pytest.approx(gap.mean + model.log_marginal(), rel=1e-12)
-    assert bound.std_error == pytest.approx(gap.std_error, rel=1e-9)

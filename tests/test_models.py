@@ -157,13 +157,13 @@ def test_scores_match_finite_differences():
         z = model.reparam(eps)
         d_theta, d_total, d_stopped = model.score_grads(eps, z)
         theta, phi = model.theta_vec.copy(), model.phi_vec.copy()
-        for k in range(model.theta_dim):
+        for k in range(model.theta_vec.size):
             e = np.zeros_like(theta)
             e[k] = step
             fd = (model.with_theta(theta + e).log_unnormalized_weight(z)
                   - model.with_theta(theta - e).log_unnormalized_weight(z)) / (2 * step)
             assert abs(fd[0] - d_theta[0, k]) < 1e-6 * (1.0 + abs(fd[0]))
-        for k in range(model.phi_dim):
+        for k in range(model.phi_vec.size):
             e = np.zeros_like(phi)
             e[k] = step
             mp, mm = model.with_phi(phi + e), model.with_phi(phi - e)
@@ -359,7 +359,7 @@ def test_lingauss_instance_memory_is_linear_in_d():
 
 def test_perturb_identity_at_zero():
     p = np.arange(5.0)
-    out = perturb_params(p, 0.0, make_stream(0, 0))
+    out, = perturb_params((p,), 0.0, make_stream(0, 0))
     assert np.array_equal(out, p)
     tup = perturb_params((p, p + 1), 0.0, make_stream(0, 0))
     assert np.array_equal(tup[0], p) and np.array_equal(tup[1], p + 1)
@@ -368,7 +368,7 @@ def test_perturb_identity_at_zero():
 def test_perturb_scales():
     p = np.zeros(2000)
     for sp in (0.01, 0.5):
-        out = perturb_params(p, sp, make_stream(31, 0))
+        out, = perturb_params((p,), sp, make_stream(31, 0))
         assert abs(out.std() - sp) < 0.1 * sp
 
 

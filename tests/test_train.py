@@ -230,8 +230,8 @@ def _rebuilding_training(model, config, stream):
     `with_theta`/`with_phi`, contracts all three gradients and steps into new
     arrays."""
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
-    adam_theta = (np.zeros(model.theta_dim), np.zeros(model.theta_dim), 0)
-    adam_phi = (np.zeros(model.phi_dim), np.zeros(model.phi_dim), 0)
+    adam_theta = (np.zeros(model.theta_vec.size), np.zeros(model.theta_vec.size), 0)
+    adam_phi = (np.zeros(model.phi_vec.size), np.zeros(model.phi_vec.size), 0)
 
     def log_row(epoch, grad_norm):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,

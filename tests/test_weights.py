@@ -9,30 +9,18 @@ from scipy.special import logsumexp
 from vriwae import experiments
 from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
-from vriwae.weights import (LogWeights, _logsumexp, ess, max_weight_share, qq_points,
-                            relative_log_weights, t_statistic)
+from vriwae.bounds import decomposition_sample
+from vriwae.weights import _logsumexp, ess, max_weight_share, qq_points, t_statistic
 
 
 def test_container_validation():
-    with pytest.raises(ValueError):
-        LogWeights(np.array([]))
-    with pytest.raises(ValueError):
-        LogWeights(np.array([0.0, np.inf]))
-
-
-def test_relative_log_weights_shift():
-    lw = LogWeights(np.array([1.0, 2.0]), log_marginal=1.0)
-    assert np.allclose(relative_log_weights(lw), [0.0, 1.0])
-
-
-def test_relative_log_weights_constant():
-    lw = LogWeights(np.full(5, 3.7), log_marginal=3.7)
-    assert np.allclose(relative_log_weights(lw), 0.0)
-
-
-def test_relative_log_weights_requires_marginal():
-    with pytest.raises(ValueError):
-        relative_log_weights(LogWeights(np.array([0.0])))
+    # a batch of log-weights is a plain array; the one consumer that takes a
+    # single batch, decomposition_sample, rejects an empty, non-1-D or
+    # non-finite one
+    for batch in (np.array([]), np.zeros((2, 3)), np.array([0.0, np.inf]),
+                  np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="log-weights"):
+            decomposition_sample(batch, 0.5)
 
 
 def test_t_statistic_equal_weights():
