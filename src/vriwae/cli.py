@@ -33,15 +33,14 @@ _RUNNERS = {
     "train": run_train_experiment,
 }
 
-_PLOT_Y = {
-    "gap": ["mean_gap", "pred_1n_fit", "pred_ev_fit"],
-    "snr": ["snr_mean"],
-    "weights": ["count"],
-    "collapse": ["t_mean", "max_share_mean"],
-    "train": ["gap_mean"],
+# per runner subcommand, the x column and the y columns of its --plot
+_PLOT = {
+    "gap": ("N", ["mean_gap", "pred_1n_fit", "pred_ev_fit"]),
+    "snr": ("N", ["snr_mean"]),
+    "weights": ("bin_lo", ["count"]),
+    "collapse": ("N", ["t_mean", "max_share_mean"]),
+    "train": ("epoch", ["gap_mean"]),
 }
-
-_PLOT_X = {"gap": "N", "snr": "N", "collapse": "N", "weights": "bin_lo", "train": "epoch"}
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -179,10 +178,7 @@ def main(argv=None) -> int:
     if not spec.out:
         sys.stdout.write(text)
     if spec.plot:
-        y_cols = [c for c in _PLOT_Y[args.command] if rows and c in rows[0]]
-        x_col = _PLOT_X[args.command] if rows and _PLOT_X[args.command] in rows[0] \
-            else list(rows[0].keys())[0]
-        render_svg(rows, x_col, y_cols, spec.plot)
+        render_svg(rows, *_PLOT[args.command], spec.plot)
     return 0
 
 

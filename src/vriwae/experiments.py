@@ -327,11 +327,16 @@ def fit_gap_table(rows: Sequence[dict]) -> list:
     of a gap table, from its stored baseline and shape columns alone.
 
     Raises KeyError for a missing column, and ValueError naming the column
-    and the row (from 1) for a cell of N that is not a number, or of a fitted
-    column that is neither a number nor empty (an empty cell reads as NaN)."""
+    and the row (from 1) for a group-key cell that is not a string, number or
+    null, a cell of N that is not a number, or a cell of a fitted column that
+    is neither a number nor empty (an empty cell reads as NaN)."""
     groups: dict[tuple, list] = {}
     for i, row in enumerate(rows, 1):
         key = (row["model"], row["alpha"], row["d"], row["sigma_perturb"])
+        for col, v in zip(("model", "alpha", "d", "sigma_perturb"), key):
+            if not isinstance(v, (str, int, float, type(None))):
+                raise ValueError(f"column {col!r} holds {v!r} in row {i}, "
+                                 "not a string, number or null")
         for col in ("N", "mean_gap", "pred_1n", "shape_1n", "pred_ev", "shape_ev"):
             v = row[col]
             number = isinstance(v, (int, float)) and not isinstance(v, bool)

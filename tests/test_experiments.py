@@ -706,7 +706,9 @@ def _gap_table_with(fmt, column, row, value):
 
 _BUILT_TABLES = {"no-mean-gap": lambda: _gap_csv_without("mean_gap"),
                  "json-mean-gap-x": lambda: _gap_table_with("json", "mean_gap", 1, "x"),
-                 "csv-mean-gap-x": lambda: _gap_table_with("csv", "mean_gap", 1, "x")}
+                 "csv-mean-gap-x": lambda: _gap_table_with("csv", "mean_gap", 1, "x"),
+                 "json-alpha-list": lambda: _gap_table_with("json", "alpha", 1, [0]),
+                 "json-model-object": lambda: _gap_table_with("json", "model", 1, {"a": 1})}
 _GAP_META = '"schema_version": "1", "spec": {"kind": "gap", "seed": 0}'
 _NOT_VRIWAE = "is not a vriwae table: "
 
@@ -723,8 +725,15 @@ _NOT_VRIWAE = "is not a vriwae table: "
      "is not a gap table: column 'mean_gap' holds 'x' in row 2, not a number\n"),
     ("gap.csv", "csv-mean-gap-x",
      "is not a gap table: column 'mean_gap' holds 'x' in row 2, not a number\n"),
+    # an unhashable group-key cell
+    ("gap.json", "json-alpha-list",
+     "is not a gap table: column 'alpha' holds [0] in row 2, not a string, number or null\n"),
+    ("gap.json", "json-model-object",
+     "is not a gap table: column 'model' holds {'a': 1} in row 2, not a string, number or "
+     "null\n"),
 ], ids=["not-json", "empty-object", "no-spec", "rows-not-a-list", "rows-without-columns",
-        "csv-without-mean-gap", "json-non-numeric-cell", "csv-non-numeric-cell"])
+        "csv-without-mean-gap", "json-non-numeric-cell", "csv-non-numeric-cell",
+        "json-list-key-cell", "json-object-key-cell"])
 def test_cli_fit_rejects_malformed_table(tmp_path, capsys, name, text, message):
     from vriwae.cli import main
     table = tmp_path / name
@@ -733,6 +742,29 @@ def test_cli_fit_rejects_malformed_table(tmp_path, capsys, name, text, message):
         main(["fit", str(table)])
     assert exc.value.code == 2
     assert f"fit: {table} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, x_col, y_cols", [
+    ("gap", ["--n-grid", "2", "4", "--replicates", "10"], "N",
+     ["mean_gap", "pred_1n_fit", "pred_ev_fit"]),
+    ("snr", ["--n-grid", "2", "4", "--replicates", "100"], "N", ["snr_mean"]),
+    ("weights", ["--weight-samples", "100"], "bin_lo", ["count"]),
+    ("collapse", ["--n-grid", "2", "4", "--replicates", "10"], "N",
+     ["t_mean", "max_share_mean"]),
+    ("train", ["--epochs", "4", "--log-every", "2", "--n-importance", "4"], "epoch",
+     ["gap_mean"]),
+])
+def test_cli_plot_writes_svg(tmp_path, command, args, x_col, y_cols):
+    # every runner subcommand plots its own columns beside its table
+    from vriwae.cli import main
+    table, plot = tmp_path / "table.csv", tmp_path / "plot.svg"
+    assert main([command, "--d", "2", "--alpha", "0", *args, "--out", str(table),
+                 "--plot", str(plot)]) == 0
+    text = plot.read_text()
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    assert f">{x_col}" in text
+    assert [col for col in y_cols if f">{col}</text>" not in text] == []
+    assert text.count("<polyline") == len(y_cols)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plot", "config-out"])
