@@ -274,13 +274,14 @@ class GaussianToy(_Model):
 
     @property
     def bd(self) -> float:
-        """||theta - phi||, the log-weight standard deviation."""
-        return float(np.linalg.norm(self.theta - self.phi))
+        """B = ||theta - phi||, the log-weight standard deviation, as
+        sqrt(||v||^2) of `law_scalars`."""
+        return math.sqrt(self.law_scalars()[1])
 
     @property
     def progress(self) -> float:
-        """B^2/d, the normalized squared parameter distance."""
-        return self.bd**2 / self.d
+        """B^2/d, the normalized squared parameter distance, as ||v||^2/d."""
+        return self.law_scalars()[1] / self.d
 
     # --- sampling and weights ----------------------------------------------
     def reparam(self, eps: np.ndarray) -> np.ndarray:
@@ -327,9 +328,9 @@ class GaussianToy(_Model):
         axis), drawn from the exact law of the eps-path sums.
 
         With u = (theta - phi)/B the log-weights see eps_j only through
-        S_j = u . eps_j.  The first N normals are -S_j, so log_w = -B^2/2 -
-        B * normals[:N] is `log_weight_law` on the same uniforms, up to the
-        rounding of B^2 (none at d = 1).  Given S, the parts of eps_j
+        S_j = u . eps_j.  The first N normals are Z_j = -S_j, and log_w is
+        `law_log_weights` of them, -||v||^2/2 - B Z_j: `log_weight_law` on
+        the same uniforms, bit for bit.  Given S, the parts of eps_j
         orthogonal to u are i.i.d. and independent of the weights, so
         (sum s eps, sum h eps) is (sum s S) u and (sum h S) u plus a Gaussian
         pair on the complement of u with 2x2 covariance [[sum s^2, sum s h],
@@ -340,9 +341,10 @@ class GaussianToy(_Model):
         d = self.d
         n = normals.shape[-1] - 2 * d
         v = self.theta - self.phi
-        b = math.sqrt(v.dot(v))                       # `bd`, as np.linalg.norm rounds it
+        scalars = self.law_scalars()
+        b = math.sqrt(scalars[1])                     # `bd`
         s_dir = -normals[..., :n]                     # S_j = u . eps_j
-        lw = -0.5 * b * b + b * s_dir
+        lw = self.law_log_weights((normals[..., :n],), scalars)
         w = _weight_rows(lw, alpha)                   # (..., 2, N)
         w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
         g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)

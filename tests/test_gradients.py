@@ -208,6 +208,20 @@ def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
                 np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
 
 
+@pytest.mark.parametrize("d", [2, 10, 1000])
+def test_toy_train_log_weights_are_its_law(d):
+    # the toy states B once, as sqrt(||v||^2) of `law_scalars`: an epoch's
+    # log-weights are `law_log_weights` of its first N normals, bit for bit
+    rng = np.random.default_rng(d)
+    n = 8
+    for _ in range(50):
+        model = GaussianToy(d=d, theta=rng.normal(size=d), phi=rng.normal(size=d))
+        normals = rng.normal(size=(3, model.train_normals(n)))
+        lw, _, _ = model.train_sums(normals, 0.5)
+        assert np.array_equal(lw, model.law_log_weights((normals[..., :n],),
+                                                        model.law_scalars()))
+
+
 def _toy_stats(model, w_sum, wz):
     """Per-sample statistics (theta, rep phi, drep phi gradients, sum h z).
 
