@@ -29,10 +29,12 @@ states (see `models`):
   `grad_samples_from_eps` contracts these into all three gradients at once,
   theta, rep phi and drep phi, so both estimators always read the same draws;
   `grad_mean_se` and `snr_sweep` reduce all three.
-* From one training epoch's normals, `train_sums`: the eps path by default,
-  and for the toy an exact draw of the sums from their conditional law, which
+* From one training epoch's normals, `train_sums`: only the weight rows the
+  run's gradients contract (`_GRADIENTS` names each gradient's row), which
   `train` contracts the same way, into only the gradients its run steps.
-  The eps path stays its oracle in the tests.
+  The eps path yields both rows from the same draws.  The toy draws the one
+  row its estimator contracts from the exact conditional law of its sums;
+  the eps path stays its oracle in the tests.
 
 The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
 log-weight of z instead, so it shares no kernel with the estimators.
@@ -110,16 +112,17 @@ def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
 _GRADIENTS = {"theta": (0, 0), "rep": (1, 0), "drep": (2, 1)}
 
 
-def _contract(scores, w_sum: np.ndarray, wz: np.ndarray, kinds=("theta", "rep", "drep")):
+def _contract(scores, w_sum, wz, kinds=("theta", "rep", "drep"), rows=(0, 1)):
     """The gradients `kinds` from a model's `score_affine()` and the weighted
-    sums: w_sum of shape (..., 2, 1) holds sum s and sum h, wz of shape
-    (..., 2, d) holds sum s z and sum h z.  Only the consts of those scores
-    are evaluated."""
+    sums of the weight rows `rows` (s: 0, h: 1), in order: w_sum of shape
+    (..., len(rows), 1) holds sum w, wz of shape (..., len(rows), d) holds
+    sum w z.  Only the consts of those scores are evaluated."""
     grads = []
     for kind in kinds:
         score, row = _GRADIENTS[kind]
         const, coef = scores[score]
-        grads.append(_affine_score(const(), coef, wz[..., row, :], w_sum[..., row, :]))
+        i = rows.index(row)
+        grads.append(_affine_score(const(), coef, wz[..., i, :], w_sum[..., i, :]))
     return tuple(grads)
 
 

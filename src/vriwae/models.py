@@ -32,16 +32,19 @@ its class.  Each model states:
   and `log_marginal`.  The finite-difference oracle and `selftest` run on
   it, and the tests hold the law and the quadratic to it.
 * `log_weight_quadratic()`: z = loc + scale*eps is affine, so
-  log w = c0 + v . eps + q ||eps||^2, stated as (loc, scale, c0, v, q), with
-  q = 0 for the toy and -1/6 for the linear Gaussian.  `_eps_sums` reads the
-  log-weights and the weighted sums of z off it, without building z.
+  log w = c0 + v . eps + q ||eps||^2, stated as (loc, scale, c0, v, q,
+  ||v||^2), with q = 0 for the toy and -1/6 for the linear Gaussian.
+  `_eps_sums` reads the log-weights and the weighted sums of z off it,
+  without building z.
 * `score_affine()`: the three scores as coefficients (see Scores).
-* `train_normals(N)` and `train_sums(normals, alpha)`: the normals one
-  training epoch reads and the sums it takes from them, by default N x d
-  eps through `_eps_sums`.  The toy draws its sums from their exact
-  conditional law with N + 2d normals.  (A Bartlett-factor draw for the
-  linear Gaussian would take N(N+1)/2 + 2d, which pays only below N ~ 2d,
-  where no experiment runs.)
+* `train_normals(N)` and `train_sums(normals, alpha, rows)`: the normals
+  one training epoch reads and the sums it takes from them for the weight
+  rows `rows` (s: 0, h: 1) its gradients contract, by default N x d eps
+  through `_eps_sums`, which yields both rows from the same draws.  The toy
+  draws the sums of its one row from their exact conditional law with
+  N + d normals.  (A Bartlett-factor draw for the linear Gaussian would take
+  N(N+1)/2 + d normals for one row and N(N+1)/2 + 2d for two, which pays
+  only below N ~ 2d either way, where no experiment runs.)
 * `ev_curve(alpha, sigma2, a_const)`: its extreme-value curve family and fit
   scale, the log-normal curve of B on the B scale for the toy, the iid-sum
   curve on the sqrt(d) scale for the linear Gaussian.
@@ -114,7 +117,7 @@ from scipy.special import ndtri
 
 from . import rng as vrng
 from .asymptotics import iid_sum_curve, lognormal_curve
-from .weights import _check_alpha, _weight_rows
+from .weights import _check_alpha, _h, _softmax_last, _weight_rows
 
 __all__ = [
     "GaussianToy",
@@ -166,7 +169,7 @@ def _eps_sums(model, eps: np.ndarray, alpha: float):
     `model.log_weight_quadratic()` without building z: log_w is (..., N),
     w_sum (..., 2, 1) holds sum s and sum h, and wz (..., 2, d) holds sum s z
     and sum h z."""
-    loc, scale, c0, v, q = model.log_weight_quadratic()
+    loc, scale, c0, v, q, _ = model.log_weight_quadratic()
     # a batched matvec rounds each row alike in any chunk; one flat
     # (rows, d) @ v does not
     lw = c0 + eps @ v
@@ -180,10 +183,11 @@ def _eps_sums(model, eps: np.ndarray, alpha: float):
 class _Model:
     """What the two models share (see the module docstring)."""
 
-    def law_scalars(self) -> tuple:
-        """(c, ||v||^2, q, d) with log w - log p = c - ||v|| Z + q (Z^2 + C)."""
-        _, _, c0, v, q = self.log_weight_quadratic()
-        return c0 - self.log_marginal(), float(v @ v), q, self.d
+    def law_scalars(self, quadratic=None) -> tuple:
+        """(c, ||v||^2, q, d) with log w - log p = c - ||v|| Z + q (Z^2 + C),
+        from `quadratic`, by default `log_weight_quadratic()`."""
+        _, _, c0, _, q, v2 = quadratic or self.log_weight_quadratic()
+        return c0 - self.log_marginal(), v2, q, self.d
 
     @staticmethod
     def law_variates(u: np.ndarray, scalars: tuple) -> tuple:
@@ -241,10 +245,12 @@ class _Model:
         """Standard normals one training epoch with N samples reads."""
         return n * self.d
 
-    def train_sums(self, normals: np.ndarray, alpha: float):
+    def train_sums(self, normals: np.ndarray, alpha: float, rows=(0,)):
         """`_eps_sums` of one training epoch, from its train_normals(N)
-        normals (last axis) read as N x d eps."""
-        return _eps_sums(self, normals.reshape(*normals.shape[:-1], -1, self.d), alpha)
+        normals (last axis) read as N x d eps, with w_sum and wz cut to the
+        weight rows `rows` (s: 0, h: 1), in order."""
+        lw, w_sum, wz = _eps_sums(self, normals.reshape(*normals.shape[:-1], -1, self.d), alpha)
+        return lw, w_sum[..., list(rows), :], wz[..., list(rows), :]
 
 
 @dataclass
@@ -300,10 +306,11 @@ class GaussianToy(_Model):
         return 0.0
 
     def log_weight_quadratic(self):
-        """(loc, scale, c0, v, q) with z = loc + scale*eps and
+        """(loc, scale, c0, v, q, ||v||^2) with z = loc + scale*eps and
         log w = c0 + v . eps + q ||eps||^2: here -B^2/2 + (theta - phi) . eps."""
         v = self.theta - self.phi
-        return self.phi, 1.0, -0.5 * float(v @ v), v, 0.0
+        v2 = float(v @ v)
+        return self.phi, 1.0, -0.5 * v2, v, 0.0, v2
 
     def score_affine(self):
         """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped), each
@@ -321,45 +328,46 @@ class GaussianToy(_Model):
 
     # --- training and extreme values -----------------------------------------
     def train_normals(self, n: int) -> int:
-        return n + 2 * self.d
+        return n + self.d
 
-    def train_sums(self, normals: np.ndarray, alpha: float):
-        """(log_w, w_sum, wz) from N + 2d standard normals per row (last
-        axis), drawn from the exact law of the eps-path sums.
+    def train_sums(self, normals: np.ndarray, alpha: float, rows=(0,)):
+        """(log_w, w_sum, wz) of the one weight row in `rows` (s: 0, h: 1),
+        from N + d standard normals per row of `normals` (last axis), drawn
+        from the exact law of that row's eps-path sums.
 
         With u = (theta - phi)/B the log-weights see eps_j only through
         S_j = u . eps_j.  The first N normals are Z_j = -S_j, and log_w is
         `law_log_weights` of them, -||v||^2/2 - B Z_j: `log_weight_law` on
         the same uniforms, bit for bit.  Given S, the parts of eps_j
-        orthogonal to u are i.i.d. and independent of the weights, so
-        (sum s eps, sum h eps) is (sum s S) u and (sum h S) u plus a Gaussian
-        pair on the complement of u with 2x2 covariance [[sum s^2, sum s h],
-        [sum s h, sum h^2]]: the last 2d normals, with u projected out and
-        mixed by the Cholesky factor of that matrix.  At B = 0 there is no u
-        and nothing is projected; at d = 1 the projection leaves nothing.
+        orthogonal to u are i.i.d. and independent of the weights, so for
+        the row w
+
+            sum_j w_j eps_j = (sum_j w_j S_j) u + ||w||_2 (I - u u^T) g,
+
+        with g ~ N(0, I_d) the last d normals.  It is taken as
+        ||w||_2 g + (sum_j w_j S_j - ||w||_2 g . u) u, with u = v/B.  At
+        B = 0 there is no u and nothing is projected; at d = 1 the
+        projection leaves g only its rounding.  The rows s and h share S but
+        not their part along g, so one draw of d normals gives the sums of
+        one row: the row of the estimator a training run steps (the toy
+        trains no theta).
         """
-        d = self.d
-        n = normals.shape[-1] - 2 * d
-        v = self.theta - self.phi
-        scalars = self.law_scalars()
-        b = math.sqrt(scalars[1])                     # `bd`
-        s_dir = -normals[..., :n]                     # S_j = u . eps_j
-        lw = self.law_log_weights((normals[..., :n],), scalars)
-        w = _weight_rows(lw, alpha)                   # (..., 2, N)
-        w_sum = w.sum(axis=-1, keepdims=True)         # (..., 2, 1)
-        g = normals[..., n:].reshape(*normals.shape[:-1], 2, d)
-        wz = w_sum * self.phi
-        if b > 0.0:
-            u = v / b
-            g = g - (g @ u)[..., None] * u
-            wz = wz + (w @ s_dir[..., None]) * u
-        gram = w @ np.swapaxes(w, -1, -2)             # (..., 2, 2)
-        l11 = np.sqrt(gram[..., 0, 0])
-        l21 = gram[..., 1, 0] / l11
-        # singular when h is proportional to s (alpha = 1, or N = 1)
-        l22 = np.sqrt(np.maximum(gram[..., 1, 1] - l21 * l21, 0.0))
-        wz[..., 0, :] += l11[..., None] * g[..., 0, :]
-        wz[..., 1, :] += l21[..., None] * g[..., 0, :] + l22[..., None] * g[..., 1, :]
+        if len(rows) != 1:
+            raise ValueError(f"the toy sums one weight row per draw, got rows {rows}")
+        n = normals.shape[-1] - self.d
+        quadratic = self.log_weight_quadratic()
+        loc, _, _, v, _, v2 = quadratic
+        lw = self.law_log_weights((normals[..., :n],), self.law_scalars(quadratic))
+        s = _softmax_last((1.0 - alpha) * lw)[..., None, :]
+        w = _h(s, alpha) if rows[0] else s           # (..., 1, N)
+        w_sum = w.sum(axis=-1, keepdims=True)         # (..., 1, 1)
+        norm = np.sqrt(w @ np.swapaxes(w, -1, -2))   # ||w||_2, (..., 1, 1)
+        g = normals[..., None, n:]                    # (..., 1, d)
+        wz = w_sum * loc + norm * g
+        if v2 > 0.0:
+            b = math.sqrt(v2)                         # `bd`
+            # (sum_j w_j S_j - ||w||_2 g . u) u, with S_j = -Z_j and u = v/B
+            wz -= (w @ normals[..., :n, None] + norm * (g @ v)[..., None] / b) / b * v
         return lw, w_sum, wz
 
     def ev_curve(self, alpha: float, sigma2: float, a_const: float):
@@ -439,7 +447,7 @@ class LinearGaussian(_Model):
         return self.log_relative_weight(z) + self.log_marginal()
 
     def log_weight_quadratic(self):
-        """(loc, scale, c0, v, q) with z = loc + scale*eps and
+        """(loc, scale, c0, v, q, ||v||^2) with z = loc + scale*eps and
         log w = c0 + v . eps + q ||eps||^2.  With delta = posterior mean -
         q_mean and scale = sqrt(2/3), z - posterior mean = scale*eps - delta, so
             log w = c0 + 2 scale delta . eps - ||eps||^2 / 6,
@@ -447,7 +455,8 @@ class LinearGaussian(_Model):
         scale = math.sqrt(2.0 / 3.0)
         delta = self.posterior_mean - self.q_mean
         c0 = 0.5 * self.d * _LOG_4_3 - float(delta @ delta) + self.log_marginal()
-        return self.q_mean, scale, c0, 2.0 * scale * delta, -1.0 / 6.0
+        v = 2.0 * scale * delta
+        return self.q_mean, scale, c0, v, -1.0 / 6.0, float(v @ v)
 
     def score_affine(self):
         """((const, coef) of d_theta, of d_phi_total, of d_phi_stopped), each

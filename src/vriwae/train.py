@@ -12,7 +12,9 @@ ADAM_EPS = 1e-8 and the run's learning rate.
 The model states what a run needs of it (see `models`): whether theta trains
 besides phi (`TRAINS_THETA`), the progress column a trajectory logs
 (`PROGRESS_LABEL`, `progress`), and how many standard normals an epoch reads
-and which gradient sums it takes from them (`train_normals`, `train_sums`).
+and the gradient sums it takes from them (`train_normals`, `train_sums`).
+The run asks only for the weight rows its gradients contract, by
+`gradients._GRADIENTS`: s for theta and rep phi, h for drep phi.
 Each logged row adds a small fresh Monte Carlo gap estimate and the gradient
 norm.
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import rng as vrng
 from .bounds import gap_mc
-from .gradients import _contract
+from .gradients import _GRADIENTS, _contract
 from .weights import _check_alpha
 
 __all__ = [
@@ -176,6 +178,7 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     kinds, params = (config.estimator,), (model.phi_vec,)
     if model.TRAINS_THETA:
         kinds, params = ("theta", *kinds), (model.theta_vec, *params)
+    rows = tuple(sorted({_GRADIENTS[kind][1] for kind in kinds}))
     steps = [_RULES[config.optimizer](p, config.learning_rate) for p in params]
     scores = model.score_affine()
 
@@ -188,8 +191,8 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
 
     log_row(0, 0.0)
     for epoch, normals in _epoch_normals(model, config, stream):
-        _, w_sum, wz = model.train_sums(normals, config.alpha)
-        grads = _contract(scores, w_sum, wz, kinds)
+        _, w_sum, wz = model.train_sums(normals, config.alpha, rows)
+        grads = _contract(scores, w_sum, wz, kinds, rows)
         grad_norm = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
         if grad_norm > GRAD_NORM_LIMIT:
             raise TrainingDiverged(

@@ -185,27 +185,35 @@ def test_contracted_kernel_matches_materialized_scores(make_model, alpha, shape)
 # toy gradients from their exact conditional law against the eps path
 # --------------------------------------------------------------------------
 
+# per weight row (s: 0, h: 1), the gradients contracted against it
+_ROW_KINDS = {0: ("theta", "rep"), 1: ("drep",)}
+
+
 @pytest.mark.parametrize("theta, phi", [(0.0, 1.0), (0.3, -0.5)], ids=["phi>theta", "phi<theta"])
 def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
     # at d = 1 there is nothing orthogonal to u, so eps_j = u * S_j is the
-    # whole draw and both paths see the same samples
+    # whole draw and both paths see the same samples: the last of the n + 1
+    # normals is projected out.  Each weight row comes from its own draw
     model = GaussianToy(d=1, theta=np.full(1, theta), phi=np.full(1, phi))
     u = np.sign(theta - phi)
     for n in (1, 8, 100):
-        words = uniform(make_stream(3, 0), (50, n + 2))
+        words = uniform(make_stream(3, 0), (50, n + 1))
         normals = ndtri(words)
         eps = (u * -normals[:, :n])[..., None]
         z = model.reparam(eps)
         for alpha in (0.0, 0.5, 1.0):
-            lw, w_sum, wz = model.train_sums(normals, alpha)
-            assert np.array_equal(lw, model.log_weight_law(words[:, :n, None]))
             w = _weight_rows(model.log_unnormalized_weight(z), alpha)
-            np.testing.assert_allclose(w_sum, w.sum(axis=-1, keepdims=True), rtol=1e-12)
-            np.testing.assert_allclose(wz, w @ z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
-            got = (lw, *_contract(model.score_affine(), w_sum, wz))
-            want = (_eps_sums(model, eps, alpha)[0], *grad_samples_from_eps(model, eps, alpha))
-            for g, h in zip(got, want):
-                np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+            want = dict(zip(("theta", "rep", "drep"), grad_samples_from_eps(model, eps, alpha)))
+            for row, kinds in _ROW_KINDS.items():
+                lw, w_sum, wz = model.train_sums(normals, alpha, (row,))
+                assert np.array_equal(lw, model.log_weight_law(words[:, :n, None]))
+                w_row = w[:, row:row + 1]
+                np.testing.assert_allclose(w_sum, w_row.sum(axis=-1, keepdims=True), rtol=1e-12)
+                np.testing.assert_allclose(wz, w_row @ z, rtol=1e-12,
+                                           atol=1e-12 * np.abs(z).max())
+                got = (lw, *_contract(model.score_affine(), w_sum, wz, kinds, (row,)))
+                for g, h in zip(got, (_eps_sums(model, eps, alpha)[0], *map(want.get, kinds))):
+                    np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
 
 
 @pytest.mark.parametrize("d", [2, 10, 1000])
@@ -222,14 +230,15 @@ def test_toy_train_log_weights_are_its_law(d):
                                                         model.law_scalars()))
 
 
-def _toy_stats(model, w_sum, wz):
-    """Per-sample statistics (theta, rep phi, drep phi gradients, sum h z).
+def _toy_stats(model, w_sum, wz, row):
+    """Per-sample statistics of the weight row `row` from its sums: its
+    gradients (theta and rep phi for s, drep phi for h), then sum w z.
 
     The toy's stopped phi score is constant in z, so sum h z enters no toy
-    gradient; it is compared on its own, with its covariance against sum s z.
+    gradient; it is compared on its own.
     """
-    g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
-    return np.concatenate([g_theta, g_rep, g_drep, wz[..., 1, :]], axis=-1)
+    grads = _contract(model.score_affine(), w_sum, wz, _ROW_KINDS[row], (row,))
+    return np.concatenate([*grads, wz[..., 0, :]], axis=-1)
 
 
 def _ks_pvalues(x, y):
@@ -259,38 +268,47 @@ _ALPHAS = (0.0, 0.5, 1.0)
                          ids=["d5-N1", "d5-N8", "d5-N100", "d1000-N1", "d1000-N8",
                               "d1000-N100", "d5-N8-B0"])
 def test_toy_conditional_law_matches_eps_path(d, n, b):
-    # theta - phi points along a random direction u with norm B
+    # theta - phi points along a random direction u with norm B.  Each weight
+    # row's statistics come from its own one-row draw, as in a training run,
+    # so they are compared row by row; no draw gives the s and h sums jointly
     rng = np.random.default_rng(d + n)
     phi = rng.normal(size=d)
     direction = rng.normal(size=d)
     model = GaussianToy(d=d, theta=phi + b * direction / np.linalg.norm(direction), phi=phi)
     r = min(20_000, 50_000_000 // (n * d), 4_000_000 // (4 * d))
-    eps_stats = {a: np.empty((r, 4 * d)) for a in _ALPHAS}
+    blocks = {row: len(kinds) + 1 for row, kinds in _ROW_KINDS.items()}  # d-blocks per row
+    eps_stats = {(a, row): np.empty((r, m * d)) for a in _ALPHAS for row, m in blocks.items()}
     stream = make_stream(60, d * 1000 + n)
     for start, stop in vrng._replicate_chunks(r, n * d):
         z = model.reparam(standard_normal(stream, (stop - start, n, d)))
         lw = model.log_unnormalized_weight(z)
         for a in _ALPHAS:
             w = _weight_rows(lw, a)
-            eps_stats[a][start:stop] = _toy_stats(model, w.sum(axis=-1, keepdims=True), w @ z)
-    normals = standard_normal(make_stream(61, d * 1000 + n), (r, n + 2 * d))
+            for row in blocks:
+                w_row = w[:, row:row + 1]
+                eps_stats[a, row][start:stop] = _toy_stats(
+                    model, w_row.sum(axis=-1, keepdims=True), w_row @ z, row)
+    normals = standard_normal(make_stream(61, d * 1000 + n), (r, n + d))
 
-    k = min(d, 5)          # covariance over the first k coordinates of each block
-    cov_cols = np.concatenate([np.arange(k) + j * d for j in range(4)])
-    tests = len(_ALPHAS) * 4 * d
-    z_crit = float(ndtri(1.0 - 1e-4 / (2.0 * (tests + len(_ALPHAS) * len(cov_cols) ** 2))))
+    k = min(d, 5)          # covariance over the first k coordinates of each block of a row
+    cov_cols = {row: np.concatenate([np.arange(k) + j * d for j in range(m)])
+                for row, m in blocks.items()}
+    tests = len(_ALPHAS) * sum(blocks.values()) * d
+    covs = len(_ALPHAS) * sum(len(cols) ** 2 for cols in cov_cols.values())
+    z_crit = float(ndtri(1.0 - 1e-4 / (2.0 * (tests + covs))))
     for a in _ALPHAS:
-        x = _toy_stats(model, *model.train_sums(normals, a)[1:])
-        y = eps_stats[a]
-        const = (x.min(axis=0) == x.max(axis=0)) & (y.min(axis=0) == y.max(axis=0))
-        np.testing.assert_allclose(x[0, const], y[0, const], rtol=1e-12, atol=1e-12)
-        p = _ks_pvalues(x[:, ~const], y[:, ~const])
-        assert p.min() > 1e-4 / tests, (a, int(np.argmin(p)), p.min())
-        se = np.sqrt(x.var(axis=0, ddof=1) / r + y.var(axis=0, ddof=1) / r)
-        assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= z_crit * se + 1e-12), a
-        cx, sx = _cov_and_se(x[:, cov_cols])
-        cy, sy = _cov_and_se(y[:, cov_cols])
-        assert np.all(np.abs(cx - cy) <= z_crit * np.sqrt(sx**2 + sy**2) + 1e-12), a
+        for row, cols in cov_cols.items():
+            x = _toy_stats(model, *model.train_sums(normals, a, (row,))[1:], row)
+            y = eps_stats[a, row]
+            const = (x.min(axis=0) == x.max(axis=0)) & (y.min(axis=0) == y.max(axis=0))
+            np.testing.assert_allclose(x[0, const], y[0, const], rtol=1e-12, atol=1e-12)
+            p = _ks_pvalues(x[:, ~const], y[:, ~const])
+            assert p.min() > 1e-4 / tests, (a, row, int(np.argmin(p)), p.min())
+            se = np.sqrt(x.var(axis=0, ddof=1) / r + y.var(axis=0, ddof=1) / r)
+            assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= z_crit * se + 1e-12), (a, row)
+            cx, sx = _cov_and_se(x[:, cols])
+            cy, sy = _cov_and_se(y[:, cols])
+            assert np.all(np.abs(cx - cy) <= z_crit * np.sqrt(sx**2 + sy**2) + 1e-12), (a, row)
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +378,8 @@ def test_snr_planted_slope():
             return one, one, one
 
         def log_weight_quadratic(self):
-            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0: uniform softmax
+            # z = eps, log w = 0: uniform softmax
+            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0, 0.0
 
     n_grid = [4, 16, 64, 256]
     blocks = snr_sweep(Synthetic(), 0.0, 1, n_grid, 4000, 1, make_stream(13, 0))
@@ -380,7 +399,7 @@ def test_snr_zero_variance_sentinel():
             return one, one, one
 
         def log_weight_quadratic(self):
-            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0  # z = eps, log w = 0
+            return np.zeros(1), 1.0, 0.0, np.zeros(1), 0.0, 0.0  # z = eps, log w = 0
 
     blk = snr_sweep(Constant(), 0.0, 1, [2, 4], 200, 1, make_stream(14, 0))[("rep", "theta")]
     assert np.all(np.isinf(blk.per_coordinate_snr))

@@ -172,7 +172,8 @@ def test_rows_independent_of_chunk_target(monkeypatch, make_model):
 def test_epochs_draw_from_keyed_streams(make_model, train_theta):
     # epoch e reads row e - 1 of one draw from stream (seed, stream_id), and
     # logged row k its gap from stream.child(1 + k); the caller's stream is
-    # not advanced.  The linear Gaussian trains theta, the toy does not
+    # not advanced.  The linear Gaussian trains theta, the toy does not, and
+    # draws only the s row of its rep run: N + d normals, not N x d
     n, alpha, lr, reps, epochs = 5, 0.2, 1e-2, 3, 6
     config = TrainConfig(alpha=alpha, n_importance=n, epochs=epochs, log_every=1,
                          learning_rate=lr, gap_replicates=reps)
@@ -181,14 +182,15 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
     traj = run_training(make_model(), config, stream)
     assert _rows(run_training(make_model(), config, stream)) == _rows(traj)
     model = make_model()
-    words = n + 2 * model.d if isinstance(model, GaussianToy) else n * model.d
+    words = n + model.d if isinstance(model, GaussianToy) else n * model.d
     draws = standard_normal(make_stream(seed, base), (epochs, words))
     for epoch in range(epochs + 1):
         if epoch:
             normals = draws[epoch - 1]
             if isinstance(model, GaussianToy):
-                _, w_sum, wz = model.train_sums(normals, alpha)
-                g_theta, g_phi, _ = _contract(model.score_affine(), w_sum, wz)
+                _, w_sum, wz = model.train_sums(normals, alpha, (0,))
+                g_theta, g_phi = _contract(model.score_affine(), w_sum, wz, ("theta", "rep"),
+                                           (0,))
             else:
                 g_theta, g_phi, _ = grad_samples_from_eps(model, normals.reshape(n, model.d),
                                                           alpha)
@@ -227,8 +229,9 @@ def _adam_step(state, params, grad, lr):
 
 def _rebuilding_training(model, config, stream):
     """`run_training` as a loop that builds a new model every epoch with
-    `with_theta`/`with_phi`, contracts all three gradients and steps into new
-    arrays."""
+    `with_theta`/`with_phi`, contracts every gradient its draw gives and
+    steps into new arrays.  The linear Gaussian's eps path gives both weight
+    rows and all three gradients; the toy draws only its estimator's row."""
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
     adam_theta = (np.zeros(model.theta_vec.size), np.zeros(model.theta_vec.size), 0)
     adam_phi = (np.zeros(model.phi_vec.size), np.zeros(model.phi_vec.size), 0)
@@ -242,9 +245,14 @@ def _rebuilding_training(model, config, stream):
 
     log_row(0, 0.0)
     for epoch, normals in _epoch_normals(model, config, stream):
-        _, w_sum, wz = model.train_sums(normals, config.alpha)
-        g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
-        g_phi = g_rep if config.estimator == "rep" else g_drep
+        if model.TRAINS_THETA:
+            _, w_sum, wz = model.train_sums(normals, config.alpha, (0, 1))
+            g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
+            g_phi = g_rep if config.estimator == "rep" else g_drep
+        else:
+            row = 0 if config.estimator == "rep" else 1
+            _, w_sum, wz = model.train_sums(normals, config.alpha, (row,))
+            g_phi, = _contract(model.score_affine(), w_sum, wz, (config.estimator,), (row,))
         norm_sq = float(np.dot(g_phi, g_phi))
         if model.TRAINS_THETA:
             norm_sq += float(np.dot(g_theta, g_theta))
@@ -287,6 +295,34 @@ def test_rows_equal_the_rebuilding_loop(name, optimizer, estimator):
     assert len(got) == 15
     assert got == want
     assert len({r["grad_norm"] for r in got}) == len(got)
+
+
+@pytest.mark.parametrize("estimator", ["rep", "drep"])
+def test_toy_run_reads_one_block_of_n_plus_d_normals(monkeypatch, estimator):
+    # a toy run of either estimator draws N + d normals per epoch, all from
+    # one (epochs, N + d) block of the run's key, and each epoch steps on the
+    # sums of its estimator's weight row alone
+    n, d, epochs = 7, 5, 9
+    config = TrainConfig(alpha=0.3, n_importance=n, estimator=estimator, epochs=epochs,
+                         log_every=epochs, learning_rate=1e-2, gap_replicates=2)
+    stream = make_stream(17, 3)
+    calls, sums = [], []
+
+    def recording(draws, shape):
+        calls.append(((draws.seed, draws.stream_id), shape))
+        return standard_normal(draws, shape)
+
+    def train_sums(self, normals, alpha, rows=(0,), _f=GaussianToy.train_sums):
+        sums.append((normals.shape, rows))
+        return _f(self, normals, alpha, rows)
+
+    monkeypatch.setattr(vrng, "standard_normal", recording)
+    monkeypatch.setattr(GaussianToy, "train_sums", train_sums)
+    got = _rows(run_training(toy(d), config, stream))
+    assert [call for call in calls if call[0] == (17, 3)] == [((17, 3), (epochs, n + d))]
+    row = 0 if estimator == "rep" else 1
+    assert sums == [((n + d,), (row,))] * epochs
+    assert got == _rows(_rebuilding_training(toy(d), config, stream))
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
