@@ -2,7 +2,9 @@
 
 Subcommands: gap, snr, weights, collapse, train, fit, selftest.  All shared
 flags have the same meaning everywhere; `--config` supplies a JSON file whose
-fields mirror the spec and are overridden by explicit flags.
+fields mirror the spec and are overridden by explicit flags.  `fit` writes
+strict JSON: a constant that is NaN or infinite (no fit, or an overflowed
+gamma^2) is null.
 
 The parser is built once, at import, and `main` only parses.  Building it
 (seven subcommands, five of them with a copy of the 19 shared flags) takes
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -151,7 +154,10 @@ def main(argv=None) -> int:
             _PARSER.error(f"fit: {args.gap_table} holds a {kind or 'non-vriwae'} table, "
                           "not a gap table")
         try:
-            result = json.dumps(fit_gap_table(rows), indent=1)
+            # strict JSON: an unfitted or overflowed constant is null, not NaN
+            fits = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in row.items()} for row in fit_gap_table(rows)]
+            result = json.dumps(fits, indent=1, allow_nan=False)
         except KeyError as exc:
             _PARSER.error(f"fit: {args.gap_table} is not a gap table: it has no column {exc}")
         except ValueError as exc:

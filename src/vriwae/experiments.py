@@ -159,6 +159,14 @@ class ExperimentSpec:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if any(not s >= 0 for s in self.sigma_perturbs):
             raise ValueError(f"sigma_perturbs must be >= 0, got {self.sigma_perturbs}")
+        # each model ignores one option, which must keep its default rather
+        # than run as if read: the toy has no perturbation, and the linear
+        # Gaussian sits at its optimum, not at a theta_scale
+        name, default = (("sigma_perturbs", (0.0,)) if self.model == GaussianToy.TABLE_NAME
+                         else ("theta_scale", 0.0))
+        if getattr(self, name) != default:
+            raise ValueError(f"{name} must be {default} for model {self.model!r}, which "
+                             f"ignores it, got {getattr(self, name)}")
         if self.m_samples < 1:
             raise ValueError(f"m_samples must be >= 1, got {self.m_samples}")
         if self.coordinate_sample < 1:

@@ -54,6 +54,9 @@ def test_spec_validation():
                       (dict(seed=-1), "seed"), (dict(seed=2**64), "seed"),
                       (dict(sigma_perturbs=(0.1, -0.1)), "sigma_perturbs"),
                       (dict(sigma_perturbs=(math.nan,)), "sigma_perturbs"),
+                      (dict(sigma_perturbs=(0.1, 0.3)), "sigma_perturbs"),
+                      (dict(kind="train", sigma_perturbs=(0.1,)), "sigma_perturbs"),
+                      (dict(model="lingauss", theta_scale=5.0), "theta_scale"),
                       (dict(kind="snr", m_samples=0), "m_samples"),
                       (dict(kind="snr", coordinate_sample=0), "coordinate_sample"),
                       (dict(seed=1.5), "seed"), (dict(seed=True), "seed"),
@@ -139,6 +142,8 @@ def _cli_base(skip=()):
     ("snr", [{"kind": "gap"}, "--replicates", "100"], "kind"),
     ("gap", [{"out": 5}], "out"),
     ("gap", [{"plot": ["a"]}], "plot"),
+    ("gap", ["--model", "toy", "--sigma-perturb", "0.1", "0.3"], "sigma_perturbs"),
+    ("weights", ["--model", "lingauss", "--theta-scale", "5"], "theta_scale"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -157,7 +162,8 @@ def _cli_base(skip=()):
         "gap-config-theta-scale-huge-int", "gap-repeated-d", "collapse-repeated-d",
         "snr-repeated-d", "gap-repeated-alpha", "gap-repeated-sigma-perturb",
         "gap-config-repeated-sigma-perturb", "gap-config-kind-snr", "snr-config-kind-gap",
-        "gap-config-out-int", "gap-config-plot-list"])
+        "gap-config-out-int", "gap-config-plot-list", "gap-toy-sigma-perturbs",
+        "weights-lingauss-theta-scale"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -267,8 +273,8 @@ def test_lingauss_variants_match_make_linear_gaussian(monkeypatch):
 
 _CHUNK_SPECS = {
     model: dict(model=model, alphas=(0.0, 0.5), ds=(1, 3), n_grid=(2, 8), replicates=40,
-                seed=5, sigma_perturbs=(0.0, 0.3))
-    for model in ("toy", "lingauss")}
+                seed=5, **sp)
+    for model, sp in (("toy", {}), ("lingauss", {"sigma_perturbs": (0.0, 0.3)}))}
 _CHUNK_REFS: dict = {}
 
 
@@ -602,6 +608,29 @@ def test_cli_gap_and_fit(tmp_path):
     assert main(["fit", str(out), "--out", str(fit_out)]) == 0
     fits = json.loads(fit_out.read_text())
     assert {f["alpha"] for f in fits} == {0.0, 0.5}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_fit_writes_strict_json(tmp_path, capsys, fmt):
+    # at d = 1000 and alpha = 0 the toy's gamma^2 overflows, so pred_1n is
+    # NaN and its group has no 1/N fit: fit writes null there, which a parser
+    # that rejects NaN and Infinity reads, to --out and to stdout alike
+    from vriwae.cli import main
+    table = tmp_path / f"gap.{fmt}"
+    assert main(["gap", "--model", "toy", "--d", "1000", "--alpha", "0", "0.5", "--n-grid", "2",
+                 "4", "8", "--replicates", "10", "--format", fmt, "--out", str(table)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(table), "--out", str(out)]) == 0
+    assert main(["fit", str(table)]) == 0
+    texts = [out.read_text(), capsys.readouterr().out]
+    assert texts[0] == texts[1]
+    fits = {f["alpha"]: f for f in json.loads(texts[0], parse_constant=reject)}
+    assert fits[0.0]["c1"] is None and fits[0.0]["rms_1n"] is None
+    assert all(isinstance(fits[a][k], float) for a in fits for k in ("c2", "rms_ev"))
 
 
 def test_read_table_json_mirror(tmp_path, capsys):
