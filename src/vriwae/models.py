@@ -347,10 +347,10 @@ class GaussianToy(_Model):
         with g ~ N(0, I_d) the last d normals.  It is taken as
         ||w||_2 g + (sum_j w_j S_j - ||w||_2 g . u) u, with u = v/B.  At
         B = 0 there is no u and nothing is projected; at d = 1 the
-        projection leaves g only its rounding.  The rows s and h share S but
-        not their part along g, so one draw of d normals gives the sums of
-        one row: the row of the estimator a training run steps (the toy
-        trains no theta).
+        projection leaves g only its rounding.  The s and h sums share S,
+        and their parts off u are correlated, so d normals give that part
+        for one row only: the row of the estimator a training run steps (the
+        toy trains no theta).
         """
         if len(rows) != 1:
             raise ValueError(f"the toy sums one weight row per draw, got rows {rows}")

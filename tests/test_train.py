@@ -301,7 +301,8 @@ def test_rows_equal_the_rebuilding_loop(name, optimizer, estimator):
 def test_toy_run_reads_one_block_of_n_plus_d_normals(monkeypatch, estimator):
     # a toy run of either estimator draws N + d normals per epoch, all from
     # one (epochs, N + d) block of the run's key, and each epoch steps on the
-    # sums of its estimator's weight row alone
+    # sums of its estimator's weight row alone.  The chunk target splits the
+    # block into several calls
     n, d, epochs = 7, 5, 9
     config = TrainConfig(alpha=0.3, n_importance=n, estimator=estimator, epochs=epochs,
                          log_every=epochs, learning_rate=1e-2, gap_replicates=2)
@@ -318,8 +319,12 @@ def test_toy_run_reads_one_block_of_n_plus_d_normals(monkeypatch, estimator):
 
     monkeypatch.setattr(vrng, "standard_normal", recording)
     monkeypatch.setattr(GaussianToy, "train_sums", train_sums)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 3 * (n + d))
     got = _rows(run_training(toy(d), config, stream))
-    assert [call for call in calls if call[0] == (17, 3)] == [((17, 3), (epochs, n + d))]
+    # chunks of epochs, in order, make up the one block
+    shapes = [shape for key, shape in calls if key == (17, 3)]
+    assert len(shapes) == 3 and {width for _, width in shapes} == {n + d}
+    assert sum(rows for rows, _ in shapes) == epochs
     row = 0 if estimator == "rep" else 1
     assert sums == [((n + d,), (row,))] * epochs
     assert got == _rows(_rebuilding_training(toy(d), config, stream))
