@@ -491,12 +491,10 @@ def run_train_experiment(spec: ExperimentSpec) -> list:
 # Table I/O
 # --------------------------------------------------------------------------
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _cell(v):
+    """A numpy scalar as its builtin value; `csv.writer` writes a float as
+    its repr and None as "", and a numpy float's repr is np.float64(...)."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def write_table(rows: Sequence[dict], spec: ExperimentSpec, path: Optional[str] = None) -> str:
@@ -515,8 +513,7 @@ def write_table(rows: Sequence[dict], spec: ExperimentSpec, path: Optional[str] 
             columns = list(rows[0].keys())
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in columns])
+            writer.writerows([_cell(row[c]) for c in columns] for row in rows)
         text = buf.getvalue()
     if path:
         with open(path, "w") as f:

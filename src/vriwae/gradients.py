@@ -31,10 +31,12 @@ states (see `models`):
   `grad_mean_se` and `snr_sweep` reduce all three.
 * From one training epoch's normals, `train_sums`: only the weight rows the
   run's gradients contract (`_GRADIENTS` names each gradient's row), which
-  `train` contracts the same way, into only the gradients its run steps.
-  The eps path yields both rows from the same draws.  The toy draws the one
-  row its estimator contracts from the exact conditional law of its sums;
-  the eps path stays its oracle in the tests.
+  `train`'s array kernel contracts the same way, into only the gradients its
+  run steps.  It serves toy Adam and the linear Gaussian; toy SGD runs as a
+  chain in ||theta - phi||^2 and contracts no gradient (see `train`).  The
+  eps path yields both rows from the same draws.  The toy draws the one row
+  its estimator contracts from the exact conditional law of its sums; the
+  eps path stays its oracle in the tests, and this draw the chain's.
 
 The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
 log-weight of z instead, so it shares no kernel with the estimators.

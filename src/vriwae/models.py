@@ -38,13 +38,20 @@ its class.  Each model states:
   without building z.
 * `score_affine()`: the three scores as coefficients (see Scores).
 * `train_normals(N)` and `train_sums(normals, alpha, rows)`: the normals
-  one training epoch reads and the sums it takes from them for the weight
-  rows `rows` (s: 0, h: 1) its gradients contract, by default N x d eps
-  through `_eps_sums`, which yields both rows from the same draws.  The toy
-  draws the sums of its one row from their exact conditional law with
-  N + d normals.  (A Bartlett-factor draw for the linear Gaussian would take
-  N(N+1)/2 + d normals for one row and N(N+1)/2 + 2d for two, which pays
-  only below N ~ 2d either way, where no experiment runs.)
+  one epoch of `train`'s array kernel (toy Adam, the linear Gaussian) reads
+  and the sums it takes from them for the weight rows `rows` (s: 0, h: 1)
+  its gradients contract, by default N x d eps through `_eps_sums`, which
+  yields both rows from the same draws.  The toy draws the sums of its one
+  row from their exact conditional law with N + d normals.  (A
+  Bartlett-factor draw for the linear Gaussian would take N(N+1)/2 + d
+  normals for one row and N(N+1)/2 + 2d for two, which pays only below
+  N ~ 2d either way, where no experiment runs.)
+* `sgd_chain(N, alpha, lr, estimator)`: None, or the epoch kernel of plain
+  SGD that `train` runs instead.  The toy's law and its logged columns see
+  theta - phi only through b^2 = ||theta - phi||^2, so its SGD run is a
+  chain in b^2, drawn from the exact law of the `train_sums` loop with
+  N + 3 uniforms per rep epoch (N for drep or at d = 1): N for Z and 3 for
+  C ~ chi^2_(d-1), the perpendicular part of the gradient.
 * `ev_curve(alpha, sigma2, a_const)`: its extreme-value curve family and fit
   scale, the log-normal curve of B on the B scale for the toy, the iid-sum
   curve on the sqrt(d) scale for the linear Gaussian.
@@ -252,6 +259,10 @@ class _Model:
         lw, w_sum, wz = _eps_sums(self, normals.reshape(*normals.shape[:-1], -1, self.d), alpha)
         return lw, w_sum[..., list(rows), :], wz[..., list(rows), :]
 
+    def sgd_chain(self, n: int, alpha: float, lr: float, estimator: str):
+        """None: SGD steps the parameter arrays (see `GaussianToy.sgd_chain`)."""
+        return None
+
 
 @dataclass
 class GaussianToy(_Model):
@@ -369,6 +380,65 @@ class GaussianToy(_Model):
             # (sum_j w_j S_j - ||w||_2 g . u) u, with S_j = -Z_j and u = v/B
             wz -= (w @ normals[..., :n, None] + norm * (g @ v)[..., None] / b) / b * v
         return lw, w_sum, wz
+
+    def sgd_chain(self, n: int, alpha: float, lr: float, estimator: str):
+        """(words, variates, step, place): plain SGD on phi as a chain in
+        b^2 = ||theta - phi||^2, drawn from the exact law of the loop that
+        steps phi on `train_sums`.
+
+        With B = sqrt(b^2), u = (theta - phi)/B and s the rep weights of
+        log w_j = -B^2/2 - B Z_j, the rep gradient is
+        (sum s B + sum_j s_j Z_j) u - ||s||_2 (I - u u^T) g with g ~ N(0, I_d)
+        independent of Z (see `train_sums`).  So the step leaves
+        b^2 = (B - lr g_par)^2 + lr^2 ||s||_2^2 C, with g_par the coefficient
+        of u and C ~ chi^2_(d-1) the squared norm of (I - u u^T) g, and the
+        gradient norm is sqrt(g_par^2 + ||s||_2^2 C).  The drep gradient is
+        (sum h)(theta - phi), which leaves b^2 (1 - lr sum h)^2.  The next
+        epoch's eps are fresh and rotation invariant, so it sees the new
+        theta - phi through b^2 alone, and every logged row has the loop's
+        law.
+
+        An epoch reads `words` uniforms: N for Z = ndtri(u), then 3 for C by
+        `rng.chi_square` where rep and d > 1 (C = 0 at d = 1).
+        `variates(u)` maps a block (epochs, words) to one draw per epoch;
+        `step(draw)` steps b^2 and returns the gradient norm; `place()` sets
+        this model's phi to theta - B u0, u0 the direction of theta - phi at
+        the start (the first axis if they are equal), for a row to log.
+        """
+        v = self.theta - self.phi
+        b2 = float(v @ v)
+        u0 = v / math.sqrt(b2) if b2 > 0.0 else np.eye(1, self.d)[0]
+        rep = estimator == "rep"
+        words = n + 3 if rep and self.d > 1 else n
+
+        def variates(u):
+            z = ndtri(u[:, :n])
+            low = z.min(axis=1, keepdims=True)
+            chi = vrng.chi_square(u[:, n:], self.d - 1) if words > n else np.zeros(len(u))
+            return zip(z - low, low[:, 0].tolist(), chi.tolist())
+
+        def step(draw):
+            nonlocal b2
+            zc, low, chi = draw
+            b = math.sqrt(b2)
+            # s = e / sum(e) is softmax((1 - alpha) log w) with its constant
+            # and its largest exponent taken out: the largest e is 1
+            e = np.exp((alpha - 1.0) * b * zc)
+            total = float(e.sum())
+            s2 = float(e @ e) / (total * total)
+            if rep:
+                par = b + float(e @ zc) / total + low
+                off = b - lr * par
+                b2 = off * off + lr * lr * s2 * chi
+                return math.sqrt(par * par + s2 * chi)
+            h = alpha + (1.0 - alpha) * s2
+            b2 *= (1.0 - lr * h) * (1.0 - lr * h)
+            return h * b
+
+        def place():
+            np.subtract(self.theta, math.sqrt(b2) * u0, out=self.phi)
+
+        return words, variates, step, place
 
     def ev_curve(self, alpha: float, sigma2: float, a_const: float):
         """(curve, scale): the log-normal extreme-value curve of B, on the B

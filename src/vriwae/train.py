@@ -11,28 +11,42 @@ ADAM_EPS = 1e-8 and the run's learning rate.
 
 The model states what a run needs of it (see `models`): whether theta trains
 besides phi (`TRAINS_THETA`), the progress column a trajectory logs
-(`PROGRESS_LABEL`, `progress`), and how many standard normals an epoch reads
-and the gradient sums it takes from them (`train_normals`, `train_sums`).
-The run asks only for the weight rows its gradients contract, by
-`gradients._GRADIENTS`: s for theta and rep phi, h for drep phi.
-Each logged row adds a small fresh Monte Carlo gap estimate and the gradient
-norm.
+(`PROGRESS_LABEL`, `progress`), and the epoch kernel.  Each logged row adds
+a small fresh Monte Carlo gap estimate and the gradient norm.
 
 `run_training` copies the caller's model once (`copy`), and the caller's
-model is never touched.  Across epochs the loop keeps that private copy,
-whose parameter arrays (`theta_vec`, `phi_vec`) each epoch steps in place,
-the score coefficients of `score_affine`, built once, and one update rule
-per stepped array with its state (Adam's moments).  An epoch contracts only
-the gradients the run steps: theta's where `TRAINS_THETA`, and phi's of the
-run's estimator.  `p += lr * g` rounds as `p + lr * g` does, so the rows are
-those of a loop that rebuilds the model every epoch.
+model is never touched.  It picks one epoch kernel per run, from the model
+and the optimizer alone, and runs it in its one loop of draws, divergence
+check and logging.  A kernel is (words, variates, step, place): the uniforms
+an epoch reads, the map from a block of them to one draw per epoch, the step
+that takes a draw and returns the gradient norm, and what makes the private
+copy show the run's state before a row is logged.
 
-Draws follow the package's one rule (see `rng`): epoch e (from 1) reads block
-e - 1 of a fresh stream at the key of the run's stream, and logged row k's
-gap is `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on
-the parameters, so each chunk of epochs takes one `standard_normal` call,
-and the rows do not depend on the chunk size.  The epochs run serially on
-the calling thread, since each starts from the parameters the last one left.
+* The toy's SGD chain (`GaussianToy.sgd_chain`).  The toy's law, and every
+  logged column, sees theta - phi only through b^2 = ||theta - phi||^2, so
+  plain SGD runs as a chain in b^2, drawn from the exact law of the array
+  kernel's rows: N + 3 uniforms per rep epoch where d > 1, N otherwise, and
+  no d-vector, except that `place` sets phi = theta - b u0 for a row.
+* The array kernel, for every other run: toy Adam, whose per-coordinate
+  moments see the direction of phi, and the linear Gaussian.  An epoch reads
+  `train_normals(N)` normals and takes the sums of the weight rows its
+  gradients contract (`train_sums`; by `gradients._GRADIENTS`, s for theta
+  and rep phi, h for drep phi).  The copy's parameter arrays (`theta_vec`,
+  `phi_vec`) are stepped in place, with the score coefficients of
+  `score_affine`, built once, and one update rule per stepped array with its
+  state (Adam's moments).  An epoch contracts only the gradients the run
+  steps: theta's where `TRAINS_THETA`, and phi's of the run's estimator.
+  `p += lr * g` rounds as `p + lr * g` does, so the rows are those of a loop
+  that rebuilds the model every epoch.
+
+Draws follow the package's one rule (see `rng`): epoch e (from 1) reads row
+e - 1 of one block of uniforms of a fresh stream at the key of the run's
+stream, as wide as the kernel's words, and logged row k's gap is
+`bounds.gap_mc` on stream.child(1 + k).  The words do not depend on the
+parameters, so each chunk of epochs takes one `uniform` call, and the rows
+do not depend on the chunk size.  The array kernel maps them through `ndtri`,
+the bits of `rng.standard_normal`.  The epochs run serially on the calling
+thread, since each starts from the state the last one left.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import rng as vrng
 from .bounds import gap_mc
@@ -153,34 +168,52 @@ class _Adam:
 _RULES = {"sgd": _Sgd, "adam": _Adam}
 
 
-def _epoch_normals(model, config: TrainConfig, stream: vrng.RngStream):
-    """Yield (epoch, normals) for epochs 1..config.epochs, model.train_normals(N)
-    normals per epoch, a chunk of epochs per `standard_normal` call on a
-    fresh stream at the key of `stream`."""
-    words = model.train_normals(config.n_importance)
+def _array_kernel(model, config: TrainConfig):
+    """(words, variates, step, place) of the epoch that steps the model's
+    parameter arrays: train_normals(N) normals per epoch, whose
+    `train_sums` the gradients the run steps contract."""
+    kinds, params = (config.estimator,), (model.phi_vec,)
+    if model.TRAINS_THETA:
+        kinds, params = ("theta", *kinds), (model.theta_vec, *params)
+    rows = tuple(sorted({_GRADIENTS[kind][1] for kind in kinds}))
+    rules = [_RULES[config.optimizer](p, config.learning_rate) for p in params]
+    scores = model.score_affine()
+
+    def step(normals):
+        _, w_sum, wz = model.train_sums(normals, config.alpha, rows)
+        grads = _contract(scores, w_sum, wz, kinds, rows)
+        for rule, g in zip(rules, grads):
+            rule(g)
+        return math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+
+    return model.train_normals(config.n_importance), lambda u: ndtri(u, out=u), step, lambda: None
+
+
+def _epoch_draws(config: TrainConfig, stream: vrng.RngStream, words: int, variates):
+    """Yield (epoch, draw) for epochs 1..config.epochs: epoch e's draw is
+    item e - 1 of variates(u), for the block u of `words` uniforms per epoch
+    of a fresh stream at the key of `stream`, a chunk of epochs per
+    `uniform` call."""
     draws = vrng.make_stream(stream.seed, stream.stream_id)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
         yield from zip(range(start + 1, stop + 1),
-                       vrng.standard_normal(draws, (stop - start, words)))
+                       variates(vrng.uniform(draws, (stop - start, words))))
 
 
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:
     """Gradient ascent on the bound; returns the logged trajectory.
 
-    Epoch e reads block e - 1 of a fresh stream at the key of `stream`, and
-    logged row k's gap reads stream.child(1 + k) (see the module docstring),
-    so identical (model, config, stream key) reproduce identical rows;
-    neither `model` nor `stream` changes.  Aborts when the gradient norm
-    exceeds 1e8.
+    Epoch e reads row e - 1 of a block of uniforms at the key of `stream`,
+    and logged row k's gap reads stream.child(1 + k) (see the module
+    docstring), so identical (model, config, stream key) reproduce identical
+    rows; neither `model` nor `stream` changes.  Aborts when the gradient
+    norm exceeds 1e8.
     """
     model = model.copy()
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
-    kinds, params = (config.estimator,), (model.phi_vec,)
-    if model.TRAINS_THETA:
-        kinds, params = ("theta", *kinds), (model.theta_vec, *params)
-    rows = tuple(sorted({_GRADIENTS[kind][1] for kind in kinds}))
-    steps = [_RULES[config.optimizer](p, config.learning_rate) for p in params]
-    scores = model.score_affine()
+    chain = (model.sgd_chain(config.n_importance, config.alpha, config.learning_rate,
+                             config.estimator) if config.optimizer == "sgd" else None)
+    words, variates, step, place = chain or _array_kernel(model, config)
 
     def log_row(epoch: int, grad_norm: float):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
@@ -190,15 +223,12 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
                                        grad_norm=grad_norm))
 
     log_row(0, 0.0)
-    for epoch, normals in _epoch_normals(model, config, stream):
-        _, w_sum, wz = model.train_sums(normals, config.alpha, rows)
-        grads = _contract(scores, w_sum, wz, kinds, rows)
-        grad_norm = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+    for epoch, draw in _epoch_draws(config, stream, words, variates):
+        grad_norm = step(draw)
         if grad_norm > GRAD_NORM_LIMIT:
             raise TrainingDiverged(
                 f"gradient norm {grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e} at epoch {epoch}")
-        for step, g in zip(steps, grads):
-            step(g)
         if epoch % config.log_every == 0 or epoch == config.epochs:
+            place()
             log_row(epoch, grad_norm)
     return traj

@@ -130,7 +130,7 @@ def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:
 def qq_points(log_weights: np.ndarray) -> QQResult:
     """Normal QQ pairs for a sample of log-weights.
 
-    The sample is standardized, sorted (stable), and paired with standard
+    The sample is standardized, sorted, and paired with standard
     normal quantiles at plotting positions (i - 0.5) / n.  The Pearson
     correlation of the pairs is the scalar normality summary used throughout.
     """
@@ -141,7 +141,7 @@ def qq_points(log_weights: np.ndarray) -> QQResult:
     std = x.std(ddof=1)
     if std == 0.0:
         raise ValueError("sample variance is zero")
-    sample = np.sort((x - mean) / std, kind="stable")
+    sample = np.sort((x - mean) / std)
     n = x.size
     theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
     corr = float(np.corrcoef(theo, sample)[0, 1])

@@ -433,6 +433,38 @@ def test_csv_bytes_identical(tmp_path):
     assert a == b
 
 
+def test_csv_numpy_scalars_round_trip(tmp_path):
+    # a numpy scalar cell is written as its builtin value, not as its repr
+    # (np.float64(0.91)), so it reads back as a number
+    spec = small_gap_spec()
+    path = str(tmp_path / "t.csv")
+    write_table([{"f": np.float64(0.91), "i": np.int64(7), "b": np.bool_(True), "n": None}],
+                spec, path=path)
+    rows, _ = read_table(path)
+    assert rows == [{"f": 0.91, "i": 7, "b": True, "n": None}]
+    assert [type(v) for v in rows[0].values()] == [float, int, bool, type(None)]
+
+
+_TINY_SPECS = {"gap": dict(n_grid=(2, 4), replicates=20),
+               "collapse": dict(n_grid=(2, 4), replicates=20),
+               "snr": dict(n_grid=(2, 4), replicates=100, coordinate_sample=2),
+               "weights": dict(weight_samples=200),
+               "train": dict(n_importance=4, epochs=4, log_every=2)}
+
+
+@pytest.mark.parametrize("model", ["toy", "lingauss"])
+@pytest.mark.parametrize("kind", sorted(_TINY_SPECS))
+def test_runner_rows_hold_builtin_scalars(kind, model):
+    # what a runner returns, write_table writes as is: builtin scalars or None
+    spec = ExperimentSpec(kind=kind, model=model, alphas=(0.5,), ds=(2,), seed=3,
+                          **_TINY_SPECS[kind])
+    rows = {**_RUNNERS, "train": run_train_experiment}[kind](spec)
+    assert rows
+    for row in rows:
+        for key, value in row.items():
+            assert value is None or type(value) in (bool, int, float, str), (key, type(value))
+
+
 def test_json_format():
     spec = small_gap_spec(format="json")
     text = write_table(run_gap_experiment(spec), spec)

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri, softmax
+from scipy.stats import ks_2samp
 
 import vriwae.rng as vrng
 from vriwae.bounds import gap_mc
 from vriwae.gradients import _contract, grad_samples_from_eps
-from vriwae.models import GaussianToy, LinearGaussian
-from vriwae.rng import make_stream, standard_normal
+from vriwae.models import GaussianToy, LinearGaussian, _Model
+from vriwae.rng import make_stream, standard_normal, uniform
 from vriwae.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_NORM_LIMIT, TrainConfig,
                           Trajectory, TrajectoryRow, TrainingDiverged, _Adam, _Sgd,
-                          _epoch_normals, run_training)
+                          _epoch_draws, run_training)
 
 
 def toy(d, phi=1.0):
@@ -166,14 +168,15 @@ def test_rows_independent_of_chunk_target(monkeypatch, make_model):
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("make_model, train_theta", [(lambda: toy(4, phi=0.8), False),
-                                                     (lambda: lingauss(3, seed=2), True)],
+@pytest.mark.parametrize("make_model", [lambda: toy(4, phi=0.8), lambda: lingauss(3, seed=2)],
                          ids=["toy", "lingauss"])
-def test_epochs_draw_from_keyed_streams(make_model, train_theta):
+def test_epochs_draw_from_keyed_streams(make_model):
     # epoch e reads row e - 1 of one draw from stream (seed, stream_id), and
     # logged row k its gap from stream.child(1 + k); the caller's stream is
-    # not advanced.  The linear Gaussian trains theta, the toy does not, and
-    # draws only the s row of its rep run: N + d normals, not N x d
+    # not advanced.  The linear Gaussian trains theta on N x d normals.  The
+    # toy trains no theta, and its rep SGD run is a chain in
+    # b^2 = ||theta - phi||^2 on N + 3 uniforms per epoch: N normals Z and
+    # C ~ chi^2_(d-1), with phi placed at theta - b u0 for each row
     n, alpha, lr, reps, epochs = 5, 0.2, 1e-2, 3, 6
     config = TrainConfig(alpha=alpha, n_importance=n, epochs=epochs, log_every=1,
                          learning_rate=lr, gap_replicates=reps)
@@ -182,26 +185,36 @@ def test_epochs_draw_from_keyed_streams(make_model, train_theta):
     traj = run_training(make_model(), config, stream)
     assert _rows(run_training(make_model(), config, stream)) == _rows(traj)
     model = make_model()
-    words = n + model.d if isinstance(model, GaussianToy) else n * model.d
-    draws = standard_normal(make_stream(seed, base), (epochs, words))
+    is_toy = isinstance(model, GaussianToy)
+    if is_toy:
+        u = uniform(make_stream(seed, base), (epochs, n + 3))
+        z, chi = ndtri(u[:, :n]), vrng.chi_square(u[:, n:], model.d - 1)
+        v = model.theta - model.phi
+        b2 = float(v @ v)
+        u0 = v / math.sqrt(b2)
+    else:
+        draws = standard_normal(make_stream(seed, base), (epochs, n * model.d))
+    grad_norm = 0.0
     for epoch in range(epochs + 1):
-        if epoch:
-            normals = draws[epoch - 1]
-            if isinstance(model, GaussianToy):
-                _, w_sum, wz = model.train_sums(normals, alpha, (0,))
-                g_theta, g_phi = _contract(model.score_affine(), w_sum, wz, ("theta", "rep"),
-                                           (0,))
-            else:
-                g_theta, g_phi, _ = grad_samples_from_eps(model, normals.reshape(n, model.d),
-                                                          alpha)
-            if train_theta:
-                model = model.with_theta(_sgd_step(model.theta_vec, g_theta, lr))
+        if epoch and is_toy:
+            b = math.sqrt(b2)
+            s = softmax((1.0 - alpha) * (-0.5 * b2 - b * z[epoch - 1]))
+            par, s2 = b * s.sum() + s @ z[epoch - 1], s @ s
+            grad_norm = math.sqrt(par**2 + s2 * chi[epoch - 1])
+            b2 = (b - lr * par) ** 2 + lr**2 * s2 * chi[epoch - 1]
+            model = model.with_phi(model.theta - math.sqrt(b2) * u0)
+        elif epoch:
+            g_theta, g_phi, _ = grad_samples_from_eps(
+                model, draws[epoch - 1].reshape(n, model.d), alpha)
+            grad_norm = math.sqrt(g_theta @ g_theta + g_phi @ g_phi)
+            model = model.with_theta(_sgd_step(model.theta_vec, g_theta, lr))
             model = model.with_phi(_sgd_step(model.phi_vec, g_phi, lr))
         gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1 + epoch))
         row = traj.rows[epoch]
         assert row.epoch == epoch
-        progress = model.bd**2 / model.d if isinstance(model, GaussianToy) else model.lam
+        progress = b2 / model.d if is_toy else model.lam
         assert row.progress == pytest.approx(progress, rel=1e-12)
+        assert row.grad_norm == pytest.approx(grad_norm, rel=1e-12)
         assert row.gap_mean == pytest.approx(gap.mean, rel=1e-12)
         assert row.gap_se == pytest.approx(gap.std_error, rel=1e-12)
 
@@ -228,10 +241,12 @@ def _adam_step(state, params, grad, lr):
 
 
 def _rebuilding_training(model, config, stream):
-    """`run_training` as a loop that builds a new model every epoch with
-    `with_theta`/`with_phi`, contracts every gradient its draw gives and
-    steps into new arrays.  The linear Gaussian's eps path gives both weight
-    rows and all three gradients; the toy draws only its estimator's row."""
+    """`run_training`'s array kernel as a loop that builds a new model every
+    epoch with `with_theta`/`with_phi`, contracts every gradient its draw
+    gives and steps into new arrays.  The linear Gaussian's eps path gives
+    both weight rows and all three gradients; the toy draws only its
+    estimator's row.  It reads the same normals as the array kernel, so it is
+    the oracle of every run but the toy's SGD chain."""
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
     adam_theta = (np.zeros(model.theta_vec.size), np.zeros(model.theta_vec.size), 0)
     adam_phi = (np.zeros(model.phi_vec.size), np.zeros(model.phi_vec.size), 0)
@@ -244,7 +259,8 @@ def _rebuilding_training(model, config, stream):
                                        grad_norm=grad_norm))
 
     log_row(0, 0.0)
-    for epoch, normals in _epoch_normals(model, config, stream):
+    for epoch, normals in _epoch_draws(config, stream, model.train_normals(config.n_importance),
+                                       ndtri):
         if model.TRAINS_THETA:
             _, w_sum, wz = model.train_sums(normals, config.alpha, (0, 1))
             g_theta, g_rep, g_drep = _contract(model.score_affine(), w_sum, wz)
@@ -280,13 +296,14 @@ def _rebuilding_training(model, config, stream):
 _MODELS = {"toy": lambda: toy(4, phi=0.8), "lingauss": lambda: lingauss(3, seed=2)}
 
 
-@pytest.mark.parametrize("estimator", ["rep", "drep"])
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-@pytest.mark.parametrize("name", sorted(_MODELS))
+@pytest.mark.parametrize("name, optimizer, estimator", [
+    (name, optimizer, estimator) for name in sorted(_MODELS) for optimizer in ("adam", "sgd")
+    for estimator in ("drep", "rep") if (name, optimizer) != ("toy", "sgd")])
 def test_rows_equal_the_rebuilding_loop(name, optimizer, estimator):
     # stepping one private model in place and contracting only the stepped
     # gradients rounds as rebuilding the model every epoch does: every
-    # column of every row is equal, grad_norm and progress included
+    # column of every row is equal, grad_norm and progress included.  Toy
+    # SGD runs the chain instead (see test_sgd_chain_has_the_law_of_the_loop)
     config = TrainConfig(alpha=0.3, n_importance=7, estimator=estimator, optimizer=optimizer,
                          learning_rate=3e-2, epochs=40, log_every=3, gap_replicates=3)
     stream = make_stream(21, 4)
@@ -297,37 +314,45 @@ def test_rows_equal_the_rebuilding_loop(name, optimizer, estimator):
     assert len({r["grad_norm"] for r in got}) == len(got)
 
 
-@pytest.mark.parametrize("estimator", ["rep", "drep"])
-def test_toy_run_reads_one_block_of_n_plus_d_normals(monkeypatch, estimator):
-    # a toy run of either estimator draws N + d normals per epoch, all from
-    # one (epochs, N + d) block of the run's key, and each epoch steps on the
-    # sums of its estimator's weight row alone.  The chunk target splits the
-    # block into several calls
-    n, d, epochs = 7, 5, 9
-    config = TrainConfig(alpha=0.3, n_importance=n, estimator=estimator, epochs=epochs,
-                         log_every=epochs, learning_rate=1e-2, gap_replicates=2)
+@pytest.mark.parametrize("optimizer, estimator, d, width", [
+    ("sgd", "rep", 5, 7 + 3), ("sgd", "drep", 5, 7), ("sgd", "rep", 1, 7),
+    ("adam", "rep", 5, 7 + 5), ("adam", "drep", 5, 7 + 5)],
+    ids=["sgd-rep", "sgd-drep", "sgd-rep-d1", "adam-rep", "adam-drep"])
+def test_toy_run_reads_one_block_of_uniforms(monkeypatch, optimizer, estimator, d, width):
+    # a toy run draws all its epochs from one (epochs, width) block of
+    # uniforms of the run's key, which the chunk target splits into several
+    # calls.  SGD runs the chain: N + 3 uniforms per rep epoch where d > 1
+    # (Z and C ~ chi^2_(d-1)), N per drep epoch or at d = 1, and no
+    # train_sums.  Adam reads N + d normals per epoch and steps on the sums
+    # of its estimator's weight row alone
+    n, epochs = 7, 9
+    config = TrainConfig(alpha=0.3, n_importance=n, estimator=estimator, optimizer=optimizer,
+                         epochs=epochs, log_every=epochs, learning_rate=1e-2, gap_replicates=2)
     stream = make_stream(17, 3)
     calls, sums = [], []
 
     def recording(draws, shape):
         calls.append(((draws.seed, draws.stream_id), shape))
-        return standard_normal(draws, shape)
+        return uniform(draws, shape)
 
     def train_sums(self, normals, alpha, rows=(0,), _f=GaussianToy.train_sums):
         sums.append((normals.shape, rows))
         return _f(self, normals, alpha, rows)
 
-    monkeypatch.setattr(vrng, "standard_normal", recording)
+    monkeypatch.setattr(vrng, "uniform", recording)
     monkeypatch.setattr(GaussianToy, "train_sums", train_sums)
-    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 3 * (n + d))
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 3 * width)
     got = _rows(run_training(toy(d), config, stream))
     # chunks of epochs, in order, make up the one block
     shapes = [shape for key, shape in calls if key == (17, 3)]
-    assert len(shapes) == 3 and {width for _, width in shapes} == {n + d}
+    assert len(shapes) == 3 and {cols for _, cols in shapes} == {width}
     assert sum(rows for rows, _ in shapes) == epochs
-    row = 0 if estimator == "rep" else 1
-    assert sums == [((n + d,), (row,))] * epochs
-    assert got == _rows(_rebuilding_training(toy(d), config, stream))
+    if optimizer == "sgd":
+        assert sums == []
+    else:
+        row = 0 if estimator == "rep" else 1
+        assert sums == [((n + d,), (row,))] * epochs
+        assert got == _rows(_rebuilding_training(toy(d), config, stream))
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -344,10 +369,13 @@ def test_callers_model_is_untouched(name, optimizer):
     assert _rows(run_training(model, config, make_stream(3, 0))) == first
 
 
-@pytest.mark.parametrize("name", sorted(_MODELS))
-def test_epochs_build_no_model_and_no_scores(monkeypatch, name):
-    # a run builds its private model and its score coefficients once,
-    # however many epochs it steps
+@pytest.mark.parametrize("name, optimizer, scores", [
+    pytest.param("lingauss", "sgd", 1, id="lingauss"), pytest.param("toy", "sgd", 0, id="toy"),
+    pytest.param("toy", "adam", 1, id="toy-adam")])
+def test_epochs_build_no_model_and_no_scores(monkeypatch, name, optimizer, scores):
+    # a run builds its private model once, and the score coefficients of
+    # the array kernel once, however many epochs it steps; the toy's SGD
+    # chain builds no scores
     cls = type(_MODELS[name]())
     counts = {"__post_init__": 0, "score_affine": 0}
     for method in counts:
@@ -358,10 +386,43 @@ def test_epochs_build_no_model_and_no_scores(monkeypatch, name):
     seen = []
     for epochs in (5, 50):
         model = _MODELS[name]()
-        config = TrainConfig(alpha=0.2, n_importance=5, epochs=epochs, log_every=epochs,
-                             learning_rate=1e-2, gap_replicates=2)
+        config = TrainConfig(alpha=0.2, n_importance=5, optimizer=optimizer, epochs=epochs,
+                             log_every=epochs, learning_rate=1e-2, gap_replicates=2)
         for method in counts:
             counts[method] = 0
         run_training(model, config, make_stream(4, 0))
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"__post_init__": 1, "score_affine": 1}
+    assert seen[0] == seen[1] == {"__post_init__": 1, "score_affine": scores}
+
+
+# --------------------------------------------------------------------------
+# the toy's SGD chain against the array kernel, in law
+# --------------------------------------------------------------------------
+
+CHAIN_SEEDS = 300
+# two statistics for each of the six cases below
+CHAIN_P_MIN = 0.01 / 12
+
+
+def _final_rows(config, d, base):
+    rows = [run_training(toy(d), config, make_stream(seed, base)).final
+            for seed in range(CHAIN_SEEDS)]
+    return np.array([(r.progress, r.grad_norm) for r in rows])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("estimator", ["rep", "drep"])
+def test_sgd_chain_has_the_law_of_the_loop(monkeypatch, estimator, d):
+    # the chain in b^2 against the loop that steps phi on the toy's one-row
+    # draw (whose own oracle is the eps path, see test_gradients): the final
+    # progress and grad_norm agree in distribution (two-sample KS, Bonferroni
+    # over the 12 tests).  At this N, lr and epoch count the chain fails with
+    # chi^2_d in place of chi^2_(d-1), with no perpendicular term, or with the
+    # sign of sum s Z flipped
+    config = TrainConfig(alpha=0.3, n_importance=2, estimator=estimator, learning_rate=0.2,
+                         epochs=30, log_every=30, gap_replicates=1)
+    chain = _final_rows(config, d, 1)
+    monkeypatch.setattr(GaussianToy, "sgd_chain", _Model.sgd_chain)
+    loop = _final_rows(config, d, 2)
+    for k in range(2):
+        assert ks_2samp(chain[:, k], loop[:, k]).pvalue > CHAIN_P_MIN
