@@ -6,7 +6,8 @@ The single-sample estimator of the bound from one batch of N log-weights is
 
 which interpolates the IWAE estimate (alpha = 0) and the ELBO (alpha -> 1).
 Within 1e-8 of alpha = 1 the (1-alpha) cancellation has lost all precision, so
-evaluation switches to the exact limit mean(lw).
+evaluation switches to the exact limit mean(lw).  The gap runner evaluates it
+at every alpha of its grid from one call per chunk of batches.
 
 Gaps are always computed from relative log-weights so the log marginal cancels
 analytically instead of being subtracted between two huge numbers.  The one
@@ -16,26 +17,27 @@ batch of relative log-weights as a plain 1-D array.
 
 The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
-LAW_WORDS of them, through the model's `log_weight_law`.  `_law_samples`
-runs the chunks of replicates through `rng._chunk_map`, each drawn, mapped
-and reduced to one sample per replicate on whichever thread takes it.  It
-reads each model's `law_scalars` once per call, computes `law_variates` (a
-function of q and d alone) once per chunk, and maps them through
-`law_log_weights` with the scalars of every model, so the sigma variants of
-one d share the linear Gaussian's normal and chi^2 draws.  It serves the
-gap, collapse and weights runners of `experiments` too; a weights draw is
-one cell of N = 1.
+LAW_WORDS of them, through the model's law (`law_variates`, then
+`law_log_weights`).  `_law_samples` runs the chunks of replicates through
+`rng._chunk_map`, each drawn, mapped and reduced to one sample per replicate
+on whichever thread takes it.  It reads each model's `law_scalars` once per
+call, computes `law_variates` (a function of q and d alone) once per chunk,
+and maps them through `law_log_weights` with the scalars of every model into
+one block, so the sigma variants of one d share the linear Gaussian's normal
+and chi^2 draws.  It serves the gap, collapse and weights runners of
+`experiments` too; a weights draw is one cell of N = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import rng as vrng
-from .weights import _check_alpha, _logsumexp, _mean_se, t_statistic
+from .weights import _check_alpha, _max_shift, _mean_se, t_statistic
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
@@ -59,16 +61,33 @@ class BoundEstimate:
     n_importance: int
 
 
-def vr_iwae_from_log_weights(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
-    """Single-sample bound estimate along `axis` of a log-weight array."""
-    alpha = _check_alpha(alpha, closed=True)
+def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.ndarray:
+    """Single-sample bound estimate along `axis` of a log-weight array, at one
+    alpha, or at each of a 1-D sequence of alphas on a new last axis.
+
+    max (1-alpha) lw = (1-alpha) max lw, so one shift by the row max serves
+    every alpha: each scales the shifted rows into one reused buffer,
+    exponentiates and sums it there.  `values` is never written.
+    """
+    if np.ndim(alpha) > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
+    alphas = [_check_alpha(a, closed=True) for a in np.atleast_1d(alpha)]
     values = np.asarray(values, dtype=np.float64)
-    if values.shape[axis] < 1:
-        raise ValueError("need at least one weight")
-    if 1.0 - alpha < ALPHA_ONE_THRESHOLD:
-        return np.mean(values, axis=axis)
     n = values.shape[axis]
-    return (_logsumexp((1.0 - alpha) * values, axis) - np.log(n)) / (1.0 - alpha)
+    if n < 1:
+        raise ValueError("need at least one weight")
+    shifted, mx = _max_shift(values, axis)
+    buf = np.empty_like(shifted)
+    out = []
+    for a in alphas:
+        beta = 1.0 - a
+        if beta < ALPHA_ONE_THRESHOLD:
+            out.append(np.mean(values, axis=axis))
+            continue
+        np.exp(np.multiply(shifted, beta, out=buf) if beta != 1.0 else shifted, out=buf)
+        with np.errstate(divide="ignore"):
+            out.append((np.log(np.sum(buf, axis=axis)) - math.log(n)) / beta + mx)
+    return np.stack(out, axis=-1) if np.ndim(alpha) else out[0]
 
 
 def gap_mc(model, alpha: float, n_importance: int, replicates: int,
@@ -78,7 +97,7 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     its mean plus `model.log_marginal()`.
 
     Replicate r maps block r of the uniforms of a fresh stream at the key of
-    `stream` through `model.log_weight_law`, so the result is a function of
+    `stream` through the model's law, so the result is a function of
     that key alone; `stream` is not advanced.
     """
     if replicates < 1:
@@ -100,10 +119,10 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
     Replicate r reads block r of N x k uniforms (k = LAW_WORDS of the models)
     of a fresh stream (seed, stream_id).  The models share their class and
     d, hence q and their `law_variates`: those are computed once per chunk,
-    and `law_log_weights` with each model's scalars gives its
-    `log_weight_law` on the same uniforms, bit for bit.  The chunks run
-    through `rng._chunk_map`; the transforms and reductions are batched per
-    chunk, which does not affect the values.
+    and `law_log_weights` with each model's scalars writes its log-weights
+    into its row of one (V, C, N) block, or over Z where V = 1.  The chunks
+    run through `rng._chunk_map`; the transforms and reductions are batched
+    per chunk, which does not affect the values.
     """
     k = models[0].LAW_WORDS
     scalars = [m.law_scalars() for m in models]
@@ -111,7 +130,11 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
     def kernel(i, stream, start, stop):
         u = vrng.uniform(stream, (stop - start, cells[i][1], k))
         variates = models[0].law_variates(u, scalars[0])
-        return reduce(np.stack([m.law_log_weights(variates, s) for m, s in zip(models, scalars)]))
+        # one model writes its log-weights over Z, which nothing reads after
+        lrw = variates[0][None] if len(models) == 1 else np.empty((len(models), *u.shape[:-1]))
+        for m, s, out in zip(models, scalars, lrw):
+            m.law_log_weights(variates, s, out=out)
+        return reduce(lrw)
 
     chunks = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
                               for stream_id, n in cells], kernel)

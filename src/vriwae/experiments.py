@@ -13,8 +13,8 @@ one; its tables, and the `snr` tables (see `gradients`), are byte-identical
 in the same way.  Common random numbers are reused on purpose across alpha
 values and across perturbation scales of the same grid cell: the draws are
 i.i.d. for each configuration, and sharing them makes the comparisons
-paired.  Each log-weight comes from its model's exact law (`log_weight_law`),
-not d normals.
+paired.  Each log-weight comes from its model's exact law (`law_variates`
+and `law_log_weights`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -279,8 +279,8 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
         ses = np.empty_like(means)
         cells = [(_OFF_GAP + d_idx * len(n_grid) + n_idx, n) for n_idx, n in enumerate(n_grid)]
         # (C, V, A) per chunk: replicates first, as the reducer expects
-        samples = _law_samples(models, spec.seed, cells, spec.replicates, lambda lrw: np.stack(
-            [vr_iwae_from_log_weights(lrw, alpha, axis=-1).T for alpha in spec.alphas], axis=-1))
+        samples = _law_samples(models, spec.seed, cells, spec.replicates, lambda lrw: np.swapaxes(
+            vr_iwae_from_log_weights(lrw, spec.alphas), 0, 1))
         for n_idx, cell_samples in enumerate(samples):
             means[:, :, n_idx], ses[:, :, n_idx] = _mean_se(cell_samples)
 

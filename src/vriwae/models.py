@@ -72,10 +72,11 @@ C = ||eps||^2 - Z^2 ~ chi^2_(d-1) are independent, and
 * The law draw.  `law_variates(u, scalars)` maps LAW_WORDS uniforms to
   Z = ndtri(u_0) and, where q != 0, Z^2 + C with C = rng.chi_square(u_1..3,
   d - 1) where d > 1; they depend on q and d alone.  `law_log_weights(
-  variates, scalars)` returns c - ||v|| Z, plus q (Z^2 + C) where q != 0, and
-  `log_weight_law(u)` composes the two: O(1) draws instead of d normals per
-  log-weight.  `bounds._law_samples` reads the scalars once per call and the
-  variates once per chunk, for every model of one d.
+  variates, scalars, out)` returns c - ||v|| Z, plus q (Z^2 + C) where
+  q != 0, so `law_log_weights(law_variates(u, s), s)` takes O(1) draws
+  instead of d normals per log-weight.  `bounds._law_samples` reads the
+  scalars once per call and the variates once per chunk, for every model of
+  one d, and writes each model's log-weights into one block.
 * The closed forms.  For every t >= 0 (q <= 0 in both models),
 
       log E[wbar^t] = t c + t^2 ||v||^2 / (2(1 - 2tq)) - (d/2) log(1 - 2tq).
@@ -211,18 +212,16 @@ class _Model:
         return z, square
 
     @staticmethod
-    def law_log_weights(variates: tuple, scalars: tuple) -> np.ndarray:
-        """Relative log-weights c - ||v|| Z, plus q (Z^2 + C) where q != 0."""
+    def law_log_weights(variates: tuple, scalars: tuple, out=None) -> np.ndarray:
+        """Relative log-weights c - ||v|| Z, plus q (Z^2 + C) where q != 0,
+        written into `out` if given, which may be Z itself."""
         c, v2, q, _ = scalars
-        lw = c - math.sqrt(v2) * variates[0]
+        # (-||v|| Z) + c rounds as c - ||v|| Z, and needs no second temporary
+        lw = np.multiply(variates[0], -math.sqrt(v2), out=out)
+        lw += c
         if q:
             lw += q * variates[1]
         return lw
-
-    def log_weight_law(self, u: np.ndarray) -> np.ndarray:
-        """Relative log-weights (...) from uniforms (..., LAW_WORDS)."""
-        scalars = self.law_scalars()
-        return self.law_log_weights(self.law_variates(u, scalars), scalars)
 
     def gap_theory(self, alpha: float, n_grid):
         """(error_term, gamma2, elbo_gap, ev_base, ev_shape): `closed_forms`,
@@ -348,8 +347,8 @@ class GaussianToy(_Model):
 
         With u = (theta - phi)/B the log-weights see eps_j only through
         S_j = u . eps_j.  The first N normals are Z_j = -S_j, and log_w is
-        `law_log_weights` of them, -||v||^2/2 - B Z_j: `log_weight_law` on
-        the same uniforms, bit for bit.  Given S, the parts of eps_j
+        `law_log_weights` of them, -||v||^2/2 - B Z_j: the law draw on the
+        same uniforms, bit for bit.  Given S, the parts of eps_j
         orthogonal to u are i.i.d. and independent of the weights, so for
         the row w
 

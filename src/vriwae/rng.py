@@ -63,9 +63,11 @@ that called for it.  Only the rejected candidates pay for `gammaincinv`
 variate is the inverse-CDF draw.  Uniforms are built from raw 64-bit words
 shifted into (0, 1), so no transform sees an endpoint.
 Every uniform goes through `raw_uint64`.  `Generator.random(n) + 2**-54`
-gives the same uniforms, bit for bit and in less time per word, but it would
-bypass `raw_uint64`, which the benchmark's tracer wraps to count the words
-drawn; that change waits until the package records its own spans.
+gives the same uniforms, bit for bit, but not in less time per word once
+the allocator is warm, as in the benchmark: at 2**16 words, one thread, the
+two read medians within 6% of each other, and which was faster changed from
+run to run.  It would also bypass `raw_uint64`, which the benchmark's
+tracer wraps to count the words drawn.
 """
 
 from __future__ import annotations

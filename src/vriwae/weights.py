@@ -4,12 +4,14 @@ All statistics here are computed in the log domain with max-subtraction; the
 interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
 become informative.  Log-weights travel as plain float arrays, with no
-container type.  `_logsumexp` is the package's one log-sum-exp kernel;
-the diagnostics T, max share and ESS each have one function, which reduces
-along an axis of a log-weight array (the last by default), so one batch and a
-stack of batches take the same code.  The normalized weights s and the
-doubly-reparameterized coefficients h of the gradient estimators
-(`_weight_rows`) live here too, below both `models` and `gradients`.
+container type.  `_max_shift` is the package's one log-sum-exp shift:
+`_logsumexp` and the bound's estimator (`bounds.vr_iwae_from_log_weights`)
+both exponentiate its shifted rows.  The diagnostics T, max share and ESS
+each have one function, which reduces along an axis of a log-weight array
+(the last by default), so one batch and a stack of batches take the same
+code.  The normalized weights s and the doubly-reparameterized coefficients
+h of the gradient estimators (`_weight_rows`) live here too, below both
+`models` and `gradients`.
 
 Conventions fixed once for the whole artifact:
 
@@ -67,18 +69,25 @@ def _check_alpha(alpha: float, closed: bool = False) -> float:
     return float(alpha)
 
 
-def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(x))) along `axis` of a float array, max-shifted.
+def _max_shift(x: np.ndarray, axis: int):
+    """(x - m, m): a new array of x shifted by its max m along `axis`, and m
+    without that axis.
 
-    A non-finite max is replaced by 0, so rows holding +inf give +inf, rows
-    of only -inf give -inf and rows holding NaN give NaN.
+    A non-finite max is replaced by 0, so that a log-sum-exp of the shifted
+    rows plus m gives +inf on rows holding +inf, -inf on rows of only -inf
+    and NaN on rows holding NaN.
     """
     mx = np.max(x, axis=axis, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
-    e = np.subtract(x, mx)
+    return np.subtract(x, mx), np.squeeze(mx, axis=axis)
+
+
+def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along `axis` of a float array, max-shifted."""
+    e, mx = _max_shift(x, axis)
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
+        return np.log(np.sum(e, axis=axis)) + mx
 
 
 def t_statistic(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:

@@ -6,8 +6,8 @@ model class, so a deletion of any of them fails here before it crashes a
 traced benchmark run.  It also guards the model protocol: no module outside
 `models` branches on a model's type.  It is the package's import lint: no
 module imports a name it does not read.  And no public name is reached by
-tests alone: every name in an `__all__` is read by the package or by the
-benchmark.
+tests alone: every name in an `__all__`, and every public method or property
+of a model class, is read by the package or by the benchmark.
 """
 
 import ast
@@ -138,7 +138,7 @@ def test_one_statement_of_the_law():
     # the four scalars of `_Model.law_scalars`: no class states its own
     from vriwae import models
     for cls in (models.GaussianToy, models.LinearGaussian):
-        stated = {"law_variates", "law_log_weights", "log_weight_law"} & vars(cls).keys()
+        stated = {"law_variates", "law_log_weights"} & vars(cls).keys()
         assert not stated, (cls.__name__, stated)
     assert [name for name in models.__all__ if name.endswith("_analytics")] == []
 
@@ -200,15 +200,63 @@ def _unread_public_names(modules, readers):
     return sorted(p for p in public if p.partition(".")[2] not in read)
 
 
+def _unread_model_methods(classes, trees):
+    """"Class.name" of every public method or property that a class of
+    `classes`, or a base of it, defines and that no tree of `trees` looks up
+    as an attribute, sorted."""
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    found = set()
+    for cls in classes:
+        for klass in cls.__mro__[:-1]:
+            for name, value in vars(klass).items():
+                if (not name.startswith("_") and name not in read
+                        and (inspect.isfunction(value)
+                             or isinstance(value, (property, staticmethod, classmethod)))):
+                    found.add(f"{klass.__name__}.{name}")
+    return sorted(found)
+
+
+class _ProbeBase:
+    LABEL = "probe"
+
+    def read(self):
+        pass
+
+    def unread(self):
+        pass
+
+    def _private(self):
+        pass
+
+
+class _Probe(_ProbeBase):
+    @property
+    def size(self):
+        return 0
+
+    @staticmethod
+    def law():
+        pass
+
+    alias = _ProbeBase.read
+
+
 def test_public_names_are_read():
     # a public name that only tests reach is a deletion candidate: every
-    # name in an `__all__` is read by the package (not its `__init__`, which
-    # only re-exports) or by the benchmark
+    # name in an `__all__`, and every public method or property of a model
+    # class, is read by the package (not its `__init__`, which only
+    # re-exports) or by the benchmark
+    from vriwae.models import GaussianToy, LinearGaussian
     modules = {name: ast.parse((ROOT / "src" / "vriwae" / f"{name}.py").read_text())
                for name in MODULES}
     readers = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert readers
     assert _unread_public_names(modules, readers) == []
+    assert _unread_model_methods((GaussianToy, LinearGaussian),
+                                 [*modules.values(), *readers]) == []
+    assert _unread_model_methods((_Probe,), [ast.parse("m.read()\nm.size\n")]) == [
+        "_Probe.alias", "_Probe.law", "_ProbeBase.unread"]
     probe = {"a": ast.parse("__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\n"
                             "def g(): return f()\nh = 1\nk = 2\n"),
              "b": ast.parse("from a import k\n")}

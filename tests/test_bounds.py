@@ -62,6 +62,47 @@ def test_vr_iwae_from_log_weights_matches_scipy():
                                                             axis=0), ref, rtol=1e-13)
 
 
+_ALPHA_SEQ = (0.0, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0)
+
+
+def _scipy_bound(x, alpha, axis):
+    n = x.shape[axis]
+    if 1.0 - alpha < 1e-8:
+        return x.mean(axis=axis)
+    with np.errstate(invalid="ignore"):
+        return (logsumexp((1.0 - alpha) * x, axis=axis) - math.log(n)) / (1.0 - alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_alpha_sequence_is_the_per_alpha_bound(n):
+    # one row shift serves every alpha: the sequence form stacks the per-alpha
+    # calls on a new last axis, bit for bit, and scipy is their oracle on rows
+    # with distinct maxima, +inf, only -inf, NaN and tied maxima, along both
+    # axes; neither form writes to its input
+    rng = np.random.default_rng(7)
+    rows = [200.0 * rng.normal(size=n) + 1e3 * k for k in range(-3, 4)]
+    rows += [np.full(n, v) for v in (np.inf, -np.inf, np.nan, 3.25)]
+    if n > 1:
+        rows += [np.r_[np.inf, np.zeros(n - 1)], np.r_[np.nan, np.ones(n - 1)],
+                 np.r_[5.0, 5.0, np.zeros(n - 2)], np.r_[-np.inf, rng.normal(size=n - 1)]]
+    x = np.array(rows)
+    for arr, axis in ((x, -1), (np.ascontiguousarray(x.T), 0)):
+        before = arr.copy()
+        seq = vr_iwae_from_log_weights(arr, _ALPHA_SEQ, axis=axis)
+        assert seq.shape == (len(rows), len(_ALPHA_SEQ))
+        for i, alpha in enumerate(_ALPHA_SEQ):
+            one = vr_iwae_from_log_weights(arr, alpha, axis=axis)
+            np.testing.assert_array_equal(seq[:, i], one)
+            np.testing.assert_allclose(one, _scipy_bound(arr, alpha, axis), rtol=1e-13)
+        np.testing.assert_array_equal(arr, before)
+    np.testing.assert_array_equal(vr_iwae_from_log_weights(x[0], [0.5]),
+                                  [vr_iwae_from_log_weights(x[0], 0.5)])
+    with pytest.raises(ValueError):
+        vr_iwae_from_log_weights(x, [0.0, 1.5])
+    with pytest.raises(ValueError):
+        vr_iwae_from_log_weights(x, [[0.0, 0.5]])
+
+
 def test_elbo_sample():
     assert bound(lw(4.0), 1.0) == 4.0
     assert bound(lw(0.0, math.log(3.0)), 1.0) == pytest.approx(0.549306, abs=1e-6)
@@ -209,7 +250,8 @@ def _per_replicate_oracle(model, alpha, n, stream, relative):
                     (_ORACLE_REPLICATES, n, model.LAW_WORDS))
     samples = []
     for r in range(_ORACLE_REPLICATES):
-        v = model.log_weight_law(words[r]) + shift
+        s = model.law_scalars()
+        v = model.law_log_weights(model.law_variates(words[r], s), s) + shift
         samples.append((logsumexp((1.0 - alpha) * v) - math.log(n)) / (1.0 - alpha))
     samples = np.array(samples)
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
@@ -244,16 +286,21 @@ _CELLS = [(77, 3), (78, 16)]
 @pytest.mark.parametrize("target", [1, 40, 2**16])
 @pytest.mark.parametrize("name", sorted(_VARIANTS))
 def test_law_samples_give_each_variant_its_own_law(name, target):
-    # one set of variates per chunk, mapped through each variant, is each
-    # variant's log_weight_law on the cell's uniforms, bit for bit
+    # one set of variates per chunk, mapped through each variant into one
+    # block (or over Z, for a variant drawn alone), is each variant's
+    # law_log_weights of law_variates of the cell's uniforms, bit for bit
     models = _VARIANTS[name]
     k = models[0].LAW_WORDS
     with mock.patch.object(vrng, "_CHUNK_TARGET", target):
         got = _law_samples(models, 9, _CELLS, 25, lambda lrw: np.moveaxis(lrw, 0, 1))
-    for (stream_id, n), cell in zip(_CELLS, got):
+        alone = [_law_samples([m], 9, _CELLS, 25, lambda lrw: lrw[0]) for m in models]
+    for c, ((stream_id, n), cell) in enumerate(zip(_CELLS, got)):
         u = uniform(make_stream(9, stream_id), (25, n, k))
         for v, model in enumerate(models):
-            assert np.array_equal(cell[:, v], model.log_weight_law(u)), (stream_id, v)
+            s = model.law_scalars()
+            want = model.law_log_weights(model.law_variates(u, s), s)
+            assert np.array_equal(cell[:, v], want), (stream_id, v)
+            assert np.array_equal(alone[v][c], want), (stream_id, v)
 
 
 @pytest.mark.parametrize("variants", [1, 2, 3])

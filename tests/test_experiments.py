@@ -373,7 +373,9 @@ def _by_hand_cells(spec):
             stream = vrng.make_stream(spec.seed, offset + d_idx * len(spec.n_grid) + n_idx)
             u = vrng.uniform(stream, (spec.replicates, n, variants[0][1].LAW_WORDS))
             for sp, model in variants:
-                batches = [model.log_weight_law(u[r]) for r in range(spec.replicates)]
+                s = model.law_scalars()
+                batches = [model.law_log_weights(model.law_variates(u[r], s), s)
+                           for r in range(spec.replicates)]
                 for alpha in spec.alphas:
                     if spec.kind == "gap":
                         stats = {"gap": [(logsumexp((1.0 - alpha) * v) - math.log(n))
@@ -548,7 +550,8 @@ def test_collapse_matches_scalar_diagnostics():
     models = [m for _, m in experiments._variants(spec, 3)]
     u = vrng.uniform(vrng.make_stream(spec.seed, experiments._OFF_COLLAPSE),
                      (spec.replicates, 8, models[0].LAW_WORDS))
-    lrw = np.stack([m.log_weight_law(u) for m in models])
+    scalars = [m.law_scalars() for m in models]
+    lrw = np.stack([m.law_log_weights(m.law_variates(u, s), s) for m, s in zip(models, scalars)])
     assert len(rows) == 4
     for row in rows:
         batches = list(lrw[spec.sigma_perturbs.index(row["sigma_perturb"])])

@@ -206,7 +206,9 @@ def test_toy_conditional_pass_matches_eps_path_at_d1(theta, phi):
             want = dict(zip(("theta", "rep", "drep"), grad_samples_from_eps(model, eps, alpha)))
             for row, kinds in _ROW_KINDS.items():
                 lw, w_sum, wz = model.train_sums(normals, alpha, (row,))
-                assert np.array_equal(lw, model.log_weight_law(words[:, :n, None]))
+                s = model.law_scalars()
+                assert np.array_equal(lw, model.law_log_weights(
+                    model.law_variates(words[:, :n, None], s), s))
                 w_row = w[:, row:row + 1]
                 np.testing.assert_allclose(w_sum, w_row.sum(axis=-1, keepdims=True), rtol=1e-12)
                 np.testing.assert_allclose(wz, w_row @ z, rtol=1e-12,

@@ -2,12 +2,13 @@
 
 Both models draw their law from the four scalars (c, ||v||^2, q, d) of
 `law_scalars`: c - ||v|| Z + q (Z^2 + C), with Z ~ N(0, 1) and
-C ~ chi^2_(d-1).  `log_weight_law` so replaces d normals per log-weight by
-LAW_WORDS uniforms in the gap, collapse, weights and gap_mc samplers.  The
-path (`reparam` + `log_relative_weight`) stays the reference: the two must
-agree in distribution (two-sample KS), the law must match the mean and
-variance of `closed_forms` (for the toy, those of the log-normal law of B),
-and at d = 1 the toy law must equal the path on the same uniforms.
+C ~ chi^2_(d-1).  `law_log_weights(law_variates(u, s), s)`, with s those
+scalars, so replaces d normals per log-weight by the LAW_WORDS uniforms u in
+the gap, collapse, weights and gap_mc samplers.  The path (`reparam` +
+`log_relative_weight`) stays the reference: the two must agree in
+distribution (two-sample KS), the law must match the mean and variance of
+`closed_forms` (for the toy, those of the log-normal law of B), and at d = 1
+the toy law must equal the path on the same uniforms.
 """
 
 import math
@@ -36,8 +37,14 @@ def build(kind, d, sigma_perturb):
     return make_linear_gaussian(d, sigma_perturb, seed=7)[0]
 
 
+def law_of(model, u):
+    """The model's relative log-weights (...) from uniforms (..., LAW_WORDS)."""
+    s = model.law_scalars()
+    return model.law_log_weights(model.law_variates(u, s), s)
+
+
 def law_samples(model, n, seed):
-    return model.log_weight_law(uniform(make_stream(seed, 0), (n, model.LAW_WORDS)))
+    return law_of(model, uniform(make_stream(seed, 0), (n, model.LAW_WORDS)))
 
 
 @pytest.mark.parametrize("kind, d, sigma_perturb", CASES)
@@ -69,6 +76,6 @@ def test_toy_law_equals_path_at_d1():
     model = GaussianToy(d=1, theta=np.array([-0.3]), phi=np.array([1.2]))
     u = uniform(make_stream(31, 0), (50_000, 1))
     path = model.log_relative_weight(model.reparam(ndtri(u)))
-    law = model.log_weight_law(u)
+    law = law_of(model, u)
     assert np.allclose(law, path, rtol=1e-12, atol=1e-12)
 

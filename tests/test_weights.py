@@ -198,9 +198,10 @@ class _FixedLaw:
         assert u.shape == (self.values.size, 1, 1) and scalars == "scalars"
         return (self.values[:, None],)
 
-    def law_log_weights(self, variates, scalars):
+    def law_log_weights(self, variates, scalars, out):
         assert scalars == "scalars"
-        return variates[0]
+        out[...] = variates[0]
+        return out
 
 
 def test_log_weight_moments(monkeypatch):
