@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import gammaincinv, ndtri
 
 __all__ = ["RngStream", "make_stream", "raw_uint64", "uniform", "standard_normal",
@@ -100,14 +100,14 @@ class RngStream:
 
     seed: int
     stream_id: int
-    _gen: Generator = field(init=False, repr=False)
+    _bits: Philox = field(init=False, repr=False)
 
     def __post_init__(self):
         # Philox is keyed, not seeded: the 128-bit key (seed, stream_id)
         # selects the stream, the internal counter walks along it.
         if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
             raise ValueError("seed and stream_id must be non-negative and below 2**64")
-        self._gen = Generator(Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
+        self._bits = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
 
     def child(self, offset: int) -> "RngStream":
         """Fresh stream at stream_id + offset, independent of this one."""
@@ -123,7 +123,7 @@ def raw_uint64(stream: RngStream, n: int) -> np.ndarray:
     """n raw 64-bit words from the stream."""
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    return stream._gen.bit_generator.random_raw(n)
+    return stream._bits.random_raw(n)
 
 
 def uniform(stream: RngStream, size) -> np.ndarray:
@@ -173,7 +173,7 @@ def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     and empties the word buffer, so advancing by word // 4 and dropping
     word % 4 words lands on word `word`."""
     stream = make_stream(seed, stream_id)
-    bits = stream._gen.bit_generator
+    bits = stream._bits
     bits.advance(word // 4)
     bits.random_raw(word % 4)
     return stream

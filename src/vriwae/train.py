@@ -207,7 +207,7 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     and logged row k's gap reads stream.child(1 + k) (see the module
     docstring), so identical (model, config, stream key) reproduce identical
     rows; neither `model` nor `stream` changes.  Aborts when the gradient
-    norm exceeds 1e8.
+    norm exceeds 1e8 or is NaN.
     """
     model = model.copy()
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
@@ -225,9 +225,10 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     log_row(0, 0.0)
     for epoch, draw in _epoch_draws(config, stream, words, variates):
         grad_norm = step(draw)
-        if grad_norm > GRAD_NORM_LIMIT:
-            raise TrainingDiverged(
-                f"gradient norm {grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e} at epoch {epoch}")
+        if not grad_norm <= GRAD_NORM_LIMIT:    # a NaN norm fails this test too
+            why = ("is NaN" if math.isnan(grad_norm)
+                   else f"{grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e}")
+            raise TrainingDiverged(f"gradient norm {why} at epoch {epoch}")
         if epoch % config.log_every == 0 or epoch == config.epochs:
             place()
             log_row(epoch, grad_norm)

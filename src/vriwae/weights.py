@@ -5,13 +5,13 @@ interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
 become informative.  Log-weights travel as plain float arrays, with no
 container type.  `_max_shift` is the package's one log-sum-exp shift:
-`_logsumexp` and the bound's estimator (`bounds.vr_iwae_from_log_weights`)
-both exponentiate its shifted rows.  The diagnostics T, max share and ESS
-each have one function, which reduces along an axis of a log-weight array
-(the last by default), so one batch and a stack of batches take the same
-code.  The normalized weights s and the doubly-reparameterized coefficients
-h of the gradient estimators (`_weight_rows`) live here too, below both
-`models` and `gradients`.
+`_logsumexp`, the normalized weights (`_softmax_last`) and the bound's
+estimator (`bounds.vr_iwae_from_log_weights`) all exponentiate its shifted
+rows.  The diagnostics T, max share and ESS each have one function, which
+reduces along an axis of a log-weight array (the last by default), so one
+batch and a stack of batches take the same code.  The normalized weights s
+and the doubly-reparameterized coefficients h of the gradient estimators
+(`_weight_rows`) live here too, below both `models` and `gradients`.
 
 Conventions fixed once for the whole artifact:
 
@@ -123,9 +123,9 @@ def _h(s: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e, _ = _max_shift(x, -1)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:

@@ -7,13 +7,18 @@ traced benchmark run.  It also guards the model protocol: no module outside
 `models` branches on a model's type.  It is the package's import lint: no
 module imports a name it does not read.  And no public name is reached by
 tests alone: every name in an `__all__`, and every public method or property
-of a model class, is read by the package or by the benchmark.
+of a model class, is read by the package or by the benchmark.  Last, it
+keeps `import vriwae.cli`, which every CLI call pays for, free of
+scipy.integrate, which only the quadrature oracle reads.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -261,3 +266,15 @@ def test_public_names_are_read():
                             "def g(): return f()\nh = 1\nk = 2\n"),
              "b": ast.parse("from a import k\n")}
     assert _unread_public_names(probe, [ast.parse("import a\na.h\n")]) == ["a.g", "a.k"]
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the quadrature oracle imports scipy.integrate where it runs: at module
+    # level it added 0.33-0.36 s to a 0.45 s `import vriwae.cli`
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, vriwae.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

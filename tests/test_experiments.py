@@ -888,6 +888,21 @@ def test_cli_train_divergence_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy, on the overflowed state
+@pytest.mark.parametrize("extra", [[], ["--optimizer", "adam"], ["--model", "lingauss"]],
+                         ids=["toy-sgd", "toy-adam", "lingauss-sgd"])
+def test_cli_train_nan_gradient_norm_is_one_line(tmp_path, capsys, extra):
+    # a NaN gradient norm stops the run like a large one: exit 1, one line,
+    # no table
+    from vriwae.cli import main
+    out = tmp_path / "train.csv"
+    assert main(["train", "--lr", "1e300", "--d", "2", "--n-importance", "4", "--epochs", "6",
+                 "--log-every", "1", *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("vriwae train: training diverged: gradient norm is NaN "
+                                       "at epoch 2 with --lr 1e+300\n")
+    assert not out.exists()
+
+
 def test_cli_main_builds_no_parser(tmp_path):
     # the parser is built once, at import: a call only parses, whatever it runs
     import vriwae.cli as vcli

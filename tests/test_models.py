@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from vriwae.models import (GaussianToy, LinearGaussian, adaptive_simpson, closed_forms,
-                           lingauss_gamma2_quadrature, lingauss_gap_quadrature,
-                           lingauss_marginal_quadrature, optimal_params, perturb_params)
+from vriwae.models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
+                           lingauss_gap_quadrature, lingauss_marginal_quadrature,
+                           optimal_params, perturb_params)
 from vriwae.experiments import make_linear_gaussian
 from vriwae.rng import make_stream, standard_normal
 
@@ -241,6 +241,18 @@ def test_lingauss_analytics_vs_quadrature():
                                            rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("sigma_perturb", [0.0, 0.01])
+def test_lingauss_oracle_at_d1000(sigma_perturb):
+    # the model of the benchmark's highdim gap_lingauss op: a product of 1000
+    # factors, so each factor's integral must hold about 1e-12 relative
+    lg, _ = make_linear_gaussian(1000, sigma_perturb, 0)
+    assert lg.log_marginal() == pytest.approx(lingauss_marginal_quadrature(lg), abs=1e-9)
+    for alpha in (0.0, 0.5):
+        vr_gap, gamma2, *_ = closed_forms(lg, alpha)
+        assert vr_gap == pytest.approx(lingauss_gap_quadrature(lg, alpha), rel=1e-9, abs=1e-9)
+        assert gamma2 == pytest.approx(lingauss_gamma2_quadrature(lg, alpha), rel=1e-9)
+
+
 def test_elbo_gap_is_minus_da():
     lg, _ = make_linear_gaussian(8, 0.3, seed=17, t=64)
     *_, a_const = closed_forms(lg, 0.0)
@@ -370,11 +382,3 @@ def test_perturb_scales():
     for sp in (0.01, 0.5):
         out, = perturb_params((p,), sp, make_stream(31, 0))
         assert abs(out.std() - sp) < 0.1 * sp
-
-
-def test_adaptive_simpson_polynomial():
-    # exact for cubics by construction
-    antideriv = lambda x: x**4 / 4 - x**2 + x
-    assert adaptive_simpson(lambda x: x**3 - 2 * x + 1, -1.0, 2.0) == pytest.approx(
-        antideriv(2.0) - antideriv(-1.0), abs=1e-12)
-    assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-10)

@@ -141,6 +141,20 @@ def test_divergence_guard():
         run_training(model, config, make_stream(9, 0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy, on the overflowed state
+@pytest.mark.parametrize("make_model, optimizer",
+                         [(lambda: toy(2), "sgd"), (lambda: toy(2), "adam"),
+                          (lambda: lingauss(2), "sgd")],
+                         ids=["toy-sgd", "toy-adam", "lingauss-sgd"])
+def test_nan_gradient_norm_diverges(make_model, optimizer):
+    # epoch 1's step overflows the parameters to inf, so epoch 2's gradient
+    # norm is NaN, which a `norm > limit` test lets through
+    config = TrainConfig(alpha=0.0, n_importance=4, epochs=6, log_every=1,
+                         learning_rate=1e300, optimizer=optimizer, gap_replicates=2)
+    with pytest.raises(TrainingDiverged, match=r"^gradient norm is NaN at epoch 2$"):
+        run_training(make_model(), config, make_stream(0, 0))
+
+
 def _rows(traj):
     return [r.__dict__ for r in traj.rows]
 
