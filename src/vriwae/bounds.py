@@ -19,12 +19,13 @@ The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
 LAW_WORDS of them, through the model's law (`law_variates`, then
 `law_log_weights`).  `_law_samples` runs the chunks of replicates through
-`rng._chunk_map`, each drawn, mapped and reduced to one sample per replicate
-on whichever thread takes it.  It reads each model's `law_scalars` once per
-call, computes `law_variates` (a function of q and d alone) once per chunk,
-and maps them through `law_log_weights` with the scalars of every model into
-one block, so the sigma variants of one d share the linear Gaussian's normal
-and chi^2 draws.  It serves the gap, collapse and weights runners of
+`rng._chunk_map`, whose kernel takes a chunk's uniforms, maps them and
+reduces them to one sample per replicate on whichever thread takes it.  It
+reads each model's `law_scalars` once per call, computes `law_variates` (a
+function of q and d alone) once per chunk, and maps them through
+`law_log_weights` with the scalars of every model into one block, so the
+sigma variants of one d share the linear Gaussian's normal and chi^2
+draws.  It serves the gap, collapse and weights runners of
 `experiments` too; a weights draw is one cell of N = 1.
 """
 
@@ -116,19 +117,19 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
     reduce(lrw), with lrw of shape (V, C, N) per chunk of C replicates and
     reduce(lrw) of leading length C.
 
-    Replicate r reads block r of N x k uniforms (k = LAW_WORDS of the models)
-    of a fresh stream (seed, stream_id).  The models share their class and
-    d, hence q and their `law_variates`: those are computed once per chunk,
-    and `law_log_weights` with each model's scalars writes its log-weights
-    into its row of one (V, C, N) block, or over Z where V = 1.  The chunks
-    run through `rng._chunk_map`; the transforms and reductions are batched
-    per chunk, which does not affect the values.
+    The kernel of `rng._chunk_map` takes a chunk's uniforms, N x k per
+    replicate (k = LAW_WORDS of the models) of the cell's stream (seed,
+    stream_id).  The models share their class and d, hence q and their
+    `law_variates`: those are computed once per chunk, and `law_log_weights`
+    with each model's scalars writes its log-weights into its row of one
+    (V, C, N) block, or over Z where V = 1.  The transforms and reductions
+    are batched per chunk, which does not affect the values.
     """
     k = models[0].LAW_WORDS
     scalars = [m.law_scalars() for m in models]
 
-    def kernel(i, stream, start, stop):
-        u = vrng.uniform(stream, (stop - start, cells[i][1], k))
+    def kernel(i, u):
+        u = u.reshape(len(u), cells[i][1], k)
         variates = models[0].law_variates(u, scalars[0])
         # one model writes its log-weights over Z, which nothing reads after
         lrw = variates[0][None] if len(models) == 1 else np.empty((len(models), *u.shape[:-1]))
@@ -136,9 +137,8 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
             m.law_log_weights(variates, s, out=out)
         return reduce(lrw)
 
-    chunks = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
-                              for stream_id, n in cells], kernel)
-    return [np.concatenate(c) for c in chunks]
+    return vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
+                            for stream_id, n in cells], kernel, vrng.uniform)
 
 
 def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, float]:

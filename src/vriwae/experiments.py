@@ -3,18 +3,20 @@
 Every experiment is a pure function of (spec, seed).  Each experiment family
 owns a disjoint stream_id block, and each grid cell reads its own stream
 within it, by the package's one draw rule (see `rng`): replicate r of the
-cell takes block r of the stream's words.  The gap and collapse runners put
-all N cells of a dimension in one `rng._chunk_map` (`bounds._law_samples`),
-whose chunks of replicates run on all cores, and reduce each cell's samples
-at once, so their tables are byte-identical at any number of threads and any
-chunk size.  The weights runner draws each (d, sigma_perturb) sample as one
-such cell of N = 1, whose chunks run on all cores once it spans more than
-one; its tables, and the `snr` tables (see `gradients`), are byte-identical
-in the same way.  Common random numbers are reused on purpose across alpha
-values and across perturbation scales of the same grid cell: the draws are
-i.i.d. for each configuration, and sharing them makes the comparisons
-paired.  Each log-weight comes from its model's exact law (`law_variates`
-and `law_log_weights`), not d normals.
+cell takes block r of the stream's words.  The gap and collapse runners
+share one law grid (`_law_grid`): it lays cell (d_idx, n_idx) on the stream
+at the family's offset + d_idx len(n_grid) + n_idx, puts all N cells of a
+dimension in one `rng._chunk_map` (`bounds._law_samples`), whose kernel maps
+a chunk's uniforms and whose chunks run on all cores, and reduces each cell's
+samples at once to their mean and SE, so their tables are byte-identical at
+any number of threads and any chunk size.  The weights runner draws each
+(d, sigma_perturb) sample as one such cell of N = 1, whose chunks run on all
+cores once it spans more than one; its tables, and the `snr` tables (see
+`gradients`), are byte-identical in the same way.  Common random numbers
+are reused on purpose across alpha values and across perturbation scales of
+the same grid cell: the draws are i.i.d. for each configuration, and sharing
+them makes the comparisons paired.  Each log-weight comes from its model's
+exact law (`law_variates` and `law_log_weights`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -259,6 +261,21 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
 # Gap experiment
 # --------------------------------------------------------------------------
 
+def _law_grid(spec: ExperimentSpec, offset: int, reduce):
+    """Yield (d, variants, stats) per d of the grid, where stats holds per N
+    of the grid the (mean, SE) over its replicates of reduce(lrw) (see
+    `bounds._law_samples`).  Cell (d_idx, n_idx) reads stream
+    offset + d_idx * len(n_grid) + n_idx, and all N cells of one d share one
+    chunk map."""
+    for d_idx, d in enumerate(spec.ds):
+        variants = _variants(spec, d)
+        cells = [(offset + d_idx * len(spec.n_grid) + n_idx, n)
+                 for n_idx, n in enumerate(spec.n_grid)]
+        samples = _law_samples([m for _, m in variants], spec.seed, cells, spec.replicates,
+                               reduce)
+        yield d, variants, [_mean_se(cell_samples) for cell_samples in samples]
+
+
 def run_gap_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo variational gap over the (alpha, d, N) grid, with both
     predicted curve families and their fitted free constants.
@@ -270,30 +287,28 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
     (model, alpha, d, sigma_perturb) group across the N grid.
     """
     rows: list[dict] = []
-    n_grid = spec.n_grid
-    for d_idx, d in enumerate(spec.ds):
-        variants = _variants(spec, d)
-        models = [m for _, m in variants]
+    # (C, V, A) per chunk: replicates first, as the reducer expects
+    grid = _law_grid(spec, _OFF_GAP, lambda lrw: np.swapaxes(
+        vr_iwae_from_log_weights(lrw, spec.alphas), 0, 1))
+    for _, variants, stats in grid:
         # mean and SE of the gap samples per (variant, alpha, n)
-        means = np.empty((len(variants), len(spec.alphas), len(n_grid)))
-        ses = np.empty_like(means)
-        cells = [(_OFF_GAP + d_idx * len(n_grid) + n_idx, n) for n_idx, n in enumerate(n_grid)]
-        # (C, V, A) per chunk: replicates first, as the reducer expects
-        samples = _law_samples(models, spec.seed, cells, spec.replicates, lambda lrw: np.swapaxes(
-            vr_iwae_from_log_weights(lrw, spec.alphas), 0, 1))
-        for n_idx, cell_samples in enumerate(samples):
-            means[:, :, n_idx], ses[:, :, n_idx] = _mean_se(cell_samples)
-
+        means, ses = (np.stack(x, axis=-1) for x in zip(*stats))
         for v_idx, (sp, model) in enumerate(variants):
             for a_idx, alpha in enumerate(spec.alphas):
-                rows.extend(_gap_rows(spec, model, sp, alpha, n_grid,
+                rows.extend(_gap_rows(spec, model, sp, alpha, spec.n_grid,
                                       means[v_idx, a_idx], ses[v_idx, a_idx]))
     return rows
 
 
 def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
     log_marginal = model.log_marginal()
-    error_term, gamma2, elbo_gap, ev_base, ev_shape = model.gap_theory(alpha, n_grid)
+    error_term, gamma2, elbo_gap, sigma2, a_const = closed_forms(model, alpha)
+    # the model's extreme-value curve, and its fit shape
+    # scale * log log N / sqrt(log N), per N, both NaN below N = 3
+    curve, scale = model.ev_curve(alpha, sigma2, a_const)
+    ev_base = [curve(n) if n >= 3 else math.nan for n in n_grid]
+    ev_shape = [scale * math.log(math.log(n)) / math.sqrt(math.log(n)) if n >= 3 else math.nan
+                for n in n_grid]
     one_n_base = [one_over_n_curve(n, error_term, gamma2) if math.isfinite(gamma2)
                   else math.nan for n in n_grid]
     one_n_shape = [1.0 / n for n in n_grid]
@@ -449,21 +464,15 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
 def run_collapse_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo means of the dominance statistic T, the max-weight share,
     and the effective sample size over fresh batches per (alpha, d, N)."""
-    def stats(lrw):
+    def collapse_stats(lrw):
         # (T, max share, ESS) per (variant, alpha), as (C, V, A, 3): replicates first
         t = np.stack([t_statistic(lrw, alpha) for alpha in spec.alphas], axis=-1)
         share, e = max_weight_share(lrw)[..., None], ess(lrw)[..., None]
         return np.stack(np.broadcast_arrays(t, share, e), axis=-1).transpose(1, 0, 2, 3)
 
     rows = []
-    for d_idx, d in enumerate(spec.ds):
-        variants = _variants(spec, d)
-        models = [m for _, m in variants]
-        cells = [(_OFF_COLLAPSE + d_idx * len(spec.n_grid) + n_idx, n)
-                 for n_idx, n in enumerate(spec.n_grid)]
-        samples = _law_samples(models, spec.seed, cells, spec.replicates, stats)
-        for n, cell_samples in zip(spec.n_grid, samples):
-            mean, se = _mean_se(cell_samples)
+    for d, variants, stats in _law_grid(spec, _OFF_COLLAPSE, collapse_stats):
+        for n, (mean, se) in zip(spec.n_grid, stats):
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
                     row = {"model": model.TABLE_NAME, "alpha": alpha, "d": d,

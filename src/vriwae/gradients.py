@@ -47,9 +47,11 @@ most `rng._CHUNK_TARGET` elements through `rng._chunk_map`, so memory stays
 bounded and the chunks run on all cores: `grad_mean_se` and `fd_grad_oracle`
 share `_grad_moments`, one cell whose replicate r reads block r of a fresh
 stream at the key of the stream passed in, and `snr_sweep` maps all its N
-cells at once.  Each chunk returns only its gradient samples, which the
-calling thread reduces in replicate order, so the results do not depend on
-the number of threads or the chunk size.
+cells at once.  Their kernels take a chunk's normals and reshape them into
+eps; they never see a stream.  Each chunk returns only its gradient samples,
+which the map concatenates in replicate order for the calling thread to
+reduce, so the results do not depend on the number of threads or the chunk
+size.
 """
 
 from __future__ import annotations
@@ -148,19 +150,18 @@ def _grad_moments(model, n_importance: int, replicates: int, stream: vrng.RngStr
     i.i.d. replicates.
 
     Replicate r's eps of shape (N, d) are block r of the normals of a fresh
-    stream at the key of `stream`, which is not advanced.  `per_rep` (the
-    elements one replicate's largest intermediate holds) sizes the chunks of
-    `rng._chunk_map`; the samples are reduced at once, so the result does not
-    depend on the chunks.
+    stream at the key of `stream`, which is not advanced; the kernel of
+    `rng._chunk_map` reshapes a chunk's normals into them.  `per_rep` (the
+    elements one replicate's largest intermediate holds) sizes the chunks;
+    the samples are reduced at once, so the result does not depend on the
+    chunks.
     """
-    words = n_importance * model.d
+    def kernel(_, normals):
+        return sample(normals.reshape(len(normals), n_importance, model.d))
 
-    def kernel(_, draws, start, stop):
-        return sample(vrng.standard_normal(draws, (stop - start, n_importance, model.d)))
-
-    chunks, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates, per_rep,
-                                          words)], kernel)
-    return [_mean_se(np.concatenate(block)) for block in zip(*chunks)]
+    samples, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates, per_rep,
+                                           n_importance * model.d)], kernel, vrng.standard_normal)
+    return [_mean_se(block) for block in samples]
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
@@ -300,8 +301,8 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
                         m_samples * n * model.d, m_samples * n * model.d)
              for i, n in enumerate(n_grid)]
 
-    def kernel(i, draws, start, stop):
-        eps = vrng.standard_normal(draws, (stop - start, m_samples, n_grid[i], model.d))
+    def kernel(i, normals):
+        eps = normals.reshape(len(normals), m_samples, n_grid[i], model.d)
         # both estimators from one pass; the theta block is shared, and each
         # row averages its m_samples copies.  `take` keeps the samples in C
         # order, in which the reductions of `_snr_from_samples` round alike
@@ -314,8 +315,8 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     snr = {key: np.empty((len(n_grid), k)) for key, k in (
         (("rep", "theta"), k_theta), (("rep", "phi"), k_phi),
         (("drep", "theta"), k_theta), (("drep", "phi"), k_phi))}
-    for i, chunks in enumerate(vrng._chunk_map(cells, kernel)):
-        g_theta, g_rep, g_drep = (np.concatenate(block) for block in zip(*chunks))
+    samples = vrng._chunk_map(cells, kernel, vrng.standard_normal)
+    for i, (g_theta, g_rep, g_drep) in enumerate(samples):
         snr[("rep", "theta")][i] = snr[("drep", "theta")][i] = _snr_from_samples(g_theta)
         snr[("rep", "phi")][i] = _snr_from_samples(g_rep)
         snr[("drep", "phi")][i] = _snr_from_samples(g_drep)

@@ -83,7 +83,7 @@ C = ||eps||^2 - Z^2 ~ chi^2_(d-1) are independent, and
 
   `closed_forms(model, alpha)` builds on it the VR error term, gamma^2, the
   ELBO gap c + q d, and the per-dimension variance (||v||^2 + 2 q^2 d)/d and
-  mean gap -(c + q d)/d; `gap_theory` adds the model's `ev_curve`.
+  mean gap -(c + q d)/d, which the model's `ev_curve` takes.
 
 `_Model` holds these, the theta plumbing, `copy`, the z check and the
 default training draw, and each class binds the shared `score_grads` in its
@@ -162,15 +162,6 @@ def _score_grads(self, eps: np.ndarray, z: np.ndarray):
     return tuple(_affine_score(const(), coef, z) for const, coef in self.score_affine())
 
 
-def _ev_columns(curve, scale: float, n_grid):
-    """The extreme-value baseline curve(N) and fit shape
-    scale * log log N / sqrt(log N) per N of the grid, NaN below N = 3."""
-    base = [curve(n) if n >= 3 else math.nan for n in n_grid]
-    shape = [scale * math.log(math.log(n)) / math.sqrt(math.log(n)) if n >= 3 else math.nan
-             for n in n_grid]
-    return base, shape
-
-
 def _eps_sums(model, eps: np.ndarray, alpha: float):
     """(log_w, w_sum, wz) for eps of shape (..., N, d), read off
     `model.log_weight_quadratic()` without building z: log_w is (..., N),
@@ -221,13 +212,6 @@ class _Model:
         if q:
             lw += q * variates[1]
         return lw
-
-    def gap_theory(self, alpha: float, n_grid):
-        """(error_term, gamma2, elbo_gap, ev_base, ev_shape): `closed_forms`,
-        and the model's extreme-value curve per N."""
-        error_term, gamma2, elbo_gap, sigma2, a_const = closed_forms(self, alpha)
-        return (error_term, gamma2, elbo_gap,
-                *_ev_columns(*self.ev_curve(alpha, sigma2, a_const), n_grid))
 
     @property
     def theta_vec(self) -> np.ndarray:
@@ -286,12 +270,6 @@ class GaussianToy(_Model):
 
     def with_phi(self, v: np.ndarray) -> "GaussianToy":
         return replace(self, phi=np.asarray(v, dtype=np.float64))
-
-    @property
-    def bd(self) -> float:
-        """B = ||theta - phi||, the log-weight standard deviation, as
-        sqrt(||v||^2) of `law_scalars`."""
-        return math.sqrt(self.law_scalars()[1])
 
     @property
     def progress(self) -> float:
@@ -374,15 +352,15 @@ class GaussianToy(_Model):
         g = normals[..., None, n:]                    # (..., 1, d)
         wz = w_sum * loc + norm * g
         if v2 > 0.0:
-            b = math.sqrt(v2)                         # `bd`
+            b = math.sqrt(v2)                         # B
             # (sum_j w_j S_j - ||w||_2 g . u) u, with S_j = -Z_j and u = v/B
             wz -= (w @ normals[..., :n, None] + norm * (g @ v)[..., None] / b) / b * v
         return lw, w_sum, wz
 
     def sgd_chain(self, n: int, alpha: float, lr: float, estimator: str):
-        """(words, variates, step, place): plain SGD on phi as a chain in
-        b^2 = ||theta - phi||^2, drawn from the exact law of the loop that
-        steps phi on `train_sums`.
+        """(words, variates, step, finite, place): plain SGD on phi as a
+        chain in b^2 = ||theta - phi||^2, drawn from the exact law of the
+        loop that steps phi on `train_sums`.
 
         With B = sqrt(b^2), u = (theta - phi)/B and s the rep weights of
         log w_j = -B^2/2 - B Z_j, the rep gradient is
@@ -399,9 +377,10 @@ class GaussianToy(_Model):
         An epoch reads `words` uniforms: N for Z = ndtri(u), then 3 for C by
         `rng.chi_square` where rep and d > 1 (C = 0 at d = 1).
         `variates(u)` maps a block (epochs, words) to one draw per epoch;
-        `step(draw)` steps b^2 and returns the gradient norm; `place()` sets
-        this model's phi to theta - B u0, u0 the direction of theta - phi at
-        the start (the first axis if they are equal), for a row to log.
+        `step(draw)` steps b^2 and returns the gradient norm; `finite()`
+        tells whether b^2 is, in O(1); `place()` sets this model's phi to
+        theta - B u0, u0 the direction of theta - phi at the start (the
+        first axis if they are equal), for a row to log.
         """
         v = self.theta - self.phi
         b2 = float(v @ v)
@@ -433,15 +412,18 @@ class GaussianToy(_Model):
             b2 *= (1.0 - lr * h) * (1.0 - lr * h)
             return h * b
 
+        def finite():
+            return math.isfinite(b2)
+
         def place():
             np.subtract(self.theta, math.sqrt(b2) * u0, out=self.phi)
 
-        return words, variates, step, place
+        return words, variates, step, finite, place
 
     def ev_curve(self, alpha: float, sigma2: float, a_const: float):
         """(curve, scale): the log-normal extreme-value curve of B, on the B
-        scale."""
-        b = self.bd
+        scale, with B = sqrt(||v||^2) of `law_scalars`."""
+        b = math.sqrt(self.law_scalars()[1])
         return (lambda n: lognormal_curve(n, b, alpha)), b
 
 
@@ -488,13 +470,9 @@ class LinearGaussian(_Model):
         return 0.5 * (self.theta + self.x)
 
     @property
-    def lam(self) -> float:
+    def progress(self) -> float:
         """lambda = ||posterior mean - proposal mean|| / sqrt(d)."""
         return float(np.linalg.norm(self.posterior_mean - self.q_mean) / math.sqrt(self.d))
-
-    @property
-    def progress(self) -> float:
-        return self.lam
 
     # --- sampling and weights ----------------------------------------------
     def reparam(self, eps: np.ndarray) -> np.ndarray:

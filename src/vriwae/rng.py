@@ -17,17 +17,22 @@ consecutive blocks of the one stream, the draws do not depend on the chunk
 size.  Distinct cells, and distinct draw purposes, read distinct stream ids
 (``child``).
 
-`_chunk_map` runs the chunks of a list of cells on threads.  A chunk that
-starts at word w of its cell builds a fresh stream at the cell's key and
-skips to word w itself (`_stream_at`): Philox makes 4 words per counter
+`_chunk_map` is the package's one draw of replicate noise.  It runs the
+chunks of a list of cells on threads, and hands each chunk's kernel only its
+words: `_cell_draw` draws replicates [start, stop) of a cell as one
+(stop - start, words) block of uniforms or normals, so a kernel is a
+function of its words and never sees a stream, a start or a stop.  A chunk
+that starts at word w of its cell builds a fresh stream at the cell's key
+and skips to word w itself (`_stream_at`): Philox makes 4 words per counter
 step, so it advances the counter by w // 4 and drops w % 4 words.  The
 calling thread and the helper threads that the map starts take the (cell,
 chunk) tasks in turn from one shared counter; numpy's Philox words, its
 ufuncs and scipy's `ndtri` release the interpreter lock, so the threads draw
-and map at the same time.  Results come back in (cell, chunk) order and the
-calling thread reduces them, so no table depends on the number of threads;
-the callers reduce each cell's samples in one batch, so none depends on the
-chunk size either.  Training stays serial: its epochs depend on each other.
+and map at the same time.  The map returns each cell's results concatenated
+in chunk order along the replicate axis, so no table depends on the number
+of threads; the callers reduce each cell's samples in one batch, so none
+depends on the chunk size either.  Training stays serial, since its epochs
+depend on each other, and reads its blocks of epochs through `_cell_draw`.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called
@@ -179,10 +184,20 @@ def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     return stream
 
 
-def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
-    """Per cell, [kernel(i, stream, start, stop) for each of the cell's
-    `_replicate_chunks`] in chunk order, where i is the cell's index and
-    `stream` its fresh stream positioned at replicate `start`'s first word.
+def _cell_draw(cell: _Cell, start: int, stop: int, draw: Callable) -> np.ndarray:
+    """The draws of replicates [start, stop) of `cell`, shaped (stop - start,
+    cell.words): draw(stream, shape) on the cell's fresh stream positioned at
+    replicate `start`'s first word.  `draw` is `uniform` or
+    `standard_normal`."""
+    return draw(_stream_at(cell.seed, cell.stream_id, start * cell.words),
+                (stop - start, cell.words))
+
+
+def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list:
+    """Per cell, the results of kernel(i, words) over its
+    `_replicate_chunks`, concatenated in chunk order along the replicate
+    axis (item by item where a result is a tuple), where i is the cell's
+    index and `words` the chunk's `_cell_draw` by `draw`.
 
     The calling thread and up to `_WORKERS - 1` helpers, one for each full
     `_CHUNK_TARGET` of the cells' elements beyond the first, started here
@@ -206,10 +221,8 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
             if k is None:
                 return
             i, start, stop = tasks[k]
-            cell = cells[i]
             try:
-                results[k] = kernel(i, _stream_at(cell.seed, cell.stream_id, start * cell.words),
-                                    start, stop)
+                results[k] = kernel(i, _cell_draw(cells[i], start, stop, draw))
             except BaseException as exc:    # re-raised by the calling thread below
                 errors.append(exc)
                 return
@@ -229,7 +242,9 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable) -> list:
     out: list = [[] for _ in cells]
     for (i, _, _), result in zip(tasks, results):
         out[i].append(result)
-    return out
+    # a tuple result is concatenated item by item
+    return [tuple(map(np.concatenate, zip(*chunks))) if isinstance(chunks[0], tuple)
+            else np.concatenate(chunks) for chunks in out]
 
 
 def standard_normal(stream: RngStream, size) -> np.ndarray:

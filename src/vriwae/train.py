@@ -17,10 +17,13 @@ a small fresh Monte Carlo gap estimate and the gradient norm.
 `run_training` copies the caller's model once (`copy`), and the caller's
 model is never touched.  It picks one epoch kernel per run, from the model
 and the optimizer alone, and runs it in its one loop of draws, divergence
-check and logging.  A kernel is (words, variates, step, place): the uniforms
-an epoch reads, the map from a block of them to one draw per epoch, the step
-that takes a draw and returns the gradient norm, and what makes the private
-copy show the run's state before a row is logged.
+check and logging.  A kernel is (words, variates, step, finite, place): the
+uniforms an epoch reads, the map from a block of them to one draw per epoch,
+the step that takes a draw and returns the gradient norm, whether the state
+the last step left is finite, and what makes the private copy show the run's
+state before a row is logged.  The loop checks the gradient norm and then
+the state after every step, so a step that overflows the state stops the run
+at its own epoch, before a row or a later step reads that state.
 
 * The toy's SGD chain (`GaussianToy.sgd_chain`).  The toy's law, and every
   logged column, sees theta - phi only through b^2 = ||theta - phi||^2, so
@@ -43,10 +46,12 @@ Draws follow the package's one rule (see `rng`): epoch e (from 1) reads row
 e - 1 of one block of uniforms of a fresh stream at the key of the run's
 stream, as wide as the kernel's words, and logged row k's gap is
 `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on the
-parameters, so each chunk of epochs takes one `uniform` call, and the rows
-do not depend on the chunk size.  The array kernel maps them through `ndtri`,
-the bits of `rng.standard_normal`.  The epochs run serially on the calling
-thread, since each starts from the state the last one left.
+parameters, so each chunk of epochs takes one block of uniforms from
+`rng._cell_draw`, the draw of the chunk map's cells, and the rows do not
+depend on the chunk size.  A kernel's `variates` is a function of those
+words alone; the array kernel maps them through `ndtri`, the bits of
+`rng.standard_normal`.  The epochs run serially on the calling thread,
+since each starts from the state the last one left.
 """
 
 from __future__ import annotations
@@ -169,9 +174,10 @@ _RULES = {"sgd": _Sgd, "adam": _Adam}
 
 
 def _array_kernel(model, config: TrainConfig):
-    """(words, variates, step, place) of the epoch that steps the model's
-    parameter arrays: train_normals(N) normals per epoch, whose
-    `train_sums` the gradients the run steps contract."""
+    """(words, variates, step, finite, place) of the epoch that steps the
+    model's parameter arrays: train_normals(N) normals per epoch, whose
+    `train_sums` the gradients the run steps contract.  The state is finite
+    where the model's `law_scalars` are, which every row and step reads."""
     kinds, params = (config.estimator,), (model.phi_vec,)
     if model.TRAINS_THETA:
         kinds, params = ("theta", *kinds), (model.theta_vec, *params)
@@ -186,18 +192,24 @@ def _array_kernel(model, config: TrainConfig):
             rule(g)
         return math.sqrt(sum(float(np.dot(g, g)) for g in grads))
 
-    return model.train_normals(config.n_importance), lambda u: ndtri(u, out=u), step, lambda: None
+    def finite():
+        # an overflowed state is caught here, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            return all(map(math.isfinite, model.law_scalars()))
+
+    return (model.train_normals(config.n_importance), lambda u: ndtri(u, out=u), step, finite,
+            lambda: None)
 
 
 def _epoch_draws(config: TrainConfig, stream: vrng.RngStream, words: int, variates):
     """Yield (epoch, draw) for epochs 1..config.epochs: epoch e's draw is
     item e - 1 of variates(u), for the block u of `words` uniforms per epoch
-    of a fresh stream at the key of `stream`, a chunk of epochs per
-    `uniform` call."""
-    draws = vrng.make_stream(stream.seed, stream.stream_id)
+    of a fresh stream at the key of `stream`, read a chunk of epochs at a
+    time by `rng._cell_draw`."""
+    cell = vrng._Cell(stream.seed, stream.stream_id, config.epochs, words, words)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
         yield from zip(range(start + 1, stop + 1),
-                       variates(vrng.uniform(draws, (stop - start, words))))
+                       variates(vrng._cell_draw(cell, start, stop, vrng.uniform)))
 
 
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:
@@ -207,13 +219,14 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     and logged row k's gap reads stream.child(1 + k) (see the module
     docstring), so identical (model, config, stream key) reproduce identical
     rows; neither `model` nor `stream` changes.  Aborts when the gradient
-    norm exceeds 1e8 or is NaN.
+    norm exceeds 1e8 or is NaN, or when a step leaves a state that is not
+    finite.
     """
     model = model.copy()
     traj = Trajectory(progress_label=model.PROGRESS_LABEL)
     chain = (model.sgd_chain(config.n_importance, config.alpha, config.learning_rate,
                              config.estimator) if config.optimizer == "sgd" else None)
-    words, variates, step, place = chain or _array_kernel(model, config)
+    words, variates, step, finite, place = chain or _array_kernel(model, config)
 
     def log_row(epoch: int, grad_norm: float):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
@@ -229,6 +242,8 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
             why = ("is NaN" if math.isnan(grad_norm)
                    else f"{grad_norm:.3e} exceeded {GRAD_NORM_LIMIT:.0e}")
             raise TrainingDiverged(f"gradient norm {why} at epoch {epoch}")
+        if not finite():
+            raise TrainingDiverged(f"state is not finite after the step of epoch {epoch}")
         if epoch % config.log_every == 0 or epoch == config.epochs:
             place()
             log_row(epoch, grad_norm)

@@ -3,18 +3,22 @@
 `perfbench/tracing.py` wraps every function in the `__all__` of the traced
 modules, `experiments.ndtri`, `RngStream.child` and four methods on each
 model class, so a deletion of any of them fails here before it crashes a
-traced benchmark run.  It also guards the model protocol: no module outside
+traced benchmark run; a traced `snr` call must count every normal it draws,
+so an eps kernel that bypasses `rng.standard_normal` fails here too.  It
+also guards the model protocol: no module outside
 `models` branches on a model's type.  It is the package's import lint: no
 module imports a name it does not read.  And no public name is reached by
 tests alone: every name in an `__all__`, and every public method or property
 of a model class, is read by the package or by the benchmark.  Last, it
 keeps `import vriwae.cli`, which every CLI call pays for, free of
-scipy.integrate, which only the quadrature oracle reads.
+scipy.integrate, which only the quadrature oracle reads, and probes
+`tools/code_lines.py`, which counts the package's code lines.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -82,12 +86,27 @@ def test_tracer_runs_cli_and_restores_names(tmp_path, monkeypatch):
         assert vriwae.cli.main(["snr", "--d", "2", "--n-grid", "2", "4", "--alpha", "0",
                                 "--replicates", "100", "--out", str(tmp_path / "snr.csv")]) == 0
         grad_calls = tracer.layer_metrics()["gradients.grad_calls"]
+        config = tmp_path / "snr.json"
+        config.write_text(json.dumps({"m_samples": 2}))
+        normals = {}
+        for sigma_perturb in (0.0, 0.05):
+            tracer.reset_totals()
+            assert vriwae.cli.main(["snr", "--config", str(config), "--model", "lingauss",
+                                    "--d", "3", "--sigma-perturb", str(sigma_perturb),
+                                    "--n-grid", "2", "4", "--alpha", "0", "--replicates", "100",
+                                    "--out", str(tmp_path / "snr_lingauss.csv")]) == 0
+            normals[sigma_perturb] = tracer.layer_metrics()["rng.normals"]
     after = _namespaces(tracing)
 
     # both commands draw through the traced rng functions, and snr computes
     # its gradients through the traced kernel
     assert words["gap"] > 0 and words["train"] > 0, words
     assert grad_calls > 0
+    # an snr call draws R M sum(N) d normals for its eps through the traced
+    # `standard_normal`, besides the instance's own: 2d for x and rest, and
+    # 3d more for the perturbation of theta, a and b where sigma_perturb > 0
+    eps = 100 * 2 * (2 + 4) * 3
+    assert normals == {0.0: eps + 2 * 3, 0.05: eps + 5 * 3}
     metrics = tracer.layer_metrics()
     assert tracer.spans > 0
     assert metrics["experiments.runner_s"] > 0 and metrics["experiments.table_bytes"] > 0
@@ -278,3 +297,33 @@ def test_cli_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path, monkeypatch, capsys):
+    # tools/code_lines.py counts the lines that hold a token other than a
+    # comment, outside docstrings; a multi-line string counts on each of its
+    # non-blank lines
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    code_lines = importlib.import_module("code_lines")
+    probe = ('"""Module\n\ndocstring."""\n'
+             "\n"
+             "# a comment\n"
+             "import os  # a trailing comment\n"
+             "\n"
+             "def f(x):\n"
+             '    """One-line docstring."""\n'
+             "    s = '''two\n"
+             "\n"
+             "lines'''\n"
+             "    return (x +\n"
+             "            1)\n"
+             "\n"
+             "class A:\n"
+             '    """Class\n    docstring."""\n'
+             "    # a comment\n"
+             "    y = 1\n")
+    assert code_lines.code_lines(probe) == 8
+    (tmp_path / "a.py").write_text(probe)
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["a.py", "8", "b.py", "0", "total", "8"]

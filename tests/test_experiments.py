@@ -888,18 +888,43 @@ def test_cli_train_divergence_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy, on the overflowed state
-@pytest.mark.parametrize("extra", [[], ["--optimizer", "adam"], ["--model", "lingauss"]],
-                         ids=["toy-sgd", "toy-adam", "lingauss-sgd"])
+_OVERFLOWING = pytest.mark.parametrize(
+    "extra", [[], ["--optimizer", "adam"], ["--model", "lingauss"]],
+    ids=["toy-sgd", "toy-adam", "lingauss-sgd"])
+_OVERFLOW_LINE = ("vriwae train: training diverged: state is not finite after the step of "
+                  "epoch 1 with --lr 1e+300\n")
+
+
+def _overflowing_train(extra, epochs, out):
+    return ["train", "--lr", "1e300", "--d", "2", "--n-importance", "4", "--epochs", str(epochs),
+            "--log-every", "1", *extra, "--out", str(out)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_OVERFLOWING
 def test_cli_train_nan_gradient_norm_is_one_line(tmp_path, capsys, extra):
-    # a NaN gradient norm stops the run like a large one: exit 1, one line,
-    # no table
+    # a step that overflows the state stops the run at its epoch, before the
+    # next gradient norm is NaN: exit 1, one line, no table.  At --epochs 1
+    # that step is the last, whose row would read the state
     from vriwae.cli import main
     out = tmp_path / "train.csv"
-    assert main(["train", "--lr", "1e300", "--d", "2", "--n-importance", "4", "--epochs", "6",
-                 "--log-every", "1", *extra, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("vriwae train: training diverged: gradient norm is NaN "
-                                       "at epoch 2 with --lr 1e+300\n")
+    for epochs in (6, 1):
+        assert main(_overflowing_train(extra, epochs, out)) == 1
+        assert capsys.readouterr().err == _OVERFLOW_LINE
+        assert not out.exists()
+
+
+@_OVERFLOWING
+def test_cli_train_overflow_prints_no_warning(tmp_path, extra):
+    # in a fresh interpreter, whose warnings reach stderr, the divergence
+    # line is all a diverging run prints
+    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "train.csv"
+    run = subprocess.run([sys.executable, "-m", "vriwae.cli", *_overflowing_train(extra, 6, out)],
+                         env=env, timeout=300, capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (1, _OVERFLOW_LINE, "")
     assert not out.exists()
 
 

@@ -62,8 +62,9 @@ def test_law_closed_form_moments(kind, d, sigma_perturb):
     model = build(kind, d, sigma_perturb)
     _, _, mean, sigma2, _ = closed_forms(model, 0.0)
     var = d * sigma2
-    if kind == "toy":   # the log-normal law of B
-        assert (mean, var) == pytest.approx((-0.5 * model.bd**2, model.bd**2))
+    if kind == "toy":   # the log-normal law of B = ||theta - phi||
+        b2 = float(np.sum((model.theta - model.phi) ** 2))
+        assert (mean, var) == pytest.approx((-0.5 * b2, b2))
     x = law_samples(model, MOMENT_SAMPLES, 21 + d)
     dev2 = (x - x.mean()) ** 2
     se_mean = x.std(ddof=1) / math.sqrt(x.size)

@@ -68,7 +68,7 @@ def test_toy_weight_hand_value():
 def test_toy_weight_lognormal_form():
     # log wbar = -B^2/2 - B*S with S standard normal
     m = toy(5, theta=0.0, phi=1.0)
-    b = m.bd
+    b = float(np.linalg.norm(m.theta - m.phi))
     eps = standard_normal(make_stream(1, 0), (200_000, 5))
     lrw = m.log_relative_weight(m.reparam(eps))
     assert abs(lrw.mean() + 0.5 * b * b) < 3.0 * b / math.sqrt(lrw.size) + 0.01
@@ -218,7 +218,7 @@ def test_toy_analytics_domain():
 def test_lingauss_analytics_at_optimum():
     lg, _ = make_linear_gaussian(1, 0.0, seed=9, t=32)
     vr_gap, gamma2, _, sigma2, a_const = closed_forms(lg, 0.0)
-    assert lg.lam == pytest.approx(0.0, abs=1e-12)
+    assert lg.progress == pytest.approx(0.0, abs=1e-12)     # lambda
     assert vr_gap == pytest.approx(0.0, abs=1e-12)
     assert gamma2 == pytest.approx(4.0 / math.sqrt(15.0) - 1.0, abs=1e-12)
     assert gamma2 == pytest.approx(0.032796, abs=1e-6)

@@ -140,6 +140,16 @@ def _word_cells():
     return [_Cell(3, 7, 13, 10, 3), _Cell(2**40, 8, 1, 10, 5), _Cell(3, 9, 9, 10, 2)]
 
 
+def _raw_words(stream, shape):
+    """A `draw` of raw words, so that each kernel's input is its own words."""
+    return raw_uint64(stream, shape[0] * shape[1]).reshape(shape)
+
+
+def _whole(cell):
+    """The words of every replicate of `cell`, from one fresh stream."""
+    return raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("target", [1, 25, 10**6])
 def test_chunk_map_reads_each_cells_stream_in_replicate_order(monkeypatch, workers, target):
@@ -149,12 +159,25 @@ def test_chunk_map_reads_each_cells_stream_in_replicate_order(monkeypatch, worke
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
     cells = _word_cells()
 
-    def kernel(i, stream, start, stop):
-        return raw_uint64(stream, (stop - start) * cells[i].words)
+    def kernel(i, words):
+        assert words.shape[1:] == (cells[i].words,)
+        return words
 
-    for cell, chunks in zip(cells, _chunk_map(cells, kernel)):
-        want = raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
-        assert np.array_equal(np.concatenate(chunks), want)
+    for cell, words in zip(cells, _chunk_map(cells, kernel, _raw_words)):
+        assert np.array_equal(words.reshape(-1), _whole(cell))
+
+
+def test_chunk_map_concatenates_tuple_results_item_by_item(monkeypatch):
+    # a kernel that returns a tuple gets each item joined along the
+    # replicate axis; here the items are a chunk's uniforms and their row sums
+    monkeypatch.setattr(vrng, "_WORKERS", 2)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 25)
+    cells = _word_cells()
+    out = _chunk_map(cells, lambda i, u: (u, u.sum(axis=1)), uniform)
+    for cell, (u, sums) in zip(cells, out):
+        want = uniform(make_stream(cell.seed, cell.stream_id), (cell.replicates, cell.words))
+        assert np.array_equal(u, want)
+        assert np.array_equal(sums, want.sum(axis=1))
 
 
 def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
@@ -166,21 +189,24 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
     lock = threading.Lock()
     calls: dict = {}
 
-    def kernel(i, stream, start, stop):
+    def kernel(i, words):
+        # a chunk is known by its cell and its first word
         with lock:
-            calls[(i, start)] = calls.get((i, start), 0) + 1
-        return i, start, stop
+            calls[(i, int(words[0, 0]))] = calls.get((i, int(words[0, 0])), 0) + 1
+        return words
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             calls.clear()
-            out = _chunk_map(cells, kernel)
+            out = _chunk_map(cells, kernel, _raw_words)
             tasks = [(i, start, stop) for i, cell in enumerate(cells)
                      for start, stop in vrng._replicate_chunks(cell.replicates, cell.elems)]
-            assert [r for chunks in out for r in chunks] == tasks
-            assert calls == {(i, start): 1 for i, start, _ in tasks}
+            assert [words.reshape(-1).tolist() for words in out] == [
+                _whole(cell).tolist() for cell in cells]
+            assert calls == {(i, int(_whole(cells[i])[start * cells[i].words])): 1
+                             for i, start, _ in tasks}
     finally:
         sys.setswitchinterval(interval)
 
@@ -193,20 +219,24 @@ def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
     cells = [_Cell(4, i, 5, 10, 10) for i in range(40)]
     assert sum(c.replicates * c.elems for c in cells) < vrng._CHUNK_TARGET
     threads = []
+    ran = []
     helper_ran = threading.Event()
 
-    def kernel(i, stream, start, stop):
+    def kernel(i, words):
         threads.append(threading.current_thread())
+        ran.append(i)
         if threading.current_thread() is not threading.main_thread():
             helper_ran.set()
         elif len(threads) == 1:
             helper_ran.wait(timeout=0.5)
-        return raw_uint64(stream, (stop - start) * cells[i].words)
+        return words
 
-    out = _chunk_map(cells, kernel)
+    out = _chunk_map(cells, kernel, _raw_words)
     assert len(threads) == 40
     assert set(threads) == {threading.main_thread()}
-    assert all(len(chunks) == 1 for chunks in out)
+    # one chunk per cell, holding all its replicates
+    assert sorted(ran) == list(range(40))
+    assert all(words.shape == (5, 10) for words in out)
 
 
 def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
@@ -219,19 +249,18 @@ def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
     helper_ran = threading.Event()
     names = []
 
-    def kernel(i, stream, start, stop):
+    def kernel(i, words):
         names.append(threading.current_thread().name)
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
         else:
             helper_ran.set()
-        return raw_uint64(stream, (stop - start) * cell.words)
+        return words
 
-    chunks, = _chunk_map([cell], kernel)
+    words, = _chunk_map([cell], kernel, _raw_words)
     assert len(names) == 2 and "vriwae-chunk" in names
-    want = raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
-    assert np.array_equal(np.concatenate(chunks), want)
+    assert np.array_equal(words.reshape(-1), _whole(cell))
 
 
 class _HelperError(Exception):
@@ -246,17 +275,17 @@ def test_chunk_map_raises_a_helpers_exception(monkeypatch):
     helper_ran = threading.Event()
     ran = []
 
-    def kernel(i, stream, start, stop):
-        ran.append(start)
+    def kernel(i, words):
+        ran.append(int(words[0, 0]))
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
-            return start
+            return words
         helper_ran.set()
-        raise _HelperError(f"chunk {start}")
+        raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map([_Cell(0, 0, 50, 1, 1)], kernel)
+        _chunk_map([_Cell(0, 0, 50, 1, 1)], kernel, _raw_words)
     assert helper_ran.is_set()
     assert len(ran) < 50        # the remaining chunks did not run
 
@@ -273,23 +302,23 @@ def test_no_helper_outlives_its_map(monkeypatch):
     cells = [_Cell(1, 2, 50, 1, 1)]
     helper_ran = threading.Event()
 
-    def kernel(i, stream, start, stop):
+    def kernel(i, words):
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
         else:
             helper_ran.set()
-        return raw_uint64(stream, stop - start)
+        return words
 
-    assert len(_chunk_map(cells, kernel)[0]) == 50
+    assert len(_chunk_map(cells, kernel, _raw_words)[0]) == 50
     assert helper_ran.is_set()
     assert not _live_helpers()
 
-    def failing(i, stream, start, stop):
-        raise _HelperError(f"chunk {start}")
+    def failing(i, words):
+        raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map(cells, failing)
+        _chunk_map(cells, failing, _raw_words)
     assert not _live_helpers()
 
 
@@ -301,13 +330,13 @@ def test_chunk_map_runs_in_a_forked_child(monkeypatch):
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
     cells = [_Cell(1, 2, 50, 1, 1)]
 
-    def kernel(i, stream, start, stop):
-        return raw_uint64(stream, stop - start)
+    def kernel(i, words):
+        return words
 
-    want = np.concatenate(_chunk_map(cells, kernel)[0])    # the helpers exist now
+    want = _chunk_map(cells, kernel, _raw_words)[0]    # the helpers exist now
 
     def child():
-        sys.exit(0 if np.array_equal(np.concatenate(_chunk_map(cells, kernel)[0]), want) else 1)
+        sys.exit(0 if np.array_equal(_chunk_map(cells, kernel, _raw_words)[0], want) else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()

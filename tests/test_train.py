@@ -141,18 +141,22 @@ def test_divergence_guard():
         run_training(model, config, make_stream(9, 0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy, on the overflowed state
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("make_model, optimizer",
                          [(lambda: toy(2), "sgd"), (lambda: toy(2), "adam"),
                           (lambda: lingauss(2), "sgd")],
                          ids=["toy-sgd", "toy-adam", "lingauss-sgd"])
 def test_nan_gradient_norm_diverges(make_model, optimizer):
-    # epoch 1's step overflows the parameters to inf, so epoch 2's gradient
-    # norm is NaN, which a `norm > limit` test lets through
-    config = TrainConfig(alpha=0.0, n_importance=4, epochs=6, log_every=1,
-                         learning_rate=1e300, optimizer=optimizer, gap_replicates=2)
-    with pytest.raises(TrainingDiverged, match=r"^gradient norm is NaN at epoch 2$"):
-        run_training(make_model(), config, make_stream(0, 0))
+    # epoch 1's step overflows the state (b^2, or the law of the parameters)
+    # while its gradient norm passes; the run stops at that epoch, before
+    # epoch 2's gradient norm is NaN or numpy warns on the state.  A run of
+    # one epoch would log that state in epoch 1's row
+    for epochs in (6, 1):
+        config = TrainConfig(alpha=0.0, n_importance=4, epochs=epochs, log_every=1,
+                             learning_rate=1e300, optimizer=optimizer, gap_replicates=2)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^state is not finite after the step of epoch 1$"):
+            run_training(make_model(), config, make_stream(0, 0))
 
 
 def _rows(traj):
@@ -226,7 +230,7 @@ def test_epochs_draw_from_keyed_streams(make_model):
         gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1 + epoch))
         row = traj.rows[epoch]
         assert row.epoch == epoch
-        progress = b2 / model.d if is_toy else model.lam
+        progress = b2 / model.d if is_toy else model.progress
         assert row.progress == pytest.approx(progress, rel=1e-12)
         assert row.grad_norm == pytest.approx(grad_norm, rel=1e-12)
         assert row.gap_mean == pytest.approx(gap.mean, rel=1e-12)
