@@ -15,9 +15,11 @@ enters as c times the family's shape, 1/N for the 1/N curve and
 scale * log log N / sqrt(log N) for the extreme-value curves (scale B for the
 log-normal curve, sqrt(d) for the iid-sum curve).  A gap table stores each
 curve and its shape as columns (`pred_*`, `shape_*`), and its fitted curve
-is pred_* + c * shape_* (`experiments._gap_rows`, `fit_gap_table`), with c
-(c1 or c2) fitted by one-parameter linear least squares (`fit_constant`)
-rather than tailored by hand.
+is pred_* + c * shape_*, with c (c1 or c2) fitted per group of rows by
+one-parameter linear least squares (`fit_constant`) rather than tailored by
+hand.  One group fitter (`experiments._fit_group`) serves both the gap
+runner and `experiments.fit_gap_table`, so a table's constants are those
+that `vriwae fit` recomputes from the file.
 
 The extreme-value families are leading-order terms for large d.  On the
 linear Gaussian testbed at d=1000 and lambda ~ 0 (a ~ 0.0228,

@@ -58,8 +58,6 @@ class BoundEstimate:
     mean: float
     std_error: float
     replicates: int
-    alpha: float
-    n_importance: int
 
 
 def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.ndarray:
@@ -107,8 +105,7 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     samples, = _law_samples([model], stream.seed, [(stream.stream_id, n_importance)],
                             replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0], alpha))
     mean, se = _mean_se(samples)
-    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size,
-                         alpha=float(alpha), n_importance=int(n_importance))
+    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size)
 
 
 def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
@@ -137,7 +134,7 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
             m.law_log_weights(variates, s, out=out)
         return reduce(lrw)
 
-    return vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k, n * k)
+    return vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k)
                             for stream_id, n in cells], kernel, vrng.uniform)
 
 

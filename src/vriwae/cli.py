@@ -91,7 +91,10 @@ _PARSER = _parser()
 
 
 def _check_output_dir(name: str, path) -> None:
-    """A missing output directory fails here, before any work, not after."""
+    """A missing output directory, or an output path that is a directory,
+    fails here, before any work, not after."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"{name} {path} is a directory")
     parent = path and os.path.dirname(os.path.abspath(path))
     if parent and not os.path.isdir(parent):
         raise ValueError(f"{name} directory {parent} does not exist")

@@ -21,7 +21,8 @@ exact law (`law_variates` and `law_log_weights`), not d normals.
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
 baselines and their fit shape columns, so fitted constants can be recomputed
-from the file alone.
+from the file alone: the runner fits each group with `_fit_group`, the
+function that `fit_gap_table`, and so `vriwae fit`, runs on the file's rows.
 """
 
 from __future__ import annotations
@@ -92,6 +93,21 @@ _NUMERIC_FIELDS = {**dict.fromkeys(("replicates", "seed", "weight_samples", "m_s
 _GRID_FIELDS = ("alphas", "ds", "n_grid", "sigma_perturbs")
 _KINDS = ("gap", "snr", "weights", "collapse", "train")
 _MODELS = (GaussianToy.TABLE_NAME, LinearGaussian.TABLE_NAME)
+# the grids whose default depends on the kind: (any kind but train, train)
+_KIND_DEFAULTS = {"alphas": ((0.0, 0.2, 0.5), (0.0,)), "ds": ((10, 100, 1000), (10,))}
+# the fields that runs of each model and of each kind never read: the toy has
+# no perturbation, the linear Gaussian sits at its optimum, not at a
+# theta_scale, snr reports both estimators, and train logs its gaps from
+# TrainConfig.gap_replicates
+_TRAIN_ONLY = ("estimator", "epochs", "learning_rate", "optimizer", "n_importance", "log_every")
+_UNREAD = {GaussianToy.TABLE_NAME: ("sigma_perturbs",),
+           LinearGaussian.TABLE_NAME: ("theta_scale",),
+           "gap": (*_TRAIN_ONLY, "weight_samples", "m_samples", "coordinate_sample"),
+           "snr": (*_TRAIN_ONLY, "weight_samples"),
+           "weights": (*_TRAIN_ONLY, "alphas", "n_grid", "replicates", "m_samples",
+                       "coordinate_sample"),
+           "collapse": (*_TRAIN_ONLY, "weight_samples", "m_samples", "coordinate_sample"),
+           "train": ("n_grid", "replicates", "weight_samples", "m_samples", "coordinate_sample")}
 
 
 @dataclass
@@ -123,10 +139,9 @@ class ExperimentSpec:
     def __post_init__(self):
         # train runs one model, at the first value of each default grid
         train = self.kind == "train"
-        if self.alphas is None:
-            self.alphas = (0.0,) if train else (0.0, 0.2, 0.5)
-        if self.ds is None:
-            self.ds = (10,) if train else (10, 100, 1000)
+        for name, defaults in _KIND_DEFAULTS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, defaults[train])
         for name, cast in _NUMERIC_FIELDS.items():
             value, grid = getattr(self, name), name in _GRID_FIELDS
             kind = numbers.Integral if cast is int else numbers.Real
@@ -161,14 +176,6 @@ class ExperimentSpec:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if any(not s >= 0 for s in self.sigma_perturbs):
             raise ValueError(f"sigma_perturbs must be >= 0, got {self.sigma_perturbs}")
-        # each model ignores one option, which must keep its default rather
-        # than run as if read: the toy has no perturbation, and the linear
-        # Gaussian sits at its optimum, not at a theta_scale
-        name, default = (("sigma_perturbs", (0.0,)) if self.model == GaussianToy.TABLE_NAME
-                         else ("theta_scale", 0.0))
-        if getattr(self, name) != default:
-            raise ValueError(f"{name} must be {default} for model {self.model!r}, which "
-                             f"ignores it, got {getattr(self, name)}")
         if self.m_samples < 1:
             raise ValueError(f"m_samples must be >= 1, got {self.m_samples}")
         if self.coordinate_sample < 1:
@@ -198,6 +205,15 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         # a train run is valid where its TrainConfig is, checked for every kind
         self.train_config()
+        # a field that the model or the kind never reads must keep its
+        # default rather than run as if read; the model's fields go first
+        for owner, key in ((f"model {self.model!r}", self.model), (self.kind, self.kind)):
+            for name in _UNREAD[key]:
+                default = (_KIND_DEFAULTS[name][train] if name in _KIND_DEFAULTS
+                           else self.__dataclass_fields__[name].default)
+                if getattr(self, name) != default:
+                    raise ValueError(f"{name} must be {default} for {owner}, which ignores "
+                                     f"it, got {getattr(self, name)}")
 
     def train_config(self) -> TrainConfig:
         """The TrainConfig of a train run of this spec, at its first alpha."""
@@ -313,11 +329,9 @@ def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
                   else math.nan for n in n_grid]
     one_n_shape = [1.0 / n for n in n_grid]
 
-    c1, rms_1n = _masked_fit(one_n_base, one_n_shape, mean_gap)
-    c2, rms_ev = _masked_fit(ev_base, ev_shape, mean_gap)
-
     out = []
     for i, n in enumerate(n_grid):
+        # the fitted columns are placeholders here, filled by the group fit
         out.append({
             "model": model.TABLE_NAME,
             "alpha": alpha, "d": model.d, "sigma_perturb": sigma_perturb, "N": n,
@@ -326,23 +340,31 @@ def _gap_rows(spec, model, sigma_perturb, alpha, n_grid, mean_gap, se_gap):
             "mean_bound": float(mean_gap[i] + log_marginal),
             "log_marginal": log_marginal, "elbo_gap": elbo_gap,
             "pred_1n": one_n_base[i], "shape_1n": one_n_shape[i],
-            "pred_1n_fit": one_n_base[i] + c1 * one_n_shape[i] if not math.isnan(c1) else math.nan,
-            "c1": c1, "rms_1n": rms_1n,
+            "pred_1n_fit": None, "c1": None, "rms_1n": None,
             "pred_ev": ev_base[i], "shape_ev": ev_shape[i],
-            "pred_ev_fit": ev_base[i] + c2 * ev_shape[i] if not math.isnan(c2) else math.nan,
-            "c2": c2, "rms_ev": rms_ev,
+            "pred_ev_fit": None, "c2": None, "rms_ev": None,
         })
+    fit = _fit_group(out)
+    for row in out:
+        row.update(fit, pred_1n_fit=row["pred_1n"] + fit["c1"] * row["shape_1n"],
+                   pred_ev_fit=row["pred_ev"] + fit["c2"] * row["shape_ev"])
     return out
 
 
-def _masked_fit(base, shape, observed):
-    base = np.asarray(base, dtype=np.float64)
-    shape = np.asarray(shape, dtype=np.float64)
-    observed = np.asarray(observed, dtype=np.float64)
-    ok = np.isfinite(base) & np.isfinite(shape) & np.isfinite(observed)
-    if ok.sum() < 1 or not np.any(shape[ok] != 0):
-        return math.nan, math.nan
-    return fit_constant(base[ok], shape[ok], observed[ok])
+def _fit_group(rows: Sequence[dict]) -> dict:
+    """c1, rms_1n, c2 and rms_ev of one (model, alpha, d, sigma_perturb)
+    group of gap rows: the least-squares constant of each curve family, and
+    its residual RMS, over the rows whose baseline, shape and mean_gap are
+    finite (an empty cell reads as NaN); NaN where no such row has a nonzero
+    shape."""
+    fit = {}
+    for const, curve in (("c1", "1n"), ("c2", "ev")):
+        base, shape, observed = (np.array([r[col] for r in rows], dtype=np.float64)
+                                 for col in (f"pred_{curve}", f"shape_{curve}", "mean_gap"))
+        ok = np.isfinite(base) & np.isfinite(shape) & np.isfinite(observed)
+        fit[const], fit[f"rms_{curve}"] = (fit_constant(base[ok], shape[ok], observed[ok])
+                                           if np.any(shape[ok] != 0) else (math.nan, math.nan))
+    return fit
 
 
 def fit_gap_table(rows: Sequence[dict]) -> list:
@@ -366,27 +388,14 @@ def fit_gap_table(rows: Sequence[dict]) -> list:
             if not (number or v is None and col != "N"):
                 raise ValueError(f"column {col!r} holds {v!r} in row {i}, not a number")
         groups.setdefault(key, []).append(row)
-    out = []
-    for (model, alpha, d, sp), grp in groups.items():
-        grp = sorted(grp, key=lambda r: r["N"])
-        gaps = [r["mean_gap"] for r in grp]
-        c1, rms_1n = _masked_fit([r["pred_1n"] for r in grp],
-                                 [r["shape_1n"] for r in grp], gaps)
-        c2, rms_ev = _masked_fit([r["pred_ev"] for r in grp],
-                                 [r["shape_ev"] for r in grp], gaps)
-        out.append({"model": model, "alpha": alpha, "d": d, "sigma_perturb": sp,
-                    "c1": c1, "rms_1n": rms_1n, "c2": c2, "rms_ev": rms_ev})
-    return out
+    return [{"model": model, "alpha": alpha, "d": d, "sigma_perturb": sp,
+             **_fit_group(sorted(grp, key=lambda r: r["N"]))}
+            for (model, alpha, d, sp), grp in groups.items()]
 
 
 # --------------------------------------------------------------------------
 # SNR experiment
 # --------------------------------------------------------------------------
-
-SNR_COLUMNS = ["model", "estimator", "alpha", "d", "sigma_perturb", "M", "N",
-               "block", "snr_mean", "slope", "slope_lo", "slope_hi", "ref_slope",
-               "snr_floor", "at_floor"]
-
 
 def run_snr_experiment(spec: ExperimentSpec) -> list:
     """SNR of rep and drep gradient estimators over the grid, with log-log

@@ -43,7 +43,7 @@ log-weight of z instead, so it shares no kernel with the estimators.
 
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
 return one gradient sample per replicate row.  Their callers run chunks of at
-most `rng._CHUNK_TARGET` elements through `rng._chunk_map`, so memory stays
+most `rng._CHUNK_TARGET` words through `rng._chunk_map`, so memory stays
 bounded and the chunks run on all cores: `grad_mean_se` and `fd_grad_oracle`
 share `_grad_moments`, one cell whose replicate r reads block r of a fresh
 stream at the key of the stream passed in, and `snr_sweep` maps all its N
@@ -145,21 +145,20 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
 
 
 def _grad_moments(model, n_importance: int, replicates: int, stream: vrng.RngStream,
-                  per_rep: int, sample) -> list:
+                  sample) -> list:
     """(mean, SE) of each array of the gradient samples `sample(eps)` over
     i.i.d. replicates.
 
     Replicate r's eps of shape (N, d) are block r of the normals of a fresh
     stream at the key of `stream`, which is not advanced; the kernel of
-    `rng._chunk_map` reshapes a chunk's normals into them.  `per_rep` (the
-    elements one replicate's largest intermediate holds) sizes the chunks;
-    the samples are reduced at once, so the result does not depend on the
-    chunks.
+    `rng._chunk_map` reshapes a chunk's normals into them.  A replicate's
+    N d words size the chunks, as for every cell of the map; the samples
+    are reduced at once, so the result does not depend on the chunks.
     """
     def kernel(_, normals):
         return sample(normals.reshape(len(normals), n_importance, model.d))
 
-    samples, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates, per_rep,
+    samples, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates,
                                            n_importance * model.d)], kernel, vrng.standard_normal)
     return [_mean_se(block) for block in samples]
 
@@ -171,7 +170,6 @@ def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
     `stream`: {"rep": GradEstimate, "drep": GradEstimate}, both from the same
     draws and sharing one theta block."""
     theta, rep, drep = _grad_moments(model, n_importance, replicates, stream,
-                                     n_importance * model.d,
                                      lambda eps: grad_samples_from_eps(model, eps, alpha))
     return {"rep": GradEstimate(*theta, *rep, replicates),
             "drep": GradEstimate(*theta, *drep, replicates)}
@@ -216,10 +214,7 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
                    replicates: int, stream: vrng.RngStream) -> GradEstimate:
     """Finite-difference oracle for the bound gradient, with common random
     numbers across the +/- evaluations of every coordinate."""
-    # the differences are taken one coordinate at a time, so a replicate's
-    # largest intermediate is its z or its row of differences
-    per_rep = max(n_importance * model.d, model.theta_vec.size + model.phi_vec.size)
-    theta, phi = _grad_moments(model, n_importance, replicates, stream, per_rep,
+    theta, phi = _grad_moments(model, n_importance, replicates, stream,
                                lambda eps: fd_grad_from_eps(model, eps, alpha, step))
     return GradEstimate(*theta, *phi, replicates)
 
@@ -297,8 +292,7 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
 
     # one cell per N: the draws of N = n_grid[i] come from stream.child(2 + i),
     # replicate r reading block r of its normals
-    cells = [vrng._Cell(stream.seed, stream.stream_id + 2 + i, replicates,
-                        m_samples * n * model.d, m_samples * n * model.d)
+    cells = [vrng._Cell(stream.seed, stream.stream_id + 2 + i, replicates, m_samples * n * model.d)
              for i, n in enumerate(n_grid)]
 
     def kernel(i, normals):

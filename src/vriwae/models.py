@@ -615,41 +615,41 @@ def _quad(f, a: float, b: float) -> float:
     return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
-def _coordinate_moment(model: LinearGaussian, k: int, power: float) -> float:
-    """E_q[ exp(power * g_k(z_k)) ] by 1-D quadrature, where g_k is the
-    k-th coordinate term of the relative log-weight.
+def _log_moment(model: LinearGaussian, power: float) -> float:
+    """log E_q[wbar^power], the sum over coordinates k of the log of
+    E_q[exp(power * g_k(z_k))] by 1-D quadrature, where g_k is the k-th
+    coordinate term of the relative log-weight.
 
-    The integrand is itself Gaussian-shaped with precision
-    2A = 2(0.75(1-power) + power), so the window is centered at its own mean
+    Each integrand is itself Gaussian-shaped with precision
+    2A = 2(0.75(1-power) + power), so its window is centered at its own mean
     and spans 12 of its standard deviations.
     """
-    c = float(model.q_mean[k])
-    m = float(model.posterior_mean[k])
-
-    def f(z):
-        g = 0.5 * _LOG_4_3 - (z - m) ** 2 + 0.75 * (z - c) ** 2
-        logq = -0.5 * math.log(2.0 * math.pi * 2.0 / 3.0) - 0.75 * (z - c) ** 2
-        return math.exp(logq + power * g)
-
     a = 0.75 * (1.0 - power) + power
-    center = (0.75 * (1.0 - power) * c + power * m) / a
     width = 12.0 / math.sqrt(2.0 * a)
-    return _quad(f, center - width, center + width)
+    out = 0.0
+    for c, m in zip(model.q_mean.tolist(), model.posterior_mean.tolist()):
+
+        def f(z):
+            g = 0.5 * _LOG_4_3 - (z - m) ** 2 + 0.75 * (z - c) ** 2
+            logq = -0.5 * math.log(2.0 * math.pi * 2.0 / 3.0) - 0.75 * (z - c) ** 2
+            return math.exp(logq + power * g)
+
+        center = (0.75 * (1.0 - power) * c + power * m) / a
+        out += math.log(_quad(f, center - width, center + width))
+    return out
 
 
 def lingauss_gap_quadrature(model: LinearGaussian, alpha: float) -> float:
     """VR error term (1/(1-alpha)) log E_q[wbar^(1-alpha)] by quadrature."""
     _check_alpha(alpha)
-    log_moment = sum(math.log(_coordinate_moment(model, k, 1.0 - alpha)) for k in range(model.d))
-    return log_moment / (1.0 - alpha)
+    return _log_moment(model, 1.0 - alpha) / (1.0 - alpha)
 
 
 def lingauss_gamma2_quadrature(model: LinearGaussian, alpha: float) -> float:
     """gamma^2 = (E[wbar^(2-2a)]/E[wbar^(1-a)]^2 - 1)/(1-a) by quadrature."""
     _check_alpha(alpha)
-    log_m1 = sum(math.log(_coordinate_moment(model, k, 1.0 - alpha)) for k in range(model.d))
-    log_m2 = sum(math.log(_coordinate_moment(model, k, 2.0 * (1.0 - alpha))) for k in range(model.d))
-    return math.expm1(log_m2 - 2.0 * log_m1) / (1.0 - alpha)
+    return math.expm1(_log_moment(model, 2.0 * (1.0 - alpha))
+                      - 2.0 * _log_moment(model, 1.0 - alpha)) / (1.0 - alpha)
 
 
 def lingauss_marginal_quadrature(model: LinearGaussian) -> float:

@@ -11,11 +11,14 @@ Every Monte Carlo loop draws by one rule: a cell (a grid point of an
 experiment, an N of the SNR sweep, a `gap_mc` call, the epochs of a
 training run) reads one fresh stream from counter 0, and replicate r of a
 cell whose replicates take n words each reads words [r n, (r + 1) n).
-`_replicate_chunks` is the package's one chunk loop; it bounds every batched
-intermediate at `_CHUNK_TARGET` elements, and since consecutive chunks read
-consecutive blocks of the one stream, the draws do not depend on the chunk
-size.  Distinct cells, and distinct draw purposes, read distinct stream ids
-(``child``).
+`_replicate_chunks` is the package's one chunk loop; it sizes every chunk by
+its words alone, at most `_CHUNK_TARGET` of them (and at least one
+replicate).  A kernel's largest intermediate holds at most about one
+element per word (the finite-difference oracle's rows of differences hold
+up to three, at N < 3), so the words bound its memory too.  Since
+consecutive chunks read consecutive blocks of the one stream, the draws do
+not depend on the chunk size.  Distinct cells, and distinct draw purposes,
+read distinct stream ids (``child``).
 
 `_chunk_map` is the package's one draw of replicate noise.  It runs the
 chunks of a list of cells on threads, and hands each chunk's kernel only its
@@ -36,21 +39,21 @@ depend on each other, and reads its blocks of epochs through `_cell_draw`.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called
-from a kernel needs nothing of its own.  A map of E elements (replicates
-times per-replicate elements, summed over its cells) runs on
-min(`_WORKERS`, tasks, max(1, E // `_CHUNK_TARGET`)) threads: a helper
+from a kernel needs nothing of its own.  A map of W words (replicates
+times per-replicate words, summed over its cells) runs on
+min(`_WORKERS`, tasks, max(1, W // `_CHUNK_TARGET`)) threads: a helper
 starts only for each full chunk of work beyond the first, and a map of less
 than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
-lose to a helper: a toy gap grid of 30,660 elements took a median of 13.6
-ms with it against 10.4 ms inline, and a linear Gaussian one of 65,408
-elements 17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of
-`lowdim` (13.4M elements) and `snr` (10.2M) keep both threads.
+lose to a helper: a toy gap grid of 30,660 words took a median of 13.6 ms
+with it against 10.4 ms inline, and a linear Gaussian one of 65,408 words
+17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of `lowdim`
+(13.4M words) and `snr` (10.2M) keep both threads.
 
-`_CHUNK_TARGET` is a per-chunk constant, 2**16 elements, the same at any
+`_CHUNK_TARGET` is a per-chunk constant, 2**16 words, the same at any
 worker count, and peak memory sets its size: two chunks are in flight at a
-time on 2 cores.  There, 2**16 elements per chunk peak at 111.7 MB on
+time on 2 cores.  There, 2**16 words per chunk peak at 111.7 MB on
 `lowdim` and 111.4 MB on `snr` (medians of 6 and 5 runs), and 10**6
-elements at 135.4 MB on `lowdim` (2 runs).  Smaller chunks keep memory flat
+words at 135.4 MB on `lowdim` (2 runs).  Smaller chunks keep memory flat
 but pay a per-chunk overhead: at 2**14, `snr` fell to 88k log-weights per
 reference time, against 219k at 2**16 and 153k serial.
 
@@ -90,8 +93,8 @@ from scipy.special import gammaincinv, ndtri
 __all__ = ["RngStream", "make_stream", "raw_uint64", "uniform", "standard_normal",
            "chi_square", "permutation_indices"]
 
-# target element count of the largest intermediate array per chunk, for
-# every chunked loop of the package (see the module docstring for its size)
+# target word count per chunk, for every chunked loop of the package (see
+# the module docstring for its size)
 _CHUNK_TARGET = 2**16
 # threads that take the tasks of one `_chunk_map`: the calling thread and one
 # helper per further core this process may run on
@@ -126,8 +129,6 @@ def make_stream(seed: int, stream_id: int = 0) -> RngStream:
 
 def raw_uint64(stream: RngStream, n: int) -> np.ndarray:
     """n raw 64-bit words from the stream."""
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
     return stream._bits.random_raw(n)
 
 
@@ -148,10 +149,10 @@ def uniform(stream: RngStream, size) -> np.ndarray:
     return u.reshape(shape)
 
 
-def _replicate_chunks(replicates: int, per_replicate_elems: int):
-    """(start, stop) replicate ranges of at most `_CHUNK_TARGET` elements
-    (and at least one replicate) each."""
-    chunk = max(1, _CHUNK_TARGET // max(per_replicate_elems, 1))
+def _replicate_chunks(replicates: int, words: int):
+    """(start, stop) replicate ranges of at most `_CHUNK_TARGET` words (and
+    at least one replicate) each, for replicates of `words` words."""
+    chunk = max(1, _CHUNK_TARGET // max(words, 1))
     start = 0
     while start < replicates:
         stop = min(start + chunk, replicates)
@@ -161,13 +162,11 @@ def _replicate_chunks(replicates: int, per_replicate_elems: int):
 
 class _Cell(NamedTuple):
     """One Monte Carlo cell of `_chunk_map`: replicate r reads words
-    [r words, (r + 1) words) of the fresh stream (seed, stream_id), and adds
-    `elems` elements to its chunk's largest intermediate."""
+    [r words, (r + 1) words) of the fresh stream (seed, stream_id)."""
 
     seed: int
     stream_id: int
     replicates: int
-    elems: int
     words: int
 
 
@@ -200,7 +199,7 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list
     index and `words` the chunk's `_cell_draw` by `draw`.
 
     The calling thread and up to `_WORKERS - 1` helpers, one for each full
-    `_CHUNK_TARGET` of the cells' elements beyond the first, started here
+    `_CHUNK_TARGET` of the cells' words beyond the first, started here
     and joined before the map returns, take the tasks in turn from one
     shared counter, and each result lands at its task's index, so the
     return value does not depend on how many threads ran.  A kernel's
@@ -208,7 +207,7 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list
     thread is done.
     """
     tasks = [(i, start, stop) for i, cell in enumerate(cells)
-             for start, stop in _replicate_chunks(cell.replicates, cell.elems)]
+             for start, stop in _replicate_chunks(cell.replicates, cell.words)]
     results = [None] * len(tasks)
     order = iter(range(len(tasks)))
     lock = threading.Lock()
@@ -227,8 +226,8 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list
                 errors.append(exc)
                 return
 
-    elems = sum(cell.replicates * cell.elems for cell in cells)
-    threads = min(_WORKERS, len(tasks), max(1, elems // _CHUNK_TARGET))
+    words = sum(cell.replicates * cell.words for cell in cells)
+    threads = min(_WORKERS, len(tasks), max(1, words // _CHUNK_TARGET))
     helpers = [threading.Thread(target=drain, name="vriwae-chunk") for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()

@@ -132,10 +132,6 @@ class Trajectory:
     progress_label: str    # the model's PROGRESS_LABEL
     rows: list = field(default_factory=list)
 
-    @property
-    def final(self) -> TrajectoryRow:
-        return self.rows[-1]
-
 
 class _Sgd:
     """Ascent steps on the array `params`, in place: params += lr * grad."""
@@ -206,7 +202,7 @@ def _epoch_draws(config: TrainConfig, stream: vrng.RngStream, words: int, variat
     item e - 1 of variates(u), for the block u of `words` uniforms per epoch
     of a fresh stream at the key of `stream`, read a chunk of epochs at a
     time by `rng._cell_draw`."""
-    cell = vrng._Cell(stream.seed, stream.stream_id, config.epochs, words, words)
+    cell = vrng._Cell(stream.seed, stream.stream_id, config.epochs, words)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
         yield from zip(range(start + 1, stop + 1),
                        variates(vrng._cell_draw(cell, start, stop, vrng.uniform)))

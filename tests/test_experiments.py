@@ -19,7 +19,7 @@ import vriwae
 from vriwae import experiments
 from vriwae import rng as vrng
 from vriwae.asymptotics import slope_fit
-from vriwae.experiments import (SNR_COLUMNS, ExperimentSpec, fit_gap_table,
+from vriwae.experiments import (ExperimentSpec, fit_gap_table,
                                 make_linear_gaussian, make_toy, read_table, render_svg,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
@@ -65,6 +65,15 @@ def test_spec_validation():
                       (dict(kind="train", learning_rate="0.1"), "learning_rate")):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{"kind": "gap", **kw})
+    # a field a kind never reads keeps its default, which its echo holds
+    for kind in experiments._KINDS:
+        echo = ExperimentSpec(kind=kind).echo()
+        assert ExperimentSpec(**echo).echo() == echo
+    for kw, field in ((dict(kind="weights", alphas=(0.3,)), "alphas"),
+                      (dict(kind="train", replicates=5000), "replicates"),
+                      (dict(kind="snr", estimator="drep"), "estimator")):
+        with pytest.raises(ValueError, match=f"{field} must be .* which ignores it"):
+            ExperimentSpec(**kw)
 
 
 # the flags of every CLI call below, by the spec field each sets
@@ -144,6 +153,12 @@ def _cli_base(skip=()):
     ("gap", [{"plot": ["a"]}], "plot"),
     ("gap", ["--model", "toy", "--sigma-perturb", "0.1", "0.3"], "sigma_perturbs"),
     ("weights", ["--model", "lingauss", "--theta-scale", "5"], "theta_scale"),
+    # a field the kind never reads, which the table header would echo as run
+    ("gap", ["--estimator", "drep", "--epochs", "3"], "estimator"),
+    ("snr", ["--replicates", "100", "--estimator", "drep"], "estimator"),
+    ("weights", ["--alpha", "0.3", "--n-grid", "5"], "alphas"),
+    ("collapse", ["--lr", "0.1"], "learning_rate"),
+    ("train", ["--n-importance", "4", "--epochs", "4", "--log-every", "2"], "n_grid"),
 ], ids=["gap-replicates-0", "gap-replicates-1", "collapse-replicates-0", "gap-d-0",
         "gap-n-0", "weights-samples-1", "config-model", "snr-replicates-50",
         "train-lr-0", "train-lr-neg", "train-log-every-0", "train-n-importance-0",
@@ -163,7 +178,8 @@ def _cli_base(skip=()):
         "snr-repeated-d", "gap-repeated-alpha", "gap-repeated-sigma-perturb",
         "gap-config-repeated-sigma-perturb", "gap-config-kind-snr", "snr-config-kind-gap",
         "gap-config-out-int", "gap-config-plot-list", "gap-toy-sigma-perturbs",
-        "weights-lingauss-theta-scale"])
+        "weights-lingauss-theta-scale", "gap-unread-estimator", "snr-unread-estimator",
+        "weights-unread-alphas", "collapse-unread-lr", "train-unread-n-grid"])
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
     from vriwae.cli import main
     cfg = tmp_path / "cfg.json"
@@ -315,6 +331,13 @@ _RUNNERS = {"gap": run_gap_experiment, "collapse": run_collapse_experiment,
 # mod 4; targets 1 and 40 would make 10**3 to 10**5
 _CHUNK_FIELDS = {"snr": {"replicates": 100}, "weights": {"weight_samples": 70_000}}
 _CHUNK_TARGETS = {"weights": (999, 2**16, 10**6)}
+# the grid fields a weights run never reads, which its spec may not set
+_WEIGHTS_UNREAD = ("alphas", "n_grid", "replicates")
+
+
+def _fields_read(kind, fields):
+    """`fields` less those that a run of `kind` never reads."""
+    return {k: v for k, v in fields.items() if kind != "weights" or k not in _WEIGHTS_UNREAD}
 
 
 @pytest.mark.parametrize("kind", sorted(_RUNNERS))
@@ -323,7 +346,8 @@ def test_tables_independent_of_workers_and_chunk_size(kind, model):
     # each cell's samples come back in replicate order and are reduced at
     # once on the calling thread, so neither the number of threads nor the
     # chunk size moves a bit of the table
-    spec = ExperimentSpec(kind=kind, **{**_CHUNK_SPECS[model], **_CHUNK_FIELDS.get(kind, {})})
+    spec = ExperimentSpec(kind=kind, **_fields_read(kind, {**_CHUNK_SPECS[model],
+                                                           **_CHUNK_FIELDS.get(kind, {})}))
     tables = {}
     for workers in (1, 2):
         for target in _CHUNK_TARGETS.get(kind, (1, 40, 2**16, 10**6)):
@@ -410,17 +434,27 @@ def test_gap_and_collapse_rows_match_by_hand_oracle(kind, model):
 
 
 def test_fit_gap_table_roundtrip(tmp_path):
-    spec = small_gap_spec(out=str(tmp_path / "gap.csv"))
-    rows = run_gap_experiment(spec)
-    write_table(rows, spec, path=spec.out)
-    read_rows, meta = read_table(spec.out)
-    assert meta["schema_version"] == "1"
-    fits = fit_gap_table(read_rows)
-    by_alpha = {f["alpha"]: f for f in fits}
-    for row in rows:
-        f = by_alpha[row["alpha"]]
-        assert f["c1"] == pytest.approx(row["c1"], rel=1e-9, abs=1e-12)
-        assert f["c2"] == pytest.approx(row["c2"], rel=1e-9, abs=1e-12)
+    # the table's constants are those `vriwae fit` recomputes from the file,
+    # exactly, for both models; the toy's gamma^2 overflows at d = 1000 and
+    # alpha = 0, whose c1 is NaN in both
+    specs = [small_gap_spec(ds=(2, 1000), out=str(tmp_path / "toy.csv")),
+             small_gap_spec(model="lingauss", ds=(2, 1000), sigma_perturbs=(0.0, 0.3),
+                            out=str(tmp_path / "lingauss.csv"))]
+    nan_c1 = 0
+    for spec in specs:
+        rows = run_gap_experiment(spec)
+        write_table(rows, spec, path=spec.out)
+        read_rows, meta = read_table(spec.out)
+        assert meta["schema_version"] == "1"
+        fits = fit_gap_table(read_rows)
+        by_group = {(f["alpha"], f["d"], f["sigma_perturb"]): f for f in fits}
+        assert len(by_group) == len(fits) == len(rows) // len(spec.n_grid)
+        for row in rows:
+            f = by_group[(row["alpha"], row["d"], row["sigma_perturb"])]
+            for col in ("c1", "rms_1n", "c2", "rms_ev"):
+                assert f[col] == row[col] or math.isnan(f[col]) and math.isnan(row[col]), col
+        nan_c1 += sum(math.isnan(f["c1"]) for f in fits)
+    assert nan_c1 >= 1
 
 
 def test_csv_bytes_identical(tmp_path):
@@ -458,8 +492,8 @@ _TINY_SPECS = {"gap": dict(n_grid=(2, 4), replicates=20),
 @pytest.mark.parametrize("kind", sorted(_TINY_SPECS))
 def test_runner_rows_hold_builtin_scalars(kind, model):
     # what a runner returns, write_table writes as is: builtin scalars or None
-    spec = ExperimentSpec(kind=kind, model=model, alphas=(0.5,), ds=(2,), seed=3,
-                          **_TINY_SPECS[kind])
+    spec = ExperimentSpec(kind=kind, model=model, ds=(2,), seed=3,
+                          **_fields_read(kind, {"alphas": (0.5,), **_TINY_SPECS[kind]}))
     rows = {**_RUNNERS, "train": run_train_experiment}[kind](spec)
     assert rows
     for row in rows:
@@ -474,6 +508,11 @@ def test_json_format():
     assert doc["schema_version"] == "1"
     assert doc["spec"]["kind"] == "gap"
     assert len(doc["rows"]) == 6
+
+
+SNR_COLUMNS = ["model", "estimator", "alpha", "d", "sigma_perturb", "M", "N",
+               "block", "snr_mean", "slope", "slope_lo", "slope_hi", "ref_slope",
+               "snr_floor", "at_floor"]
 
 
 def test_snr_experiment_smoke():
@@ -809,21 +848,20 @@ def test_cli_fit_rejects_malformed_table(tmp_path, capsys, name, text, message):
 
 
 @pytest.mark.parametrize("command, args, x_col, y_cols", [
-    ("gap", ["--n-grid", "2", "4", "--replicates", "10"], "N",
+    ("gap", ["--alpha", "0", "--n-grid", "2", "4", "--replicates", "10"], "N",
      ["mean_gap", "pred_1n_fit", "pred_ev_fit"]),
-    ("snr", ["--n-grid", "2", "4", "--replicates", "100"], "N", ["snr_mean"]),
+    ("snr", ["--alpha", "0", "--n-grid", "2", "4", "--replicates", "100"], "N", ["snr_mean"]),
     ("weights", ["--weight-samples", "100"], "bin_lo", ["count"]),
-    ("collapse", ["--n-grid", "2", "4", "--replicates", "10"], "N",
+    ("collapse", ["--alpha", "0", "--n-grid", "2", "4", "--replicates", "10"], "N",
      ["t_mean", "max_share_mean"]),
-    ("train", ["--epochs", "4", "--log-every", "2", "--n-importance", "4"], "epoch",
-     ["gap_mean"]),
+    ("train", ["--alpha", "0", "--epochs", "4", "--log-every", "2", "--n-importance", "4"],
+     "epoch", ["gap_mean"]),
 ])
 def test_cli_plot_writes_svg(tmp_path, command, args, x_col, y_cols):
     # every runner subcommand plots its own columns beside its table
     from vriwae.cli import main
     table, plot = tmp_path / "table.csv", tmp_path / "plot.svg"
-    assert main([command, "--d", "2", "--alpha", "0", *args, "--out", str(table),
-                 "--plot", str(plot)]) == 0
+    assert main([command, "--d", "2", *args, "--out", str(table), "--plot", str(plot)]) == 0
     text = plot.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert f">{x_col}" in text
@@ -831,10 +869,14 @@ def test_cli_plot_writes_svg(tmp_path, command, args, x_col, y_cols):
     assert text.count("<polyline") == len(y_cols)
 
 
-@pytest.mark.parametrize("flag", ["--out", "--plot", "config-out"])
-def test_cli_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch, flag):
+@pytest.mark.parametrize("flag, is_dir", [
+    ("--out", False), ("--plot", False), ("config-out", False),
+    ("--out", True), ("--plot", True), ("config-out", True),
+], ids=["--out", "--plot", "config-out", "--out-is-dir", "--plot-is-dir", "config-out-is-dir"])
+def test_cli_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch, flag, is_dir):
     # the grid would run in full before the write failed, and --plot would
-    # leave its table behind
+    # leave its table behind.  An output path that is a directory fails the
+    # same way, before any work
     import vriwae.cli as vcli
 
     def no_run(spec):
@@ -843,19 +885,25 @@ def test_cli_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch, 
     monkeypatch.setitem(vcli._RUNNERS, "gap", no_run)
     missing = tmp_path / "missing"
     table = tmp_path / "table.csv"
+    existing = tmp_path / "existing"
+    existing.mkdir()
     if flag == "config-out":
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(missing / "x.csv")}))
+        path = existing if is_dir else missing / "x.csv"
+        cfg.write_text(json.dumps({"out": str(path)}))
         argv, name = ["--config", str(cfg)], "out"
     else:
-        argv, name = [flag, str(missing / "x.svg")], flag[2:]
+        path = existing if is_dir else missing / "x.svg"
+        argv, name = [flag, str(path)], flag[2:]
         if flag == "--plot":
             argv += ["--out", str(table)]
     with pytest.raises(SystemExit) as exc:
         vcli.main(["gap", *_cli_base(), *argv])
     assert exc.value.code == 2
-    assert f"gap: {name} directory {missing} does not exist" in capsys.readouterr().err
+    message = f"{path} is a directory" if is_dir else f"directory {missing} does not exist"
+    assert f"gap: {name} {message}" in capsys.readouterr().err
     assert not table.exists() and not missing.exists()
+    assert list(existing.iterdir()) == []
 
 
 def test_cli_fit_rejects_output_in_missing_directory(tmp_path, capsys, monkeypatch):
@@ -872,6 +920,14 @@ def test_cli_fit_rejects_output_in_missing_directory(tmp_path, capsys, monkeypat
     assert exc.value.code == 2
     assert f"fit: out directory {missing} does not exist" in capsys.readouterr().err
     assert not missing.exists()
+    # an output path that is a directory fails the same way
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        vcli.main(["fit", str(tmp_path / "gap.csv"), "--out", str(existing)])
+    assert exc.value.code == 2
+    assert f"fit: out {existing} is a directory" in capsys.readouterr().err
+    assert list(existing.iterdir()) == []
 
 
 def test_cli_train_divergence_is_one_line(tmp_path, capsys):

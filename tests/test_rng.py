@@ -137,7 +137,7 @@ def test_stream_at_reads_words_from_its_offset(seed, stream_id, word, n):
 
 
 def _word_cells():
-    return [_Cell(3, 7, 13, 10, 3), _Cell(2**40, 8, 1, 10, 5), _Cell(3, 9, 9, 10, 2)]
+    return [_Cell(3, 7, 13, 3), _Cell(2**40, 8, 1, 5), _Cell(3, 9, 9, 2)]
 
 
 def _raw_words(stream, shape):
@@ -202,7 +202,7 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
             calls.clear()
             out = _chunk_map(cells, kernel, _raw_words)
             tasks = [(i, start, stop) for i, cell in enumerate(cells)
-                     for start, stop in vrng._replicate_chunks(cell.replicates, cell.elems)]
+                     for start, stop in vrng._replicate_chunks(cell.replicates, cell.words)]
             assert [words.reshape(-1).tolist() for words in out] == [
                 _whole(cell).tolist() for cell in cells]
             assert calls == {(i, int(_whole(cells[i])[start * cells[i].words])): 1
@@ -216,8 +216,8 @@ def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
     # The first kernel waits for a helper to take a task, so one that had
     # started would show on the recorded threads
     monkeypatch.setattr(vrng, "_WORKERS", 2)
-    cells = [_Cell(4, i, 5, 10, 10) for i in range(40)]
-    assert sum(c.replicates * c.elems for c in cells) < vrng._CHUNK_TARGET
+    cells = [_Cell(4, i, 5, 10) for i in range(40)]
+    assert sum(c.replicates * c.words for c in cells) < vrng._CHUNK_TARGET
     threads = []
     ran = []
     helper_ran = threading.Event()
@@ -244,8 +244,8 @@ def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
     # chunk: a chunk on the calling thread waits until it has
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 100)
-    cell = _Cell(5, 6, 50, 4, 4)
-    assert cell.replicates * cell.elems == 2 * vrng._CHUNK_TARGET
+    cell = _Cell(5, 6, 50, 4)
+    assert cell.replicates * cell.words == 2 * vrng._CHUNK_TARGET
     helper_ran = threading.Event()
     names = []
 
@@ -285,7 +285,7 @@ def test_chunk_map_raises_a_helpers_exception(monkeypatch):
         raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map([_Cell(0, 0, 50, 1, 1)], kernel, _raw_words)
+        _chunk_map([_Cell(0, 0, 50, 1)], kernel, _raw_words)
     assert helper_ran.is_set()
     assert len(ran) < 50        # the remaining chunks did not run
 
@@ -299,7 +299,7 @@ def test_no_helper_outlives_its_map(monkeypatch):
     # they are joined before the map returns, also when a kernel raises
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [_Cell(1, 2, 50, 1, 1)]
+    cells = [_Cell(1, 2, 50, 1)]
     helper_ran = threading.Event()
 
     def kernel(i, words):
@@ -328,7 +328,7 @@ def test_chunk_map_runs_in_a_forked_child(monkeypatch):
     # maps start their own instead of waiting on the parent's forever
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [_Cell(1, 2, 50, 1, 1)]
+    cells = [_Cell(1, 2, 50, 1)]
 
     def kernel(i, words):
         return words

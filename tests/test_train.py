@@ -130,7 +130,7 @@ def test_elbo_sgd_reaches_fixed_point():
                          learning_rate=1e-2, gap_replicates=2)
     traj = run_training(toy(10), config, make_stream(8, 0))
     assert traj.rows[0].progress == pytest.approx(1.0)
-    assert traj.final.progress < 0.01
+    assert traj.rows[-1].progress < 0.01
 
 
 def test_divergence_guard():
@@ -423,7 +423,7 @@ CHAIN_P_MIN = 0.01 / 12
 
 
 def _final_rows(config, d, base):
-    rows = [run_training(toy(d), config, make_stream(seed, base)).final
+    rows = [run_training(toy(d), config, make_stream(seed, base)).rows[-1]
             for seed in range(CHAIN_SEEDS)]
     return np.array([(r.progress, r.grad_norm) for r in rows])
 
