@@ -22,11 +22,11 @@ import math
 import os
 import sys
 
-from .experiments import (ExperimentSpec, fit_gap_table, read_table, render_svg,
-                          run_collapse_experiment, run_gap_experiment,
+from .experiments import (_FORMATS, _MODELS, ExperimentSpec, fit_gap_table, read_table,
+                          render_svg, run_collapse_experiment, run_gap_experiment,
                           run_snr_experiment, run_train_experiment,
                           run_weights_experiment, selftest, write_table)
-from .train import TrainingDiverged
+from .train import _ESTIMATORS, _OPTIMIZERS, TrainingDiverged
 
 _RUNNERS = {
     "gap": run_gap_experiment,
@@ -51,23 +51,23 @@ def _shared_flags() -> argparse.ArgumentParser:
     each subparser as a parent."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file with ExperimentSpec fields")
-    p.add_argument("--model", choices=["toy", "lingauss"])
+    p.add_argument("--model", choices=_MODELS)
     p.add_argument("--alpha", type=float, nargs="+", dest="alphas")
     p.add_argument("--d", type=int, nargs="+", dest="ds")
     p.add_argument("--n-grid", type=int, nargs="+", dest="n_grid")
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--sigma-perturb", type=float, nargs="+", dest="sigma_perturbs")
-    p.add_argument("--estimator", choices=["rep", "drep"])
+    p.add_argument("--estimator", choices=_ESTIMATORS)
     p.add_argument("--theta-scale", type=float, dest="theta_scale")
     p.add_argument("--weight-samples", type=int, dest="weight_samples")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
+    p.add_argument("--optimizer", choices=_OPTIMIZERS)
     p.add_argument("--n-importance", type=int, dest="n_importance")
     p.add_argument("--log-every", type=int, dest="log_every")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--plot", help="optional SVG output path")
     return p
 

@@ -47,7 +47,7 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, gr
                         h_coefficients, snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
-from .train import DEFAULT_LEARNING_RATE, TrainConfig, run_training
+from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, run_training
 from .weights import _mean_se, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
@@ -108,11 +108,51 @@ _UNREAD = {GaussianToy.TABLE_NAME: ("sigma_perturbs",),
                        "coordinate_sample"),
            "collapse": (*_TRAIN_ONLY, "weight_samples", "m_samples", "coordinate_sample"),
            "train": ("n_grid", "replicates", "weight_samples", "m_samples", "coordinate_sample")}
+_FORMATS = ("csv", "json")
+# the range rules of a spec, in the order they are checked (see
+# `train._check_rules`); a grid field's values are finite and it holds one
+# at least, by the type check that runs first
+_SPEC_RULES = (
+    ("kind", lambda v, s: v in _KINDS, f"one of {_KINDS}"),
+    ("model", lambda v, s: v in _MODELS, f"one of {_MODELS}"),
+    ("ds", lambda v, s: min(v) >= 1, ">= 1"),
+    ("n_grid", lambda v, s: min(v) >= 1, ">= 1"),
+    ("replicates", lambda v, s: v >= 2, ">= 2 for a standard error"),
+    ("replicates", lambda v, s: s.kind != "snr" or v >= SNR_MIN_REPLICATES,
+     f">= {SNR_MIN_REPLICATES} for snr"),
+    ("seed", lambda v, s: 0 <= v < 2**64, "in [0, 2**64)"),
+    ("sigma_perturbs", lambda v, s: min(v) >= 0, ">= 0"),
+    ("m_samples", lambda v, s: v >= 1, ">= 1"),
+    ("coordinate_sample", lambda v, s: v >= 1, ">= 1"),
+    ("weight_samples", lambda v, s: v >= 2, ">= 2"),
+    ("alphas", lambda v, s: 0 <= min(v) and max(v) <= 1, "in [0, 1]"),
+    # the closed-form error term and gamma^2 divide by 1 - alpha, and T is
+    # defined for alpha in [0, 1)
+    ("alphas", lambda v, s: s.kind not in ("gap", "collapse") or max(v) < 1,
+     "in [0, 1) for gap and collapse"),
+    ("n_grid", lambda v, s: all(a < b for a, b in zip(v, v[1:])), "strictly increasing"),
+    # a repeated value would write two groups of rows under one key
+    *(rule for name in ("ds", "alphas", "sigma_perturbs")
+      for rule in ((name, lambda v, s: len(set(v)) == len(v), "free of repeats"),
+                   (name, lambda v, s: s.kind != "train" or len(v) == 1,
+                    "one value for train, which runs one model"))),
+    ("format", lambda v, s: v in _FORMATS, f"one of {_FORMATS}"),
+    ("out", lambda v, s: isinstance(v, (str, type(None))), "a path string"),
+    ("plot", lambda v, s: isinstance(v, (str, type(None))), "a path string"),
+)
 
 
 @dataclass
 class ExperimentSpec:
-    """Grid and output description shared by all experiment kinds."""
+    """Grid and output description shared by all experiment kinds.
+
+    A field is checked where a run reads it.  The type check covers every
+    numeric field; the range rules (`_SPEC_RULES`, and a train run's
+    TrainConfig) skip each field that the spec's model or kind never reads
+    (`_UNREAD`).  Such a field must keep its default, and the ignored-field
+    rule, checked last, names the field and the model or kind that ignores
+    it.
+    """
 
     kind: str
     model: str = "toy"                       # "toy" | "lingauss"
@@ -159,52 +199,12 @@ class ExperimentSpec:
                 if not value:
                     raise ValueError(f"{name} must hold at least one value, got {value!r}")
                 setattr(self, name, tuple(cast(x) for x in value))
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if any(d < 1 for d in self.ds):
-            raise ValueError(f"ds must be >= 1, got {self.ds}")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError(f"n_grid must be >= 1, got {self.n_grid}")
-        if self.replicates < 2:
-            raise ValueError(f"replicates must be >= 2 for a standard error, got {self.replicates}")
-        if self.kind == "snr" and self.replicates < SNR_MIN_REPLICATES:
-            raise ValueError(f"replicates must be >= {SNR_MIN_REPLICATES} for snr, "
-                             f"got {self.replicates}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if any(not s >= 0 for s in self.sigma_perturbs):
-            raise ValueError(f"sigma_perturbs must be >= 0, got {self.sigma_perturbs}")
-        if self.m_samples < 1:
-            raise ValueError(f"m_samples must be >= 1, got {self.m_samples}")
-        if self.coordinate_sample < 1:
-            raise ValueError(f"coordinate_sample must be >= 1, got {self.coordinate_sample}")
-        if self.weight_samples < 2:
-            raise ValueError(f"weight_samples must be >= 2, got {self.weight_samples}")
-        if any(not 0.0 <= a <= 1.0 for a in self.alphas):
-            raise ValueError("alphas must lie in [0, 1]")
-        if self.kind in ("gap", "collapse") and 1.0 in self.alphas:
-            # the closed-form error term and gamma^2 divide by 1 - alpha, and
-            # T is defined for alpha in [0, 1)
-            raise ValueError(f"alphas must lie in [0, 1) for {self.kind}, got 1.0")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
-        for name in ("ds", "alphas", "sigma_perturbs"):
-            # a repeated value would write two groups of rows under one key
-            value = getattr(self, name)
-            if len(set(value)) < len(value):
-                raise ValueError(f"{name} must not repeat a value, got {value}")
-            if train and len(value) != 1:
-                raise ValueError(f"{name} must hold one value for train, which runs one "
-                                 f"model, got {value}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        for name in ("out", "plot"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
-        # a train run is valid where its TrainConfig is, checked for every kind
-        self.train_config()
+        # a field that the model or the kind never reads skips the range
+        # rules, which describe a use that never happens
+        _check_rules(self, _SPEC_RULES, skip=(*_UNREAD.get(self.model, ()),
+                                               *_UNREAD.get(self.kind, ())))
+        if train:
+            self.train_config()
         # a field that the model or the kind never reads must keep its
         # default rather than run as if read; the model's fields go first
         for owner, key in ((f"model {self.model!r}", self.model), (self.kind, self.kind)):

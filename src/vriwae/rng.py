@@ -35,7 +35,8 @@ and map at the same time.  The map returns each cell's results concatenated
 in chunk order along the replicate axis, so no table depends on the number
 of threads; the callers reduce each cell's samples in one batch, so none
 depends on the chunk size either.  Training stays serial, since its epochs
-depend on each other, and reads its blocks of epochs through `_cell_draw`.
+depend on each other, and reads its chunks of epochs in order from one
+stream.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called

@@ -46,10 +46,11 @@ Draws follow the package's one rule (see `rng`): epoch e (from 1) reads row
 e - 1 of one block of uniforms of a fresh stream at the key of the run's
 stream, as wide as the kernel's words, and logged row k's gap is
 `bounds.gap_mc` on stream.child(1 + k).  The words do not depend on the
-parameters, so each chunk of epochs takes one block of uniforms from
-`rng._cell_draw`, the draw of the chunk map's cells, and the rows do not
-depend on the chunk size.  A kernel's `variates` is a function of those
-words alone; the array kernel maps them through `ndtri`, the bits of
+parameters, so the run builds that one stream and reads it a chunk of epochs
+at a time (`rng._replicate_chunks`), one block of uniforms per chunk; since
+consecutive reads give consecutive words, the rows do not depend on the
+chunk size.  A kernel's `variates` is a function of those words alone;
+the array kernel maps them through `ndtri`, the bits of
 `rng.standard_normal`.  The epochs run serially on the calling thread,
 since each starts from the state the last one left.
 """
@@ -65,7 +66,6 @@ from scipy.special import ndtri
 from . import rng as vrng
 from .bounds import gap_mc
 from .gradients import _GRADIENTS, _contract
-from .weights import _check_alpha
 
 __all__ = [
     "DEFAULT_LEARNING_RATE",
@@ -89,6 +89,29 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+def _check_rules(obj, rules, skip=()) -> None:
+    """Raise ValueError naming the first of `rules`, (field, holds,
+    requirement) in order, whose field of `obj` is not in `skip` and fails
+    holds(value, obj)."""
+    for name, holds, requirement in rules:
+        value = getattr(obj, name)
+        if name not in skip and not holds(value, obj):
+            raise ValueError(f"{name} must be {requirement}, got {value!r}")
+
+
+# the rules of a TrainConfig, in the order they are checked
+_CONFIG_RULES = (
+    ("alpha", lambda v, c: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("learning_rate", lambda v, c: 0 < v < math.inf, "positive and finite"),
+    ("epochs", lambda v, c: v >= 0, ">= 0"),
+    ("n_importance", lambda v, c: v >= 1, ">= 1"),
+    ("log_every", lambda v, c: v >= 1, ">= 1"),
+    ("gap_replicates", lambda v, c: v >= 1, ">= 1"),
+    ("estimator", lambda v, c: v in _ESTIMATORS, f"one of {_ESTIMATORS}"),
+    ("optimizer", lambda v, c: v in _OPTIMIZERS, f"one of {_OPTIMIZERS}"),
+)
+
+
 @dataclass
 class TrainConfig:
     alpha: float = 0.2
@@ -101,21 +124,7 @@ class TrainConfig:
     gap_replicates: int = 16         # fresh batches per logged gap estimate
 
     def __post_init__(self):
-        _check_alpha(self.alpha, closed=True)
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.n_importance < 1:
-            raise ValueError("n_importance must be positive")
-        if self.log_every < 1:
-            raise ValueError("log_every must be positive")
-        if self.gap_replicates < 1:
-            raise ValueError("gap_replicates must be positive")
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
+        _check_rules(self, _CONFIG_RULES)
 
 
 @dataclass
@@ -200,12 +209,12 @@ def _array_kernel(model, config: TrainConfig):
 def _epoch_draws(config: TrainConfig, stream: vrng.RngStream, words: int, variates):
     """Yield (epoch, draw) for epochs 1..config.epochs: epoch e's draw is
     item e - 1 of variates(u), for the block u of `words` uniforms per epoch
-    of a fresh stream at the key of `stream`, read a chunk of epochs at a
-    time by `rng._cell_draw`."""
-    cell = vrng._Cell(stream.seed, stream.stream_id, config.epochs, words)
+    of one fresh stream at the key of `stream`, read a chunk of epochs at a
+    time."""
+    fresh = vrng.make_stream(stream.seed, stream.stream_id)
     for start, stop in vrng._replicate_chunks(config.epochs, words):
         yield from zip(range(start + 1, stop + 1),
-                       variates(vrng._cell_draw(cell, start, stop, vrng.uniform)))
+                       variates(vrng.uniform(fresh, (stop - start, words))))
 
 
 def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajectory:

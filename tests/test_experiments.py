@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import vriwae
-from vriwae import experiments
+from vriwae import experiments, train
 from vriwae import rng as vrng
 from vriwae.asymptotics import slope_fit
 from vriwae.experiments import (ExperimentSpec, fit_gap_table,
@@ -198,6 +198,58 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, bad, field):
         main(argv)
     assert exc.value.code == 2
     assert f"{command}: {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# an out-of-range value of each field that a range rule of the spec or of
+# its TrainConfig checks, and that a model or a kind ignores
+_OUT_OF_RANGE = {"sigma_perturbs": [-1.0], "alphas": [1.5], "n_grid": [4, 2], "replicates": 1,
+                 "weight_samples": 1, "m_samples": 0, "coordinate_sample": 0,
+                 "estimator": "nope", "epochs": -1, "learning_rate": 0.0, "optimizer": "nope",
+                 "n_importance": 0, "log_every": 0}
+_RULED = {name for name, _, _ in (*experiments._SPEC_RULES, *train._CONFIG_RULES)}
+
+
+def _ignored_out_of_range():
+    """One CLI call per (model or kind, field) pair of `_UNREAD` whose field
+    has a range rule, which sets that field out of range by --config (a
+    model's fields on a gap run), then the three calls whose range rule once
+    fired first."""
+    for owner, names in experiments._UNREAD.items():
+        is_model = owner in experiments._MODELS
+        for name in sorted(set(names) & _RULED):
+            config = {"model": owner} if is_model else {}
+            config[name] = _OUT_OF_RANGE[name]
+            yield pytest.param(["gap" if is_model else owner, "--config", config], name,
+                               id=f"{owner}-{name}")
+    for argv, name, cid in (
+            (["weights", "--d", "2", "--weight-samples", "100", "--replicates", "1"],
+             "replicates", "weights-replicates-1"),
+            (["weights", "--d", "2", "--weight-samples", "100", "--n-grid", "4", "2"],
+             "n_grid", "weights-n-grid-decreasing"),
+            (["gap", "--d", "2", "--n-grid", "2", "--replicates", "2", "--weight-samples", "1"],
+             "weight_samples", "gap-weight-samples-1")):
+        yield pytest.param(argv, name, id=cid)
+
+
+@pytest.mark.parametrize("argv, field", _ignored_out_of_range())
+def test_cli_range_rules_skip_ignored_fields(tmp_path, capsys, argv, field):
+    # no range rule fires on a field the run never reads: the ignored-field
+    # rule names it, with the model or kind that ignores it
+    from vriwae.cli import main
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "table.csv"
+    config = next((arg for arg in argv if isinstance(arg, dict)), {})
+    cfg.write_text(json.dumps(config))
+    kind, model = argv[0], config.get("model", "toy")
+    owner = f"model {model!r}" if field in experiments._UNREAD[model] else kind
+    default = getattr(ExperimentSpec(kind=kind, model=model), field)
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg) if isinstance(arg, dict) else arg for arg in argv]
+             + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"{kind}: {field} must be {default} for {owner}, which ignores it"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -186,6 +186,25 @@ def test_rows_independent_of_chunk_target(monkeypatch, make_model):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_training_run_builds_one_stream_for_its_epochs(monkeypatch):
+    # with one epoch per chunk, the epochs still read on from one stream at
+    # the run's key; the logged gaps read its children
+    config = TrainConfig(alpha=0.2, n_importance=4, epochs=6, log_every=6,
+                         learning_rate=1e-2, gap_replicates=2)
+    stream, model, keys = make_stream(13, 5), lingauss(3), []
+    post_init = vrng.RngStream.__post_init__
+
+    def counting(self):
+        keys.append((self.seed, self.stream_id))
+        post_init(self)
+
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
+    monkeypatch.setattr(vrng.RngStream, "__post_init__", counting)
+    traj = run_training(model, config, stream)
+    assert [r.epoch for r in traj.rows] == [0, 6]
+    assert keys.count((13, 5)) == 1
+
+
 @pytest.mark.parametrize("make_model", [lambda: toy(4, phi=0.8), lambda: lingauss(3, seed=2)],
                          ids=["toy", "lingauss"])
 def test_epochs_draw_from_keyed_streams(make_model):
