@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -44,11 +43,11 @@ from . import rng as vrng
 from .asymptotics import expected_min_normal, fit_constant, one_over_n_curve
 from .bounds import _law_samples, decomposition_sample, vr_iwae_from_log_weights
 from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
-                        h_coefficients, snr_floor, snr_sweep)
+                        snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
-from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, run_training
-from .weights import _mean_se, ess, max_weight_share, qq_points, t_statistic
+from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _is_a, run_training
+from .weights import _mean_se, _weight_rows, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -84,7 +83,7 @@ _OFF_SELFTEST = 9 << 40
 
 _DEFAULT_N_GRID = tuple(2**j for j in range(1, 10))
 # the type of each numeric spec field (of each item, for the grid fields,
-# which take a list or tuple): an int is a float too, a bool is neither
+# which take a list or tuple), as `train._is_a` checks it
 _NUMERIC_FIELDS = {**dict.fromkeys(("replicates", "seed", "weight_samples", "m_samples",
                                     "coordinate_sample", "epochs", "n_importance", "log_every",
                                     "ds", "n_grid"), int),
@@ -184,10 +183,9 @@ class ExperimentSpec:
                 setattr(self, name, defaults[train])
         for name, cast in _NUMERIC_FIELDS.items():
             value, grid = getattr(self, name), name in _GRID_FIELDS
-            kind = numbers.Integral if cast is int else numbers.Real
             items = value if grid and isinstance(value, (list, tuple)) else [value]
             if (grid and not isinstance(value, (list, tuple))) or any(
-                    isinstance(x, bool) or not isinstance(x, kind) for x in items
+                    not _is_a(x, cast) for x in items
                     if not (name == "learning_rate" and x is None)):
                 raise ValueError(f"{name} must be {'a list of ' if grid else ''}"
                                  f"{cast.__name__}, got {value!r}")
@@ -407,11 +405,14 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
     """
     rows = []
     floor = snr_floor(spec.replicates)
+    # a sweep reads 2 + len(n_grid) stream ids from its stream's, so grid
+    # points that far apart read disjoint ones
+    stride = max(4096, len(spec.n_grid) + 2)
     grid_idx = 0
     for d in spec.ds:
         for sp, model in _variants(spec, d):
             for alpha in spec.alphas:
-                stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * 4096)
+                stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * stride)
                 grid_idx += 1
                 blocks = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
                                    spec.replicates, spec.coordinate_sample, stream)
@@ -732,11 +733,10 @@ def selftest(seed: int = 0) -> SelftestReport:
     report.record("weights_shift_invariance", worst_shift <= 1e-10, f"max dev {worst_shift:.2e}")
     report.record("weights_share_identity", worst_share <= 1e-10, f"max dev {worst_share:.2e}")
 
-    # doubly-reparameterized coefficients
-    s = np.full(8, 0.125)
-    h = h_coefficients(s, 0.4)
-    h_ok = np.allclose(h, 0.4 / 8 + 0.6 / 64) and np.allclose(
-        h_coefficients(np.array([1.0, 0.0, 0.0]), 0.0), [1.0, 0.0, 0.0])
+    # doubly-reparameterized coefficients, the h row of the estimators' weight
+    # rows: at uniform weights, s = 1/8, and at one dominant weight, s = e_1
+    h_ok = np.allclose(_weight_rows(np.zeros(8), 0.4)[1], 0.4 / 8 + 0.6 / 64) and np.allclose(
+        _weight_rows(np.array([0.0, -np.inf, -np.inf]), 0.0)[1], [1.0, 0.0, 0.0])
     report.record("h_coefficients_values", bool(h_ok), "")
 
     # analytic scores vs the finite-difference oracle: at N = 1 and alpha = 0

@@ -28,7 +28,7 @@ states (see `models`):
   log-weights and sum_j w_j z_j = (sum_j w_j) loc + scale * sum_j w_j eps_j.
   `grad_samples_from_eps` contracts these into all three gradients at once,
   theta, rep phi and drep phi, so both estimators always read the same draws;
-  `grad_mean_se` and `snr_sweep` reduce all three.
+  `grad_mean_se` and `snr_sweep` reduce all three through `_grad_moments`.
 * From one training epoch's normals, `train_sums`: only the weight rows the
   run's gradients contract (`_GRADIENTS` names each gradient's row), which
   `train`'s array kernel contracts the same way, into only the gradients its
@@ -42,16 +42,19 @@ The finite-difference oracle (`fd_grad_from_eps`) evaluates `reparam` and the
 log-weight of z instead, so it shares no kernel with the estimators.
 
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
-return one gradient sample per replicate row.  Their callers run chunks of at
-most `rng._CHUNK_TARGET` words through `rng._chunk_map`, so memory stays
-bounded and the chunks run on all cores: `grad_mean_se` and `fd_grad_oracle`
-share `_grad_moments`, one cell whose replicate r reads block r of a fresh
-stream at the key of the stream passed in, and `snr_sweep` maps all its N
-cells at once.  Their kernels take a chunk's normals and reshape them into
-eps; they never see a stream.  Each chunk returns only its gradient samples,
-which the map concatenates in replicate order for the calling thread to
-reduce, so the results do not depend on the number of threads or the chunk
-size.
+return one gradient sample per replicate row.  `_grad_moments` is the one
+map and reducer of all three Monte Carlo callers, `grad_mean_se`,
+`fd_grad_oracle` and `snr_sweep`.  It runs a list of cells on one seed in
+one `rng._chunk_map`, in chunks of at most `rng._CHUNK_TARGET` words, so
+memory stays bounded and the chunks run on all cores; replicate r of a cell
+reads block r of the normals of the cell's fresh stream, reshaped into its
+eps, and the sample function never sees a stream.  Each chunk returns only
+its gradient samples, which the map concatenates in replicate order, and
+`weights._mean_se`, the package's one mean/SE reducer, reduces each cell's
+samples at once, so the results do not depend on the number of threads or
+the chunk size.  `grad_mean_se` and `fd_grad_oracle` pass one cell, at the
+key of the stream passed in; `snr_sweep` passes its N cells and takes each
+SNR from their means and SEs.
 """
 
 from __future__ import annotations
@@ -66,12 +69,11 @@ from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score, _eps_sums
-from .weights import _check_alpha, _h, _mean_se
+from .weights import _check_alpha, _mean_se
 
 __all__ = [
     "GradEstimate",
     "SnrBlock",
-    "h_coefficients",
     "grad_samples_from_eps",
     "grad_mean_se",
     "fd_grad_from_eps",
@@ -94,20 +96,6 @@ class GradEstimate:
     phi_mean: np.ndarray
     phi_se: np.ndarray
     replicates: int
-
-
-def h_coefficients(s: np.ndarray, alpha: float) -> np.ndarray:
-    """Doubly-reparameterized weights h_j = alpha*s_j + (1-alpha)*s_j^2.
-
-    `s` must be a probability vector (the normalized (1-alpha)-power
-    weights); h sums to at most 1, with equality iff alpha = 1 or s is
-    degenerate.
-    """
-    alpha = _check_alpha(alpha, closed=True)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0) or abs(float(s.sum()) - 1.0) > 1e-10:
-        raise ValueError("s must be a probability vector")
-    return _h(s, alpha)
 
 
 # per gradient, the score it contracts (its index in `score_affine()`) and the
@@ -144,23 +132,24 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
     return _contract(model.score_affine(), w_sum, wz)
 
 
-def _grad_moments(model, n_importance: int, replicates: int, stream: vrng.RngStream,
+def _grad_moments(seed: int, cells: Sequence[tuple[int, tuple]], replicates: int,
                   sample) -> list:
-    """(mean, SE) of each array of the gradient samples `sample(eps)` over
-    i.i.d. replicates.
+    """Per cell (stream_id, shape), the (mean, SE) of each array of the
+    gradient samples `sample(eps)` over i.i.d. replicates.
 
-    Replicate r's eps of shape (N, d) are block r of the normals of a fresh
-    stream at the key of `stream`, which is not advanced; the kernel of
-    `rng._chunk_map` reshapes a chunk's normals into them.  A replicate's
-    N d words size the chunks, as for every cell of the map; the samples
-    are reduced at once, so the result does not depend on the chunks.
+    Replicate r's eps of shape `shape` are block r of the normals of the
+    fresh stream (seed, stream_id); the kernel of `rng._chunk_map` reshapes
+    a chunk's normals into them.  A replicate's words, the size of its eps,
+    size the chunks, as for every cell of the map; each cell's samples are
+    reduced at once by `weights._mean_se`, so the result does not depend on
+    the chunks.
     """
-    def kernel(_, normals):
-        return sample(normals.reshape(len(normals), n_importance, model.d))
+    def kernel(i, normals):
+        return sample(normals.reshape(len(normals), *cells[i][1]))
 
-    samples, = vrng._chunk_map([vrng._Cell(stream.seed, stream.stream_id, replicates,
-                                           n_importance * model.d)], kernel, vrng.standard_normal)
-    return [_mean_se(block) for block in samples]
+    samples = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, math.prod(shape))
+                               for stream_id, shape in cells], kernel, vrng.standard_normal)
+    return [[_mean_se(block) for block in cell] for cell in samples]
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
@@ -169,8 +158,9 @@ def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
     replicates, replicate r reading block r of a fresh stream at the key of
     `stream`: {"rep": GradEstimate, "drep": GradEstimate}, both from the same
     draws and sharing one theta block."""
-    theta, rep, drep = _grad_moments(model, n_importance, replicates, stream,
-                                     lambda eps: grad_samples_from_eps(model, eps, alpha))
+    (theta, rep, drep), = _grad_moments(stream.seed,
+                                        [(stream.stream_id, (n_importance, model.d))], replicates,
+                                        lambda eps: grad_samples_from_eps(model, eps, alpha))
     return {"rep": GradEstimate(*theta, *rep, replicates),
             "drep": GradEstimate(*theta, *drep, replicates)}
 
@@ -214,8 +204,9 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
                    replicates: int, stream: vrng.RngStream) -> GradEstimate:
     """Finite-difference oracle for the bound gradient, with common random
     numbers across the +/- evaluations of every coordinate."""
-    theta, phi = _grad_moments(model, n_importance, replicates, stream,
-                               lambda eps: fd_grad_from_eps(model, eps, alpha, step))
+    (theta, phi), = _grad_moments(stream.seed,
+                                  [(stream.stream_id, (n_importance, model.d))], replicates,
+                                  lambda eps: fd_grad_from_eps(model, eps, alpha, step))
     return GradEstimate(*theta, *phi, replicates)
 
 
@@ -227,11 +218,12 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
 class SnrBlock:
     """SNR of one (estimator, parameter block) pair across the N grid.
 
-    Each SNR is |mean|/sd over R replicates, which is biased up toward the
-    floor sqrt(2/(pi R)), the expected value for a zero-mean coordinate
-    (about 0.025 at R=1000).  SNRs near or below the floor cannot be read,
-    and a slope fitted to them measures the floor, not the estimator;
-    `at_floor` marks the N whose mean SNR is below twice the floor.
+    Each SNR is |mean|/(SE sqrt(R)), that is |mean|/sd, over R replicates,
+    from `weights._mean_se`.  It is biased up toward the floor
+    sqrt(2/(pi R)), the expected value for a zero-mean coordinate (about
+    0.025 at R=1000).  SNRs near or below the floor cannot be read, and a
+    slope fitted to them measures the floor, not the estimator; `at_floor`
+    marks the N whose mean SNR is below twice the floor.
     """
 
     per_coordinate_snr: np.ndarray  # (len(n_grid), n_coords); +inf marks zero variance
@@ -247,21 +239,6 @@ def snr_floor(replicates: int) -> float:
     return math.sqrt(2.0 / (math.pi * replicates))
 
 
-def _snr_from_samples(samples: np.ndarray) -> np.ndarray:
-    """|mean| / std per coordinate; zero-variance coordinates become +inf.
-
-    A coordinate whose sd is at most 2**-40 |mean| counts as zero variance:
-    its spread is rounding noise on a constant (the toy's drep phi gradient
-    at N = 1, where h = s = 1), and |mean|/sd would read about 1e14.
-    """
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0, ddof=1)
-    out = np.full(mean.shape, np.inf)
-    nz = std > 2.0**-40 * np.abs(mean)
-    out[nz] = np.abs(mean[nz]) / std[nz]
-    return out
-
-
 def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
               replicates: int, coordinate_sample: int,
               stream: vrng.RngStream) -> dict:
@@ -270,7 +247,9 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
 
     For each N, `replicates` independent gradient estimates (each averaging
     `m_samples` draws) are formed for the rep and drep estimators on common
-    random numbers; SNR = |mean|/std per coordinate, averaged over a
+    random numbers, replicate r of N = n_grid[i] reading block r of the
+    normals of stream.child(2 + i).  SNR = |mean|/(SE sqrt(R)) per
+    coordinate, from the means and SEs of `_grad_moments`, averaged over a
     seed-deterministic subset of `coordinate_sample` coordinates per block,
     then fitted with an ordinary least-squares slope in log-log scale.
 
@@ -290,34 +269,29 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     theta_idx = vrng.permutation_indices(stream.child(0), n_theta, k_theta)
     phi_idx = vrng.permutation_indices(stream.child(1), n_phi, k_phi)
 
-    # one cell per N: the draws of N = n_grid[i] come from stream.child(2 + i),
-    # replicate r reading block r of its normals
-    cells = [vrng._Cell(stream.seed, stream.stream_id + 2 + i, replicates, m_samples * n * model.d)
-             for i, n in enumerate(n_grid)]
-
-    def kernel(i, normals):
-        eps = normals.reshape(len(normals), m_samples, n_grid[i], model.d)
+    def sample(eps):
         # both estimators from one pass; the theta block is shared, and each
-        # row averages its m_samples copies.  `take` keeps the samples in C
-        # order, in which the reductions of `_snr_from_samples` round alike
-        # at every chunk size
+        # row averages its m_samples copies
         g_theta, g_rep, g_drep = grad_samples_from_eps(model, eps, alpha)
         return (np.take(g_theta.mean(axis=1), theta_idx, axis=1),
                 np.take(g_rep.mean(axis=1), phi_idx, axis=1),
                 np.take(g_drep.mean(axis=1), phi_idx, axis=1))
 
-    snr = {key: np.empty((len(n_grid), k)) for key, k in (
-        (("rep", "theta"), k_theta), (("rep", "phi"), k_phi),
-        (("drep", "theta"), k_theta), (("drep", "phi"), k_phi))}
-    samples = vrng._chunk_map(cells, kernel, vrng.standard_normal)
-    for i, (g_theta, g_rep, g_drep) in enumerate(samples):
-        snr[("rep", "theta")][i] = snr[("drep", "theta")][i] = _snr_from_samples(g_theta)
-        snr[("rep", "phi")][i] = _snr_from_samples(g_rep)
-        snr[("drep", "phi")][i] = _snr_from_samples(g_drep)
-
+    moments = _grad_moments(stream.seed, [(stream.stream_id + 2 + i, (m_samples, n, model.d))
+                                          for i, n in enumerate(n_grid)], replicates, sample)
     log_n = np.log(np.asarray(n_grid, dtype=np.float64))
     blocks = {}
-    for key, mat in snr.items():
+    for key, j in ((("rep", "theta"), 0), (("rep", "phi"), 1), (("drep", "theta"), 0),
+                   (("drep", "phi"), 2)):
+        mean, se = map(np.array, zip(*(cell[j] for cell in moments)))
+        sd = se * math.sqrt(replicates)
+        # a coordinate whose sd is at most 2**-40 |mean| counts as zero
+        # variance: its spread is rounding noise on a constant (the toy's drep
+        # phi gradient at N = 1, where h = s = 1), and |mean|/sd would read
+        # about 1e14
+        mat = np.full(mean.shape, np.inf)
+        nz = sd > 2.0**-40 * np.abs(mean)
+        mat[nz] = np.abs(mean[nz]) / sd[nz]
         finite = np.isfinite(mat)
         mean_snr = np.array([mat[i][finite[i]].mean() if finite[i].any() else np.inf
                              for i in range(len(n_grid))])

@@ -58,6 +58,7 @@ since each starts from the state the last one left.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,20 @@ def _check_rules(obj, rules, skip=()) -> None:
             raise ValueError(f"{name} must be {requirement}, got {value!r}")
 
 
-# the rules of a TrainConfig, in the order they are checked
+def _is_a(value, cast) -> bool:
+    """Whether `value` has the numeric type `cast` (int or float) of a
+    field: an int field takes an Integral, a float field a Real (an int is a
+    float too), and neither takes a bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if cast is int else numbers.Real)
+
+
+# the rules of a TrainConfig, in the order they are checked: the type of
+# each numeric field, then the ranges
 _CONFIG_RULES = (
+    *((name, lambda v, c, cast=cast: _is_a(v, cast), cast.__name__) for name, cast in (
+        ("alpha", float), ("learning_rate", float), ("epochs", int), ("n_importance", int),
+        ("log_every", int), ("gap_replicates", int))),
     ("alpha", lambda v, c: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("learning_rate", lambda v, c: 0 < v < math.inf, "positive and finite"),
     ("epochs", lambda v, c: v >= 0, ">= 0"),

@@ -6,7 +6,9 @@ model class, so a deletion of any of them fails here before it crashes a
 traced benchmark run; a traced `snr` call must count every normal it draws,
 so an eps kernel that bypasses `rng.standard_normal` fails here too.  It
 also guards the model protocol: no module outside
-`models` branches on a model's type.  It is the package's import lint: no
+`models` branches on a model's type; and the one map of replicate noise:
+only `bounds._law_samples` and `gradients._grad_moments` call
+`rng._chunk_map` or build its cells.  It is the package's import lint: no
 module imports a name it does not read.  And no public name is reached by
 tests alone: every name in an `__all__`, and every public method or property
 of a model class, is read by the package or by the benchmark.  Last, it
@@ -165,6 +167,34 @@ def test_one_statement_of_the_law():
         stated = {"law_variates", "law_log_weights"} & vars(cls).keys()
         assert not stated, (cls.__name__, stated)
     assert [name for name in models.__all__ if name.endswith("_analytics")] == []
+
+
+def _chunk_map_users(tree, module):
+    """"module.function" of each top-level function of `tree` that calls
+    `_chunk_map` or `_Cell`, by name or as an attribute, sorted."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                ) in ("_chunk_map", "_Cell"):
+                    found.add(f"{module}.{top.name}")
+    return sorted(found)
+
+
+def test_one_map_per_draw_law():
+    # replicate noise is drawn through `rng._chunk_map` by two functions only:
+    # `bounds._law_samples` for the log-weight law, `gradients._grad_moments`
+    # for the gradient samples; every other Monte Carlo caller goes through one
+    users = [user for name in MODULES
+             for user in _chunk_map_users(ast.parse((ROOT / "src" / "vriwae" / f"{name}.py")
+                                                    .read_text()), name)]
+    assert users == ["bounds._law_samples", "gradients._grad_moments"]
+    probe = ast.parse("def f(c):\n    return [vrng._Cell(*c)]\n"
+                      "def g(k):\n    def h():\n        return _chunk_map([], k, None)\n"
+                      "def e(cell: _Cell):\n    return vrng._chunk_map\n")
+    assert _chunk_map_users(probe, "m") == ["m.f", "m.g"]
 
 
 # imports no module reads, each kept on purpose: perfbench/tracing.py wraps

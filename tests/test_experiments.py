@@ -584,6 +584,29 @@ def test_snr_experiment_smoke():
         assert row["at_floor"] == (row["snr_mean"] < 2.0 * row["snr_floor"])
 
 
+@pytest.mark.parametrize("n_values", [3, 4094, 4095])
+def test_snr_grid_points_read_disjoint_streams(monkeypatch, n_values):
+    # a sweep reads the stream ids [id, id + 2 + len(n_grid)) of its stream:
+    # children 0 and 1 for its coordinate draws, 2 + i for N = n_grid[i].  The
+    # recorder draws nothing and returns no blocks, so the run writes no rows
+    reads = []
+
+    def record(model, alpha, m_samples, n_grid, replicates, coordinate_sample, stream):
+        reads.append(range(stream.stream_id, stream.stream_id + 2 + len(n_grid)))
+        return {}
+
+    monkeypatch.setattr(experiments, "snr_sweep", record)
+    spec = ExperimentSpec(kind="snr", model="toy", alphas=(0.0, 0.5), ds=(1, 2),
+                          n_grid=tuple(range(1, n_values + 1)), replicates=100)
+    assert run_snr_experiment(spec) == []
+    assert len(reads) == 4
+    for a, b in zip(reads, reads[1:]):
+        assert a.stop <= b.start
+    # grids of up to 4094 N values keep the stride of 4096 ids, and their bits
+    if n_values <= 4094:
+        assert [r.start - reads[0].start for r in reads] == [0, 4096, 8192, 12288]
+
+
 def test_weights_experiment_rows():
     spec = ExperimentSpec(kind="weights", model="toy", ds=(5,), weight_samples=20_000,
                           seed=4)

@@ -8,10 +8,10 @@ import vriwae.rng as vrng
 from vriwae.bounds import gap_mc
 from vriwae.experiments import make_linear_gaussian, make_toy
 from vriwae.gradients import (_contract, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
-                              grad_samples_from_eps, h_coefficients, snr_floor, snr_sweep)
+                              grad_samples_from_eps, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian, _eps_sums
 from vriwae.rng import make_stream, standard_normal, uniform
-from vriwae.weights import _mean_se, _softmax_last, _weight_rows
+from vriwae.weights import _h, _mean_se, _softmax_last, _weight_rows
 
 
 def toy(d=3, theta=0.0, phi=0.5):
@@ -29,22 +29,25 @@ def lingauss(d=3, seed=0):
 # --------------------------------------------------------------------------
 
 def test_h_uniform():
+    # equal log-weights give s = 1/n, and the h row of the estimators' weight
+    # rows is alpha/n + (1 - alpha)/n^2
     for n in (2, 5, 8):
-        s = np.full(n, 1.0 / n)
         for alpha in (0.0, 0.4, 1.0):
             expected = alpha / n + (1.0 - alpha) / n**2
-            assert np.allclose(h_coefficients(s, alpha), expected, atol=1e-14)
+            assert np.allclose(_weight_rows(np.zeros(n), alpha)[1], expected, atol=1e-14)
 
 
 def test_h_hand_value():
-    h = h_coefficients(np.array([0.75, 0.25]), 0.5)
+    h = _h(np.array([0.75, 0.25]), 0.5)
     assert np.allclose(h, [0.65625, 0.15625], atol=1e-14)
 
 
 def test_h_degenerate():
+    # one finite log-weight: s = e_1, and h = s at alpha = 0
     s = np.zeros(4)
     s[0] = 1.0
-    assert np.allclose(h_coefficients(s, 0.0), s, atol=1e-14)
+    lw = np.array([0.0, -np.inf, -np.inf, -np.inf])
+    assert np.allclose(_weight_rows(lw, 0.0)[1], s, atol=1e-14)
 
 
 def test_h_sum_bounds():
@@ -53,16 +56,11 @@ def test_h_sum_bounds():
         n = int(rng.integers(1, 20))
         s = rng.dirichlet(np.ones(n))
         for alpha in (0.0, 0.3, 0.8, 1.0):
-            h = h_coefficients(s, alpha)
+            # the h row of the weight rows of log-weights log s, which s
+            # normalizes at alpha = 0
+            h = _weight_rows(np.log(s), alpha)[1]
             total = h.sum()
             assert alpha + (1.0 - alpha) / n - 1e-12 <= total <= 1.0 + 1e-12
-
-
-def test_h_rejects_non_probability():
-    with pytest.raises(ValueError):
-        h_coefficients(np.array([0.5, 0.6]), 0.3)
-    with pytest.raises(ValueError):
-        h_coefficients(np.array([-0.1, 1.1]), 0.3)
 
 
 # --------------------------------------------------------------------------
@@ -433,6 +431,28 @@ def test_snr_sweep_independent_of_chunk_size(monkeypatch):
         for attr in ("per_coordinate_snr", "mean_snr", "at_floor"):
             assert np.array_equal(getattr(a[key], attr), getattr(b[key], attr))
         assert a[key].slope == b[key].slope
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_snr_sweep_reduces_like_grad_mean_se(alpha):
+    # at M = 1 and one N, the sweep's one cell is that of grad_mean_se on
+    # stream.child(2), and every block is sampled whole: each SNR is
+    # |mean|/(SE sqrt(R)) of those moments, permuted by the sweep's
+    # coordinate draws, to the bit
+    model, reps, n, stream = lingauss(3, seed=3), 150, 4, make_stream(18, 5)
+    blocks = snr_sweep(model, alpha, 1, [n], reps, 100, stream)
+    est = grad_mean_se(model, alpha, n, reps, stream.child(2))
+    idx = {"theta": vrng.permutation_indices(stream.child(0), model.theta_vec.size,
+                                             model.theta_vec.size),
+           "phi": vrng.permutation_indices(stream.child(1), model.phi_vec.size,
+                                           model.phi_vec.size)}
+    assert blocks.keys() == {(kind, block) for kind in est for block in idx}
+    for (kind, block), blk in blocks.items():
+        mean = getattr(est[kind], f"{block}_mean")[idx[block]]
+        se = getattr(est[kind], f"{block}_se")[idx[block]]
+        assert np.all(se > 0)
+        np.testing.assert_array_equal(blk.per_coordinate_snr,
+                                      [np.abs(mean) / (se * math.sqrt(reps))])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])

@@ -86,6 +86,15 @@ def test_config_validation():
                dict(learning_rate=float("inf"))):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+    # each numeric field takes a number of its type, and no bool; the message
+    # names the field
+    for kw in (dict(epochs=2.5), dict(epochs="3"), dict(alpha=None), dict(alpha="0.2"),
+               dict(learning_rate=None), dict(n_importance=True), dict(n_importance=8.0),
+               dict(log_every=np.int64(10) + 0.5), dict(gap_replicates=False)):
+        name, = kw
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig(**kw)
+    assert TrainConfig(alpha=1, learning_rate=1, epochs=np.int64(3)).epochs == 3
 
 
 def test_zero_epochs_initial_row_only():
