@@ -134,8 +134,8 @@ def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
             m.law_log_weights(variates, s, out=out)
         return reduce(lrw)
 
-    return vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, n * k)
-                            for stream_id, n in cells], kernel, vrng.uniform)
+    return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],
+                           kernel, vrng.uniform)
 
 
 def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, float]:

@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -46,7 +45,7 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, gr
                         snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
-from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _is_a, run_training
+from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _type_rules, run_training
 from .weights import _mean_se, _weight_rows, ess, max_weight_share, qq_points, t_statistic
 
 __all__ = [
@@ -82,14 +81,14 @@ _OFF_TRAIN = 8 << 40
 _OFF_SELFTEST = 9 << 40
 
 _DEFAULT_N_GRID = tuple(2**j for j in range(1, 10))
-# the type of each numeric spec field (of each item, for the grid fields,
-# which take a list or tuple), as `train._is_a` checks it
+# the type of each numeric field the spec reads itself (of each item, for
+# the grid fields, which take a non-empty list or tuple); its TrainConfig
+# checks those of the train-only fields
 _NUMERIC_FIELDS = {**dict.fromkeys(("replicates", "seed", "weight_samples", "m_samples",
-                                    "coordinate_sample", "epochs", "n_importance", "log_every",
-                                    "ds", "n_grid"), int),
-                   **dict.fromkeys(("alphas", "sigma_perturbs", "theta_scale", "learning_rate"),
-                                   float)}
+                                    "coordinate_sample", "ds", "n_grid"), int),
+                   **dict.fromkeys(("alphas", "sigma_perturbs", "theta_scale"), float)}
 _GRID_FIELDS = ("alphas", "ds", "n_grid", "sigma_perturbs")
+_SPEC_TYPES = _type_rules(_NUMERIC_FIELDS.items(), _GRID_FIELDS)
 _KINDS = ("gap", "snr", "weights", "collapse", "train")
 _MODELS = (GaussianToy.TABLE_NAME, LinearGaussian.TABLE_NAME)
 # the grids whose default depends on the kind: (any kind but train, train)
@@ -145,12 +144,22 @@ _SPEC_RULES = (
 class ExperimentSpec:
     """Grid and output description shared by all experiment kinds.
 
-    A field is checked where a run reads it.  The type check covers every
-    numeric field; the range rules (`_SPEC_RULES`, and a train run's
-    TrainConfig) skip each field that the spec's model or kind never reads
-    (`_UNREAD`).  Such a field must keep its default, and the ignored-field
-    rule, checked last, names the field and the model or kind that ignores
-    it.
+    A field is checked where a run reads it, each rule by
+    `train._check_rules`, in order:
+
+    * types and finiteness: `_SPEC_TYPES` (by `train._type_rules`) checks
+      each numeric field that the spec reads itself, at any model and kind:
+      an int field holds an int, a float field a finite float
+      (`train._is_a`), and a grid field a non-empty list or tuple of them,
+      stored as a tuple;
+    * ranges: `_SPEC_RULES` skips each field that the spec's model or kind
+      never reads (`_UNREAD`);
+    * the train-only fields (`epochs`, `n_importance`, `log_every`,
+      `learning_rate`, `estimator`, `optimizer`): a train run's TrainConfig
+      checks their types, finiteness and ranges, and the spec none;
+    * a field that the model or kind never reads must keep its default: the
+      ignored-field rule, checked last, names the field and the model or
+      kind that ignores it.
     """
 
     kind: str
@@ -181,22 +190,9 @@ class ExperimentSpec:
         for name, defaults in _KIND_DEFAULTS.items():
             if getattr(self, name) is None:
                 setattr(self, name, defaults[train])
-        for name, cast in _NUMERIC_FIELDS.items():
-            value, grid = getattr(self, name), name in _GRID_FIELDS
-            items = value if grid and isinstance(value, (list, tuple)) else [value]
-            if (grid and not isinstance(value, (list, tuple))) or any(
-                    not _is_a(x, cast) for x in items
-                    if not (name == "learning_rate" and x is None)):
-                raise ValueError(f"{name} must be {'a list of ' if grid else ''}"
-                                 f"{cast.__name__}, got {value!r}")
-            # an int too large for a float is not finite either
-            if cast is float and not all(abs(x) <= sys.float_info.max
-                                         for x in items if x is not None):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if grid:
-                if not value:
-                    raise ValueError(f"{name} must hold at least one value, got {value!r}")
-                setattr(self, name, tuple(cast(x) for x in value))
+        _check_rules(self, _SPEC_TYPES)
+        for name in _GRID_FIELDS:
+            setattr(self, name, tuple(map(_NUMERIC_FIELDS[name], getattr(self, name))))
         # a field that the model or the kind never reads skips the range
         # rules, which describe a use that never happens
         _check_rules(self, _SPEC_RULES, skip=(*_UNREAD.get(self.model, ()),

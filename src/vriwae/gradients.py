@@ -147,8 +147,8 @@ def _grad_moments(seed: int, cells: Sequence[tuple[int, tuple]], replicates: int
     def kernel(i, normals):
         return sample(normals.reshape(len(normals), *cells[i][1]))
 
-    samples = vrng._chunk_map([vrng._Cell(seed, stream_id, replicates, math.prod(shape))
-                               for stream_id, shape in cells], kernel, vrng.standard_normal)
+    samples = vrng._chunk_map(seed, replicates, [(sid, math.prod(shape)) for sid, shape in cells],
+                              kernel, vrng.standard_normal)
     return [[_mean_se(block) for block in cell] for cell in samples]
 
 

@@ -382,8 +382,7 @@ class GaussianToy(_Model):
         theta - B u0, u0 the direction of theta - phi at the start (the
         first axis if they are equal), for a row to log.
         """
-        v = self.theta - self.phi
-        b2 = float(v @ v)
+        _, _, _, v, _, b2 = self.log_weight_quadratic()
         u0 = v / math.sqrt(b2) if b2 > 0.0 else np.eye(1, self.d)[0]
         rep = estimator == "rep"
         words = n + 3 if rep and self.d > 1 else n

@@ -21,22 +21,22 @@ not depend on the chunk size.  Distinct cells, and distinct draw purposes,
 read distinct stream ids (``child``).
 
 `_chunk_map` is the package's one draw of replicate noise.  It runs the
-chunks of a list of cells on threads, and hands each chunk's kernel only its
-words: `_cell_draw` draws replicates [start, stop) of a cell as one
-(stop - start, words) block of uniforms or normals, so a kernel is a
-function of its words and never sees a stream, a start or a stop.  A chunk
-that starts at word w of its cell builds a fresh stream at the cell's key
-and skips to word w itself (`_stream_at`): Philox makes 4 words per counter
-step, so it advances the counter by w // 4 and drops w % 4 words.  The
-calling thread and the helper threads that the map starts take the (cell,
-chunk) tasks in turn from one shared counter; numpy's Philox words, its
-ufuncs and scipy's `ndtri` release the interpreter lock, so the threads draw
-and map at the same time.  The map returns each cell's results concatenated
-in chunk order along the replicate axis, so no table depends on the number
-of threads; the callers reduce each cell's samples in one batch, so none
-depends on the chunk size either.  Training stays serial, since its epochs
-depend on each other, and reads its chunks of epochs in order from one
-stream.
+chunks of a list of cells, all at one seed and one replicate count, on
+threads, and hands each chunk's kernel only its words: it draws replicates
+[start, stop) of a cell as one (stop - start, words) block of uniforms or
+normals, so a kernel is a function of its words and never sees a stream, a
+start or a stop.  A chunk that starts at word w of its cell builds a fresh
+stream at the cell's key and skips to word w itself (`_stream_at`): Philox
+makes 4 words per counter step, so it advances the counter by w // 4 and
+drops w % 4 words.  The calling thread and the helper threads that the map
+starts take the (cell, chunk) tasks in turn from one shared counter; numpy's
+Philox words, its ufuncs and scipy's `ndtri` release the interpreter lock,
+so the threads draw and map at the same time.  The map returns each cell's
+results concatenated in chunk order along the replicate axis, so no table
+depends on the number of threads; the callers reduce each cell's samples in
+one batch, so none depends on the chunk size either.  Training stays serial,
+since its epochs depend on each other, and reads its chunks of epochs in
+order from one stream.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called
@@ -85,7 +85,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -161,16 +161,6 @@ def _replicate_chunks(replicates: int, words: int):
         start = stop
 
 
-class _Cell(NamedTuple):
-    """One Monte Carlo cell of `_chunk_map`: replicate r reads words
-    [r words, (r + 1) words) of the fresh stream (seed, stream_id)."""
-
-    seed: int
-    stream_id: int
-    replicates: int
-    words: int
-
-
 def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     """Fresh stream at (seed, stream_id) whose next word is its word `word`.
 
@@ -184,20 +174,15 @@ def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     return stream
 
 
-def _cell_draw(cell: _Cell, start: int, stop: int, draw: Callable) -> np.ndarray:
-    """The draws of replicates [start, stop) of `cell`, shaped (stop - start,
-    cell.words): draw(stream, shape) on the cell's fresh stream positioned at
-    replicate `start`'s first word.  `draw` is `uniform` or
-    `standard_normal`."""
-    return draw(_stream_at(cell.seed, cell.stream_id, start * cell.words),
-                (stop - start, cell.words))
-
-
-def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list:
-    """Per cell, the results of kernel(i, words) over its
-    `_replicate_chunks`, concatenated in chunk order along the replicate
-    axis (item by item where a result is a tuple), where i is the cell's
-    index and `words` the chunk's `_cell_draw` by `draw`.
+def _chunk_map(seed: int, replicates: int, cells: Sequence[tuple[int, int]], kernel: Callable,
+               draw: Callable) -> list:
+    """Per cell (stream_id, words) of `replicates` replicates, the results
+    of kernel(i, block) over its `_replicate_chunks`, concatenated in chunk
+    order along the replicate axis (item by item where a result is a
+    tuple), where i is the cell's index and `block` the draws of the chunk's
+    replicates [start, stop): draw(stream, (stop - start, words)) on the
+    fresh stream (seed, stream_id) at replicate `start`'s first word.
+    `draw` is `uniform` or `standard_normal`.
 
     The calling thread and up to `_WORKERS - 1` helpers, one for each full
     `_CHUNK_TARGET` of the cells' words beyond the first, started here
@@ -207,8 +192,8 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list
     exception stops the remaining tasks and is raised here once every
     thread is done.
     """
-    tasks = [(i, start, stop) for i, cell in enumerate(cells)
-             for start, stop in _replicate_chunks(cell.replicates, cell.words)]
+    tasks = [(i, start, stop) for i, (_, words) in enumerate(cells)
+             for start, stop in _replicate_chunks(replicates, words)]
     results = [None] * len(tasks)
     order = iter(range(len(tasks)))
     lock = threading.Lock()
@@ -221,14 +206,16 @@ def _chunk_map(cells: Sequence[_Cell], kernel: Callable, draw: Callable) -> list
             if k is None:
                 return
             i, start, stop = tasks[k]
+            stream_id, words = cells[i]
             try:
-                results[k] = kernel(i, _cell_draw(cells[i], start, stop, draw))
+                results[k] = kernel(i, draw(_stream_at(seed, stream_id, start * words),
+                                            (stop - start, words)))
             except BaseException as exc:    # re-raised by the calling thread below
                 errors.append(exc)
                 return
 
-    words = sum(cell.replicates * cell.words for cell in cells)
-    threads = min(_WORKERS, len(tasks), max(1, words // _CHUNK_TARGET))
+    total = replicates * sum(words for _, words in cells)
+    threads = min(_WORKERS, len(tasks), max(1, total // _CHUNK_TARGET))
     helpers = [threading.Thread(target=drain, name="vriwae-chunk") for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()

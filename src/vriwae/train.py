@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,20 +103,34 @@ def _check_rules(obj, rules, skip=()) -> None:
 
 def _is_a(value, cast) -> bool:
     """Whether `value` has the numeric type `cast` (int or float) of a
-    field: an int field takes an Integral, a float field a Real (an int is a
-    float too), and neither takes a bool."""
-    return not isinstance(value, bool) and isinstance(
-        value, numbers.Integral if cast is int else numbers.Real)
+    field: an int field takes an Integral, a float field a finite Real (an
+    int is a float too, unless it is too large for one), and neither takes a
+    bool."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) if cast is int
+        else isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max)
+
+
+def _type_rules(casts, grids=()) -> tuple:
+    """The type rule, for `_check_rules`, of each (field, cast) of `casts`:
+    the field holds a `cast` by `_is_a` or, if it is in `grids`, a non-empty
+    list or tuple of them."""
+    def holds(v, cast, grid):
+        return (not grid or (isinstance(v, (list, tuple)) and len(v) > 0)) and all(
+            _is_a(x, cast) for x in (v if grid else [v]))
+    words = {int: ("an int", "ints"), float: ("a finite float", "finite floats")}
+    return tuple((name, lambda v, o, cast=cast, grid=name in grids: holds(v, cast, grid),
+                  f"a non-empty list of {words[cast][1]}" if name in grids else words[cast][0])
+                 for name, cast in casts)
 
 
 # the rules of a TrainConfig, in the order they are checked: the type of
 # each numeric field, then the ranges
 _CONFIG_RULES = (
-    *((name, lambda v, c, cast=cast: _is_a(v, cast), cast.__name__) for name, cast in (
-        ("alpha", float), ("learning_rate", float), ("epochs", int), ("n_importance", int),
-        ("log_every", int), ("gap_replicates", int))),
+    *_type_rules((("alpha", float), ("learning_rate", float), ("epochs", int),
+                  ("n_importance", int), ("log_every", int), ("gap_replicates", int))),
     ("alpha", lambda v, c: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("learning_rate", lambda v, c: 0 < v < math.inf, "positive and finite"),
+    ("learning_rate", lambda v, c: v > 0, "positive"),
     ("epochs", lambda v, c: v >= 0, ">= 0"),
     ("n_importance", lambda v, c: v >= 1, ">= 1"),
     ("log_every", lambda v, c: v >= 1, ">= 1"),
@@ -127,6 +142,11 @@ _CONFIG_RULES = (
 
 @dataclass
 class TrainConfig:
+    """One training run's settings, checked on construction by
+    `_check_rules`, in the order of `_CONFIG_RULES`: first the type of each
+    numeric field (`_type_rules`), where a float field is finite
+    (`_is_a`), then the ranges, and the estimator and optimizer names."""
+
     alpha: float = 0.2
     n_importance: int = 100
     estimator: str = "rep"           # "rep" | "drep"

@@ -8,13 +8,14 @@ so an eps kernel that bypasses `rng.standard_normal` fails here too.  It
 also guards the model protocol: no module outside
 `models` branches on a model's type; and the one map of replicate noise:
 only `bounds._law_samples` and `gradients._grad_moments` call
-`rng._chunk_map` or build its cells.  It is the package's import lint: no
+`rng._chunk_map`.  It is the package's import lint: no
 module imports a name it does not read.  And no public name is reached by
 tests alone: every name in an `__all__`, and every public method or property
 of a model class, is read by the package or by the benchmark.  Last, it
 keeps `import vriwae.cli`, which every CLI call pays for, free of
 scipy.integrate, which only the quadrature oracle reads, and probes
-`tools/code_lines.py`, which counts the package's code lines.
+`tools/code_lines.py`, which counts the package's code lines, and
+`tools/table_digests.py`, which digests the benchmark's tables.
 """
 
 import ast
@@ -171,14 +172,14 @@ def test_one_statement_of_the_law():
 
 def _chunk_map_users(tree, module):
     """"module.function" of each top-level function of `tree` that calls
-    `_chunk_map` or `_Cell`, by name or as an attribute, sorted."""
+    `_chunk_map`, by name or as an attribute, sorted."""
     found = set()
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and (
                         getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                ) in ("_chunk_map", "_Cell"):
+                ) == "_chunk_map":
                     found.add(f"{module}.{top.name}")
     return sorted(found)
 
@@ -191,9 +192,9 @@ def test_one_map_per_draw_law():
              for user in _chunk_map_users(ast.parse((ROOT / "src" / "vriwae" / f"{name}.py")
                                                     .read_text()), name)]
     assert users == ["bounds._law_samples", "gradients._grad_moments"]
-    probe = ast.parse("def f(c):\n    return [vrng._Cell(*c)]\n"
-                      "def g(k):\n    def h():\n        return _chunk_map([], k, None)\n"
-                      "def e(cell: _Cell):\n    return vrng._chunk_map\n")
+    probe = ast.parse("def f(c):\n    return [vrng._chunk_map(*c)]\n"
+                      "def g(k):\n    def h():\n        return _chunk_map(0, 1, [], k, None)\n"
+                      "def e(m: _chunk_map):\n    return vrng._chunk_map\n")
     assert _chunk_map_users(probe, "m") == ["m.f", "m.g"]
 
 
@@ -357,3 +358,20 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path, monkey
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["a.py", "8", "b.py", "0", "total", "8"]
+
+
+def test_table_digests_repeat(monkeypatch, capsys):
+    # tools/table_digests.py prints one sha256 line per op table of a
+    # workload, and the same lines on a second run
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.setattr(sys, "path", list(sys.path))    # undoes the tool's own entries
+    table_digests = importlib.import_module("table_digests")
+    runs = []
+    for _ in range(2):
+        assert table_digests.main(["--workload", "train", "--seed", "0"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    lines = [line for line in runs[0] if not line.endswith("selftest --seed 0")]
+    ops = [op.name for op in importlib.import_module("workloads").build("train", 0)]
+    assert [line.split()[1:] for line in lines] == [["train", "0", name] for name in ops]
+    assert all(len(line.split()[0]) == 64 for line in runs[0])

@@ -76,6 +76,36 @@ def test_spec_validation():
             ExperimentSpec(**kw)
 
 
+# each float field of a spec and of a TrainConfig, as a function that sets it
+# (an item of it, for the grids) to a value
+_FLOAT_FIELDS = {
+    "spec-theta_scale": ("theta_scale", lambda v: ExperimentSpec(kind="gap", theta_scale=v)),
+    "spec-alphas-first": ("alphas", lambda v: ExperimentSpec(kind="gap", alphas=(v, 0.5))),
+    "spec-alphas-last": ("alphas", lambda v: ExperimentSpec(kind="gap", alphas=(0.0, v))),
+    "spec-sigma_perturbs-first": ("sigma_perturbs", lambda v: ExperimentSpec(
+        kind="gap", model="lingauss", sigma_perturbs=(v, 0.1))),
+    "spec-sigma_perturbs-last": ("sigma_perturbs", lambda v: ExperimentSpec(
+        kind="gap", model="lingauss", sigma_perturbs=(0.0, v))),
+    "spec-train-learning_rate": ("learning_rate",
+                                 lambda v: ExperimentSpec(kind="train", learning_rate=v)),
+    "config-alpha": ("alpha", lambda v: train.TrainConfig(alpha=v)),
+    "config-learning_rate": ("learning_rate", lambda v: train.TrainConfig(learning_rate=v)),
+}
+# values no float field takes: not finite, too large for a float, or not a
+# number of its own
+_BAD_FLOATS = {"nan": math.nan, "inf": math.inf, "minus-inf": -math.inf, "huge-int": 10**400,
+               "minus-huge-int": -10**400, "bool": True, "str": "1"}
+
+
+@pytest.mark.parametrize("bad", _BAD_FLOATS.values(), ids=_BAD_FLOATS.keys())
+@pytest.mark.parametrize("field, build", _FLOAT_FIELDS.values(), ids=_FLOAT_FIELDS.keys())
+def test_float_fields_take_finite_numbers_only(field, build, bad):
+    # the spec and TrainConfig decide what a float field takes by one
+    # predicate, and the message names the field
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build(bad)
+
+
 # the flags of every CLI call below, by the spec field each sets
 _CLI_BASE = {"ds": ["--d", "10"], "n_grid": ["--n-grid", "2", "4"], "alphas": ["--alpha", "0"],
              "replicates": ["--replicates", "10"], "seed": ["--seed", "0"]}

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, kstest
 
 from vriwae import rng as vrng
-from vriwae.rng import (_Cell, _chunk_map, _stream_at, chi_square, make_stream,
-                        permutation_indices, raw_uint64, standard_normal, uniform)
+from vriwae.rng import (_chunk_map, _stream_at, chi_square, make_stream, permutation_indices,
+                        raw_uint64, standard_normal, uniform)
 
 
 def test_same_key_same_draws():
@@ -136,8 +136,9 @@ def test_stream_at_reads_words_from_its_offset(seed, stream_id, word, n):
     assert np.array_equal(raw_uint64(_stream_at(seed, stream_id, word), n), whole[word:])
 
 
-def _word_cells():
-    return [_Cell(3, 7, 13, 3), _Cell(2**40, 8, 1, 5), _Cell(3, 9, 9, 2)]
+# the seed, replicate count and (stream_id, words) cells of the maps below
+_SEED, _REPLICATES = 2**40 + 3, 13
+_CELLS = [(7, 3), (8, 5), (9, 2)]
 
 
 def _raw_words(stream, shape):
@@ -145,9 +146,11 @@ def _raw_words(stream, shape):
     return raw_uint64(stream, shape[0] * shape[1]).reshape(shape)
 
 
-def _whole(cell):
-    """The words of every replicate of `cell`, from one fresh stream."""
-    return raw_uint64(make_stream(cell.seed, cell.stream_id), cell.replicates * cell.words)
+def _whole(cell, seed=_SEED, replicates=_REPLICATES):
+    """The words of every replicate of the (stream_id, words) `cell`, from
+    one fresh stream."""
+    stream_id, words = cell
+    return raw_uint64(make_stream(seed, stream_id), replicates * words)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -157,13 +160,11 @@ def test_chunk_map_reads_each_cells_stream_in_replicate_order(monkeypatch, worke
     # stream's, whatever the chunk size and the number of threads
     monkeypatch.setattr(vrng, "_WORKERS", workers)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
-    cells = _word_cells()
-
     def kernel(i, words):
-        assert words.shape[1:] == (cells[i].words,)
+        assert words.shape[1:] == (_CELLS[i][1],)
         return words
 
-    for cell, words in zip(cells, _chunk_map(cells, kernel, _raw_words)):
+    for cell, words in zip(_CELLS, _chunk_map(_SEED, _REPLICATES, _CELLS, kernel, _raw_words)):
         assert np.array_equal(words.reshape(-1), _whole(cell))
 
 
@@ -172,10 +173,9 @@ def test_chunk_map_concatenates_tuple_results_item_by_item(monkeypatch):
     # replicate axis; here the items are a chunk's uniforms and their row sums
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 25)
-    cells = _word_cells()
-    out = _chunk_map(cells, lambda i, u: (u, u.sum(axis=1)), uniform)
-    for cell, (u, sums) in zip(cells, out):
-        want = uniform(make_stream(cell.seed, cell.stream_id), (cell.replicates, cell.words))
+    out = _chunk_map(_SEED, _REPLICATES, _CELLS, lambda i, u: (u, u.sum(axis=1)), uniform)
+    for (stream_id, words), (u, sums) in zip(_CELLS, out):
+        want = uniform(make_stream(_SEED, stream_id), (_REPLICATES, words))
         assert np.array_equal(u, want)
         assert np.array_equal(sums, want.sum(axis=1))
 
@@ -185,7 +185,6 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
     # twice, or lost, would break the counts or the order
     monkeypatch.setattr(vrng, "_WORKERS", 4)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 10)
-    cells = _word_cells()
     lock = threading.Lock()
     calls: dict = {}
 
@@ -200,13 +199,13 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
     try:
         for _ in range(20):
             calls.clear()
-            out = _chunk_map(cells, kernel, _raw_words)
-            tasks = [(i, start, stop) for i, cell in enumerate(cells)
-                     for start, stop in vrng._replicate_chunks(cell.replicates, cell.words)]
+            out = _chunk_map(_SEED, _REPLICATES, _CELLS, kernel, _raw_words)
+            tasks = [(i, start) for i, (_, words) in enumerate(_CELLS)
+                     for start, _ in vrng._replicate_chunks(_REPLICATES, words)]
             assert [words.reshape(-1).tolist() for words in out] == [
-                _whole(cell).tolist() for cell in cells]
-            assert calls == {(i, int(_whole(cells[i])[start * cells[i].words])): 1
-                             for i, start, _ in tasks}
+                _whole(cell).tolist() for cell in _CELLS]
+            assert calls == {(i, int(_whole(_CELLS[i])[start * _CELLS[i][1]])): 1
+                             for i, start in tasks}
     finally:
         sys.setswitchinterval(interval)
 
@@ -216,8 +215,8 @@ def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
     # The first kernel waits for a helper to take a task, so one that had
     # started would show on the recorded threads
     monkeypatch.setattr(vrng, "_WORKERS", 2)
-    cells = [_Cell(4, i, 5, 10) for i in range(40)]
-    assert sum(c.replicates * c.words for c in cells) < vrng._CHUNK_TARGET
+    cells = [(i, 10) for i in range(40)]
+    assert 5 * sum(words for _, words in cells) < vrng._CHUNK_TARGET
     threads = []
     ran = []
     helper_ran = threading.Event()
@@ -231,7 +230,7 @@ def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
             helper_ran.wait(timeout=0.5)
         return words
 
-    out = _chunk_map(cells, kernel, _raw_words)
+    out = _chunk_map(4, 5, cells, kernel, _raw_words)
     assert len(threads) == 40
     assert set(threads) == {threading.main_thread()}
     # one chunk per cell, holding all its replicates
@@ -244,8 +243,8 @@ def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
     # chunk: a chunk on the calling thread waits until it has
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 100)
-    cell = _Cell(5, 6, 50, 4)
-    assert cell.replicates * cell.words == 2 * vrng._CHUNK_TARGET
+    cell = (6, 4)
+    assert 50 * cell[1] == 2 * vrng._CHUNK_TARGET
     helper_ran = threading.Event()
     names = []
 
@@ -258,9 +257,9 @@ def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
             helper_ran.set()
         return words
 
-    words, = _chunk_map([cell], kernel, _raw_words)
+    words, = _chunk_map(5, 50, [cell], kernel, _raw_words)
     assert len(names) == 2 and "vriwae-chunk" in names
-    assert np.array_equal(words.reshape(-1), _whole(cell))
+    assert np.array_equal(words.reshape(-1), _whole(cell, 5, 50))
 
 
 class _HelperError(Exception):
@@ -285,7 +284,7 @@ def test_chunk_map_raises_a_helpers_exception(monkeypatch):
         raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map([_Cell(0, 0, 50, 1)], kernel, _raw_words)
+        _chunk_map(0, 50, [(0, 1)], kernel, _raw_words)
     assert helper_ran.is_set()
     assert len(ran) < 50        # the remaining chunks did not run
 
@@ -299,7 +298,7 @@ def test_no_helper_outlives_its_map(monkeypatch):
     # they are joined before the map returns, also when a kernel raises
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [_Cell(1, 2, 50, 1)]
+    cells = [(2, 1)]
     helper_ran = threading.Event()
 
     def kernel(i, words):
@@ -310,7 +309,7 @@ def test_no_helper_outlives_its_map(monkeypatch):
             helper_ran.set()
         return words
 
-    assert len(_chunk_map(cells, kernel, _raw_words)[0]) == 50
+    assert len(_chunk_map(1, 50, cells, kernel, _raw_words)[0]) == 50
     assert helper_ran.is_set()
     assert not _live_helpers()
 
@@ -318,7 +317,7 @@ def test_no_helper_outlives_its_map(monkeypatch):
         raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map(cells, failing, _raw_words)
+        _chunk_map(1, 50, cells, failing, _raw_words)
     assert not _live_helpers()
 
 
@@ -328,15 +327,15 @@ def test_chunk_map_runs_in_a_forked_child(monkeypatch):
     # maps start their own instead of waiting on the parent's forever
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [_Cell(1, 2, 50, 1)]
+    cells = [(2, 1)]
 
     def kernel(i, words):
         return words
 
-    want = _chunk_map(cells, kernel, _raw_words)[0]    # the helpers exist now
+    want = _chunk_map(1, 50, cells, kernel, _raw_words)[0]    # the helpers exist now
 
     def child():
-        sys.exit(0 if np.array_equal(_chunk_map(cells, kernel, _raw_words)[0], want) else 1)
+        sys.exit(0 if np.array_equal(_chunk_map(1, 50, cells, kernel, _raw_words)[0], want) else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()

@@ -87,10 +87,13 @@ def test_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**kw)
     # each numeric field takes a number of its type, and no bool; the message
-    # names the field
+    # names the field.  An int too large for a float compares with inf
+    # exactly, so only the float type rule keeps it from run_training's
+    # first step, which would raise a bare OverflowError
     for kw in (dict(epochs=2.5), dict(epochs="3"), dict(alpha=None), dict(alpha="0.2"),
                dict(learning_rate=None), dict(n_importance=True), dict(n_importance=8.0),
-               dict(log_every=np.int64(10) + 0.5), dict(gap_replicates=False)):
+               dict(log_every=np.int64(10) + 0.5), dict(gap_replicates=False),
+               dict(learning_rate=10**400), dict(learning_rate=-10**400)):
         name, = kw
         with pytest.raises(ValueError, match=f"^{name} must be "):
             TrainConfig(**kw)

@@ -1,0 +1,69 @@
+"""Print the sha256 of every table the benchmark's workloads write, and of
+the selftest's output, so that two commits can be checked for the same bits.
+
+For each workload and seed given, each op of `perfbench/workloads.build`
+runs through `vriwae.cli.main` with `--out` into a temporary directory, and
+one line gives the sha256 of the file it wrote, then the workload, the seed
+and the op's name.  A last line gives the sha256 of the stdout of
+`vriwae selftest --seed 0`.
+
+    python tools/table_digests.py [--workload W ...] [--seed S ...]
+
+The defaults are all four workloads, at seeds 0 and 1: 24 tables and the
+selftest line, in about 3 s on 2 cores.  Run it on two checkouts and
+compare the output with `diff`.  The package and the workloads are imported
+from src/ and perfbench/ next to this script's directory; nothing there is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ("highdim", "lowdim", "snr", "train")
+
+
+def digests(workloads=WORKLOADS, seeds=(0, 1)) -> list:
+    """The output lines: one per op table of each (workload, seed), in
+    order, then the selftest's."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads as perf_workloads
+    from vriwae.cli import main
+
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            for seed in seeds:
+                for op in perf_workloads.build(workload, seed):
+                    path = os.path.join(tmp, op.name + (".json" if "json" in op.argv else ".csv"))
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        main([*op.argv, "--out", path])
+                    digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {workload} {seed} {op.name}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["selftest", "--seed", "0"])
+    lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  selftest --seed 0")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    parser.add_argument("--seed", type=int, nargs="+", default=(0, 1))
+    args = parser.parse_args(argv)
+    for line in digests(args.workload, args.seed):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
