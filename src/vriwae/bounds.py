@@ -5,9 +5,15 @@ The single-sample estimator of the bound from one batch of N log-weights is
     (1/(1-alpha)) * [logsumexp((1-alpha) * lw) - log N],
 
 which interpolates the IWAE estimate (alpha = 0) and the ELBO (alpha -> 1).
-Within 1e-8 of alpha = 1 the (1-alpha) cancellation has lost all precision, so
-evaluation switches to the exact limit mean(lw).  The gap runner evaluates it
-at every alpha of its grid from one call per chunk of batches.
+It is evaluated as the paper's split of a gap sample: the dominant weight's
+term max lw + log N / (alpha - 1), plus the remainder log(1 + T) / (1 - alpha)
+carried by the others, with T the dominance statistic of `weights`.  Both
+terms come from `weights._tail_sums`, the package's one kernel of the sums
+of a batch (`_split`), so the estimate and `decomposition_sample` agree bit
+for bit.  Within 1e-8 of alpha = 1 the (1-alpha) cancellation has lost all
+precision, so evaluation switches to the exact limit mean(lw).  The gap
+runner evaluates it at every alpha of its grid from one call per chunk of
+batches.
 
 Gaps are always computed from relative log-weights so the log marginal cancels
 analytically instead of being subtracted between two huge numbers.  The one
@@ -38,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as vrng
-from .weights import _check_alpha, _max_shift, _mean_se, t_statistic
+from .weights import _check_alpha, _check_replicates, _mean_se, _tail_sums
 
 __all__ = [
     "ALPHA_ONE_THRESHOLD",
@@ -60,32 +66,32 @@ class BoundEstimate:
     replicates: int
 
 
+def _split(values: np.ndarray, betas, axis: int):
+    """(delta_max, r_term, T) along `axis`, each with a leading axis over
+    `betas` = 1 - alpha: delta_max = max + log N / (alpha - 1) and
+    r_term = log1p(T) / (1 - alpha), from one kernel call."""
+    m, t = _tail_sums(values, betas, axis)
+    b = np.reshape(betas, (-1,) + (1,) * m.ndim)
+    return m - math.log(values.shape[axis]) / b, np.log1p(t) / b, t
+
+
 def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.ndarray:
     """Single-sample bound estimate along `axis` of a log-weight array, at one
     alpha, or at each of a 1-D sequence of alphas on a new last axis.
 
-    max (1-alpha) lw = (1-alpha) max lw, so one shift by the row max serves
-    every alpha: each scales the shifted rows into one reused buffer,
-    exponentiates and sums it there.  `values` is never written.
+    max (1-alpha) lw = (1-alpha) max lw, so one kernel call serves every
+    alpha below the ELBO limit: the sum delta_max + r_term of `_split`.
+    `values` is never written.
     """
     if np.ndim(alpha) > 1:
         raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    alphas = [_check_alpha(a, closed=True) for a in np.atleast_1d(alpha)]
+    betas = [1.0 - _check_alpha(a, closed=True) for a in np.atleast_1d(alpha)]
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[axis]
-    if n < 1:
+    if values.shape[axis] < 1:
         raise ValueError("need at least one weight")
-    shifted, mx = _max_shift(values, axis)
-    buf = np.empty_like(shifted)
-    out = []
-    for a in alphas:
-        beta = 1.0 - a
-        if beta < ALPHA_ONE_THRESHOLD:
-            out.append(np.mean(values, axis=axis))
-            continue
-        np.exp(np.multiply(shifted, beta, out=buf) if beta != 1.0 else shifted, out=buf)
-        with np.errstate(divide="ignore"):
-            out.append((np.log(np.sum(buf, axis=axis)) - math.log(n)) / beta + mx)
+    tail = [b for b in betas if b >= ALPHA_ONE_THRESHOLD]
+    sums = iter(np.add(*_split(values, tail, axis)[:2]) if tail else ())
+    out = [next(sums) if b >= ALPHA_ONE_THRESHOLD else np.mean(values, axis=axis) for b in betas]
     return np.stack(out, axis=-1) if np.ndim(alpha) else out[0]
 
 
@@ -99,9 +105,7 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     `stream` through the model's law, so the result is a function of
     that key alone; `stream` is not advanced.
     """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
-    alpha = _check_alpha(alpha, closed=True)
+    alpha, replicates = _check_alpha(alpha, closed=True), _check_replicates(replicates)
     samples, = _law_samples([model], stream.seed, [(stream.stream_id, n_importance)],
                             replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0], alpha))
     mean, se = _mean_se(samples)
@@ -147,13 +151,10 @@ def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, f
     remainder carried by the others.  Their sum reproduces the gap sample
     exactly, and r_term <= T / (1 - alpha).
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     rel = np.asarray(rel, dtype=np.float64)
     if rel.ndim != 1 or rel.size < 1:
         raise ValueError("log-weights must be a non-empty 1-D array")
     if not np.all(np.isfinite(rel)):
         raise ValueError("log-weights must all be finite")
-    t = float(t_statistic(rel, alpha))
-    delta_max = float(np.max(rel)) + np.log(rel.size) / (alpha - 1.0)
-    r_term = float(np.log1p(t) / (1.0 - alpha))
-    return delta_max, r_term, t
+    return tuple(float(x[0]) for x in _split(rel, [1.0 - alpha], -1))

@@ -46,7 +46,8 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, gr
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _type_rules, run_training
-from .weights import _mean_se, _weight_rows, ess, max_weight_share, qq_points, t_statistic
+from .weights import (_diagnostics, _mean_se, _weight_rows, ess, max_weight_share, qq_points,
+                      t_statistic)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -472,9 +473,7 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
     and the effective sample size over fresh batches per (alpha, d, N)."""
     def collapse_stats(lrw):
         # (T, max share, ESS) per (variant, alpha), as (C, V, A, 3): replicates first
-        t = np.stack([t_statistic(lrw, alpha) for alpha in spec.alphas], axis=-1)
-        share, e = max_weight_share(lrw)[..., None], ess(lrw)[..., None]
-        return np.stack(np.broadcast_arrays(t, share, e), axis=-1).transpose(1, 0, 2, 3)
+        return _diagnostics(lrw, spec.alphas).transpose(1, 0, 2, 3)
 
     rows = []
     for d, variants, stats in _law_grid(spec, _OFF_COLLAPSE, collapse_stats):

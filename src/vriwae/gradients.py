@@ -69,7 +69,7 @@ from . import rng as vrng
 from .asymptotics import slope_fit
 from .bounds import vr_iwae_from_log_weights
 from .models import _affine_score, _eps_sums
-from .weights import _check_alpha, _mean_se
+from .weights import _check_alpha, _check_replicates, _mean_se
 
 __all__ = [
     "GradEstimate",
@@ -147,7 +147,8 @@ def _grad_moments(seed: int, cells: Sequence[tuple[int, tuple]], replicates: int
     def kernel(i, normals):
         return sample(normals.reshape(len(normals), *cells[i][1]))
 
-    samples = vrng._chunk_map(seed, replicates, [(sid, math.prod(shape)) for sid, shape in cells],
+    samples = vrng._chunk_map(seed, _check_replicates(replicates),
+                              [(sid, math.prod(shape)) for sid, shape in cells],
                               kernel, vrng.standard_normal)
     return [[_mean_se(block) for block in cell] for cell in samples]
 

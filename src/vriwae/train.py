@@ -134,7 +134,7 @@ _CONFIG_RULES = (
     ("epochs", lambda v, c: v >= 0, ">= 0"),
     ("n_importance", lambda v, c: v >= 1, ">= 1"),
     ("log_every", lambda v, c: v >= 1, ">= 1"),
-    ("gap_replicates", lambda v, c: v >= 1, ">= 1"),
+    ("gap_replicates", lambda v, c: v >= 2, ">= 2 for a standard error"),
     ("estimator", lambda v, c: v in _ESTIMATORS, f"one of {_ESTIMATORS}"),
     ("optimizer", lambda v, c: v in _OPTIMIZERS, f"one of {_OPTIMIZERS}"),
 )

@@ -4,11 +4,13 @@ All statistics here are computed in the log domain with max-subtraction; the
 interesting regimes put hundreds of nats between the largest and smallest
 weight, so linear-domain arithmetic would overflow long before the diagnostics
 become informative.  Log-weights travel as plain float arrays, with no
-container type.  `_max_shift` is the package's one log-sum-exp shift:
-`_logsumexp`, the normalized weights (`_softmax_last`) and the bound's
-estimator (`bounds.vr_iwae_from_log_weights`) all exponentiate its shifted
-rows.  The diagnostics T, max share and ESS each have one function, which
-reduces along an axis of a log-weight array (the last by default), so one
+container type.  `_tail_sums` is the package's one kernel of the sums of a
+batch: it shifts each row by its max once and sums exp(beta * shifted) over
+the non-maximal weights at each of several beta.  The bound's estimator and
+its max/remainder split (`bounds`) and the diagnostics T, max share and ESS
+all read it; the collapse runner evaluates every diagnostic at every alpha
+of its grid from one call per chunk (`_diagnostics`).  The diagnostics
+reduce along an axis of a log-weight array (the last by default), so one
 batch and a stack of batches take the same code.  The normalized weights s
 and the doubly-reparameterized coefficients h of the gradient estimators
 (`_weight_rows`) live here too, below both `models` and `gradients`.
@@ -19,7 +21,10 @@ Conventions fixed once for the whole artifact:
       T = sum_{j != argmax} exp((1 - alpha) * (lw_j - lw_max)),
   i.e. the (1-alpha)-power ratios of all non-maximal weights to the maximal
   one.  Ties are broken by original index (first occurrence wins); T is
-  invariant to the choice among exact ties.
+  invariant to the choice among exact ties.  The max share is
+  1 / (1 + T at alpha = 0) and the ESS (1 + T_1)^2 / (1 + T_2), with T_beta
+  the sum at power beta.  All three read NaN on a batch whose largest
+  log-weight is not finite.
 * QQ plotting positions are (i - 0.5) / n against the standard normal.
 
 The sample mean and unbiased SD of a log-weight sample are the weights
@@ -55,11 +60,18 @@ def _mean_se(samples: np.ndarray):
     Two passes: the squared deviations are summed about the mean, so the
     variance stays accurate when the spread is small against the mean.
     """
-    n = samples.shape[0]
+    n = _check_replicates(samples.shape[0])
     mean = samples.mean(axis=0)
     dev = samples - mean
-    var = (dev * dev).sum(axis=0) / max(n - 1, 1)
+    var = (dev * dev).sum(axis=0) / (n - 1)
     return mean, np.sqrt(var / n)
+
+
+def _check_replicates(replicates: int) -> int:
+    """replicates; ValueError below 2, which have no standard error."""
+    if replicates < 2:
+        raise ValueError(f"a standard error needs at least 2 replicates, got {replicates}")
+    return replicates
 
 
 def _check_alpha(alpha: float, closed: bool = False) -> float:
@@ -69,25 +81,41 @@ def _check_alpha(alpha: float, closed: bool = False) -> float:
     return float(alpha)
 
 
-def _max_shift(x: np.ndarray, axis: int):
-    """(x - m, m): a new array of x shifted by its max m along `axis`, and m
-    without that axis.
+def _tail_sums(x: np.ndarray, betas, axis: int = -1):
+    """(m, T): the max m of x along `axis`, and T with a leading axis over
+    `betas`, T[k] = sum_{j != argmax} exp(betas[k] * (x_j - m)).
 
-    A non-finite max is replaced by 0, so that a log-sum-exp of the shifted
-    rows plus m gives +inf on rows holding +inf, -inf on rows of only -inf
-    and NaN on rows holding NaN.
+    The argmax (ties: first occurrence) is taken once, and its term is left
+    out of the sum, not subtracted from it, so a T far below 1 keeps its
+    relative precision.  Where m is not finite the rows are shifted by 0
+    instead, so that m + log1p(T) / beta gives +inf on rows holding +inf,
+    -inf on rows of only -inf and NaN on rows holding NaN, as a log-sum-exp
+    would; T there serves only that sum.  `x` is never written.
     """
-    mx = np.max(x, axis=axis, keepdims=True)
-    mx[~np.isfinite(mx)] = 0.0
-    return np.subtract(x, mx), np.squeeze(mx, axis=axis)
+    x = np.asarray(x, dtype=np.float64)
+    at_max = [*np.indices(x.shape, sparse=True)]
+    at_max[axis] = np.argmax(x, axis=axis, keepdims=True)
+    m = x[tuple(at_max)]
+    e = np.subtract(x, np.where(np.isfinite(m), m, 0.0))
+    buf = np.empty_like(e)
+    t = []
+    for b in betas:
+        np.exp(np.multiply(e, b, out=buf) if b != 1.0 else e, out=buf)
+        # zeroed after exp: exp is slower on a row holding -inf
+        buf[tuple(at_max)] = 0.0
+        t.append(np.sum(buf, axis=axis))
+    return np.squeeze(m, axis), np.stack(t)
 
 
-def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(x))) along `axis` of a float array, max-shifted."""
-    e, mx = _max_shift(x, axis)
-    np.exp(e, out=e)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(e, axis=axis)) + mx
+def _diagnostics(values: np.ndarray, alphas, axis: int = -1) -> np.ndarray:
+    """(T, max share, ESS) along `axis` on a last axis of 3, after an axis
+    over `alphas` (the share and the ESS repeat along it), from one kernel
+    call; NaN on rows whose max is not finite."""
+    m, t = _tail_sums(values, [1.0 - _check_alpha(a) for a in alphas] + [1.0, 2.0], axis)
+    t = np.where(np.isfinite(m), t, np.nan)
+    t1 = 1.0 + t[-2]
+    columns = np.broadcast_arrays(t[:-2], 1.0 / t1, t1 * t1 / (1.0 + t[-1]))
+    return np.moveaxis(np.stack(columns, axis=-1), 0, -2)
 
 
 def t_statistic(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
@@ -95,26 +123,19 @@ def t_statistic(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
 
     Lies in [0, N-1]; shift-invariant, so it does not matter whether the
     values are normalized or unnormalized log-weights.  Small values mean the
-    largest weight dominates the batch.  The argmax term is left out of the
-    sum, not subtracted from it, so a T far below 1 keeps its relative
-    precision.
+    largest weight dominates the batch.
     """
-    alpha = _check_alpha(alpha)
-    v = np.moveaxis(values, axis, -1)
-    i_max = np.argmax(v, axis=-1)[..., None]  # ties: first occurrence
-    e = np.exp((1.0 - alpha) * (v - np.take_along_axis(v, i_max, axis=-1)))
-    np.put_along_axis(e, i_max, 0.0, axis=-1)
-    return np.sum(e, axis=-1)
+    return _diagnostics(values, [alpha], axis)[..., 0, 0]
 
 
 def max_weight_share(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """w_max / sum_j w_j along `axis`, equal to 1 / (1 + T at alpha=0)."""
-    return np.exp(np.max(values, axis=axis) - _logsumexp(values, axis))
+    return _diagnostics(values, [0.0], axis)[..., 0, 1]
 
 
 def ess(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Effective sample size (sum w)^2 / sum w^2 along `axis`, in [1, N]."""
-    return np.exp(2.0 * _logsumexp(values, axis) - _logsumexp(2.0 * values, axis))
+    return _diagnostics(values, [0.0], axis)[..., 0, 2]
 
 
 def _h(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -123,9 +144,10 @@ def _h(s: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e, _ = _max_shift(x, -1)
-    np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+    mx = np.max(x, axis=-1, keepdims=True)
+    e = np.subtract(x, np.where(np.isfinite(mx), mx, 0.0))
+    # the arguments run in order: the sum reads the exponentiated e
+    return np.divide(np.exp(e, out=e), e.sum(axis=-1, keepdims=True), out=e)
 
 
 def _weight_rows(lw: np.ndarray, alpha: float) -> np.ndarray:

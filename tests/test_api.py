@@ -15,10 +15,12 @@ of a model class, is read by the package or by the benchmark.  Last, it
 keeps `import vriwae.cli`, which every CLI call pays for, free of
 scipy.integrate, which only the quadrature oracle reads, and probes
 `tools/code_lines.py`, which counts the package's code lines, and
-`tools/table_digests.py`, which digests the benchmark's tables.
+`tools/table_digests.py`, which digests the benchmark's tables, and
+`tools/table_diff.py`, which says by how much two sets of them differ.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -360,18 +362,54 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path, monkey
     assert capsys.readouterr().out.split() == ["a.py", "8", "b.py", "0", "total", "8"]
 
 
-def test_table_digests_repeat(monkeypatch, capsys):
+def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
     # tools/table_digests.py prints one sha256 line per op table of a
-    # workload, and the same lines on a second run
+    # workload, and the same lines on a second run, which keeps the files
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     monkeypatch.setattr(sys, "path", list(sys.path))    # undoes the tool's own entries
     table_digests = importlib.import_module("table_digests")
     runs = []
-    for _ in range(2):
-        assert table_digests.main(["--workload", "train", "--seed", "0"]) == 0
+    for keep in ([], ["--keep", str(tmp_path)]):
+        assert table_digests.main(["--workload", "train", "--seed", "0", *keep]) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
+    kept = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert {f"train-0-{line.split()[3]}.csv": line.split()[0]
+            for line in runs[0][:-1]} | {"selftest.txt": runs[0][-1].split()[0]} == kept
     lines = [line for line in runs[0] if not line.endswith("selftest --seed 0")]
     ops = [op.name for op in importlib.import_module("workloads").build("train", 0)]
     assert [line.split()[1:] for line in lines] == [["train", "0", name] for name in ops]
     assert all(len(line.split()[0]) == 64 for line in runs[0])
+
+
+def test_table_diff_reads_the_relative_size_of_a_change(tmp_path, monkeypatch, capsys):
+    # tools/table_diff.py prints per table the largest relative difference
+    # of its numeric cells: 0 for identical tables, and the size of one
+    # perturbed cell; a changed non-numeric cell or column makes it exit 1
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    table_diff = importlib.import_module("table_diff")
+    csv_text = "# seed=3\nmodel,N,mean\ntoy,2,-0.5\ntoy,4,nan\n"
+    json_doc = {"schema_version": 1, "rows": [{"N": 2, "mean": 4.0, "pred": None}]}
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "t.csv").write_text(csv_text)
+        (tmp_path / side / "t.json").write_text(json.dumps(json_doc))
+    assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+        ["0.000e+00", "t.csv"], ["0.000e+00", "t.json"]]
+
+    (tmp_path / "b" / "t.csv").write_text(csv_text.replace("-0.5", "-0.5000005"))
+    json_doc["rows"][0]["mean"] = 4.0 * (1 + 2e-13)
+    (tmp_path / "b" / "t.json").write_text(json.dumps(json_doc))
+    assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    (csv_line, csv_rel), (json_line, json_rel) = [
+        (line, float(line.split()[0])) for line in capsys.readouterr().out.splitlines()]
+    assert csv_rel == pytest.approx(1e-6, rel=1e-5) and csv_line.endswith("t.csv  row 0 mean")
+    assert json_rel == pytest.approx(2e-13, rel=1e-3) and json_line.endswith("t.json  row 0 mean")
+
+    for changed in (csv_text.replace("toy,4", "lg,4"), csv_text.replace("mean", "gap"),
+                    csv_text.replace("nan", "0.0"), csv_text + "toy,8,1.0\n",
+                    csv_text.replace("seed=3", "seed=4")):
+        (tmp_path / "b" / "t.csv").write_text(changed)
+        assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1, changed
+    capsys.readouterr()

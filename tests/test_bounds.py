@@ -62,6 +62,48 @@ def test_vr_iwae_from_log_weights_matches_scipy():
                                                             axis=0), ref, rtol=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(1, 300),
+       offset=st.floats(-1e8, 1e8), scale=st.sampled_from([1e-3, 1.0, 30.0, 300.0]),
+       axis=st.sampled_from([0, -1]))
+def test_iwae_bound_matches_scipy_logsumexp(seed, rows, n, offset, scale, axis):
+    # at alpha = 0 the bound is logsumexp - log N: scipy is the oracle of the
+    # one kernel's max shift and tail sum, along both axes
+    x = offset + scale * np.random.default_rng(seed).normal(size=(rows, n))
+    if axis == 0:
+        x = np.ascontiguousarray(x.T)
+    np.testing.assert_allclose(vr_iwae_from_log_weights(x, 0.0, axis),
+                               logsumexp(x, axis=axis) - math.log(n), rtol=1e-13, atol=1e-13)
+
+
+def test_iwae_bound_edge_rows():
+    # rows of only -inf, +inf, NaN, one finite weight, and tied maxima (+inf
+    # twice, a finite pair) read as scipy's logsumexp - log N does
+    inf, nan = math.inf, math.nan
+    x = np.array([[-inf, -inf, -inf], [0.0, inf, 1.0], [1.0, nan, 2.0], [-inf, 3.0, -inf],
+                  [-inf, inf, 0.0], [inf, inf, 0.0]])
+    got = vr_iwae_from_log_weights(x, 0.0)
+    np.testing.assert_array_equal(got, [-inf, inf, nan, 3.0 - math.log(3), inf, inf])
+    np.testing.assert_array_equal(got, logsumexp(x, axis=-1) - math.log(3))
+    np.testing.assert_array_equal(vr_iwae_from_log_weights(np.ascontiguousarray(x.T), 0.0, 0),
+                                  got)
+    assert vr_iwae_from_log_weights(np.array([-2.5]), 0.0) == -2.5
+    tied = np.array([2.0, -1.0, 2.0, 0.5])
+    assert vr_iwae_from_log_weights(tied, 0.0) == pytest.approx(
+        logsumexp(tied) - math.log(4), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 300.0]), alpha=st.floats(0.0, 0.999999))
+def test_bound_is_its_split_bit_for_bit(seed, n, scale, alpha):
+    # the bound is evaluated as the paper's split of a gap sample: the
+    # dominant weight's term plus the remainder, exactly
+    batch = scale * np.random.default_rng(seed).normal(size=n)
+    delta_max, r_term, _ = decomposition_sample(batch, alpha)
+    assert bound(batch, alpha) == delta_max + r_term
+
+
 _ALPHA_SEQ = (0.0, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 
 

@@ -24,7 +24,6 @@ from vriwae.experiments import (ExperimentSpec, fit_gap_table,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
                                 run_weights_experiment, selftest, write_table)
-from vriwae.weights import ess, max_weight_share, t_statistic
 
 
 def small_gap_spec(**kw):
@@ -461,12 +460,22 @@ def test_cli_table_same_on_one_cpu(tmp_path):
     assert tables["one"] == tables["all"]
 
 
+def _plain_diagnostics(alpha):
+    """{column: statistic of one 1-D batch} for the collapse table, from the
+    definitions: T sums over the batch with its argmax deleted, and the max
+    share and ESS read scipy's logsumexp."""
+    return {"t": lambda b: np.sum(np.exp((1.0 - alpha) * (np.delete(b, np.argmax(b)) - b.max()))),
+            "max_share": lambda b: np.exp(b.max() - logsumexp(b)),
+            "ess": lambda b: np.exp(2.0 * logsumexp(b) - logsumexp(2.0 * b))}
+
+
 def _by_hand_cells(spec):
     """{(alpha, d, sigma_perturb, N): {column: (mean, se)}} by hand: cell
     (d_idx, n_idx) reads the stream at the family offset + d_idx * len(n_grid)
     + n_idx, replicate r maps block r of its uniforms through each model's
-    law, and each statistic comes from scipy's logsumexp or the `weights`
-    diagnostics of one batch, reduced by a two-pass mean and SE."""
+    law, and each statistic comes from scipy's logsumexp or the plain
+    definitions of the diagnostics on one batch (`_plain_diagnostics`),
+    reduced by a two-pass mean and SE."""
     offset = experiments._OFF_GAP if spec.kind == "gap" else experiments._OFF_COLLAPSE
     out = {}
     for d_idx, d in enumerate(spec.ds):
@@ -487,9 +496,8 @@ def _by_hand_cells(spec):
                         stats = {"gap": [(logsumexp((1.0 - alpha) * v) - math.log(n))
                                          / (1.0 - alpha) for v in batches]}
                     else:
-                        stats = {"t": [t_statistic(b, alpha) for b in batches],
-                                 "max_share": [max_weight_share(b) for b in batches],
-                                 "ess": [ess(b) for b in batches]}
+                        stats = {col: [stat(b) for b in batches]
+                                 for col, stat in _plain_diagnostics(alpha).items()}
                     out[(alpha, d, sp, n)] = {
                         col: (np.mean(v), np.std(v, ddof=1) / math.sqrt(len(v)))
                         for col, v in stats.items()}
@@ -685,9 +693,8 @@ def test_collapse_experiment_trends():
 
 
 def test_collapse_matches_scalar_diagnostics():
-    # the batched T / max share / ESS and their streaming mean and SE equal
-    # the diagnostics of `weights` on each replicate batch alone and a
-    # two-pass SE
+    # the batched T / max share / ESS and their mean and SE equal the plain
+    # definitions on each replicate batch alone and a two-pass SE
     spec = ExperimentSpec(kind="collapse", model="lingauss", alphas=(0.0, 0.5), ds=(3,),
                           n_grid=(8,), replicates=30, seed=9, sigma_perturbs=(0.0, 0.3))
     rows = run_collapse_experiment(spec)
@@ -699,8 +706,7 @@ def test_collapse_matches_scalar_diagnostics():
     assert len(rows) == 4
     for row in rows:
         batches = list(lrw[spec.sigma_perturbs.index(row["sigma_perturb"])])
-        for col, stat in (("t", lambda b: t_statistic(b, row["alpha"])),
-                          ("max_share", max_weight_share), ("ess", ess)):
+        for col, stat in _plain_diagnostics(row["alpha"]).items():
             vals = np.array([stat(b) for b in batches])
             assert row[f"{col}_mean"] == pytest.approx(vals.mean(), rel=1e-12)
             assert row[f"{col}_se"] == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vriwae.gradients import (_contract, fd_grad_from_eps, fd_grad_oracle, grad_
                               grad_samples_from_eps, snr_floor, snr_sweep)
 from vriwae.models import GaussianToy, LinearGaussian, _eps_sums
 from vriwae.rng import make_stream, standard_normal, uniform
+from vriwae.train import TrainConfig
 from vriwae.weights import _h, _mean_se, _softmax_last, _weight_rows
 
 
@@ -508,6 +510,24 @@ def test_mean_se_matches_numpy():
     mean, se = _mean_se(x)
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
     np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / math.sqrt(1000), rtol=1e-12)
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_standard_errors_need_two_replicates(replicates):
+    # fewer than 2 replicates have no standard error: each Monte Carlo entry
+    # refuses them before it draws, the reducer refuses a sample of one row,
+    # and a TrainConfig refuses them for its gap columns
+    model, stream = toy(), make_stream(0, 0)
+    calls = (lambda: gap_mc(model, 0.5, 4, replicates, stream),
+             lambda: grad_mean_se(model, 0.5, 4, replicates, stream),
+             lambda: fd_grad_oracle(model, 0.5, 4, 1e-4, replicates, stream),
+             lambda: _mean_se(np.zeros((replicates, 3))))
+    with mock.patch.object(vrng, "_chunk_map", side_effect=AssertionError("drew")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"at least 2 replicates, got {replicates}$"):
+                call()
+    with pytest.raises(ValueError, match="^gap_replicates must be >= 2 "):
+        TrainConfig(gap_replicates=replicates)
 
 
 # --------------------------------------------------------------------------

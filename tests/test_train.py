@@ -469,7 +469,7 @@ def test_sgd_chain_has_the_law_of_the_loop(monkeypatch, estimator, d):
     # chi^2_d in place of chi^2_(d-1), with no perpendicular term, or with the
     # sign of sum s Z flipped
     config = TrainConfig(alpha=0.3, n_importance=2, estimator=estimator, learning_rate=0.2,
-                         epochs=30, log_every=30, gap_replicates=1)
+                         epochs=30, log_every=30, gap_replicates=2)
     chain = _final_rows(config, d, 1)
     monkeypatch.setattr(GaussianToy, "sgd_chain", _Model.sgd_chain)
     loop = _final_rows(config, d, 2)

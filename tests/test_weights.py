@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from vriwae import experiments
 from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
 from vriwae.bounds import decomposition_sample
-from vriwae.weights import _logsumexp, ess, max_weight_share, qq_points, t_statistic
+from vriwae.weights import ess, max_weight_share, qq_points, t_statistic
 
 
 def test_container_validation():
@@ -70,29 +67,6 @@ def test_t_kernel_matches_loop_for_tiny_t():
         np.testing.assert_allclose(t_statistic(v.T, alpha, axis=0), ref, rtol=1e-13, atol=0.0)
     assert t_statistic(np.array([0.0, -40.0]), 0.0) == pytest.approx(
         math.exp(-40.0), rel=1e-15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(1, 300),
-       offset=st.floats(-1e8, 1e8), scale=st.sampled_from([1e-3, 1.0, 30.0, 300.0]),
-       axis=st.sampled_from([0, -1]))
-def test_logsumexp_kernel_matches_scipy(seed, rows, n, offset, scale, axis):
-    x = offset + scale * np.random.default_rng(seed).normal(size=(rows, n))
-    if axis == 0:
-        x = np.ascontiguousarray(x.T)
-    np.testing.assert_allclose(_logsumexp(x, axis), logsumexp(x, axis=axis),
-                               rtol=1e-13, atol=1e-13)
-
-
-def test_logsumexp_kernel_edge_rows():
-    inf, nan = math.inf, math.nan
-    x = np.array([[-inf, -inf, -inf], [0.0, inf, 1.0], [1.0, nan, 2.0], [-inf, 3.0, -inf],
-                  [-inf, inf, 0.0]])
-    got = _logsumexp(x, -1)
-    np.testing.assert_array_equal(got, [-inf, inf, nan, 3.0, inf])
-    np.testing.assert_array_equal(got, logsumexp(x, axis=-1))
-    np.testing.assert_array_equal(_logsumexp(np.ascontiguousarray(x.T), 0), got)
-    assert _logsumexp(np.array([-2.5]), -1) == -2.5
 
 
 def test_max_weight_share_uniform():
