@@ -27,12 +27,14 @@ LAW_WORDS of them, through the model's law (`law_variates`, then
 `law_log_weights`).  `_law_samples` runs the chunks of replicates through
 `rng._chunk_map`, whose kernel takes a chunk's uniforms, maps them and
 reduces them to one sample per replicate on whichever thread takes it.  It
-reads each model's `law_scalars` once per call, computes `law_variates` (a
-function of q and d alone) once per chunk, and maps them through
-`law_log_weights` with the scalars of every model into one block, so the
+takes one law (a model) and a list of law scalars (`law_scalars`), computes
+`law_variates` (a function of q and d alone) once per chunk, and maps them
+through `law_log_weights` with each of the scalars into one block, so the
 sigma variants of one d share the linear Gaussian's normal and chi^2
-draws.  It serves the gap, collapse and weights runners of
-`experiments` too; a weights draw is one cell of N = 1.
+draws.  It serves the gap, collapse and weights runners of `experiments`
+too; a weights draw is one cell of N = 1.  `gap_mc` takes such a list as
+well: a training run's logged rows are law states of one model, and their
+gaps are variants of one cell on one key.
 """
 
 from __future__ import annotations
@@ -68,10 +70,12 @@ class BoundEstimate:
 
 def _split(values: np.ndarray, betas, axis: int):
     """(delta_max, r_term, T) along `axis`, each with a leading axis over
-    `betas` = 1 - alpha: delta_max = max + log N / (alpha - 1) and
+    `betas` = 1 - alpha, except delta_max at a single beta, which broadcasts
+    against the others: delta_max = max + log N / (alpha - 1) and
     r_term = log1p(T) / (1 - alpha), from one kernel call."""
     m, t = _tail_sums(values, betas, axis)
-    b = np.reshape(betas, (-1,) + (1,) * m.ndim)
+    # a single beta divides as a float, which rounds as an array of it does
+    b = betas[0] if len(betas) == 1 else np.reshape(betas, (-1,) + (1,) * m.ndim)
     return m - math.log(values.shape[axis]) / b, np.log1p(t) / b, t
 
 
@@ -83,20 +87,21 @@ def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.nd
     alpha below the ELBO limit: the sum delta_max + r_term of `_split`.
     `values` is never written.
     """
-    if np.ndim(alpha) > 1:
-        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    betas = [1.0 - _check_alpha(a, closed=True) for a in np.atleast_1d(alpha)]
+    shape = np.shape(alpha)
+    if len(shape) > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {shape}")
+    betas = [1.0 - _check_alpha(a, closed=True) for a in (alpha if shape else [alpha])]
     values = np.asarray(values, dtype=np.float64)
     if values.shape[axis] < 1:
         raise ValueError("need at least one weight")
     tail = [b for b in betas if b >= ALPHA_ONE_THRESHOLD]
     sums = iter(np.add(*_split(values, tail, axis)[:2]) if tail else ())
     out = [next(sums) if b >= ALPHA_ONE_THRESHOLD else np.mean(values, axis=axis) for b in betas]
-    return np.stack(out, axis=-1) if np.ndim(alpha) else out[0]
+    return np.stack(out, axis=-1) if shape else out[0]
 
 
 def gap_mc(model, alpha: float, n_importance: int, replicates: int,
-           stream: vrng.RngStream) -> BoundEstimate:
+           stream: vrng.RngStream, states: Sequence[tuple] | None = None):
     """Monte Carlo estimate of the bound minus the exact log marginal, over
     i.i.d. replicate batches of relative log-weights; the bound itself is
     its mean plus `model.log_marginal()`.
@@ -104,38 +109,53 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     Replicate r maps block r of the uniforms of a fresh stream at the key of
     `stream` through the model's law, so the result is a function of
     that key alone; `stream` is not advanced.
+
+    Given `states`, a list of law scalars of models of the model's class
+    and d (their `law_scalars()`), it returns the list of their estimates,
+    each equal bit for bit to `gap_mc` of a model at that state on the same
+    key.  The states share the key's draws as variants of one cell, and run
+    in groups whose law block holds about `rng._CHUNK_TARGET` elements.
     """
     alpha, replicates = _check_alpha(alpha, closed=True), _check_replicates(replicates)
-    samples, = _law_samples([model], stream.seed, [(stream.stream_id, n_importance)],
-                            replicates, lambda lrw: vr_iwae_from_log_weights(lrw[0], alpha))
-    mean, se = _mean_se(samples)
-    return BoundEstimate(mean=float(mean), std_error=float(se), replicates=samples.size)
+    scalars = [model.law_scalars()] if states is None else states
+    group = max(1, vrng._CHUNK_TARGET // (replicates * n_importance))
+    out = []
+    for start in range(0, len(scalars), group):
+        # (C, V) per chunk: replicates first, as the map expects
+        samples, = _law_samples(model, scalars[start:start + group], stream.seed,
+                                [(stream.stream_id, n_importance)], replicates,
+                                lambda lrw: vr_iwae_from_log_weights(lrw, alpha).T)
+        for row in np.ascontiguousarray(samples.T):
+            mean, se = _mean_se(row)
+            out.append(BoundEstimate(mean=float(mean), std_error=float(se), replicates=row.size))
+    return out[0] if states is None else out
 
 
-def _law_samples(models: Sequence, seed: int, cells: Sequence[tuple[int, int]],
+def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[int, int]],
                  replicates: int, reduce) -> list:
     """Per cell (stream_id, N), the concatenation over its replicates of
     reduce(lrw), with lrw of shape (V, C, N) per chunk of C replicates and
     reduce(lrw) of leading length C.
 
-    The kernel of `rng._chunk_map` takes a chunk's uniforms, N x k per
-    replicate (k = LAW_WORDS of the models) of the cell's stream (seed,
-    stream_id).  The models share their class and d, hence q and their
-    `law_variates`: those are computed once per chunk, and `law_log_weights`
-    with each model's scalars writes its log-weights into its row of one
-    (V, C, N) block, or over Z where V = 1.  The transforms and reductions
-    are batched per chunk, which does not affect the values.
+    `law` is a model, whose class states the law (`LAW_WORDS`,
+    `law_variates`, `law_log_weights`), and `states` holds V law scalars of
+    it: the `law_scalars()` of models of its class and d, which share q and
+    d, hence their `law_variates`.  The kernel of `rng._chunk_map` takes a
+    chunk's uniforms, N x LAW_WORDS per replicate of the cell's stream
+    (seed, stream_id), computes the variates once, and `law_log_weights`
+    with each state writes its log-weights into its row of one (V, C, N)
+    block, or over Z where V = 1.  The transforms and reductions are batched
+    per chunk, which does not affect the values.
     """
-    k = models[0].LAW_WORDS
-    scalars = [m.law_scalars() for m in models]
+    k = law.LAW_WORDS
 
     def kernel(i, u):
         u = u.reshape(len(u), cells[i][1], k)
-        variates = models[0].law_variates(u, scalars[0])
-        # one model writes its log-weights over Z, which nothing reads after
-        lrw = variates[0][None] if len(models) == 1 else np.empty((len(models), *u.shape[:-1]))
-        for m, s, out in zip(models, scalars, lrw):
-            m.law_log_weights(variates, s, out=out)
+        variates = law.law_variates(u, states[0])
+        # one state writes its log-weights over Z, which nothing reads after
+        lrw = variates[0][None] if len(states) == 1 else np.empty((len(states), *u.shape[:-1]))
+        for s, out in zip(states, lrw):
+            law.law_log_weights(variates, s, out=out)
         return reduce(lrw)
 
     return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],
@@ -157,4 +177,5 @@ def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, f
         raise ValueError("log-weights must be a non-empty 1-D array")
     if not np.all(np.isfinite(rel)):
         raise ValueError("log-weights must all be finite")
-    return tuple(float(x[0]) for x in _split(rel, [1.0 - alpha], -1))
+    delta_max, r_term, t_stat = _split(rel, [1.0 - alpha], -1)
+    return float(delta_max), float(r_term[0]), float(t_stat[0])

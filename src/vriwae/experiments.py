@@ -282,8 +282,8 @@ def _law_grid(spec: ExperimentSpec, offset: int, reduce):
         variants = _variants(spec, d)
         cells = [(offset + d_idx * len(spec.n_grid) + n_idx, n)
                  for n_idx, n in enumerate(spec.n_grid)]
-        samples = _law_samples([m for _, m in variants], spec.seed, cells, spec.replicates,
-                               reduce)
+        samples = _law_samples(variants[0][1], [m.law_scalars() for _, m in variants],
+                               spec.seed, cells, spec.replicates, reduce)
         yield d, variants, [_mean_se(cell_samples) for cell_samples in samples]
 
 
@@ -449,8 +449,8 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             n = spec.weight_samples
             # one cell of n replicates of N = 1: replicate r reads words
             # [r k, (r + 1) k), as one (n, k) draw would
-            lrw, = _law_samples([model], spec.seed, [(_OFF_WEIGHTS + grid_idx, 1)], n,
-                                lambda lrw: lrw[0, :, 0])
+            lrw, = _law_samples(model, [model.law_scalars()], spec.seed,
+                                [(_OFF_WEIGHTS + grid_idx, 1)], n, lambda lrw: lrw[0, :, 0])
             grid_idx += 1
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             # a constant sample (the toy at theta = phi) has no QQ correlation

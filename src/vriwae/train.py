@@ -12,7 +12,7 @@ ADAM_EPS = 1e-8 and the run's learning rate.
 The model states what a run needs of it (see `models`): whether theta trains
 besides phi (`TRAINS_THETA`), the progress column a trajectory logs
 (`PROGRESS_LABEL`, `progress`), and the epoch kernel.  Each logged row adds
-a small fresh Monte Carlo gap estimate and the gradient norm.
+a small Monte Carlo gap estimate and the gradient norm.
 
 `run_training` copies the caller's model once (`copy`), and the caller's
 model is never touched.  It picks one epoch kernel per run, from the model
@@ -44,13 +44,20 @@ at its own epoch, before a row or a later step reads that state.
 
 Draws follow the package's one rule (see `rng`): epoch e (from 1) reads row
 e - 1 of one block of uniforms of a fresh stream at the key of the run's
-stream, as wide as the kernel's words, and logged row k's gap is
-`bounds.gap_mc` on stream.child(1 + k).  The words do not depend on the
+stream, as wide as the kernel's words.  The words do not depend on the
 parameters, so the run builds that one stream and reads it a chunk of epochs
 at a time (`rng._replicate_chunks`), one block of uniforms per chunk; since
 consecutive reads give consecutive words, the rows do not depend on the
-chunk size.  A kernel's `variates` is a function of those words alone;
-the array kernel maps them through `ndtri`, the bits of
+chunk size.  The logged rows' gaps are one cell, at the key
+stream.child(1).  A row records the model's `law_scalars` beside its
+epoch, progress and gradient norm, and after the loop one `bounds.gap_mc`
+call evaluates every recorded state as a variant of that cell, in groups
+that bound its memory.  So each row's gap is `gap_mc` at its own state on
+that key, bit for bit, and the rows share their noise, as the gap runner's
+sigma variants do: a difference between rows is measured with less noise.
+The gap draws never feed back into training, so no other column depends on
+when they are taken.  A kernel's `variates` is a function of those words
+alone; the array kernel maps them through `ndtri`, the bits of
 `rng.standard_normal`.  The epochs run serially on the calling thread,
 since each starts from the state the last one left.
 """
@@ -254,24 +261,22 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
     """Gradient ascent on the bound; returns the logged trajectory.
 
     Epoch e reads row e - 1 of a block of uniforms at the key of `stream`,
-    and logged row k's gap reads stream.child(1 + k) (see the module
+    and every logged row's gap reads stream.child(1) (see the module
     docstring), so identical (model, config, stream key) reproduce identical
     rows; neither `model` nor `stream` changes.  Aborts when the gradient
     norm exceeds 1e8 or is NaN, or when a step leaves a state that is not
     finite.
     """
     model = model.copy()
-    traj = Trajectory(progress_label=model.PROGRESS_LABEL)
     chain = (model.sgd_chain(config.n_importance, config.alpha, config.learning_rate,
                              config.estimator) if config.optimizer == "sgd" else None)
     words, variates, step, finite, place = chain or _array_kernel(model, config)
+    # (epoch, progress, grad_norm, law scalars) per logged row; the gaps
+    # come after the loop, since the gap draws never feed back into training
+    logged = []
 
     def log_row(epoch: int, grad_norm: float):
-        gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
-                     stream.child(1 + len(traj.rows)))
-        traj.rows.append(TrajectoryRow(epoch=epoch, progress=model.progress,
-                                       gap_mean=gap.mean, gap_se=gap.std_error,
-                                       grad_norm=grad_norm))
+        logged.append((epoch, model.progress, grad_norm, model.law_scalars()))
 
     log_row(0, 0.0)
     for epoch, draw in _epoch_draws(config, stream, words, variates):
@@ -285,4 +290,9 @@ def run_training(model, config: TrainConfig, stream: vrng.RngStream) -> Trajecto
         if epoch % config.log_every == 0 or epoch == config.epochs:
             place()
             log_row(epoch, grad_norm)
-    return traj
+    gaps = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
+                  stream.child(1), [scalars for *_, scalars in logged])
+    return Trajectory(progress_label=model.PROGRESS_LABEL, rows=[
+        TrajectoryRow(epoch=epoch, progress=progress, gap_mean=gap.mean, gap_se=gap.std_error,
+                      grad_norm=grad_norm)
+        for (epoch, progress, grad_norm, _), gap in zip(logged, gaps)])

@@ -91,20 +91,34 @@ def _tail_sums(x: np.ndarray, betas, axis: int = -1):
     instead, so that m + log1p(T) / beta gives +inf on rows holding +inf,
     -inf on rows of only -inf and NaN on rows holding NaN, as a log-sum-exp
     would; T there serves only that sum.  `x` is never written.
+
+    Along the last axis of a C-contiguous x, the maxima are read and zeroed
+    through one flat index, the argmax plus each row's offset into the
+    raveled buffer; other axes and layouts gather through `np.indices`.
+    Both give the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    at_max = [*np.indices(x.shape, sparse=True)]
-    at_max[axis] = np.argmax(x, axis=axis, keepdims=True)
-    m = x[tuple(at_max)]
+    am = np.argmax(x, axis=axis, keepdims=True)
+    flat = x.flags.c_contiguous and axis in (-1, x.ndim - 1)
+    if flat:
+        at_max = am.reshape(-1) + np.arange(0, x.size, x.shape[-1])
+        m = x.reshape(-1)[at_max].reshape(am.shape)
+    else:
+        at_max = [*np.indices(x.shape, sparse=True)]
+        at_max[axis] = am
+        at_max = tuple(at_max)
+        m = x[at_max]
     e = np.subtract(x, np.where(np.isfinite(m), m, 0.0))
     buf = np.empty_like(e)
-    t = []
-    for b in betas:
+    zeroed = buf.reshape(-1) if flat else buf
+    m = np.squeeze(m, axis)
+    t = np.empty((len(betas), *m.shape))
+    for k, b in enumerate(betas):
         np.exp(np.multiply(e, b, out=buf) if b != 1.0 else e, out=buf)
         # zeroed after exp: exp is slower on a row holding -inf
-        buf[tuple(at_max)] = 0.0
-        t.append(np.sum(buf, axis=axis))
-    return np.squeeze(m, axis), np.stack(t)
+        zeroed[at_max] = 0.0
+        np.add.reduce(buf, axis=axis, out=t[k, ...])
+    return m, t
 
 
 def _diagnostics(values: np.ndarray, alphas, axis: int = -1) -> np.ndarray:

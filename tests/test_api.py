@@ -15,8 +15,10 @@ of a model class, is read by the package or by the benchmark.  Last, it
 keeps `import vriwae.cli`, which every CLI call pays for, free of
 scipy.integrate, which only the quadrature oracle reads, and probes
 `tools/code_lines.py`, which counts the package's code lines, and
-`tools/table_digests.py`, which digests the benchmark's tables, and
-`tools/table_diff.py`, which says by how much two sets of them differ.
+`tools/table_digests.py`, which digests the benchmark's tables,
+`tools/table_diff.py`, which says by how much two sets of them differ, and
+the summary of `tools/bench_pairs.py`, which compares two checkouts'
+benchmark runs.
 """
 
 import ast
@@ -413,3 +415,33 @@ def test_table_diff_reads_the_relative_size_of_a_change(tmp_path, monkeypatch, c
         (tmp_path / "b" / "t.csv").write_text(changed)
         assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1, changed
     capsys.readouterr()
+
+
+def _result(rate, rss, correct=True, failed=0):
+    return {"correct": correct, "attempted": 12, "failed": failed,
+            "metrics": {"log_weights_per_ref": {"value": rate, "unit": "1/ref"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_bench_pairs_summary(monkeypatch):
+    # tools/bench_pairs.py summarises alternating pairs of result lines: per
+    # metric each side's median and quartiles, the ratio of the medians, the
+    # pairs the change wins in the metric's direction (a tie counts for
+    # neither) and whether the medians differ by more than the parent's
+    # quartile distance; then each side's failed share and correct runs
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    pairs = [(_result(100.0, 110.0), _result(130.0, 110.0)),
+             (_result(104.0, 111.0), _result(135.0, 109.0, failed=2)),
+             (_result(96.0, 109.0), _result(96.0, 112.0)),
+             (_result(102.0, 110.5), _result(140.0, 108.0, correct=False))]
+    lines = bench_pairs.summarise(pairs, [("log_weights_per_ref", "1/ref", "higher"),
+                                          ("peak_rss_mb", "MB", "lower")])
+    assert lines[0] == "4 pairs"
+    assert lines[3] == ("| `log_weights_per_ref` (1/ref) | 101 (99–102.5) "
+                        "| 132.5 (121.5–136.2) | 1.312 | 3/4 | yes |")
+    assert lines[4] == ("| `peak_rss_mb` (MB) | 110.2 (109.8–110.6) | 109.5 (108.8–110.5) "
+                        "| 0.993 | 2/4 | no |")
+    assert lines[5:] == ["parent: failed 0/48, correct 4/4", "change: failed 2/48, correct 3/4"]
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    assert bench_pairs._fmt(540_600.0) == "540.6k" and bench_pairs._fmt(5.03e6) == "5.03M"

@@ -334,8 +334,10 @@ def test_law_samples_give_each_variant_its_own_law(name, target):
     models = _VARIANTS[name]
     k = models[0].LAW_WORDS
     with mock.patch.object(vrng, "_CHUNK_TARGET", target):
-        got = _law_samples(models, 9, _CELLS, 25, lambda lrw: np.moveaxis(lrw, 0, 1))
-        alone = [_law_samples([m], 9, _CELLS, 25, lambda lrw: lrw[0]) for m in models]
+        got = _law_samples(models[0], [m.law_scalars() for m in models], 9, _CELLS, 25,
+                           lambda lrw: np.moveaxis(lrw, 0, 1))
+        alone = [_law_samples(m, [m.law_scalars()], 9, _CELLS, 25, lambda lrw: lrw[0])
+                 for m in models]
     for c, ((stream_id, n), cell) in enumerate(zip(_CELLS, got)):
         u = uniform(make_stream(9, stream_id), (25, n, k))
         for v, model in enumerate(models):
@@ -360,7 +362,8 @@ def test_law_samples_draw_chi2_once_per_chunk(monkeypatch, variants):
     monkeypatch.setattr(vrng, "_WORKERS", 1)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 128)
     models = [make_linear_gaussian(5, sp, seed=2)[0] for sp in (0.0, 0.1, 0.3)[:variants]]
-    _law_samples(models, 3, [(5, 8)], 40, lambda lrw: lrw[0, :, 0])
+    _law_samples(models[0], [m.law_scalars() for m in models], 3, [(5, 8)], 40,
+                 lambda lrw: lrw[0, :, 0])
     chunks = list(vrng._replicate_chunks(40, 8 * models[0].LAW_WORDS))
     assert len(chunks) == 10
     assert calls == [(stop - start) * 8 for start, stop in chunks]

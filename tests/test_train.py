@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri, softmax
 from scipy.stats import ks_2samp
 
+import vriwae.bounds as bounds
 import vriwae.rng as vrng
 from vriwae.bounds import gap_mc
 from vriwae.gradients import _contract, grad_samples_from_eps
@@ -215,13 +216,37 @@ def test_training_run_builds_one_stream_for_its_epochs(monkeypatch):
     traj = run_training(model, config, stream)
     assert [r.epoch for r in traj.rows] == [0, 6]
     assert keys.count((13, 5)) == 1
+    assert set(keys) == {(13, 5), (13, 6)}
+
+    # every row's gap reads the one key stream_id + 1.  Where its draws fit
+    # one chunk, that key is built once as the run's handle, and once by
+    # the chunk map as the one stream its draws come from, however many rows
+    # the run logs
+    drawn = []
+    stream_at = vrng._stream_at
+
+    def recording(seed, stream_id, word):
+        drawn.append((seed, stream_id, word))
+        return stream_at(seed, stream_id, word)
+
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", 2**16)
+    monkeypatch.setattr(vrng, "_stream_at", recording)
+    for log_every in (6, 1):
+        keys.clear()
+        drawn.clear()
+        config = TrainConfig(alpha=0.2, n_importance=4, epochs=6, log_every=log_every,
+                             learning_rate=1e-2, gap_replicates=2)
+        traj = run_training(model, config, stream)
+        assert len(traj.rows) == 1 + 6 // log_every
+        assert drawn == [(13, 6, 0)]
+        assert sorted(keys) == [(13, 5), (13, 6), (13, 6)]
 
 
 @pytest.mark.parametrize("make_model", [lambda: toy(4, phi=0.8), lambda: lingauss(3, seed=2)],
                          ids=["toy", "lingauss"])
 def test_epochs_draw_from_keyed_streams(make_model):
     # epoch e reads row e - 1 of one draw from stream (seed, stream_id), and
-    # logged row k its gap from stream.child(1 + k); the caller's stream is
+    # every logged row its gap from stream.child(1); the caller's stream is
     # not advanced.  The linear Gaussian trains theta on N x d normals.  The
     # toy trains no theta, and its rep SGD run is a chain in
     # b^2 = ||theta - phi||^2 on N + 3 uniforms per epoch: N normals Z and
@@ -258,7 +283,7 @@ def test_epochs_draw_from_keyed_streams(make_model):
             grad_norm = math.sqrt(g_theta @ g_theta + g_phi @ g_phi)
             model = model.with_theta(_sgd_step(model.theta_vec, g_theta, lr))
             model = model.with_phi(_sgd_step(model.phi_vec, g_phi, lr))
-        gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1 + epoch))
+        gap = gap_mc(model, alpha, n, reps, make_stream(seed, base + 1))
         row = traj.rows[epoch]
         assert row.epoch == epoch
         progress = b2 / model.d if is_toy else model.progress
@@ -266,6 +291,75 @@ def test_epochs_draw_from_keyed_streams(make_model):
         assert row.grad_norm == pytest.approx(grad_norm, rel=1e-12)
         assert row.gap_mean == pytest.approx(gap.mean, rel=1e-12)
         assert row.gap_se == pytest.approx(gap.std_error, rel=1e-12)
+
+
+_RUNS = {f"{name}-{optimizer}": (make_model, optimizer)
+         for name, make_model in (("toy", lambda: toy(4, phi=0.8)),
+                                  ("lingauss", lambda: lingauss(3, seed=2)))
+         for optimizer in ("sgd", "adam")}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_rows_equal_gap_mc_at_their_state(monkeypatch, run):
+    # each logged row's gap is gap_mc at the model state it logs, on the
+    # run's key stream_id + 1, bit for bit, though the run evaluates all
+    # rows in one pass after its loop.  The states are the run's private
+    # model at each row, copied where the row reads its progress
+    make_model, optimizer = _RUNS[run]
+    cls, states = type(make_model()), []
+    progress = cls.progress
+
+    def recording(self):
+        states.append(self.copy())
+        return progress.fget(self)
+
+    monkeypatch.setattr(cls, "progress", property(recording))
+    config = TrainConfig(alpha=0.3, n_importance=6, optimizer=optimizer, learning_rate=5e-2,
+                         epochs=14, log_every=3, gap_replicates=5)
+    traj = run_training(make_model(), config, make_stream(19, 40))
+    monkeypatch.setattr(cls, "progress", progress)
+    assert [r.epoch for r in traj.rows] == [0, 3, 6, 9, 12, 14]
+    assert len(states) == len(traj.rows)
+    for row, state in zip(traj.rows, states):
+        gap = gap_mc(state, config.alpha, config.n_importance, config.gap_replicates,
+                     make_stream(19, 41))
+        assert (row.gap_mean, row.gap_se) == (gap.mean, gap.std_error)
+        assert row.progress == state.progress
+    assert len({r.gap_mean for r in traj.rows}) == len(traj.rows)
+
+
+@pytest.mark.parametrize("make_model", [lambda: toy(4, phi=0.8), lambda: lingauss(3, seed=2)],
+                         ids=["toy", "lingauss"])
+def test_rows_evaluated_in_bounded_groups(monkeypatch, make_model):
+    # a run that logs more rows than one group of law states holds gives the
+    # same rows at any chunk target, and no law block it reduces holds more
+    # than the target's elements, or one replicate's N where the target is
+    # below that.  At 10^6 one block holds every row
+    n, reps = 5, 3
+    config = TrainConfig(alpha=0.2, n_importance=n, epochs=23, log_every=1,
+                         learning_rate=1e-2, gap_replicates=reps)
+    reduce = bounds.vr_iwae_from_log_weights
+    blocks, runs = [], []
+
+    def recording(values, alpha, axis=-1):
+        blocks.append(np.shape(values))
+        return reduce(values, alpha, axis)
+
+    monkeypatch.setattr(bounds, "vr_iwae_from_log_weights", recording)
+    for target in (1, 40, 1_000_000):
+        monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
+        blocks.clear()
+        runs.append(_rows(run_training(make_model(), config, make_stream(11, 7))))
+        assert len(runs[-1]) == 24
+        assert max(math.prod(shape) for shape in blocks) <= max(target, n)
+        # states, replicates and N of each block cover every row's draws
+        assert all(shape[-1] == n for shape in blocks)
+        assert sum(shape[0] * shape[1] for shape in blocks) == 24 * reps
+        if target == 40:
+            assert max(shape[0] for shape in blocks) == 40 // (reps * n) < 24
+        if target == 1_000_000:
+            assert blocks == [(24, reps, n)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +396,7 @@ def _rebuilding_training(model, config, stream):
 
     def log_row(epoch, grad_norm):
         gap = gap_mc(model, config.alpha, config.n_importance, config.gap_replicates,
-                     stream.child(1 + len(traj.rows)))
+                     stream.child(1))
         traj.rows.append(TrajectoryRow(epoch=epoch, progress=model.progress,
                                        gap_mean=gap.mean, gap_se=gap.std_error,
                                        grad_norm=grad_norm))

@@ -7,7 +7,7 @@ from vriwae import experiments
 from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
 from vriwae.bounds import decomposition_sample
-from vriwae.weights import ess, max_weight_share, qq_points, t_statistic
+from vriwae.weights import _tail_sums, ess, max_weight_share, qq_points, t_statistic
 
 
 def test_container_validation():
@@ -18,6 +18,42 @@ def test_container_validation():
                   np.array([0.0, np.nan])):
         with pytest.raises(ValueError, match="log-weights"):
             decomposition_sample(batch, 0.5)
+
+
+def _gathered_tail_sums(x, betas, axis):
+    """The kernel's sums by a sparse `np.indices` gather and scatter of the
+    maxima, with one array per beta, stacked."""
+    at_max = [*np.indices(x.shape, sparse=True)]
+    at_max[axis] = np.argmax(x, axis=axis, keepdims=True)
+    m = x[tuple(at_max)]
+    e = np.subtract(x, np.where(np.isfinite(m), m, 0.0))
+    t = []
+    for b in betas:
+        buf = np.exp(e * b if b != 1.0 else e)
+        buf[tuple(at_max)] = 0.0
+        t.append(np.sum(buf, axis=axis))
+    return np.squeeze(m, axis), np.stack(t)
+
+
+@pytest.mark.parametrize("shape", [(7,), (16, 100), (4, 1), (3, 40, 64), (2, 0, 5)])
+def test_tail_sums_match_the_gather(shape):
+    # the flat index of a C-contiguous batch, and the gather of any other
+    # axis or layout, give the sums of the sparse gather bit for bit, on
+    # rows with ties, -inf, +inf and NaN too
+    x = np.random.default_rng(4).normal(scale=20.0, size=shape)
+    if x.ndim > 1 and x.shape[-2] > 3 and x.shape[-1] > 3:
+        rows = x.reshape(-1, x.shape[-1])
+        rows[0, 2] = rows[0, 3] = rows[0].max() + 1.0
+        rows[1] = -np.inf
+        rows[2, 1], rows[3, 0] = np.inf, np.nan
+    betas = [1.0, 0.8, 0.3, 2.0]
+    with np.errstate(invalid="ignore"):
+        for y, axis in [(x, -1), (x, x.ndim - 1), (np.asfortranarray(x), -1),
+                        *[(x, a) for a in range(x.ndim - 1) if x.shape[a]]]:
+            m, t = _tail_sums(y, betas, axis)
+            want_m, want_t = _gathered_tail_sums(y, betas, axis)
+            assert m.tobytes() == want_m.tobytes() and t.tobytes() == want_t.tobytes()
+            assert t.shape == (len(betas), *want_m.shape)
 
 
 def test_t_statistic_equal_weights():
