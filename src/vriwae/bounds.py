@@ -9,17 +9,15 @@ It is evaluated as the paper's split of a gap sample: the dominant weight's
 term max lw + log N / (alpha - 1), plus the remainder log(1 + T) / (1 - alpha)
 carried by the others, with T the dominance statistic of `weights`.  Both
 terms come from `weights._tail_sums`, the package's one kernel of the sums
-of a batch (`_split`), so the estimate and `decomposition_sample` agree bit
-for bit.  Within 1e-8 of alpha = 1 the (1-alpha) cancellation has lost all
-precision, so evaluation switches to the exact limit mean(lw).  The gap
-runner evaluates it at every alpha of its grid from one call per chunk of
-batches.
+of a batch (`_split`), and the estimate is their sum, bit for bit.  Within
+1e-8 of alpha = 1 the (1-alpha) cancellation has lost all precision, so
+evaluation switches to the exact limit mean(lw).  The gap runner evaluates
+it at every alpha of its grid from one call per chunk of batches.
 
 Gaps are always computed from relative log-weights so the log marginal cancels
 analytically instead of being subtracted between two huge numbers.  The one
 Monte Carlo entry is `gap_mc`, the gap's mean and standard error; the bound
-is that mean plus `model.log_marginal()`.  `decomposition_sample` takes one
-batch of relative log-weights as a plain 1-D array.
+is that mean plus `model.log_marginal()`.
 
 The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
@@ -53,7 +51,6 @@ __all__ = [
     "BoundEstimate",
     "vr_iwae_from_log_weights",
     "gap_mc",
-    "decomposition_sample",
 ]
 
 ALPHA_ONE_THRESHOLD = 1e-8
@@ -71,8 +68,14 @@ class BoundEstimate:
 def _split(values: np.ndarray, betas, axis: int):
     """(delta_max, r_term, T) along `axis`, each with a leading axis over
     `betas` = 1 - alpha, except delta_max at a single beta, which broadcasts
-    against the others: delta_max = max + log N / (alpha - 1) and
-    r_term = log1p(T) / (1 - alpha), from one kernel call."""
+    against the others, from one kernel call.
+
+    delta_max = log wbar_max + log N / (alpha - 1) is the contribution of the
+    dominant weight; r_term = log(1 + T) / (1 - alpha) is the non-negative
+    remainder carried by the others, 0 <= r_term <= T / (1 - alpha).  Their
+    sum is the single-sample bound estimate, the gap sample of a batch of
+    relative log-weights.
+    """
     m, t = _tail_sums(values, betas, axis)
     # a single beta divides as a float, which rounds as an array of it does
     b = betas[0] if len(betas) == 1 else np.reshape(betas, (-1,) + (1,) * m.ndim)
@@ -114,15 +117,16 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     and d (their `law_scalars()`), it returns the list of their estimates,
     each equal bit for bit to `gap_mc` of a model at that state on the same
     key.  The states share the key's draws as variants of one cell, and run
-    in groups whose law block holds about `rng._CHUNK_TARGET` elements.
+    in groups from the one chunk loop (`rng._replicate_chunks`), each state
+    counting R x N words, so a group's law block holds about
+    `rng._CHUNK_TARGET` elements.
     """
     alpha, replicates = _check_alpha(alpha, closed=True), _check_replicates(replicates)
     scalars = [model.law_scalars()] if states is None else states
-    group = max(1, vrng._CHUNK_TARGET // (replicates * n_importance))
     out = []
-    for start in range(0, len(scalars), group):
+    for start, stop in vrng._replicate_chunks(len(scalars), replicates * n_importance):
         # (C, V) per chunk: replicates first, as the map expects
-        samples, = _law_samples(model, scalars[start:start + group], stream.seed,
+        samples, = _law_samples(model, scalars[start:stop], stream.seed,
                                 [(stream.stream_id, n_importance)], replicates,
                                 lambda lrw: vr_iwae_from_log_weights(lrw, alpha).T)
         for row in np.ascontiguousarray(samples.T):
@@ -160,22 +164,3 @@ def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[
 
     return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],
                            kernel, vrng.uniform)
-
-
-def decomposition_sample(rel: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """Split one gap sample, from a 1-D array of relative log-weights, into
-    (delta_max, r_term, t_stat).
-
-    delta_max = log wbar_max + log N / (alpha - 1) is the contribution of the
-    dominant weight; r_term = log(1 + T) / (1 - alpha) is the non-negative
-    remainder carried by the others.  Their sum reproduces the gap sample
-    exactly, and r_term <= T / (1 - alpha).
-    """
-    alpha = _check_alpha(alpha)
-    rel = np.asarray(rel, dtype=np.float64)
-    if rel.ndim != 1 or rel.size < 1:
-        raise ValueError("log-weights must be a non-empty 1-D array")
-    if not np.all(np.isfinite(rel)):
-        raise ValueError("log-weights must all be finite")
-    delta_max, r_term, t_stat = _split(rel, [1.0 - alpha], -1)
-    return float(delta_max), float(r_term[0]), float(t_stat[0])

@@ -40,14 +40,13 @@ from scipy.special import logsumexp, ndtri  # noqa: F401
 
 from . import rng as vrng
 from .asymptotics import expected_min_normal, fit_constant, one_over_n_curve
-from .bounds import _law_samples, decomposition_sample, vr_iwae_from_log_weights
+from .bounds import _law_samples, _split, vr_iwae_from_log_weights
 from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, grad_mean_se,
                         snr_floor, snr_sweep)
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _type_rules, run_training
-from .weights import (_diagnostics, _mean_se, _weight_rows, ess, max_weight_share, qq_points,
-                      t_statistic)
+from .weights import _diagnostics, _mean_se, _weight_rows, qq_points
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -705,7 +704,8 @@ def selftest(seed: int = 0) -> SelftestReport:
                                          - (logsumexp(lw) - math.log(n))))
         worst_elbo = max(worst_elbo, abs(vr_iwae_from_log_weights(lw, 1.0 - 1e-9) - lw.mean()))
         for alpha in (0.0, 0.5):
-            dm, rt, t = decomposition_sample(lw, alpha)
+            # the gap runner's split of a sample, at one beta
+            dm, (rt,), (t,) = _split(lw, [1.0 - alpha], -1)
             worst_decomp = max(worst_decomp, abs(dm + rt - vr_iwae_from_log_weights(lw, alpha)))
             worst_rbound = max(worst_rbound, rt - t / (1.0 - alpha))
     report.record("bound_alpha_monotonicity", worst_mono <= 1e-10, f"max increase {worst_mono:.2e}")
@@ -714,17 +714,16 @@ def selftest(seed: int = 0) -> SelftestReport:
     report.record("gap_decomposition_identity", worst_decomp <= 1e-10, f"max dev {worst_decomp:.2e}")
     report.record("remainder_bound", worst_rbound <= 1e-12, f"max excess {worst_rbound:.2e}")
 
-    # weight diagnostics invariances
+    # weight diagnostics invariances, read as the collapse runner reads them:
+    # (T, max share, ESS) at alpha 0.3, and T at alpha 0
     worst_shift, worst_share = 0.0, 0.0
     for _ in range(100):
         n = int(rng0.integers(2, 40))
         a = rng0.uniform(-50, 50, size=n)
         b = a + rng0.uniform(-50, 50)
-        worst_shift = max(worst_shift,
-                          abs(t_statistic(a, 0.3) - t_statistic(b, 0.3)),
-                          abs(max_weight_share(a) - max_weight_share(b)),
-                          abs(ess(a) - ess(b)))
-        worst_share = max(worst_share, abs(max_weight_share(a) * (1.0 + t_statistic(a, 0.0)) - 1.0))
+        da, db = _diagnostics(a, [0.3, 0.0]), _diagnostics(b, [0.3])
+        worst_shift = max(worst_shift, *np.abs(da[0] - db[0]))
+        worst_share = max(worst_share, abs(da[0, 1] * (1.0 + da[1, 0]) - 1.0))
     report.record("weights_shift_invariance", worst_shift <= 1e-10, f"max dev {worst_shift:.2e}")
     report.record("weights_share_identity", worst_share <= 1e-10, f"max dev {worst_share:.2e}")
 

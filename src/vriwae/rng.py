@@ -15,12 +15,14 @@ reads words [r n, (r + 1) n).  `_replicate_chunks` is the package's one
 chunk loop; it sizes every chunk by its words alone, at most
 `_CHUNK_TARGET` of them (and at least one replicate).  A kernel's largest
 intermediate holds at most about one element per word, so the words bound
-its memory too.  Two kernels hold more: the finite-difference oracle's
-rows of differences hold up to three, at N < 3, and `gap_mc` on a list of
-law states holds a block per state, in groups of states sized to about
-`_CHUNK_TARGET` elements.  Since consecutive chunks read consecutive blocks
-of the one stream, the draws do not depend on the chunk size.  Distinct
-cells, and distinct draw purposes, read distinct stream ids (``child``).
+its memory too.  Some kernels hold more: the finite-difference oracle's
+rows of differences hold up to three, at N < 3; the gap and collapse
+runners hold one block per sigma variant of a d; and `gap_mc` on a list of
+law states holds one block per state, in groups of states that the same
+chunk loop sizes, each state counting as a replicate of its R x N words.
+Since consecutive chunks read consecutive blocks of the one stream, the
+draws do not depend on the chunk size.  Distinct cells, and distinct draw
+purposes, read distinct stream ids (``child``).
 
 `_chunk_map` is the package's one draw of replicate noise.  It runs the
 chunks of a list of cells, all at one seed and one replicate count, on

@@ -40,9 +40,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "QQResult",
-    "t_statistic",
-    "max_weight_share",
-    "ess",
     "qq_points",
 ]
 
@@ -124,32 +121,20 @@ def _tail_sums(x: np.ndarray, betas, axis: int = -1):
 def _diagnostics(values: np.ndarray, alphas, axis: int = -1) -> np.ndarray:
     """(T, max share, ESS) along `axis` on a last axis of 3, after an axis
     over `alphas` (the share and the ESS repeat along it), from one kernel
-    call; NaN on rows whose max is not finite."""
+    call; NaN on rows whose max is not finite.
+
+    T at alpha sums (w_j / w_max)^(1-alpha) over the non-maximal weights and
+    lies in [0, N-1]; it is shift-invariant, so it does not matter whether
+    the values are normalized or unnormalized log-weights, and small values
+    mean the largest weight dominates the batch.  The max share is
+    w_max / sum_j w_j = 1 / (1 + T at alpha = 0), and the ESS
+    (sum w)^2 / sum w^2 lies in [1, N].
+    """
     m, t = _tail_sums(values, [1.0 - _check_alpha(a) for a in alphas] + [1.0, 2.0], axis)
     t = np.where(np.isfinite(m), t, np.nan)
     t1 = 1.0 + t[-2]
     columns = np.broadcast_arrays(t[:-2], 1.0 / t1, t1 * t1 / (1.0 + t[-1]))
     return np.moveaxis(np.stack(columns, axis=-1), 0, -2)
-
-
-def t_statistic(values: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
-    """Sum of (w_j / w_max)^(1-alpha) over the non-maximal weights along `axis`.
-
-    Lies in [0, N-1]; shift-invariant, so it does not matter whether the
-    values are normalized or unnormalized log-weights.  Small values mean the
-    largest weight dominates the batch.
-    """
-    return _diagnostics(values, [alpha], axis)[..., 0, 0]
-
-
-def max_weight_share(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """w_max / sum_j w_j along `axis`, equal to 1 / (1 + T at alpha=0)."""
-    return _diagnostics(values, [0.0], axis)[..., 0, 1]
-
-
-def ess(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Effective sample size (sum w)^2 / sum w^2 along `axis`, in [1, N]."""
-    return _diagnostics(values, [0.0], axis)[..., 0, 2]
 
 
 def _h(s: np.ndarray, alpha: float) -> np.ndarray:

@@ -384,10 +384,25 @@ def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
     assert all(len(line.split()[0]) == 64 for line in runs[0])
 
 
+def _table_diff_lines(out: str):
+    """The per-table lines of tools/table_diff.py's output, each with the
+    (relative difference, column) pairs of its indented per-column lines."""
+    tables = []
+    for line in out.splitlines():
+        if line.startswith(" "):
+            rel, col = line.split()
+            tables[-1][1].append((float(rel), col))
+        else:
+            tables.append((line, []))
+    return tables
+
+
 def test_table_diff_reads_the_relative_size_of_a_change(tmp_path, monkeypatch, capsys):
     # tools/table_diff.py prints per table the largest relative difference
     # of its numeric cells: 0 for identical tables, and the size of one
-    # perturbed cell; a changed non-numeric cell or column makes it exit 1
+    # perturbed cell; after it, per column that moved, that column's largest
+    # relative difference, and none for a column that did not move; a
+    # changed non-numeric cell or column makes it exit 1
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     table_diff = importlib.import_module("table_diff")
     csv_text = "# seed=3\nmodel,N,mean\ntoy,2,-0.5\ntoy,4,nan\n"
@@ -397,17 +412,35 @@ def test_table_diff_reads_the_relative_size_of_a_change(tmp_path, monkeypatch, c
         (tmp_path / side / "t.csv").write_text(csv_text)
         (tmp_path / side / "t.json").write_text(json.dumps(json_doc))
     assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
-    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+    tables = _table_diff_lines(capsys.readouterr().out)
+    assert [line.split()[:2] for line, _ in tables] == [
         ["0.000e+00", "t.csv"], ["0.000e+00", "t.json"]]
+    assert [columns for _, columns in tables] == [[], []]
 
     (tmp_path / "b" / "t.csv").write_text(csv_text.replace("-0.5", "-0.5000005"))
     json_doc["rows"][0]["mean"] = 4.0 * (1 + 2e-13)
     (tmp_path / "b" / "t.json").write_text(json.dumps(json_doc))
     assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    tables = _table_diff_lines(capsys.readouterr().out)
     (csv_line, csv_rel), (json_line, json_rel) = [
-        (line, float(line.split()[0])) for line in capsys.readouterr().out.splitlines()]
+        (line, float(line.split()[0])) for line, _ in tables]
     assert csv_rel == pytest.approx(1e-6, rel=1e-5) and csv_line.endswith("t.csv  row 0 mean")
     assert json_rel == pytest.approx(2e-13, rel=1e-3) and json_line.endswith("t.json  row 0 mean")
+    assert [columns for _, columns in tables] == [[(csv_rel, "mean")], [(json_rel, "mean")]]
+
+    # two columns move, by different amounts in different rows; N does not
+    two = "model,N,mean,se\ntoy,2,-0.5,0.25\ntoy,4,1.0,0.5\n"
+    for side, text in (("c", two), ("d", two.replace("-0.5,", "-0.5000005,")
+                                         .replace("0.5\n", "0.5005\n"))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "t.csv").write_text(text)
+    assert table_diff.main([str(tmp_path / "c"), str(tmp_path / "d")]) == 0
+    (line, columns), = _table_diff_lines(capsys.readouterr().out)
+    assert float(line.split()[0]) == pytest.approx(0.0005 / 0.5005, rel=1e-3)
+    assert line.endswith("t.csv  row 1 se")
+    assert [col for _, col in columns] == ["mean", "se"]
+    assert columns[0][0] == pytest.approx(1e-6, rel=1e-5)
+    assert columns[1][0] == float(line.split()[0])
 
     for changed in (csv_text.replace("toy,4", "lg,4"), csv_text.replace("mean", "gap"),
                     csv_text.replace("nan", "0.0"), csv_text + "toy,8,1.0\n",

@@ -2,22 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from vriwae import experiments
 from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
-from vriwae.bounds import decomposition_sample
-from vriwae.weights import _tail_sums, ess, max_weight_share, qq_points, t_statistic
+from vriwae.weights import _diagnostics, _tail_sums, qq_points
 
-
-def test_container_validation():
-    # a batch of log-weights is a plain array; the one consumer that takes a
-    # single batch, decomposition_sample, rejects an empty, non-1-D or
-    # non-finite one
-    for batch in (np.array([]), np.zeros((2, 3)), np.array([0.0, np.inf]),
-                  np.array([0.0, np.nan])):
-        with pytest.raises(ValueError, match="log-weights"):
-            decomposition_sample(batch, 0.5)
+# the columns of `_diagnostics`, the collapse runner's one call for all three
+T, SHARE, ESS = range(3)
 
 
 def _gathered_tail_sums(x, betas, axis):
@@ -60,15 +53,15 @@ def test_t_statistic_equal_weights():
     for n in (1, 2, 7):
         lw = np.full(n, -3.0)
         for alpha in (0.0, 0.3, 0.9):
-            assert t_statistic(lw, alpha) == pytest.approx(n - 1)
+            assert _diagnostics(lw, [alpha])[0, T] == pytest.approx(n - 1)
 
 
 def test_t_statistic_hand_values():
     # relative weights (0.7, 0.2, 0.1): T(0) = 3/7, T(0.5) = (sqrt(.2)+sqrt(.1))/sqrt(.7)
     lw = np.log([0.7, 0.2, 0.1])
-    assert t_statistic(lw, 0.0) == pytest.approx(3.0 / 7.0, abs=1e-12)
+    assert _diagnostics(lw, [0.0])[0, T] == pytest.approx(3.0 / 7.0, abs=1e-12)
     expected = (math.sqrt(0.2) + math.sqrt(0.1)) / math.sqrt(0.7)
-    assert t_statistic(lw, 0.5) == pytest.approx(expected, abs=1e-12)
+    assert _diagnostics(lw, [0.5])[0, T] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.91249, abs=5e-6)
 
 
@@ -76,7 +69,7 @@ def test_t_statistic_alpha_domain():
     lw = np.array([0.0, 1.0])
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            t_statistic(lw, bad)
+            _diagnostics(lw, [bad])
 
 
 def test_t_statistic_range():
@@ -84,7 +77,7 @@ def test_t_statistic_range():
     for _ in range(50):
         n = int(rng.integers(1, 30))
         lw = rng.uniform(-50, 50, n)
-        t = t_statistic(lw, float(rng.uniform(0, 0.99)))
+        t = _diagnostics(lw, [float(rng.uniform(0, 0.99))])[0, T]
         assert 0.0 <= t <= n - 1 + 1e-12
 
 
@@ -99,40 +92,41 @@ def test_t_kernel_matches_loop_for_tiny_t():
         ref = np.array([np.sum(np.exp((1.0 - alpha) * (np.delete(row, np.argmax(row)) - row.max())))
                         for row in v])
         assert ref.min() < 1e-12
-        np.testing.assert_allclose(t_statistic(v, alpha), ref, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(t_statistic(v.T, alpha, axis=0), ref, rtol=1e-13, atol=0.0)
-    assert t_statistic(np.array([0.0, -40.0]), 0.0) == pytest.approx(
+        np.testing.assert_allclose(_diagnostics(v, [alpha])[:, 0, T], ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(_diagnostics(v.T, [alpha], axis=0)[:, 0, T], ref,
+                                   rtol=1e-13, atol=0.0)
+    assert _diagnostics(np.array([0.0, -40.0]), [0.0])[0, T] == pytest.approx(
         math.exp(-40.0), rel=1e-15)
 
 
 def test_max_weight_share_uniform():
-    assert max_weight_share(np.zeros(4)) == pytest.approx(0.25)
+    assert _diagnostics(np.zeros(4), [0.0])[0, SHARE] == pytest.approx(0.25)
 
 
 def test_max_weight_share_domination():
     v = np.zeros(10)
     v[3] = 100.0
-    assert max_weight_share(v) == pytest.approx(1.0, abs=1e-10)
+    assert _diagnostics(v, [0.0])[0, SHARE] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_max_weight_share_hand_value():
     lw = np.log([0.7, 0.2, 0.1])
-    assert max_weight_share(lw) == pytest.approx(0.7, abs=1e-12)
+    assert _diagnostics(lw, [0.0])[0, SHARE] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_ess_uniform():
-    assert ess(np.zeros(10)) == pytest.approx(10.0)
+    assert _diagnostics(np.zeros(10), [0.0])[0, ESS] == pytest.approx(10.0)
 
 
 def test_ess_collapsed():
     v = np.zeros(8)
     v[0] = 200.0
-    assert ess(v) == pytest.approx(1.0, abs=1e-8)
+    assert _diagnostics(v, [0.0])[0, ESS] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_ess_hand_value():
     lw = np.log([0.7, 0.2, 0.1])
-    assert ess(lw) == pytest.approx(1.0 / 0.54, abs=1e-12)
+    assert _diagnostics(lw, [0.0])[0, ESS] == pytest.approx(1.0 / 0.54, abs=1e-12)
 
 
 def test_shift_invariance():
@@ -141,28 +135,55 @@ def test_shift_invariance():
         n = int(rng.integers(2, 40))
         v = rng.uniform(-50, 50, n)
         c = float(rng.uniform(-50, 50))
-        a, b = v, v + c
-        for alpha in (0.0, 0.5, 0.9):
-            assert abs(t_statistic(a, alpha) - t_statistic(b, alpha)) < 1e-10
-        assert abs(max_weight_share(a) - max_weight_share(b)) < 1e-10
-        assert abs(ess(a) - ess(b)) < 1e-10
+        a, b = _diagnostics(v, [0.0, 0.5, 0.9]), _diagnostics(v + c, [0.0, 0.5, 0.9])
+        for k in range(3):
+            assert abs(a[k, T] - b[k, T]) < 1e-10
+        assert abs(a[0, SHARE] - b[0, SHARE]) < 1e-10
+        assert abs(a[0, ESS] - b[0, ESS]) < 1e-10
 
 
 def test_share_t_identity():
     rng = np.random.default_rng(7)
     for _ in range(100):
         lw = rng.uniform(-50, 50, int(rng.integers(1, 40)))
-        assert abs(max_weight_share(lw) * (1.0 + t_statistic(lw, 0.0)) - 1.0) < 1e-10
+        t, share, _ = _diagnostics(lw, [0.0])[0]
+        assert abs(share * (1.0 + t) - 1.0) < 1e-10
 
 
 def test_tie_permutation_invariance():
     # exact ties contribute ratio exactly 1 regardless of which is "the" max
     base = np.array([2.0, 2.0, -1.0, 0.5, 2.0])
     rng = np.random.default_rng(3)
-    ref = t_statistic(base, 0.4)
+    ref = _diagnostics(base, [0.4])[0, T]
     for _ in range(10):
         perm = rng.permutation(base.size)
-        assert t_statistic(base[perm], 0.4) == pytest.approx(ref, abs=1e-12)
+        assert _diagnostics(base[perm], [0.4])[0, T] == pytest.approx(ref, abs=1e-12)
+
+
+def test_diagnostics_nan_where_the_max_is_not_finite():
+    # rows holding +inf, rows of only -inf and rows holding NaN anywhere read
+    # NaN in all three columns at every alpha, along either axis; a finite
+    # row in the same batch that holds a -inf entry reads the plain
+    # definitions: T over the batch with its argmax deleted, the max share
+    # and the ESS by scipy's logsumexp
+    alphas = [0.0, 0.3, 0.9]
+    finite = np.array([0.5, -np.inf, 2.0, -1.0])
+    x = np.array([[1.0, np.inf, 0.0, -2.0], [np.inf] * 4, [-np.inf] * 4,
+                  [np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, np.nan, -np.inf],
+                  [-np.inf, np.nan, -np.inf, -np.inf], finite])
+    kept = np.delete(finite, np.argmax(finite))
+    share = np.exp(finite.max() - logsumexp(finite))
+    ess = np.exp(2.0 * logsumexp(finite) - logsumexp(2.0 * finite))
+    with np.errstate(invalid="ignore"):
+        for arr, axis in ((x, -1), (np.ascontiguousarray(x.T), 0)):
+            d = _diagnostics(arr, alphas, axis)
+            assert d.shape == (len(x), len(alphas), 3)
+            assert np.isnan(d[:-1]).all()
+            for k, alpha in enumerate(alphas):
+                t = np.sum(np.exp((1.0 - alpha) * (kept - finite.max())))
+                assert d[-1, k, T] == pytest.approx(t, rel=1e-14)
+                assert d[-1, k, SHARE] == pytest.approx(share, rel=1e-14)
+                assert d[-1, k, ESS] == pytest.approx(ess, rel=1e-14)
 
 
 def test_qq_exact_normal_scores():

@@ -4,9 +4,12 @@ of tables, such as two checkouts' `tools/table_digests.py --keep DIR`.
     python tools/table_diff.py A B
 
 For each table of A (`*.csv` and `*.json`) one line gives the largest
-|a - b| / max(|a|, |b|) over its numeric cells, the row and column where it
-is reached, and the file name.  Equal cells, NaN on both sides and the same
-infinity on both sides read 0.  The exit status is 1 if the two
+|a - b| / max(|a|, |b|) over its numeric cells, the file name, and the row
+and column where it is reached.  After it, one indented line per column
+whose numeric cells moved gives that column's largest relative difference
+and its name, in the table's column order, so that "only these columns
+moved" can be read off the output.  Equal cells, NaN on both sides and the
+same infinity on both sides read 0.  The exit status is 1 if the two
 directories hold different tables, or if a table's metadata, rows, columns
 or non-numeric cells differ (a cell that is NaN or infinite on one side
 only counts as such), and 0 otherwise.
@@ -67,8 +70,8 @@ def relative_difference(a, b):
 
 
 def compare(a_dir, b_dir) -> int:
-    """Print the per-table lines for directories `a_dir` and `b_dir`; the
-    exit status."""
+    """Print the per-table and per-column lines for directories `a_dir` and
+    `b_dir`; the exit status."""
     a_dir, b_dir = pathlib.Path(a_dir), pathlib.Path(b_dir)
     names = [sorted(p.name for p in d.iterdir() if p.suffix in (".csv", ".json"))
              for d in (a_dir, b_dir)]
@@ -84,15 +87,19 @@ def compare(a_dir, b_dir) -> int:
             print(f"rows or columns differ: {name}")
             status = 1
             continue
-        worst, where = 0.0, "-"
+        worst, where, moved = 0.0, "-", {}
         for (row, col), x in a.items():
             r = relative_difference(x, b[(row, col)])
             if r is None:
                 print(f"cell differs: {name} row {row} {col}: {x!r} != {b[(row, col)]!r}")
                 status = 1
-            elif r > worst:
-                worst, where = r, f"row {row} {col}"
+            elif r > 0.0:
+                moved[col] = max(moved.get(col, 0.0), r)
+                if r > worst:
+                    worst, where = r, f"row {row} {col}"
         print(f"{worst:.3e}  {name}  {where}")
+        for col, r in moved.items():
+            print(f"    {r:.3e}  {col}")
     return status
 
 
