@@ -65,10 +65,10 @@ class BoundEstimate:
     replicates: int
 
 
-def _split(values: np.ndarray, betas, axis: int):
-    """(delta_max, r_term, T) along `axis`, each with a leading axis over
-    `betas` = 1 - alpha, except delta_max at a single beta, which broadcasts
-    against the others, from one kernel call.
+def _split(values: np.ndarray, betas):
+    """(delta_max, r_term, T) along the last axis, each with a leading axis
+    over `betas` = 1 - alpha, except delta_max at a single beta, which
+    broadcasts against the others, from one kernel call.
 
     delta_max = log wbar_max + log N / (alpha - 1) is the contribution of the
     dominant weight; r_term = log(1 + T) / (1 - alpha) is the non-negative
@@ -76,10 +76,10 @@ def _split(values: np.ndarray, betas, axis: int):
     sum is the single-sample bound estimate, the gap sample of a batch of
     relative log-weights.
     """
-    m, t = _tail_sums(values, betas, axis)
+    m, t = _tail_sums(values, betas)
     # a single beta divides as a float, which rounds as an array of it does
     b = betas[0] if len(betas) == 1 else np.reshape(betas, (-1,) + (1,) * m.ndim)
-    return m - math.log(values.shape[axis]) / b, np.log1p(t) / b, t
+    return m - math.log(values.shape[-1]) / b, np.log1p(t) / b, t
 
 
 def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.ndarray:
@@ -97,9 +97,10 @@ def vr_iwae_from_log_weights(values: np.ndarray, alpha, axis: int = -1) -> np.nd
     values = np.asarray(values, dtype=np.float64)
     if values.shape[axis] < 1:
         raise ValueError("need at least one weight")
+    values = values if axis in (-1, values.ndim - 1) else np.moveaxis(values, axis, -1)
     tail = [b for b in betas if b >= ALPHA_ONE_THRESHOLD]
-    sums = iter(np.add(*_split(values, tail, axis)[:2]) if tail else ())
-    out = [next(sums) if b >= ALPHA_ONE_THRESHOLD else np.mean(values, axis=axis) for b in betas]
+    sums = iter(np.add(*_split(values, tail)[:2]) if tail else ())
+    out = [next(sums) if b >= ALPHA_ONE_THRESHOLD else np.mean(values, axis=-1) for b in betas]
     return np.stack(out, axis=-1) if shape else out[0]
 
 
@@ -125,21 +126,19 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     scalars = [model.law_scalars()] if states is None else states
     out = []
     for start, stop in vrng._replicate_chunks(len(scalars), replicates * n_importance):
-        # (C, V) per chunk: replicates first, as the map expects
         samples, = _law_samples(model, scalars[start:stop], stream.seed,
                                 [(stream.stream_id, n_importance)], replicates,
-                                lambda lrw: vr_iwae_from_log_weights(lrw, alpha).T)
+                                lambda lrw: vr_iwae_from_log_weights(lrw, alpha))
         for row in np.ascontiguousarray(samples.T):
-            mean, se = _mean_se(row)
-            out.append(BoundEstimate(mean=float(mean), std_error=float(se), replicates=row.size))
+            out.append(BoundEstimate(*map(float, _mean_se(row)), replicates=row.size))
     return out[0] if states is None else out
 
 
 def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[int, int]],
                  replicates: int, reduce) -> list:
     """Per cell (stream_id, N), the concatenation over its replicates of
-    reduce(lrw), with lrw of shape (V, C, N) per chunk of C replicates and
-    reduce(lrw) of leading length C.
+    reduce(lrw), with lrw of shape (C, V, N) per chunk of C replicates,
+    C-contiguous, and reduce(lrw) of leading length C.
 
     `law` is a model, whose class states the law (`LAW_WORDS`,
     `law_variates`, `law_log_weights`), and `states` holds V law scalars of
@@ -147,19 +146,20 @@ def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[
     d, hence their `law_variates`.  The kernel of `rng._chunk_map` takes a
     chunk's uniforms, N x LAW_WORDS per replicate of the cell's stream
     (seed, stream_id), computes the variates once, and `law_log_weights`
-    with each state writes its log-weights into its row of one (V, C, N)
-    block, or over Z where V = 1.  The transforms and reductions are batched
-    per chunk, which does not affect the values.
+    with state v writes its log-weights into column v, lrw[:, v], of one
+    (C, V, N) block, or over Z where V = 1.  The transforms and reductions
+    are batched per chunk, which does not affect the values.
     """
     k = law.LAW_WORDS
 
     def kernel(i, u):
-        u = u.reshape(len(u), cells[i][1], k)
+        n = cells[i][1]
+        u = u.reshape(len(u), n, k)
         variates = law.law_variates(u, states[0])
         # one state writes its log-weights over Z, which nothing reads after
-        lrw = variates[0][None] if len(states) == 1 else np.empty((len(states), *u.shape[:-1]))
-        for s, out in zip(states, lrw):
-            law.law_log_weights(variates, s, out=out)
+        lrw = variates[0][:, None] if len(states) == 1 else np.empty((len(u), len(states), n))
+        for v, s in enumerate(states):
+            law.law_log_weights(variates, s, out=lrw[:, v])
         return reduce(lrw)
 
     return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],

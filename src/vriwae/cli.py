@@ -22,8 +22,8 @@ import math
 import os
 import sys
 
-from .experiments import (_FORMATS, _MODELS, ExperimentSpec, fit_gap_table, read_table,
-                          render_svg, run_collapse_experiment, run_gap_experiment,
+from .experiments import (_FORMATS, _MODELS, ExperimentSpec, _LawNotFinite, fit_gap_table,
+                          read_table, render_svg, run_collapse_experiment, run_gap_experiment,
                           run_snr_experiment, run_train_experiment,
                           run_weights_experiment, selftest, write_table)
 from .train import _ESTIMATORS, _OPTIMIZERS, TrainingDiverged
@@ -178,6 +178,8 @@ def main(argv=None) -> int:
         _PARSER.error(f"{args.command}: {exc}")
     try:
         rows = _RUNNERS[args.command](spec)
+    except _LawNotFinite as exc:    # a model no draw can be read from: an invalid spec
+        _PARSER.error(f"{args.command}: {exc}")
     except TrainingDiverged as exc:     # a diverged run writes no table
         print(f"vriwae {args.command}: training diverged: {exc} with "
               f"--lr {spec.train_config().learning_rate:g}",

@@ -256,15 +256,29 @@ def make_linear_gaussian(d: int, sigma_perturb: float, seed: int,
     return LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x), (x, rest)
 
 
+class _LawNotFinite(ValueError):
+    """A model of the spec whose law scalars overflow: its runs would read
+    NaN in every cell, so it is refused as an invalid spec is."""
+
+
 def _variants(spec: ExperimentSpec, d: int) -> list:
     """(sigma_perturb, model) pairs for one dimension of the grid.
 
     The toy model has no perturbation notion; its sigma_perturb is None and
-    serializes to an empty CSV cell.
+    serializes to an empty CSV cell.  Raises `_LawNotFinite`, a ValueError,
+    where a model's `law_scalars()` (c, ||v||^2, q) are not all finite.
     """
-    if spec.model == "toy":
-        return [(None, make_toy(d, spec.theta_scale))]
-    return [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs]
+    variants = ([(None, make_toy(d, spec.theta_scale))] if spec.model == "toy" else
+                [(sp, make_linear_gaussian(d, sp, spec.seed)[0]) for sp in spec.sigma_perturbs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sp, model in variants:
+            for name, value in zip(("c", "||v||^2", "q"), model.law_scalars()):
+                if not math.isfinite(value):
+                    at = (f"theta_scale {spec.theta_scale:g}" if sp is None
+                          else f"sigma_perturb {sp:g}")
+                    raise _LawNotFinite(f"law scalar {name} = {value} of the {model.TABLE_NAME} "
+                                        f"model at d {d} and {at} is not finite")
+    return variants
 
 
 # --------------------------------------------------------------------------
@@ -297,9 +311,7 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
     (model, alpha, d, sigma_perturb) group across the N grid.
     """
     rows: list[dict] = []
-    # (C, V, A) per chunk: replicates first, as the reducer expects
-    grid = _law_grid(spec, _OFF_GAP, lambda lrw: np.swapaxes(
-        vr_iwae_from_log_weights(lrw, spec.alphas), 0, 1))
+    grid = _law_grid(spec, _OFF_GAP, lambda lrw: vr_iwae_from_log_weights(lrw, spec.alphas))
     for _, variants, stats in grid:
         # mean and SE of the gap samples per (variant, alpha, n)
         means, ses = (np.stack(x, axis=-1) for x in zip(*stats))
@@ -449,7 +461,7 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
             # one cell of n replicates of N = 1: replicate r reads words
             # [r k, (r + 1) k), as one (n, k) draw would
             lrw, = _law_samples(model, [model.law_scalars()], spec.seed,
-                                [(_OFF_WEIGHTS + grid_idx, 1)], n, lambda lrw: lrw[0, :, 0])
+                                [(_OFF_WEIGHTS + grid_idx, 1)], n, lambda lrw: lrw[:, 0, 0])
             grid_idx += 1
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             # a constant sample (the toy at theta = phi) has no QQ correlation
@@ -470,12 +482,10 @@ def run_weights_experiment(spec: ExperimentSpec) -> list:
 def run_collapse_experiment(spec: ExperimentSpec) -> list:
     """Monte Carlo means of the dominance statistic T, the max-weight share,
     and the effective sample size over fresh batches per (alpha, d, N)."""
-    def collapse_stats(lrw):
-        # (T, max share, ESS) per (variant, alpha), as (C, V, A, 3): replicates first
-        return _diagnostics(lrw, spec.alphas).transpose(1, 0, 2, 3)
-
     rows = []
-    for d, variants, stats in _law_grid(spec, _OFF_COLLAPSE, collapse_stats):
+    # (T, max share, ESS) per (variant, alpha) of each replicate
+    grid = _law_grid(spec, _OFF_COLLAPSE, lambda lrw: _diagnostics(lrw, spec.alphas))
+    for d, variants, stats in grid:
         for n, (mean, se) in zip(spec.n_grid, stats):
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
@@ -703,11 +713,13 @@ def selftest(seed: int = 0) -> SelftestReport:
         worst_iwae = max(worst_iwae, abs(vr_iwae_from_log_weights(lw, 0.0)
                                          - (logsumexp(lw) - math.log(n))))
         worst_elbo = max(worst_elbo, abs(vr_iwae_from_log_weights(lw, 1.0 - 1e-9) - lw.mean()))
-        for alpha in (0.0, 0.5):
-            # the gap runner's split of a sample, at one beta
-            dm, (rt,), (t,) = _split(lw, [1.0 - alpha], -1)
-            worst_decomp = max(worst_decomp, abs(dm + rt - vr_iwae_from_log_weights(lw, alpha)))
-            worst_rbound = max(worst_rbound, rt - t / (1.0 - alpha))
+        for beta in (1.0, 0.5):
+            # the gap runner's split of a sample at one beta, each term against
+            # its definition: max - log N / beta, and the rest of the logsumexp
+            dm, (rt,), (t,) = _split(lw, [beta])
+            worst_decomp = max(worst_decomp, abs(dm - (lw.max() - math.log(n) / beta)),
+                               abs(rt - (logsumexp(beta * lw) - beta * lw.max()) / beta))
+            worst_rbound = max(worst_rbound, rt - t / beta)
     report.record("bound_alpha_monotonicity", worst_mono <= 1e-10, f"max increase {worst_mono:.2e}")
     report.record("bound_iwae_identity", worst_iwae <= 1e-12, f"max dev {worst_iwae:.2e}")
     report.record("bound_elbo_limit", worst_elbo <= 1e-6, f"max dev {worst_elbo:.2e}")

@@ -10,9 +10,9 @@ the non-maximal weights at each of several beta.  The bound's estimator and
 its max/remainder split (`bounds`) and the diagnostics T, max share and ESS
 all read it; the collapse runner evaluates every diagnostic at every alpha
 of its grid from one call per chunk (`_diagnostics`).  The diagnostics
-reduce along an axis of a log-weight array (the last by default), so one
-batch and a stack of batches take the same code.  The normalized weights s
-and the doubly-reparameterized coefficients h of the gradient estimators
+reduce along the last axis of a log-weight array, so one batch and a stack
+of batches take the same code.  The normalized weights s and the
+doubly-reparameterized coefficients h of the gradient estimators
 (`_weight_rows`) live here too, below both `models` and `gradients`.
 
 Conventions fixed once for the whole artifact:
@@ -78,9 +78,9 @@ def _check_alpha(alpha: float, closed: bool = False) -> float:
     return float(alpha)
 
 
-def _tail_sums(x: np.ndarray, betas, axis: int = -1):
-    """(m, T): the max m of x along `axis`, and T with a leading axis over
-    `betas`, T[k] = sum_{j != argmax} exp(betas[k] * (x_j - m)).
+def _tail_sums(x: np.ndarray, betas):
+    """(m, T): the max m of x along its last axis, and T with a leading axis
+    over `betas`, T[k] = sum_{j != argmax} exp(betas[k] * (x_j - m)).
 
     The argmax (ties: first occurrence) is taken once, and its term is left
     out of the sum, not subtracted from it, so a T far below 1 keeps its
@@ -89,39 +89,28 @@ def _tail_sums(x: np.ndarray, betas, axis: int = -1):
     -inf on rows of only -inf and NaN on rows holding NaN, as a log-sum-exp
     would; T there serves only that sum.  `x` is never written.
 
-    Along the last axis of a C-contiguous x, the maxima are read and zeroed
-    through one flat index, the argmax plus each row's offset into the
-    raveled buffer; other axes and layouts gather through `np.indices`.
-    Both give the same bits.
+    The maxima are read and zeroed through one flat index, the argmax plus
+    each row's offset into the raveled buffer of a C-order x; every runner
+    hands its batches over C-contiguous, and any other x is copied first.
     """
-    x = np.asarray(x, dtype=np.float64)
-    am = np.argmax(x, axis=axis, keepdims=True)
-    flat = x.flags.c_contiguous and axis in (-1, x.ndim - 1)
-    if flat:
-        at_max = am.reshape(-1) + np.arange(0, x.size, x.shape[-1])
-        m = x.reshape(-1)[at_max].reshape(am.shape)
-    else:
-        at_max = [*np.indices(x.shape, sparse=True)]
-        at_max[axis] = am
-        at_max = tuple(at_max)
-        m = x[at_max]
-    e = np.subtract(x, np.where(np.isfinite(m), m, 0.0))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    at_max = np.argmax(x, axis=-1).reshape(-1) + np.arange(0, x.size, x.shape[-1])
+    m = x.reshape(-1)[at_max].reshape(x.shape[:-1])
+    e = np.subtract(x, np.where(np.isfinite(m), m, 0.0)[..., None])
     buf = np.empty_like(e)
-    zeroed = buf.reshape(-1) if flat else buf
-    m = np.squeeze(m, axis)
     t = np.empty((len(betas), *m.shape))
     for k, b in enumerate(betas):
         np.exp(np.multiply(e, b, out=buf) if b != 1.0 else e, out=buf)
         # zeroed after exp: exp is slower on a row holding -inf
-        zeroed[at_max] = 0.0
-        np.add.reduce(buf, axis=axis, out=t[k, ...])
+        buf.reshape(-1)[at_max] = 0.0
+        np.add.reduce(buf, axis=-1, out=t[k, ...])
     return m, t
 
 
-def _diagnostics(values: np.ndarray, alphas, axis: int = -1) -> np.ndarray:
-    """(T, max share, ESS) along `axis` on a last axis of 3, after an axis
-    over `alphas` (the share and the ESS repeat along it), from one kernel
-    call; NaN on rows whose max is not finite.
+def _diagnostics(values: np.ndarray, alphas) -> np.ndarray:
+    """(T, max share, ESS) along the last axis, on a last axis of 3 after an
+    axis over `alphas` (the share and the ESS repeat along it), from one
+    kernel call; NaN on rows whose max is not finite.
 
     T at alpha sums (w_j / w_max)^(1-alpha) over the non-maximal weights and
     lies in [0, N-1]; it is shift-invariant, so it does not matter whether
@@ -130,7 +119,7 @@ def _diagnostics(values: np.ndarray, alphas, axis: int = -1) -> np.ndarray:
     w_max / sum_j w_j = 1 / (1 + T at alpha = 0), and the ESS
     (sum w)^2 / sum w^2 lies in [1, N].
     """
-    m, t = _tail_sums(values, [1.0 - _check_alpha(a) for a in alphas] + [1.0, 2.0], axis)
+    m, t = _tail_sums(values, [1.0 - _check_alpha(a) for a in alphas] + [1.0, 2.0])
     t = np.where(np.isfinite(m), t, np.nan)
     t1 = 1.0 + t[-2]
     columns = np.broadcast_arrays(t[:-2], 1.0 / t1, t1 * t1 / (1.0 + t[-1]))
@@ -167,12 +156,10 @@ def qq_points(log_weights: np.ndarray) -> QQResult:
     x = np.asarray(log_weights, dtype=np.float64)
     if x.size < 2:
         raise ValueError("need at least 2 points for a QQ plot")
-    mean = x.mean()
     std = x.std(ddof=1)
     if std == 0.0:
         raise ValueError("sample variance is zero")
-    sample = np.sort((x - mean) / std)
-    n = x.size
-    theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    corr = float(np.corrcoef(theo, sample)[0, 1])
-    return QQResult(theoretical=theo, sample=sample, correlation=corr)
+    sample = np.sort((x - x.mean()) / std)
+    theo = ndtri((np.arange(1, x.size + 1) - 0.5) / x.size)
+    return QQResult(theoretical=theo, sample=sample,
+                    correlation=float(np.corrcoef(theo, sample)[0, 1]))

@@ -366,7 +366,8 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path, monkey
 
 def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
     # tools/table_digests.py prints one sha256 line per op table of a
-    # workload, and the same lines on a second run, which keeps the files
+    # workload, then one per selftest record, and the same lines on a second
+    # run, which keeps the files
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     monkeypatch.setattr(sys, "path", list(sys.path))    # undoes the tool's own entries
     table_digests = importlib.import_module("table_digests")
@@ -375,10 +376,18 @@ def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
         assert table_digests.main(["--workload", "train", "--seed", "0", *keep]) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
+    records = [line for line in runs[0] if line.split()[1:4] == ["selftest", "--seed", "0"]]
+    lines = [line for line in runs[0] if line not in records]
+    assert runs[0] == lines + records
     kept = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert {f"train-0-{line.split()[3]}.csv": line.split()[0]
-            for line in runs[0][:-1]} | {"selftest.txt": runs[0][-1].split()[0]} == kept
-    lines = [line for line in runs[0] if not line.endswith("selftest --seed 0")]
+    stdout = (tmp_path / "selftest.txt").read_text()
+    assert {f"train-0-{line.split()[3]}.csv": line.split()[0] for line in lines} | {
+        "selftest.txt": hashlib.sha256(stdout.encode()).hexdigest()} == kept
+    # each record's line: the sha256 of its line of the stdout, and its name
+    assert [line.split(maxsplit=1)[1] for line in records] == [
+        f"selftest --seed 0 {out.split()[1]}" for out in stdout.splitlines()]
+    assert [line.split()[0] for line in records] == [
+        hashlib.sha256(out.encode()).hexdigest() for out in stdout.splitlines()]
     ops = [op.name for op in importlib.import_module("workloads").build("train", 0)]
     assert [line.split()[1:] for line in lines] == [["train", "0", name] for name in ops]
     assert all(len(line.split()[0]) == 64 for line in runs[0])

@@ -779,6 +779,20 @@ def test_selftest_catches_corrupted_h(monkeypatch):
     assert "gradient_unbiasedness_reduced" in failed
 
 
+def test_selftest_checks_each_term_of_the_split(monkeypatch):
+    # a split whose terms are wrong by opposite amounts keeps their sum, the
+    # bound: the decomposition record reads each term on its own and fails
+    real = experiments._split
+
+    def shifted(values, betas):
+        delta_max, r_term, t = real(values, betas)
+        return delta_max + 1.0, r_term - 1.0, t
+
+    monkeypatch.setattr(experiments, "_split", shifted)
+    failed = {name for name, passed, _ in selftest(seed=0).checks if not passed}
+    assert "gap_decomposition_identity" in failed
+
+
 def test_cli_gap_and_fit(tmp_path):
     from vriwae.cli import main
     out = tmp_path / "gap.csv"
@@ -1160,3 +1174,82 @@ def test_cli_config_file(tmp_path):
     assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 0
     rows, _ = read_table(str(out))
     assert len(rows) == 2
+
+
+def test_runner_batches_reach_the_kernel_c_contiguous(monkeypatch):
+    # every batch the runners reduce reaches `_tail_sums` C-contiguous, so
+    # the kernel's C-order copy never runs on their path: the gap runner on
+    # both models (one law block per sigma variant), the collapse runner, a
+    # training run's logged gaps (`gap_mc` on its law states) and the
+    # finite-difference oracle
+    from vriwae import bounds, weights
+    from vriwae.gradients import fd_grad_oracle
+    real, layouts = weights._tail_sums, {}
+
+    def recording(x, betas):
+        layouts.setdefault(stage, []).append(x.flags.c_contiguous)
+        return real(x, betas)
+
+    for module in (weights, bounds):
+        monkeypatch.setattr(module, "_tail_sums", recording)
+    lingauss = dict(model="lingauss", sigma_perturbs=(0.0, 0.3))
+    runs = {"gap-toy": lambda: run_gap_experiment(small_gap_spec(replicates=20)),
+            "gap-lingauss": lambda: run_gap_experiment(small_gap_spec(replicates=20, **lingauss)),
+            "collapse": lambda: run_collapse_experiment(ExperimentSpec(
+                kind="collapse", alphas=(0.0, 0.5), ds=(3,), n_grid=(2, 4), replicates=20,
+                **lingauss)),
+            "train": lambda: run_train_experiment(ExperimentSpec(
+                kind="train", model="toy", alphas=(0.5,), ds=(3,), n_importance=8, epochs=30,
+                log_every=10, seed=7)),
+            "fd": lambda: fd_grad_oracle(make_toy(2, 0.5), 0.5, 4, 1e-3, 10,
+                                         vrng.make_stream(0, 0))}
+    for stage, run in runs.items():
+        run()
+    assert sorted(layouts) == sorted(runs)
+    assert all(all(seen) for seen in layouts.values()), layouts
+
+
+_LAW_OVERFLOWS = pytest.mark.parametrize("extra, message", [
+    (["--theta-scale", "1e200"], "law scalar c = -inf of the toy model at d 1 and "
+                                 "theta_scale 1e+200 is not finite"),
+    (["--model", "lingauss", "--sigma-perturb", "1e300"],
+     "law scalar c = nan of the lingauss model at d 1 and sigma_perturb 1e+300 is not finite"),
+], ids=["toy", "lingauss"])
+
+
+@_LAW_OVERFLOWS
+@pytest.mark.parametrize("kind", ["gap", "train"])
+def test_cli_refuses_a_model_whose_law_overflows(tmp_path, kind, extra, message):
+    # a model whose law scalars overflow would read NaN in every cell: the
+    # CLI refuses it as an invalid spec, with exit 2 and no table, and in a
+    # fresh interpreter, whose warnings reach stderr, prints no warning
+    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / f"{kind}.csv"
+    grid = ["--n-grid", "2", "--replicates", "2"] if kind == "gap" else ["--epochs", "2"]
+    run = subprocess.run([sys.executable, "-m", "vriwae.cli", kind, "--d", "1", *grid, *extra,
+                          "--out", str(out)], env=env, timeout=300, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    usage, error = run.stderr.splitlines()
+    assert usage.startswith("usage: vriwae ")
+    assert error == f"vriwae: error: {kind}: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["gap", "snr", "weights", "collapse", "train"])
+def test_runners_refuse_a_model_whose_law_overflows(kind):
+    # every runner builds its models through one function, which checks their
+    # law scalars before any draw, each sigma variant's (train runs one); a
+    # theta_scale of 1e100 keeps a finite law
+    from vriwae.cli import _RUNNERS
+    with pytest.raises(ValueError, match=r"^law scalar c = -inf of the toy model at d 1 and "
+                                         r"theta_scale 1e\+200 is not finite$"):
+        _RUNNERS[kind](ExperimentSpec(kind=kind, model="toy", ds=(1,), theta_scale=1e200))
+    with pytest.raises(ValueError, match=r"^law scalar c = nan of the lingauss model at d 1 and "
+                                         r"sigma_perturb 1e\+300 is not finite$"):
+        _RUNNERS[kind](ExperimentSpec(kind=kind, model="lingauss", ds=(1,),
+                                      sigma_perturbs=(1e300,) if kind == "train" else (0.3, 1e300)))
+    rows = run_gap_experiment(small_gap_spec(ds=(1,), theta_scale=1e100, replicates=2))
+    assert all(math.isfinite(row["mean_gap"]) for row in rows)

@@ -352,13 +352,13 @@ def test_rows_evaluated_in_bounded_groups(monkeypatch, make_model):
         runs.append(_rows(run_training(make_model(), config, make_stream(11, 7))))
         assert len(runs[-1]) == 24
         assert max(math.prod(shape) for shape in blocks) <= max(target, n)
-        # states, replicates and N of each block cover every row's draws
+        # replicates, states and N of each block cover every row's draws
         assert all(shape[-1] == n for shape in blocks)
         assert sum(shape[0] * shape[1] for shape in blocks) == 24 * reps
         if target == 40:
-            assert max(shape[0] for shape in blocks) == 40 // (reps * n) < 24
+            assert max(shape[1] for shape in blocks) == 40 // (reps * n) < 24
         if target == 1_000_000:
-            assert blocks == [(24, reps, n)]
+            assert blocks == [(reps, 24, n)]
     assert runs[0] == runs[1] == runs[2]
 
 

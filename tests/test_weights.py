@@ -30,9 +30,9 @@ def _gathered_tail_sums(x, betas, axis):
 
 @pytest.mark.parametrize("shape", [(7,), (16, 100), (4, 1), (3, 40, 64), (2, 0, 5)])
 def test_tail_sums_match_the_gather(shape):
-    # the flat index of a C-contiguous batch, and the gather of any other
-    # axis or layout, give the sums of the sparse gather bit for bit, on
-    # rows with ties, -inf, +inf and NaN too
+    # the flat index gives the sums of the sparse gather bit for bit, on rows
+    # with ties, -inf, +inf and NaN too; a batch of any other axis or layout,
+    # moved to the last axis, is summed as its C-order copy
     x = np.random.default_rng(4).normal(scale=20.0, size=shape)
     if x.ndim > 1 and x.shape[-2] > 3 and x.shape[-1] > 3:
         rows = x.reshape(-1, x.shape[-1])
@@ -43,8 +43,9 @@ def test_tail_sums_match_the_gather(shape):
     with np.errstate(invalid="ignore"):
         for y, axis in [(x, -1), (x, x.ndim - 1), (np.asfortranarray(x), -1),
                         *[(x, a) for a in range(x.ndim - 1) if x.shape[a]]]:
-            m, t = _tail_sums(y, betas, axis)
-            want_m, want_t = _gathered_tail_sums(y, betas, axis)
+            m, t = _tail_sums(np.moveaxis(y, axis, -1), betas)
+            want_m, want_t = _gathered_tail_sums(np.ascontiguousarray(np.moveaxis(y, axis, -1)),
+                                                 betas, -1)
             assert m.tobytes() == want_m.tobytes() and t.tobytes() == want_t.tobytes()
             assert t.shape == (len(betas), *want_m.shape)
 
@@ -93,7 +94,7 @@ def test_t_kernel_matches_loop_for_tiny_t():
                         for row in v])
         assert ref.min() < 1e-12
         np.testing.assert_allclose(_diagnostics(v, [alpha])[:, 0, T], ref, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(_diagnostics(v.T, [alpha], axis=0)[:, 0, T], ref,
+        np.testing.assert_allclose(_diagnostics(np.asfortranarray(v), [alpha])[:, 0, T], ref,
                                    rtol=1e-13, atol=0.0)
     assert _diagnostics(np.array([0.0, -40.0]), [0.0])[0, T] == pytest.approx(
         math.exp(-40.0), rel=1e-15)
@@ -162,7 +163,7 @@ def test_tie_permutation_invariance():
 
 def test_diagnostics_nan_where_the_max_is_not_finite():
     # rows holding +inf, rows of only -inf and rows holding NaN anywhere read
-    # NaN in all three columns at every alpha, along either axis; a finite
+    # NaN in all three columns at every alpha, in either layout; a finite
     # row in the same batch that holds a -inf entry reads the plain
     # definitions: T over the batch with its argmax deleted, the max share
     # and the ESS by scipy's logsumexp
@@ -175,8 +176,8 @@ def test_diagnostics_nan_where_the_max_is_not_finite():
     share = np.exp(finite.max() - logsumexp(finite))
     ess = np.exp(2.0 * logsumexp(finite) - logsumexp(2.0 * finite))
     with np.errstate(invalid="ignore"):
-        for arr, axis in ((x, -1), (np.ascontiguousarray(x.T), 0)):
-            d = _diagnostics(arr, alphas, axis)
+        for arr in (x, np.asfortranarray(x)):
+            d = _diagnostics(arr, alphas)
             assert d.shape == (len(x), len(alphas), 3)
             assert np.isnan(d[:-1]).all()
             for k, alpha in enumerate(alphas):

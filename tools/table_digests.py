@@ -4,13 +4,14 @@ the selftest's output, so that two commits can be checked for the same bits.
 For each workload and seed given, each op of `perfbench/workloads.build`
 runs through `vriwae.cli.main` with `--out` into a temporary directory, and
 one line gives the sha256 of the file it wrote, then the workload, the seed
-and the op's name.  A last line gives the sha256 of the stdout of
-`vriwae selftest --seed 0`.
+and the op's name.  Then one line per record of `vriwae selftest --seed 0`
+gives the sha256 of that record's line of its stdout, then the record's
+name, so that a changed record, or only its detail, is one changed line.
 
     python tools/table_digests.py [--workload W ...] [--seed S ...] [--keep DIR]
 
 The defaults are all four workloads, at seeds 0 and 1: 24 tables and the
-selftest line, in about 3 s on 2 cores.  Run it on two checkouts and
+selftest records, in about 3 s on 2 cores.  Run it on two checkouts and
 compare the output with `diff`.  With `--keep DIR` the tables are written to
 DIR as `<workload>-<seed>-<op>.csv` (or `.json`), with the selftest's stdout
 as `selftest.txt`, so that `tools/table_diff.py` can say by how much two
@@ -36,7 +37,8 @@ WORKLOADS = ("highdim", "lowdim", "snr", "train")
 
 def digests(workloads=WORKLOADS, seeds=(0, 1), keep=None) -> list:
     """The output lines: one per op table of each (workload, seed), in
-    order, then the selftest's; the files are left in `keep` if it is given."""
+    order, then one per selftest record; the files are left in `keep` if it
+    is given."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads as perf_workloads
     from vriwae.cli import main
@@ -58,7 +60,10 @@ def digests(workloads=WORKLOADS, seeds=(0, 1), keep=None) -> list:
         with contextlib.redirect_stdout(out):
             main(["selftest", "--seed", "0"])
         (out_dir / "selftest.txt").write_text(out.getvalue())
-    lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  selftest --seed 0")
+    for record in out.getvalue().splitlines():
+        # "[PASS] name (detail)"
+        digest = hashlib.sha256(record.encode()).hexdigest()
+        lines.append(f"{digest}  selftest --seed 0 {record.split()[1]}")
     return lines
 
 
