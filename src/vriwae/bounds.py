@@ -27,12 +27,13 @@ LAW_WORDS of them, through the model's law (`law_variates`, then
 reduces them to one sample per replicate on whichever thread takes it.  It
 takes one law (a model) and a list of law scalars (`law_scalars`), computes
 `law_variates` (a function of q and d alone) once per chunk, and maps them
-through `law_log_weights` with each of the scalars into one block, so the
-sigma variants of one d share the linear Gaussian's normal and chi^2
-draws.  It serves the gap, collapse and weights runners of `experiments`
-too; a weights draw is one cell of N = 1.  `gap_mc` takes such a list as
-well: a training run's logged rows are law states of one model, and their
-gaps are variants of one cell on one key.
+through one `law_log_weights` call, broadcast against the scalars' c and
+||v||^2 as columns, into one block, so the sigma variants of one d share
+the linear Gaussian's normal and chi^2 draws.  It serves the gap, collapse
+and weights runners of `experiments` too; a weights draw is one cell of
+N = 1 per d.  `gap_mc` takes such a list as well: a training run's logged
+rows are law states of one model, and their gaps are variants of one cell
+on one key.
 """
 
 from __future__ import annotations
@@ -143,24 +144,23 @@ def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[
     `law` is a model, whose class states the law (`LAW_WORDS`,
     `law_variates`, `law_log_weights`), and `states` holds V law scalars of
     it: the `law_scalars()` of models of its class and d, which share q and
-    d, hence their `law_variates`.  The kernel of `rng._chunk_map` takes a
-    chunk's uniforms, N x LAW_WORDS per replicate of the cell's stream
-    (seed, stream_id), computes the variates once, and `law_log_weights`
-    with state v writes its log-weights into column v, lrw[:, v], of one
-    (C, V, N) block, or over Z where V = 1.  The transforms and reductions
-    are batched per chunk, which does not affect the values.
+    d, hence their `law_variates`.  Their c and ||v||^2 are read once per
+    call as (V, 1) columns.  The kernel of `rng._chunk_map` takes a chunk's
+    uniforms, N x LAW_WORDS per replicate of the cell's stream (seed,
+    stream_id), as (C, 1, N, LAW_WORDS), computes the (C, 1, N) variates
+    once, and one `law_log_weights` call broadcasts them against the columns
+    into the (C, V, N) block; a single state writes over Z.  The transforms
+    and reductions are batched per chunk, which does not affect the values.
     """
     k = law.LAW_WORDS
+    # c and ||v||^2 as (V, 1) columns; the states share q and d
+    columns = (*np.array([s[:2] for s in states]).T[..., None], *states[0][2:])
 
     def kernel(i, u):
-        n = cells[i][1]
-        u = u.reshape(len(u), n, k)
-        variates = law.law_variates(u, states[0])
+        variates = law.law_variates(u.reshape(len(u), 1, cells[i][1], k), columns)
         # one state writes its log-weights over Z, which nothing reads after
-        lrw = variates[0][:, None] if len(states) == 1 else np.empty((len(u), len(states), n))
-        for v, s in enumerate(states):
-            law.law_log_weights(variates, s, out=lrw[:, v])
-        return reduce(lrw)
+        return reduce(law.law_log_weights(variates, columns,
+                                          out=variates[0] if len(states) == 1 else None))
 
     return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],
                            kernel, vrng.uniform)

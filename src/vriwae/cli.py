@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .experiments import (_FORMATS, _MODELS, ExperimentSpec, _LawNotFinite, fit_gap_table,
+from .experiments import (_FORMATS, _MODELS, ExperimentSpec, _Unrepresentable, fit_gap_table,
                           read_table, render_svg, run_collapse_experiment, run_gap_experiment,
                           run_snr_experiment, run_train_experiment,
                           run_weights_experiment, selftest, write_table)
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         _PARSER.error(f"{args.command}: {exc}")
     try:
         rows = _RUNNERS[args.command](spec)
-    except _LawNotFinite as exc:    # a model no draw can be read from: an invalid spec
+    except _Unrepresentable as exc:    # numbers that overflow a float: an invalid spec
         _PARSER.error(f"{args.command}: {exc}")
     except TrainingDiverged as exc:     # a diverged run writes no table
         print(f"vriwae {args.command}: training diverged: {exc} with "

@@ -3,20 +3,22 @@
 Every experiment is a pure function of (spec, seed).  Each experiment family
 owns a disjoint stream_id block, and each grid cell reads its own stream
 within it, by the package's one draw rule (see `rng`): replicate r of the
-cell takes block r of the stream's words.  The gap and collapse runners
-share one law grid (`_law_grid`): it lays cell (d_idx, n_idx) on the stream
-at the family's offset + d_idx len(n_grid) + n_idx, puts all N cells of a
-dimension in one `rng._chunk_map` (`bounds._law_samples`), whose kernel maps
-a chunk's uniforms and whose chunks run on all cores, and reduces each cell's
+cell takes block r of the stream's words.  The gap, collapse and weights
+runners read one law grid (`_law_grid`): it builds every d's models, and
+checks their laws, before its first draw, lays cell (d_idx, n_idx) on the
+stream at the family's offset + d_idx len(n_grid) + n_idx, and puts all N
+cells of a dimension, with all its sigma variants, in one `rng._chunk_map`
+(`bounds._law_samples`), whose kernel maps a chunk's uniforms and whose
+chunks run on all cores.  The gap and collapse runners reduce each cell's
 samples at once to their mean and SE, so their tables are byte-identical at
-any number of threads and any chunk size.  The weights runner draws each
-(d, sigma_perturb) sample as one such cell of N = 1, whose chunks run on all
-cores once it spans more than one; its tables, and the `snr` tables (see
-`gradients`), are byte-identical in the same way.  Common random numbers
-are reused on purpose across alpha values and across perturbation scales of
-the same grid cell: the draws are i.i.d. for each configuration, and sharing
-them makes the comparisons paired.  Each log-weight comes from its model's
-exact law (`law_variates` and `law_log_weights`), not d normals.
+any number of threads and any chunk size.  The weights runner reads one cell
+of N = 1 per d, on the stream at its offset + d_idx; its tables, and the
+`snr` tables (see `gradients`), are byte-identical in the same way.  Common
+random numbers are reused on purpose, in every law runner, across alpha
+values and across the perturbation scales of a d: the draws are i.i.d. for
+each configuration, and sharing them makes the comparisons paired.  Each
+log-weight comes from its model's exact law (`law_variates` and
+`law_log_weights`), not d normals.
 
 Output files are CSV with '#'-prefixed metadata header lines (schema version,
 seed, spec echo) or a JSON mirror.  Gap tables carry both the prediction
@@ -46,7 +48,7 @@ from .gradients import (SNR_MIN_REPLICATES, fd_grad_from_eps, fd_grad_oracle, gr
 from .models import (GaussianToy, LinearGaussian, closed_forms, lingauss_gamma2_quadrature,
                      lingauss_gap_quadrature, optimal_params, perturb_params)
 from .train import DEFAULT_LEARNING_RATE, TrainConfig, _check_rules, _type_rules, run_training
-from .weights import _diagnostics, _mean_se, _weight_rows, qq_points
+from .weights import _Unrepresentable, _diagnostics, _mean_se, _weight_rows, qq_points
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -256,16 +258,11 @@ def make_linear_gaussian(d: int, sigma_perturb: float, seed: int,
     return LinearGaussian(d=d, theta=theta, a_tilde=a_tilde, b=b, x=x), (x, rest)
 
 
-class _LawNotFinite(ValueError):
-    """A model of the spec whose law scalars overflow: its runs would read
-    NaN in every cell, so it is refused as an invalid spec is."""
-
-
 def _variants(spec: ExperimentSpec, d: int) -> list:
     """(sigma_perturb, model) pairs for one dimension of the grid.
 
     The toy model has no perturbation notion; its sigma_perturb is None and
-    serializes to an empty CSV cell.  Raises `_LawNotFinite`, a ValueError,
+    serializes to an empty CSV cell.  Raises `weights._Unrepresentable`
     where a model's `law_scalars()` (c, ||v||^2, q) are not all finite.
     """
     variants = ([(None, make_toy(d, spec.theta_scale))] if spec.model == "toy" else
@@ -274,10 +271,10 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
         for sp, model in variants:
             for name, value in zip(("c", "||v||^2", "q"), model.law_scalars()):
                 if not math.isfinite(value):
-                    at = (f"theta_scale {spec.theta_scale:g}" if sp is None
-                          else f"sigma_perturb {sp:g}")
-                    raise _LawNotFinite(f"law scalar {name} = {value} of the {model.TABLE_NAME} "
-                                        f"model at d {d} and {at} is not finite")
+                    at = (f"d {d} and theta_scale {spec.theta_scale:g}" if sp is None
+                          else f"d {d} and sigma_perturb {sp:g}")
+                    raise _Unrepresentable(f"law scalar {name} = {value} of the "
+                                           f"{model.TABLE_NAME} model at {at} is not finite")
     return variants
 
 
@@ -285,19 +282,18 @@ def _variants(spec: ExperimentSpec, d: int) -> list:
 # Gap experiment
 # --------------------------------------------------------------------------
 
-def _law_grid(spec: ExperimentSpec, offset: int, reduce):
-    """Yield (d, variants, stats) per d of the grid, where stats holds per N
-    of the grid the (mean, SE) over its replicates of reduce(lrw) (see
-    `bounds._law_samples`).  Cell (d_idx, n_idx) reads stream
-    offset + d_idx * len(n_grid) + n_idx, and all N cells of one d share one
-    chunk map."""
-    for d_idx, d in enumerate(spec.ds):
-        variants = _variants(spec, d)
-        cells = [(offset + d_idx * len(spec.n_grid) + n_idx, n)
-                 for n_idx, n in enumerate(spec.n_grid)]
-        samples = _law_samples(variants[0][1], [m.law_scalars() for _, m in variants],
-                               spec.seed, cells, spec.replicates, reduce)
-        yield d, variants, [_mean_se(cell_samples) for cell_samples in samples]
+def _law_grid(spec: ExperimentSpec, offset: int, n_grid, replicates: int, reduce):
+    """Yield (d, variants, samples) per d of the grid, where samples holds
+    per N of `n_grid` the concatenation over its replicates of reduce(lrw)
+    (see `bounds._law_samples`).  Every d's models are built, and their laws
+    checked, before the first draw.  Cell (d_idx, n_idx) reads stream
+    offset + d_idx * len(n_grid) + n_idx, and all N cells of one d, with
+    all its sigma variants, share one chunk map."""
+    grid = [(d, _variants(spec, d)) for d in spec.ds]
+    for d_idx, (d, variants) in enumerate(grid):
+        cells = [(offset + d_idx * len(n_grid) + n_idx, n) for n_idx, n in enumerate(n_grid)]
+        yield d, variants, _law_samples(variants[0][1], [m.law_scalars() for _, m in variants],
+                                        spec.seed, cells, replicates, reduce)
 
 
 def run_gap_experiment(spec: ExperimentSpec) -> list:
@@ -311,10 +307,11 @@ def run_gap_experiment(spec: ExperimentSpec) -> list:
     (model, alpha, d, sigma_perturb) group across the N grid.
     """
     rows: list[dict] = []
-    grid = _law_grid(spec, _OFF_GAP, lambda lrw: vr_iwae_from_log_weights(lrw, spec.alphas))
-    for _, variants, stats in grid:
+    grid = _law_grid(spec, _OFF_GAP, spec.n_grid, spec.replicates,
+                     lambda lrw: vr_iwae_from_log_weights(lrw, spec.alphas))
+    for _, variants, samples in grid:
         # mean and SE of the gap samples per (variant, alpha, n)
-        means, ses = (np.stack(x, axis=-1) for x in zip(*stats))
+        means, ses = (np.stack(x, axis=-1) for x in zip(*map(_mean_se, samples)))
         for v_idx, (sp, model) in enumerate(variants):
             for a_idx, alpha in enumerate(spec.alphas):
                 rows.extend(_gap_rows(spec, model, sp, alpha, spec.n_grid,
@@ -416,30 +413,29 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
     # a sweep reads 2 + len(n_grid) stream ids from its stream's, so grid
     # points that far apart read disjoint ones
     stride = max(4096, len(spec.n_grid) + 2)
-    grid_idx = 0
-    for d in spec.ds:
-        for sp, model in _variants(spec, d):
-            for alpha in spec.alphas:
-                stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * stride)
-                grid_idx += 1
-                blocks = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
-                                   spec.replicates, spec.coordinate_sample, stream)
-                for (kind, block), blk in sorted(blocks.items()):
-                    if block == "theta":
-                        ref = 0.5
-                    else:
-                        ref = -0.5 if alpha == 0.0 else 0.5
-                    for i, n in enumerate(spec.n_grid):
-                        rows.append({
-                            "model": model.TABLE_NAME, "estimator": kind, "alpha": alpha,
-                            "d": d, "sigma_perturb": sp, "M": spec.m_samples, "N": n,
-                            "block": block, "snr_mean": float(blk.mean_snr[i]),
-                            "slope": blk.slope,
-                            "slope_lo": blk.slope - 2.0 * blk.slope_se,
-                            "slope_hi": blk.slope + 2.0 * blk.slope_se,
-                            "ref_slope": ref,
-                            "snr_floor": floor, "at_floor": bool(blk.at_floor[i]),
-                        })
+    # every model is built, and its law checked, before the first sweep
+    grid = [(d, sp, model, alpha) for d in spec.ds for sp, model in _variants(spec, d)
+            for alpha in spec.alphas]
+    for grid_idx, (d, sp, model, alpha) in enumerate(grid):
+        stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * stride)
+        blocks = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
+                           spec.replicates, spec.coordinate_sample, stream)
+        for (kind, block), blk in sorted(blocks.items()):
+            if block == "theta":
+                ref = 0.5
+            else:
+                ref = -0.5 if alpha == 0.0 else 0.5
+            for i, n in enumerate(spec.n_grid):
+                rows.append({
+                    "model": model.TABLE_NAME, "estimator": kind, "alpha": alpha,
+                    "d": d, "sigma_perturb": sp, "M": spec.m_samples, "N": n,
+                    "block": block, "snr_mean": float(blk.mean_snr[i]),
+                    "slope": blk.slope,
+                    "slope_lo": blk.slope - 2.0 * blk.slope_se,
+                    "slope_hi": blk.slope + 2.0 * blk.slope_se,
+                    "ref_slope": ref,
+                    "snr_floor": floor, "at_floor": bool(blk.at_floor[i]),
+                })
     return rows
 
 
@@ -452,24 +448,29 @@ _HIST_BINS = 60
 
 def run_weights_experiment(spec: ExperimentSpec) -> list:
     """Log-weight histograms, moments, and QQ normality correlation per
-    (d, sigma_perturb); qq_corr is empty where the sample SD is 0."""
+    (d, sigma_perturb); qq_corr is empty where the sample SD is 0.
+
+    Each d is one law-grid cell of N = 1 (`_law_grid`), whose draws its
+    sigma variants share.  A sample whose spread is below the float spacing
+    at its magnitude cannot fill the bins and is refused as
+    `weights._Unrepresentable`.  The bins are read first: the spread of both
+    laws grows as sqrt(|c|), so a sample whose mean or SD overflows is one
+    of these."""
     rows = []
-    grid_idx = 0
-    for d in spec.ds:
-        for sp, model in _variants(spec, d):
-            n = spec.weight_samples
-            # one cell of n replicates of N = 1: replicate r reads words
-            # [r k, (r + 1) k), as one (n, k) draw would
-            lrw, = _law_samples(model, [model.law_scalars()], spec.seed,
-                                [(_OFF_WEIGHTS + grid_idx, 1)], n, lambda lrw: lrw[:, 0, 0])
-            grid_idx += 1
+    grid = _law_grid(spec, _OFF_WEIGHTS, (1,), spec.weight_samples, lambda lrw: lrw[:, :, 0])
+    for d, variants, (samples,) in grid:
+        for (sp, model), lrw in zip(variants, np.ascontiguousarray(samples.T)):
+            try:
+                counts, edges = np.histogram(lrw, bins=_HIST_BINS)
+            except ValueError:
+                raise _Unrepresentable(f"{_HIST_BINS} bins cannot resolve the log-weights of "
+                                       f"the {model.TABLE_NAME} model at d {d}") from None
             mean, std = float(lrw.mean()), float(lrw.std(ddof=1))
             # a constant sample (the toy at theta = phi) has no QQ correlation
             corr = qq_points(lrw).correlation if std > 0 else None
-            counts, edges = np.histogram(lrw, bins=_HIST_BINS)
             for i in range(_HIST_BINS):
                 rows.append({"model": model.TABLE_NAME, "d": d, "sigma_perturb": sp,
-                             "n_samples": n, "log_mean": mean, "log_std": std,
+                             "n_samples": lrw.size, "log_mean": mean, "log_std": std,
                              "qq_corr": corr, "bin_lo": float(edges[i]),
                              "bin_hi": float(edges[i + 1]), "count": int(counts[i])})
     return rows
@@ -484,9 +485,10 @@ def run_collapse_experiment(spec: ExperimentSpec) -> list:
     and the effective sample size over fresh batches per (alpha, d, N)."""
     rows = []
     # (T, max share, ESS) per (variant, alpha) of each replicate
-    grid = _law_grid(spec, _OFF_COLLAPSE, lambda lrw: _diagnostics(lrw, spec.alphas))
-    for d, variants, stats in grid:
-        for n, (mean, se) in zip(spec.n_grid, stats):
+    grid = _law_grid(spec, _OFF_COLLAPSE, spec.n_grid, spec.replicates,
+                     lambda lrw: _diagnostics(lrw, spec.alphas))
+    for d, variants, samples in grid:
+        for n, (mean, se) in zip(spec.n_grid, map(_mean_se, samples)):
             for v_idx, (sp, model) in enumerate(variants):
                 for a_idx, alpha in enumerate(spec.alphas):
                     row = {"model": model.TABLE_NAME, "alpha": alpha, "d": d,

@@ -77,7 +77,9 @@ C = ||eps||^2 - Z^2 ~ chi^2_(d-1) are independent, and
   instead of d normals per log-weight.  `bounds._law_samples` takes one
   model's law and a list of scalars (of models of one class and d: sigma
   variants, or a training run's logged states), reads the variates once per
-  chunk, and writes each state's log-weights into one block.
+  chunk, and broadcasts them in one `law_log_weights` call against the
+  states' c and ||v||^2 as columns into one block; a single state writes
+  over Z.
 * The closed forms.  For every t >= 0 (q <= 0 in both models),
 
       log E[wbar^t] = t c + t^2 ||v||^2 / (2(1 - 2tq)) - (d/2) log(1 - 2tq).
@@ -205,10 +207,11 @@ class _Model:
     @staticmethod
     def law_log_weights(variates: tuple, scalars: tuple, out=None) -> np.ndarray:
         """Relative log-weights c - ||v|| Z, plus q (Z^2 + C) where q != 0,
-        written into `out` if given, which may be Z itself."""
+        written into `out` if given, which may be Z itself.  c and ||v||^2
+        may be columns of states, which broadcast against the variates."""
         c, v2, q, _ = scalars
         # (-||v|| Z) + c rounds as c - ||v|| Z, and needs no second temporary
-        lw = np.multiply(variates[0], -math.sqrt(v2), out=out)
+        lw = np.multiply(variates[0], -np.sqrt(v2), out=out)
         lw += c
         if q:
             lw += q * variates[1]

@@ -16,8 +16,8 @@ chunk loop; it sizes every chunk by its words alone, at most
 `_CHUNK_TARGET` of them (and at least one replicate).  A kernel's largest
 intermediate holds at most about one element per word, so the words bound
 its memory too.  Some kernels hold more: the finite-difference oracle's
-rows of differences hold up to three, at N < 3; the gap and collapse
-runners hold one block per sigma variant of a d; and `gap_mc` on a list of
+rows of differences hold up to three, at N < 3; the gap, collapse and
+weights runners each hold one block per sigma variant of a d; and `gap_mc` on a list of
 law states holds one block per state, in groups of states that the same
 chunk loop sizes, each state counting as a replicate of its R x N words.
 Since consecutive chunks read consecutive blocks of the one stream, the

@@ -50,17 +50,28 @@ class QQResult(NamedTuple):
     correlation: float
 
 
+class _Unrepresentable(ValueError):
+    """A spec whose numbers overflow a float: a model's law scalars, the
+    mean or SE of its samples, or the bins of its weights histogram.  Its
+    tables would read inf or NaN, so it is refused as an invalid spec is."""
+
+
 def _mean_se(samples: np.ndarray):
     """(mean, standard error) along the leading (replicate) axis of one
-    sample array, the package's one mean/SE reducer.
+    sample array, the package's one mean/SE reducer; `_Unrepresentable`
+    where the mean or the summed squares of finite samples overflow.
 
     Two passes: the squared deviations are summed about the mean, so the
     variance stays accurate when the spread is small against the mean.
     """
     n = _check_replicates(samples.shape[0])
-    mean = samples.mean(axis=0)
-    dev = samples - mean
-    var = (dev * dev).sum(axis=0) / (n - 1)
+    try:
+        with np.errstate(over="raise"):
+            mean = samples.mean(axis=0)
+            dev = samples - mean
+            var = (dev * dev).sum(axis=0) / (n - 1)
+    except FloatingPointError:
+        raise _Unrepresentable(f"the mean or SE of {n} samples overflows") from None
     return mean, np.sqrt(var / n)
 
 

@@ -366,8 +366,8 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path, monkey
 
 def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
     # tools/table_digests.py prints one sha256 line per op table of a
-    # workload, then one per selftest record, and the same lines on a second
-    # run, which keeps the files
+    # workload, then one per cover call, then one per selftest record, and
+    # the same lines on a second run, which keeps the files
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     monkeypatch.setattr(sys, "path", list(sys.path))    # undoes the tool's own entries
     table_digests = importlib.import_module("table_digests")
@@ -377,11 +377,15 @@ def test_table_digests_repeat(tmp_path, monkeypatch, capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     records = [line for line in runs[0] if line.split()[1:4] == ["selftest", "--seed", "0"]]
-    lines = [line for line in runs[0] if line not in records]
-    assert runs[0] == lines + records
+    covers = [line for line in runs[0] if line.split()[1] == "cover"]
+    lines = [line for line in runs[0] if line not in records + covers]
+    assert runs[0] == lines + covers + records
+    assert [line.split()[1:] for line in covers] == [
+        ["cover", name] for name, _ in table_digests.COVER]
     kept = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     stdout = (tmp_path / "selftest.txt").read_text()
     assert {f"train-0-{line.split()[3]}.csv": line.split()[0] for line in lines} | {
+        f"cover-{line.split()[2]}.csv": line.split()[0] for line in covers} | {
         "selftest.txt": hashlib.sha256(stdout.encode()).hexdigest()} == kept
     # each record's line: the sha256 of its line of the stdout, and its name
     assert [line.split(maxsplit=1)[1] for line in records] == [

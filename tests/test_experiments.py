@@ -1253,3 +1253,58 @@ def test_runners_refuse_a_model_whose_law_overflows(kind):
                                       sigma_perturbs=(1e300,) if kind == "train" else (0.3, 1e300)))
     rows = run_gap_experiment(small_gap_spec(ds=(1,), theta_scale=1e100, replicates=2))
     assert all(math.isfinite(row["mean_gap"]) for row in rows)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--theta-scale", "1e153", "--d", "1", "--n-grid", "2", "--replicates", "1000",
+      "--alpha", "0"], "the mean or SE of 1000 samples overflows"),
+    (["weights", "--theta-scale", "1e16", "--d", "1", "--weight-samples", "1000"],
+     "60 bins cannot resolve the log-weights of the toy model at d 1"),
+    (["weights", "--model", "lingauss", "--sigma-perturb", "1e100", "--d", "1",
+      "--weight-samples", "1000"],
+     "60 bins cannot resolve the log-weights of the lingauss model at d 1"),
+    (["weights", "--theta-scale", "1e152", "--d", "1", "--weight-samples", "100000"],
+     "60 bins cannot resolve the log-weights of the toy model at d 1"),
+    (["gap", "--theta-scale", "1e153", "--d", "1", "1000", "--n-grid", "2", "1024",
+      "--replicates", "20000"],
+     "law scalar c = -inf of the toy model at d 1000 and theta_scale 1e+153 is not finite"),
+], ids=["gap-mean", "weights-toy", "weights-lingauss", "weights-moments", "gap-last-d"])
+def test_cli_refuses_a_sample_it_cannot_represent(tmp_path, argv, message):
+    # a finite law whose gap mean or SE overflows, a weights sample that 60
+    # bins cannot resolve, and a law that overflows at the last d: exit 2, a
+    # usage line and one error line, no table, and in a fresh interpreter,
+    # whose warnings reach stderr, no warning
+    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "t.csv"
+    run = subprocess.run([sys.executable, "-m", "vriwae.cli", *argv, "--out", str(out)],
+                         env=env, timeout=300, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    usage, error = run.stderr.splitlines()
+    assert usage.startswith("usage: vriwae ")
+    assert error == f"vriwae: error: {argv[0]}: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["gap", "collapse", "weights", "snr"])
+def test_runners_check_every_law_before_any_draw(monkeypatch, kind):
+    # every d's models are built and checked before the first draw, so a
+    # law that overflows at the last d is refused with no draw run
+    def no_draw(*args):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr(vrng, "_chunk_map", no_draw)
+    from vriwae.cli import _RUNNERS
+    with pytest.raises(ValueError, match=r"^law scalar c = -inf of the toy model at d 1000 "):
+        _RUNNERS[kind](ExperimentSpec(kind=kind, model="toy", ds=(1, 1000), theta_scale=1e153))
+
+
+def test_weights_sigma_variants_share_their_draws():
+    # the sigma variants of a d are one law-grid cell: each one's rows are
+    # those of a run at that sigma_perturb alone, bit for bit
+    base = dict(kind="weights", model="lingauss", ds=(4, 9), weight_samples=5000, seed=5)
+    rows = run_weights_experiment(ExperimentSpec(**base, sigma_perturbs=(0.0, 0.3)))
+    for sp in (0.0, 0.3):
+        alone = run_weights_experiment(ExperimentSpec(**base, sigma_perturbs=(sp,)))
+        assert [r for r in rows if r["sigma_perturb"] == sp] == alone

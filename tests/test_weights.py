@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from vriwae import experiments
 from vriwae.experiments import ExperimentSpec, run_weights_experiment
 from vriwae.rng import make_stream, standard_normal
-from vriwae.weights import _diagnostics, _tail_sums, qq_points
+from vriwae.weights import _Unrepresentable, _diagnostics, _mean_se, _tail_sums, qq_points
 
 # the columns of `_diagnostics`, the collapse runner's one call for all three
 T, SHARE, ESS = range(3)
@@ -214,26 +214,45 @@ def test_qq_errors():
 
 class _FixedLaw:
     """A model stub whose log-weight law returns fixed values: the weights
-    runner draws its sample as one cell of N = 1, so the uniforms of its one
-    chunk come as (samples, 1, LAW_WORDS), with the scalars it read once."""
+    runner draws its sample as one law-grid cell of N = 1, so the uniforms
+    of its one chunk come as (samples, 1, 1, LAW_WORDS), and the c and
+    ||v||^2 of its one state as (1, 1) columns."""
 
     TABLE_NAME = "toy"
     LAW_WORDS = 1
+    SCALARS = (-1.5, 4.0, 0.0, 1)
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
     def law_scalars(self):
-        return "scalars"
+        return self.SCALARS
+
+    def _check(self, scalars):
+        c, v2, *rest = scalars
+        assert c.shape == v2.shape == (1, 1) and (c[0, 0], v2[0, 0], *rest) == self.SCALARS
 
     def law_variates(self, u, scalars):
-        assert u.shape == (self.values.size, 1, 1) and scalars == "scalars"
-        return (self.values[:, None],)
+        assert u.shape == (self.values.size, 1, 1, 1)
+        self._check(scalars)
+        return (self.values[:, None, None].copy(),)
 
     def law_log_weights(self, variates, scalars, out):
-        assert scalars == "scalars"
+        self._check(scalars)
         out[...] = variates[0]
         return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_se_refuses_a_sample_whose_moments_overflow():
+    # finite samples whose sum, or whose summed squares, overflow would read
+    # an inf mean or SE: the reducer refuses them as an invalid spec
+    for values in ([1e308, 1e308], [1e308, -1e308]):
+        with pytest.raises(_Unrepresentable, match=r"^the mean or SE of 2 samples overflows$"):
+            _mean_se(np.array(values))
+    # a sample whose sum and squares stay finite keeps its moments
+    assert _mean_se(np.array([1e307, 1e307])) == (1e307, 0.0)
+    assert _mean_se(np.array([1e150, 3e150])) == pytest.approx((2e150, 1e150), rel=1e-15)
 
 
 def test_log_weight_moments(monkeypatch):
