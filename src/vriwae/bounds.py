@@ -21,19 +21,20 @@ is that mean plus `model.log_marginal()`.
 
 The Monte Carlo estimates draw by the package's one rule (see `rng`): a cell
 reads one fresh stream, and replicate r maps block r of its uniforms, N x
-LAW_WORDS of them, through the model's law (`law_variates`, then
-`law_log_weights`).  `_law_samples` runs the chunks of replicates through
-`rng._chunk_map`, whose kernel takes a chunk's uniforms, maps them and
-reduces them to one sample per replicate on whichever thread takes it.  It
-takes one law (a model) and a list of law scalars (`law_scalars`), computes
-`law_variates` (a function of q and d alone) once per chunk, and maps them
-through one `law_log_weights` call, broadcast against the scalars' c and
-||v||^2 as columns, into one block, so the sigma variants of one d share
-the linear Gaussian's normal and chi^2 draws.  It serves the gap, collapse
-and weights runners of `experiments` too; a weights draw is one cell of
-N = 1 per d.  `gap_mc` takes such a list as well: a training run's logged
-rows are law states of one model, and their gaps are variants of one cell
-on one key.
+LAW_WORDS of them at the largest N of the cell's grid, through the model's
+law (`law_variates`, then `law_log_weights`).  `_law_samples` runs the
+chunks of replicates through `rng._chunk_map`, whose kernel takes a chunk's
+uniforms, maps them and reduces the first N log-weights of each batch, for
+each N of the grid, to one sample per replicate on whichever thread takes
+it.  It takes one law (a model) and a list of law scalars (`law_scalars`),
+computes `law_variates` (a function of q and d alone) once per chunk, and
+maps them through one `law_log_weights` call, broadcast against the
+scalars' c and ||v||^2 as columns, into one block, so the sigma variants
+and the N of one d share the linear Gaussian's normal and chi^2 draws.  It
+serves the gap, collapse and weights runners of `experiments` too; a
+weights draw is one cell of N = 1 per d.  `gap_mc` takes such a list as
+well: a training run's logged rows are law states of one model, and their
+gaps are variants of one cell on one key.
 """
 
 from __future__ import annotations
@@ -127,40 +128,47 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
     scalars = [model.law_scalars()] if states is None else states
     out = []
     for start, stop in vrng._replicate_chunks(len(scalars), replicates * n_importance):
-        samples, = _law_samples(model, scalars[start:stop], stream.seed,
-                                [(stream.stream_id, n_importance)], replicates,
+        samples, = _law_samples(model, scalars[start:stop], stream.seed, stream.stream_id,
+                                (n_importance,), replicates,
                                 lambda lrw: vr_iwae_from_log_weights(lrw, alpha))
         for row in np.ascontiguousarray(samples.T):
             out.append(BoundEstimate(*map(float, _mean_se(row)), replicates=row.size))
     return out[0] if states is None else out
 
 
-def _law_samples(law, states: Sequence[tuple], seed: int, cells: Sequence[tuple[int, int]],
-                 replicates: int, reduce) -> list:
-    """Per cell (stream_id, N), the concatenation over its replicates of
-    reduce(lrw), with lrw of shape (C, V, N) per chunk of C replicates,
-    C-contiguous, and reduce(lrw) of leading length C.
+def _law_samples(law, states: Sequence[tuple], seed: int, stream_id: int,
+                 n_grid: Sequence[int], replicates: int, reduce) -> tuple:
+    """Per N of `n_grid`, the concatenation over the replicates of the cell
+    (seed, stream_id) of reduce(lrw[..., :N]), with lrw the (C, V, N_max)
+    block of a chunk of C replicates, N_max = n_grid[-1], and reduce(x) of
+    leading length C.
+
+    Each N reads the first N log-weights of each replicate's batch, so the
+    N of a grid share their draws, as the variants do.  A proper prefix
+    reaches `reduce` as a C-contiguous copy, and the whole block as is, so
+    the sample at each N is, bit for bit, that of a cell of N drawn alone.
 
     `law` is a model, whose class states the law (`LAW_WORDS`,
     `law_variates`, `law_log_weights`), and `states` holds V law scalars of
     it: the `law_scalars()` of models of its class and d, which share q and
     d, hence their `law_variates`.  Their c and ||v||^2 are read once per
     call as (V, 1) columns.  The kernel of `rng._chunk_map` takes a chunk's
-    uniforms, N x LAW_WORDS per replicate of the cell's stream (seed,
-    stream_id), as (C, 1, N, LAW_WORDS), computes the (C, 1, N) variates
-    once, and one `law_log_weights` call broadcasts them against the columns
-    into the (C, V, N) block; a single state writes over Z.  The transforms
-    and reductions are batched per chunk, which does not affect the values.
+    uniforms, N_max x LAW_WORDS per replicate, as (C, 1, N_max, LAW_WORDS),
+    computes the (C, 1, N_max) variates once, and one `law_log_weights`
+    call broadcasts them against the columns into the block; a single state
+    writes over Z.  The transforms and reductions are batched per chunk,
+    which does not affect the values.
     """
-    k = law.LAW_WORDS
+    k, n_max = law.LAW_WORDS, n_grid[-1]
     # c and ||v||^2 as (V, 1) columns; the states share q and d
     columns = (*np.array([s[:2] for s in states]).T[..., None], *states[0][2:])
 
-    def kernel(i, u):
-        variates = law.law_variates(u.reshape(len(u), 1, cells[i][1], k), columns)
+    def kernel(_, u):
+        variates = law.law_variates(u.reshape(len(u), 1, n_max, k), columns)
         # one state writes its log-weights over Z, which nothing reads after
-        return reduce(law.law_log_weights(variates, columns,
-                                          out=variates[0] if len(states) == 1 else None))
+        lrw = law.law_log_weights(variates, columns,
+                                  out=variates[0] if len(states) == 1 else None)
+        return tuple(reduce(np.ascontiguousarray(lrw[..., :n])) for n in n_grid)
 
-    return vrng._chunk_map(seed, replicates, [(stream_id, n * k) for stream_id, n in cells],
-                           kernel, vrng.uniform)
+    samples, = vrng._chunk_map(seed, replicates, [(stream_id, n_max * k)], kernel, vrng.uniform)
+    return samples

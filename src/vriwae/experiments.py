@@ -5,18 +5,21 @@ owns a disjoint stream_id block, and each grid cell reads its own stream
 within it, by the package's one draw rule (see `rng`): replicate r of the
 cell takes block r of the stream's words.  The gap, collapse and weights
 runners read one law grid (`_law_grid`): it builds every d's models, and
-checks their laws, before its first draw, lays cell (d_idx, n_idx) on the
-stream at the family's offset + d_idx len(n_grid) + n_idx, and puts all N
-cells of a dimension, with all its sigma variants, in one `rng._chunk_map`
+checks their laws, before its first draw, and makes each dimension one
+cell, on the stream at the family's offset + d_idx, in one `rng._chunk_map`
 (`bounds._law_samples`), whose kernel maps a chunk's uniforms and whose
-chunks run on all cores.  The gap and collapse runners reduce each cell's
-samples at once to their mean and SE, so their tables are byte-identical at
-any number of threads and any chunk size.  The weights runner reads one cell
-of N = 1 per d, on the stream at its offset + d_idx; its tables, and the
-`snr` tables (see `gradients`), are byte-identical in the same way.  Common
-random numbers are reused on purpose, in every law runner, across alpha
-values and across the perturbation scales of a d: the draws are i.i.d. for
-each configuration, and sharing them makes the comparisons paired.  Each
+chunks run on all cores.  Replicate r of the cell draws one batch at the
+largest N of the grid, and each N reads its first N log-weights.  The gap
+and collapse runners reduce each N's samples at once to their mean and SE,
+so their tables are byte-identical at any number of threads and any chunk
+size.  The weights runner reads a grid of N = 1 alone; its tables, and the
+`snr` tables (see `gradients`), are byte-identical in the same way.  The
+SNR runner gives grid point i (a d, sigma variant and alpha) the stream ids
+from its offset + 4096 i, of which a sweep reads 3.  Common random numbers
+are reused on purpose across the N of a grid, in every law runner and in
+each SNR sweep, and, in every law runner, across alpha values and across
+the perturbation scales of a d: the draws are i.i.d. for each
+configuration, and sharing them makes the comparisons paired.  Each
 log-weight comes from its model's exact law (`law_variates` and
 `law_log_weights`), not d normals.
 
@@ -286,14 +289,14 @@ def _law_grid(spec: ExperimentSpec, offset: int, n_grid, replicates: int, reduce
     """Yield (d, variants, samples) per d of the grid, where samples holds
     per N of `n_grid` the concatenation over its replicates of reduce(lrw)
     (see `bounds._law_samples`).  Every d's models are built, and their laws
-    checked, before the first draw.  Cell (d_idx, n_idx) reads stream
-    offset + d_idx * len(n_grid) + n_idx, and all N cells of one d, with
-    all its sigma variants, share one chunk map."""
+    checked, before the first draw.  Dimension d_idx is one cell, on stream
+    offset + d_idx, whose replicates each draw one batch at the largest N;
+    every N reads its first N log-weights, and every sigma variant the same
+    draws."""
     grid = [(d, _variants(spec, d)) for d in spec.ds]
     for d_idx, (d, variants) in enumerate(grid):
-        cells = [(offset + d_idx * len(n_grid) + n_idx, n) for n_idx, n in enumerate(n_grid)]
         yield d, variants, _law_samples(variants[0][1], [m.law_scalars() for _, m in variants],
-                                        spec.seed, cells, replicates, reduce)
+                                        spec.seed, offset + d_idx, n_grid, replicates, reduce)
 
 
 def run_gap_experiment(spec: ExperimentSpec) -> list:
@@ -407,22 +410,30 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
     Health columns: snr_floor is sqrt(2/(pi R)), the SNR a zero-mean
     coordinate reads over R replicates, and at_floor marks rows whose
     snr_mean is below twice that floor, where the SNR cannot be read.
+    slope_lo and slope_hi are the slope -+ 2 SE of its fit; the N of a sweep
+    share their draws, so they bound the scatter of the points about the
+    line, not the error of independent points.  A sweep whose theta block
+    reads zero variance at some N is refused as `weights._Unrepresentable`.
     """
     rows = []
     floor = snr_floor(spec.replicates)
-    # a sweep reads 2 + len(n_grid) stream ids from its stream's, so grid
-    # points that far apart read disjoint ones
-    stride = max(4096, len(spec.n_grid) + 2)
     # every model is built, and its law checked, before the first sweep
     grid = [(d, sp, model, alpha) for d in spec.ds for sp, model in _variants(spec, d)
             for alpha in spec.alphas]
     for grid_idx, (d, sp, model, alpha) in enumerate(grid):
-        stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * stride)
+        stream = vrng.make_stream(spec.seed, _OFF_SNR + grid_idx * 4096)
         blocks = snr_sweep(model, alpha, spec.m_samples, spec.n_grid,
                            spec.replicates, spec.coordinate_sample, stream)
         for (kind, block), blk in sorted(blocks.items()):
             if block == "theta":
                 ref = 0.5
+                # a theta gradient has positive variance at every N in exact
+                # arithmetic: one that reads none has rounded to a constant
+                flat = np.isinf(blk.per_coordinate_snr).any(axis=1)
+                if flat.any():
+                    raise _Unrepresentable(
+                        f"the theta gradient of the {model.TABLE_NAME} model at d {d} reads "
+                        f"zero variance at N {spec.n_grid[flat.argmax()]}")
             else:
                 ref = -0.5 if alpha == 0.0 else 0.5
             for i, n in enumerate(spec.n_grid):

@@ -29,6 +29,9 @@ states (see `models`):
   `grad_samples_from_eps` contracts these into all three gradients at once,
   theta, rep phi and drep phi, so both estimators always read the same draws;
   `grad_mean_se` and `snr_sweep` reduce all three through `_grad_moments`.
+  Given a grid of N, it takes the sums of each N's first N samples of one
+  batch, each as a call on those samples alone would, stacks them on a grid
+  axis, and contracts the whole grid at once.
 * From one training epoch's normals, `train_sums`: only the weight rows the
   run's gradients contract (`_GRADIENTS` names each gradient's row), which
   `train`'s array kernel contracts the same way, into only the gradients its
@@ -53,8 +56,9 @@ its gradient samples, which the map concatenates in replicate order, and
 `weights._mean_se`, the package's one mean/SE reducer, reduces each cell's
 samples at once, so the results do not depend on the number of threads or
 the chunk size.  `grad_mean_se` and `fd_grad_oracle` pass one cell, at the
-key of the stream passed in; `snr_sweep` passes its N cells and takes each
-SNR from their means and SEs.
+key of the stream passed in; so does `snr_sweep`, whose replicates each draw
+one batch at the largest N of its grid, of which every N reads the first N
+samples, and it takes each SNR from the means and SEs of every N.
 """
 
 from __future__ import annotations
@@ -118,17 +122,21 @@ def _contract(scores, w_sum, wz, kinds=("theta", "rep", "drep"), rows=(0, 1)):
     return tuple(grads)
 
 
-def grad_samples_from_eps(model, eps: np.ndarray, alpha: float):
+def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, n_grid=None):
     """(g_theta, g_phi_rep, g_phi_drep) for a batch of draws.
 
     eps has shape (..., N, d); the gradients are (..., theta_vec.size),
-    (..., phi_vec.size) and (..., phi_vec.size), one sample per batch row.  The sums
+    (..., phi_vec.size) and (..., phi_vec.size), one sample per batch row.
+    Given `n_grid`, a list of N up to eps's, each gradient gains a grid axis
+    before its last, whose entry g is the gradient of the first n_grid[g]
+    samples of each row, bit for bit as a call on eps[..., :n_grid[g], :]
+    gives it; the scores are contracted once for the whole grid.  The sums
     come from `model.log_weight_quadratic()` (`models._eps_sums`) and the
     scores are contracted through `model.score_affine()`: neither z nor a
     score is materialized.
     """
     alpha = _check_alpha(alpha, closed=True)
-    _, w_sum, wz = _eps_sums(model, eps, alpha)
+    _, w_sum, wz = _eps_sums(model, eps, alpha, n_grid)
     return _contract(model.score_affine(), w_sum, wz)
 
 
@@ -248,11 +256,18 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
 
     For each N, `replicates` independent gradient estimates (each averaging
     `m_samples` draws) are formed for the rep and drep estimators on common
-    random numbers, replicate r of N = n_grid[i] reading block r of the
-    normals of stream.child(2 + i).  SNR = |mean|/(SE sqrt(R)) per
+    random numbers.  Replicate r reads block r of the normals of
+    stream.child(2), one (m_samples, N_max, d) batch at N_max =
+    n_grid[-1], and its estimate at each N reads the first N samples of
+    each of its m_samples draws.  SNR = |mean|/(SE sqrt(R)) per
     coordinate, from the means and SEs of `_grad_moments`, averaged over a
     seed-deterministic subset of `coordinate_sample` coordinates per block,
     then fitted with an ordinary least-squares slope in log-log scale.
+
+    The N of the grid share their draws, so their SNRs are paired, not
+    independent: the slope's SE (`slope_se`) measures the scatter of the
+    points about the fitted line, not an error that independent points
+    would give it.
 
     |mean|/sd over R replicates is biased up toward sqrt(2/(pi R)), so SNRs
     below that floor cannot be read: choose `replicates` so that the SNRs of
@@ -271,20 +286,21 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
     phi_idx = vrng.permutation_indices(stream.child(1), n_phi, k_phi)
 
     def sample(eps):
-        # both estimators from one pass; the theta block is shared, and each
-        # row averages its m_samples copies
-        g_theta, g_rep, g_drep = grad_samples_from_eps(model, eps, alpha)
-        return (np.take(g_theta.mean(axis=1), theta_idx, axis=1),
-                np.take(g_rep.mean(axis=1), phi_idx, axis=1),
-                np.take(g_drep.mean(axis=1), phi_idx, axis=1))
+        # both estimators at every N from one pass over the largest N; the
+        # theta block is shared, and each row averages its m_samples copies
+        g_theta, g_rep, g_drep = grad_samples_from_eps(model, eps, alpha, n_grid)
+        return (np.take(g_theta.mean(axis=1), theta_idx, axis=-1),
+                np.take(g_rep.mean(axis=1), phi_idx, axis=-1),
+                np.take(g_drep.mean(axis=1), phi_idx, axis=-1))
 
-    moments = _grad_moments(stream.seed, [(stream.stream_id + 2 + i, (m_samples, n, model.d))
-                                          for i, n in enumerate(n_grid)], replicates, sample)
+    moments, = _grad_moments(stream.seed,
+                             [(stream.stream_id + 2, (m_samples, n_grid[-1], model.d))],
+                             replicates, sample)
     log_n = np.log(np.asarray(n_grid, dtype=np.float64))
     blocks = {}
     for key, j in ((("rep", "theta"), 0), (("rep", "phi"), 1), (("drep", "theta"), 0),
                    (("drep", "phi"), 2)):
-        mean, se = map(np.array, zip(*(cell[j] for cell in moments)))
+        mean, se = moments[j]
         sd = se * math.sqrt(replicates)
         # a coordinate whose sd is at most 2**-40 |mean| counts as zero
         # variance: its spread is rounding noise on a constant (the toy's drep

@@ -165,20 +165,35 @@ def _score_grads(self, eps: np.ndarray, z: np.ndarray):
     return tuple(_affine_score(const(), coef, z) for const, coef in self.score_affine())
 
 
-def _eps_sums(model, eps: np.ndarray, alpha: float):
+def _eps_sums(model, eps: np.ndarray, alpha: float, n_grid=None):
     """(log_w, w_sum, wz) for eps of shape (..., N, d), read off
     `model.log_weight_quadratic()` without building z: log_w is (..., N),
     w_sum (..., 2, 1) holds sum s and sum h, and wz (..., 2, d) holds sum s z
-    and sum h z."""
+    and sum h z.  Given `n_grid`, an increasing list of N up to eps's, log_w
+    is that of the first n_grid[-1] samples, and w_sum and wz gain a grid
+    axis before their rows, (..., G, 2, 1) and (..., G, 2, d), whose entry g
+    holds the sums of the first n_grid[g] samples, each equal bit for bit to
+    the sums of those samples alone."""
     loc, scale, c0, v, q, _ = model.log_weight_quadratic()
-    # a batched matvec rounds each row alike in any chunk; one flat
-    # (rows, d) @ v does not
-    lw = c0 + eps @ v
-    if q:
-        lw += q * np.einsum("...i,...i->...", eps, eps)
-    w = _weight_rows(lw, alpha)                   # (..., 2, N): rows s and h
-    w_sum = w.sum(axis=-1, keepdims=True)
-    return lw, w_sum, w_sum * loc + scale * (w @ eps)
+    # a sum of squares rounds each row alike at any N and in any chunk
+    square = q * np.einsum("...i,...i->...", eps, eps) if q else None
+
+    def sums(n):
+        x = eps[..., :n, :]
+        # a batched matvec rounds each row alike in any chunk (one flat
+        # (rows, d) @ v does not), but not at any N: BLAS takes a matrix's
+        # rows in blocks and its last rows apart, so each N takes its own
+        lw = c0 + x @ v
+        if q:
+            lw += square[..., :n]
+        w = _weight_rows(lw, alpha)               # (..., 2, n): rows s and h
+        w_sum = w.sum(axis=-1, keepdims=True)
+        return lw, w_sum, w_sum * loc + scale * (w @ x)
+
+    if n_grid is None:
+        return sums(eps.shape[-2])
+    lw, w_sum, wz = zip(*map(sums, n_grid))
+    return lw[-1], np.stack(w_sum, axis=-3), np.stack(wz, axis=-3)
 
 
 class _Model:

@@ -7,17 +7,20 @@ thin wrapper around numpy's counter-based Philox generator keyed by
 without any fast-forwarding, so grid cells can be run in any order and still
 reproduce bit-identical results.
 
-Every Monte Carlo loop draws by one rule: a cell (a grid point of an
-experiment, an N of the SNR sweep, a `gap_mc` call, the epochs of a
-training run, the gaps of all its logged rows) reads one fresh stream from
-counter 0, and replicate r of a cell whose replicates take n words each
-reads words [r n, (r + 1) n).  `_replicate_chunks` is the package's one
-chunk loop; it sizes every chunk by its words alone, at most
-`_CHUNK_TARGET` of them (and at least one replicate).  A kernel's largest
+Every Monte Carlo loop draws by one rule: a cell (a d of a law grid, with
+all its N and sigma variants, an SNR sweep, with all its N, a `gap_mc` call,
+the epochs of a training run, the gaps of all its logged rows) reads one
+fresh stream from counter 0, and replicate r of a cell whose replicates
+take n words each reads words [r n, (r + 1) n).  A cell of several N draws
+each replicate's batch at the largest N, and every N reads its first N
+samples.  `_replicate_chunks` is the package's one chunk loop; it sizes
+every chunk by its words alone, at most `_CHUNK_TARGET` of them (and at
+least one replicate).  A kernel's largest
 intermediate holds at most about one element per word, so the words bound
 its memory too.  Some kernels hold more: the finite-difference oracle's
 rows of differences hold up to three, at N < 3; the gap, collapse and
-weights runners each hold one block per sigma variant of a d; and `gap_mc` on a list of
+weights runners each hold one block per sigma variant of a d, and beside it
+a copy of the prefix of one N at a time; and `gap_mc` on a list of
 law states holds one block per state, in groups of states that the same
 chunk loop sizes, each state counting as a replicate of its R x N words.
 Since consecutive chunks read consecutive blocks of the one stream, the
@@ -52,7 +55,7 @@ than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
 lose to a helper: a toy gap grid of 30,660 words took a median of 13.6 ms
 with it against 10.4 ms inline, and a linear Gaussian one of 65,408 words
 17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of `lowdim`
-(13.4M words) and `snr` (10.2M) keep both threads.
+(10.2M words) and `snr` (5.1M) keep both threads.
 
 `_CHUNK_TARGET` is a per-chunk constant, 2**16 words, the same at any
 worker count, and peak memory sets its size: two chunks are in flight at a

@@ -109,10 +109,11 @@ def test_tracer_runs_cli_and_restores_names(tmp_path, monkeypatch):
     # its gradients through the traced kernel
     assert words["gap"] > 0 and words["train"] > 0, words
     assert grad_calls > 0
-    # an snr call draws R M sum(N) d normals for its eps through the traced
-    # `standard_normal`, besides the instance's own: 2d for x and rest, and
-    # 3d more for the perturbation of theta, a and b where sigma_perturb > 0
-    eps = 100 * 2 * (2 + 4) * 3
+    # an snr call draws R M max(N) d normals for its eps through the traced
+    # `standard_normal`, one batch at the largest N that every N reads,
+    # besides the instance's own: 2d for x and rest, and 3d more for the
+    # perturbation of theta, a and b where sigma_perturb > 0
+    eps = 100 * 2 * 4 * 3
     assert normals == {0.0: eps + 2 * 3, 0.05: eps + 5 * 3}
     metrics = tracer.layer_metrics()
     assert tracer.spans > 0

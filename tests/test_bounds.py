@@ -13,6 +13,7 @@ from vriwae.bounds import _law_samples, _split, gap_mc, vr_iwae_from_log_weights
 from vriwae.experiments import make_linear_gaussian
 from vriwae.models import GaussianToy, closed_forms
 from vriwae.rng import make_stream, uniform
+from vriwae.weights import _diagnostics
 
 
 def lw(*values):
@@ -336,9 +337,10 @@ def test_law_samples_give_each_variant_its_own_law(name, target):
     models = _VARIANTS[name]
     k = models[0].LAW_WORDS
     with mock.patch.object(vrng, "_CHUNK_TARGET", target):
-        got = _law_samples(models[0], [m.law_scalars() for m in models], 9, _CELLS, 25,
-                           lambda lrw: lrw)
-        alone = [_law_samples(m, [m.law_scalars()], 9, _CELLS, 25, lambda lrw: lrw[:, 0])
+        got = [_law_samples(models[0], [m.law_scalars() for m in models], 9, stream_id, (n,),
+                            25, lambda lrw: lrw)[0] for stream_id, n in _CELLS]
+        alone = [[_law_samples(m, [m.law_scalars()], 9, stream_id, (n,), 25,
+                               lambda lrw: lrw[:, 0])[0] for stream_id, n in _CELLS]
                  for m in models]
     for c, ((stream_id, n), cell) in enumerate(zip(_CELLS, got)):
         u = uniform(make_stream(9, stream_id), (25, n, k))
@@ -364,8 +366,46 @@ def test_law_samples_draw_chi2_once_per_chunk(monkeypatch, variants):
     monkeypatch.setattr(vrng, "_WORKERS", 1)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 128)
     models = [make_linear_gaussian(5, sp, seed=2)[0] for sp in (0.0, 0.1, 0.3)[:variants]]
-    _law_samples(models[0], [m.law_scalars() for m in models], 3, [(5, 8)], 40,
+    _law_samples(models[0], [m.law_scalars() for m in models], 3, 5, (8,), 40,
                  lambda lrw: lrw[:, 0, 0])
     chunks = list(vrng._replicate_chunks(40, 8 * models[0].LAW_WORDS))
     assert len(chunks) == 10
     assert calls == [(stop - start) * 8 for start, stop in chunks]
+
+
+# --------------------------------------------------------------------------
+# the N of a grid read prefixes of one block
+# --------------------------------------------------------------------------
+
+_PREFIX_REDUCES = {"gap": lambda lrw: vr_iwae_from_log_weights(lrw, [0.0, 0.5]),
+                   "collapse": lambda lrw: _diagnostics(lrw, [0.0, 0.5]),
+                   "block": lambda lrw: lrw}
+
+
+@pytest.mark.parametrize("target", [1, 40, 2**16])
+@pytest.mark.parametrize("reduce", sorted(_PREFIX_REDUCES))
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+def test_law_samples_read_each_n_as_a_prefix_of_one_block(name, reduce, target):
+    # replicate r of the cell draws one batch at the largest N, and each N of
+    # the grid is `reduce` of that batch's first N log-weights, bit for bit,
+    # at any chunk size, for one variant and for several; every batch
+    # reaches `reduce` C-contiguous
+    models, n_grid = _VARIANTS[name], (1, 3, 10)
+    k, f = models[0].LAW_WORDS, _PREFIX_REDUCES[reduce]
+    seen = []
+
+    def recording(lrw):
+        seen.append(lrw.flags.c_contiguous)
+        return f(lrw)
+
+    u = uniform(make_stream(4, 61), (30, 1, n_grid[-1], k))
+    for group in (models, models[:1]):
+        states = [m.law_scalars() for m in group]
+        with mock.patch.object(vrng, "_CHUNK_TARGET", target):
+            got = _law_samples(group[0], states, 4, 61, n_grid, 30, recording)
+        assert len(got) == len(n_grid)
+        block = np.stack([m.law_log_weights(m.law_variates(u, s), s)[:, 0]
+                          for m, s in zip(group, states)], axis=1)
+        for n, samples in zip(n_grid, got):
+            np.testing.assert_array_equal(samples, f(block[..., :n].copy()), err_msg=str(n))
+    assert seen and all(seen)

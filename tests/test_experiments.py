@@ -24,6 +24,8 @@ from vriwae.experiments import (ExperimentSpec, fit_gap_table,
                                 run_collapse_experiment, run_gap_experiment,
                                 run_snr_experiment, run_train_experiment,
                                 run_weights_experiment, selftest, write_table)
+from vriwae.bounds import _law_samples, vr_iwae_from_log_weights
+from vriwae.weights import _diagnostics, _mean_se
 
 
 def small_gap_spec(**kw):
@@ -470,12 +472,13 @@ def _plain_diagnostics(alpha):
 
 
 def _by_hand_cells(spec):
-    """{(alpha, d, sigma_perturb, N): {column: (mean, se)}} by hand: cell
-    (d_idx, n_idx) reads the stream at the family offset + d_idx * len(n_grid)
-    + n_idx, replicate r maps block r of its uniforms through each model's
-    law, and each statistic comes from scipy's logsumexp or the plain
-    definitions of the diagnostics on one batch (`_plain_diagnostics`),
-    reduced by a two-pass mean and SE."""
+    """{(alpha, d, sigma_perturb, N): {column: (mean, se)}} by hand: dimension
+    d_idx reads the stream at the family offset + d_idx, replicate r takes
+    block r of its uniforms, largest N x LAW_WORDS of them, and the batch of
+    N maps the first N rows of that block through each model's law; each
+    statistic comes from scipy's logsumexp or the plain definitions of the
+    diagnostics on one batch (`_plain_diagnostics`), reduced by a two-pass
+    mean and SE."""
     offset = experiments._OFF_GAP if spec.kind == "gap" else experiments._OFF_COLLAPSE
     out = {}
     for d_idx, d in enumerate(spec.ds):
@@ -484,12 +487,12 @@ def _by_hand_cells(spec):
         else:
             variants = [(sp, make_linear_gaussian(d, sp, spec.seed)[0])
                         for sp in spec.sigma_perturbs]
-        for n_idx, n in enumerate(spec.n_grid):
-            stream = vrng.make_stream(spec.seed, offset + d_idx * len(spec.n_grid) + n_idx)
-            u = vrng.uniform(stream, (spec.replicates, n, variants[0][1].LAW_WORDS))
+        stream = vrng.make_stream(spec.seed, offset + d_idx)
+        u = vrng.uniform(stream, (spec.replicates, spec.n_grid[-1], variants[0][1].LAW_WORDS))
+        for n in spec.n_grid:
             for sp, model in variants:
                 s = model.law_scalars()
-                batches = [model.law_log_weights(model.law_variates(u[r], s), s)
+                batches = [model.law_log_weights(model.law_variates(u[r, :n], s), s)
                            for r in range(spec.replicates)]
                 for alpha in spec.alphas:
                     if spec.kind == "gap":
@@ -521,6 +524,46 @@ def test_gap_and_collapse_rows_match_by_hand_oracle(kind, model):
                     f"{col}_mean", f"{col}_se")
                 assert row[mean_col] == pytest.approx(mean, rel=1e-12, abs=1e-12), (target, col)
                 assert row[se_col] == pytest.approx(se, rel=1e-9, abs=1e-12), (target, col)
+
+
+@pytest.mark.parametrize("kind", ["gap", "collapse"])
+@pytest.mark.parametrize("model", ["toy", "lingauss"])
+def test_nested_n_rows_have_the_law_of_per_n_cells(kind, model):
+    # the N of a d share one batch per replicate; each N keeps the law of a
+    # cell drawn alone: every row's means lie within a few SEs of a cell of
+    # the rule the N cells read before they shared one batch, one fresh
+    # stream per (d, N) (here at another seed), each a one-N law grid
+    spec = ExperimentSpec(kind=kind, model=model, alphas=(0.0, 0.5), ds=(1, 4),
+                          n_grid=(1, 3, 10), replicates=3000, seed=41,
+                          **({"sigma_perturbs": (0.0, 0.3)} if model == "lingauss" else {}))
+    rows = (run_gap_experiment if kind == "gap" else run_collapse_experiment)(spec)
+    columns = ["gap"] if kind == "gap" else ["t", "max_share", "ess"]
+    reduce = (lambda lrw: vr_iwae_from_log_weights(lrw, spec.alphas)) if kind == "gap" else (
+        lambda lrw: _diagnostics(lrw, spec.alphas))
+    worst, compared = 0.0, 0
+    for d_idx, d in enumerate(spec.ds):
+        variants = experiments._variants(spec, d)
+        for n_idx, n in enumerate(spec.n_grid):
+            (samples,) = _law_samples(variants[0][1], [m.law_scalars() for _, m in variants],
+                                      spec.seed + 1, d_idx * len(spec.n_grid) + n_idx, (n,),
+                                      spec.replicates, reduce)
+            mean, se = (np.reshape(x, (len(variants), len(spec.alphas), -1))
+                        for x in _mean_se(samples))
+            for v_idx, (sp, _) in enumerate(variants):
+                for a_idx, alpha in enumerate(spec.alphas):
+                    row, = [r for r in rows if (r["d"], r["sigma_perturb"], r["N"],
+                                                 r["alpha"]) == (d, sp, n, alpha)]
+                    for c, col in enumerate(columns):
+                        mean_col, se_col = ("mean_gap", "se_gap") if kind == "gap" else (
+                            f"{col}_mean", f"{col}_se")
+                        both = math.hypot(row[se_col], se[v_idx, a_idx, c])
+                        diff = abs(row[mean_col] - mean[v_idx, a_idx, c])
+                        if both == 0:
+                            assert diff == 0, (d, sp, n, alpha, col)
+                            continue
+                        worst, compared = max(worst, diff / both), compared + 1
+    assert compared > 0
+    assert worst < 4.0, worst
 
 
 def test_fit_gap_table_roundtrip(tmp_path):
@@ -624,13 +667,14 @@ def test_snr_experiment_smoke():
 
 @pytest.mark.parametrize("n_values", [3, 4094, 4095])
 def test_snr_grid_points_read_disjoint_streams(monkeypatch, n_values):
-    # a sweep reads the stream ids [id, id + 2 + len(n_grid)) of its stream:
-    # children 0 and 1 for its coordinate draws, 2 + i for N = n_grid[i].  The
-    # recorder draws nothing and returns no blocks, so the run writes no rows
+    # a sweep reads the stream ids [id, id + 3) of its stream, at any grid:
+    # children 0 and 1 for its coordinate draws, 2 for the one batch at the
+    # largest N that every N reads.  The recorder draws nothing and returns
+    # no blocks, so the run writes no rows
     reads = []
 
     def record(model, alpha, m_samples, n_grid, replicates, coordinate_sample, stream):
-        reads.append(range(stream.stream_id, stream.stream_id + 2 + len(n_grid)))
+        reads.append(range(stream.stream_id, stream.stream_id + 3))
         return {}
 
     monkeypatch.setattr(experiments, "snr_sweep", record)
@@ -640,9 +684,8 @@ def test_snr_grid_points_read_disjoint_streams(monkeypatch, n_values):
     assert len(reads) == 4
     for a, b in zip(reads, reads[1:]):
         assert a.stop <= b.start
-    # grids of up to 4094 N values keep the stride of 4096 ids, and their bits
-    if n_values <= 4094:
-        assert [r.start - reads[0].start for r in reads] == [0, 4096, 8192, 12288]
+    # grid points keep the stride of 4096 ids at any number of N values
+    assert [r.start - reads[0].start for r in reads] == [0, 4096, 8192, 12288]
 
 
 def test_weights_experiment_rows():
@@ -887,6 +930,19 @@ def test_snr_rounding_noise_counts_as_zero_variance():
     assert all(math.isfinite(snr[n]) for n in (2, 4))
     fit = slope_fit(np.log([2.0, 4.0]), np.log([snr[2], snr[4]]))
     assert {r["slope"] for r in rows} == {fit.slope}
+
+
+def test_snr_writes_a_constant_drep_phi_block_as_inf():
+    # at alpha = 1, h = s and the toy's drep phi gradient (sum s)(theta - phi)
+    # is constant at every N, which the model states, not rounding: its rows
+    # read the +inf sentinel, and only a flat theta block is refused
+    spec = ExperimentSpec(kind="snr", model="toy", alphas=(1.0,), ds=(1,), n_grid=(1, 3, 10),
+                          replicates=100, seed=3)
+    rows = run_snr_experiment(spec)
+    assert {r["N"]: r["snr_mean"] for r in rows
+            if (r["estimator"], r["block"]) == ("drep", "phi")} == dict.fromkeys((1, 3, 10),
+                                                                                math.inf)
+    assert all(math.isfinite(r["snr_mean"]) for r in rows if r["block"] == "theta")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1268,12 +1324,16 @@ def test_runners_refuse_a_model_whose_law_overflows(kind):
     (["gap", "--theta-scale", "1e153", "--d", "1", "1000", "--n-grid", "2", "1024",
       "--replicates", "20000"],
      "law scalar c = -inf of the toy model at d 1000 and theta_scale 1e+153 is not finite"),
-], ids=["gap-mean", "weights-toy", "weights-lingauss", "weights-moments", "gap-last-d"])
+    (["snr", "--theta-scale", "1e100", "--d", "1", "--n-grid", "2", "4", "--replicates", "200"],
+     "the theta gradient of the toy model at d 1 reads zero variance at N 2"),
+], ids=["gap-mean", "weights-toy", "weights-lingauss", "weights-moments", "gap-last-d",
+        "snr-theta"])
 def test_cli_refuses_a_sample_it_cannot_represent(tmp_path, argv, message):
     # a finite law whose gap mean or SE overflows, a weights sample that 60
-    # bins cannot resolve, and a law that overflows at the last d: exit 2, a
-    # usage line and one error line, no table, and in a fresh interpreter,
-    # whose warnings reach stderr, no warning
+    # bins cannot resolve, a law that overflows at the last d, and a theta
+    # gradient that rounds to a constant (z - theta at theta = 1e100): exit
+    # 2, a usage line and one error line, no table, and in a fresh
+    # interpreter, whose warnings reach stderr, no warning
     src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

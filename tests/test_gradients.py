@@ -457,6 +457,91 @@ def test_snr_sweep_reduces_like_grad_mean_se(alpha):
                                       [np.abs(mean) / (se * math.sqrt(reps))])
 
 
+def _sweep_moments(monkeypatch, *args):
+    """The per-cell moments that snr_sweep(*args) reads from its one
+    `_grad_moments` call."""
+    from vriwae import gradients
+    real, seen = gradients._grad_moments, []
+    monkeypatch.setattr(gradients, "_grad_moments", lambda *a: seen.append(real(*a)) or seen[-1])
+    snr_sweep(*args)
+    (moments,) = seen
+    return moments
+
+
+_NESTED_MODELS = pytest.mark.parametrize(
+    "make_model", [lambda: make_toy(20, 0.8), lambda: make_linear_gaussian(20, 0.3, 4)[0]],
+    ids=["toy", "lingauss"])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@_NESTED_MODELS
+def test_grad_samples_read_each_n_as_a_prefix(make_model, alpha):
+    # given a grid, the gradients of each N are those of a call on the first
+    # N samples of each row alone, bit for bit, though BLAS rounds a
+    # matrix's last rows apart from its blocks of rows (N = 3 and 10)
+    model, n_grid = make_model(), (1, 3, 10)
+    eps = standard_normal(make_stream(21, 0), (6, 2, 10, model.d))
+    got = grad_samples_from_eps(model, eps, alpha, n_grid)
+    for g, n in enumerate(n_grid):
+        for a, b in zip(got, grad_samples_from_eps(model, eps[..., :n, :].copy(), alpha)):
+            np.testing.assert_array_equal(a[..., g, :], b, err_msg=str(n))
+
+
+@pytest.mark.parametrize("target", [1, 200, 2**16])
+@_NESTED_MODELS
+def test_snr_sweep_reads_each_n_as_a_prefix_of_one_batch(monkeypatch, make_model, target):
+    # replicate r of a sweep draws one (M, N_max, d) batch, block r of the
+    # normals of stream.child(2), and each N reduces the gradients of its
+    # first N samples: the sweep's moments are those of direct calls on
+    # those prefixes, averaged over M and sampled at the sweep's
+    # coordinates, bit for bit, at any chunk size
+    model, n_grid, reps, m, stream = make_model(), (1, 3, 10), 120, 2, make_stream(22, 7)
+    monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
+    moments = _sweep_moments(monkeypatch, model, 0.5, m, n_grid, reps, 3, stream)
+    idx = [vrng.permutation_indices(stream.child(i), size, 3)
+           for i, size in enumerate((model.theta_vec.size, model.phi_vec.size))]
+    eps = standard_normal(stream.child(2), (reps, m, n_grid[-1], model.d))
+    want = [[], [], []]
+    for n in n_grid:
+        grads = grad_samples_from_eps(model, eps[..., :n, :].copy(), 0.5)
+        for j, (g, block) in enumerate(zip(grads, (0, 1, 1))):
+            want[j].append(np.take(g.mean(axis=1), idx[block], axis=-1))
+    assert len(moments) == 1
+    for (mean, se), samples in zip(moments[0], want):
+        want_mean, want_se = _mean_se(np.stack(samples, axis=1))
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(se, want_se)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@_NESTED_MODELS
+def test_snr_sweep_means_have_the_law_of_per_n_cells(monkeypatch, make_model, alpha):
+    # the N of a sweep share their draws; each N keeps the law of a cell
+    # drawn alone: per coordinate, the sweep's gradient means lie within a
+    # few SEs of grad_mean_se on a fresh stream per N (the rule the sweep's
+    # N cells read before they shared one batch), where either varies
+    model, n_grid, reps, stream = make_model(), (1, 3, 10), 4000, make_stream(23, 0)
+    (theta, rep, drep), = _sweep_moments(monkeypatch, model, alpha, 1, n_grid, reps, 100, stream)
+    idx = {"theta": vrng.permutation_indices(stream.child(0), model.theta_vec.size,
+                                             model.theta_vec.size),
+           "phi": vrng.permutation_indices(stream.child(1), model.phi_vec.size,
+                                           model.phi_vec.size)}
+    worst, compared = 0.0, 0
+    for g, n in enumerate(n_grid):
+        est = grad_mean_se(model, alpha, n, reps, make_stream(24, g))
+        for (mean, se), kind, block in ((theta, "rep", "theta"), (rep, "rep", "phi"),
+                                        (drep, "drep", "phi")):
+            alone = [getattr(est[kind], f"{block}_{x}")[idx[block]] for x in ("mean", "se")]
+            both = np.hypot(se[g], alone[1])
+            varies = both > 0
+            np.testing.assert_array_equal(mean[g][~varies], alone[0][~varies])
+            z = np.abs(mean[g] - alone[0])[varies] / both[varies]
+            worst, compared = max(worst, *z, 0.0), compared + z.size
+    assert compared > 0
+    # 180 to 300 coordinates per case: |z| >= 4.5 has probability 7e-6 each
+    assert worst < 4.5, worst
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("make_model", [lambda: make_toy(3),
                                         lambda: make_linear_gaussian(3, 0.5, 0)[0]],

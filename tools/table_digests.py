@@ -7,10 +7,12 @@ one line gives the sha256 of the file it wrote, then the workload, the seed
 and the op's name.  Then one `<sha256>  cover <name>` line per call of
 `COVER`, a fixed list of small runs down paths that no workload takes:
 several sigma variants of the linear Gaussian's weights and collapse,
-training the toy with Adam and drep and the linear Gaussian, and the toy's
-snr.  Then one line per record of `vriwae selftest --seed 0` gives the
-sha256 of that record's line of its stdout, then the record's name, so that
-a changed record, or only its detail, is one changed line.
+training the toy with Adam and drep and the linear Gaussian, the toy's snr,
+and a toy gap and a linear Gaussian snr (at alpha 0 and 1) on the grid
+N = 1, 3, 10, which starts at 1 and holds no power of two.  Then one line
+per record of `vriwae selftest --seed 0` gives the sha256 of that record's
+line of its stdout, then the record's name, so that a changed record, or
+only its detail, is one changed line.
 
     python tools/table_digests.py [--workload W ...] [--seed S ...] [--keep DIR]
 
@@ -48,6 +50,10 @@ COVER = (
                        "--log-every 50 --seed 5"),
     ("train-lingauss", "train --model lingauss --d 5 --epochs 200 --log-every 50 --seed 5"),
     ("snr-toy", "snr --model toy --d 3 --alpha 0 0.5 --n-grid 2 4 8 --replicates 200 --seed 5"),
+    ("gap-toy-n1-3-10", "gap --model toy --d 2 --alpha 0 0.5 --n-grid 1 3 10 --replicates 200 "
+                        "--seed 5"),
+    ("snr-lingauss-n1-3-10", "snr --model lingauss --d 3 --sigma-perturb 0.1 --alpha 0 1 "
+                             "--n-grid 1 3 10 --replicates 200 --seed 5"),
 )
 
 
