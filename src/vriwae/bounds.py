@@ -138,10 +138,11 @@ def gap_mc(model, alpha: float, n_importance: int, replicates: int,
 
 def _law_samples(law, states: Sequence[tuple], seed: int, stream_id: int,
                  n_grid: Sequence[int], replicates: int, reduce) -> tuple:
-    """Per N of `n_grid`, the concatenation over the replicates of the cell
-    (seed, stream_id) of reduce(lrw[..., :N]), with lrw the (C, V, N_max)
-    block of a chunk of C replicates, N_max = n_grid[-1], and reduce(x) of
-    leading length C.
+    """The tuple, one item per N of `n_grid`, of the concatenation over the
+    replicates of the cell (seed, stream_id) of reduce(lrw[..., :N]), with
+    lrw the (C, V, N_max) block of a chunk of C replicates, N_max =
+    n_grid[-1], and reduce(x) of leading length C: the tuple that
+    `rng._chunk_map` returns for the one cell.
 
     Each N reads the first N log-weights of each replicate's batch, so the
     N of a grid share their draws, as the variants do.  A proper prefix
@@ -163,12 +164,11 @@ def _law_samples(law, states: Sequence[tuple], seed: int, stream_id: int,
     # c and ||v||^2 as (V, 1) columns; the states share q and d
     columns = (*np.array([s[:2] for s in states]).T[..., None], *states[0][2:])
 
-    def kernel(_, u):
+    def kernel(u):
         variates = law.law_variates(u.reshape(len(u), 1, n_max, k), columns)
         # one state writes its log-weights over Z, which nothing reads after
         lrw = law.law_log_weights(variates, columns,
                                   out=variates[0] if len(states) == 1 else None)
         return tuple(reduce(np.ascontiguousarray(lrw[..., :n])) for n in n_grid)
 
-    samples, = vrng._chunk_map(seed, replicates, [(stream_id, n_max * k)], kernel, vrng.uniform)
-    return samples
+    return vrng._chunk_map(seed, stream_id, replicates, n_max * k, kernel, vrng.uniform)

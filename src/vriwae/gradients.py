@@ -47,18 +47,19 @@ log-weight of z instead, so it shares no kernel with the estimators.
 The eps-path kernels are batched: they take eps of shape (R, N, d) and
 return one gradient sample per replicate row.  `_grad_moments` is the one
 map and reducer of all three Monte Carlo callers, `grad_mean_se`,
-`fd_grad_oracle` and `snr_sweep`.  It runs a list of cells on one seed in
-one `rng._chunk_map`, in chunks of at most `rng._CHUNK_TARGET` words, so
-memory stays bounded and the chunks run on all cores; replicate r of a cell
+`fd_grad_oracle` and `snr_sweep`.  It runs one cell, a seed and a stream
+id, in one `rng._chunk_map`, in chunks of at most `rng._CHUNK_TARGET`
+words, so memory stays bounded and the chunks run on all cores; replicate r
 reads block r of the normals of the cell's fresh stream, reshaped into its
 eps, and the sample function never sees a stream.  Each chunk returns only
-its gradient samples, which the map concatenates in replicate order, and
-`weights._mean_se`, the package's one mean/SE reducer, reduces each cell's
-samples at once, so the results do not depend on the number of threads or
-the chunk size.  `grad_mean_se` and `fd_grad_oracle` pass one cell, at the
-key of the stream passed in; so does `snr_sweep`, whose replicates each draw
-one batch at the largest N of its grid, of which every N reads the first N
-samples, and it takes each SNR from the means and SEs of every N.
+its tuple of gradient samples, which the map concatenates item by item in
+replicate order, and `weights._mean_se`, the package's one mean/SE reducer,
+reduces each item at once, so the results do not depend on the number of
+threads or the chunk size.  `grad_mean_se` and `fd_grad_oracle` read the
+key of the stream passed in; `snr_sweep` reads its child(2), and its
+replicates each draw one batch at the largest N of its grid, of which every
+N reads the first N samples, and it takes each SNR from the means and SEs
+of every N.
 """
 
 from __future__ import annotations
@@ -140,25 +141,20 @@ def grad_samples_from_eps(model, eps: np.ndarray, alpha: float, n_grid=None):
     return _contract(model.score_affine(), w_sum, wz)
 
 
-def _grad_moments(seed: int, cells: Sequence[tuple[int, tuple]], replicates: int,
-                  sample) -> list:
-    """Per cell (stream_id, shape), the (mean, SE) of each array of the
-    gradient samples `sample(eps)` over i.i.d. replicates.
+def _grad_moments(seed: int, stream_id: int, shape: tuple, replicates: int, sample) -> list:
+    """The list of (mean, SE) of each array of the tuple of gradient
+    samples `sample(eps)`, over i.i.d. replicates.
 
     Replicate r's eps of shape `shape` are block r of the normals of the
     fresh stream (seed, stream_id); the kernel of `rng._chunk_map` reshapes
     a chunk's normals into them.  A replicate's words, the size of its eps,
-    size the chunks, as for every cell of the map; each cell's samples are
-    reduced at once by `weights._mean_se`, so the result does not depend on
-    the chunks.
+    size the chunks; each array's samples are reduced at once by
+    `weights._mean_se`, so the result does not depend on the chunks.
     """
-    def kernel(i, normals):
-        return sample(normals.reshape(len(normals), *cells[i][1]))
-
-    samples = vrng._chunk_map(seed, _check_replicates(replicates),
-                              [(sid, math.prod(shape)) for sid, shape in cells],
-                              kernel, vrng.standard_normal)
-    return [[_mean_se(block) for block in cell] for cell in samples]
+    samples = vrng._chunk_map(seed, stream_id, _check_replicates(replicates), math.prod(shape),
+                              lambda normals: sample(normals.reshape(len(normals), *shape)),
+                              vrng.standard_normal)
+    return [_mean_se(block) for block in samples]
 
 
 def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
@@ -167,9 +163,8 @@ def grad_mean_se(model, alpha: float, n_importance: int, replicates: int,
     replicates, replicate r reading block r of a fresh stream at the key of
     `stream`: {"rep": GradEstimate, "drep": GradEstimate}, both from the same
     draws and sharing one theta block."""
-    (theta, rep, drep), = _grad_moments(stream.seed,
-                                        [(stream.stream_id, (n_importance, model.d))], replicates,
-                                        lambda eps: grad_samples_from_eps(model, eps, alpha))
+    theta, rep, drep = _grad_moments(stream.seed, stream.stream_id, (n_importance, model.d),
+                                     replicates, lambda eps: grad_samples_from_eps(model, eps, alpha))
     return {"rep": GradEstimate(*theta, *rep, replicates),
             "drep": GradEstimate(*theta, *drep, replicates)}
 
@@ -213,9 +208,8 @@ def fd_grad_oracle(model, alpha: float, n_importance: int, step: float,
                    replicates: int, stream: vrng.RngStream) -> GradEstimate:
     """Finite-difference oracle for the bound gradient, with common random
     numbers across the +/- evaluations of every coordinate."""
-    (theta, phi), = _grad_moments(stream.seed,
-                                  [(stream.stream_id, (n_importance, model.d))], replicates,
-                                  lambda eps: fd_grad_from_eps(model, eps, alpha, step))
+    theta, phi = _grad_moments(stream.seed, stream.stream_id, (n_importance, model.d), replicates,
+                               lambda eps: fd_grad_from_eps(model, eps, alpha, step))
     return GradEstimate(*theta, *phi, replicates)
 
 
@@ -293,9 +287,8 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
                 np.take(g_rep.mean(axis=1), phi_idx, axis=-1),
                 np.take(g_drep.mean(axis=1), phi_idx, axis=-1))
 
-    moments, = _grad_moments(stream.seed,
-                             [(stream.stream_id + 2, (m_samples, n_grid[-1], model.d))],
-                             replicates, sample)
+    moments = _grad_moments(stream.seed, stream.stream_id + 2, (m_samples, n_grid[-1], model.d),
+                            replicates, sample)
     log_n = np.log(np.asarray(n_grid, dtype=np.float64))
     blocks = {}
     for key, j in ((("rep", "theta"), 0), (("rep", "phi"), 1), (("drep", "theta"), 0),

@@ -28,30 +28,29 @@ draws do not depend on the chunk size.  Distinct cells, and distinct draw
 purposes, read distinct stream ids (``child``).
 
 `_chunk_map` is the package's one draw of replicate noise.  It runs the
-chunks of a list of cells, all at one seed and one replicate count, on
-threads, and hands each chunk's kernel only its words: it draws replicates
-[start, stop) of a cell as one (stop - start, words) block of uniforms or
-normals, so a kernel is a function of its words and never sees a stream, a
-start or a stop.  A chunk that starts at word w of its cell builds a fresh
-stream at the cell's key and skips to word w itself (`_stream_at`): Philox
-makes 4 words per counter step, so it advances the counter by w // 4 and
-drops w % 4 words.  The calling thread and the helper threads that the map
-starts take the (cell, chunk) tasks in turn from one shared counter; numpy's
-Philox words, its ufuncs and scipy's `ndtri` release the interpreter lock,
-so the threads draw and map at the same time.  The map returns each cell's
-results concatenated in chunk order along the replicate axis, so no table
-depends on the number of threads; the callers reduce each cell's samples in
-one batch, so none depends on the chunk size either.  Training stays serial,
-since its epochs depend on each other, and reads its chunks of epochs in
-order from one stream.
+chunks of one cell, at one seed, stream id and replicate count, on threads,
+and hands each chunk's kernel only its words: it draws replicates
+[start, stop) as one (stop - start, words) block of uniforms or normals, so
+a kernel is a function of its words and never sees a stream, a start or a
+stop.  A chunk that starts at word w of the cell builds a fresh stream at
+the cell's key and skips to word w itself (`_stream_at`): Philox makes 4
+words per counter step, so it advances the counter by w // 4 and drops
+w % 4 words.  The calling thread and the helper threads that the map starts
+take the chunks in turn from one shared counter; numpy's Philox words, its
+ufuncs and scipy's `ndtri` release the interpreter lock, so the threads
+draw and map at the same time.  Every kernel returns a tuple of arrays, and
+the map returns that tuple with each item concatenated in chunk order along
+the replicate axis, so no table depends on the number of threads; the
+callers reduce the cell's samples in one batch, so none depends on the
+chunk size either.  Training stays serial, since its epochs depend on each
+other, and reads its chunks of epochs in order from one stream.
 
 The map joins its helpers before it returns, so no thread outlives the call
 that started it, and a forked child, a changed `_WORKERS` or a map called
-from a kernel needs nothing of its own.  A map of W words (replicates
-times per-replicate words, summed over its cells) runs on
-min(`_WORKERS`, tasks, max(1, W // `_CHUNK_TARGET`)) threads: a helper
-starts only for each full chunk of work beyond the first, and a map of less
-than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
+from a kernel needs nothing of its own.  A map of W words (replicates times
+per-replicate words) runs on min(`_WORKERS`, chunks, max(1, W //
+`_CHUNK_TARGET`)) threads: a helper starts only for each full chunk of work
+beyond the first, and a map of less than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
 lose to a helper: a toy gap grid of 30,660 words took a median of 13.6 ms
 with it against 10.4 ms inline, and a linear Gaussian one of 65,408 words
 17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of `lowdim`
@@ -92,7 +91,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.random import Philox
@@ -181,26 +180,24 @@ def _stream_at(seed: int, stream_id: int, word: int) -> RngStream:
     return stream
 
 
-def _chunk_map(seed: int, replicates: int, cells: Sequence[tuple[int, int]], kernel: Callable,
-               draw: Callable) -> list:
-    """Per cell (stream_id, words) of `replicates` replicates, the results
-    of kernel(i, block) over its `_replicate_chunks`, concatenated in chunk
-    order along the replicate axis (item by item where a result is a
-    tuple), where i is the cell's index and `block` the draws of the chunk's
-    replicates [start, stop): draw(stream, (stop - start, words)) on the
-    fresh stream (seed, stream_id) at replicate `start`'s first word.
-    `draw` is `uniform` or `standard_normal`.
+def _chunk_map(seed: int, stream_id: int, replicates: int, words: int, kernel: Callable,
+               draw: Callable) -> tuple:
+    """The tuple results of kernel(block) over the `_replicate_chunks` of
+    `replicates` replicates of `words` words each, concatenated item by item
+    in chunk order along the replicate axis, where `block` holds the draws
+    of a chunk's replicates [start, stop): draw(stream, (stop - start,
+    words)) on the fresh stream (seed, stream_id) at replicate `start`'s
+    first word.  `draw` is `uniform` or `standard_normal`.
 
     The calling thread and up to `_WORKERS - 1` helpers, one for each full
-    `_CHUNK_TARGET` of the cells' words beyond the first, started here
-    and joined before the map returns, take the tasks in turn from one
-    shared counter, and each result lands at its task's index, so the
-    return value does not depend on how many threads ran.  A kernel's
-    exception stops the remaining tasks and is raised here once every
-    thread is done.
+    `_CHUNK_TARGET` of words beyond the first, started here and joined
+    before the map returns, take the chunks in turn from one shared
+    counter, and each result lands at its chunk's index, so the return
+    value does not depend on how many threads ran.  A kernel's exception
+    stops the remaining chunks and is raised here once every thread is
+    done.
     """
-    tasks = [(i, start, stop) for i, (_, words) in enumerate(cells)
-             for start, stop in _replicate_chunks(replicates, words)]
+    tasks = list(_replicate_chunks(replicates, words))
     results = [None] * len(tasks)
     order = iter(range(len(tasks)))
     lock = threading.Lock()
@@ -212,17 +209,15 @@ def _chunk_map(seed: int, replicates: int, cells: Sequence[tuple[int, int]], ker
                 k = None if errors else next(order, None)
             if k is None:
                 return
-            i, start, stop = tasks[k]
-            stream_id, words = cells[i]
+            start, stop = tasks[k]
             try:
-                results[k] = kernel(i, draw(_stream_at(seed, stream_id, start * words),
-                                            (stop - start, words)))
+                results[k] = kernel(draw(_stream_at(seed, stream_id, start * words),
+                                         (stop - start, words)))
             except BaseException as exc:    # re-raised by the calling thread below
                 errors.append(exc)
                 return
 
-    total = replicates * sum(words for _, words in cells)
-    threads = min(_WORKERS, len(tasks), max(1, total // _CHUNK_TARGET))
+    threads = min(_WORKERS, len(tasks), max(1, replicates * words // _CHUNK_TARGET))
     helpers = [threading.Thread(target=drain, name="vriwae-chunk") for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
@@ -233,12 +228,7 @@ def _chunk_map(seed: int, replicates: int, cells: Sequence[tuple[int, int]], ker
             helper.join()
     if errors:
         raise errors[0]
-    out: list = [[] for _ in cells]
-    for (i, _, _), result in zip(tasks, results):
-        out[i].append(result)
-    # a tuple result is concatenated item by item
-    return [tuple(map(np.concatenate, zip(*chunks))) if isinstance(chunks[0], tuple)
-            else np.concatenate(chunks) for chunks in out]
+    return tuple(map(np.concatenate, zip(*results)))
 
 
 def standard_normal(stream: RngStream, size) -> np.ndarray:

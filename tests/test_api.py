@@ -198,7 +198,7 @@ def test_one_map_per_draw_law():
                                                     .read_text()), name)]
     assert users == ["bounds._law_samples", "gradients._grad_moments"]
     probe = ast.parse("def f(c):\n    return [vrng._chunk_map(*c)]\n"
-                      "def g(k):\n    def h():\n        return _chunk_map(0, 1, [], k, None)\n"
+                      "def g(k):\n    def h():\n        return _chunk_map(0, 1, 2, 3, k, None)\n"
                       "def e(m: _chunk_map):\n    return vrng._chunk_map\n")
     assert _chunk_map_users(probe, "m") == ["m.f", "m.g"]
 

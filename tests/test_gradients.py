@@ -458,8 +458,8 @@ def test_snr_sweep_reduces_like_grad_mean_se(alpha):
 
 
 def _sweep_moments(monkeypatch, *args):
-    """The per-cell moments that snr_sweep(*args) reads from its one
-    `_grad_moments` call."""
+    """The (mean, SE) per gradient (theta, rep phi, drep phi) that
+    snr_sweep(*args) reads from its one `_grad_moments` call."""
     from vriwae import gradients
     real, seen = gradients._grad_moments, []
     monkeypatch.setattr(gradients, "_grad_moments", lambda *a: seen.append(real(*a)) or seen[-1])
@@ -506,8 +506,8 @@ def test_snr_sweep_reads_each_n_as_a_prefix_of_one_batch(monkeypatch, make_model
         grads = grad_samples_from_eps(model, eps[..., :n, :].copy(), 0.5)
         for j, (g, block) in enumerate(zip(grads, (0, 1, 1))):
             want[j].append(np.take(g.mean(axis=1), idx[block], axis=-1))
-    assert len(moments) == 1
-    for (mean, se), samples in zip(moments[0], want):
+    assert len(moments) == 3
+    for (mean, se), samples in zip(moments, want):
         want_mean, want_se = _mean_se(np.stack(samples, axis=1))
         np.testing.assert_array_equal(mean, want_mean)
         np.testing.assert_array_equal(se, want_se)
@@ -521,7 +521,7 @@ def test_snr_sweep_means_have_the_law_of_per_n_cells(monkeypatch, make_model, al
     # few SEs of grad_mean_se on a fresh stream per N (the rule the sweep's
     # N cells read before they shared one batch), where either varies
     model, n_grid, reps, stream = make_model(), (1, 3, 10), 4000, make_stream(23, 0)
-    (theta, rep, drep), = _sweep_moments(monkeypatch, model, alpha, 1, n_grid, reps, 100, stream)
+    theta, rep, drep = _sweep_moments(monkeypatch, model, alpha, 1, n_grid, reps, 100, stream)
     idx = {"theta": vrng.permutation_indices(stream.child(0), model.theta_vec.size,
                                              model.theta_vec.size),
            "phi": vrng.permutation_indices(stream.child(1), model.phi_vec.size,

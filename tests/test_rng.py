@@ -136,7 +136,8 @@ def test_stream_at_reads_words_from_its_offset(seed, stream_id, word, n):
     assert np.array_equal(raw_uint64(_stream_at(seed, stream_id, word), n), whole[word:])
 
 
-# the seed, replicate count and (stream_id, words) cells of the maps below
+# the seed, replicate count and (stream_id, words) cells of the maps below,
+# one map per cell
 _SEED, _REPLICATES = 2**40 + 3, 13
 _CELLS = [(7, 3), (8, 5), (9, 2)]
 
@@ -160,21 +161,23 @@ def test_chunk_map_reads_each_cells_stream_in_replicate_order(monkeypatch, worke
     # stream's, whatever the chunk size and the number of threads
     monkeypatch.setattr(vrng, "_WORKERS", workers)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", target)
-    def kernel(i, words):
-        assert words.shape[1:] == (_CELLS[i][1],)
-        return words
+    for stream_id, words in _CELLS:
+        def kernel(block, words=words):
+            assert block.shape[1:] == (words,)
+            return (block,)
 
-    for cell, words in zip(_CELLS, _chunk_map(_SEED, _REPLICATES, _CELLS, kernel, _raw_words)):
-        assert np.array_equal(words.reshape(-1), _whole(cell))
+        block, = _chunk_map(_SEED, stream_id, _REPLICATES, words, kernel, _raw_words)
+        assert np.array_equal(block.reshape(-1), _whole((stream_id, words)))
 
 
 def test_chunk_map_concatenates_tuple_results_item_by_item(monkeypatch):
-    # a kernel that returns a tuple gets each item joined along the
-    # replicate axis; here the items are a chunk's uniforms and their row sums
+    # a kernel's tuple has each item joined along the replicate axis; here
+    # the items are a chunk's uniforms and their row sums
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 25)
-    out = _chunk_map(_SEED, _REPLICATES, _CELLS, lambda i, u: (u, u.sum(axis=1)), uniform)
-    for (stream_id, words), (u, sums) in zip(_CELLS, out):
+    for stream_id, words in _CELLS:
+        u, sums = _chunk_map(_SEED, stream_id, _REPLICATES, words,
+                             lambda u: (u, u.sum(axis=1)), uniform)
         want = uniform(make_stream(_SEED, stream_id), (_REPLICATES, words))
         assert np.array_equal(u, want)
         assert np.array_equal(sums, want.sum(axis=1))
@@ -188,54 +191,55 @@ def test_chunk_map_runs_each_task_once_under_contention(monkeypatch):
     lock = threading.Lock()
     calls: dict = {}
 
-    def kernel(i, words):
-        # a chunk is known by its cell and its first word
+    def kernel(words):
+        # a chunk is known by its first word
         with lock:
-            calls[(i, int(words[0, 0]))] = calls.get((i, int(words[0, 0])), 0) + 1
-        return words
+            calls[int(words[0, 0])] = calls.get(int(words[0, 0]), 0) + 1
+        return (words,)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            calls.clear()
-            out = _chunk_map(_SEED, _REPLICATES, _CELLS, kernel, _raw_words)
-            tasks = [(i, start) for i, (_, words) in enumerate(_CELLS)
-                     for start, _ in vrng._replicate_chunks(_REPLICATES, words)]
-            assert [words.reshape(-1).tolist() for words in out] == [
-                _whole(cell).tolist() for cell in _CELLS]
-            assert calls == {(i, int(_whole(_CELLS[i])[start * _CELLS[i][1]])): 1
-                             for i, start in tasks}
+            for stream_id, words in _CELLS:
+                calls.clear()
+                out, = _chunk_map(_SEED, stream_id, _REPLICATES, words, kernel, _raw_words)
+                whole = _whole((stream_id, words))
+                assert out.reshape(-1).tolist() == whole.tolist()
+                assert calls == {int(whole[start * words]): 1
+                                 for start, _ in vrng._replicate_chunks(_REPLICATES, words)}
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_chunk_map_under_one_chunk_runs_inline(monkeypatch):
-    # 40 tasks of 2,000 elements in all, under one chunk: no helper starts.
-    # The first kernel waits for a helper to take a task, so one that had
-    # started would show on the recorded threads
+    # 3 tasks of one replicate each, 1.8 chunks' words in all, under two
+    # chunks: no helper starts.  The first kernel waits for a helper to take
+    # a task, so one that had started would show on the recorded threads
     monkeypatch.setattr(vrng, "_WORKERS", 2)
-    cells = [(i, 10) for i in range(40)]
-    assert 5 * sum(words for _, words in cells) < vrng._CHUNK_TARGET
+    words = round(0.6 * vrng._CHUNK_TARGET)
+    tasks = list(vrng._replicate_chunks(3, words))
+    assert len(tasks) == 3 and 3 * words < 2 * vrng._CHUNK_TARGET
     threads = []
     ran = []
     helper_ran = threading.Event()
 
-    def kernel(i, words):
+    def kernel(block):
         threads.append(threading.current_thread())
-        ran.append(i)
+        ran.append(int(block[0, 0]))
         if threading.current_thread() is not threading.main_thread():
             helper_ran.set()
         elif len(threads) == 1:
             helper_ran.wait(timeout=0.5)
-        return words
+        return (block,)
 
-    out = _chunk_map(4, 5, cells, kernel, _raw_words)
-    assert len(threads) == 40
+    out, = _chunk_map(4, 0, 3, words, kernel, _raw_words)
+    assert len(threads) == 3
     assert set(threads) == {threading.main_thread()}
-    # one chunk per cell, holding all its replicates
-    assert sorted(ran) == list(range(40))
-    assert all(words.shape == (5, 10) for words in out)
+    # one chunk per replicate, each run once, in order
+    whole = _whole((0, words), 4, 3)
+    assert ran == [int(whole[start * words]) for start, _ in tasks]
+    assert out.shape == (3, words) and np.array_equal(out.reshape(-1), whole)
 
 
 def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
@@ -248,16 +252,16 @@ def test_chunk_map_of_two_chunks_starts_a_helper(monkeypatch):
     helper_ran = threading.Event()
     names = []
 
-    def kernel(i, words):
+    def kernel(words):
         names.append(threading.current_thread().name)
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
         else:
             helper_ran.set()
-        return words
+        return (words,)
 
-    words, = _chunk_map(5, 50, [cell], kernel, _raw_words)
+    words, = _chunk_map(5, cell[0], 50, cell[1], kernel, _raw_words)
     assert len(names) == 2 and "vriwae-chunk" in names
     assert np.array_equal(words.reshape(-1), _whole(cell, 5, 50))
 
@@ -274,17 +278,17 @@ def test_chunk_map_raises_a_helpers_exception(monkeypatch):
     helper_ran = threading.Event()
     ran = []
 
-    def kernel(i, words):
+    def kernel(words):
         ran.append(int(words[0, 0]))
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
-            return words
+            return (words,)
         helper_ran.set()
         raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map(0, 50, [(0, 1)], kernel, _raw_words)
+        _chunk_map(0, 0, 50, 1, kernel, _raw_words)
     assert helper_ran.is_set()
     assert len(ran) < 50        # the remaining chunks did not run
 
@@ -298,26 +302,25 @@ def test_no_helper_outlives_its_map(monkeypatch):
     # they are joined before the map returns, also when a kernel raises
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [(2, 1)]
     helper_ran = threading.Event()
 
-    def kernel(i, words):
+    def kernel(words):
         if threading.current_thread() is threading.main_thread():
             if not helper_ran.wait(timeout=30):
                 raise TimeoutError("no helper took a chunk")
         else:
             helper_ran.set()
-        return words
+        return (words,)
 
-    assert len(_chunk_map(1, 50, cells, kernel, _raw_words)[0]) == 50
+    assert len(_chunk_map(1, 2, 50, 1, kernel, _raw_words)[0]) == 50
     assert helper_ran.is_set()
     assert not _live_helpers()
 
-    def failing(i, words):
+    def failing(words):
         raise _HelperError(f"chunk at word {words[0, 0]}")
 
     with pytest.raises(_HelperError):
-        _chunk_map(1, 50, cells, failing, _raw_words)
+        _chunk_map(1, 2, 50, 1, failing, _raw_words)
     assert not _live_helpers()
 
 
@@ -327,15 +330,14 @@ def test_chunk_map_runs_in_a_forked_child(monkeypatch):
     # maps start their own instead of waiting on the parent's forever
     monkeypatch.setattr(vrng, "_WORKERS", 2)
     monkeypatch.setattr(vrng, "_CHUNK_TARGET", 1)
-    cells = [(2, 1)]
 
-    def kernel(i, words):
-        return words
+    def kernel(words):
+        return (words,)
 
-    want = _chunk_map(1, 50, cells, kernel, _raw_words)[0]    # the helpers exist now
+    want = _chunk_map(1, 2, 50, 1, kernel, _raw_words)[0]    # the helpers exist now
 
     def child():
-        sys.exit(0 if np.array_equal(_chunk_map(1, 50, cells, kernel, _raw_words)[0], want) else 1)
+        sys.exit(0 if np.array_equal(_chunk_map(1, 2, 50, 1, kernel, _raw_words)[0], want) else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
