@@ -413,7 +413,10 @@ def run_snr_experiment(spec: ExperimentSpec) -> list:
     slope_lo and slope_hi are the slope -+ 2 SE of its fit; the N of a sweep
     share their draws, so they bound the scatter of the points about the
     line, not the error of independent points.  A sweep whose theta block
-    reads zero variance at some N is refused as `weights._Unrepresentable`.
+    reads zero variance at some N, an sd of at most 4 sqrt(N) ulps of the
+    mean (see `snr_sweep`), which rounding alone can give a constant, is
+    refused as `weights._Unrepresentable`; a large SNR that the floats
+    resolve, as at theta-scale 1e12, is written.
     """
     rows = []
     floor = snr_floor(spec.replicates)

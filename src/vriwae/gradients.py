@@ -229,7 +229,9 @@ class SnrBlock:
     marks the N whose mean SNR is below twice the floor.
     """
 
-    per_coordinate_snr: np.ndarray  # (len(n_grid), n_coords); +inf marks zero variance
+    # (len(n_grid), n_coords); +inf marks zero variance, an sd of at most
+    # 4 sqrt(N) ulps of |mean| (see `snr_sweep`)
+    per_coordinate_snr: np.ndarray
     mean_snr: np.ndarray            # mean over finite coordinates per N
     at_floor: np.ndarray            # bool per N: mean_snr < 2 * snr_floor(R)
     slope: float
@@ -295,12 +297,13 @@ def snr_sweep(model, alpha: float, m_samples: int, n_grid: Sequence[int],
                    (("drep", "phi"), 2)):
         mean, se = moments[j]
         sd = se * math.sqrt(replicates)
-        # a coordinate whose sd is at most 2**-40 |mean| counts as zero
-        # variance: its spread is rounding noise on a constant (the toy's drep
-        # phi gradient at N = 1, where h = s = 1), and |mean|/sd would read
-        # about 1e14
+        # a coordinate whose sd is at most 4 sqrt(N) ulps of |mean| counts as
+        # zero variance: a sum of N terms about a constant rounds that far,
+        # so |mean|/sd would measure the rounding; a constant reads sd 0 (the
+        # toy's drep phi gradient at N = 1, where h = s = 1), and a large SNR
+        # that floats resolve spreads by more (about 6,000 ulps at theta 1e12)
         mat = np.full(mean.shape, np.inf)
-        nz = sd > 2.0**-40 * np.abs(mean)
+        nz = sd > 4.0 * np.sqrt(np.reshape(n_grid, (-1, 1))) * np.spacing(np.abs(mean))
         mat[nz] = np.abs(mean[nz]) / sd[nz]
         finite = np.isfinite(mat)
         mean_snr = np.array([mat[i][finite[i]].mean() if finite[i].any() else np.inf

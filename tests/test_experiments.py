@@ -1311,6 +1311,15 @@ def test_runners_refuse_a_model_whose_law_overflows(kind):
     assert all(math.isfinite(row["mean_gap"]) for row in rows)
 
 
+def _fresh_cli(argv, out):
+    """`vriwae argv --out out` run in a fresh interpreter on this package."""
+    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "vriwae.cli", *argv, "--out", str(out)],
+                          env=env, timeout=300, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gap", "--theta-scale", "1e153", "--d", "1", "--n-grid", "2", "--replicates", "1000",
       "--alpha", "0"], "the mean or SE of 1000 samples overflows"),
@@ -1326,25 +1335,38 @@ def test_runners_refuse_a_model_whose_law_overflows(kind):
      "law scalar c = -inf of the toy model at d 1000 and theta_scale 1e+153 is not finite"),
     (["snr", "--theta-scale", "1e100", "--d", "1", "--n-grid", "2", "4", "--replicates", "200"],
      "the theta gradient of the toy model at d 1 reads zero variance at N 2"),
+    (["snr", "--theta-scale", "1e16", "--d", "1", "--n-grid", "2", "4", "--replicates", "200"],
+     "the theta gradient of the toy model at d 1 reads zero variance at N 2"),
 ], ids=["gap-mean", "weights-toy", "weights-lingauss", "weights-moments", "gap-last-d",
-        "snr-theta"])
+        "snr-theta", "snr-theta-1e16"])
 def test_cli_refuses_a_sample_it_cannot_represent(tmp_path, argv, message):
     # a finite law whose gap mean or SE overflows, a weights sample that 60
     # bins cannot resolve, a law that overflows at the last d, and a theta
-    # gradient that rounds to a constant (z - theta at theta = 1e100): exit
-    # 2, a usage line and one error line, no table, and in a fresh
-    # interpreter, whose warnings reach stderr, no warning
-    src = str(pathlib.Path(vriwae.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    # gradient that rounds to a constant (z - theta at theta = 1e100), or
+    # spreads by about one ulp of its mean (at 1e16): exit 2, a usage line
+    # and one error line, no table, and in a fresh interpreter, whose
+    # warnings reach stderr, no warning
     out = tmp_path / "t.csv"
-    run = subprocess.run([sys.executable, "-m", "vriwae.cli", *argv, "--out", str(out)],
-                         env=env, timeout=300, capture_output=True, text=True)
+    run = _fresh_cli(argv, out)
     assert (run.returncode, run.stdout) == (2, "")
     usage, error = run.stderr.splitlines()
     assert usage.startswith("usage: vriwae ")
     assert error == f"vriwae: error: {argv[0]}: {message}"
     assert not out.exists()
+
+
+def test_cli_writes_a_large_snr_that_floats_resolve(tmp_path):
+    # at theta = 1e12 the toy's theta gradient spreads by about 0.8 about a
+    # mean of about 1e12, thousands of ulps of it: not zero variance, so its
+    # SNR, about 1.3e12, is written, in a fresh interpreter with no warning
+    out = tmp_path / "t.csv"
+    run = _fresh_cli(["snr", "--theta-scale", "1e12", "--d", "1", "--n-grid", "2", "4",
+                      "--replicates", "200"], out)
+    assert (run.returncode, run.stderr) == (0, "")
+    rows, _ = read_table(str(out))
+    theta = [row["snr_mean"] for row in rows if row["block"] == "theta"]
+    assert {row["N"] for row in rows if row["block"] == "theta"} == {2, 4}
+    assert theta and all(1e12 < snr < 2e12 for snr in theta)
 
 
 @pytest.mark.parametrize("kind", ["gap", "collapse", "weights", "snr"])

@@ -597,6 +597,21 @@ def test_mean_se_matches_numpy():
     np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / math.sqrt(1000), rtol=1e-12)
 
 
+@pytest.mark.parametrize("replicates", [100, 4000])
+def test_mean_se_of_a_constant_is_zero(replicates):
+    # the mean of equal values, added in sequence, rounds off them by many
+    # ulps; a constant column still reads SE 0, beside a column that varies
+    # and keeps its SE, and so does a 1-D sample
+    values = np.array([0.1, 1.0 / 3.0, 1e12 + 0.7, -2.0 / 7.0])
+    assert np.any(np.full((replicates, 4), values).mean(axis=0) != values)
+    x = np.concatenate([np.full((replicates, 4), values),
+                        standard_normal(make_stream(42, 0), (replicates, 1))], axis=1)
+    mean, se = _mean_se(x)
+    np.testing.assert_array_equal(se[:4], 0.0)
+    np.testing.assert_allclose(se[4], x[:, 4].std(ddof=1) / math.sqrt(replicates), rtol=1e-12)
+    assert _mean_se(x[:, 2])[1] == 0.0
+
+
 @pytest.mark.parametrize("replicates", [0, 1])
 def test_standard_errors_need_two_replicates(replicates):
     # fewer than 2 replicates have no standard error: each Monte Carlo entry

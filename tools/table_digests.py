@@ -8,8 +8,9 @@ and the op's name.  Then one `<sha256>  cover <name>` line per call of
 `COVER`, a fixed list of small runs down paths that no workload takes:
 several sigma variants of the linear Gaussian's weights and collapse,
 training the toy with Adam and drep and the linear Gaussian, the toy's snr,
-and a toy gap and a linear Gaussian snr (at alpha 0 and 1) on the grid
-N = 1, 3, 10, which starts at 1 and holds no power of two.  Then one line
+a toy gap and a linear Gaussian snr (at alpha 0 and 1) on the grid
+N = 1, 3, 10, which starts at 1 and holds no power of two, and a toy snr at
+theta-scale 1e12, whose theta SNR, about 1.3e12, is large but resolved.  Then one line
 per record of `vriwae selftest --seed 0` gives the sha256 of that record's
 line of its stdout, then the record's name, so that a changed record, or
 only its detail, is one changed line.
@@ -54,6 +55,8 @@ COVER = (
                         "--seed 5"),
     ("snr-lingauss-n1-3-10", "snr --model lingauss --d 3 --sigma-perturb 0.1 --alpha 0 1 "
                              "--n-grid 1 3 10 --replicates 200 --seed 5"),
+    ("snr-toy-theta-1e12", "snr --model toy --d 1 --theta-scale 1e12 --n-grid 2 4 "
+                           "--replicates 200 --seed 5"),
 )
 
 
