@@ -50,11 +50,12 @@ that started it, and a forked child, a changed `_WORKERS` or a map called
 from a kernel needs nothing of its own.  A map of W words (replicates times
 per-replicate words) runs on min(`_WORKERS`, chunks, max(1, W //
 `_CHUNK_TARGET`)) threads: a helper starts only for each full chunk of work
-beyond the first, and a map of less than two chunks runs inline.  On 2 cores, the benchmark's small gap calls
-lose to a helper: a toy gap grid of 30,660 words took a median of 13.6 ms
-with it against 10.4 ms inline, and a linear Gaussian one of 65,408 words
-17.8 ms against 13.5 ms (15 interleaved runs each).  The maps of `lowdim`
-(10.2M words) and `snr` (5.1M) keep both threads.
+beyond the first, and a map of less than two chunks runs inline.  On 2
+cores, the benchmark's small gap calls lose to a helper: a toy gap grid of
+30,660 words took a median of 13.6 ms with it against 10.4 ms inline, and a
+linear Gaussian one of 65,408 words 17.8 ms against 13.5 ms (15 interleaved
+runs each).  The maps of `lowdim` (10.2M words) and `snr` (5.1M) keep both
+threads.
 
 `_CHUNK_TARGET` is a per-chunk constant, 2**16 words, the same at any
 worker count, and peak memory sets its size: two chunks are in flight at a

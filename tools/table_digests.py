@@ -10,10 +10,10 @@ several sigma variants of the linear Gaussian's weights and collapse,
 training the toy with Adam and drep and the linear Gaussian, the toy's snr,
 a toy gap and a linear Gaussian snr (at alpha 0 and 1) on the grid
 N = 1, 3, 10, which starts at 1 and holds no power of two, and a toy snr at
-theta-scale 1e12, whose theta SNR, about 1.3e12, is large but resolved.  Then one line
-per record of `vriwae selftest --seed 0` gives the sha256 of that record's
-line of its stdout, then the record's name, so that a changed record, or
-only its detail, is one changed line.
+theta-scale 1e12, whose theta SNR, about 1.3e12, is large but resolved.
+Then one line per record of `vriwae selftest --seed 0` gives the sha256 of
+that record's line of its stdout, then the record's name, so that a changed
+record, or only its detail, is one changed line.
 
     python tools/table_digests.py [--workload W ...] [--seed S ...] [--keep DIR]
 
